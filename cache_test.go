@@ -20,7 +20,7 @@ import (
 // fatTreeCacheRun is fatTreeRun with a result store attached, at the
 // given in-process parallelism and worker count. It opens a fresh store
 // handle on dir so each run reports its own traffic metrics.
-func fatTreeCacheRun(t *testing.T, dir string, parallelism, workers int) ([]sre.PrefixOutcome, int, []sre.PrefixResult, sre.StoreMetrics) {
+func fatTreeCacheRun(t *testing.T, base sre.Options, dir string, parallelism, workers int) ([]sre.PrefixOutcome, int, []sre.PrefixResult, sre.StoreMetrics) {
 	t.Helper()
 	st, err := sre.OpenStore(dir, sre.StoreOptions{})
 	if err != nil {
@@ -28,9 +28,8 @@ func fatTreeCacheRun(t *testing.T, dir string, parallelism, workers int) ([]sre.
 	}
 	defer st.Close()
 	net := workload.FatTree(4, workload.BGP)
-	v, err := sre.NewVerifier(net, sre.Options{
-		MaxFailures: 2, Resilient: true,
-		Parallelism: parallelism, Workers: workers, Store: st})
+	base.Parallelism, base.Workers, base.Store = parallelism, workers, st
+	v, err := sre.NewVerifier(net, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,52 +44,57 @@ func fatTreeCacheRun(t *testing.T, dir string, parallelism, workers int) ([]sre.
 }
 
 // TestCacheDeterminism pins the cache's public contract: cold and warm
-// cached runs — sequential, parallel, and multi-process — are
-// indistinguishable from a cache-less run.
+// cached runs — one worker, parallel, and multi-process, with and
+// without prefixes that verify on a ladder rung — are indistinguishable
+// from a cache-less run.
 func TestCacheDeterminism(t *testing.T) {
-	baseOuts, basePFECs, baseSweep := fatTreeRun(t, 1)
-	if len(baseOuts) == 0 {
-		t.Fatal("baseline reported no outcomes")
-	}
-	dir := t.TempDir()
+	for _, v := range ft4Variants {
+		t.Run(v.name, func(t *testing.T) {
+			baseOuts, basePFECs, baseSweep := fatTreeRun(t, v.base, 1)
+			if len(baseOuts) == 0 {
+				t.Fatal("baseline reported no outcomes")
+			}
+			dir := t.TempDir()
 
-	outs, pfecs, sweep, m := fatTreeCacheRun(t, dir, 1, 0)
-	if !reflect.DeepEqual(outs, baseOuts) || pfecs != basePFECs || !reflect.DeepEqual(sweep, baseSweep) {
-		t.Fatalf("cold cached run diverges from cache-less run")
-	}
-	if m.Puts == 0 {
-		t.Fatalf("cold run published nothing: %+v", m)
-	}
-	if m.Hits != 0 {
-		t.Fatalf("cold run hit a fresh store: %+v", m)
-	}
+			outs, pfecs, sweep, m := fatTreeCacheRun(t, v.base, dir, 1, 0)
+			if !reflect.DeepEqual(outs, baseOuts) || pfecs != basePFECs || !reflect.DeepEqual(sweep, baseSweep) {
+				t.Fatalf("cold cached run diverges from cache-less run")
+			}
+			if m.Puts == 0 {
+				t.Fatalf("cold run published nothing: %+v", m)
+			}
+			if m.Hits != 0 {
+				t.Fatalf("cold run hit a fresh store: %+v", m)
+			}
 
-	cases := []struct {
-		name                 string
-		parallelism, workers int
-	}{
-		{"warm/parallel=1", 1, 0},
-		{"warm/parallel=2", 2, 0},
-		{"warm/workers=1", 0, 1},
-		{"warm/workers=2", 0, 2},
-	}
-	for _, tc := range cases {
-		outs, pfecs, sweep, m := fatTreeCacheRun(t, dir, tc.parallelism, tc.workers)
-		if !reflect.DeepEqual(outs, baseOuts) {
-			t.Errorf("%s: outcomes diverge\n got %+v\nwant %+v", tc.name, outs, baseOuts)
-		}
-		if pfecs != basePFECs {
-			t.Errorf("%s: NumPFECs = %d, want %d", tc.name, pfecs, basePFECs)
-		}
-		if !reflect.DeepEqual(sweep, baseSweep) {
-			t.Errorf("%s: tolerance sweep diverges", tc.name)
-		}
-		if m.Hits == 0 {
-			t.Errorf("%s: warm run missed the cache entirely: %+v", tc.name, m)
-		}
-		if m.Quarantined != 0 {
-			t.Errorf("%s: clean store quarantined records: %+v", tc.name, m)
-		}
+			cases := []struct {
+				name                 string
+				parallelism, workers int
+			}{
+				{"warm/parallel=1", 1, 0},
+				{"warm/parallel=2", 2, 0},
+				{"warm/workers=1", 0, 1},
+				{"warm/workers=2", 0, 2},
+			}
+			for _, tc := range cases {
+				outs, pfecs, sweep, m := fatTreeCacheRun(t, v.base, dir, tc.parallelism, tc.workers)
+				if !reflect.DeepEqual(outs, baseOuts) {
+					t.Errorf("%s: outcomes diverge\n got %+v\nwant %+v", tc.name, outs, baseOuts)
+				}
+				if pfecs != basePFECs {
+					t.Errorf("%s: NumPFECs = %d, want %d", tc.name, pfecs, basePFECs)
+				}
+				if !reflect.DeepEqual(sweep, baseSweep) {
+					t.Errorf("%s: tolerance sweep diverges", tc.name)
+				}
+				if m.Hits == 0 {
+					t.Errorf("%s: warm run missed the cache entirely: %+v", tc.name, m)
+				}
+				if m.Quarantined != 0 {
+					t.Errorf("%s: clean store quarantined records: %+v", tc.name, m)
+				}
+			}
+		})
 	}
 }
 
@@ -121,9 +125,9 @@ func storeRecords(t *testing.T, dir string) []string {
 // cache-less run, and the corruption must show up as quarantined
 // records in the metrics — never as wrong answers.
 func TestCachePoisonedSelfHeals(t *testing.T) {
-	baseOuts, basePFECs, baseSweep := fatTreeRun(t, 1)
+	baseOuts, basePFECs, baseSweep := fatTreeRun(t, ft4Plain, 1)
 	dir := t.TempDir()
-	fatTreeCacheRun(t, dir, 2, 0) // populate
+	fatTreeCacheRun(t, ft4Plain, dir, 2, 0) // populate
 
 	recs := storeRecords(t, dir)
 	if len(recs) < 3 {
@@ -162,7 +166,7 @@ func TestCachePoisonedSelfHeals(t *testing.T) {
 		{"poisoned/parallel=2", 2, 0},
 		{"poisoned/workers=2", 0, 2},
 	} {
-		outs, pfecs, sweep, m := fatTreeCacheRun(t, dir, tc.parallelism, tc.workers)
+		outs, pfecs, sweep, m := fatTreeCacheRun(t, ft4Plain, dir, tc.parallelism, tc.workers)
 		if !reflect.DeepEqual(outs, baseOuts) {
 			t.Errorf("%s: outcomes diverge after corruption\n got %+v\nwant %+v", tc.name, outs, baseOuts)
 		}
@@ -177,7 +181,7 @@ func TestCachePoisonedSelfHeals(t *testing.T) {
 		}
 		// The first poisoned pass quarantines and republishes; later
 		// passes must find a fully healed store.
-		baseOuts2, _, _, m2 := fatTreeCacheRun(t, dir, tc.parallelism, tc.workers)
+		baseOuts2, _, _, m2 := fatTreeCacheRun(t, ft4Plain, dir, tc.parallelism, tc.workers)
 		if !reflect.DeepEqual(baseOuts2, baseOuts) {
 			t.Errorf("%s: healed store diverges", tc.name)
 		}
@@ -214,7 +218,7 @@ func TestCachePoisonedSelfHeals(t *testing.T) {
 // budget must recompute, not hit.
 func TestCacheOptionsInvalidate(t *testing.T) {
 	dir := t.TempDir()
-	fatTreeCacheRun(t, dir, 2, 0) // populate at MaxFailures 2
+	fatTreeCacheRun(t, ft4Plain, dir, 2, 0) // populate at MaxFailures 2
 
 	st, err := sre.OpenStore(dir, sre.StoreOptions{})
 	if err != nil {

@@ -50,7 +50,7 @@ func (v *Verifier) ForwardingClasses(srcRouter string) (out []ForwardingClass, e
 		return nil, fmt.Errorf("sre: unknown router %q", srcRouter)
 	}
 	nLinks := v.net.Topology.NumLinks()
-	for _, pipe := range v.allPipes() {
+	for _, pipe := range v.part.Groups {
 		m := pipe.Sp.M
 		for _, pf := range pipe.PFECs(s) {
 			names := make([]string, len(pf.Path))

@@ -86,7 +86,7 @@ var (
 	timeoutFlag = flag.Duration("timeout", 0, "wall-clock budget for the run (e.g. 30s; 0 = none)")
 	resilient   = flag.Bool("resilient", false, "degrade gracefully when the BDD node table overflows: quarantine the offending prefix, retry it on the escalation ladder, and complete the rest")
 	nodeLimit   = flag.Int("nodelimit", 0, "BDD node table cap (0 = package default); overflowing it fails the run, or degrades it under -resilient")
-	parallel    = flag.Int("parallel", 0, "worker count for per-prefix parallel verification (0 = one per CPU, 1 = sequential)")
+	parallel    = flag.Int("parallel", 0, "worker count for per-prefix parallel verification (0 = one per CPU, 1 = one at a time)")
 	workers     = flag.Int("workers", 0, "verify across this many supervised worker subprocesses; crashed workers are retried and, past the attempt budget, their prefixes re-verified in-process (exit 3). 0 = in-process")
 	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON file of the run (view at ui.perfetto.dev)")
 	eventsOut   = flag.String("events-out", "", "write an NDJSON flight-recorder event log (input of srebench -compare)")

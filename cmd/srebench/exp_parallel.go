@@ -11,23 +11,23 @@ import (
 	"sre/internal/workload"
 )
 
-// parallelExp measures the per-prefix scheduler (internal/sched)
-// against the sequential pipeline on multi-prefix fat trees. Each cell
-// runs the same verification twice — Parallelism 1 (today's sequential
-// path, byte-for-byte) and Parallelism -parallel — and cross-checks
-// that both return identical per-prefix tolerances before reporting the
-// wall-clock ratio.
+// parallelExp measures what extra workers buy the per-prefix executor
+// on multi-prefix fat trees. Each cell runs the same verification twice
+// — Parallelism 1 and Parallelism -parallel — and cross-checks that
+// both return identical per-prefix tolerances before reporting the
+// wall-clock ratio. Both cells go through the one executor
+// (analysis.Executor); the only thing that differs is the pool size,
+// so the ratio is multi-core scaling and nothing else:
 //
-// The speedup has two independent sources, so the table carries both
-// kinds of workload:
-//
-//   - node-limited resilient cells: the sequential path bisects prefix
-//     groups on node-table overflow, paying for every failed oversized
-//     attempt; the scheduler goes straight to per-prefix scoped
-//     pipelines and never runs a doomed group. This gain materializes
-//     even on a single core.
-//   - unconstrained cells: pure multi-core scaling; on a 1-CPU host
-//     (see the Cores column of BENCH_parallel.json) these hover at ~1×.
+//   - node-limited resilient cells: every prefix is its own scoped task
+//     at either setting and climbs the same ladder rungs; expect the
+//     ratio to track the cores the host really has (≈1× when
+//     num_cpu < parallelism — see the Cores column of
+//     BENCH_parallel.json).
+//   - unconstrained cells: at one worker the whole domain runs as one
+//     combined task in one space, which shares route computation across
+//     prefixes; the parallel cell pays for per-prefix spaces and must
+//     win that back with cores.
 func parallelExp(sc scale) {
 	cores := runtime.GOMAXPROCS(0)
 	header(fmt.Sprintf("Parallel — per-prefix scheduling, %d workers on %d core(s)", *parallelN, cores))
@@ -46,7 +46,7 @@ func parallelExp(sc scale) {
 	if sc.paper {
 		wls = append(wls, wl{"FatTree(8) k=1 unconstrained", 8, 1, 0, false})
 	}
-	t := newTable("dataset", "sequential", fmt.Sprintf("parallel(%d)", *parallelN), "speedup", "identical")
+	t := newTable("dataset", "parallel(1)", fmt.Sprintf("parallel(%d)", *parallelN), "speedup", "identical")
 	ct := newCellTimer()
 	for _, w := range wls {
 		var seqSec, parSec float64
@@ -69,13 +69,13 @@ func parallelExp(sc scale) {
 		if seqErr == nil && parErr == nil && parSec > 0 {
 			speedup = seqSec / parSec
 		}
-		record(benchRow{Experiment: "parallel", Dataset: w.name, System: "sequential",
+		record(benchRow{Experiment: "parallel", Dataset: w.name, System: "parallel-1",
 			K: w.k, Seconds: seqSec, Parallelism: 1, Cores: cores, Outcome: outcome(seqErr)})
 		record(benchRow{Experiment: "parallel", Dataset: w.name, System: fmt.Sprintf("parallel-%d", *parallelN),
 			K: w.k, Seconds: parSec, Parallelism: *parallelN, Cores: cores,
 			Speedup: speedup, ResultsIdentical: identical, Outcome: outcome(parErr)})
 		if seqErr != nil {
-			fmt.Printf("  %s sequential: %v\n", w.name, seqErr)
+			fmt.Printf("  %s parallel(1): %v\n", w.name, seqErr)
 		}
 		if parErr != nil {
 			fmt.Printf("  %s parallel: %v\n", w.name, parErr)
@@ -89,9 +89,8 @@ func parallelExp(sc scale) {
 // reported seconds cover pipeline construction — the phase the
 // scheduler parallelizes. The all-prefix tolerance sweep that follows
 // is identical per-pipeline work in both cells; it is kept outside the
-// timer and condensed into an order-independent signature so the
-// sequential and parallel runs can be cross-checked for identical
-// results.
+// timer and condensed into an order-independent signature so the two
+// runs can be cross-checked for identical results.
 func parallelCell(arity, k, nodeLimit int, resilient bool, parallelism int) (float64, string, error) {
 	net := workload.FatTree(arity, workload.BGP)
 	opts := sre.Options{MaxFailures: k, Resilient: resilient,

@@ -74,7 +74,7 @@ type benchRow struct {
 	// Parallelism/Cores/Speedup/ResultsIdentical are set by the
 	// parallel experiment: the worker count of the cell, the CPUs the
 	// process could actually use, wall-clock ratio against the
-	// sequential baseline, and whether both runs returned identical
+	// one-worker cell, and whether both runs returned identical
 	// per-prefix results.
 	Parallelism      int     `json:"parallelism,omitempty"`
 	Cores            int     `json:"cores,omitempty"`

@@ -223,16 +223,3 @@ func (c *ResultCache) Publish(net *config.Network, key string, pfx route.Prefix,
 	}
 	_ = c.S.Put(key, payload)
 }
-
-// PublishRecord stores an already-encoded record (a worker that framed
-// its result for the pipe reuses the same bytes for the store).
-func (c *ResultCache) PublishRecord(key string, rec CacheRecord) {
-	if c == nil || c.S == nil || key == "" || rec.Outcome.Err != nil || len(rec.Pipes) == 0 {
-		return
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	_ = c.S.Put(key, payload)
-}

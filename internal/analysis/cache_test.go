@@ -80,6 +80,57 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// setNonZero gives one src.Options field a non-zero value of its kind.
+// A field of a kind it does not know fails the test: whoever adds one
+// decides here (and in the exempt list) how it is covered.
+func setNonZero(t *testing.T, f reflect.Value, name string) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Int:
+		f.SetInt(7)
+	case reflect.String:
+		f.SetString("bfs") // VarOrder: must name a real order, and not what auto resolves to
+	default:
+		t.Fatalf("src.Options.%s: no non-zero value for kind %s; extend setNonZero or exempt the field", name, f.Kind())
+	}
+}
+
+// TestCacheKeyCoversEveryOption walks src.Options by reflection: every
+// field, set non-zero on its own, must move the key unless it is on the
+// exempt list with the reason it cannot shape a result — so a new
+// option cannot be left out of the key silently.
+func TestCacheKeyCoversEveryOption(t *testing.T) {
+	exempt := map[string]string{
+		"Telemetry":      "process-local observer",
+		"Interrupt":      "process-local hook",
+		"Prefixes":       "replaced by the task domain, which is hashed",
+		"Parallelism":    "results do not depend on the worker count",
+		"DynamicReorder": "reordering never changes results: static and reordered runs share records",
+	}
+	net := mustNet(t, figure1)
+	pfx := route.MustParsePrefix("128.0.0.0/1")
+	base := CacheKey(net, src.Options{}, pfx, true, LadderOptions{})
+	typ := reflect.TypeOf(src.Options{})
+	for name := range exempt {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("exempt list names src.Options.%s, which no longer exists", name)
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := exempt[name]; ok {
+			continue
+		}
+		var o src.Options
+		setNonZero(t, reflect.ValueOf(&o).Elem().Field(i), name)
+		if CacheKey(net, o, pfx, true, LadderOptions{}) == base {
+			t.Errorf("src.Options.%s does not move the cache key: hash it in CacheKey, or exempt it with a reason", name)
+		}
+	}
+}
+
 // TestResultCacheRoundTrip publishes a real prefix task result and
 // replays it: the outcome must compare equal and the rebuilt pipelines
 // must carry the same PFEC count.

@@ -158,8 +158,8 @@ func (mn *Miner) Mine() (*Specs, error) {
 		stratumSpan.SetAttr("k", k)
 		stratumSpan.SetAttr("pairs", len(undecided))
 		stratumSpan.SetAttr("prefixes", len(prefixSet))
-		if workers := mn.stratumWorkers(); workers > 1 {
-			err := mn.mineStratumParallel(specs, undecided, &isolationCandidates, k, workers)
+		if workers := mn.stratumWorkers(); workers > 1 || mn.Resilient {
+			err := mn.mineStratumPerPrefix(specs, undecided, &isolationCandidates, k, workers)
 			stratumSpan.End()
 			if err != nil {
 				return nil, fmt.Errorf("stratum %d: %w", k, err)
@@ -167,44 +167,20 @@ func (mn *Miner) Mine() (*Specs, error) {
 			mn.StrataTimes = append(mn.StrataTimes, time.Since(start))
 			continue
 		}
+		// One worker, no ladder: the stratum's whole domain in one
+		// combined pipeline.
 		opts := mn.SrcOpts
 		opts.PruneK = k
-		domain := sortedPrefixes(mn.expandForAggregates(prefixSet))
 		if !mn.DisablePrefixPruning {
-			opts.Prefixes = domain
+			opts.Prefixes = sortedPrefixes(mn.expandForAggregates(prefixSet))
 		}
-		// Resilient mode runs the stratum partitioned: a node-table
-		// overflow quarantines the offending prefixes (retried through
-		// the ladder, without budget halving) instead of aborting.
-		var pt *Partitioned
-		var pipe *Pipeline
-		var err error
-		if mn.Resilient {
-			pt, err = RunPartitioned(mn.Net, opts, domain, LadderOptions{DisableBudgetHalving: true})
-		} else {
-			pipe, err = Run(mn.Net, opts)
-		}
+		pipe, err := Run(mn.Net, opts)
 		if err != nil {
 			stratumSpan.End()
 			return nil, fmt.Errorf("stratum %d: %w", k, err)
 		}
-		// A pair's property may span several pipelines after the
-		// split-headers rung; budgets are per-space, cached per pipe.
-		budgets := make(map[*Pipeline]bdd.Node)
-		budgetOf := func(p *Pipeline) bdd.Node {
-			b, ok := budgets[p]
-			if !ok {
-				b = p.Sp.AtMostKLinkFailures(k)
-				budgets[p] = b
-			}
-			return b
-		}
-		pipesFor := func(pfx route.Prefix) []*Pipeline {
-			if pt != nil {
-				return pt.PipelinesFor(pfx)
-			}
-			return []*Pipeline{pipe}
-		}
+		m := pipe.Sp.M
+		budget := pipe.Sp.AtMostKLinkFailures(k)
 		pairTotal := len(undecided)
 		pairDone := 0
 		for key := range undecided {
@@ -214,77 +190,37 @@ func (mn *Miner) Mine() (*Specs, error) {
 					Done: int64(pairDone), Total: int64(pairTotal), Unit: "pairs",
 					Detail: fmt.Sprintf("stratum %d", k), Final: pairDone == pairTotal})
 			}
-			if pt != nil {
-				if out := pt.Outcome(key.Prefix); out != nil && out.Err != nil {
-					// The prefix exhausted the ladder at this stratum.
-					// Its pairs survived stratum k-1, so k-1 is a sound
-					// lower bound; record it and mark them degraded.
-					specs.ReachTolerance[key] = k - 1
-					specs.DegradedPairs[key] = true
-					if mn.Waypoint != nil {
-						if _, done := specs.WaypointTolerance[key]; !done {
+			hdr := pipe.OwnedHeaders(key.Prefix)
+			dst := pipe.OriginSet(key.Prefix)
+			prop := pipe.ReachBDD(key.Src, dst, hdr)
+			if mn.Waypoint != nil {
+				if _, done := specs.WaypointTolerance[key]; !done {
+					if w, ok := mn.Waypoint(key.Src, key.Prefix); ok {
+						wprop := pipe.WaypointBDD(key.Src, dst, w, hdr)
+						if m.DiffSat(m.And(hdr, budget), wprop) {
 							specs.WaypointTolerance[key] = k - 1
 						}
 					}
-					delete(undecided, key)
-					telDecided.Inc()
-					continue
 				}
 			}
-			violated := false
-			reachEmpty := true
-			for _, pipe := range pipesFor(key.Prefix) {
-				m := pipe.Sp.M
-				budget := budgetOf(pipe)
-				hdr := pipe.OwnedHeaders(key.Prefix)
-				dst := pipe.OriginSet(key.Prefix)
-				prop := pipe.ReachBDD(key.Src, dst, hdr)
-				if prop != bdd.False {
-					reachEmpty = false
-				}
-				// Violated iff some (packet, scenario) within budget is
-				// not covered by the property.
-				if m.DiffSat(m.And(hdr, budget), prop) {
-					violated = true
-				}
-				if mn.Waypoint != nil {
-					if _, done := specs.WaypointTolerance[key]; !done {
-						if w, ok := mn.Waypoint(key.Src, key.Prefix); ok {
-							wprop := pipe.WaypointBDD(key.Src, dst, w, hdr)
-							if m.DiffSat(m.And(hdr, budget), wprop) {
-								specs.WaypointTolerance[key] = k - 1
-							}
-						}
-					}
-				}
-			}
-			if violated {
+			// Violated iff some (packet, scenario) within budget is not
+			// covered by the property.
+			if m.DiffSat(m.And(hdr, budget), prop) {
 				specs.ReachTolerance[key] = k - 1
 				delete(undecided, key)
 				telDecided.Inc()
-				if reachEmpty {
+				if prop == bdd.False {
 					isolationCandidates = append(isolationCandidates, key)
 				}
 				continue
 			}
 			if k == 0 {
-				// Across scoped sibling pipelines the per-half path
-				// counts cannot be unioned (PFECs live in different
-				// managers); the max is a sound lower bound.
-				for _, pipe := range pipesFor(key.Prefix) {
-					dst := pipe.OriginSet(key.Prefix)
-					if n := pipe.LoadBalancePaths(key.Src, dst, pipe.OwnedHeaders(key.Prefix)); n > specs.LoadBalance[key] {
-						specs.LoadBalance[key] = n
-					}
+				if n := pipe.LoadBalancePaths(key.Src, dst, hdr); n > 0 {
+					specs.LoadBalance[key] = n
 				}
 			}
 		}
-		if pt != nil {
-			mergeOutcomes(specs, pt)
-			pt.Release()
-		} else {
-			pipe.Release()
-		}
+		pipe.Release()
 		mn.StrataTimes = append(mn.StrataTimes, time.Since(start))
 		stratumSpan.End()
 	}
@@ -319,8 +255,8 @@ func (mn *Miner) confirmIsolation(specs *Specs, candidates []PairKey) error {
 	if len(candidates) == 0 {
 		return nil
 	}
-	if workers := mn.stratumWorkers(); workers > 1 {
-		return mn.confirmIsolationParallel(specs, candidates, workers)
+	if workers := mn.stratumWorkers(); workers > 1 || mn.Resilient {
+		return mn.confirmIsolationPerPrefix(specs, candidates, workers)
 	}
 	prefixSet := make(map[route.Prefix]bool)
 	for _, key := range candidates {
@@ -329,31 +265,6 @@ func (mn *Miner) confirmIsolation(specs *Specs, candidates []PairKey) error {
 	opts := mn.SrcOpts
 	opts.PruneK = mn.KMax
 	opts.Prefixes = sortedPrefixes(mn.expandForAggregates(prefixSet))
-	if mn.Resilient {
-		pt, err := RunPartitioned(mn.Net, opts, opts.Prefixes, LadderOptions{DisableBudgetHalving: true})
-		if err != nil {
-			return fmt.Errorf("isolation confirmation: %w", err)
-		}
-		defer pt.Release()
-		mergeOutcomes(specs, pt)
-		for _, key := range candidates {
-			pipes := pt.PipelinesFor(key.Prefix)
-			if len(pipes) == 0 {
-				continue // prefix failed: isolation cannot be confirmed
-			}
-			isolated := true
-			for _, pipe := range pipes {
-				if pipe.ReachBDD(key.Src, pipe.OriginSet(key.Prefix), pipe.OwnedHeaders(key.Prefix)) != bdd.False {
-					isolated = false
-					break
-				}
-			}
-			if isolated {
-				specs.Isolated = append(specs.Isolated, key)
-			}
-		}
-		return nil
-	}
 	pipe, err := Run(mn.Net, opts)
 	if err != nil {
 		return fmt.Errorf("isolation confirmation: %w", err)
@@ -366,18 +277,6 @@ func (mn *Miner) confirmIsolation(specs *Specs, candidates []PairKey) error {
 		}
 	}
 	return nil
-}
-
-// mergeOutcomes folds one partitioned run's resilience outcomes into
-// the spec summary: flags accumulate across strata, rungs concatenate,
-// and the first error per prefix wins.
-func mergeOutcomes(specs *Specs, pt *Partitioned) {
-	for _, o := range pt.Outcomes() {
-		if !o.Quarantined && !o.Degraded && o.Err == nil {
-			continue
-		}
-		mergeOutcome(specs, o)
-	}
 }
 
 // mergeOutcome folds one prefix outcome into the spec summary.

@@ -7,6 +7,7 @@ import (
 	"sre/internal/bdd"
 	"sre/internal/obs"
 	"sre/internal/route"
+	"sre/internal/src"
 )
 
 // pairEval is one undecided pair of a stratum with the per-key state
@@ -19,7 +20,7 @@ type pairEval struct {
 	waypointDone bool
 }
 
-// mineStratumParallel runs one mining stratum on a worker pool: each
+// mineStratumPerPrefix runs one mining stratum on a worker pool: each
 // prefix with undecided pairs becomes a task chain (scoped singleton
 // pipeline, plus ladder rungs when resilient), and the prefix's pairs
 // are evaluated in-task against its own pipelines — then the pipelines
@@ -30,7 +31,7 @@ type pairEval struct {
 //
 // The miner's Waypoint selector, when set, is called from worker
 // goroutines and must be safe for concurrent use.
-func (mn *Miner) mineStratumParallel(specs *Specs, undecided map[PairKey]bool,
+func (mn *Miner) mineStratumPerPrefix(specs *Specs, undecided map[PairKey]bool,
 	isolationCandidates *[]PairKey, k, workers int) error {
 
 	tel := mn.SrcOpts.Telemetry
@@ -59,9 +60,9 @@ func (mn *Miner) mineStratumParallel(specs *Specs, undecided map[PairKey]bool,
 		}
 	}
 
-	pr := &prefixRunner{net: mn.Net, base: opts,
-		ladder: mn.Resilient, lad: LadderOptions{DisableBudgetHalving: true},
-		collect: func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+	x := mn.executor(opts, workers)
+	return x.each(domain,
+		func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 			pairs := byPfx[pfx]
 			if out.Err != nil {
 				// The prefix exhausted the ladder at this stratum. Its
@@ -168,15 +169,13 @@ func (mn *Miner) mineStratumParallel(specs *Specs, undecided map[PairKey]bool,
 			}
 			pairDone += len(pairs)
 			emitProgress(pairDone)
-		},
-	}
-	return pr.run(domain, workers)
+		})
 }
 
-// confirmIsolationParallel re-checks isolation candidates at the full
+// confirmIsolationPerPrefix re-checks isolation candidates at the full
 // budget, one scoped pipeline per candidate prefix on the pool. The
 // final Isolated order is fixed by Mine's sort, not completion order.
-func (mn *Miner) confirmIsolationParallel(specs *Specs, candidates []PairKey, workers int) error {
+func (mn *Miner) confirmIsolationPerPrefix(specs *Specs, candidates []PairKey, workers int) error {
 	byPfx := make(map[route.Prefix][]PairKey)
 	for _, key := range candidates {
 		byPfx[key.Prefix] = append(byPfx[key.Prefix], key)
@@ -189,9 +188,9 @@ func (mn *Miner) confirmIsolationParallel(specs *Specs, candidates []PairKey, wo
 	opts.PruneK = mn.KMax
 
 	var mu sync.Mutex
-	pr := &prefixRunner{net: mn.Net, base: opts,
-		ladder: mn.Resilient, lad: LadderOptions{DisableBudgetHalving: true},
-		collect: func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+	x := mn.executor(opts, workers)
+	err := x.each(domain,
+		func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 			var isolatedKeys []PairKey
 			for _, key := range byPfx[pfx] {
 				if len(pipes) == 0 {
@@ -217,12 +216,19 @@ func (mn *Miner) confirmIsolationParallel(specs *Specs, candidates []PairKey, wo
 			if out.Quarantined || out.Degraded || out.Err != nil {
 				mergeOutcome(specs, out)
 			}
-		},
-	}
-	if err := pr.run(domain, workers); err != nil {
+		})
+	if err != nil {
 		return fmt.Errorf("isolation confirmation: %w", err)
 	}
 	return nil
+}
+
+// executor is the miner's per-stratum Executor: the ladder on when
+// resilient, never halving the budget — a stratum-k verdict is only
+// sound at budget exactly k.
+func (mn *Miner) executor(opts src.Options, workers int) Executor {
+	return Executor{Net: mn.Net, Opts: opts, Workers: workers,
+		Ladder: mn.Resilient, Lad: LadderOptions{DisableBudgetHalving: true}}
 }
 
 // stratumWorkers resolves the pool size of the miner's per-stratum

@@ -101,77 +101,183 @@ func taskDomain(net *config.Network, pfx route.Prefix) []route.Prefix {
 	return sortedPrefixes(set)
 }
 
-// prefixRunner drives one task chain per prefix over a sched.Pool: a
-// scoped singleton pipeline first, then (when the ladder is enabled)
-// the same escalation rungs RunPartitioned climbs sequentially —
-// abstract, halve-budget, split-headers — each rung submitted as a
-// fresh pool task so a degraded prefix re-enters the queue behind
-// other prefixes instead of serializing the tail.
-type prefixRunner struct {
-	net    *config.Network
-	base   src.Options
-	ladder bool // escalate recoverable overflows instead of aborting
-	lad    LadderOptions
-	// cache, when non-nil, is consulted once per prefix before any task
+// Task is one pending prefix task: what is left of a run's domain after
+// deduplication and the cache pass, in dispatch order.
+type Task struct {
+	// Seq is the task's index in the cost-ordered dispatch sequence. It
+	// is stable across runs (for a given store state), so fault plans
+	// keyed by it hit the same prefixes every time.
+	Seq    int
+	Prefix route.Prefix
+	Cost   int64  // PrefixCost estimate: largest first (LPT)
+	Key    string // cache key; "" when the run carries no cache
+}
+
+// collectFn receives each finished prefix: its pipelines (nil when the
+// ladder was exhausted) and outcome. It is called from worker
+// goroutines and must synchronize its own shared state; per-task work
+// (evaluating properties on the delivered pipelines) should happen
+// inside it, off any global lock.
+type collectFn = func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome)
+
+// Dispatcher runs pending tasks somewhere other than the in-process
+// pool; internal/coord supplies the subprocess fleet. It reports every
+// finished prefix through done — whose pipelines the executor owns from
+// then on — and returns the first error that must abort the run.
+type Dispatcher func(tasks []Task, done func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome)) error
+
+// Executor is the one way to run a set of prefixes: dedupe, look each
+// prefix up in the cache, estimate costs and order what is left largest
+// first, run each task — a scoped singleton pipeline, then (with Ladder)
+// the precomputed escalation rungs, each rung resubmitted as a fresh
+// pool task so a degraded prefix re-enters the queue behind the others —
+// publish, and assemble the results in prefix order. Everything that
+// distinguishes a sharded, resilient, cached or multi-process run is a
+// field.
+type Executor struct {
+	Net  *config.Network
+	Opts src.Options
+	// Ladder escalates recoverable overflows instead of aborting; Lad
+	// tunes the rungs.
+	Ladder bool
+	Lad    LadderOptions
+	// Workers sizes the in-process pool (values below 1 mean 1). With
+	// several workers Opts.Interrupt must be safe for concurrent use
+	// (resil.SharedChecker.Fn).
+	Workers int
+	// Cache, when non-nil, is consulted once per prefix before anything
 	// is scheduled (sequentially, so hits cost no pool slots and results
 	// cannot depend on lookup interleaving) and published to on every
 	// clean completion.
-	cache *ResultCache
-
-	// collect receives each finished prefix: its pipelines (nil when
-	// the ladder was exhausted) and outcome. It is called from worker
-	// goroutines and must synchronize its own shared state; per-task
-	// work (evaluating properties on the delivered pipelines) should
-	// happen inside it, off any global lock.
-	collect func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome)
+	Cache *ResultCache
+	// Dispatch, when non-nil, runs the pending tasks in place of the
+	// in-process pool.
+	Dispatch Dispatcher
 }
 
-// run schedules every prefix of domain on a fresh pool and waits. The
-// first non-recoverable error aborts: queued prefixes are dropped,
-// collected pipelines are released, and the error is returned.
-func (pr *prefixRunner) run(domain []route.Prefix, workers int) error {
-	pool := sched.New(sched.Config{
-		Workers:   workers,
-		Interrupt: pr.base.Interrupt,
-		Telemetry: pr.base.Telemetry,
+// Run executes domain and assembles a Partitioned: outcomes per prefix,
+// pipelines in prefix order whatever the completion order. When there
+// is nothing to decompose for — one worker (or one prefix), no ladder,
+// no cache, no fleet — the whole domain runs as a single unscoped task
+// in one space, Opts.Prefixes passed through unchanged, and the one
+// pipeline covers every prefix: sharing route computation across
+// prefixes beats serial scoped runs (BENCHMARK ft6_bgp_k1 vs
+// ft6_store_cold). Otherwise Opts.Prefixes is ignored and each prefix
+// runs scoped to its own task domain.
+//
+// The run completes with per-prefix outcomes unless it is canceled,
+// times out, or hits an error the ladder does not absorb; then every
+// pipeline collected so far is released and the error returned.
+// Telemetry counters: resilience.retries (rung attempts),
+// resilience.quarantined (prefixes that overflowed their first
+// attempt), resilience.degraded (verified on a rung), resilience.failed
+// (ladder exhausted).
+func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
+	pt := &Partitioned{
+		outcomes: make(map[route.Prefix]*PrefixOutcome, len(domain)),
+		byPrefix: make(map[route.Prefix][]*Pipeline, len(domain)),
+	}
+	for _, pfx := range domain {
+		pt.outcomes[pfx] = &PrefixOutcome{Prefix: pfx, EffectivePruneK: x.Opts.PruneK}
+	}
+	if x.Dispatch == nil && x.Cache == nil && !x.Ladder && (x.Workers <= 1 || len(pt.outcomes) <= 1) {
+		pipe, err := Run(x.Net, x.Opts)
+		if err != nil {
+			return nil, err
+		}
+		pt.Groups = []*Pipeline{pipe}
+		for pfx := range pt.outcomes {
+			pt.byPrefix[pfx] = pt.Groups
+		}
+		return pt, nil
+	}
+	if len(domain) == 0 {
+		return nil, fmt.Errorf("analysis: a per-prefix run needs at least one prefix")
+	}
+	var mu sync.Mutex
+	err := x.each(domain, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+		mu.Lock()
+		defer mu.Unlock()
+		*pt.outcomes[pfx] = out
+		pt.byPrefix[pfx] = pipes
 	})
-	jobs := make([]*prefixJob, 0, len(domain))
+	for _, pfx := range sortedPrefixList(domain) {
+		pt.Groups = append(pt.Groups, pt.byPrefix[pfx]...)
+	}
+	if err != nil {
+		pt.Release()
+		return nil, err
+	}
+	return pt, nil
+}
+
+// RunTask executes one prefix's task chain in-process, on a one-worker
+// pool so the result is byte-identical to what any run produces for
+// that prefix, and returns its pipelines (nil when the ladder was
+// exhausted) and outcome; on an error nothing is left to release.
+func (x *Executor) RunTask(pfx route.Prefix) (pipes []*Pipeline, out PrefixOutcome, err error) {
+	one := *x
+	one.Workers, one.Dispatch = 1, nil
+	err = one.each([]route.Prefix{pfx}, func(_ route.Prefix, p []*Pipeline, o PrefixOutcome) {
+		pipes, out = p, o
+	})
+	if err != nil {
+		for _, p := range pipes {
+			p.Release()
+		}
+		return nil, out, err
+	}
+	return pipes, out, nil
+}
+
+// each runs every distinct prefix of domain and hands the results to
+// collect. The first error that is not absorbed by the ladder aborts:
+// queued prefixes are dropped and the error is returned; what collect
+// already received is the caller's to release.
+func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
+	tasks := make([]Task, 0, len(domain))
 	seen := make(map[route.Prefix]bool, len(domain))
 	for _, pfx := range domain {
 		if seen[pfx] {
 			continue
 		}
 		seen[pfx] = true
-		jobs = append(jobs, newPrefixJob(pr, pfx))
-	}
-	if pr.cache != nil {
-		kept := jobs[:0]
-		for _, j := range jobs {
-			j.key = CacheKey(pr.net, pr.base, j.pfx, pr.ladder, pr.lad)
-			pipes, out, hit, err := pr.cache.Lookup(pr.net, pr.base, j.key, j.pfx, pr.base.Telemetry)
+		t := Task{Prefix: pfx}
+		if x.Cache != nil {
+			t.Key = CacheKey(x.Net, x.Opts, pfx, x.Ladder, x.Lad)
+			pipes, out, hit, err := x.Cache.Lookup(x.Net, x.Opts, t.Key, pfx, x.Opts.Telemetry)
 			if err != nil {
 				return err
 			}
 			if hit {
-				pr.collect(j.pfx, pipes, out)
+				collect(pfx, pipes, out)
 				continue
 			}
-			kept = append(kept, j)
 		}
-		jobs = kept
+		// Costs are estimated only for prefixes that need computing: on a
+		// warm store most resolve above.
+		t.Cost = PrefixCost(x.Net, pfx)
+		tasks = append(tasks, t)
 	}
-	// Cost estimation runs only for the prefixes that actually need
-	// computing: on a warm store most jobs resolve above, and ranking
-	// them would be wasted work.
-	for _, j := range jobs {
-		j.cost = PrefixCost(pr.net, j.pfx)
+	if len(tasks) == 0 {
+		return nil // fully warm: no pool, no fleet
 	}
 	// Largest first: round-robin seeding then puts the most expensive
 	// prefixes at the head of every worker queue (LPT scheduling).
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].cost > jobs[j].cost })
-	for _, j := range jobs {
-		j := j
-		pool.Go(j.cost, j.step)
+	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Cost > tasks[j].Cost })
+	for i := range tasks {
+		tasks[i].Seq = i
+	}
+	if x.Dispatch != nil {
+		return x.Dispatch(tasks, collect)
+	}
+	pool := sched.New(sched.Config{
+		Workers:   x.Workers,
+		Interrupt: x.Opts.Interrupt,
+		Telemetry: x.Opts.Telemetry,
+	})
+	for _, t := range tasks {
+		pool.Go(t.Cost, newPrefixJob(x, t, collect).step)
 	}
 	// Errors raised inside a task already carry the pipeline stage that
 	// was interrupted; Stage keeps those. Only the pool's own interrupt
@@ -181,8 +287,8 @@ func (pr *prefixRunner) run(domain []route.Prefix, workers int) error {
 
 // rungAttempt is one precomputed escalation attempt. The sequence —
 // including the option mutations each rung inherits from the previous
-// ones — is fixed up front, mirroring RunPartitioned's sequential
-// ladder, so results cannot depend on scheduling order.
+// ones — is fixed up front, so results cannot depend on scheduling
+// order.
 type rungAttempt struct {
 	name  string
 	opts  src.Options
@@ -193,36 +299,36 @@ type rungAttempt struct {
 // prefixJob carries one prefix through its attempt chain. Each step is
 // one pool task; follow-up rungs are resubmitted via Worker.Submit.
 type prefixJob struct {
-	r       *prefixRunner
-	pfx     route.Prefix
+	Task
+	x       *Executor
+	collect collectFn
 	domain  []route.Prefix
-	cost    int64
-	key     string // cache key; "" when the run carries no cache
 	out     PrefixOutcome
 	rungs   []rungAttempt
 	idx     int // 0 = initial attempt, i>0 = rungs[i-1]
 	lastErr error
 }
 
-func newPrefixJob(pr *prefixRunner, pfx route.Prefix) *prefixJob {
-	// cost stays zero here: the runner estimates it after the cache
-	// filter, only for jobs that will actually be scheduled.
-	j := &prefixJob{r: pr, pfx: pfx,
-		domain: taskDomain(pr.net, pfx),
-		out:    PrefixOutcome{Prefix: pfx, EffectivePruneK: pr.base.PruneK},
+func newPrefixJob(x *Executor, t Task, collect collectFn) *prefixJob {
+	j := &prefixJob{Task: t, x: x, collect: collect,
+		domain: taskDomain(x.Net, t.Prefix),
+		out:    PrefixOutcome{Prefix: t.Prefix, EffectivePruneK: x.Opts.PruneK},
 	}
-	if !pr.ladder {
+	if !x.Ladder {
 		return j
 	}
-	// Precompute the rung sequence with the same option threading as
-	// the sequential ladder: Abstract sticks after rung 1, halved
-	// budgets stick for later rungs, split-headers inherits both.
-	o := pr.base
+	// Option threading: Abstract sticks after rung 1 — AS-path
+	// abstraction merges parallel routes, often an order-of-magnitude
+	// node saving on fabrics (§7.3); halved budgets stick for later
+	// rungs (results are then sound only for the smaller budget, so the
+	// miner disables the rung); split-headers inherits both, and needs
+	// both halves of the prefix's header space to succeed.
+	o := x.Opts
 	if !o.Abstract {
 		o.Abstract = true
 		j.rungs = append(j.rungs, rungAttempt{name: RungAbstract, opts: o, kDone: o.PruneK})
 	}
-	if !pr.lad.DisableBudgetHalving {
+	if !x.Lad.DisableBudgetHalving {
 		for k := o.PruneK / 2; o.PruneK > 0; k /= 2 {
 			o.PruneK = k
 			j.rungs = append(j.rungs, rungAttempt{name: RungHalveBudget, opts: o, kDone: k})
@@ -231,7 +337,7 @@ func newPrefixJob(pr *prefixRunner, pfx route.Prefix) *prefixJob {
 			}
 		}
 	}
-	if _, _, ok := pfx.Halves(); ok {
+	if _, _, ok := t.Prefix.Halves(); ok {
 		j.rungs = append(j.rungs, rungAttempt{name: RungSplitHeaders, opts: o, kDone: o.PruneK, split: true})
 	}
 	return j
@@ -246,16 +352,16 @@ func (j *prefixJob) step(w *sched.Worker) error {
 		t0 = time.Now()
 	}
 	if j.idx == 0 {
-		o := j.r.base
+		o := j.x.Opts
 		o.Telemetry = w.Tel
 		o.Prefixes = j.domain
-		pipe, err := RunScoped(j.r.net, o, j.pfx)
+		pipe, err := RunScoped(j.x.Net, o, j.Prefix)
 		if err == nil {
 			j.record(w, t0, "ok")
 			j.deliver(w, []*Pipeline{pipe})
 			return nil
 		}
-		if !recoverable(err) || !j.r.ladder {
+		if !recoverable(err) || !j.x.Ladder {
 			return err
 		}
 		j.out.Quarantined = true
@@ -272,8 +378,8 @@ func (j *prefixJob) step(w *sched.Worker) error {
 	if !r.split {
 		w.Tel.Counter("resilience.retries").Inc()
 		j.out.Rungs = append(j.out.Rungs, r.name)
-		j.emit(w, fmt.Sprintf("prefix %s: retrying on rung %q", j.pfx, r.name))
-		pipe, err := RunScoped(j.r.net, o, j.pfx)
+		j.emit(w, fmt.Sprintf("prefix %s: retrying on rung %q", j.Prefix, r.name))
+		pipe, err := RunScoped(j.x.Net, o, j.Prefix)
 		if err == nil {
 			j.degrade(w, r.kDone)
 			j.record(w, t0, r.name)
@@ -289,13 +395,13 @@ func (j *prefixJob) step(w *sched.Worker) error {
 	}
 
 	// Split-headers: both scoped halves must succeed.
-	lo, hi, _ := j.pfx.Halves()
-	j.out.Rungs = append(j.out.Rungs, RungSplitHeaders)
+	lo, hi, _ := j.Prefix.Halves()
+	j.out.Rungs = append(j.out.Rungs, r.name)
 	var halves []*Pipeline
 	for _, half := range []route.Prefix{lo, hi} {
 		w.Tel.Counter("resilience.retries").Inc()
-		j.emit(w, fmt.Sprintf("prefix %s: retrying scoped to %s", j.pfx, half))
-		pipe, err := RunScoped(j.r.net, o, half)
+		j.emit(w, fmt.Sprintf("prefix %s: retrying scoped to %s", j.Prefix, half))
+		pipe, err := RunScoped(j.x.Net, o, half)
 		if err != nil {
 			for _, p := range halves {
 				p.Release()
@@ -310,7 +416,7 @@ func (j *prefixJob) step(w *sched.Worker) error {
 		halves = append(halves, pipe)
 	}
 	j.degrade(w, r.kDone)
-	j.record(w, t0, RungSplitHeaders)
+	j.record(w, t0, r.name)
 	j.deliver(w, halves)
 	return nil
 }
@@ -326,7 +432,7 @@ func (j *prefixJob) record(w *sched.Worker, t0 time.Time, outcome string) {
 	if !t0.IsZero() {
 		wall = time.Since(t0).Nanoseconds()
 	}
-	w.Tel.Record(t0, obs.TraceEvent{Stage: "prefix", Prefix: j.pfx.String(),
+	w.Tel.Record(t0, obs.TraceEvent{Stage: "prefix", Prefix: j.Prefix.String(),
 		Wall: wall, Count: int64(len(j.out.Rungs)), Outcome: outcome})
 }
 
@@ -338,11 +444,11 @@ func (j *prefixJob) next(w *sched.Worker) error {
 		j.out.Err = j.lastErr
 		w.Tel.Counter("resilience.failed").Inc()
 		j.record(w, time.Time{}, "failed")
-		j.emit(w, fmt.Sprintf("prefix %s: failed after %d rungs: %v", j.pfx, len(j.out.Rungs), j.lastErr))
+		j.emit(w, fmt.Sprintf("prefix %s: failed after %d rungs: %v", j.Prefix, len(j.out.Rungs), j.lastErr))
 		j.deliver(w, nil)
 		return nil
 	}
-	w.Submit(j.cost, j.step)
+	w.Submit(j.Cost, j.step)
 	return nil
 }
 
@@ -355,8 +461,8 @@ func (j *prefixJob) degrade(w *sched.Worker, k int) {
 func (j *prefixJob) deliver(w *sched.Worker, pipes []*Pipeline) {
 	// In-process producers publish without a telemetry shard: their
 	// counters already live in the run's own registry.
-	j.r.cache.Publish(j.r.net, j.key, j.pfx, pipes, j.out, nil)
-	j.r.collect(j.pfx, pipes, j.out)
+	j.x.Cache.Publish(j.x.Net, j.Key, j.Prefix, pipes, j.out, nil)
+	j.collect(j.Prefix, pipes, j.out)
 }
 
 func (j *prefixJob) emit(w *sched.Worker, detail string) {
@@ -365,77 +471,21 @@ func (j *prefixJob) emit(w *sched.Worker, detail string) {
 	}
 }
 
-// runPartitionedParallel is the concurrent sibling of RunPartitioned:
-// per-prefix scoped pipelines scheduled cost-first on a worker pool,
-// ladder retries re-entering the queue as fresh tasks. Groups, like the
-// sequential runner's outcome maps, are assembled in prefix order, so
-// results do not depend on completion order.
-func runPartitionedParallel(net *config.Network, opts src.Options, prefixes []route.Prefix, lad LadderOptions, workers int, cache *ResultCache) (*Partitioned, error) {
-	pt := &Partitioned{
-		outcomes: make(map[route.Prefix]*PrefixOutcome, len(prefixes)),
-		byPrefix: make(map[route.Prefix][]*Pipeline, len(prefixes)),
-	}
-	for _, pfx := range prefixes {
-		pt.outcomes[pfx] = &PrefixOutcome{Prefix: pfx, EffectivePruneK: opts.PruneK}
-	}
-	var mu sync.Mutex
-	pr := &prefixRunner{net: net, base: opts, ladder: true, lad: lad, cache: cache,
-		collect: func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
-			mu.Lock()
-			defer mu.Unlock()
-			*pt.outcomes[pfx] = out
-			pt.byPrefix[pfx] = pipes
-		},
-	}
-	if err := pr.run(prefixes, workers); err != nil {
-		pt.Release()
-		return nil, err
-	}
-	for _, pfx := range sortedPrefixList(prefixes) {
-		pt.Groups = append(pt.Groups, pt.byPrefix[pfx]...)
-	}
-	return pt, nil
-}
-
-// RunSharded executes a non-resilient multi-prefix analysis on a worker
-// pool: one scoped pipeline per prefix, no escalation ladder — the
-// first error (including node-table overflow) aborts the run, exactly
-// like the combined Run it replaces. The returned Partitioned has a
-// clean outcome and one pipeline per prefix, in prefix order.
+// RunSharded is the Executor without ladder or cache: the first error
+// (including node-table overflow) aborts the run. The returned
+// Partitioned has clean outcomes and, at several workers, one scoped
+// pipeline per prefix in prefix order.
 func RunSharded(net *config.Network, opts src.Options, prefixes []route.Prefix, workers int) (*Partitioned, error) {
-	return RunShardedCached(net, opts, prefixes, workers, nil)
+	x := Executor{Net: net, Opts: opts, Workers: workers}
+	return x.Run(prefixes)
 }
 
-// RunShardedCached is RunSharded with a persistent result cache: each
-// prefix is looked up before scheduling (hits skip computation
-// entirely) and published on clean completion.
-func RunShardedCached(net *config.Network, opts src.Options, prefixes []route.Prefix, workers int, cache *ResultCache) (*Partitioned, error) {
-	if len(prefixes) == 0 {
-		return nil, fmt.Errorf("analysis: sharded run needs at least one prefix")
-	}
-	pt := &Partitioned{
-		outcomes: make(map[route.Prefix]*PrefixOutcome, len(prefixes)),
-		byPrefix: make(map[route.Prefix][]*Pipeline, len(prefixes)),
-	}
-	for _, pfx := range prefixes {
-		pt.outcomes[pfx] = &PrefixOutcome{Prefix: pfx, EffectivePruneK: opts.PruneK}
-	}
-	var mu sync.Mutex
-	pr := &prefixRunner{net: net, base: opts, cache: cache,
-		collect: func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
-			mu.Lock()
-			defer mu.Unlock()
-			pt.byPrefix[pfx] = pipes
-		},
-	}
-	if err := pr.run(prefixes, workers); err != nil {
-		pt.Release()
-		return nil, err
-	}
-	for _, pfx := range sortedPrefixList(prefixes) {
-		pt.Groups = append(pt.Groups, pt.byPrefix[pfx]...)
-	}
-	return pt, nil
+// RunPartitionedCached is the resilient Executor at opts.Parallelism
+// workers: every prefix runs as its own scoped pipeline and overflowing
+// prefixes climb the ladder. cache may be nil.
+func RunPartitionedCached(net *config.Network, opts src.Options, prefixes []route.Prefix, lad LadderOptions, cache *ResultCache) (*Partitioned, error) {
+	x := Executor{Net: net, Opts: opts, Ladder: true, Lad: lad, Workers: Workers(opts), Cache: cache}
+	return x.Run(prefixes)
 }
 
 // sortedPrefixList returns a deduplicated copy of prefixes in canonical

@@ -2,13 +2,12 @@ package analysis
 
 // Hooks for multi-process verification (internal/coord): a worker
 // subprocess runs one prefix through exactly the chain an in-process
-// parallel run would — RunPrefixTask over a single-worker pool — and
-// ships the resulting pipelines over a pipe; the coordinator rebuilds
-// them as decoded pipelines (query-only: no engine, no forwarder) and
-// assembles a Partitioned indistinguishable from runPartitionedParallel's.
+// run would — RunPrefixTask — and ships the resulting pipelines over a
+// pipe; the coordinator rebuilds them as decoded pipelines (query-only:
+// no engine, no forwarder) and hands them to the Executor it dispatches
+// for, which assembles the Partitioned like any other run's.
 
 import (
-	"sync"
 	"time"
 
 	"sre/internal/config"
@@ -19,39 +18,14 @@ import (
 	"sre/internal/symbol"
 )
 
-// RunPrefixTask executes one prefix's full task chain — the scoped
-// initial attempt plus, when ladder is set, the same precomputed
-// escalation rungs a parallel in-process run climbs — on a one-worker
-// pool, so the result is byte-identical to what any Options.Parallelism
-// run produces for that prefix. It returns the prefix's pipelines (nil
-// when the ladder was exhausted) and outcome; a non-nil error means the
-// attempt aborted (cancellation, deadline, non-recoverable failure) and
-// any partial pipelines were released.
-//
-// This is the unit of work a coordinator dispatches: `sre worker`
-// subprocesses call it once per task frame, and the coordinator's
-// quarantine fallback calls it in-process for prefixes whose workers
-// kept crashing.
+// RunPrefixTask is Executor.RunTask without a cache: the unit of work
+// `sre worker` subprocesses run once per task frame. It returns the
+// prefix's pipelines (nil when the ladder was exhausted) and outcome; a
+// non-nil error means the attempt aborted (cancellation, deadline,
+// non-recoverable failure) and any partial pipelines were released.
 func RunPrefixTask(net *config.Network, opts src.Options, pfx route.Prefix, ladder bool, lad LadderOptions) ([]*Pipeline, PrefixOutcome, error) {
-	var (
-		mu    sync.Mutex
-		pipes []*Pipeline
-		out   = PrefixOutcome{Prefix: pfx, EffectivePruneK: opts.PruneK}
-	)
-	pr := &prefixRunner{net: net, base: opts, ladder: ladder, lad: lad,
-		collect: func(_ route.Prefix, p []*Pipeline, o PrefixOutcome) {
-			mu.Lock()
-			defer mu.Unlock()
-			pipes, out = p, o
-		},
-	}
-	if err := pr.run([]route.Prefix{pfx}, 1); err != nil {
-		for _, p := range pipes {
-			p.Release()
-		}
-		return nil, out, err
-	}
-	return pipes, out, nil
+	x := Executor{Net: net, Opts: opts, Ladder: ladder, Lad: lad}
+	return x.RunTask(pfx)
 }
 
 // NewRunSpace allocates the symbolic space Run and RunScoped build
@@ -70,29 +44,4 @@ func NewRunSpace(net *config.Network, opts src.Options) *symbol.Space {
 func NewDecodedPipeline(net *config.Network, sp *symbol.Space, scope *route.Prefix, pfecs [][]*spf.PFEC, srcTime, spfTime time.Duration, tel *obs.Telemetry) *Pipeline {
 	return &Pipeline{Net: net, Sp: sp, Tel: tel, Scope: scope,
 		pfecs: pfecs, SRCTime: srcTime, SPFTime: spfTime}
-}
-
-// NewPartitioned assembles a Partitioned from per-prefix outcomes and
-// pipelines collected out of order (a coordinator merging worker
-// results). Groups are laid out in canonical prefix order, matching
-// runPartitionedParallel, so downstream iteration is deterministic
-// regardless of worker completion order.
-func NewPartitioned(outs []PrefixOutcome, byPrefix map[route.Prefix][]*Pipeline) *Partitioned {
-	pt := &Partitioned{
-		outcomes: make(map[route.Prefix]*PrefixOutcome, len(outs)),
-		byPrefix: make(map[route.Prefix][]*Pipeline, len(byPrefix)),
-	}
-	prefixes := make([]route.Prefix, 0, len(outs))
-	for i := range outs {
-		o := outs[i]
-		pt.outcomes[o.Prefix] = &o
-		prefixes = append(prefixes, o.Prefix)
-	}
-	for pfx, pipes := range byPrefix {
-		pt.byPrefix[pfx] = pipes
-	}
-	for _, pfx := range sortedPrefixList(prefixes) {
-		pt.Groups = append(pt.Groups, pt.byPrefix[pfx]...)
-	}
-	return pt
 }

@@ -2,15 +2,11 @@ package analysis
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"sre/internal/bdd"
-	"sre/internal/config"
-	"sre/internal/obs"
 	"sre/internal/resil"
 	"sre/internal/route"
-	"sre/internal/src"
 )
 
 // Escalation-ladder rung names, recorded per prefix in
@@ -33,8 +29,8 @@ type PrefixOutcome struct {
 	// Err is non-nil when the prefix exhausted the escalation ladder
 	// and could not be verified; the rest of the run still completed.
 	Err error
-	// Quarantined marks prefixes that overflowed the node limit in a
-	// shared group and were retried in isolation.
+	// Quarantined marks prefixes whose first attempt overflowed the node
+	// limit and that were retried on the ladder.
 	Quarantined bool
 	// Degraded marks prefixes verified with weaker settings than
 	// requested (any ladder rung); Rungs lists the rungs applied.
@@ -50,12 +46,12 @@ type PrefixOutcome struct {
 	WorkerCrashes int
 }
 
-// Partitioned is the result of a resilient multi-prefix run: one or
-// more pipelines, each covering a subset of the requested prefixes,
-// plus a per-prefix outcome map. Prefixes that could not be verified
-// have an outcome with Err set and no pipeline.
+// Partitioned is the result of an Executor run: one or more pipelines,
+// each covering a subset of the requested prefixes, plus a per-prefix
+// outcome map. Prefixes that could not be verified have an outcome with
+// Err set and no pipeline.
 type Partitioned struct {
-	// Groups holds every live pipeline, in creation order.
+	// Groups holds every live pipeline, in prefix order.
 	Groups []*Pipeline
 	// outcomes and byPrefix are keyed by the requested prefixes.
 	outcomes map[route.Prefix]*PrefixOutcome
@@ -111,7 +107,7 @@ func (pt *Partitioned) Release() {
 	pt.byPrefix = nil
 }
 
-// LadderOptions tunes the escalation ladder of RunPartitioned.
+// LadderOptions tunes the Executor's escalation ladder.
 type LadderOptions struct {
 	// DisableBudgetHalving skips the halve-budget rung. The miner sets
 	// it: a stratum-k verdict is only sound at budget exactly k, so
@@ -124,217 +120,4 @@ type LadderOptions struct {
 // deadline, non-convergence, config errors).
 func recoverable(err error) bool {
 	return errors.Is(err, bdd.ErrNodeLimit) && !resil.Interruption(err)
-}
-
-// RunPartitioned executes a multi-prefix analysis resiliently. With
-// opts.Parallelism resolving to one worker, all prefixes are first
-// attempted in one pipeline; when the BDD node table overflows, the
-// prefix set is bisected and retried so the overflow is isolated to
-// the offending prefix(es), and each offender is pushed through an
-// escalation ladder — enable Abstract, halve the failure budget, split
-// the prefix's header space — before being marked failed. With more
-// workers, each prefix runs as its own scoped pipeline on a
-// work-stealing pool (largest estimated cost first) and overflowing
-// prefixes climb the same ladder as re-queued pool tasks; outcomes and
-// groups are assembled in prefix order, so results do not depend on
-// completion order. Either way the run always completes with
-// per-prefix outcomes unless it is canceled, times out, or hits a
-// non-resource error, which aborts the whole run.
-//
-// opts.Prefixes is ignored; the explicit prefixes argument is the
-// partitioning domain. With several workers opts.Interrupt must be
-// safe for concurrent use (resil.SharedChecker.Fn). Telemetry
-// counters: resilience.retries (group bisections and ladder attempts),
-// resilience.quarantined (prefixes isolated after a shared overflow),
-// resilience.degraded (prefixes verified on a ladder rung),
-// resilience.failed (prefixes that exhausted the ladder).
-func RunPartitioned(net *config.Network, opts src.Options, prefixes []route.Prefix, lad LadderOptions) (*Partitioned, error) {
-	return RunPartitionedCached(net, opts, prefixes, lad, nil)
-}
-
-// RunPartitionedCached is RunPartitioned with a persistent result
-// cache. A cache-carrying sequential run routes through the per-prefix
-// scheduler at one worker instead of the group-bisection path: the
-// cache is per prefix task, and the determinism contract pins the two
-// paths to identical results, so the single integration point serves
-// every parallelism setting.
-func RunPartitionedCached(net *config.Network, opts src.Options, prefixes []route.Prefix, lad LadderOptions, cache *ResultCache) (*Partitioned, error) {
-	if len(prefixes) == 0 {
-		return nil, fmt.Errorf("analysis: partitioned run needs at least one prefix")
-	}
-	if w := Workers(opts); w > 1 || cache != nil {
-		if w < 1 {
-			w = 1
-		}
-		return runPartitionedParallel(net, opts, prefixes, lad, w, cache)
-	}
-	pt := &Partitioned{
-		outcomes: make(map[route.Prefix]*PrefixOutcome, len(prefixes)),
-		byPrefix: make(map[route.Prefix][]*Pipeline, len(prefixes)),
-	}
-	tel := opts.Telemetry
-	telRetries := tel.Counter("resilience.retries")
-	telQuarantined := tel.Counter("resilience.quarantined")
-	telDegraded := tel.Counter("resilience.degraded")
-	telFailed := tel.Counter("resilience.failed")
-	for _, pfx := range prefixes {
-		pt.outcomes[pfx] = &PrefixOutcome{Prefix: pfx, EffectivePruneK: opts.PruneK}
-	}
-
-	emit := func(detail string) {
-		if tel.Active() {
-			tel.Emit(obs.Event{Stage: "resilience", Detail: detail})
-		}
-	}
-
-	addGroup := func(pipe *Pipeline, group []route.Prefix) {
-		pt.Groups = append(pt.Groups, pipe)
-		for _, pfx := range group {
-			pt.byPrefix[pfx] = append(pt.byPrefix[pfx], pipe)
-		}
-	}
-
-	// escalate pushes one overflowing prefix through the ladder.
-	escalate := func(pfx route.Prefix, firstErr error) error {
-		out := pt.outcomes[pfx]
-		out.Quarantined = true
-		telQuarantined.Inc()
-		lastErr := firstErr
-
-		attempt := func(rung string, o src.Options, scope *route.Prefix) (bool, error) {
-			telRetries.Inc()
-			out.Rungs = append(out.Rungs, rung)
-			emit(fmt.Sprintf("prefix %s: retrying on rung %q", pfx, rung))
-			o.Prefixes = []route.Prefix{pfx}
-			var pipe *Pipeline
-			var err error
-			if scope != nil {
-				pipe, err = RunScoped(net, o, *scope)
-			} else {
-				pipe, err = Run(net, o)
-			}
-			if err == nil {
-				addGroup(pipe, []route.Prefix{pfx})
-				return true, nil
-			}
-			if !recoverable(err) {
-				return false, err // abort the whole run
-			}
-			lastErr = err
-			return false, nil
-		}
-
-		done := func(k int) {
-			out.Degraded = true
-			out.EffectivePruneK = k
-			telDegraded.Inc()
-		}
-
-		// Rung 1: AS-path abstraction merges parallel routes, often an
-		// order-of-magnitude node saving on fabrics (§7.3).
-		o := opts
-		if !o.Abstract {
-			o.Abstract = true
-			if ok, err := attempt(RungAbstract, o, nil); err != nil {
-				return err
-			} else if ok {
-				done(o.PruneK)
-				return nil
-			}
-		} else {
-			o.Abstract = true
-		}
-
-		// Rung 2: halve the failure budget (repeatedly, down to 0).
-		// Results become sound only for the smaller budget, so the
-		// miner disables this rung.
-		if !lad.DisableBudgetHalving {
-			for k := o.PruneK / 2; o.PruneK > 0; k /= 2 {
-				o.PruneK = k
-				if ok, err := attempt(RungHalveBudget, o, nil); err != nil {
-					return err
-				} else if ok {
-					done(k)
-					return nil
-				}
-				if k == 0 {
-					break
-				}
-			}
-		}
-
-		// Rung 3: split the header space — two scoped pipelines, each
-		// forwarding only half of the prefix's addresses. Both halves
-		// must succeed for the prefix to count as verified.
-		if lo, hi, ok := pfx.Halves(); ok {
-			out.Rungs = append(out.Rungs, RungSplitHeaders)
-			var halves []*Pipeline
-			failed := false
-			for _, half := range []route.Prefix{lo, hi} {
-				telRetries.Inc()
-				emit(fmt.Sprintf("prefix %s: retrying scoped to %s", pfx, half))
-				ho := o
-				ho.Prefixes = []route.Prefix{pfx}
-				pipe, err := RunScoped(net, ho, half)
-				if err != nil {
-					if !recoverable(err) {
-						for _, p := range halves {
-							p.Release()
-						}
-						return err
-					}
-					lastErr = err
-					failed = true
-					break
-				}
-				halves = append(halves, pipe)
-			}
-			if !failed {
-				pt.Groups = append(pt.Groups, halves...)
-				pt.byPrefix[pfx] = append(pt.byPrefix[pfx], halves...)
-				done(o.PruneK)
-				return nil
-			}
-			for _, p := range halves {
-				p.Release()
-			}
-		}
-
-		out.Err = lastErr
-		telFailed.Inc()
-		emit(fmt.Sprintf("prefix %s: failed after %d rungs: %v", pfx, len(out.Rungs), lastErr))
-		return nil
-	}
-
-	// runGroup attempts a prefix group in one pipeline, bisecting on
-	// overflow until singletons reach the ladder.
-	var runGroup func(group []route.Prefix) error
-	runGroup = func(group []route.Prefix) error {
-		o := opts
-		o.Prefixes = group
-		pipe, err := Run(net, o)
-		if err == nil {
-			addGroup(pipe, group)
-			return nil
-		}
-		if !recoverable(err) {
-			return err
-		}
-		if len(group) == 1 {
-			return escalate(group[0], err)
-		}
-		telRetries.Inc()
-		emit(fmt.Sprintf("node limit with %d prefixes: bisecting", len(group)))
-		mid := len(group) / 2
-		if err := runGroup(group[:mid]); err != nil {
-			return err
-		}
-		return runGroup(group[mid:])
-	}
-
-	if err := runGroup(prefixes); err != nil {
-		pt.Release()
-		return nil, err
-	}
-	return pt, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"sort"
 	"sync"
 	"time"
 
@@ -99,19 +98,14 @@ func (o *Options) defaults() {
 	}
 }
 
-// taskState tracks one prefix task through dispatch, retries, and
-// quarantine.
+// taskState tracks one of the executor's pending tasks through
+// dispatch, retries, and quarantine.
 type taskState struct {
-	seq         int
-	pfx         route.Prefix
-	cost        int64  // LPT cost estimate; 0 for cache-settled tasks
-	key         string // cache key; "" when the run carries no cache
-	attempt     int    // next attempt number (= failed attempts so far)
+	analysis.Task
+	attempt     int // next attempt number (= failed attempts so far)
 	notBefore   time.Time
 	done        bool
 	quarantined bool
-	outcome     analysis.PrefixOutcome
-	pipes       []*analysis.Pipeline
 	started     time.Time
 }
 
@@ -143,20 +137,39 @@ type event struct {
 
 // Run verifies prefixes across opts.Workers subprocesses and returns a
 // Partitioned indistinguishable from an in-process Options.Parallelism
-// run: workers execute the identical per-prefix task chains, results
-// are assembled in canonical prefix order, and telemetry shards merge
-// exactly as Telemetry.Merge does in-process. Worker failures (crash,
-// stall, corrupt frames, nonzero exit) are retried with backoff up to
-// opts.MaxAttempts; prefixes that keep failing fall back to in-process
-// execution, surfacing as quarantined outcomes carrying
+// run: it is the same analysis.Executor — dedupe, cache pass, cost
+// order, assembly in prefix order — with Fleet as the place its pending
+// tasks run.
+func Run(net *config.Network, prefixes []route.Prefix, opts Options) (*analysis.Partitioned, error) {
+	fleet, err := Fleet(net, opts)
+	if err != nil {
+		return nil, err
+	}
+	x := opts.executor(net)
+	x.Dispatch = fleet
+	return x.Run(prefixes)
+}
+
+// executor is the Executor these options describe, minus the fleet: the
+// run Fleet dispatches for, and the in-process fallback of its
+// quarantined prefixes.
+func (o Options) executor(net *config.Network) analysis.Executor {
+	return analysis.Executor{Net: net, Opts: o.Verify,
+		Ladder: o.Resilient, Lad: o.Ladder, Cache: o.Cache}
+}
+
+// Fleet validates opts and returns the dispatcher that runs an
+// Executor's pending tasks on opts.Workers subprocesses. Workers
+// execute the identical per-prefix task chains, and telemetry shards
+// merge exactly as Telemetry.Merge does in-process. Worker failures
+// (crash, stall, corrupt frames, nonzero exit) are retried with backoff
+// up to opts.MaxAttempts; prefixes that keep failing fall back to
+// in-process execution, surfacing as quarantined outcomes carrying
 // analysis.RungWorkerCrash. Only a verification error — cancellation,
 // deadline, non-convergence, an exhausted non-resilient overflow —
 // aborts the run.
-func Run(net *config.Network, prefixes []route.Prefix, opts Options) (*analysis.Partitioned, error) {
+func Fleet(net *config.Network, opts Options) (analysis.Dispatcher, error) {
 	opts.defaults()
-	if len(prefixes) == 0 {
-		return nil, fmt.Errorf("coord: multi-process run needs at least one prefix")
-	}
 	planText := opts.FaultPlan
 	if planText == "" {
 		planText = os.Getenv(FaultEnv)
@@ -172,20 +185,22 @@ func Run(net *config.Network, prefixes []route.Prefix, opts Options) (*analysis.
 		}
 		exe = self
 	}
-
-	c := &coordinator{
-		net:      net,
-		opts:     opts,
-		exe:      exe,
-		plan:     planText,
-		tel:      opts.Verify.Telemetry,
-		events:   make(chan event, 16),
-		done:     make(chan struct{}),
-		respawns: make([]int, opts.Workers),
-		netText:  config.Format(net),
-	}
-	defer c.teardown()
-	return c.run(prefixes)
+	return func(tasks []analysis.Task, done func(route.Prefix, []*analysis.Pipeline, analysis.PrefixOutcome)) error {
+		c := &coordinator{
+			net:      net,
+			opts:     opts,
+			exe:      exe,
+			plan:     planText,
+			tel:      opts.Verify.Telemetry,
+			deliver:  done,
+			events:   make(chan event, 16),
+			done:     make(chan struct{}),
+			respawns: make([]int, opts.Workers),
+			netText:  config.Format(net),
+		}
+		defer c.teardown()
+		return c.run(tasks)
+	}, nil
 }
 
 type coordinator struct {
@@ -195,6 +210,9 @@ type coordinator struct {
 	plan    string
 	netText string
 	tel     *obs.Telemetry
+	// deliver hands a finished prefix to the executor, which owns its
+	// pipelines from then on (and releases them if the run aborts).
+	deliver func(route.Prefix, []*analysis.Pipeline, analysis.PrefixOutcome)
 
 	tasks    []*taskState
 	workers  []*workerProc
@@ -220,57 +238,18 @@ func (c *coordinator) teardown() {
 	c.wg.Wait()
 }
 
-func (c *coordinator) run(prefixes []route.Prefix) (*analysis.Partitioned, error) {
-	seen := make(map[route.Prefix]bool, len(prefixes))
-	for _, pfx := range prefixes {
-		if seen[pfx] {
-			continue
-		}
-		seen[pfx] = true
-		c.tasks = append(c.tasks, &taskState{pfx: pfx})
-	}
-
-	// Pre-dispatch cache pass: a hit settles the task without a worker
-	// round-trip; misses carry their key so workers consult and publish
-	// the shared store themselves. Lookups run before any spawn, so a
-	// fully warm cache never forks a single child. Running the pass
-	// before the LPT sort lets cost estimation skip resolved tasks.
-	if c.opts.Cache != nil {
-		for _, t := range c.tasks {
-			t.key = analysis.CacheKey(c.net, c.opts.Verify, t.pfx, c.opts.Resilient, c.opts.Ladder)
-			pipes, out, hit, err := c.opts.Cache.Lookup(c.net, c.opts.Verify, t.key, t.pfx, c.tel)
-			if err != nil {
-				c.releaseAll()
-				return nil, err
-			}
-			if hit {
-				t.outcome, t.pipes, t.done = out, pipes, true
-			}
-		}
-	}
-
-	// Task order: cost-aware LPT, exactly the order prefixRunner seeds
-	// its pool queues with — the most expensive prefixes dispatch first,
-	// and fault plans keyed by Seq hit the same prefixes every run (for
-	// a given store state). Costs are estimated once per task that still
-	// needs computing; settled tasks sink to the tail and never dispatch.
-	for _, t := range c.tasks {
-		if !t.done {
-			t.cost = analysis.PrefixCost(c.net, t.pfx)
-		}
-	}
-	sort.SliceStable(c.tasks, func(i, j int) bool {
-		return c.tasks[i].cost > c.tasks[j].cost
-	})
-	for i, t := range c.tasks {
-		t.seq = i
+// run supervises the fleet over the executor's pending tasks, which
+// arrive deduplicated, cache-filtered (a fully warm run never gets
+// here, so it forks nothing) and in dispatch order; each carries its
+// cache key so workers consult and publish the shared store themselves.
+func (c *coordinator) run(tasks []analysis.Task) error {
+	for _, t := range tasks {
+		c.tasks = append(c.tasks, &taskState{Task: t})
 	}
 
 	c.workers = make([]*workerProc, c.opts.Workers)
-	if !c.allDone() {
-		for slot := 0; slot < c.opts.Workers; slot++ {
-			c.spawn(slot, false)
-		}
+	for slot := 0; slot < c.opts.Workers; slot++ {
+		c.spawn(slot, false)
 	}
 
 	// Supervision cadence: fast enough to catch heartbeat loss promptly,
@@ -298,14 +277,12 @@ func (c *coordinator) run(prefixes []route.Prefix) (*analysis.Partitioned, error
 				continue
 			}
 			if err := c.handleFrame(ev.w, ev.f); err != nil {
-				c.releaseAll()
-				return nil, err
+				return err
 			}
 		case <-tick.C:
 			if hook := c.opts.Verify.Interrupt; hook != nil {
 				if ierr := hook(); ierr != nil {
-					c.releaseAll()
-					return nil, resil.Stage("coord", ierr)
+					return resil.Stage("coord", ierr)
 				}
 			}
 			c.supervise()
@@ -313,46 +290,30 @@ func (c *coordinator) run(prefixes []route.Prefix) (*analysis.Partitioned, error
 	}
 	c.shutdownWorkers()
 
-	// Quarantine fallback: prefixes whose workers kept dying run
-	// in-process through the same task chain (with the ladder when
-	// resilient), under the coordinator's own telemetry and interrupt.
+	// Quarantine fallback: prefixes whose workers kept dying run through
+	// the same executor in-process (with the ladder when resilient),
+	// under the coordinator's own telemetry and interrupt. It consults
+	// the cache too — another process may have published the prefix since
+	// the pre-dispatch pass — and publishes the clean result; the crash
+	// markers go on afterwards, because decorated outcomes are never
+	// cached: they describe this run's worker fleet, not the verification
+	// result.
+	local := c.opts.executor(c.net)
 	for _, t := range c.tasks {
 		if !t.quarantined {
 			continue
 		}
-		crashes := t.attempt
-		// The fallback consults the cache too — another process may have
-		// published the prefix since the pre-dispatch pass — and publishes
-		// the clean result before decorating it with the crash markers
-		// (decorated outcomes are never cached: they describe this run's
-		// worker fleet, not the verification result).
-		pipes, out, hit, err := c.opts.Cache.Lookup(c.net, c.opts.Verify, t.key, t.pfx, c.tel)
+		pipes, out, err := local.RunTask(t.Prefix)
 		if err != nil {
-			c.releaseAll()
-			return nil, err
+			return err
 		}
-		if !hit {
-			pipes, out, err = analysis.RunPrefixTask(c.net, c.opts.Verify, t.pfx, c.opts.Resilient, c.opts.Ladder)
-			if err != nil {
-				c.releaseAll()
-				return nil, err
-			}
-			c.opts.Cache.Publish(c.net, t.key, t.pfx, pipes, out, nil)
-		}
-		out.WorkerCrashes = crashes
+		out.WorkerCrashes = t.attempt
 		out.Quarantined = true
 		out.Degraded = true
 		out.Rungs = append([]string{analysis.RungWorkerCrash}, out.Rungs...)
-		t.outcome, t.pipes, t.done = out, pipes, true
+		c.deliver(t.Prefix, pipes, out)
 	}
-
-	outs := make([]analysis.PrefixOutcome, 0, len(c.tasks))
-	byPrefix := make(map[route.Prefix][]*analysis.Pipeline, len(c.tasks))
-	for _, t := range c.tasks {
-		outs = append(outs, t.outcome)
-		byPrefix[t.pfx] = t.pipes
-	}
-	return analysis.NewPartitioned(outs, byPrefix), nil
+	return nil
 }
 
 // spawn launches a worker into slot. Failures to even start count
@@ -425,7 +386,7 @@ func (c *coordinator) handleFrame(w *workerProc, f *frame) error {
 			return nil
 		}
 		t := w.task
-		if t == nil || t.done || f.Result.Seq != t.seq {
+		if t == nil || t.done || f.Result.Seq != t.Seq {
 			return nil // stale result from an attempt we already wrote off
 		}
 		pipes, derr := decodePipelines(c.net, c.opts.Verify, f.Result.Pipes, c.tel)
@@ -438,12 +399,13 @@ func (c *coordinator) handleFrame(w *workerProc, f *frame) error {
 			c.workerDied(w, "undecodable result")
 			return nil
 		}
-		out := outcomeFromWire(t.pfx, f.Result.Outcome)
+		out := outcomeFromWire(t.Prefix, f.Result.Outcome)
 		out.WorkerCrashes = t.attempt
-		t.outcome, t.pipes, t.done = out, pipes, true
+		t.done = true
 		w.task = nil
+		c.deliver(t.Prefix, pipes, out)
 		c.tel.Merge(f.Result.Telemetry.Import())
-		c.record(t.started, obs.TraceEvent{Stage: "coord.task", Prefix: t.pfx.String(),
+		c.record(t.started, obs.TraceEvent{Stage: "coord.task", Prefix: t.Prefix.String(),
 			Wall: time.Since(t.started).Nanoseconds(), Count: int64(t.attempt), Outcome: "ok"})
 	}
 	return nil
@@ -466,7 +428,7 @@ func (c *coordinator) workerDied(w *workerProc, reason string) {
 	w.kill()
 	pfx := ""
 	if w.task != nil {
-		pfx = w.task.pfx.String()
+		pfx = w.task.Prefix.String()
 	}
 	c.record(time.Time{}, obs.TraceEvent{Stage: "coord.crash", Prefix: pfx,
 		Count: int64(w.slot), Outcome: reason})
@@ -476,12 +438,12 @@ func (c *coordinator) workerDied(w *workerProc, reason string) {
 		if t.attempt >= c.opts.MaxAttempts {
 			t.quarantined = true
 			c.record(time.Time{}, obs.TraceEvent{Stage: "coord.quarantine",
-				Prefix: t.pfx.String(), Count: int64(t.attempt), Outcome: reason})
+				Prefix: t.Prefix.String(), Count: int64(t.attempt), Outcome: reason})
 		} else {
 			backoff := c.opts.RetryBackoff << uint(t.attempt-1)
 			t.notBefore = time.Now().Add(backoff)
 			c.record(time.Time{}, obs.TraceEvent{Stage: "coord.retry",
-				Prefix: t.pfx.String(), Count: int64(t.attempt), Outcome: reason})
+				Prefix: t.Prefix.String(), Count: int64(t.attempt), Outcome: reason})
 		}
 	}
 	if c.respawns[w.slot] < c.opts.MaxRespawns {
@@ -506,7 +468,7 @@ func (c *coordinator) assign() {
 		}
 		t.started = now
 		w.task = t
-		msg := &frame{Type: frameTask, Task: &taskMsg{Seq: t.seq, Attempt: t.attempt, Prefix: t.pfx.String(), CacheKey: t.key}}
+		msg := &frame{Type: frameTask, Task: &taskMsg{Seq: t.Seq, Attempt: t.attempt, Prefix: t.Prefix.String(), CacheKey: t.Key}}
 		if err := w.stdin.write(msg); err != nil {
 			c.workerDied(w, "write failed")
 		}
@@ -584,7 +546,7 @@ func (c *coordinator) quarantineRemaining(reason string) {
 			t.attempt = 1 // at least the fleet loss counts as one failure
 		}
 		c.record(time.Time{}, obs.TraceEvent{Stage: "coord.quarantine",
-			Prefix: t.pfx.String(), Count: int64(t.attempt), Outcome: reason})
+			Prefix: t.Prefix.String(), Count: int64(t.attempt), Outcome: reason})
 	}
 }
 
@@ -597,16 +559,6 @@ func (c *coordinator) shutdownWorkers() {
 		}
 		_ = w.stdin.write(&frame{Type: frameShutdown})
 		_ = w.closer()
-	}
-}
-
-// releaseAll frees every decoded pipeline on the abort path.
-func (c *coordinator) releaseAll() {
-	for _, t := range c.tasks {
-		for _, p := range t.pipes {
-			p.Release()
-		}
-		t.pipes = nil
 	}
 }
 

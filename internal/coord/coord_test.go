@@ -7,6 +7,7 @@ package coord
 // path deterministically.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -132,7 +133,7 @@ func coordRun(t *testing.T, net *config.Network, prefixes []route.Prefix, opts O
 // results identical to the in-process sequential baseline.
 func TestCoordMatchesInProcess(t *testing.T) {
 	net, prefixes := testNet(t)
-	base, err := analysis.RunPartitioned(net, testOpts(), prefixes, analysis.LadderOptions{})
+	base, err := analysis.RunPartitionedCached(net, testOpts(), prefixes, analysis.LadderOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestCoordMatchesInProcess(t *testing.T) {
 // attesting to the turbulence.
 func TestCoordRetryConverges(t *testing.T) {
 	net, prefixes := testNet(t)
-	base, err := analysis.RunPartitioned(net, testOpts(), prefixes, analysis.LadderOptions{})
+	base, err := analysis.RunPartitionedCached(net, testOpts(), prefixes, analysis.LadderOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestCoordTaskDeadline(t *testing.T) {
 // results still match the baseline.
 func TestCoordQuarantineFallback(t *testing.T) {
 	net, prefixes := testNet(t)
-	base, err := analysis.RunPartitioned(net, testOpts(), prefixes, analysis.LadderOptions{})
+	base, err := analysis.RunPartitionedCached(net, testOpts(), prefixes, analysis.LadderOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func TestParseFaultPlanDiskKinds(t *testing.T) {
 // corrupt records, recomputes, and still matches the baseline.
 func TestCoordDiskFaultsSelfHeal(t *testing.T) {
 	net, prefixes := testNet(t)
-	base, err := analysis.RunPartitioned(net, testOpts(), prefixes, analysis.LadderOptions{})
+	base, err := analysis.RunPartitionedCached(net, testOpts(), prefixes, analysis.LadderOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +493,7 @@ func TestCoordDiskFaultsSelfHeal(t *testing.T) {
 // surface as a record, and a follow-up run must be fully warm.
 func TestCoordCrashMidWrite(t *testing.T) {
 	net, prefixes := testNet(t)
-	base, err := analysis.RunPartitioned(net, testOpts(), prefixes, analysis.LadderOptions{})
+	base, err := analysis.RunPartitionedCached(net, testOpts(), prefixes, analysis.LadderOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,5 +562,56 @@ func TestCoordCrashMidWrite(t *testing.T) {
 	}
 	if m := s2.Metrics(); m.Hits != int64(len(prefixes)) {
 		t.Errorf("warm run Hits = %d, want %d", m.Hits, len(prefixes))
+	}
+}
+
+// TestInitFrameCarriesEveryOption is the fleet-side sibling of the
+// analysis package's TestCacheKeyCoversEveryOption: every src.Options
+// field, set non-zero on its own, must survive the init frame
+// (optionsToWire → JSON → optionsFromWire) unless it is on the exempt
+// list — so a new option cannot silently stay behind in the coordinator.
+func TestInitFrameCarriesEveryOption(t *testing.T) {
+	exempt := map[string]string{
+		"Telemetry":   "process-local: workers run fresh per-task registries",
+		"Interrupt":   "process-local: workers are killed, not signaled",
+		"Prefixes":    "the task frame names the prefix",
+		"Parallelism": "a worker runs one task at a time",
+	}
+	typ := reflect.TypeOf(src.Options{})
+	for name := range exempt {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("exempt list names src.Options.%s, which no longer exists", name)
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := exempt[name]; ok {
+			continue
+		}
+		var o src.Options
+		switch f := reflect.ValueOf(&o).Elem().Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.String:
+			f.SetString("bfs")
+		default:
+			t.Fatalf("src.Options.%s: no non-zero value for kind %s; extend this switch or exempt the field", name, f.Kind())
+		}
+		var buf bytes.Buffer
+		fw := &frameWriter{w: &buf}
+		if err := fw.write(&frame{Type: frameInit, Init: &initMsg{Opts: optionsToWire(o, false, analysis.LadderOptions{}, 0, 0)}}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := optionsFromWire(f.Init.Opts)
+		got.Parallelism = 0 // exempt: optionsFromWire pins it to 1
+		if !reflect.DeepEqual(got, o) {
+			t.Errorf("src.Options.%s does not survive the init frame: sent %+v, worker sees %+v", name, o, got)
+		}
 	}
 }

@@ -102,10 +102,10 @@ type Options struct {
 	// run must agree on it.
 	VarOrder string
 	// Parallelism is the worker count of the multi-prefix drivers built
-	// on top of the engine (the partitioned runner and the spec miner),
+	// on top of the engine (analysis.Executor and the spec miner),
 	// which run per-prefix pipelines concurrently — each worker with
 	// its own engine and BDD manager. 0 means runtime.GOMAXPROCS(0);
-	// 1 selects the sequential code paths. A single engine is always
+	// 1 runs them one at a time. A single engine is always
 	// single-threaded and ignores the field.
 	Parallelism int
 }

@@ -175,7 +175,7 @@ func (v *Verifier) Metrics() MetricsReport {
 	r.BDD.VarOrderMethod = v.varOrder
 	r.BDD.ReorderEnabled = v.reorder
 	var hitsAtGC, missAtGC uint64
-	for _, pipe := range v.allPipes() {
+	for _, pipe := range v.part.Groups {
 		bst := pipe.Sp.M.Statistics()
 		r.SRCSeconds += pipe.SRCTime.Seconds()
 		r.SPFSeconds += pipe.SPFTime.Seconds()
@@ -223,7 +223,7 @@ func (v *Verifier) Metrics() MetricsReport {
 		r.Store = &m
 	}
 	if v.tel != nil {
-		for _, pipe := range v.allPipes() {
+		for _, pipe := range v.part.Groups {
 			pipe.Sp.M.SampleTelemetry()
 		}
 		// Multi-pipeline runs sample each manager into its own (already

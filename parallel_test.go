@@ -10,15 +10,29 @@ import (
 	"sre/internal/workload"
 )
 
-// fatTreeRun builds a resilient verifier over every prefix of a 4-ary
+// The two verifications the determinism tests pin across execution
+// configurations: ft4Plain, where no prefix degrades, and ft4Limited,
+// where the node limit makes all 8 prefixes quarantine and verify on
+// the abstract rung — so the ladder is compared cell by cell too.
+var (
+	ft4Plain   = sre.Options{MaxFailures: 2, Resilient: true}
+	ft4Limited = sre.Options{MaxFailures: 3, BDDNodeLimit: 20000, Resilient: true}
+
+	ft4Variants = []struct {
+		name string
+		base sre.Options
+	}{{"plain", ft4Plain}, {"nodelimit20k", ft4Limited}}
+)
+
+// fatTreeRun builds a verifier from base over every prefix of a 4-ary
 // fat tree at the given parallelism and condenses everything the public
 // API observes: the per-prefix outcomes, the total PFEC count, and an
 // all-prefix tolerance sweep from one edge router.
-func fatTreeRun(t *testing.T, parallelism int) ([]sre.PrefixOutcome, int, []sre.PrefixResult) {
+func fatTreeRun(t *testing.T, base sre.Options, parallelism int) ([]sre.PrefixOutcome, int, []sre.PrefixResult) {
 	t.Helper()
 	net := workload.FatTree(4, workload.BGP)
-	v, err := sre.NewVerifier(net, sre.Options{
-		MaxFailures: 2, Resilient: true, Parallelism: parallelism})
+	base.Parallelism = parallelism
+	v, err := sre.NewVerifier(net, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,53 +47,77 @@ func fatTreeRun(t *testing.T, parallelism int) ([]sre.PrefixOutcome, int, []sre.
 }
 
 // TestParallelDeterminism pins the scheduler's core contract: the same
-// verification at parallelism 1 (the sequential path), 2, and 8 returns
-// identical outcomes, PFEC counts, and tolerances — results depend on
-// the network, never on the worker count or completion order.
+// verification at parallelism 1, 2, and 8 returns identical outcomes
+// (rungs and effective budgets included), PFEC counts, and tolerances —
+// results depend on the network, never on the worker count or
+// completion order.
 func TestParallelDeterminism(t *testing.T) {
-	baseOuts, basePFECs, baseSweep := fatTreeRun(t, 1)
-	if len(baseOuts) == 0 {
-		t.Fatal("resilient run reported no outcomes")
-	}
-	for _, p := range []int{2, 8} {
-		outs, pfecs, sweep := fatTreeRun(t, p)
-		if !reflect.DeepEqual(outs, baseOuts) {
-			t.Errorf("parallelism %d: outcomes diverge\n got %+v\nwant %+v", p, outs, baseOuts)
-		}
-		if pfecs != basePFECs {
-			t.Errorf("parallelism %d: NumPFECs = %d, sequential %d", p, pfecs, basePFECs)
-		}
-		if !reflect.DeepEqual(sweep, baseSweep) {
-			t.Errorf("parallelism %d: tolerance sweep diverges\n got %+v\nwant %+v", p, sweep, baseSweep)
-		}
+	for _, v := range ft4Variants {
+		t.Run(v.name, func(t *testing.T) {
+			baseOuts, basePFECs, baseSweep := fatTreeRun(t, v.base, 1)
+			if len(baseOuts) == 0 {
+				t.Fatal("resilient run reported no outcomes")
+			}
+			if v.base.BDDNodeLimit > 0 {
+				for _, o := range baseOuts {
+					if !o.Quarantined || !reflect.DeepEqual(o.Rungs, []string{sre.RungAbstract}) || o.EffectivePruneK != v.base.MaxFailures {
+						t.Fatalf("fixture drifted: %s should verify on the abstract rung, got %+v", o.Prefix, o)
+					}
+				}
+			}
+			for _, p := range []int{2, 8} {
+				outs, pfecs, sweep := fatTreeRun(t, v.base, p)
+				if !reflect.DeepEqual(outs, baseOuts) {
+					t.Errorf("parallelism %d: outcomes diverge\n got %+v\nwant %+v", p, outs, baseOuts)
+				}
+				if pfecs != basePFECs {
+					t.Errorf("parallelism %d: NumPFECs = %d, at one worker %d", p, pfecs, basePFECs)
+				}
+				if !reflect.DeepEqual(sweep, baseSweep) {
+					t.Errorf("parallelism %d: tolerance sweep diverges\n got %+v\nwant %+v", p, sweep, baseSweep)
+				}
+			}
+		})
 	}
 }
 
 // TestParallelMiningDeterminism runs the stratified miner at several
-// worker counts: the mined specifications must be identical maps.
+// worker counts: the mined specifications must be identical maps. The
+// node-limited resilient variant runs every stratum per prefix at every
+// worker count (one shared pipeline would overflow on the queries).
 func TestParallelMiningDeterminism(t *testing.T) {
 	net := workload.FatTree(4, workload.BGP)
-	base, err := sre.MineSpecs(net, 2, sre.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.ReachTolerance) == 0 {
-		t.Fatal("miner decided no pairs")
-	}
-	for _, p := range []int{2, 8} {
-		specs, err := sre.MineSpecs(net, 2, sre.Options{Parallelism: p})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		if !reflect.DeepEqual(specs, base) {
-			t.Errorf("parallelism %d: mined specs diverge\n got %+v\nwant %+v", p, specs, base)
-		}
+	for _, v := range []struct {
+		name string
+		base sre.Options
+	}{{"plain", sre.Options{}}, {"nodelimit20k", sre.Options{Resilient: true, BDDNodeLimit: 20000}}} {
+		t.Run(v.name, func(t *testing.T) {
+			opts := v.base
+			opts.Parallelism = 1
+			base, err := sre.MineSpecs(net, 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base.ReachTolerance) == 0 {
+				t.Fatal("miner decided no pairs")
+			}
+			for _, p := range []int{2, 8} {
+				opts.Parallelism = p
+				specs, err := sre.MineSpecs(net, 2, opts)
+				if err != nil {
+					t.Fatalf("parallelism %d: %v", p, err)
+				}
+				if !reflect.DeepEqual(specs, base) {
+					t.Errorf("parallelism %d: mined specs diverge\n got %+v\nwant %+v", p, specs, base)
+				}
+			}
+		})
 	}
 }
 
 // TestParallelDeadlineCarriesStage forces the deadline to expire inside
 // a parallel run: the error must be a deadline interruption and carry
-// the stage it interrupted, exactly like the sequential path.
+// the stage it interrupted, exactly like a one-worker run.
 func TestParallelDeadlineCarriesStage(t *testing.T) {
 	net := workload.FatTree(4, workload.BGP)
 	_, err := sre.NewVerifier(net, sre.Options{

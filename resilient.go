@@ -27,7 +27,7 @@ const (
 // Outcomes returns the per-prefix outcomes of a resilient run, sorted by
 // prefix. It returns nil for verifiers built without Options.Resilient.
 func (v *Verifier) Outcomes() []PrefixOutcome {
-	if !v.resilient || v.part == nil {
+	if !v.resilient {
 		return nil
 	}
 	return v.part.Outcomes()
@@ -53,9 +53,6 @@ func (v *Verifier) Degraded() bool {
 // verified the prefix exactly. `sre` exits with status 3 when this is
 // the only blemish on an otherwise successful run.
 func (v *Verifier) CrashDegraded() bool {
-	if v.part == nil {
-		return false
-	}
 	for _, o := range v.part.Outcomes() {
 		for _, r := range o.Rungs {
 			if r == RungWorkerCrash {
@@ -66,49 +63,20 @@ func (v *Verifier) CrashDegraded() bool {
 	return false
 }
 
-// allPipes returns every live pipeline behind the verifier: exactly one
-// for a regular run, one per prefix group for a resilient run.
-func (v *Verifier) allPipes() []*analysis.Pipeline {
-	if v.part != nil {
-		return v.part.Groups
-	}
-	return []*analysis.Pipeline{v.pipe}
-}
-
-// pipesFor returns the pipelines covering pfx. A regular verifier has a
-// single pipeline covering everything. A resilient verifier may cover a
-// prefix with one pipeline (its group, or its quarantine retry) or two
+// pipesFor returns the pipelines covering pfx: one (the combined
+// pipeline, the prefix's own scoped one, or its ladder retry) or two
 // (after the split-headers rung); queries combine results across them.
 // Prefixes that exhausted the degradation ladder, or were never part of
-// the run, yield an error.
+// the run (outside Options.Prefixes), yield an error.
 func (v *Verifier) pipesFor(pfx route.Prefix) ([]*analysis.Pipeline, error) {
-	if v.part == nil {
-		return []*analysis.Pipeline{v.pipe}, nil
-	}
 	if o := v.part.Outcome(pfx); o != nil && o.Err != nil {
 		return nil, fmt.Errorf("sre: prefix %s could not be verified (degradation ladder exhausted): %w", pfx, o.Err)
 	}
 	pipes := v.part.PipelinesFor(pfx)
 	if len(pipes) == 0 {
-		return nil, fmt.Errorf("sre: prefix %s was not part of this resilient run", pfx)
+		return nil, fmt.Errorf("sre: prefix %s was not part of this run", pfx)
 	}
 	return pipes, nil
-}
-
-// analyzedPrefixes returns the prefixes this verifier has results for.
-func (v *Verifier) analyzedPrefixes() []route.Prefix {
-	if v.part != nil {
-		outs := v.part.Outcomes()
-		pfxs := make([]route.Prefix, len(outs))
-		for i, o := range outs {
-			pfxs[i] = o.Prefix
-		}
-		return pfxs
-	}
-	if len(v.prefixes) > 0 {
-		return v.prefixes
-	}
-	return v.net.AllPrefixes()
 }
 
 // PrefixResult is one prefix's entry in a per-prefix query sweep: the
@@ -138,16 +106,12 @@ func (v *Verifier) FailureTolerances(srcRouter string) ([]PrefixResult, error) {
 	if _, ok := v.net.Topology.RouterByName(srcRouter); !ok {
 		return nil, fmt.Errorf("sre: unknown router %q", srcRouter)
 	}
-	prefixes := v.analyzedPrefixes()
-	out := make([]PrefixResult, 0, len(prefixes))
-	for _, pfx := range prefixes {
-		pr := PrefixResult{Prefix: pfx.String()}
-		if v.part != nil {
-			if o := v.part.Outcome(pfx); o != nil {
-				pr.Degraded, pr.Quarantined, pr.Rungs = o.Degraded, o.Quarantined, o.Rungs
-			}
-		}
-		k, err := v.FailureTolerance(srcRouter, pfx.String())
+	outs := v.part.Outcomes()
+	out := make([]PrefixResult, 0, len(outs))
+	for _, o := range outs {
+		pr := PrefixResult{Prefix: o.Prefix.String(),
+			Degraded: o.Degraded, Quarantined: o.Quarantined, Rungs: o.Rungs}
+		k, err := v.FailureTolerance(srcRouter, pr.Prefix)
 		if err != nil {
 			pr.Err = err
 		} else {

@@ -115,11 +115,13 @@ type Options struct {
 	// verification and mining: prefixes are analyzed as independent
 	// prefix-scoped pipelines (§7.2 makes the decomposition sound) on
 	// a work-stealing pool, largest first, each worker with its own
-	// BDD manager. 0 (the default) uses runtime.GOMAXPROCS(0); 1
-	// selects the sequential code paths and produces byte-identical
-	// behaviour to previous releases. Results are deterministic at any
-	// setting: outcomes, merged pipelines, and mined specs are ordered
-	// by prefix, never by completion order.
+	// BDD manager. 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs
+	// the same tasks one at a time — except that a one-worker run with
+	// nothing to decompose for (not Resilient, no Store, no Workers)
+	// verifies the whole domain as a single task in one symbolic space,
+	// which shares route computation across prefixes. Results are
+	// deterministic at any setting: outcomes, merged pipelines, and
+	// mined specs are ordered by prefix, never by completion order.
 	Parallelism int
 	// Workers, when > 0, verifies prefixes across that many worker
 	// subprocesses instead of in-process goroutines: the coordinator
@@ -135,12 +137,14 @@ type Options struct {
 	// syntax (e.g. "crash@0;stall@2"). Empty inherits SRE_FAULT from
 	// the environment.
 	FaultPlan string
-	// Resilient enables graceful degradation for multi-prefix runs.
-	// Instead of failing the whole run when the BDD node table
-	// overflows, the offending prefix is quarantined and retried
-	// through an escalation ladder (AS-path abstraction, halved failure
-	// budget, split header space) while the remaining prefixes complete
-	// normally. Per-prefix outcomes are reported by Verifier.Outcomes.
+	// Resilient enables graceful degradation for multi-prefix runs:
+	// every prefix is verified as its own scoped task (at any
+	// Parallelism), and instead of failing the whole run when a task
+	// overflows the BDD node table, that prefix is quarantined and
+	// retried through an escalation ladder (AS-path abstraction, halved
+	// failure budget, split header space) while the remaining prefixes
+	// complete normally. Per-prefix outcomes are reported by
+	// Verifier.Outcomes.
 	Resilient bool
 	// Telemetry, when non-nil, collects counters, gauges, histograms,
 	// and tracing spans across the run (see NewTelemetry and
@@ -225,16 +229,14 @@ var ErrBDDLimit = bdd.ErrNodeLimit
 // PFECs, ready for property analysis.
 type Verifier struct {
 	net *Network
-	// Exactly one of pipe/part is set: pipe for sequential regular
-	// runs, part for resilient runs (one pipeline per prefix group)
-	// and parallel regular runs (one scoped pipeline per prefix).
-	pipe     *analysis.Pipeline
-	part     *analysis.Partitioned
-	tel      *obs.Telemetry
-	prefixes []route.Prefix // requested analysis domain (empty = all)
+	// part is what the executor produced: the pipelines covering each
+	// prefix of the analysis domain (one shared by all of them for a
+	// combined run) and the per-prefix outcomes.
+	part *analysis.Partitioned
+	tel  *obs.Telemetry
 	// resilient records whether the verifier ran with
-	// Options.Resilient (gates Outcomes; a parallel non-resilient run
-	// also sets part but has no degradation outcomes to report).
+	// Options.Resilient (gates Outcomes; other runs have no degradation
+	// outcomes to report).
 	resilient bool
 	// store is the persistent result cache the run consulted, if any
 	// (surfaced in Metrics).
@@ -254,7 +256,7 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 	if err != nil {
 		return nil, err
 	}
-	v = &Verifier{net: net, tel: srcOpts.Telemetry, prefixes: prefixes, store: opts.Store,
+	v = &Verifier{net: net, tel: srcOpts.Telemetry, resilient: opts.Resilient, store: opts.Store,
 		varOrder: src.LinkOrder(net, srcOpts).ID(), reorder: opts.DynamicReorder}
 	defer func() {
 		if err != nil {
@@ -262,71 +264,38 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 		}
 	}()
 	defer guard("verify", srcOpts.Telemetry, &err)
-	// A multi-process run hands the whole domain to the coordinator;
-	// worker crashes are retried there, so only verification errors
-	// (cancellation, non-convergence, a non-resilient overflow) abort.
+	// Every run is one call of the per-prefix executor; the options only
+	// fill in its data. Prefixes reaches a combined run unchanged; the
+	// domain is what the verifier answers queries for.
+	srcOpts.Prefixes = prefixes
+	domain := prefixes
+	if len(domain) == 0 {
+		domain = net.AllPrefixes()
+	}
+	x := analysis.Executor{Net: net, Opts: srcOpts, Ladder: opts.Resilient,
+		Workers: analysis.Workers(srcOpts), Cache: opts.Store.cache()}
 	if opts.Workers > 0 {
-		v.resilient = opts.Resilient
-		domain := shardDomain(net, prefixes)
+		// A fleet is only another place for the pending tasks to run.
+		// Worker crashes are retried there, so only verification errors
+		// (cancellation, non-convergence, a non-resilient overflow) abort.
 		copts := coord.Options{
 			Workers:   opts.Workers,
 			Verify:    srcOpts,
 			Resilient: opts.Resilient,
 			FaultPlan: opts.FaultPlan,
+			Cache:     x.Cache,
 		}
 		if opts.Store != nil {
-			copts.Cache = opts.Store.cache()
 			copts.CacheDir = opts.Store.Dir()
 		}
-		part, perr := coord.Run(net, domain, copts)
-		if perr != nil {
-			return nil, perr
+		if x.Dispatch, err = coord.Fleet(net, copts); err != nil {
+			return nil, err
 		}
-		v.part, v.prefixes = part, domain
-		return v, nil
 	}
-	if opts.Resilient {
-		v.resilient = true
-		domain := prefixes
-		if len(domain) == 0 {
-			domain = net.AllPrefixes()
-		}
-		part, perr := analysis.RunPartitionedCached(net, srcOpts, domain, analysis.LadderOptions{}, opts.Store.cache())
-		if perr != nil {
-			return nil, perr
-		}
-		v.part, v.prefixes = part, domain
-		return v, nil
+	if v.part, err = x.Run(domain); err != nil {
+		return nil, err
 	}
-	// A parallel regular run shards the domain into per-prefix scoped
-	// pipelines on the worker pool; any error aborts, exactly like the
-	// combined pipeline it replaces. A store forces the sharded path at
-	// any parallelism: the cache's unit is the prefix task.
-	if domain := shardDomain(net, prefixes); len(domain) > 0 && (len(domain) > 1 && analysis.Workers(srcOpts) > 1 || opts.Store != nil) {
-		part, perr := analysis.RunShardedCached(net, srcOpts, domain, analysis.Workers(srcOpts), opts.Store.cache())
-		if perr != nil {
-			return nil, perr
-		}
-		v.part = part
-		return v, nil
-	}
-	srcOpts.Prefixes = prefixes
-	sp := newSpace(net, srcOpts)
-	pipe, perr := analysis.RunWithSpace(net, sp, srcOpts)
-	if perr != nil {
-		return nil, perr
-	}
-	v.pipe = pipe
 	return v, nil
-}
-
-// shardDomain is the prefix domain of a parallel regular run: the
-// requested prefixes, or every originated prefix when unrestricted.
-func shardDomain(net *Network, prefixes []route.Prefix) []route.Prefix {
-	if len(prefixes) > 0 {
-		return prefixes
-	}
-	return net.AllPrefixes()
 }
 
 // buildOpts translates the public options into engine options (wiring
@@ -334,7 +303,7 @@ func shardDomain(net *Network, prefixes []route.Prefix) []route.Prefix {
 // requested prefixes.
 func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 	// The shared checker is safe for the concurrent pipelines of a
-	// parallel run and costs the same on the sequential paths.
+	// parallel run and costs the same at one worker.
 	checker := resil.NewSharedChecker(opts.Context, opts.Timeout)
 	varOrder, err := order.Normalize(opts.VarOrder)
 	if err != nil {
@@ -366,20 +335,14 @@ func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 
 // Release frees the verifier's BDD resources. The verifier must not be
 // used afterwards.
-func (v *Verifier) Release() {
-	if v.part != nil {
-		v.part.Release()
-		return
-	}
-	v.pipe.Release()
-}
+func (v *Verifier) Release() { v.part.Release() }
 
 // NumPFECs returns the number of packet failure equivalence classes
 // discovered across all sources (summed over prefix groups for a
 // resilient run).
 func (v *Verifier) NumPFECs() int {
 	n := 0
-	for _, pipe := range v.allPipes() {
+	for _, pipe := range v.part.Groups {
 		n += pipe.NumPFECs()
 	}
 	return n
@@ -389,7 +352,7 @@ func (v *Verifier) NumPFECs() int {
 // stages (SRC and SPF), as reported in the paper's Figure 13 (summed
 // over prefix groups for a resilient run).
 func (v *Verifier) Stages() (srcTime, spfTime float64) {
-	for _, pipe := range v.allPipes() {
+	for _, pipe := range v.part.Groups {
 		srcTime += pipe.SRCTime.Seconds()
 		spfTime += pipe.SPFTime.Seconds()
 	}

@@ -25,11 +25,11 @@ func TestMain(m *testing.M) {
 
 // fatTreeWorkersRun is fatTreeRun with worker subprocesses instead of
 // in-process parallelism.
-func fatTreeWorkersRun(t *testing.T, workers int, faultPlan string) ([]sre.PrefixOutcome, int, []sre.PrefixResult, bool) {
+func fatTreeWorkersRun(t *testing.T, base sre.Options, workers int, faultPlan string) ([]sre.PrefixOutcome, int, []sre.PrefixResult, bool) {
 	t.Helper()
 	net := workload.FatTree(4, workload.BGP)
-	v, err := sre.NewVerifier(net, sre.Options{
-		MaxFailures: 2, Resilient: true, Workers: workers, FaultPlan: faultPlan})
+	base.Workers, base.FaultPlan = workers, faultPlan
+	v, err := sre.NewVerifier(net, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,29 +43,38 @@ func fatTreeWorkersRun(t *testing.T, workers int, faultPlan string) ([]sre.Prefi
 	return outs, numPFECs, sweep, v.CrashDegraded()
 }
 
-// TestWorkersDeterminism pins the tentpole's public contract: a
-// fault-free multi-process run at 1, 2, and 4 workers is
-// indistinguishable from the sequential in-process run — same
-// outcomes, same PFEC count, same tolerances.
+// TestWorkersDeterminism pins the fleet's public contract: a fault-free
+// multi-process run at 1, 2, and 4 workers is indistinguishable from
+// the one-worker in-process run — same outcomes, same PFEC count, same
+// tolerances — and so is one whose workers climb the ladder (the
+// node-limited variant, at 2 workers).
 func TestWorkersDeterminism(t *testing.T) {
-	baseOuts, basePFECs, baseSweep := fatTreeRun(t, 1)
-	if len(baseOuts) == 0 {
-		t.Fatal("baseline reported no outcomes")
-	}
-	for _, w := range []int{1, 2, 4} {
-		outs, pfecs, sweep, crashDegraded := fatTreeWorkersRun(t, w, "")
-		if !reflect.DeepEqual(outs, baseOuts) {
-			t.Errorf("workers %d: outcomes diverge\n got %+v\nwant %+v", w, outs, baseOuts)
-		}
-		if pfecs != basePFECs {
-			t.Errorf("workers %d: NumPFECs = %d, in-process %d", w, pfecs, basePFECs)
-		}
-		if !reflect.DeepEqual(sweep, baseSweep) {
-			t.Errorf("workers %d: tolerance sweep diverges\n got %+v\nwant %+v", w, sweep, baseSweep)
-		}
-		if crashDegraded {
-			t.Errorf("workers %d: CrashDegraded on a fault-free run", w)
-		}
+	for _, v := range ft4Variants {
+		t.Run(v.name, func(t *testing.T) {
+			baseOuts, basePFECs, baseSweep := fatTreeRun(t, v.base, 1)
+			if len(baseOuts) == 0 {
+				t.Fatal("baseline reported no outcomes")
+			}
+			counts := []int{1, 2, 4}
+			if v.base.BDDNodeLimit > 0 {
+				counts = []int{2}
+			}
+			for _, w := range counts {
+				outs, pfecs, sweep, crashDegraded := fatTreeWorkersRun(t, v.base, w, "")
+				if !reflect.DeepEqual(outs, baseOuts) {
+					t.Errorf("workers %d: outcomes diverge\n got %+v\nwant %+v", w, outs, baseOuts)
+				}
+				if pfecs != basePFECs {
+					t.Errorf("workers %d: NumPFECs = %d, in-process %d", w, pfecs, basePFECs)
+				}
+				if !reflect.DeepEqual(sweep, baseSweep) {
+					t.Errorf("workers %d: tolerance sweep diverges\n got %+v\nwant %+v", w, sweep, baseSweep)
+				}
+				if crashDegraded {
+					t.Errorf("workers %d: CrashDegraded on a fault-free run", w)
+				}
+			}
+		})
 	}
 }
 
@@ -73,8 +82,8 @@ func TestWorkersDeterminism(t *testing.T) {
 // the retried attempts are fault-free, so results must converge to the
 // in-process baseline, with only WorkerCrashes recording the faults.
 func TestWorkersFaultedRunConverges(t *testing.T) {
-	baseOuts, basePFECs, baseSweep := fatTreeRun(t, 1)
-	outs, pfecs, sweep, crashDegraded := fatTreeWorkersRun(t, 2, "crash@0;kill@2;exit@5")
+	baseOuts, basePFECs, baseSweep := fatTreeRun(t, ft4Plain, 1)
+	outs, pfecs, sweep, crashDegraded := fatTreeWorkersRun(t, ft4Plain, 2, "crash@0;kill@2;exit@5")
 	crashes := 0
 	for i := range outs {
 		crashes += outs[i].WorkerCrashes
@@ -101,8 +110,8 @@ func TestWorkersFaultedRunConverges(t *testing.T) {
 // prefix must fall back to exact in-process verification and the
 // verifier must report CrashDegraded (the `sre` CLI's exit 3).
 func TestWorkersCrashDegraded(t *testing.T) {
-	_, basePFECs, baseSweep := fatTreeRun(t, 1)
-	outs, pfecs, sweep, crashDegraded := fatTreeWorkersRun(t, 2, "crash@1;crash@1#1;crash@1#2")
+	_, basePFECs, baseSweep := fatTreeRun(t, ft4Plain, 1)
+	outs, pfecs, sweep, crashDegraded := fatTreeWorkersRun(t, ft4Plain, 2, "crash@1;crash@1#1;crash@1#2")
 	if !crashDegraded {
 		t.Fatal("CrashDegraded should be true after an exhausted attempt budget")
 	}
