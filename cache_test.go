@@ -17,46 +17,64 @@ import (
 	"sre/internal/workload"
 )
 
-// fatTreeCacheRun is fatTreeRun with a result store attached, at the
-// given in-process parallelism and worker count. It opens a fresh store
-// handle on dir so each run reports its own traffic metrics.
+// fatTreeCacheRun is cacheRun over a fresh 4-ary fat tree.
 func fatTreeCacheRun(t *testing.T, base sre.Options, dir string, parallelism, workers int) ([]sre.PrefixOutcome, int, []sre.PrefixResult, sre.StoreMetrics) {
+	t.Helper()
+	return cacheRun(t, workload.FatTree(4, workload.BGP), "edge0-0", base, dir, parallelism, workers)
+}
+
+// cacheRun is verifyRun with a result store attached, at the given
+// in-process parallelism and worker count. It opens a fresh store
+// handle on dir so each run reports its own traffic metrics.
+func cacheRun(t *testing.T, net *sre.Network, src string, base sre.Options, dir string, parallelism, workers int) ([]sre.PrefixOutcome, int, []sre.PrefixResult, sre.StoreMetrics) {
 	t.Helper()
 	st, err := sre.OpenStore(dir, sre.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	net := workload.FatTree(4, workload.BGP)
 	base.Parallelism, base.Workers, base.Store = parallelism, workers, st
-	v, err := sre.NewVerifier(net, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	outs := v.Outcomes()
-	numPFECs := v.Metrics().NumPFECs
-	sweep, err := v.FailureTolerances("edge0-0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs, numPFECs, sweep := verifyRun(t, net, src, base)
 	return outs, numPFECs, sweep, st.Metrics()
 }
 
 // TestCacheDeterminism pins the cache's public contract: cold and warm
 // cached runs — one worker, parallel, and multi-process, with and
 // without prefixes that verify on a ladder rung — are indistinguishable
-// from a cache-less run.
+// from a cache-less run. The cached runs of an input share one
+// *Network, so the warm runs hit only if the runs before them left it
+// (its text, and so its keys) as they found it; the OSPF input is the
+// one a run used to write interface defaults into.
 func TestCacheDeterminism(t *testing.T) {
+	type input struct {
+		name string
+		base sre.Options
+		net  func() *sre.Network
+		src  string
+	}
+	var inputs []input
 	for _, v := range ft4Variants {
+		inputs = append(inputs, input{v.name, v.base, func() *sre.Network { return workload.FatTree(4, workload.BGP) }, "edge0-0"})
+	}
+	inputs = append(inputs, input{"ospf-no-interfaces", ft4Plain, func() *sre.Network {
+		net, err := sre.ParseNetwork(ospfTriangle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}, "A"})
+	for _, v := range inputs {
 		t.Run(v.name, func(t *testing.T) {
-			baseOuts, basePFECs, baseSweep := fatTreeRun(t, v.base, 1)
+			base := v.base
+			base.Parallelism = 1
+			baseOuts, basePFECs, baseSweep := verifyRun(t, v.net(), v.src, base)
 			if len(baseOuts) == 0 {
 				t.Fatal("baseline reported no outcomes")
 			}
+			net := v.net()
 			dir := t.TempDir()
 
-			outs, pfecs, sweep, m := fatTreeCacheRun(t, v.base, dir, 1, 0)
+			outs, pfecs, sweep, m := cacheRun(t, net, v.src, v.base, dir, 1, 0)
 			if !reflect.DeepEqual(outs, baseOuts) || pfecs != basePFECs || !reflect.DeepEqual(sweep, baseSweep) {
 				t.Fatalf("cold cached run diverges from cache-less run")
 			}
@@ -77,7 +95,7 @@ func TestCacheDeterminism(t *testing.T) {
 				{"warm/workers=2", 0, 2},
 			}
 			for _, tc := range cases {
-				outs, pfecs, sweep, m := fatTreeCacheRun(t, v.base, dir, tc.parallelism, tc.workers)
+				outs, pfecs, sweep, m := cacheRun(t, net, v.src, v.base, dir, tc.parallelism, tc.workers)
 				if !reflect.DeepEqual(outs, baseOuts) {
 					t.Errorf("%s: outcomes diverge\n got %+v\nwant %+v", tc.name, outs, baseOuts)
 				}
@@ -87,8 +105,8 @@ func TestCacheDeterminism(t *testing.T) {
 				if !reflect.DeepEqual(sweep, baseSweep) {
 					t.Errorf("%s: tolerance sweep diverges", tc.name)
 				}
-				if m.Hits == 0 {
-					t.Errorf("%s: warm run missed the cache entirely: %+v", tc.name, m)
+				if m.Hits == 0 || m.Misses != 0 {
+					t.Errorf("%s: warm run on the same network must be all hits: %+v", tc.name, m)
 				}
 				if m.Quarantined != 0 {
 					t.Errorf("%s: clean store quarantined records: %+v", tc.name, m)

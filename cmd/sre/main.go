@@ -297,7 +297,6 @@ func writeExports(rec *sre.FlightRecorder) {
 		return
 	}
 	env := sre.Environment()
-	env.BDDKernel = "flat"
 	env.Parallelism = *parallel
 	for _, out := range []struct {
 		path  string

@@ -13,91 +13,29 @@ import (
 	"sre/internal/workload"
 )
 
-// bddKernelExp measures the overhauled BDD kernel (relational product,
-// generation-stamped memo tables, GC-surviving operation cache, balanced
-// folds) against the pre-overhaul kernel kept behind
-// Options.LegacyBDDKernel. Each cell runs the same verification and
-// analysis sweep twice at Parallelism 1 — once per kernel — and
-// cross-checks an order-independent result signature before reporting
-// the wall-clock ratio; BDD canonicity guarantees the signatures match,
-// and the check enforces it.
-//
-// The node-limited cells size the node table so the manager collects
-// several times mid-run: that is where the sweeping cache invalidation
-// pays (the legacy kernel rewarms a cold cache after every GC), visible
-// in the post-GC hit-ratio column.
-func bddKernelExp(sc scale) {
-	header("BDD kernel — overhauled vs legacy, parallelism 1")
-	type wl struct {
-		name      string
-		arity     int
-		k         int
-		nodeLimit int
-	}
-	wls := []wl{
-		{"FatTree(4) k=2 unconstrained", 4, 2, 0},
-		{"FatTree(4) k=3 limit=300k", 4, 3, 300000},
-		{"FatTree(6) k=1 limit=700k", 6, 1, 700000},
-	}
-	if sc.paper {
-		wls = append(wls, wl{"FatTree(6) k=2 limit=4.5M", 6, 2, 4500000})
-	}
-	t := newTable("dataset", "legacy", "overhauled", "speedup", "identical", "postGC-hit")
-	ct := newCellTimer()
-	for _, w := range wls {
-		var legacySec, newSec float64
-		var legacySig, newSig string
-		var legacyErr, newErr error
-		var legacyCell, newCell bddKernelResult
-		// The kernel comparison pins declaration order on both sides so
-		// its goldens stay comparable to pre-order-sweep baselines.
-		ct.run("legacy", func() {
-			legacyCell = bddKernelCell(w.arity, w.k, w.nodeLimit, true, "declaration", false)
-			legacySec, legacySig, legacyErr = legacyCell.seconds, legacyCell.sig, legacyCell.err
-		})
-		ct.run("overhauled", func() {
-			newCell = bddKernelCell(w.arity, w.k, w.nodeLimit, false, "declaration", false)
-			newSec, newSig, newErr = newCell.seconds, newCell.sig, newCell.err
-		})
-		outcome := func(err error) string {
-			if err != nil {
-				return "error"
-			}
-			return "ok"
-		}
-		identical := legacyErr == nil && newErr == nil && legacySig == newSig
-		speedup := 0.0
-		if legacyErr == nil && newErr == nil && newSec > 0 {
-			speedup = legacySec / newSec
-		}
-		record(benchRow{Experiment: "bddkernel", Dataset: w.name, System: "legacy",
-			K: w.k, Seconds: legacySec, Parallelism: 1,
-			PeakBDDNodes: legacyCell.peakNodes, TotalBDDNodes: legacyCell.liveNodes,
-			CacheHitRatio: legacyCell.hitRatio,
-			GCRuns: legacyCell.gcRuns, Outcome: outcome(legacyErr)})
-		record(benchRow{Experiment: "bddkernel", Dataset: w.name, System: "overhauled",
-			K: w.k, Seconds: newSec, Parallelism: 1,
-			PeakBDDNodes: newCell.peakNodes, TotalBDDNodes: newCell.liveNodes,
-			CacheHitRatio: newCell.hitRatio,
-			GCRuns: newCell.gcRuns, Speedup: speedup, ResultsIdentical: identical,
-			Outcome: outcome(newErr)})
-		if legacyErr != nil {
-			fmt.Printf("  %s legacy: %v\n", w.name, legacyErr)
-		}
-		if newErr != nil {
-			fmt.Printf("  %s overhauled: %v\n", w.name, newErr)
-		}
-		t.addf("%s|%.2fs|%.2fs|%.2fx|%v|%.0f%%", w.name, legacySec, newSec,
-			speedup, identical, newCell.postGCHit*100)
-	}
-	t.print()
-	bddOrderSweep(sc)
+// bddKernelExp measures the two levers on BDD size the kernel offers —
+// the static link-variable order and dynamic reordering — each as a
+// sweep that runs the same verification and analysis at Parallelism 1
+// per setting and cross-checks an order-independent result signature:
+// BDD canonicity guarantees the signatures match, and the check
+// enforces it.
+func bddKernelExp(scale) {
+	bddOrderSweep()
+	bddReorderSweep()
 }
 
-// bddOrderSweep measures the variable-order tentpole: the same
-// verification and analysis sweep on the flat kernel under every
-// ordering method, unconstrained (a node limit caps PeakNodes at the
-// limit, hiding exactly the differences the sweep exists to surface).
+// bddSweepWorkloads are the cells of both sweeps.
+var bddSweepWorkloads = []struct {
+	name  string
+	arity int
+	k     int
+}{
+	{"FatTree(4) k=2 unconstrained", 4, 2},
+	{"FatTree(6) k=1 unconstrained", 6, 1},
+}
+
+// bddOrderSweep measures the static variable order: the same
+// verification and analysis sweep under every ordering method.
 // Result signatures are cross-checked against declaration order —
 // orders relocate variables, they must never move an answer — and peak
 // and final live node counts are recorded per order.
@@ -105,28 +43,19 @@ func bddKernelExp(sc scale) {
 // With -order-baseline set, the sweep doubles as a regression gate: the
 // auto order must stay within 10% of the baseline file's auto peak node
 // count per dataset, and within 10% of this run's declaration order.
-func bddOrderSweep(sc scale) {
+func bddOrderSweep() {
 	header("BDD variable order — peak/total nodes per order, parallelism 1")
-	type wl struct {
-		name  string
-		arity int
-		k     int
-	}
-	wls := []wl{
-		{"FatTree(4) k=2 unconstrained", 4, 2},
-		{"FatTree(6) k=1 unconstrained", 6, 1},
-	}
 	orders := []string{"declaration", "bfs", "mindeg", "auto"}
 	t := newTable("dataset", "order", "time", "peak nodes", "total nodes", "identical")
 	ct := newCellTimer()
-	for _, w := range wls {
+	for _, w := range bddSweepWorkloads {
 		var declSig string
 		var declSec float64
 		var declPeak, autoPeak int
 		for _, ord := range orders {
 			var cell bddKernelResult
 			ct.run("order:"+ord, func() {
-				cell = bddKernelCell(w.arity, w.k, 0, false, ord, false)
+				cell = bddKernelCell(w.arity, w.k, ord, false)
 			})
 			identical := cell.err == nil && (ord == "declaration" || cell.sig == declSig)
 			speedup := 0.0
@@ -159,12 +88,10 @@ func bddOrderSweep(sc scale) {
 		gateOrderPeaks(w.name, declPeak, autoPeak)
 	}
 	t.print()
-	bddReorderSweep(sc)
 }
 
-// bddReorderSweep measures dynamic reordering: the same sweep on the
-// flat kernel under declaration order, with and without sifting armed,
-// unconstrained so PeakNodes reflects the diagrams rather than a cap.
+// bddReorderSweep measures dynamic reordering: the same sweep under
+// declaration order, with and without sifting armed.
 // The reordered cell's signature is cross-checked against the static
 // one — sifting relocates variables, it must never move an answer —
 // and both peak and post-sift (final live) node counts are recorded.
@@ -175,20 +102,11 @@ func bddOrderSweep(sc scale) {
 // flake the gate). The same-run static cell is reported but not gated
 // — sifting deliberately trades some wall clock for peak memory, and
 // that trade is pinned by the baseline, not by a fixed ratio.
-func bddReorderSweep(sc scale) {
+func bddReorderSweep() {
 	header("BDD dynamic reordering — declaration order ± sifting, parallelism 1")
-	type wl struct {
-		name  string
-		arity int
-		k     int
-	}
-	wls := []wl{
-		{"FatTree(4) k=2 unconstrained", 4, 2},
-		{"FatTree(6) k=1 unconstrained", 6, 1},
-	}
 	t := newTable("dataset", "reorder", "time", "peak nodes", "post-sift nodes", "passes/sifts", "identical")
 	ct := newCellTimer()
-	for _, w := range wls {
+	for _, w := range bddSweepWorkloads {
 		var offSig string
 		var offSec float64
 		for _, on := range []bool{false, true} {
@@ -198,7 +116,7 @@ func bddReorderSweep(sc scale) {
 			}
 			var cell bddKernelResult
 			ct.run("reorder:"+label, func() {
-				cell = bddKernelCell(w.arity, w.k, 0, false, "declaration", on)
+				cell = bddKernelCell(w.arity, w.k, "declaration", on)
 			})
 			identical := cell.err == nil && (!on || cell.sig == offSig)
 			speedup := 0.0
@@ -319,22 +237,21 @@ type bddKernelResult struct {
 	peakNodes  int
 	liveNodes  int
 	hitRatio   float64
-	postGCHit  float64
 	gcRuns     int
 	reorders   int // sifting passes that fired
 	siftedVars int
 	err        error
 }
 
-// bddKernelCell runs pipeline construction plus the FPA sweep the
-// overhaul targets — forwarding classes for every source (SatCount and
-// shortest witness paths per PFEC), failure tolerances, and property
-// probabilities — on one kernel. Everything the signature hashes is
+// bddKernelCell runs pipeline construction plus the analysis sweep that
+// leans on the kernel — forwarding classes for every source (SatCount
+// and shortest witness paths per PFEC), failure tolerances, and
+// property probabilities — unconstrained, so PeakNodes reflects the
+// diagrams rather than a node limit. Everything the signature hashes is
 // deterministic at parallelism 1.
-func bddKernelCell(arity, k, nodeLimit int, legacy bool, varOrder string, reorder bool) bddKernelResult {
+func bddKernelCell(arity, k int, varOrder string, reorder bool) bddKernelResult {
 	net := workload.FatTree(arity, workload.BGP)
-	opts := sre.Options{MaxFailures: k, BDDNodeLimit: nodeLimit,
-		Parallelism: 1, LegacyBDDKernel: legacy, VarOrder: varOrder,
+	opts := sre.Options{MaxFailures: k, Parallelism: 1, VarOrder: varOrder,
 		DynamicReorder: reorder, Timeout: *deadline}
 	start := time.Now()
 	v, err := sre.NewVerifier(net, opts)
@@ -389,7 +306,6 @@ func bddKernelCell(arity, k, nodeLimit int, legacy bool, varOrder string, reorde
 		peakNodes:  met.BDD.PeakNodes,
 		liveNodes:  met.BDD.LiveNodes,
 		hitRatio:   met.BDD.CacheHitRatio,
-		postGCHit:  met.BDD.PostGCCacheHitRatio,
 		gcRuns:     met.BDD.GCRuns,
 		reorders:   met.BDD.Reorders,
 		siftedVars: met.BDD.SiftedVars,

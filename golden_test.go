@@ -11,20 +11,19 @@ import (
 	"sre/internal/workload"
 )
 
-// Golden end-to-end results recorded from the pre-overhaul BDD kernel.
-// The kernel overhaul (relational product, scratch memo tables, cache
-// sweeping, balanced folds) must not move ANY of these numbers, at any
-// parallelism level — BDDs are canonical, so every kernel change is
-// observationally invisible. If a value here moves, a kernel change
-// altered results, not just throughput.
+// Golden end-to-end results, recorded from the seed BDD kernel. No
+// kernel change since (relational product, scratch memo tables, cache
+// sweeping, balanced folds, variable orders, sifting) may move ANY of
+// these numbers, at any parallelism level — BDDs are canonical, so
+// every kernel change is observationally invisible. If a value here
+// moves, a kernel change altered results, not just throughput.
 //
 // The quickstart goldens are parallelism-aware: its two prefixes
 // overlap (192.0.0.0/2 ⊂ 128.0.0.0/1), and a sharded parallel run
 // scopes a pipeline per prefix, so the covering prefix's shard also
 // enumerates PFECs for the subset's headers (8 PFECs / 3 classes vs
-// 5 / 2 sequentially). That split was recorded from the pre-overhaul
-// kernel too — the guard pins it per level rather than papering over
-// it.
+// 5 / 2 sequentially). The guard pins that split per level rather than
+// papering over it.
 
 const goldenNetwork = `
 topology
@@ -60,23 +59,19 @@ end
 
 func TestGoldenResultsAcrossKernelAndParallelism(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
-		for _, legacy := range []bool{false, true} {
-			name := fmt.Sprintf("par=%d/legacy=%v", par, legacy)
-			t.Run(name, func(t *testing.T) {
-				checkGoldenQuickstart(t, par, legacy)
-				checkGoldenFatTree(t, par, legacy)
-			})
-		}
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			checkGoldenQuickstart(t, par)
+			checkGoldenFatTree(t, par)
+		})
 	}
 }
 
-func checkGoldenQuickstart(t *testing.T, par int, legacy bool) {
+func checkGoldenQuickstart(t *testing.T, par int) {
 	net, err := sre.ParseNetwork(goldenNetwork)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := sre.NewVerifier(net, sre.Options{MaxFailures: -1,
-		Parallelism: par, LegacyBDDKernel: legacy})
+	v, err := sre.NewVerifier(net, sre.Options{MaxFailures: -1, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +128,9 @@ func checkGoldenQuickstart(t *testing.T, par int, legacy bool) {
 	}
 }
 
-func checkGoldenFatTree(t *testing.T, par int, legacy bool) {
+func checkGoldenFatTree(t *testing.T, par int) {
 	fv, err := sre.NewVerifier(workload.FatTree(4, workload.BGP),
-		sre.Options{MaxFailures: 2, Parallelism: par, LegacyBDDKernel: legacy})
+		sre.Options{MaxFailures: 2, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}

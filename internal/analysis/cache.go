@@ -3,8 +3,8 @@ package analysis
 // Persistent result cache: a content-addressed store of per-prefix
 // verification results. The paper's prefix decomposition (§7.2) makes a
 // prefix task a pure function of (the config slice its task domain can
-// observe, the topology, the result-shaping options, the kernel), so a
-// result computed once — in-process or by a worker subprocess — can be
+// observe, the topology, the result-shaping options), so a result
+// computed once — in-process or by a worker subprocess — can be
 // replayed byte-identically by any later run with the same key. Records
 // are the coordinator wire forms (WireOutcome + WirePipeline) plus an
 // optional telemetry shard, wrapped in JSON; internal/store adds
@@ -12,12 +12,13 @@ package analysis
 //
 // Soundness rests entirely on the key: anything that can change the
 // outcome, the PFEC set, or a downstream property answer must be
-// hashed. CacheKey covers the decomposition inputs (prefix + closed
-// task domain), the sliced configuration (config.Format of a clone
-// trimmed to what the scoped run can observe — which includes the
-// topology section), every result-shaping option, the ladder switches,
-// and the kernel choice, all under a format version that changes
-// whenever the record layout or the meaning of any hashed field does.
+// hashed. CacheKey covers the result-shaping options (their one
+// canonical encoding, src.Options.Encode, so a new option is keyed by
+// being declared), the ladder switches, the decomposition inputs (prefix
+// + closed task domain) and the sliced configuration (config.Format of a
+// clone trimmed to what the scoped run can observe — which includes the
+// topology section), all under a format version that changes whenever
+// the record layout or the meaning of any hashed field does.
 
 import (
 	"crypto/sha256"
@@ -41,9 +42,8 @@ import (
 // of any keyed option change: old records then simply miss.
 // v2: serialized BDDs moved to the order-stamped BDD2 format (dynamic
 // reordering); BDD1 blobs must not decode under the old keys.
-// DynamicReorder itself is deliberately NOT keyed: reordering never
-// changes results, so static and reordered runs share records.
-const cacheFormatVersion = 2
+// v3: the options part of the preimage is src.Options.Encode.
+const cacheFormatVersion = 3
 
 // CacheKey derives the content address of one prefix task's result.
 // Two runs compute the same key exactly when the task is guaranteed to
@@ -51,21 +51,22 @@ const cacheFormatVersion = 2
 // networks, a router the domain cannot observe... ) leave keys of
 // untouched prefixes stable, so warm caches survive incremental edits.
 func CacheKey(net *config.Network, opts src.Options, pfx route.Prefix, ladder bool, lad LadderOptions) string {
+	// Two normalisations before the options are encoded. VarOrder becomes
+	// the order it resolves to on this topology (never "auto"): the order
+	// shapes every serialized BDD, so a record produced under one must be
+	// a clean miss under another, while "auto" and the method it picks
+	// are the same run. DynamicReorder is cleared: reordering never
+	// changes results and BDD2 records decode under any order, so static
+	// and reordered runs share records.
+	opts.VarOrder = src.LinkOrder(net, opts).ID()
+	opts.DynamicReorder = false
+	enc, err := opts.Encode()
+	if err != nil {
+		panic(err) // an unencodable field type: a bug in src.Options, not an input
+	}
 	domain := taskDomain(net, pfx)
 	h := sha256.New()
-	fmt.Fprintf(h, "sre-cache v%d\n", cacheFormatVersion)
-	kernel := "flat"
-	if opts.LegacyBDDKernel {
-		kernel = "legacy"
-	}
-	fmt.Fprintf(h, "kernel=%s\n", kernel)
-	// The resolved variable order (never "auto": auto resolves to a
-	// concrete order per topology) shapes every serialized BDD, so a
-	// record produced under one order must be a clean miss under another.
-	fmt.Fprintf(h, "order=%s\n", src.LinkOrder(net, opts).ID())
-	fmt.Fprintf(h, "prune_k=%d abstract=%t no_ecmp=%t ibgp=%t max_hops=%d max_iter=%d node_limit=%d\n",
-		opts.PruneK, opts.Abstract, opts.NoECMP, opts.IBGPFullMesh,
-		opts.MaxHops, opts.MaxIterations, opts.BDDNodeLimit)
+	fmt.Fprintf(h, "sre-cache v%d\nopts=%s\n", cacheFormatVersion, enc)
 	fmt.Fprintf(h, "ladder=%t halving=%t\n", ladder, !lad.DisableBudgetHalving)
 	fmt.Fprintf(h, "prefix=%s\ndomain=", pfx)
 	for _, p := range domain {

@@ -21,9 +21,6 @@ import (
 // failure tolerance of a property with topology BDD f is this value
 // minus one.
 func (m *Manager) ShortestPathToFalse(f Node) int {
-	if m.legacy {
-		return m.legacyShortestPath(f, False)
-	}
 	m.i32memo.begin(len(m.lvl))
 	return int(m.shortestPathRec(f, False))
 }
@@ -34,9 +31,6 @@ func (m *Manager) ShortestPathToFalse(f Node) int {
 // complement BDD: with link variables meaning "link up", it is the
 // fewest failed links in any satisfying scenario of f.
 func (m *Manager) ShortestPathToTrue(f Node) int {
-	if m.legacy {
-		return m.legacyShortestPath(f, True)
-	}
 	m.i32memo.begin(len(m.lvl))
 	return int(m.shortestPathRec(f, True))
 }
@@ -66,9 +60,6 @@ func (m *Manager) shortestPathRec(n, target Node) int32 {
 // (all other variables are true). The second result is false when f is
 // the True terminal (no falsifying assignment exists).
 func (m *Manager) MinFalseWitness(f Node) ([]int, bool) {
-	if m.legacy {
-		return m.legacyMinFalseWitness(f)
-	}
 	if f == True {
 		return nil, false
 	}
@@ -113,9 +104,6 @@ func (m *Manager) Probability(f Node, pTrue []float64) float64 {
 	if len(pTrue) < m.vars {
 		panic("bdd: Probability needs a probability per variable")
 	}
-	if m.legacy {
-		return m.legacyProbability(f, pTrue)
-	}
 	m.f64memo.begin(len(m.lvl))
 	m.probP = pTrue
 	w := m.probabilityRec(f)
@@ -142,9 +130,6 @@ func (m *Manager) probabilityRec(n Node) float64 {
 // SatCount returns the number of satisfying assignments of f over the
 // variables [0, nvars). It is exact up to float64 precision.
 func (m *Manager) SatCount(f Node, nvars int) float64 {
-	if m.legacy {
-		return m.legacySatCount(f, nvars)
-	}
 	m.f64memo.begin(len(m.lvl))
 	return m.satCountRec(f) * math.Pow(2, float64(nvars))
 }

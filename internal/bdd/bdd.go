@@ -59,12 +59,6 @@ type Config struct {
 	// DisableGC turns off automatic garbage collection. Explicit calls
 	// to GC still work.
 	DisableGC bool
-	// LegacyKernel selects the pre-overhaul kernel paths: map-memoized
-	// analyses, linear AndN/OrN folds, map-based ExistsSet, and a full
-	// operation-cache wipe at every GC. It exists as a kill switch and
-	// as the baseline of the `srebench -exp bddkernel` experiment;
-	// results are identical either way, only throughput differs.
-	LegacyKernel bool
 	// Telemetry, when non-nil, receives manager counters (GC runs and
 	// freed nodes, node-limit hits, cache hit/miss deltas) and
 	// occupancy gauges, sampled at every collection and at explicit
@@ -113,7 +107,6 @@ type Manager struct {
 	limit     int
 	autoGC    bool
 	gcPending bool // set when allocation pressure suggests a GC
-	legacy    bool // Config.LegacyKernel
 
 	// Dynamic variable order: lvl[] stores LEVELS (position in the
 	// order, lower = nearer the root) while the public API speaks in
@@ -222,8 +215,8 @@ type Stats struct {
 	AxCacheHits uint64
 	AxCacheMiss uint64
 	// CacheRetained/CacheInvalidated count operation-cache entries kept
-	// and dropped across all GC sweeps (the pre-overhaul kernel wiped
-	// everything; retained is how much warmth now survives).
+	// and dropped across all GC sweeps (retained is how much warmth
+	// survives collections).
 	CacheRetained    uint64
 	CacheInvalidated uint64
 	// HitsAtLastGC/MissAtLastGC snapshot the cache counters at the most
@@ -300,7 +293,6 @@ func New(cfg Config) *Manager {
 		vars:      cfg.Vars,
 		limit:     cfg.NodeLimit,
 		autoGC:    !cfg.DisableGC,
-		legacy:    cfg.LegacyKernel,
 		cache:     make([]cacheEntry, 2*cs), // cs sets × 2 ways
 		axCache:   make([]axEntry, axs),
 		freeList:  -1,

@@ -22,7 +22,7 @@ import (
 // GC runs a mark-and-sweep collection and reports how many nodes were
 // freed. Operation-cache entries whose operands and result all survive
 // are retained (warm restarts after GC); entries referencing a dead node
-// are invalidated. The legacy kernel wipes the caches wholesale.
+// are invalidated.
 func (m *Manager) GC() int {
 	var gcT0 time.Time
 	recording := m.tel.Recording()
@@ -84,11 +84,7 @@ func (m *Manager) GC() int {
 		m.nodes--
 		freed++
 	}
-	if m.legacy {
-		m.clearCache()
-	} else {
-		m.sweepCaches(mark)
-	}
+	m.sweepCaches(mark)
 	m.stats.HitsAtLastGC = m.stats.CacheHits
 	m.stats.MissAtLastGC = m.stats.CacheMiss
 	m.stats.GCRuns++
@@ -103,7 +99,7 @@ func (m *Manager) GC() int {
 	}
 	if recording {
 		m.tel.Record(gcT0, obs.TraceEvent{Stage: "bdd.gc",
-			Wall: time.Since(gcT0).Nanoseconds(),
+			Wall:  time.Since(gcT0).Nanoseconds(),
 			Count: int64(freed), Nodes: -int64(freed), Outcome: "ok"})
 	}
 	return freed

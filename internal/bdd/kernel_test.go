@@ -3,14 +3,9 @@ package bdd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
-
-// newKernelPair returns two managers over the same variable count, one
-// per kernel, for result-parity checks.
-func newKernelPair(vars int) (*Manager, *Manager) {
-	return New(Config{Vars: vars}), New(Config{Vars: vars, LegacyKernel: true})
-}
 
 // buildDense returns a structurally interesting BDD over [0, vars):
 // pairs of adjacent variables joined alternately by OR/XOR, conjoined.
@@ -157,69 +152,145 @@ func TestShortestPathToTrueMatchesComplement(t *testing.T) {
 	}
 }
 
-func TestLegacyKernelParity(t *testing.T) {
-	// The same construction sequence on both kernels must represent the
-	// same functions and give every analysis the same values. Node
-	// handles may differ (the kernels build intermediates in different
-	// orders), so all comparisons are semantic.
-	mNew, mOld := newKernelPair(14)
-	rNew, rOld := rand.New(rand.NewSource(47)), rand.New(rand.NewSource(47))
-	rEval := rand.New(rand.NewSource(48))
-	pv := make([]float64, 14)
+// reachable counts the decision nodes under f with a map-based walk of
+// its own, independent of the manager's scratch memo tables.
+func reachable(m *Manager, f Node) int {
+	seen := make(map[Node]bool)
+	var walk func(Node)
+	walk = func(n Node) {
+		if m.IsTerminal(n) || seen[n] {
+			return
+		}
+		seen[n] = true
+		walk(m.Low(n))
+		walk(m.High(n))
+	}
+	walk(f)
+	return len(seen)
+}
+
+// TestKernelMatchesTruthTable drives one random operation stream
+// through the manager and through the truth-table oracle and compares
+// every result semantically. The second input forces a collection or a
+// sifting pass between building the operands and using them, so results
+// served from the liveness-swept operation cache and operations over
+// moved levels are compared to truth too.
+func TestKernelMatchesTruthTable(t *testing.T) {
+	t.Run("static", func(t *testing.T) { kernelVsTruthTable(t, false) })
+	t.Run("gc+reorder", func(t *testing.T) { kernelVsTruthTable(t, true) })
+}
+
+func kernelVsTruthTable(t *testing.T, churn bool) {
+	const n = 12
+	m := New(Config{Vars: n})
+	r := rand.New(rand.NewSource(47))
+	pv := make([]float64, n)
 	for i := range pv {
 		pv[i] = 0.25 + 0.05*float64(i%10)
 	}
+	// A window of Ref'd functions outlives each iteration: operands for
+	// the binary operations, and — with their conjunctions in it — cache
+	// entries whose operands and result all survive a collection.
+	type fn struct {
+		n Node
+		t tt
+	}
+	var pool []fn
+	keep := func(f Node, ft tt) { pool = append(pool, fn{m.Ref(f), ft}) }
 	for i := 0; i < 120; i++ {
-		fN, _ := buildRandom(mNew, rNew, 5)
-		fO, _ := buildRandom(mOld, rOld, 5)
-		for j := 0; j < 16; j++ {
-			var a [14]bool
-			for k := range a {
-				a[k] = rEval.Intn(2) == 0
-			}
-			at := func(v int) bool { return a[v] }
-			if mNew.Eval(fN, at) != mOld.Eval(fO, at) {
-				t.Fatalf("kernels built different functions (iter %d)", i)
+		for ; len(pool) > 4; pool = pool[1:] {
+			m.Deref(pool[0].n)
+		}
+		same := func(what string, got Node, want tt) {
+			t.Helper()
+			if !ttOf(m, got).equal(want) {
+				t.Fatalf("%s differs from the truth table (iter %d)", what, i)
 			}
 		}
-		vars := rNew.Perm(14)[:3]
-		if len(vars) != len(rOld.Perm(14)[:3]) { // keep the streams aligned
-			t.Fatal("rng misaligned")
-		}
-		if mNew.SatCount(mNew.ExistsSet(fN, vars), 14) != mOld.SatCount(mOld.ExistsSet(fO, vars), 14) {
-			t.Fatalf("ExistsSet parity (iter %d)", i)
-		}
-		if mNew.SatCount(fN, 14) != mOld.SatCount(fO, 14) {
-			t.Fatalf("SatCount parity (iter %d)", i)
-		}
-		if mNew.Probability(fN, pv) != mOld.Probability(fO, pv) {
-			t.Fatalf("Probability parity (iter %d)", i)
-		}
-		if mNew.ShortestPathToFalse(fN) != mOld.ShortestPathToFalse(fO) {
-			t.Fatalf("ShortestPathToFalse parity (iter %d)", i)
-		}
-		if mNew.NodeCount(fN) != mOld.NodeCount(fO) {
-			t.Fatalf("NodeCount parity (iter %d)", i)
-		}
-		sN, sO := mNew.Support(fN), mOld.Support(fO)
-		if len(sN) != len(sO) {
-			t.Fatalf("Support parity (iter %d)", i)
-		}
-		for j := range sN {
-			if sN[j] != sO[j] {
-				t.Fatalf("Support parity (iter %d)", i)
+		f, eval := buildRandom(m, r, 5)
+		ft := ttFrom(n, eval)
+		keep(f, ft)
+		g := pool[r.Intn(len(pool))]
+		keep(m.And(f, g.n), ft.and(g.t))
+		if churn {
+			if i%8 == 7 {
+				m.Reorder()
+			} else {
+				m.GC()
 			}
 		}
-		wN, okN := mNew.MinFalseWitness(fN)
-		wO, okO := mOld.MinFalseWitness(fO)
-		if okN != okO || len(wN) != len(wO) {
-			t.Fatalf("MinFalseWitness parity (iter %d)", i)
+		same("formula", f, ft)
+		same("And", m.And(f, g.n), ft.and(g.t))
+
+		vars := r.Perm(n)[:3]
+		cube := m.CubeVars(vars)
+		same("ExistsSet", m.ExistsSet(f, vars), ft.exists(vars))
+		same("ExistsCube", m.ExistsCube(f, cube), ft.exists(vars))
+		same("AndExists", m.AndExists(f, g.n, cube), ft.and(g.t).exists(vars))
+		same("AndExistsVars", m.AndExistsVars(f, g.n, vars), ft.and(g.t).exists(vars))
+		if got, want := m.AndSat(f, g.n), ft.and(g.t).count() != 0; got != want {
+			t.Fatalf("AndSat = %v, want %v (iter %d)", got, want, i)
 		}
-		for j := range wN {
-			if wN[j] != wO[j] {
-				t.Fatalf("MinFalseWitness parity (iter %d)", i)
+		if got, want := m.DiffSat(f, g.n), ft.diff(g.t).count() != 0; got != want {
+			t.Fatalf("DiffSat = %v, want %v (iter %d)", got, want, i)
+		}
+
+		v, val := vars[0], r.Intn(2) == 0
+		same("Restrict", m.Restrict(f, v, val), ft.restrict(v, val))
+		same("Compose", m.Compose(f, v, g.n), g.t.ite(ft.restrict(v, true), ft.restrict(v, false)))
+		values := []bool{r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0}
+		lits := ttConst(n, true)
+		for j, cv := range vars {
+			if lit := ttVar(n, cv); values[j] {
+				lits = lits.and(lit)
+			} else {
+				lits = lits.diff(lit)
 			}
 		}
+		same("Cube", m.Cube(vars, values), lits)
+		nodes, all, any := make([]Node, len(pool)), ttConst(n, true), ttConst(n, false)
+		for j, p := range pool {
+			nodes[j], all, any = p.n, all.and(p.t), any.or(p.t)
+		}
+		same("AndN", m.AndN(nodes...), all)
+		same("OrN", m.OrN(nodes...), any)
+
+		if got, want := m.SatCount(f, n), float64(ft.count()); got != want {
+			t.Fatalf("SatCount = %g, want %g (iter %d)", got, want, i)
+		}
+		if got, want := m.Probability(f, pv), ft.probability(pv); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("Probability = %g, want %g (iter %d)", got, want, i)
+		}
+		if got, want := m.ShortestPathToFalse(f), ft.minFalseVars(false); got != want {
+			t.Fatalf("ShortestPathToFalse = %d, want %d (iter %d)", got, want, i)
+		}
+		if got, want := m.ShortestPathToTrue(f), ft.minFalseVars(true); got != want {
+			t.Fatalf("ShortestPathToTrue = %d, want %d (iter %d)", got, want, i)
+		}
+		if got, want := m.NodeCount(f), reachable(m, f); got != want {
+			t.Fatalf("NodeCount = %d, want %d (iter %d)", got, want, i)
+		}
+		if got, want := m.Support(f), ft.support(); !slices.Equal(got, want) {
+			t.Fatalf("Support = %v, want %v (iter %d)", got, want, i)
+		}
+		// The witness must falsify f with as few false variables as any
+		// falsifying assignment has.
+		down, ok := m.MinFalseWitness(f)
+		if want := ft.minFalseVars(false); ok != (want != math.MaxInt32) || (ok && len(down) != want) {
+			t.Fatalf("MinFalseWitness = %v, %v; minimum is %d (iter %d)", down, ok, want, i)
+		}
+		if ok {
+			a := 1<<n - 1
+			for _, dv := range down {
+				a &^= 1 << dv
+			}
+			if ft.get(a) {
+				t.Fatalf("MinFalseWitness %v does not falsify f (iter %d)", down, i)
+			}
+		}
+	}
+	if st := m.Statistics(); churn && (st.CacheRetained == 0 || st.SiftSwaps == 0) {
+		t.Fatalf("churn exercised nothing: %d cache entries retained, %d level swaps", st.CacheRetained, st.SiftSwaps)
 	}
 }
 
@@ -265,16 +336,6 @@ func TestGCRetainsLiveCacheEntries(t *testing.T) {
 	}
 }
 
-func TestLegacyGCStillWipes(t *testing.T) {
-	m := New(Config{Vars: 8, LegacyKernel: true})
-	f := m.Ref(buildDense(m, 8))
-	m.And(f, m.Var(1))
-	m.GC()
-	if st := m.Statistics(); st.CacheRetained != 0 {
-		t.Fatalf("legacy GC retained %d entries; want full wipe", st.CacheRetained)
-	}
-}
-
 // --- allocation discipline ---
 
 func TestAnalysesAllocationFree(t *testing.T) {
@@ -302,10 +363,10 @@ func TestAnalysesAllocationFree(t *testing.T) {
 	}
 }
 
-// --- micro-benchmarks (new kernel unless named Legacy) ---
+// --- micro-benchmarks ---
 
-func benchManager(b *testing.B, legacy bool, vars int) (*Manager, Node) {
-	m := New(Config{Vars: vars, LegacyKernel: legacy})
+func benchManager(b *testing.B, vars int) (*Manager, Node) {
+	m := New(Config{Vars: vars})
 	f := m.Ref(buildDense(m, vars))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -313,7 +374,7 @@ func benchManager(b *testing.B, legacy bool, vars int) (*Manager, Node) {
 }
 
 func BenchmarkApply(b *testing.B) {
-	m, f := benchManager(b, false, 64)
+	m, f := benchManager(b, 64)
 	g := m.Ref(m.Or(m.Var(3), m.Xor(m.Var(17), m.Var(40))))
 	for i := 0; i < b.N; i++ {
 		m.And(f, g)
@@ -321,15 +382,7 @@ func BenchmarkApply(b *testing.B) {
 }
 
 func BenchmarkExistsSet(b *testing.B) {
-	m, f := benchManager(b, false, 64)
-	vars := []int{0, 7, 14, 21, 28, 35, 42, 49}
-	for i := 0; i < b.N; i++ {
-		m.ExistsSet(f, vars)
-	}
-}
-
-func BenchmarkExistsSetLegacy(b *testing.B) {
-	m, f := benchManager(b, true, 64)
+	m, f := benchManager(b, 64)
 	vars := []int{0, 7, 14, 21, 28, 35, 42, 49}
 	for i := 0; i < b.N; i++ {
 		m.ExistsSet(f, vars)
@@ -337,7 +390,7 @@ func BenchmarkExistsSetLegacy(b *testing.B) {
 }
 
 func BenchmarkAndExists(b *testing.B) {
-	m, f := benchManager(b, false, 64)
+	m, f := benchManager(b, 64)
 	g := m.Ref(m.Or(m.And(m.Var(5), m.Var(33)), m.Var(50)))
 	cube := m.Ref(m.CubeVars([]int{0, 7, 14, 21, 28, 35, 42, 49}))
 	for i := 0; i < b.N; i++ {
@@ -346,33 +399,14 @@ func BenchmarkAndExists(b *testing.B) {
 }
 
 func BenchmarkSatCount(b *testing.B) {
-	m, f := benchManager(b, false, 64)
-	for i := 0; i < b.N; i++ {
-		m.SatCount(f, 64)
-	}
-}
-
-func BenchmarkSatCountLegacy(b *testing.B) {
-	m, f := benchManager(b, true, 64)
+	m, f := benchManager(b, 64)
 	for i := 0; i < b.N; i++ {
 		m.SatCount(f, 64)
 	}
 }
 
 func BenchmarkProbability(b *testing.B) {
-	m, f := benchManager(b, false, 64)
-	pv := make([]float64, 64)
-	for i := range pv {
-		pv[i] = 0.99
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Probability(f, pv)
-	}
-}
-
-func BenchmarkProbabilityLegacy(b *testing.B) {
-	m, f := benchManager(b, true, 64)
+	m, f := benchManager(b, 64)
 	pv := make([]float64, 64)
 	for i := range pv {
 		pv[i] = 0.99

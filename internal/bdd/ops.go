@@ -73,8 +73,9 @@ func (m *Manager) cacheSlot(op int32, f, g, h Node) uint32 {
 	return x & m.setMask
 }
 
-// clearCache invalidates both operation caches unconditionally (legacy
-// GC behaviour; the overhauled sweep uses sweepCaches instead).
+// clearCache invalidates both operation caches unconditionally: after a
+// reorder every cached handle may name a different function. GC uses
+// sweepCaches instead.
 func (m *Manager) clearCache() {
 	for i := range m.cache {
 		m.cache[i] = cacheEntry{}
@@ -149,18 +150,12 @@ func (m *Manager) Equiv(f, g Node) Node { return m.Not(m.Xor(f, g)) }
 // balanced tree keeps intermediates small and cache-friendly. The result
 // is the same canonical node either way.
 func (m *Manager) AndN(ns ...Node) Node {
-	if m.legacy {
-		return m.legacyFoldN(opAnd, ns, True)
-	}
 	return m.foldBalanced(opAnd, ns, True)
 }
 
 // OrN returns the disjunction of all operands (False for none), folded
 // as a balanced tree like AndN.
 func (m *Manager) OrN(ns ...Node) Node {
-	if m.legacy {
-		return m.legacyFoldN(opOr, ns, False)
-	}
 	return m.foldBalanced(opOr, ns, False)
 }
 
@@ -386,9 +381,6 @@ func (m *Manager) Exists(f Node, v int) Node {
 // over the same variables (TopoOnly/HeaderOnly in the pipeline) hit the
 // cache instead of rebuilding a per-call map.
 func (m *Manager) ExistsSet(f Node, vars []int) Node {
-	if m.legacy {
-		return m.legacyExistsSet(f, vars)
-	}
 	return m.existsRec(f, m.CubeVars(vars))
 }
 
@@ -397,9 +389,6 @@ func (m *Manager) ExistsSet(f Node, vars []int) Node {
 // it once with CubeVars, keep it referenced, and every projection over
 // it shares operation-cache entries.
 func (m *Manager) ExistsCube(f, cube Node) Node {
-	if m.legacy {
-		return m.legacyExistsSet(f, m.cubeVarList(cube))
-	}
 	return m.existsRec(f, cube)
 }
 
@@ -452,9 +441,6 @@ func (m *Manager) Compose(f Node, v int, g Node) Node {
 // keep alive. Any node other than False is satisfiable, so the terminal
 // cases collapse fast and the cached result is a terminal.
 func (m *Manager) AndSat(f, g Node) bool {
-	if m.legacy {
-		return m.And(f, g) != False
-	}
 	return m.andSatRec(f, g) == True
 }
 
@@ -490,9 +476,6 @@ func (m *Manager) andSatRec(f, g Node) Node {
 // anything outside g — without materializing the difference. It is the
 // kernel primitive behind "does the property hold everywhere" checks.
 func (m *Manager) DiffSat(f, g Node) bool {
-	if m.legacy {
-		return m.Diff(f, g) != False
-	}
 	return m.diffSatRec(f, g) == True
 }
 
@@ -525,9 +508,6 @@ func (m *Manager) diffSatRec(f, g Node) Node {
 
 // Support returns the sorted list of variables on which f depends.
 func (m *Manager) Support(f Node) []int {
-	if m.legacy {
-		return m.legacySupport(f)
-	}
 	m.i32memo.begin(len(m.lvl))
 	m.varSeen.begin(m.vars)
 	out := make([]int, 0, 16)
@@ -562,9 +542,6 @@ func sortInts(a []int) {
 func (m *Manager) Cube(vars []int, values []bool) Node {
 	if len(vars) != len(values) {
 		panic("bdd: Cube length mismatch")
-	}
-	if m.legacy {
-		return m.legacyCube(vars, values)
 	}
 	order := m.sortedVarOrder(vars)
 	r := True
@@ -628,23 +605,9 @@ func (m *Manager) sortedVarOrder(vars []int) []int {
 	return order
 }
 
-// cubeVarList expands a positive cube node back into its variable list
-// (legacy-path helper).
-func (m *Manager) cubeVarList(cube Node) []int {
-	var vars []int
-	for cube > True {
-		vars = append(vars, int(m.level2var[m.lvl[cube]]))
-		cube = Node(m.hi[cube])
-	}
-	return vars
-}
-
 // NodeCount returns the number of distinct decision nodes reachable from
 // f (excluding terminals) — the "BDD size" reported in experiments.
 func (m *Manager) NodeCount(f Node) int {
-	if m.legacy {
-		return m.legacyNodeCount(f)
-	}
 	m.i32memo.begin(len(m.lvl))
 	return m.nodeCountRec(f)
 }

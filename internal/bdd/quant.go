@@ -15,17 +15,11 @@ package bdd
 // distributes over the disjunction introduced at each quantified level,
 // with an early exit as soon as a branch saturates to True.
 func (m *Manager) AndExists(f, g, cube Node) Node {
-	if m.legacy {
-		return m.legacyExistsSet(m.And(f, g), m.cubeVarList(cube))
-	}
 	return m.andExistsRec(f, g, cube)
 }
 
 // AndExistsVars is AndExists with the varset given as a variable list.
 func (m *Manager) AndExistsVars(f, g Node, vars []int) Node {
-	if m.legacy {
-		return m.legacyExistsSet(m.And(f, g), vars)
-	}
 	return m.andExistsRec(f, g, m.CubeVars(vars))
 }
 

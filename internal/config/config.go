@@ -137,7 +137,10 @@ func (r *Router) Clone() *Router {
 }
 
 // Interface returns the interface settings for link id, creating the
-// entry on first use.
+// entry on first use. It is for code that builds a configuration (the
+// parser, the workload generators): a finished Network is shared by
+// concurrent engines and hashed into cache keys, so its readers must
+// not write — they use InterfaceOf.
 func (r *Router) Interface(id topology.LinkID) *Interface {
 	itf, ok := r.Interfaces[id]
 	if !ok {
@@ -145,6 +148,16 @@ func (r *Router) Interface(id topology.LinkID) *Interface {
 		r.Interfaces[id] = itf
 	}
 	return itf
+}
+
+// InterfaceOf returns a copy of the interface settings for link id
+// without touching the router: a link with no entry has the defaults
+// (OSPF cost 1, not passive, no ACLs).
+func (r *Router) InterfaceOf(id topology.LinkID) Interface {
+	if itf, ok := r.Interfaces[id]; ok {
+		return *itf
+	}
+	return Interface{OSPFCost: 1}
 }
 
 // Originated returns every prefix this router originates into any

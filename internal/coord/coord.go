@@ -25,18 +25,17 @@ type Options struct {
 	// Args is the worker argv (after the binary); empty means
 	// ["worker"], the `sre worker` subcommand.
 	Args []string
-	// Verify carries the verification options. Telemetry and Interrupt
-	// stay coordinator-side: workers get the transportable subset, run
-	// fresh per-task registries whose wire shards merge back here, and
-	// are killed (not signaled) on cancellation.
+	// Verify carries the verification options. Workers get their
+	// canonical encoding (src.Options.Encode); the process-local fields
+	// stay coordinator-side: workers run fresh per-task telemetry
+	// registries whose wire shards merge back here, and are killed (not
+	// signaled) on cancellation.
 	Verify src.Options
 	// Resilient enables the escalation ladder inside workers and the
 	// in-process resilient fallback for quarantined prefixes. Without
 	// it, a prefix whose verification fails aborts the run — but worker
 	// crashes are still retried: crash tolerance is not degradation.
 	Resilient bool
-	// Ladder tunes the workers' escalation ladder.
-	Ladder analysis.LadderOptions
 	// TaskTimeout bounds one task attempt's wall clock; on expiry the
 	// worker is killed and the attempt counts as a crash. Zero disables
 	// the per-task deadline (heartbeats still catch wedged workers).
@@ -154,8 +153,18 @@ func Run(net *config.Network, prefixes []route.Prefix, opts Options) (*analysis.
 // run Fleet dispatches for, and the in-process fallback of its
 // quarantined prefixes.
 func (o Options) executor(net *config.Network) analysis.Executor {
-	return analysis.Executor{Net: net, Opts: o.Verify,
-		Ladder: o.Resilient, Lad: o.Ladder, Cache: o.Cache}
+	return analysis.Executor{Net: net, Opts: o.Verify, Ladder: o.Resilient, Cache: o.Cache}
+}
+
+// initMsg is the init frame of a run under o, minus the network text.
+func (o Options) initMsg() (initMsg, error) {
+	verify, err := o.Verify.Encode()
+	if err != nil {
+		return initMsg{}, err
+	}
+	return initMsg{Opts: verify, Ladder: o.Resilient,
+		HeartbeatMS:   int(o.HeartbeatInterval.Milliseconds()),
+		MaxFrameBytes: o.MaxFrameBytes, CacheDir: o.CacheDir}, nil
 }
 
 // Fleet validates opts and returns the dispatcher that runs an
@@ -185,7 +194,13 @@ func Fleet(net *config.Network, opts Options) (analysis.Dispatcher, error) {
 		}
 		exe = self
 	}
+	init, err := opts.initMsg()
+	if err != nil {
+		return nil, err
+	}
 	return func(tasks []analysis.Task, done func(route.Prefix, []*analysis.Pipeline, analysis.PrefixOutcome)) error {
+		im := init
+		im.Network = config.Format(net) // only now: a fully warm run never gets here
 		c := &coordinator{
 			net:      net,
 			opts:     opts,
@@ -196,7 +211,7 @@ func Fleet(net *config.Network, opts Options) (analysis.Dispatcher, error) {
 			events:   make(chan event, 16),
 			done:     make(chan struct{}),
 			respawns: make([]int, opts.Workers),
-			netText:  config.Format(net),
+			init:     &im,
 		}
 		defer c.teardown()
 		return c.run(tasks)
@@ -204,12 +219,12 @@ func Fleet(net *config.Network, opts Options) (analysis.Dispatcher, error) {
 }
 
 type coordinator struct {
-	net     *config.Network
-	opts    Options
-	exe     string
-	plan    string
-	netText string
-	tel     *obs.Telemetry
+	net  *config.Network
+	opts Options
+	exe  string
+	plan string
+	init *initMsg // the same frame for every worker of the run
+	tel  *obs.Telemetry
 	// deliver hands a finished prefix to the executor, which owns its
 	// pipelines from then on (and releases them if the run aborts).
 	deliver func(route.Prefix, []*analysis.Pipeline, analysis.PrefixOutcome)
@@ -345,9 +360,7 @@ func (c *coordinator) spawn(slot int, respawn bool) {
 
 	// The init frame can be large (the whole network text); write it off
 	// the event loop so a worker that dies at startup cannot block us.
-	init := &frame{Type: frameInit, Init: &initMsg{Network: c.netText, CacheDir: c.opts.CacheDir,
-		Opts: optionsToWire(c.opts.Verify, c.opts.Resilient, c.opts.Ladder, c.opts.HeartbeatInterval, c.opts.MaxFrameBytes)}}
-	go func() { _ = w.stdin.write(init) }()
+	go func() { _ = w.stdin.write(&frame{Type: frameInit, Init: c.init}) }()
 
 	c.wg.Add(1)
 	go func() {
@@ -389,7 +402,7 @@ func (c *coordinator) handleFrame(w *workerProc, f *frame) error {
 		if t == nil || t.done || f.Result.Seq != t.Seq {
 			return nil // stale result from an attempt we already wrote off
 		}
-		pipes, derr := decodePipelines(c.net, c.opts.Verify, f.Result.Pipes, c.tel)
+		pipes, derr := analysis.DecodePipelines(c.net, c.opts.Verify, f.Result.Pipes, c.tel)
 		if derr != nil {
 			if !recoverableDecode(derr) {
 				return derr
@@ -399,7 +412,7 @@ func (c *coordinator) handleFrame(w *workerProc, f *frame) error {
 			c.workerDied(w, "undecodable result")
 			return nil
 		}
-		out := outcomeFromWire(t.Prefix, f.Result.Outcome)
+		out := analysis.OutcomeFromWire(t.Prefix, f.Result.Outcome)
 		out.WorkerCrashes = t.attempt
 		t.done = true
 		w.task = nil

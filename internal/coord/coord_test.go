@@ -565,53 +565,55 @@ func TestCoordCrashMidWrite(t *testing.T) {
 	}
 }
 
-// TestInitFrameCarriesEveryOption is the fleet-side sibling of the
-// analysis package's TestCacheKeyCoversEveryOption: every src.Options
-// field, set non-zero on its own, must survive the init frame
-// (optionsToWire → JSON → optionsFromWire) unless it is on the exempt
-// list — so a new option cannot silently stay behind in the coordinator.
+// TestInitFrameCarriesEveryOption hands a worker the init frame a
+// coordinator writes for options with every field set: the worker must
+// rebuild exactly the coordinator's result-shaping options (equal
+// canonical bytes — src's own test pins that those cover every field
+// not marked process-local), with the process-local fields its own.
 func TestInitFrameCarriesEveryOption(t *testing.T) {
-	exempt := map[string]string{
-		"Telemetry":   "process-local: workers run fresh per-task registries",
-		"Interrupt":   "process-local: workers are killed, not signaled",
-		"Prefixes":    "the task frame names the prefix",
-		"Parallelism": "a worker runs one task at a time",
-	}
-	typ := reflect.TypeOf(src.Options{})
-	for name := range exempt {
-		if _, ok := typ.FieldByName(name); !ok {
-			t.Errorf("exempt list names src.Options.%s, which no longer exists", name)
-		}
-	}
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if _, ok := exempt[name]; ok {
-			continue
-		}
-		var o src.Options
-		switch f := reflect.ValueOf(&o).Elem().Field(i); f.Kind() {
-		case reflect.Bool:
+	sent := src.Options{Telemetry: obs.New(), Interrupt: func() error { return nil },
+		Prefixes: []route.Prefix{route.MustParsePrefix("10.0.0.0/8")}, Parallelism: 8}
+	v := reflect.ValueOf(&sent).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); {
+		case !f.IsZero():
+		case f.Kind() == reflect.Bool:
 			f.SetBool(true)
-		case reflect.Int:
-			f.SetInt(7)
-		case reflect.String:
+		case f.Kind() == reflect.String:
 			f.SetString("bfs")
-		default:
-			t.Fatalf("src.Options.%s: no non-zero value for kind %s; extend this switch or exempt the field", name, f.Kind())
+		case f.CanInt():
+			f.SetInt(7)
+		case f.CanUint():
+			f.SetUint(7)
+		case f.CanFloat():
+			f.SetFloat(7)
 		}
-		var buf bytes.Buffer
-		fw := &frameWriter{w: &buf}
-		if err := fw.write(&frame{Type: frameInit, Init: &initMsg{Opts: optionsToWire(o, false, analysis.LadderOptions{}, 0, 0)}}); err != nil {
-			t.Fatal(err)
-		}
-		f, err := readFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := optionsFromWire(f.Init.Opts)
-		got.Parallelism = 0 // exempt: optionsFromWire pins it to 1
-		if !reflect.DeepEqual(got, o) {
-			t.Errorf("src.Options.%s does not survive the init frame: sent %+v, worker sees %+v", name, o, got)
-		}
+	}
+	im, err := Options{Verify: sent, Resilient: true, HeartbeatInterval: 40 * time.Millisecond,
+		MaxFrameBytes: 1 << 20, CacheDir: "/cache"}.initMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := (&frameWriter{w: &buf}).write(&frame{Type: frameInit, Init: &im}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := *f.Init; !got.Ladder || got.HeartbeatMS != 40 || got.MaxFrameBytes != 1<<20 || got.CacheDir != "/cache" {
+		t.Errorf("transport settings did not survive the init frame: %+v", got)
+	}
+	got, err := f.Init.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := sent.Encode()
+	if enc, _ := got.Encode(); !bytes.Equal(enc, want) {
+		t.Errorf("worker options differ from the coordinator's:\n sent %s\n got  %s", want, enc)
+	}
+	if got.Parallelism != 1 || got.Telemetry != nil || got.Interrupt != nil || got.Prefixes != nil {
+		t.Errorf("process-local fields crossed the init frame: %+v", got)
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+
+	"sre/internal/analysis"
 )
 
 // frameBytes encodes a frame into its wire form for seeding.
@@ -33,7 +35,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, &frame{Type: frameHeartbeat}))
 	f.Add(frameBytes(f, &frame{Type: frameShutdown}))
 	f.Add(frameBytes(f, &frame{Type: frameTask, Task: &taskMsg{Seq: 1, Attempt: 2, Prefix: "10.0.0.0/8"}}))
-	f.Add(frameBytes(f, &frame{Type: frameError, Err: &wireError{Kind: errKindInternal, Stage: "spf", Msg: "boom"}}))
+	f.Add(frameBytes(f, &frame{Type: frameError, Err: &analysis.WireError{Kind: analysis.ErrKindInternal, Stage: "spf", Msg: "boom"}}))
 	f.Add(frameBytes(f, &frame{Type: frameResult, Result: &taskResult{Seq: 3, Prefix: "10.0.0.0/8"}}))
 	// Two frames back to back: stream decoding.
 	f.Add(append(frameBytes(f, &frame{Type: frameHeartbeat}), frameBytes(f, &frame{Type: frameShutdown})...))

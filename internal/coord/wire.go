@@ -27,6 +27,7 @@ import (
 	"io"
 	"sync"
 
+	"sre/internal/analysis"
 	"sre/internal/obs"
 )
 
@@ -75,43 +76,31 @@ const (
 // frame is the single envelope every message travels in; Type selects
 // which payload pointer is set.
 type frame struct {
-	Type   string      `json:"type"`
-	Init   *initMsg    `json:"init,omitempty"`
-	Task   *taskMsg    `json:"task,omitempty"`
-	Hello  *helloMsg   `json:"hello,omitempty"`
-	Result *taskResult `json:"result,omitempty"`
-	Err    *wireError  `json:"err,omitempty"`
+	Type   string              `json:"type"`
+	Init   *initMsg            `json:"init,omitempty"`
+	Task   *taskMsg            `json:"task,omitempty"`
+	Hello  *helloMsg           `json:"hello,omitempty"`
+	Result *taskResult         `json:"result,omitempty"`
+	Err    *analysis.WireError `json:"err,omitempty"`
 }
 
 // initMsg configures a worker for the run: the network (the textual
-// config format, a tested fixed point of Parse∘Format), the
-// verification options that shape results, and — when the run carries a
-// persistent result cache — the store directory the worker should
-// consult and publish to.
+// config format, a tested fixed point of Parse∘Format), the options
+// that shape results, the fleet's own transport settings, and — when the
+// run carries a persistent result cache — the store directory the worker
+// should consult and publish to.
 type initMsg struct {
-	Network  string      `json:"network"`
-	Opts     wireOptions `json:"opts"`
-	CacheDir string      `json:"cache_dir,omitempty"`
-}
-
-// wireOptions is the transportable subset of src.Options plus the
-// ladder switches: everything that affects results, nothing that holds
-// process-local state (telemetry, interrupt hooks).
-type wireOptions struct {
-	PruneK               int  `json:"prune_k"`
-	Abstract             bool `json:"abstract,omitempty"`
-	NoECMP               bool `json:"no_ecmp,omitempty"`
-	IBGPFullMesh         bool `json:"ibgp_full_mesh,omitempty"`
-	MaxHops              int  `json:"max_hops,omitempty"`
-	MaxIterations        int  `json:"max_iterations,omitempty"`
-	BDDNodeLimit         int    `json:"bdd_node_limit,omitempty"`
-	LegacyKernel         bool   `json:"legacy_kernel,omitempty"`
-	VarOrder             string `json:"var_order,omitempty"`
-	DynamicReorder       bool   `json:"dynamic_reorder,omitempty"`
-	Ladder               bool  `json:"ladder,omitempty"`
-	DisableBudgetHalving bool  `json:"disable_budget_halving,omitempty"`
-	HeartbeatMS          int   `json:"heartbeat_ms,omitempty"`
-	MaxFrameBytes        int64 `json:"max_frame_bytes,omitempty"`
+	Network string `json:"network"`
+	// Opts is src.Options.Encode() of the coordinator's options, byte
+	// for byte: the same encoding analysis.CacheKey hashes, so a worker
+	// cannot run under options its keys do not name.
+	Opts json.RawMessage `json:"opts"`
+	// Ladder tells the worker to escalate overflowing tasks
+	// (Options.Resilient).
+	Ladder        bool   `json:"ladder,omitempty"`
+	HeartbeatMS   int    `json:"heartbeat_ms,omitempty"`
+	MaxFrameBytes int64  `json:"max_frame_bytes,omitempty"`
+	CacheDir      string `json:"cache_dir,omitempty"`
 }
 
 // taskMsg assigns one prefix task. Seq is the task's index in the
@@ -135,17 +124,16 @@ type helloMsg struct {
 // taskResult carries one finished prefix back: the outcome, the
 // serialized pipelines, and the worker's per-task telemetry shard.
 type taskResult struct {
-	Seq       int            `json:"seq"`
-	Prefix    string         `json:"prefix"`
-	Outcome   wireOutcome    `json:"outcome"`
-	Pipes     []wirePipeline `json:"pipes,omitempty"`
-	Telemetry *obs.Wire      `json:"telemetry,omitempty"`
+	Seq       int                     `json:"seq"`
+	Prefix    string                  `json:"prefix"`
+	Outcome   analysis.WireOutcome    `json:"outcome"`
+	Pipes     []analysis.WirePipeline `json:"pipes,omitempty"`
+	Telemetry *obs.Wire               `json:"telemetry,omitempty"`
 }
 
 // The wire forms of outcomes, pipelines, and errors are defined in
-// internal/analysis (wire.go) and aliased in codec.go: the persistent
-// result store shares them as its record payload, so one codec serves
-// both the pipe and the disk.
+// internal/analysis (wire.go): the persistent result store shares them
+// as its record payload, so one codec serves both the pipe and the disk.
 
 // frameWriter serializes frames onto one pipe. The mutex lets the
 // worker's heartbeat goroutine interleave with result writes without

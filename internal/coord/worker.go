@@ -60,16 +60,19 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 	if err != nil {
 		return fail("parsing %s: %v", FaultEnv, err)
 	}
-	wopts := init.Init.Opts
-	opts := optionsFromWire(wopts)
+	im := init.Init
+	opts, err := im.options()
+	if err != nil {
+		return fail("%v", err)
+	}
 
 	// Open the shared result store when the coordinator ships one. The
 	// cache is an optimization: a store that cannot open (permissions, a
 	// dead disk) downgrades to cache-less operation, never a dead worker.
 	var cache *analysis.ResultCache
-	if dir := init.Init.CacheDir; dir != "" {
+	if dir := im.CacheDir; dir != "" {
 		st, serr := store.Open(dir, store.Options{
-			MaxRecordBytes: wopts.MaxFrameBytes,
+			MaxRecordBytes: im.MaxFrameBytes,
 			Fault:          plan.DiskFault,
 		})
 		if serr != nil {
@@ -87,7 +90,7 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 	// Heartbeats run for the whole worker life. The stall fault silences
 	// them without stopping the process — exactly the signature of a
 	// wedged worker the coordinator must detect.
-	interval := time.Duration(wopts.HeartbeatMS) * time.Millisecond
+	interval := time.Duration(im.HeartbeatMS) * time.Millisecond
 	if interval <= 0 {
 		interval = defaultHeartbeat
 	}
@@ -113,7 +116,7 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 	}()
 
 	for {
-		f, err := readFrameLimit(stdin, wopts.MaxFrameBytes)
+		f, err := readFrameLimit(stdin, im.MaxFrameBytes)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return 0 // coordinator closed our stdin: clean shutdown
@@ -130,11 +133,11 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 			if kind := plan.at(f.Task.Seq, f.Task.Attempt); kind != "" {
 				applyFault(kind, out, &stalled)
 			}
-			res, werr := runTask(net, opts, wopts, f.Task, cache)
+			res, werr := runTask(net, opts, im.Ladder, f.Task, cache)
 			if werr != nil {
 				// A non-recoverable verification error: report it and keep
 				// serving; the coordinator aborts the run on its side.
-				if err := out.write(&frame{Type: frameError, Err: errorToWire(werr)}); err != nil {
+				if err := out.write(&frame{Type: frameError, Err: analysis.ErrorToWire(werr)}); err != nil {
 					return fail("writing error frame: %v", err)
 				}
 				continue
@@ -148,6 +151,16 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 	}
 }
 
+// options rebuilds the coordinator's verification options worker-side.
+// The process-local fields are this process's own: telemetry and
+// interrupt hooks are installed per task, and a worker runs one task at
+// a time.
+func (im *initMsg) options() (src.Options, error) {
+	opts, err := src.DecodeOptions(im.Opts)
+	opts.Parallelism = 1
+	return opts, err
+}
+
 // runTask executes one prefix task and serializes the result. On a
 // first attempt with a cache key, the shared store is consulted before
 // computing: a decodable record replays as the result (its telemetry
@@ -156,7 +169,7 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 // it never existed. Retries always recompute — a cached record that
 // already failed to cross the pipe once is not worth a second attempt —
 // and every computed result is published back for the fleet.
-func runTask(net *config.Network, opts src.Options, wopts wireOptions, task *taskMsg, cache *analysis.ResultCache) (*taskResult, error) {
+func runTask(net *config.Network, opts src.Options, ladder bool, task *taskMsg, cache *analysis.ResultCache) (*taskResult, error) {
 	pfx, err := route.ParsePrefix(task.Prefix)
 	if err != nil {
 		return nil, fmt.Errorf("coord: task %d has bad prefix %q: %w", task.Seq, task.Prefix, err)
@@ -172,21 +185,20 @@ func runTask(net *config.Network, opts src.Options, wopts wireOptions, task *tas
 					p.Release()
 				}
 			}()
-			wps, werr := encodePipelines(pipes, net)
+			wps, werr := analysis.EncodePipelines(pipes, net)
 			if werr == nil {
 				tel.Counter("store.hits").Inc()
 				return &taskResult{
 					Seq:       task.Seq,
 					Prefix:    task.Prefix,
-					Outcome:   outcomeToWire(out),
+					Outcome:   analysis.OutcomeToWire(out),
 					Pipes:     wps,
 					Telemetry: tel.ExportWire(),
 				}, nil
 			}
 		}
 	}
-	pipes, out, err := analysis.RunPrefixTask(net, o, pfx, wopts.Ladder,
-		analysis.LadderOptions{DisableBudgetHalving: wopts.DisableBudgetHalving})
+	pipes, out, err := analysis.RunPrefixTask(net, o, pfx, ladder, analysis.LadderOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +207,14 @@ func runTask(net *config.Network, opts src.Options, wopts wireOptions, task *tas
 			p.Release()
 		}
 	}()
-	wps, err := encodePipelines(pipes, net)
+	wps, err := analysis.EncodePipelines(pipes, net)
 	if err != nil {
 		return nil, err
 	}
 	res := &taskResult{
 		Seq:       task.Seq,
 		Prefix:    task.Prefix,
-		Outcome:   outcomeToWire(out),
+		Outcome:   analysis.OutcomeToWire(out),
 		Pipes:     wps,
 		Telemetry: tel.ExportWire(),
 	}

@@ -9,8 +9,8 @@ import (
 
 // EnvInfo records the execution environment of a measured run. It is
 // embedded in benchmark rows and event-log headers so the regression
-// comparator can refuse apples-to-oranges diffs (different machine, Go
-// version, or BDD kernel).
+// comparator can refuse apples-to-oranges diffs (different machine or
+// Go version).
 type EnvInfo struct {
 	GoVersion  string `json:"go_version"`
 	OS         string `json:"os"`
@@ -20,17 +20,13 @@ type EnvInfo struct {
 	// CPUModel is the "model name" of /proc/cpuinfo ("" where
 	// unavailable).
 	CPUModel string `json:"cpu_model,omitempty"`
-	// BDDKernel names the kernel the run used: "flat" (the overhauled
-	// default) or "legacy". Filled by the caller, which knows the run
-	// options.
-	BDDKernel string `json:"bdd_kernel,omitempty"`
 	// Parallelism is the effective worker count of the run (0 when the
 	// caller did not attribute one).
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// Environment captures the current process environment. BDDKernel and
-// Parallelism are left for the caller to fill from its run options.
+// Environment captures the current process environment. Parallelism is
+// left for the caller to fill from its run options.
 func Environment() EnvInfo {
 	return EnvInfo{
 		GoVersion:  runtime.Version(),
@@ -44,7 +40,7 @@ func Environment() EnvInfo {
 
 // Mismatch compares two environments and describes every difference
 // that makes their timings incomparable. Optional fields (CPUModel,
-// BDDKernel, Parallelism) are only compared when both sides carry them,
+// Parallelism) are only compared when both sides carry them,
 // so logs from before a field existed still diff. An empty result means
 // the environments are comparable.
 func (e EnvInfo) Mismatch(o EnvInfo) []string {
@@ -58,7 +54,6 @@ func (e EnvInfo) Mismatch(o EnvInfo) []string {
 	diff("os", e.OS, o.OS)
 	diff("arch", e.Arch, o.Arch)
 	diff("cpu_model", e.CPUModel, o.CPUModel)
-	diff("bdd_kernel", e.BDDKernel, o.BDDKernel)
 	if e.NumCPU != 0 && o.NumCPU != 0 && e.NumCPU != o.NumCPU {
 		out = append(out, fmt.Sprintf("num_cpu: %d vs %d", e.NumCPU, o.NumCPU))
 	}

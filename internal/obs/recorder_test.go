@@ -190,7 +190,6 @@ func TestEventLogRoundTrip(t *testing.T) {
 		tel.Record(r.Epoch().Add(time.Duration(i)*time.Microsecond), e)
 	}
 	env := Environment()
-	env.BDDKernel = "flat"
 	var buf bytes.Buffer
 	if err := r.WriteEventLog(&buf, env); err != nil {
 		t.Fatal(err)

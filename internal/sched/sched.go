@@ -69,7 +69,7 @@ type Worker struct {
 	ID int
 	// Tel is the worker's telemetry shard (the parent registry itself
 	// in single-worker pools, nil when the pool has no telemetry).
-	Tel *obs.Telemetry
+	Tel  *obs.Telemetry
 	pool *Pool
 }
 

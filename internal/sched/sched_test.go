@@ -257,4 +257,3 @@ func TestStealRunsEverything(t *testing.T) {
 		t.Fatalf("ran %d, want 99", got)
 	}
 }
-

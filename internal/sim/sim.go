@@ -371,7 +371,7 @@ func importRoute(net *config.Network, r, from topology.RouterID, lid topology.Li
 		if rc.OSPF == nil {
 			return nil
 		}
-		rt.Cost += rc.Interface(lid).OSPFCost
+		rt.Cost += rc.InterfaceOf(lid).OSPFCost
 	default:
 		return nil
 	}

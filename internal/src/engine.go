@@ -35,81 +35,6 @@ import (
 	"sre/internal/topology"
 )
 
-// Options configures a symbolic route computation.
-type Options struct {
-	// PruneK enables route pruning (§7.1) when ≥ 0: imported topology
-	// conditions are conjoined with the filtering BDD lf^PruneK and
-	// routes whose condition becomes False are dropped. Negative
-	// disables pruning (the full failure space is explored).
-	PruneK int
-	// Abstract enables abstract interpretation (§7.3): BGP AS paths are
-	// abstracted to their length, letting routes that differ only in
-	// their concrete path merge into one symbolic route.
-	Abstract bool
-	// NoECMP disables multi-path route selection; by default routes of
-	// equal preference form one priority tier and are all installed.
-	NoECMP bool
-	// Prefixes restricts the computation to the given destination
-	// prefixes (prefix pruning, §7.2). Nil means every prefix
-	// originated in the network.
-	Prefixes []route.Prefix
-	// MaxHops bounds route propagation; zero means the number of
-	// routers (no best route follows a non-simple path).
-	MaxHops int
-	// MaxIterations bounds the total number of router activations as a
-	// divergence guard. Zero means 10000 × routers.
-	MaxIterations int
-	// IBGPFullMesh enables iBGP full-mesh sessions among routers that
-	// share an AS and run OSPF: sessions become virtual links whose
-	// conditions are the OSPF reachability conditions between the
-	// peers (§4, "Supporting multiple protocols").
-	IBGPFullMesh bool
-	// Telemetry, when non-nil, receives src.* counters, per-activation
-	// timing histograms, and progress events during Run. Nil disables
-	// all instrumentation at near-zero cost.
-	Telemetry *obs.Telemetry
-	// Interrupt, when non-nil, is polled once per router activation
-	// (and threaded into the BDD manager of spaces built on the
-	// engine's behalf); a non-nil return aborts the run with that
-	// error, tagged with the interrupted stage. Wire resil.Checker.Fn
-	// here for cancellation and deadlines.
-	Interrupt func() error
-	// BDDNodeLimit caps the node table of BDD spaces created on the
-	// engine's behalf (analysis.Run and the miner; engines given an
-	// explicit space ignore it). Zero means the bdd package default.
-	BDDNodeLimit int
-	// LegacyBDDKernel selects the pre-overhaul BDD kernel paths in
-	// spaces created on the engine's behalf (see bdd.Config.
-	// LegacyKernel). Results are identical; only throughput differs.
-	LegacyBDDKernel bool
-	// DynamicReorder arms Rudell sifting in BDD spaces created on the
-	// engine's behalf (see bdd.Config.Reorder): when live nodes after a
-	// GC exceed bdd.DefaultReorderThreshold, the manager sifts variables
-	// to smaller levels within the header/link/extra bands. Results are
-	// identical — node handles survive sifting and serialized BDDs stamp
-	// the writer's level map — only diagram sizes and throughput differ.
-	// Unlike VarOrder it does NOT enter cache keys: reordered and static
-	// runs share store entries, which decode correctly under any order.
-	DynamicReorder bool
-	// VarOrder selects the link-variable order of spaces created on the
-	// engine's behalf: "auto" (default; the order package picks the
-	// lowest-cost candidate per topology), "declaration" (the seed
-	// layout, link l at level 32+l), "bfs", or "mindeg" (see
-	// internal/order). Results are identical under every order — BDDs
-	// are canonical per order, and all orders answer the same queries —
-	// only BDD sizes and throughput differ. The order is part of the
-	// meaning of serialized BDDs and cache keys, so every process of a
-	// run must agree on it.
-	VarOrder string
-	// Parallelism is the worker count of the multi-prefix drivers built
-	// on top of the engine (analysis.Executor and the spec miner),
-	// which run per-prefix pipelines concurrently — each worker with
-	// its own engine and BDD manager. 0 means runtime.GOMAXPROCS(0);
-	// 1 runs them one at a time. A single engine is always
-	// single-threaded and ignores the field.
-	Parallelism int
-}
-
 // SymRoute is a symbolic route: a concrete route plus its topology
 // conditions (§4.1). TcIn is the condition under which the route is
 // imported; TcRib the condition under which it is the (an) installed
@@ -379,10 +304,10 @@ func (e *Engine) Run() error {
 			outcome = "error"
 		}
 		e.tel.Record(runT0, obs.TraceEvent{Stage: "src.run",
-			Wall:  time.Since(runT0).Nanoseconds(),
-			Count: int64(e.stats.Activations),
-			Nodes: int64(st1.LiveNodes) - int64(runSt0.LiveNodes),
-			Cache: int64(st1.CacheHits+st1.CacheMiss) - int64(runSt0.CacheHits+runSt0.CacheMiss),
+			Wall:    time.Since(runT0).Nanoseconds(),
+			Count:   int64(e.stats.Activations),
+			Nodes:   int64(st1.LiveNodes) - int64(runSt0.LiveNodes),
+			Cache:   int64(st1.CacheHits+st1.CacheMiss) - int64(runSt0.CacheHits+runSt0.CacheMiss),
 			Outcome: outcome})
 	}
 	return err
@@ -666,7 +591,7 @@ func (e *Engine) importTransform(r topology.RouterID, msg message) (*route.Route
 		if rc.OSPF == nil {
 			return nil, bdd.False
 		}
-		rt.Cost += rc.Interface(msg.link).OSPFCost
+		rt.Cost += rc.InterfaceOf(msg.link).OSPFCost
 	default:
 		return nil, bdd.False
 	}

@@ -55,12 +55,12 @@ type GCOptions struct {
 
 // GCReport summarizes one GC pass.
 type GCReport struct {
-	Evicted        int   `json:"evicted"`
-	EvictedBytes   int64 `json:"evicted_bytes"`
-	TempsReaped    int   `json:"temps_reaped"`
+	Evicted         int   `json:"evicted"`
+	EvictedBytes    int64 `json:"evicted_bytes"`
+	TempsReaped     int   `json:"temps_reaped"`
 	QuarantineSwept int   `json:"quarantine_swept"`
-	Remaining      int   `json:"remaining"`
-	RemainingBytes int64 `json:"remaining_bytes"`
+	Remaining       int   `json:"remaining"`
+	RemainingBytes  int64 `json:"remaining_bytes"`
 }
 
 type entry struct {

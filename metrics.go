@@ -134,8 +134,7 @@ type BDDMetrics struct {
 	AxCacheHits   uint64 `json:"ax_cache_hits"`
 	AxCacheMisses uint64 `json:"ax_cache_misses"`
 	// CacheRetained/CacheInvalidated count operation-cache entries kept
-	// and dropped across GC sweeps (the legacy kernel wipes everything,
-	// so it reports zero retained).
+	// and dropped across GC sweeps.
 	CacheRetained    uint64 `json:"cache_retained"`
 	CacheInvalidated uint64 `json:"cache_invalidated"`
 	// PreGCCacheHitRatio is the hit ratio accumulated up to the most

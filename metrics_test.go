@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 
 	"sre"
@@ -119,9 +120,15 @@ func TestMetricsMonotoneAcrossRuns(t *testing.T) {
 // TestProgressEvents routes progress into a callback and checks the
 // stages report with sane totals.
 func TestProgressEvents(t *testing.T) {
+	// Sinks must be safe for concurrent use: prefixes run on a pool.
+	var mu sync.Mutex
 	var events []sre.ProgressEvent
 	v := verifier(t, sre.Options{MaxFailures: -1,
-		Progress: sre.ProgressFunc(func(e sre.ProgressEvent) { events = append(events, e) })})
+		Progress: sre.ProgressFunc(func(e sre.ProgressEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			events = append(events, e)
+		})})
 	defer v.Release()
 	sawSPFFinal := false
 	for _, e := range events {

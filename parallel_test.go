@@ -24,27 +24,62 @@ var (
 	}{{"plain", ft4Plain}, {"nodelimit20k", ft4Limited}}
 )
 
-// fatTreeRun builds a verifier from base over every prefix of a 4-ary
-// fat tree at the given parallelism and condenses everything the public
-// API observes: the per-prefix outcomes, the total PFEC count, and an
-// all-prefix tolerance sweep from one edge router.
+// fatTreeRun is verifyRun over every prefix of a 4-ary fat tree at the
+// given parallelism, swept from one edge router.
 func fatTreeRun(t *testing.T, base sre.Options, parallelism int) ([]sre.PrefixOutcome, int, []sre.PrefixResult) {
 	t.Helper()
-	net := workload.FatTree(4, workload.BGP)
 	base.Parallelism = parallelism
-	v, err := sre.NewVerifier(net, base)
+	return verifyRun(t, workload.FatTree(4, workload.BGP), "edge0-0", base)
+}
+
+// verifyRun builds a verifier from opts over every prefix of net and
+// condenses everything the public API observes: the per-prefix
+// outcomes, the total PFEC count, and an all-prefix tolerance sweep
+// from src.
+func verifyRun(t *testing.T, net *sre.Network, src string, opts sre.Options) ([]sre.PrefixOutcome, int, []sre.PrefixResult) {
+	t.Helper()
+	v, err := sre.NewVerifier(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v.Release()
 	outs := v.Outcomes()
 	numPFECs := v.Metrics().NumPFECs
-	sweep, err := v.FailureTolerances("edge0-0")
+	sweep, err := v.FailureTolerances(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return outs, numPFECs, sweep
 }
+
+// ospfTriangle runs OSPF on three routers and configures no interface,
+// so every link cost is the default: a reader that wrote the defaults
+// back into the network would change its text.
+const ospfTriangle = `
+topology
+  router A
+  router B
+  router C
+  link A B
+  link B C
+  link A C
+end
+
+router A
+  ospf
+    network 10.1.0.0/16
+end
+
+router B
+  ospf
+    network 10.2.0.0/16
+end
+
+router C
+  ospf
+    network 10.3.0.0/16
+end
+`
 
 // TestParallelDeterminism pins the scheduler's core contract: the same
 // verification at parallelism 1, 2, and 8 returns identical outcomes

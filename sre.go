@@ -77,7 +77,11 @@ func LoadNetwork(path string) (*Network, error) {
 // FormatNetwork renders a network back into the textual format.
 func FormatNetwork(n *Network) string { return config.Format(n) }
 
-// Options configures verification.
+// Options configures verification. buildOpts translates the fields
+// that shape a result into the engine's src.Options, whose declaration
+// is the one place that says, field by field, what is encoded, shipped
+// to worker subprocesses and hashed into result-cache keys; the other
+// fields say how and where this process runs, never what a run answers.
 type Options struct {
 	// MaxFailures bounds the failure budget explored (route pruning,
 	// §7.1 of the paper). Negative explores the full failure space.
@@ -169,11 +173,6 @@ type Options struct {
 	// without a Telemetry creates one internally. Nil costs nothing on
 	// the hot path.
 	Recorder *FlightRecorder
-	// LegacyBDDKernel runs the verifier on the pre-overhaul BDD kernel
-	// (map-memoized analyses, linear folds, full cache wipe at GC). It
-	// is a kill switch and the baseline of `srebench -exp bddkernel`;
-	// results are identical either way, only throughput differs.
-	LegacyBDDKernel bool
 	// VarOrder selects the BDD link-variable order: "auto" (the
 	// default — a topology-aware order is chosen per network),
 	// "declaration" (link l at level 32+l, the seed layout), "bfs"
@@ -181,19 +180,15 @@ type Options struct {
 	// elimination). Orders are observationally identical — every query
 	// returns the same answer under every order, pinned by golden
 	// tests — but topology-aware orders can collapse peak BDD sizes on
-	// structured networks. The order participates in result-cache keys
-	// and is shipped to worker subprocesses, so changing it cleanly
-	// invalidates warm caches rather than corrupting them.
+	// structured networks.
 	VarOrder string
 	// DynamicReorder arms dynamic BDD variable reordering (Rudell
 	// sifting): when live nodes after a garbage collection stay above a
 	// threshold, the manager sifts variables toward levels that shrink
 	// the diagram, within the header/link band boundaries. Results are
 	// byte-identical with or without it — node handles survive sifting
-	// and serialized BDDs carry the writer's level map — so unlike
-	// VarOrder it does not participate in result-cache keys: reordered
-	// and static runs share store entries. Peak node counts and sifting
-	// activity are reported by Verifier.Metrics under BDD.
+	// and serialized BDDs carry the writer's level map. Peak node counts
+	// and sifting activity are reported by Verifier.Metrics under BDD.
 	DynamicReorder bool
 	// Store, when non-nil, is a persistent result cache (see OpenStore):
 	// each prefix is looked up before it is computed and published after
@@ -310,17 +305,16 @@ func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 		return src.Options{}, nil, fmt.Errorf("sre: %w", err)
 	}
 	srcOpts := src.Options{
-		PruneK:          opts.MaxFailures,
-		Abstract:        opts.Abstract,
-		NoECMP:          opts.NoECMP,
-		IBGPFullMesh:    opts.IBGPFullMesh,
-		Telemetry:       opts.telemetry(),
-		Interrupt:       checker.Fn(),
-		BDDNodeLimit:    opts.BDDNodeLimit,
-		Parallelism:     opts.Parallelism,
-		LegacyBDDKernel: opts.LegacyBDDKernel,
-		VarOrder:        string(varOrder),
-		DynamicReorder:  opts.DynamicReorder,
+		PruneK:         opts.MaxFailures,
+		Abstract:       opts.Abstract,
+		NoECMP:         opts.NoECMP,
+		IBGPFullMesh:   opts.IBGPFullMesh,
+		Telemetry:      opts.telemetry(),
+		Interrupt:      checker.Fn(),
+		BDDNodeLimit:   opts.BDDNodeLimit,
+		Parallelism:    opts.Parallelism,
+		VarOrder:       string(varOrder),
+		DynamicReorder: opts.DynamicReorder,
 	}
 	var prefixes []route.Prefix
 	for _, p := range opts.Prefixes {

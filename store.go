@@ -13,9 +13,9 @@ import (
 // consult it before computing each prefix and publish what they
 // compute. The prefix decomposition (§7.2) keys each record by
 // everything that can influence its result (the config slice the prefix
-// can observe, the topology, the verification options, the kernel), so
-// a warm cache replays results identical to a cold run at any
-// parallelism or worker count.
+// can observe, the topology, the verification options), so a warm cache
+// replays results identical to a cold run at any parallelism or worker
+// count.
 //
 // The store is safe against crashes and corruption by construction:
 // records are checksummed, published via temp-file + atomic rename

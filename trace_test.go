@@ -28,7 +28,6 @@ func TestTraceExportMatchesMetrics(t *testing.T) {
 
 	var buf bytes.Buffer
 	env := sre.Environment()
-	env.BDDKernel = "flat"
 	env.Parallelism = 4
 	if err := rec.WriteChromeTrace(&buf, env); err != nil {
 		t.Fatal(err)
