@@ -8,8 +8,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sre/internal/bdd"
@@ -40,6 +42,11 @@ type Pipeline struct {
 
 	// PFECs, grouped by source router.
 	pfecs [][]*spf.PFEC
+
+	// prefixes is Net.AllPrefixes(), taken once at construction (the
+	// network is read-only to a run) so property queries do not re-walk
+	// every router.
+	prefixes []route.Prefix
 
 	SRCTime time.Duration
 	SPFTime time.Duration
@@ -95,7 +102,7 @@ func RunScoped(net *config.Network, opts src.Options, scope route.Prefix) (*Pipe
 }
 
 func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope *route.Prefix) (*Pipeline, error) {
-	p := &Pipeline{Net: net, Sp: sp, Tel: opts.Telemetry, Scope: scope}
+	p := &Pipeline{Net: net, Sp: sp, Tel: opts.Telemetry, Scope: scope, prefixes: net.AllPrefixes()}
 	root := p.Tel.Start("pipeline")
 	defer root.End()
 
@@ -305,7 +312,7 @@ func (p *Pipeline) OriginSet(pfx route.Prefix) map[topology.RouterID]bool {
 func (p *Pipeline) OwnedHeaders(pfx route.Prefix) bdd.Node {
 	m := p.Sp.M
 	hdr := p.Sp.Prefix(pfx)
-	for _, other := range p.Net.AllPrefixes() {
+	for _, other := range p.prefixes {
 		if other != pfx && pfx.Covers(other) {
 			hdr = m.Diff(hdr, p.Sp.Prefix(other))
 		}
@@ -333,6 +340,9 @@ func (p *Pipeline) Extract(property bdd.Node) []Tuple {
 	for topo, pkt := range groups {
 		out = append(out, Tuple{Pkt: pkt, Topo: topo})
 	}
+	// By topology handle, so the per-tuple BDD work of every query runs
+	// in the same order on every run.
+	slices.SortFunc(out, func(a, b Tuple) int { return cmp.Compare(a.Topo, b.Topo) })
 	return out
 }
 

@@ -306,6 +306,7 @@ func (mn *Miner) expandForAggregates(set map[route.Prefix]bool) map[route.Prefix
 	for p := range set {
 		out[p] = true
 	}
+	all := mn.Net.AllPrefixes()
 	for _, rc := range mn.Net.Routers {
 		if rc.BGP == nil {
 			continue
@@ -314,7 +315,7 @@ func (mn *Miner) expandForAggregates(set map[route.Prefix]bool) map[route.Prefix
 			if !set[agg] {
 				continue
 			}
-			for _, contrib := range mn.Net.AllPrefixes() {
+			for _, contrib := range all {
 				if agg.Covers(contrib) && contrib != agg {
 					out[contrib] = true
 				}

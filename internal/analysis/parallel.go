@@ -58,10 +58,11 @@ func PrefixCost(net *config.Network, pfx route.Prefix) int64 {
 // get the singleton {pfx}.
 func taskDomain(net *config.Network, pfx route.Prefix) []route.Prefix {
 	set := map[route.Prefix]bool{pfx: true}
+	all := net.AllPrefixes()
 	for changed := true; changed; {
 		changed = false
 		for p := range set {
-			for _, other := range net.AllPrefixes() {
+			for _, other := range all {
 				if !set[other] && p.Overlaps(other) {
 					set[other] = true
 					changed = true
@@ -89,7 +90,7 @@ func taskDomain(net *config.Network, pfx route.Prefix) []route.Prefix {
 					set[agg] = true
 					changed = true
 				}
-				for _, contrib := range net.AllPrefixes() {
+				for _, contrib := range all {
 					if agg.Covers(contrib) && contrib != agg && !set[contrib] {
 						set[contrib] = true
 						changed = true

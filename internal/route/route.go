@@ -8,6 +8,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -319,39 +320,60 @@ func Tiebreak(a, b *Route) int {
 // for an ECMP group).
 func SamePriority(a, b *Route) bool { return Compare(a, b) == 0 }
 
-// SameRoute reports whether two routes are the same logical route:
-// identical prefix, protocol, next hop and egress link. Algorithm 1 uses
-// this to detect re-advertisements that only update the topology
-// condition.
+// SameRoute reports whether two routes are the same logical route — the
+// test Algorithm 1 uses to detect a re-advertisement that only updates
+// the topology condition. Identity is prefix, protocol, next hop, egress
+// link, local-pref, MED, cost, originator and the aggregate flag, plus
+// the AS path: element-wise, unless abstract interpretation replaced it
+// with a path length (§7.3, PathLen >= 0), in which case the lengths
+// decide. Merging routes that differ only in their concrete path is
+// precisely that abstraction, so it must not happen otherwise (it would
+// break the AS-path loop check downstream). Communities, Hops and
+// PathBloom are deliberately not identity: a re-advertisement refreshes
+// them on the route already held.
 func SameRoute(a, b *Route) bool {
-	return a.Prefix == b.Prefix && a.Protocol == b.Protocol &&
-		a.NextHop == b.NextHop && a.EgressLink == b.EgressLink &&
-		a.attrKey() == b.attrKey()
+	if a.Prefix != b.Prefix || a.Protocol != b.Protocol ||
+		a.NextHop != b.NextHop || a.EgressLink != b.EgressLink ||
+		a.LocalPref != b.LocalPref || a.MED != b.MED || a.Cost != b.Cost ||
+		a.OriginatorID != b.OriginatorID || a.Aggregate != b.Aggregate {
+		return false
+	}
+	if a.PathLen >= 0 || b.PathLen >= 0 {
+		return a.PathLen == b.PathLen
+	}
+	return slices.Equal(a.ASPath, b.ASPath)
 }
 
-// attrKey folds the identity-relevant attributes into a comparable
-// value. Concrete AS paths distinguish routes unless abstract
-// interpretation replaced them with a path length (§7.3) — merging
-// routes that differ only in their concrete path is precisely the
-// abstraction, so it must not happen otherwise (it would break the
-// AS-path loop check downstream).
-func (r *Route) attrKey() string {
-	agg := 0
+// identityHash hashes exactly the fields SameRoute compares, so routes
+// that are the same hash the same. It is unseeded: equal inputs hash
+// equally in every process.
+func (r *Route) identityHash() uint64 {
+	h := uint64(14695981039346656037)
+	h = mix(h, uint64(r.Prefix.Addr)<<8|uint64(r.Prefix.Len))
+	h = mix(h, uint64(r.Protocol))
+	h = mix(h, uint64(r.NextHop))
+	h = mix(h, uint64(r.EgressLink))
+	h = mix(h, uint64(r.LocalPref))
+	h = mix(h, uint64(r.MED))
+	h = mix(h, uint64(r.Cost))
+	h = mix(h, uint64(r.OriginatorID))
 	if r.Aggregate {
-		agg = 1
+		h = mix(h, 1)
 	}
-	path := fmt.Sprint(r.ASPath)
 	if r.PathLen >= 0 {
-		path = fmt.Sprintf("len%d", r.PathLen)
+		return mix(h, 1<<32|uint64(r.PathLen))
 	}
-	return fmt.Sprintf("%d|%s|%d|%d|%d|%d", r.LocalPref, path, r.MED, r.Cost, r.OriginatorID, agg)
+	for _, as := range r.ASPath {
+		h = mix(h, uint64(as))
+	}
+	return h
 }
 
-// Key returns a string identifying the logical route (prefix, protocol,
-// next hop, egress link, and ranking attributes); advertisement state
-// tracking uses it to detect re-advertisements and withdrawals.
-func (r *Route) Key() string {
-	return fmt.Sprintf("%s|%s|%d|%d|%s", r.Prefix, r.Protocol, r.NextHop, r.EgressLink, r.attrKey())
+// mix folds v into h (FNV-1a's step over a whole word, with a final
+// shift so the high bits reach the low ones a table index uses).
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 1099511628211
+	return h ^ h>>29
 }
 
 // String formats the route for debugging.

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -217,4 +219,245 @@ func TestQuickCoversTransitive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// oldKey is how route identity was defined before it became a value:
+// the rendering SameRoute and the advertisement maps compared as text.
+// It stays here as the oracle the field-wise definition is pinned to.
+func oldKey(r *Route) string {
+	agg := 0
+	if r.Aggregate {
+		agg = 1
+	}
+	path := fmt.Sprint(r.ASPath)
+	if r.PathLen >= 0 {
+		path = fmt.Sprintf("len%d", r.PathLen)
+	}
+	return fmt.Sprintf("%s|%s|%d|%d|%d|%s|%d|%d|%d|%d", r.Prefix, r.Protocol, r.NextHop, r.EgressLink,
+		r.LocalPref, path, r.MED, r.Cost, r.OriginatorID, agg)
+}
+
+// randomRoute draws every field from a small range, so that two
+// independent draws collide on most fields and sometimes on all.
+func randomRoute(rng *rand.Rand) *Route {
+	r := &Route{
+		Prefix:       Prefix{Addr: uint32(rng.Intn(2)) << 24, Len: 8 + 8*rng.Intn(2)},
+		Protocol:     Protocol(rng.Intn(5)),
+		NextHop:      rng.Intn(2) - 1,
+		EgressLink:   rng.Intn(2) - 1,
+		LocalPref:    100 + 100*rng.Intn(2),
+		MED:          rng.Intn(2),
+		OriginatorID: rng.Intn(2),
+		Cost:         rng.Intn(2),
+		PathLen:      rng.Intn(4) - 2, // -2 and -1 both mean "concrete path"
+		Hops:         rng.Intn(3),
+		Aggregate:    rng.Intn(4) == 0,
+	}
+	switch n := rng.Intn(4); n {
+	case 0: // nil path
+	case 1:
+		r.ASPath = []uint32{}
+	default:
+		for i := 0; i < n-1; i++ {
+			r.ASPath = append(r.ASPath, uint32(1+rng.Intn(2)))
+		}
+	}
+	if rng.Intn(2) == 0 {
+		r.Communities = []uint64{uint64(rng.Intn(3))}
+	}
+	r.PathBloom[rng.Intn(2)] = uint64(rng.Intn(3))
+	return r
+}
+
+// mutations each change exactly one identity field.
+var mutations = []func(*Route){
+	func(r *Route) { r.Prefix.Addr ^= 1 << 31 },
+	func(r *Route) { r.Prefix.Len++ },
+	func(r *Route) { r.Protocol = (r.Protocol + 1) % 5 },
+	func(r *Route) { r.NextHop++ },
+	func(r *Route) { r.EgressLink++ },
+	func(r *Route) { r.LocalPref++ },
+	func(r *Route) { r.MED++ },
+	func(r *Route) { r.Cost++ },
+	func(r *Route) { r.OriginatorID++ },
+	func(r *Route) { r.Aggregate = !r.Aggregate },
+	func(r *Route) { r.PathLen++ },                     // -1 → 0 abstracts; -2 → -1 changes nothing
+	func(r *Route) { r.ASPath = append(r.ASPath, 7) },  // ignored when abstracted
+	func(r *Route) { r.ASPath = []uint32{9, 9, 9, 9} }, // same
+	func(r *Route) { // nil ↔ empty is no change; dropping a real path is one
+		if r.ASPath == nil {
+			r.ASPath = []uint32{}
+		} else {
+			r.ASPath = nil
+		}
+	},
+}
+
+// TestSameRouteMatchesOldRendering pins the field-wise identity to the
+// text it replaced: same verdict on every pair, and equal routes hash
+// equally.
+func TestSameRouteMatchesOldRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	same, differ := 0, 0
+	check := func(a, b *Route) {
+		t.Helper()
+		want := oldKey(a) == oldKey(b)
+		if got := SameRoute(a, b); got != want || SameRoute(b, a) != want {
+			t.Fatalf("SameRoute = %v, old rendering says %v\n a %+v\n b %+v", got, want, *a, *b)
+		}
+		if want {
+			same++
+			if a.identityHash() != b.identityHash() {
+				t.Fatalf("same route, different hash\n a %+v\n b %+v", *a, *b)
+			}
+		} else {
+			differ++
+		}
+	}
+	for i := 0; i < 12000; i++ {
+		a := randomRoute(rng)
+		check(a, randomRoute(rng))
+		b := a.Clone()
+		mutations[i%len(mutations)](b)
+		check(a, b)
+		// A clone differing only in what is not identity.
+		c := a.Clone()
+		c.Hops, c.Communities, c.PathBloom = a.Hops+1, nil, [2]uint64{1, 1}
+		check(a, c)
+	}
+	if same < 1000 || differ < 1000 {
+		t.Fatalf("unbalanced sample: %d same, %d different pairs", same, differ)
+	}
+}
+
+// TestIdentityExcludesCarriedAttributes states today's semantics:
+// communities, the hop count and the path bloom ride on a route without
+// being part of which route it is, so a re-advertisement that changes
+// only them refreshes the route already held.
+func TestIdentityExcludesCarriedAttributes(t *testing.T) {
+	base := NewLocal(MustParsePrefix("10.0.0.0/8"), EBGP, 1)
+	base.ASPath = []uint32{1, 2}
+	for _, tc := range []struct {
+		name   string
+		change func(*Route)
+	}{
+		{"Communities", func(r *Route) { r.Communities = []uint64{42} }},
+		{"Hops", func(r *Route) { r.Hops = 9 }},
+		{"PathBloom", func(r *Route) { r.BloomAddAS(65000) }},
+	} {
+		b := base.Clone()
+		tc.change(b)
+		if !SameRoute(base, b) || base.identityHash() != b.identityHash() {
+			t.Errorf("%s is not identity, yet changing it made a different route", tc.name)
+		}
+	}
+}
+
+func distinctRoutes(n int) []*Route {
+	out := make([]*Route, n)
+	for i := range out {
+		out[i] = NewLocal(MustParsePrefix("10.0.0.0/8"), EBGP, 1)
+		out[i].ASPath = []uint32{uint32(i), 65000}
+	}
+	return out
+}
+
+func TestSetKeepsInsertionOrder(t *testing.T) {
+	var nilSet *Set[int]
+	if nilSet.Get(distinctRoutes(1)[0]) != nil || nilSet.Entries() != nil {
+		t.Fatal("a nil set is an empty set")
+	}
+	routes := distinctRoutes(300)
+	var s Set[int]
+	for i, r := range routes {
+		if _, added := s.Add(r, i); !added {
+			t.Fatalf("route %d reported present", i)
+		}
+		// Adding the same identity again keeps the first route and value.
+		if e, added := s.Add(r.Clone(), -1); added || e.Route != r || e.Value != i {
+			t.Fatalf("re-adding route %d: added=%v entry=%+v", i, added, e)
+		}
+	}
+	if n := len(s.Entries()); n != len(routes) {
+		t.Fatalf("%d entries, want %d", n, len(routes))
+	}
+	for i, e := range s.Entries() {
+		if e.Route != routes[i] || e.Value != i {
+			t.Fatalf("entry %d is not the %dth route added", i, i)
+		}
+		if got := s.Get(routes[i].Clone()); got == nil || got.Value != i {
+			t.Fatalf("Get(route %d) = %+v", i, got)
+		}
+	}
+	if s.Get(distinctRoutes(301)[300]) != nil {
+		t.Fatal("Get found a route never added")
+	}
+	s.Get(routes[0]).Value = 77
+	if s.Entries()[0].Value != 77 {
+		t.Fatal("values are updated in place")
+	}
+}
+
+// TestSetCollisions gives every route the same hash: SameRoute alone
+// must tell them apart.
+func TestSetCollisions(t *testing.T) {
+	routes := distinctRoutes(40)
+	var s Set[int]
+	for i, r := range routes {
+		if _, added := s.add(r, 1, i); !added {
+			t.Fatalf("route %d taken for a colliding one", i)
+		}
+		for j := 0; j <= i; j++ {
+			if e := s.find(routes[j], 1); e == nil || e.Value != j {
+				t.Fatalf("after %d adds: find(route %d) = %+v", i+1, j, e)
+			}
+		}
+		if i+1 < len(routes) && s.find(routes[i+1], 1) != nil {
+			t.Fatalf("found route %d before it was added", i+1)
+		}
+	}
+}
+
+func TestIdentityDoesNotAllocate(t *testing.T) {
+	routes := distinctRoutes(64)
+	a, b := routes[3], routes[3].Clone()
+	if n := testing.AllocsPerRun(100, func() { SameRoute(a, b) }); n != 0 {
+		t.Errorf("SameRoute allocates %v times", n)
+	}
+	var s Set[int]
+	for i, r := range routes {
+		s.Add(r, i)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.Get(b)
+		s.Add(b, 0)
+	}); n != 0 {
+		t.Errorf("lookup and re-insert of a present route allocates %v times", n)
+	}
+}
+
+var sinkBool bool
+
+func BenchmarkSameRoute(b *testing.B) {
+	x := NewLocal(MustParsePrefix("10.0.0.0/8"), EBGP, 1)
+	x.ASPath = []uint32{65001, 65002, 65003, 65004}
+	same, other := x.Clone(), x.Clone()
+	other.ASPath[3] = 65005 // the last field compared
+	b.Run("same", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkBool = SameRoute(x, same)
+		}
+	})
+	b.Run("differs-last", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkBool = SameRoute(x, other)
+		}
+	})
+	b.Run("differs-first", func(b *testing.B) {
+		o := x.Clone()
+		o.NextHop = 7
+		for i := 0; i < b.N; i++ {
+			sinkBool = SameRoute(x, o)
+		}
+	})
 }

@@ -1,0 +1,66 @@
+package route
+
+// Set is an insertion-ordered map from logical routes to values: two
+// routes are the same key exactly when SameRoute says so. Lookup scans
+// the entries comparing the stored 64-bit hash first and SameRoute on a
+// match — a hash alone is never identity — and iteration follows
+// insertion order, never the hash. The zero value and a nil *Set are
+// empty sets; entries cannot be removed.
+//
+// The scan is the whole lookup on purpose: one set holds the routes of
+// one prefix on one session (at most 33 on FatTree(6) k=1, 7 on the
+// 200-VLAN campus), and an open-addressing index beside it measured no
+// faster even on 948-entry sets (FatTree(4) with pruning off).
+type Set[V any] struct {
+	entries []Entry[V]
+}
+
+// Entry is one route of a Set with its value. Route is the route first
+// added under this identity.
+type Entry[V any] struct {
+	Route *Route
+	Value V
+	hash  uint64
+}
+
+// Entries returns the entries in insertion order. The slice is the
+// set's own: values may be updated in place, and it is valid until the
+// next Add.
+func (s *Set[V]) Entries() []Entry[V] {
+	if s == nil {
+		return nil
+	}
+	return s.entries
+}
+
+// Get returns the entry holding the same route as rt, or nil. The
+// pointer is valid until the next Add.
+func (s *Set[V]) Get(rt *Route) *Entry[V] {
+	if s == nil || len(s.entries) == 0 {
+		return nil
+	}
+	return s.find(rt, rt.identityHash())
+}
+
+// Add inserts rt with value v unless the set already holds the same
+// route; it returns that route's entry and whether it was added now.
+func (s *Set[V]) Add(rt *Route, v V) (*Entry[V], bool) {
+	return s.add(rt, rt.identityHash(), v)
+}
+
+func (s *Set[V]) add(rt *Route, h uint64, v V) (*Entry[V], bool) {
+	if e := s.find(rt, h); e != nil {
+		return e, false
+	}
+	s.entries = append(s.entries, Entry[V]{Route: rt, Value: v, hash: h})
+	return &s.entries[len(s.entries)-1], true
+}
+
+func (s *Set[V]) find(rt *Route, h uint64) *Entry[V] {
+	for i := range s.entries {
+		if e := &s.entries[i]; e.hash == h && SameRoute(e.Route, rt) {
+			return e
+		}
+	}
+	return nil
+}

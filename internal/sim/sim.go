@@ -260,6 +260,12 @@ func exportRoutes(net *config.Network, r, nbr topology.RouterID, lid topology.Li
 	rc, nc := net.Router(r), net.Router(nbr)
 	nbrName := net.Topology.Name(nbr)
 	var out []*route.Route
+	var seen route.Set[struct{}]
+	add := func(adv *route.Route) {
+		if _, added := seen.Add(adv, struct{}{}); added {
+			out = append(out, adv)
+		}
+	}
 	bgpSession := rc.BGP != nil && nc.BGP != nil
 	ospfSession := rc.OSPF != nil && nc.OSPF != nil
 	suppressed := false
@@ -270,7 +276,6 @@ func exportRoutes(net *config.Network, r, nbr topology.RouterID, lid topology.Li
 			}
 		}
 	}
-	seen := make(map[string]bool)
 	for _, rt := range tier {
 		if bgpSession && !suppressed {
 			eligible := false
@@ -304,10 +309,7 @@ func exportRoutes(net *config.Network, r, nbr topology.RouterID, lid topology.Li
 					adv.Protocol = route.EBGP
 					adv.NextHop = int(r)
 					adv.EgressLink = int(lid)
-					if !seen[adv.Key()] {
-						seen[adv.Key()] = true
-						out = append(out, adv)
-					}
+					add(adv)
 				}
 			}
 		}
@@ -325,10 +327,7 @@ func exportRoutes(net *config.Network, r, nbr topology.RouterID, lid topology.Li
 				adv.Protocol = route.OSPF
 				adv.NextHop = int(r)
 				adv.EgressLink = int(lid)
-				if !seen[adv.Key()] {
-					seen[adv.Key()] = true
-					out = append(out, adv)
-				}
+				add(adv)
 			}
 		}
 	}
@@ -399,17 +398,17 @@ func mergeCandidate(cands map[route.Prefix][]*route.Route, rt *route.Route) bool
 // p that r no longer advertises; returns true if anything was removed.
 func removeStale(net *config.Network, cands map[route.Prefix][]*route.Route, nbr, r topology.RouterID, lid topology.LinkID, p route.Prefix, tier []*route.Route) bool {
 	maxHops := net.Topology.NumRouters()
-	current := make(map[string]bool)
+	current := make(map[route.Protocol]bool)
 	for _, adv := range exportRoutes(net, r, nbr, lid, p, tier) {
 		if imp := importRoute(net, nbr, r, lid, adv, maxHops); imp != nil {
-			current[identKey(imp)] = true
+			current[imp.Protocol] = true
 		}
 	}
 	list := cands[p]
 	kept := list[:0]
 	removed := false
 	for _, cur := range list {
-		if cur.NextHop == int(r) && cur.EgressLink == int(lid) && !current[identKey(cur)] {
+		if cur.NextHop == int(r) && cur.EgressLink == int(lid) && !current[cur.Protocol] {
 			removed = true
 			continue
 		}
@@ -417,10 +416,6 @@ func removeStale(net *config.Network, cands map[route.Prefix][]*route.Route, nbr
 	}
 	cands[p] = kept
 	return removed
-}
-
-func identKey(rt *route.Route) string {
-	return rt.Protocol.String()
 }
 
 // RIB returns the installed best tier for prefix p at router r.

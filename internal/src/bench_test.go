@@ -1,0 +1,53 @@
+package src
+
+import (
+	"testing"
+
+	"sre/internal/workload"
+)
+
+// importAllocBudget is the most heap allocations Engine.Run may make
+// per imported advertisement on FatTree(4) BGP k=2. The import loop
+// runs once per advertisement against a RIB list of tens of routes, so
+// anything that allocates per comparison — route identity was once a
+// formatted string: 101 here — multiplies straight into run time. 9.6
+// when the budget was set.
+const importAllocBudget = 24
+
+func TestImportAllocBudget(t *testing.T) {
+	net := workload.FatTree(4, workload.BGP)
+	imports := 0
+	// AllocsPerRun reads the process-wide malloc count with GOMAXPROCS
+	// pinned to 1; a t.Parallel test in this package would still leak
+	// into it, so there must be none.
+	allocs := testing.AllocsPerRun(1, func() {
+		e := New(net, Options{PruneK: 2})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		imports = e.Statistics().RoutesImported
+	})
+	if imports == 0 {
+		t.Fatal("no advertisement imported")
+	}
+	if per := allocs / float64(imports); per > importAllocBudget {
+		t.Errorf("%.1f allocations per imported advertisement (%d imports), budget %d",
+			per, imports, importAllocBudget)
+	}
+}
+
+// BenchmarkEngineRunFatTree6 is SRC alone on ROADMAP's standing
+// workload: FatTree(6) BGP k=1 in one space.
+func BenchmarkEngineRunFatTree6(b *testing.B) {
+	net := workload.FatTree(6, workload.BGP)
+	b.ReportAllocs()
+	imports := 0
+	for i := 0; i < b.N; i++ {
+		e := New(net, Options{PruneK: 1})
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		imports += e.Statistics().RoutesImported
+	}
+	b.ReportMetric(float64(imports)/float64(b.N), "imports/op")
+}

@@ -22,6 +22,7 @@ package src
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -49,6 +50,15 @@ type SymRoute struct {
 // symbolic routes sorted by decreasing preference.
 type RIB struct {
 	prefixes map[route.Prefix][]*SymRoute
+	order    []route.Prefix // keys of prefixes, first-seen order
+}
+
+// set stores the route list of prefix p.
+func (r *RIB) set(p route.Prefix, list []*SymRoute) {
+	if _, ok := r.prefixes[p]; !ok {
+		r.order = append(r.order, p)
+	}
+	r.prefixes[p] = list
 }
 
 // Routes returns the symbolic routes for prefix p, best first. The list
@@ -68,14 +78,10 @@ func (r *RIB) LiveRoutes(p route.Prefix) []*SymRoute {
 	return out
 }
 
-// Prefixes returns every prefix with at least one route.
-func (r *RIB) Prefixes() []route.Prefix {
-	out := make([]route.Prefix, 0, len(r.prefixes))
-	for p := range r.prefixes {
-		out = append(out, p)
-	}
-	return out
-}
+// Prefixes returns every prefix that ever held a route, in the order
+// the router first learned them — a defined order, so that callers
+// building BDDs per prefix do the same work on every run.
+func (r *RIB) Prefixes() []route.Prefix { return slices.Clone(r.order) }
 
 // NumRoutes returns the number of symbolic routes in the RIB.
 func (r *RIB) NumRoutes() int {
@@ -107,8 +113,12 @@ type Engine struct {
 	queued []bool
 	queue  []topology.RouterID
 
-	filter    bdd.Node // lf^k, or True when pruning is off
-	adv       map[advKey]map[string]advEntry
+	filter bdd.Node // lf^k, or True when pruning is off
+	// adv is what each session last sent. It exists only inside Run,
+	// which allocates it before the fixpoint loop and drops it after:
+	// advertise — the one function that touches it — must not be reached
+	// from outside Run.
+	adv       map[advKey]*advSet
 	prefixSet map[route.Prefix]bool // nil when unrestricted
 	stats     Stats
 
@@ -139,10 +149,9 @@ type advKey struct {
 	prefix route.Prefix
 }
 
-type advEntry struct {
-	rt *route.Route
-	tc bdd.Node
-}
+// advSet is the advertisement state of one (session, prefix): the
+// condition under which each logical route is advertised, in RIB order.
+type advSet = route.Set[bdd.Node]
 
 // New creates an engine over net, allocating a fresh symbolic space.
 func New(net *config.Network, opts Options) *Engine {
@@ -187,7 +196,6 @@ func NewWithSpace(net *config.Network, sp *symbol.Space, opts Options) *Engine {
 		Net:  net,
 		Sp:   sp,
 		Opts: opts,
-		adv:  make(map[advKey]map[string]advEntry),
 	}
 	n := net.Topology.NumRouters()
 	e.ribs = make([]*RIB, n)
@@ -259,6 +267,7 @@ func (e *Engine) Run() error {
 	} else {
 		e.filter = bdd.True
 	}
+	e.adv = make(map[advKey]*advSet)
 	err := e.protect(func() {
 		if e.Opts.IBGPFullMesh {
 			if serr := e.setupVirtualSessions(); serr != nil {
@@ -294,6 +303,12 @@ func (e *Engine) Run() error {
 			m.MaybeGC(0)
 		}
 	})
+	// Only the fixpoint loop reads the advertisement state (see
+	// Engine.adv), and with a cloned route per entry it is about a third
+	// of the engine's heap: let it go rather than have every later
+	// collection mark it. (Its conditions stay referenced in the
+	// manager, as they always were.)
+	e.adv = nil
 	if e.tel.Active() {
 		e.emitProgress(true)
 	}
@@ -443,9 +458,8 @@ func (e *Engine) originate() {
 func (e *Engine) insertLocal(r topology.RouterID, rt *route.Route, tc bdd.Node) {
 	m := e.Sp.M
 	sr := &SymRoute{Route: rt, TcIn: m.Ref(tc), TcRib: bdd.False}
-	list := e.ribs[r].prefixes[rt.Prefix]
-	list = insertSorted(list, sr)
-	e.ribs[r].prefixes[rt.Prefix] = list
+	rib := e.ribs[r]
+	rib.set(rt.Prefix, insertSorted(rib.prefixes[rt.Prefix], sr))
 	e.recomputeTcRib(r, rt.Prefix)
 }
 
@@ -453,7 +467,7 @@ func (e *Engine) insertLocal(r topology.RouterID, rt *route.Route, tc bdd.Node) 
 // queueing a self-activation with no messages: updateRIB exports every
 // prefix whose advertisement state is out of date.
 func (e *Engine) markChanged(r topology.RouterID) {
-	for p := range e.ribs[r].prefixes {
+	for _, p := range e.ribs[r].order {
 		e.exportPrefix(r, p)
 	}
 }
@@ -476,7 +490,17 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 		return
 	}
 	m := e.Sp.M
-	changed := make(map[route.Prefix]bool)
+	rib := e.ribs[r]
+	// Everything below builds BDDs and sends messages per prefix, so the
+	// prefixes are kept in first-touched order, never ranged from a map.
+	var changed []route.Prefix
+	isChanged := make(map[route.Prefix]bool)
+	touch := func(p route.Prefix) {
+		if !isChanged[p] {
+			isChanged[p] = true
+			changed = append(changed, p)
+		}
+	}
 	for _, msg := range msgs {
 		e.stats.RoutesImported++
 		e.telImported.Inc()
@@ -485,7 +509,7 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 			m.Deref(msg.tc)
 			continue
 		}
-		list := e.ribs[r].prefixes[rt.Prefix]
+		list := rib.prefixes[rt.Prefix]
 		idx := -1
 		for i, sr := range list {
 			if route.SameRoute(sr.Route, rt) {
@@ -499,21 +523,21 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 			if old != tc {
 				list[idx].TcIn = m.Ref(tc)
 				m.Deref(old)
-				changed[rt.Prefix] = true
+				touch(rt.Prefix)
 			}
 		} else if tc != bdd.False {
 			sr := &SymRoute{Route: rt, TcIn: m.Ref(tc), TcRib: bdd.False}
-			e.ribs[r].prefixes[rt.Prefix] = insertSorted(list, sr)
-			changed[rt.Prefix] = true
+			rib.set(rt.Prefix, insertSorted(list, sr))
+			touch(rt.Prefix)
 		}
 		m.Deref(msg.tc)
 	}
 	// Re-rank changed prefixes first; aggregates are derived from the
 	// freshly installed conditions of their contributors.
-	ribChanged := make(map[route.Prefix]bool)
-	for p := range changed {
+	var ribChanged []route.Prefix
+	for _, p := range changed {
 		if e.recomputeTcRib(r, p) {
-			ribChanged[p] = true
+			ribChanged = append(ribChanged, p)
 		}
 	}
 	rc := e.Net.Router(r)
@@ -522,19 +546,16 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 			if !e.wantPrefix(agg) {
 				continue
 			}
-			trigger := false
-			for p := range ribChanged {
-				if agg.Covers(p) && agg != p {
-					trigger = true
-					break
-				}
-			}
-			if trigger && e.updateAggregate(r, agg) && e.recomputeTcRib(r, agg) {
-				ribChanged[agg] = true
+			trigger := slices.ContainsFunc(ribChanged, func(p route.Prefix) bool {
+				return agg.Covers(p) && agg != p
+			})
+			if trigger && e.updateAggregate(r, agg) && e.recomputeTcRib(r, agg) &&
+				!slices.Contains(ribChanged, agg) {
+				ribChanged = append(ribChanged, agg)
 			}
 		}
 	}
-	for p := range ribChanged {
+	for _, p := range ribChanged {
 		e.exportPrefix(r, p)
 	}
 }
@@ -662,11 +683,12 @@ func (e *Engine) recomputeTcRib(r topology.RouterID, p route.Prefix) bool {
 func (e *Engine) updateAggregate(r topology.RouterID, agg route.Prefix) bool {
 	m := e.Sp.M
 	tc := bdd.False
-	for p, list := range e.ribs[r].prefixes {
+	rib := e.ribs[r]
+	for _, p := range rib.order {
 		if !agg.Covers(p) || p == agg {
 			continue
 		}
-		for _, sr := range list {
+		for _, sr := range rib.prefixes[p] {
 			if sr.Route.Aggregate {
 				continue
 			}
@@ -676,7 +698,7 @@ func (e *Engine) updateAggregate(r topology.RouterID, agg route.Prefix) bool {
 			}
 		}
 	}
-	list := e.ribs[r].prefixes[agg]
+	list := rib.prefixes[agg]
 	for _, sr := range list {
 		if sr.Route.Aggregate {
 			if sr.TcIn == tc {
@@ -693,7 +715,7 @@ func (e *Engine) updateAggregate(r topology.RouterID, agg route.Prefix) bool {
 	rt := route.NewLocal(agg, route.EBGP, int(r))
 	rt.Aggregate = true
 	sr := &SymRoute{Route: rt, TcIn: m.Ref(tc), TcRib: bdd.False}
-	e.ribs[r].prefixes[agg] = insertSorted(list, sr)
+	rib.set(agg, insertSorted(list, sr))
 	return true
 }
 
@@ -729,49 +751,57 @@ func (e *Engine) exportPrefix(r topology.RouterID, p route.Prefix) {
 		if itf, ok := nc.Interfaces[lid]; ok && itf.Passive {
 			continue
 		}
-		e.exportTo(r, nbr, lid, p)
+		e.advertise(advKey{link: lid, from: r, to: nbr, prefix: p}, e.computeExports(r, nbr, lid, p))
 	}
 	if rc.BGP != nil && len(e.vsessions[r]) > 0 {
 		e.exportVirtual(r, p)
 	}
 }
 
-// exportTo diffs the advertisement set of prefix p over link lid against
-// the previously sent state and enqueues changed routes.
-func (e *Engine) exportTo(r, nbr topology.RouterID, lid topology.LinkID, p route.Prefix) {
+// advertise diffs fresh, the advertisement set a session now carries
+// for a prefix, against what was last sent on it, and enqueues the
+// differences at the receiver: new and re-conditioned routes in fresh's
+// (RIB) order, then withdrawals — re-advertisements with condition
+// False — in the previous set's order. key.link is -1 on a virtual iBGP
+// session (the receiver resolves the next hop through the IGP).
+func (e *Engine) advertise(key advKey, fresh *advSet) {
 	m := e.Sp.M
-	key := advKey{link: lid, from: r, to: nbr, prefix: p}
-	fresh := e.computeExports(r, nbr, lid, p)
 	prev := e.adv[key]
-	if prev == nil && len(fresh) == 0 {
-		return
-	}
 	changed := false
-	for k, entry := range fresh {
-		if old, ok := prev[k]; ok && old.tc == entry.tc {
+	for _, cur := range fresh.Entries() {
+		if old := prev.Get(cur.Route); old != nil && old.Value == cur.Value {
 			continue
 		}
-		e.send(nbr, r, lid, entry.rt, entry.tc)
+		e.send(key.to, key.from, key.link, cur.Route, cur.Value)
 		changed = true
 	}
-	for k, old := range prev {
-		if _, ok := fresh[k]; !ok {
-			// Withdrawal: re-advertise with condition False.
-			e.send(nbr, r, lid, old.rt, bdd.False)
+	for _, old := range prev.Entries() {
+		if fresh.Get(old.Route) == nil {
+			e.send(key.to, key.from, key.link, old.Route, bdd.False)
 			changed = true
 		}
 	}
-	if changed || prev == nil {
-		for _, old := range prev {
-			m.Deref(old.tc)
-		}
-		for _, entry := range fresh {
-			m.Ref(entry.tc)
-		}
-		e.adv[key] = fresh
-		if changed {
-			e.enqueue(nbr)
-		}
+	if !changed {
+		return
+	}
+	for _, old := range prev.Entries() {
+		m.Deref(old.Value)
+	}
+	for _, cur := range fresh.Entries() {
+		m.Ref(cur.Value)
+	}
+	e.adv[key] = fresh
+}
+
+// addAdvertisement records that rt is advertised under tc: routes with
+// the same identity share one entry whose condition is the disjunction.
+func (e *Engine) addAdvertisement(out *advSet, rt *route.Route, tc bdd.Node) {
+	if tc == bdd.False {
+		return
+	}
+	if cur, added := out.Add(rt, tc); !added {
+		cur.Route.BloomUnion(rt) // merged abstracted routes union their path blooms
+		cur.Value = e.Sp.M.Or(cur.Value, tc)
 	}
 }
 
@@ -779,10 +809,10 @@ func (e *Engine) exportTo(r, nbr topology.RouterID, lid topology.LinkID, p route
 // nbr: every installed route eligible for the session, transformed by
 // export processing, grouped by logical identity with conditions OR-ed,
 // and conjoined with the link variable.
-func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p route.Prefix) map[string]advEntry {
+func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p route.Prefix) *advSet {
 	m := e.Sp.M
 	rc, nc := e.Net.Router(r), e.Net.Router(nbr)
-	out := make(map[string]advEntry)
+	out := new(advSet)
 	linkUp := e.Sp.LinkVar(lid)
 
 	bgpSession := rc.BGP != nil && nc.BGP != nil
@@ -797,20 +827,6 @@ func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p
 				suppressed = true
 				break
 			}
-		}
-	}
-
-	add := func(rt *route.Route, tc bdd.Node) {
-		tc = m.And(tc, linkUp)
-		if tc == bdd.False {
-			return
-		}
-		k := rt.Key()
-		if cur, ok := out[k]; ok {
-			cur.rt.BloomUnion(rt) // merged abstracted routes union their path blooms
-			out[k] = advEntry{rt: cur.rt, tc: m.Or(cur.tc, tc)}
-		} else {
-			out[k] = advEntry{rt: rt, tc: tc}
 		}
 	}
 
@@ -869,7 +885,7 @@ func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p
 					adv.Protocol = route.EBGP // classified precisely at import
 					adv.NextHop = int(r)
 					adv.EgressLink = int(lid)
-					add(adv, sr.TcRib)
+					e.addAdvertisement(out, adv, m.And(sr.TcRib, linkUp))
 				}
 			}
 		}
@@ -892,7 +908,7 @@ func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p
 				adv.Protocol = route.OSPF
 				adv.NextHop = int(r)
 				adv.EgressLink = int(lid)
-				add(adv, sr.TcRib)
+				e.addAdvertisement(out, adv, m.And(sr.TcRib, linkUp))
 			}
 		}
 	}

@@ -42,25 +42,29 @@ type virtualSession struct {
 // the iBGP full-mesh sessions. Must run before originate.
 func (e *Engine) setupVirtualSessions() error {
 	t := e.Net.Topology
-	// Group BGP+OSPF routers by AS.
+	// Group BGP+OSPF routers by AS; asns keeps the ASes in router order,
+	// because the session conditions below are BDD work and must be
+	// built in the same order on every run.
 	byAS := make(map[uint32][]topology.RouterID)
+	var asns []uint32
 	for i := 0; i < t.NumRouters(); i++ {
 		rc := e.Net.Router(topology.RouterID(i))
 		if rc.BGP != nil && rc.OSPF != nil {
+			if byAS[rc.BGP.ASN] == nil {
+				asns = append(asns, rc.BGP.ASN)
+			}
 			byAS[rc.BGP.ASN] = append(byAS[rc.BGP.ASN], topology.RouterID(i))
 		}
 	}
 	meshed := make(map[topology.RouterID]bool)
-	needUnderlay := false
 	for _, members := range byAS {
 		if len(members) > 1 {
-			needUnderlay = true
 			for _, r := range members {
 				meshed[r] = true
 			}
 		}
 	}
-	if !needUnderlay {
+	if len(meshed) == 0 {
 		return nil
 	}
 	e.meshMembers = meshed
@@ -102,7 +106,8 @@ func (e *Engine) setupVirtualSessions() error {
 	// is equivalent to end-to-end delivery along it.
 	m := e.Sp.M
 	e.vsessions = make(map[topology.RouterID][]virtualSession)
-	for _, members := range byAS {
+	for _, asn := range asns {
+		members := byAS[asn]
 		if len(members) < 2 {
 			continue
 		}
@@ -129,43 +134,7 @@ func (e *Engine) setupVirtualSessions() error {
 // virtual session of r.
 func (e *Engine) exportVirtual(r topology.RouterID, p route.Prefix) {
 	for _, vs := range e.vsessions[r] {
-		e.exportToVirtual(r, vs, p)
-	}
-}
-
-// exportToVirtual mirrors exportTo for a virtual session: the session
-// condition replaces the link variable, and advertised routes carry no
-// egress link (the receiver resolves the next hop through the IGP).
-func (e *Engine) exportToVirtual(r topology.RouterID, vs virtualSession, p route.Prefix) {
-	m := e.Sp.M
-	key := advKey{link: -1, from: r, to: vs.peer, prefix: p}
-	fresh := e.computeVirtualExports(r, vs, p)
-	prev := e.adv[key]
-	if prev == nil && len(fresh) == 0 {
-		return
-	}
-	changed := false
-	for k, entry := range fresh {
-		if old, ok := prev[k]; ok && old.tc == entry.tc {
-			continue
-		}
-		e.send(vs.peer, r, -1, entry.rt, entry.tc)
-		changed = true
-	}
-	for k, old := range prev {
-		if _, ok := fresh[k]; !ok {
-			e.send(vs.peer, r, -1, old.rt, bdd.False)
-			changed = true
-		}
-	}
-	if changed || prev == nil {
-		for _, old := range prev {
-			m.Deref(old.tc)
-		}
-		for _, entry := range fresh {
-			m.Ref(entry.tc)
-		}
-		e.adv[key] = fresh
+		e.advertise(advKey{link: -1, from: r, to: vs.peer, prefix: p}, e.computeVirtualExports(r, vs, p))
 	}
 }
 
@@ -173,10 +142,10 @@ func (e *Engine) exportToVirtual(r topology.RouterID, vs virtualSession, p route
 // from r over a virtual session: eBGP-learned and locally originated
 // BGP routes only (iBGP routes are not reflected), conditions conjoined
 // with the session condition.
-func (e *Engine) computeVirtualExports(r topology.RouterID, vs virtualSession, p route.Prefix) map[string]advEntry {
+func (e *Engine) computeVirtualExports(r topology.RouterID, vs virtualSession, p route.Prefix) *advSet {
 	m := e.Sp.M
 	rc := e.Net.Router(r)
-	out := make(map[string]advEntry)
+	out := new(advSet)
 	suppressed := false
 	for _, agg := range rc.BGP.Aggregates {
 		if agg.Covers(p) && agg != p {
@@ -214,17 +183,7 @@ func (e *Engine) computeVirtualExports(r topology.RouterID, vs virtualSession, p
 		adv.Protocol = route.IBGP
 		adv.NextHop = int(r)
 		adv.EgressLink = -1
-		tc := m.And(sr.TcRib, vs.cond)
-		if tc == bdd.False {
-			continue
-		}
-		k := adv.Key()
-		if cur, ok := out[k]; ok {
-			cur.rt.BloomUnion(adv)
-			out[k] = advEntry{rt: cur.rt, tc: m.Or(cur.tc, tc)}
-		} else {
-			out[k] = advEntry{rt: adv, tc: tc}
-		}
+		e.addAdvertisement(out, adv, m.And(sr.TcRib, vs.cond))
 	}
 	return out
 }
