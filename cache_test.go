@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"sre"
@@ -252,5 +253,56 @@ func TestCacheOptionsInvalidate(t *testing.T) {
 	defer v.Release()
 	if m := st.Metrics(); m.Hits != 0 {
 		t.Fatalf("run with different options hit stale records: %+v", m)
+	}
+}
+
+// TestOldStoreMisses runs against a store written before key format v4:
+// testdata/store_v3 holds the two records `sre -cache-dir` published for
+// goldenNetwork at -k 2 one commit earlier (v3 keys, BDD2 blobs). The
+// keys changed with the format, so the old records are never opened:
+// every prefix misses, nothing is quarantined, and the mixed directory
+// passes fsck.
+func TestOldStoreMisses(t *testing.T) {
+	dir, fixture := t.TempDir(), filepath.Join("testdata", "store_v3")
+	old := storeRecords(t, fixture)
+	if len(old) != 2 {
+		t.Fatalf("fixture holds %d records, want 2", len(old))
+	}
+	for _, rec := range old {
+		data, err := os.ReadFile(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(rec, fixture))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net, err := sre.ParseNetwork(goldenNetwork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sre.OpenStore(dir, sre.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	v, err := sre.NewVerifier(net, sre.Options{MaxFailures: 2, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Release()
+	if m := st.Metrics(); m.Hits != 0 || m.Misses != 2 || m.Puts != 2 || m.Quarantined != 0 {
+		t.Errorf("run over a v3 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
+	}
+	rep, err := st.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Checked != 4 || rep.OK != 4 || rep.Quarantined != 0 {
+		t.Errorf("fsck over the mixed store: %+v, want 4 records, all ok", rep)
 	}
 }

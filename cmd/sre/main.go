@@ -94,8 +94,7 @@ var (
 	cacheDir    = flag.String("cache-dir", "", "persistent result cache directory: finished prefixes are published there and replayed by later runs; corrupt records are quarantined and recomputed. Shared safely across processes; also the target of the `cache` maintenance command")
 	gcMaxBytes  = flag.Int64("cache-max-bytes", 0, "cache gc: evict oldest records until the store fits this many bytes (0 = no size budget)")
 	gcMaxAge    = flag.Duration("cache-max-age", 0, "cache gc: evict records older than this (e.g. 720h; 0 = no age budget)")
-	varOrder    = flag.String("var-order", "", "BDD link-variable order: auto (default; topology-aware), declaration, bfs, or mindeg. Results are identical under every order; sizes and speed differ")
-	reorder     = flag.Bool("reorder", false, "enable dynamic BDD variable reordering (Rudell sifting) when diagrams grow past a threshold; results are identical, peak memory usually drops")
+	varOrder    = flag.String("var-order", "", "BDD link-variable order: auto (default; topology-aware), declaration, or mindeg. Results are identical under every order; sizes and speed differ")
 )
 
 func usage() {
@@ -165,7 +164,7 @@ func main() {
 	opts := sre.Options{MaxFailures: *kFlag, Abstract: *abstract, NoECMP: *noECMP,
 		Telemetry: tel, Context: ctx, Timeout: *timeoutFlag, Resilient: *resilient,
 		BDDNodeLimit: *nodeLimit, Parallelism: *parallel, Workers: *workers,
-		VarOrder: *varOrder, DynamicReorder: *reorder}
+		VarOrder: *varOrder}
 	if *progress && !*quiet {
 		opts.Progress = sre.StderrProgress()
 	}
@@ -412,20 +411,11 @@ func finish(v *sre.Verifier, tel *sre.Telemetry, start time.Time) {
 		}
 	} else if v != nil {
 		m := v.Metrics()
-		line := fmt.Sprintf(
-			"summary: src %.3fs, spf %.3fs, %s PFECs, bdd peak %s nodes, cache hit %s, gc %d, order %s",
+		fmt.Fprintf(os.Stderr,
+			"summary: src %.3fs, spf %.3fs, %s PFECs, bdd peak %s nodes, cache hit %s, gc %d, order %s\n",
 			m.SRCSeconds, m.SPFSeconds, obs.HumanCount(int64(m.NumPFECs)),
 			obs.HumanCount(int64(m.BDD.PeakNodes)),
 			obs.HumanPct(m.BDD.CacheHitRatio, 1), m.BDD.GCRuns, m.BDD.VarOrderMethod)
-		if m.BDD.ReorderEnabled {
-			if m.BDD.Reorders > 0 {
-				line += fmt.Sprintf(", reorder %d passes (%d sifts, %.2fs)",
-					m.BDD.Reorders, m.BDD.SiftedVars, m.BDD.ReorderSeconds)
-			} else {
-				line += ", reorder armed (never fired)"
-			}
-		}
-		fmt.Fprintln(os.Stderr, line)
 	} else {
 		rep := tel.Snapshot()
 		fmt.Fprintf(os.Stderr, "summary: total %.3fs, bdd peak %s nodes, gc %s\n",

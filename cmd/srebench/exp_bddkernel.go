@@ -13,18 +13,16 @@ import (
 	"sre/internal/workload"
 )
 
-// bddKernelExp measures the two levers on BDD size the kernel offers —
-// the static link-variable order and dynamic reordering — each as a
-// sweep that runs the same verification and analysis at Parallelism 1
-// per setting and cross-checks an order-independent result signature:
-// BDD canonicity guarantees the signatures match, and the check
-// enforces it.
+// bddKernelExp measures the one lever on BDD size the kernel offers —
+// the static link-variable order — as a sweep that runs the same
+// verification and analysis at Parallelism 1 per order and cross-checks
+// an order-independent result signature: BDD canonicity guarantees the
+// signatures match, and the check enforces it.
 func bddKernelExp(scale) {
 	bddOrderSweep()
-	bddReorderSweep()
 }
 
-// bddSweepWorkloads are the cells of both sweeps.
+// bddSweepWorkloads are the cells of the sweep.
 var bddSweepWorkloads = []struct {
 	name  string
 	arity int
@@ -45,7 +43,7 @@ var bddSweepWorkloads = []struct {
 // count per dataset, and within 10% of this run's declaration order.
 func bddOrderSweep() {
 	header("BDD variable order — peak/total nodes per order, parallelism 1")
-	orders := []string{"declaration", "bfs", "mindeg", "auto"}
+	orders := []string{"declaration", "mindeg", "auto"}
 	t := newTable("dataset", "order", "time", "peak nodes", "total nodes", "identical")
 	ct := newCellTimer()
 	for _, w := range bddSweepWorkloads {
@@ -55,7 +53,7 @@ func bddOrderSweep() {
 		for _, ord := range orders {
 			var cell bddKernelResult
 			ct.run("order:"+ord, func() {
-				cell = bddKernelCell(w.arity, w.k, ord, false)
+				cell = bddKernelCell(w.arity, w.k, ord)
 			})
 			identical := cell.err == nil && (ord == "declaration" || cell.sig == declSig)
 			speedup := 0.0
@@ -88,101 +86,6 @@ func bddOrderSweep() {
 		gateOrderPeaks(w.name, declPeak, autoPeak)
 	}
 	t.print()
-}
-
-// bddReorderSweep measures dynamic reordering: the same sweep under
-// declaration order, with and without sifting armed.
-// The reordered cell's signature is cross-checked against the static
-// one — sifting relocates variables, it must never move an answer —
-// and both peak and post-sift (final live) node counts are recorded.
-//
-// With -order-baseline set, the reordered cell's wall clock is gated
-// against the committed baseline's own reorder:on cell: it must stay
-// within 10% (plus a half-second floor so millisecond cells cannot
-// flake the gate). The same-run static cell is reported but not gated
-// — sifting deliberately trades some wall clock for peak memory, and
-// that trade is pinned by the baseline, not by a fixed ratio.
-func bddReorderSweep() {
-	header("BDD dynamic reordering — declaration order ± sifting, parallelism 1")
-	t := newTable("dataset", "reorder", "time", "peak nodes", "post-sift nodes", "passes/sifts", "identical")
-	ct := newCellTimer()
-	for _, w := range bddSweepWorkloads {
-		var offSig string
-		var offSec float64
-		for _, on := range []bool{false, true} {
-			label := "off"
-			if on {
-				label = "on"
-			}
-			var cell bddKernelResult
-			ct.run("reorder:"+label, func() {
-				cell = bddKernelCell(w.arity, w.k, "declaration", on)
-			})
-			identical := cell.err == nil && (!on || cell.sig == offSig)
-			speedup := 0.0
-			if !on {
-				offSig, offSec = cell.sig, cell.seconds
-			} else if cell.err == nil && cell.seconds > 0 {
-				speedup = offSec / cell.seconds
-			}
-			outcome := "ok"
-			if cell.err != nil {
-				outcome = "error"
-				fmt.Printf("  %s reorder:%s: %v\n", w.name, label, cell.err)
-			} else if !identical {
-				outcome = "mismatch"
-				gateFailed = true
-				fmt.Printf("  %s reorder:on: RESULT SIGNATURE DIVERGES FROM STATIC RUN\n", w.name)
-			}
-			record(benchRow{Experiment: "bddkernel", Dataset: w.name,
-				System: "reorder:" + label, K: w.k, Seconds: cell.seconds, Parallelism: 1,
-				PeakBDDNodes: cell.peakNodes, TotalBDDNodes: cell.liveNodes,
-				CacheHitRatio: cell.hitRatio, GCRuns: cell.gcRuns,
-				Speedup: speedup, ResultsIdentical: identical, Outcome: outcome})
-			t.addf("%s|%s|%.2fs|%d|%d|%d/%d|%v", w.name, label, cell.seconds,
-				cell.peakNodes, cell.liveNodes, cell.reorders, cell.siftedVars, identical)
-			if on && cell.err == nil {
-				gateReorderSeconds(w.name, cell.seconds)
-			}
-		}
-	}
-	t.print()
-}
-
-// gateReorderSeconds enforces the reordering wall-clock gate: with
-// -order-baseline set, the reordered run must stay within 10% (plus a
-// 0.5s small-cell floor) of the committed baseline's reorder:on cell
-// for the same dataset.
-func gateReorderSeconds(dataset string, onSec float64) {
-	slack := func(base float64) float64 {
-		s := base * 0.10
-		if s < 0.5 {
-			s = 0.5
-		}
-		return s
-	}
-	if *orderBaseline == "" {
-		return
-	}
-	base, err := loadBaselineRows(*orderBaseline)
-	if err != nil {
-		fmt.Printf("  GATE: cannot read -order-baseline: %v\n", err)
-		gateFailed = true
-		return
-	}
-	for _, r := range base {
-		if r.Experiment == "bddkernel" && r.Dataset == dataset &&
-			r.System == "reorder:on" && r.Seconds > 0 {
-			if onSec > r.Seconds+slack(r.Seconds) {
-				fmt.Printf("  GATE: %s reorder:on %.2fs regresses >10%% vs baseline %.2fs\n",
-					dataset, onSec, r.Seconds)
-				gateFailed = true
-			}
-			return
-		}
-	}
-	// No reorder rows in the baseline: the first recording run
-	// bootstraps them, nothing to gate against yet.
 }
 
 // gateOrderPeaks enforces the -order-baseline regression gate for one
@@ -232,15 +135,13 @@ func loadBaselineRows(path string) ([]benchRow, error) {
 
 // bddKernelResult is one measured kernel cell.
 type bddKernelResult struct {
-	seconds    float64
-	sig        string
-	peakNodes  int
-	liveNodes  int
-	hitRatio   float64
-	gcRuns     int
-	reorders   int // sifting passes that fired
-	siftedVars int
-	err        error
+	seconds   float64
+	sig       string
+	peakNodes int
+	liveNodes int
+	hitRatio  float64
+	gcRuns    int
+	err       error
 }
 
 // bddKernelCell runs pipeline construction plus the analysis sweep that
@@ -249,10 +150,9 @@ type bddKernelResult struct {
 // property probabilities — unconstrained, so PeakNodes reflects the
 // diagrams rather than a node limit. Everything the signature hashes is
 // deterministic at parallelism 1.
-func bddKernelCell(arity, k int, varOrder string, reorder bool) bddKernelResult {
+func bddKernelCell(arity, k int, varOrder string) bddKernelResult {
 	net := workload.FatTree(arity, workload.BGP)
-	opts := sre.Options{MaxFailures: k, Parallelism: 1, VarOrder: varOrder,
-		DynamicReorder: reorder, Timeout: *deadline}
+	opts := sre.Options{MaxFailures: k, Parallelism: 1, VarOrder: varOrder, Timeout: *deadline}
 	start := time.Now()
 	v, err := sre.NewVerifier(net, opts)
 	if err != nil {
@@ -301,14 +201,12 @@ func bddKernelCell(arity, k int, varOrder string, reorder bool) bddKernelResult 
 	sort.Strings(lines)
 	met := v.Metrics()
 	res := bddKernelResult{
-		seconds:    sec,
-		sig:        strings.Join(lines, ";"),
-		peakNodes:  met.BDD.PeakNodes,
-		liveNodes:  met.BDD.LiveNodes,
-		hitRatio:   met.BDD.CacheHitRatio,
-		gcRuns:     met.BDD.GCRuns,
-		reorders:   met.BDD.Reorders,
-		siftedVars: met.BDD.SiftedVars,
+		seconds:   sec,
+		sig:       strings.Join(lines, ";"),
+		peakNodes: met.BDD.PeakNodes,
+		liveNodes: met.BDD.LiveNodes,
+		hitRatio:  met.BDD.CacheHitRatio,
+		gcRuns:    met.BDD.GCRuns,
 	}
 	if math.IsNaN(res.hitRatio) {
 		res.hitRatio = 0

@@ -13,7 +13,7 @@ import (
 
 // Golden end-to-end results, recorded from the seed BDD kernel. No
 // kernel change since (relational product, scratch memo tables, cache
-// sweeping, balanced folds, variable orders, sifting) may move ANY of
+// sweeping, balanced folds, variable orders) may move ANY of
 // these numbers, at any parallelism level — BDDs are canonical, so
 // every kernel change is observationally invisible. If a value here
 // moves, a kernel change altered results, not just throughput.

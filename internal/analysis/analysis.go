@@ -82,7 +82,7 @@ func Run(net *config.Network, opts src.Options) (*Pipeline, error) {
 func newRunSpace(net *config.Network, opts src.Options) *symbol.Space {
 	return symbol.NewSpace(net.Topology.NumLinks(),
 		bdd.Config{NodeLimit: opts.BDDNodeLimit, Telemetry: opts.Telemetry,
-			Interrupt: opts.Interrupt, Reorder: src.BDDReorder(opts)},
+			Interrupt: opts.Interrupt},
 		net.Topology.NumRouters()+MaxRiskGroups,
 		src.LinkOrder(net, opts).Perm)
 }

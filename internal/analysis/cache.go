@@ -40,10 +40,10 @@ import (
 // cacheFormatVersion stamps both the key preimage and the record body.
 // Bump it whenever the record layout, the wire forms, or the semantics
 // of any keyed option change: old records then simply miss.
-// v2: serialized BDDs moved to the order-stamped BDD2 format (dynamic
-// reordering); BDD1 blobs must not decode under the old keys.
 // v3: the options part of the preimage is src.Options.Encode.
-const cacheFormatVersion = 3
+// v4: the options bytes lost a field and serialized BDDs are BDD3 (the
+// variable order is fixed, so blobs carry no order stamp).
+const cacheFormatVersion = 4
 
 // CacheKey derives the content address of one prefix task's result.
 // Two runs compute the same key exactly when the task is guaranteed to
@@ -51,15 +51,12 @@ const cacheFormatVersion = 3
 // networks, a router the domain cannot observe... ) leave keys of
 // untouched prefixes stable, so warm caches survive incremental edits.
 func CacheKey(net *config.Network, opts src.Options, pfx route.Prefix, ladder bool, lad LadderOptions) string {
-	// Two normalisations before the options are encoded. VarOrder becomes
+	// One normalisation before the options are encoded. VarOrder becomes
 	// the order it resolves to on this topology (never "auto"): the order
 	// shapes every serialized BDD, so a record produced under one must be
 	// a clean miss under another, while "auto" and the method it picks
-	// are the same run. DynamicReorder is cleared: reordering never
-	// changes results and BDD2 records decode under any order, so static
-	// and reordered runs share records.
+	// are the same run.
 	opts.VarOrder = src.LinkOrder(net, opts).ID()
-	opts.DynamicReorder = false
 	enc, err := opts.Encode()
 	if err != nil {
 		panic(err) // an unencodable field type: a bug in src.Options, not an input

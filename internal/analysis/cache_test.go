@@ -44,9 +44,8 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"halving":   CacheKey(net, src.Options{PruneK: 2}, pfx, true, LadderOptions{DisableBudgetHalving: true}),
 		"prefix":    CacheKey(net, src.Options{PruneK: 2}, route.MustParsePrefix("192.0.0.0/2"), true, LadderOptions{}),
 		// Keys embed the RESOLVED order ID — on this triangle the
-		// default "auto" resolves to declaration, so explicit bfs and
-		// mindeg must both move the key (and differ from each other).
-		"order_bfs":    CacheKey(net, src.Options{PruneK: 2, VarOrder: "bfs"}, pfx, true, LadderOptions{}),
+		// default "auto" resolves to declaration, so explicit mindeg
+		// must move the key.
 		"order_mindeg": CacheKey(net, src.Options{PruneK: 2, VarOrder: "mindeg"}, pfx, true, LadderOptions{}),
 	}
 	seen := map[string]string{base: "base"}
@@ -57,12 +56,10 @@ func TestCacheKeySensitivity(t *testing.T) {
 		seen[k] = name
 	}
 
-	// What cannot change a result must not move the key: sifting (BDD2
-	// records decode under any order, so static and reordered runs share
-	// them), the worker count, and "auto" spelled as the order it
-	// resolves to on this topology.
+	// What cannot change a result must not move the key: the worker
+	// count, and "auto" spelled as the order it resolves to on this
+	// topology.
 	for name, o := range map[string]src.Options{
-		"reorder":     {PruneK: 2, DynamicReorder: true},
 		"parallelism": {PruneK: 2, Parallelism: 8},
 		"auto":        {PruneK: 2, VarOrder: src.LinkOrder(net, src.Options{}).ID()},
 	} {

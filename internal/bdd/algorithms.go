@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -68,7 +67,7 @@ func (m *Manager) MinFalseWitness(f Node) ([]int, bool) {
 	var downVars []int
 	for n := f; n > True; {
 		if m.witMemo.down[n] {
-			downVars = append(downVars, int(m.level2var[m.lvl[n]]))
+			downVars = append(downVars, int(m.lvl[n]))
 		}
 		n = Node(m.witMemo.via[n])
 	}
@@ -121,7 +120,7 @@ func (m *Manager) probabilityRec(n Node) float64 {
 	if w, ok := m.f64memo.get(n); ok {
 		return w
 	}
-	p := m.probP[m.level2var[m.lvl[n]]]
+	p := m.probP[m.lvl[n]]
 	w := p*m.probabilityRec(Node(m.hi[n])) + (1-p)*m.probabilityRec(Node(m.lo[n]))
 	m.f64memo.put(n, w)
 	return w
@@ -160,7 +159,7 @@ func (m *Manager) AnySat(f Node) (map[int]bool, bool) {
 	}
 	out := make(map[int]bool)
 	for f > True {
-		v := int(m.level2var[m.lvl[f]])
+		v := int(m.lvl[f])
 		if Node(m.hi[f]) != False {
 			out[v] = true
 			f = Node(m.hi[f])
@@ -186,7 +185,7 @@ func (m *Manager) AllSat(f Node, visit func(assignment map[int]bool) bool) {
 		case True:
 			return visit(assign)
 		}
-		v := int(m.level2var[m.lvl[n]])
+		v := int(m.lvl[n])
 		assign[v] = false
 		if !rec(Node(m.lo[n])) {
 			delete(assign, v)
@@ -206,7 +205,7 @@ func (m *Manager) AllSat(f Node, visit func(assignment map[int]bool) bool) {
 // Eval evaluates f under a complete assignment.
 func (m *Manager) Eval(f Node, assignment func(v int) bool) bool {
 	for f > True {
-		if assignment(int(m.level2var[m.lvl[f]])) {
+		if assignment(int(m.lvl[f])) {
 			f = Node(m.hi[f])
 		} else {
 			f = Node(m.lo[f])
@@ -226,12 +225,9 @@ func (m *Manager) AtMostKFalse(vars []int, k int) Node {
 	if k >= len(vars) {
 		return True
 	}
-	// Sort by CURRENT level: the rows build bottom-up, so construction
-	// must follow the live variable order.
+	// The rows build bottom-up, so construction follows the variable order.
 	sorted := append([]int(nil), vars...)
-	slices.SortFunc(sorted, func(a, b int) int {
-		return cmp.Compare(m.var2level[a], m.var2level[b])
-	})
+	slices.Sort(sorted)
 	// Build bottom-up over levels, for each budget 0..k.
 	// f(i, j) = true iff among vars[i:], at most j are false.
 	rows := make([]Node, k+1) // rows[j] = f(i, j), starts at i = len(vars)
@@ -245,7 +241,7 @@ func (m *Manager) AtMostKFalse(vars []int, k int) Node {
 			if j > 0 {
 				lo = rows[j-1]
 			}
-			next[j] = m.mk(m.var2level[sorted[i]], lo, rows[j])
+			next[j] = m.mk(int32(sorted[i]), lo, rows[j])
 		}
 		rows = next
 	}
@@ -301,7 +297,7 @@ func (m *Manager) SplitAtLevel(f Node, split int) []Decomposition {
 			out = append(out, Decomposition{Assignment: cp, Sub: n})
 			return
 		}
-		v := int(m.level2var[m.lvl[n]])
+		v := int(m.lvl[n])
 		assign[v] = false
 		rec(Node(m.lo[n]))
 		assign[v] = true
@@ -319,15 +315,15 @@ func (m *Manager) SplitAtLevel(f Node, split int) []Decomposition {
 // tuples where pkt_i is a full packet-set BDD.
 func (m *Manager) GroupBySub(decs []Decomposition) map[Node]Node {
 	groups := make(map[Node]Node)
+	var vars []int
+	var values []bool
 	for _, d := range decs {
-		cube := True
+		vars, values = vars[:0], values[:0]
 		for v, val := range d.Assignment {
-			if val {
-				cube = m.And(cube, m.Var(v))
-			} else {
-				cube = m.And(cube, m.NVar(v))
-			}
+			vars = append(vars, v)
+			values = append(values, val)
 		}
+		cube := m.Cube(vars, values)
 		if cur, ok := groups[d.Sub]; ok {
 			groups[d.Sub] = m.Or(cur, cube)
 		} else {

@@ -72,11 +72,6 @@ type Config struct {
 	// This is how cancellation and deadlines reach the innermost loops
 	// of symbolic execution without a per-operation time syscall.
 	Interrupt func() error
-	// Reorder configures dynamic variable reordering (Rudell sifting),
-	// triggered from the GC path when live nodes cross
-	// Reorder.Threshold. The zero value disables reordering; explicit
-	// Manager.Reorder calls work either way. See reorder.go.
-	Reorder ReorderConfig
 }
 
 // Default sizing constants.
@@ -107,23 +102,6 @@ type Manager struct {
 	limit     int
 	autoGC    bool
 	gcPending bool // set when allocation pressure suggests a GC
-
-	// Dynamic variable order: lvl[] stores LEVELS (position in the
-	// order, lower = nearer the root) while the public API speaks in
-	// VARIABLES (stable identities). var2level/level2var translate at
-	// the boundary; both start as the identity and only sifting mutates
-	// them, so the hot mk/apply loops never pay for the indirection.
-	var2level []int32
-	level2var []int32
-	// reorderAt is the live-node trigger for the next dynamic reorder
-	// (0 = reordering disabled); it rises after each pass so a growing
-	// diagram is not re-sifted on every collection.
-	reorderAt  int
-	reorderCfg ReorderConfig
-	// bands are level boundaries sifting never crosses, so structural
-	// contracts like the header/link split survive reordering (see
-	// SetReorderBands).
-	bands []int32
 
 	// Shared operation cache: 2-way set-associative, 2*(setMask+1)
 	// entries. Set s occupies entries 2s (MRU way) and 2s+1 (LRU way).
@@ -163,10 +141,6 @@ type Manager struct {
 	telAxMiss    *obs.Counter
 	telRetained  *obs.Counter
 	telInvalid   *obs.Counter
-	telReorders  *obs.Counter
-	telSifts     *obs.Counter
-	telSwaps     *obs.Counter
-	telReorderNs *obs.Counter
 	telLive      *obs.Gauge
 	telPeak      *obs.Gauge
 	telFree      *obs.Gauge
@@ -223,17 +197,9 @@ type Stats struct {
 	// recent collection, so hit rates before and after GC are separable.
 	HitsAtLastGC uint64
 	MissAtLastGC uint64
-	// Reorders counts dynamic reordering passes; SiftedVars and
-	// SiftSwaps count the variables sifted and adjacent-level swaps
-	// performed across them, and ReorderNanos the total time spent
-	// sifting. LastReorderBefore/After are the live decision-node
-	// counts around the most recent pass.
-	Reorders          int
-	SiftedVars        int
-	SiftSwaps         int
-	ReorderNanos      int64
-	LastReorderBefore int
-	LastReorderAfter  int
+	// Reorders is always 0: the variable order is fixed. The field stays
+	// only because bench/layers.go:612 reads it.
+	Reorders int
 }
 
 // CacheHitRatio returns hits/(hits+misses) of the operation cache, or 0
@@ -300,16 +266,6 @@ func New(cfg Config) *Manager {
 	}
 	m.setMask = uint32(cs - 1)
 	m.axMask = uint32(axs - 1)
-	m.var2level = make([]int32, cfg.Vars)
-	m.level2var = make([]int32, cfg.Vars)
-	for v := range m.var2level {
-		m.var2level[v] = int32(v)
-		m.level2var[v] = int32(v)
-	}
-	m.reorderCfg = cfg.Reorder
-	if cfg.Reorder.Threshold > 0 {
-		m.reorderAt = cfg.Reorder.Threshold
-	}
 	if cfg.Telemetry != nil {
 		m.tel = cfg.Telemetry
 		m.telGCRuns = m.tel.Counter("bdd.gc_runs")
@@ -321,10 +277,6 @@ func New(cfg Config) *Manager {
 		m.telAxMiss = m.tel.Counter("bdd.axcache_misses")
 		m.telRetained = m.tel.Counter("bdd.opcache_retained")
 		m.telInvalid = m.tel.Counter("bdd.opcache_invalidated")
-		m.telReorders = m.tel.Counter("bdd.reorder.runs")
-		m.telSifts = m.tel.Counter("bdd.reorder.sifted_vars")
-		m.telSwaps = m.tel.Counter("bdd.reorder.swaps")
-		m.telReorderNs = m.tel.Counter("bdd.reorder.nanos")
 		m.telLive = m.tel.Gauge("bdd.live_nodes")
 		m.telPeak = m.tel.Gauge("bdd.peak_nodes")
 		m.telFree = m.tel.Gauge("bdd.free_nodes")
@@ -424,7 +376,7 @@ func (m *Manager) Var(v int) Node {
 	if v < 0 || v >= m.vars {
 		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.vars))
 	}
-	return m.mk(m.var2level[v], False, True)
+	return m.mk(int32(v), False, True)
 }
 
 // NVar returns the BDD for the negation of variable v.
@@ -432,28 +384,17 @@ func (m *Manager) NVar(v int) Node {
 	if v < 0 || v >= m.vars {
 		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.vars))
 	}
-	return m.mk(m.var2level[v], True, False)
+	return m.mk(int32(v), True, False)
 }
 
-// Level returns the current level of node n in the variable order, or a
-// value larger than any level if n is a terminal. Levels move under
-// dynamic reordering; use VarOf for the stable variable identity.
-func (m *Manager) Level(n Node) int { return int(m.lvl[n]) }
-
-// VarOf returns the variable tested by decision node n, or -1 for the
-// terminals. Unlike Level, the answer is stable across reordering.
+// VarOf returns the variable tested by decision node n — which is also
+// its level in the order — or -1 for the terminals.
 func (m *Manager) VarOf(n Node) int {
 	if n <= True {
 		return -1
 	}
-	return int(m.level2var[m.lvl[n]])
+	return int(m.lvl[n])
 }
-
-// LevelOfVar returns the current level of variable v.
-func (m *Manager) LevelOfVar(v int) int { return int(m.var2level[v]) }
-
-// VarAtLevel returns the variable currently at level l.
-func (m *Manager) VarAtLevel(l int) int { return int(m.level2var[l]) }
 
 // IsTerminal reports whether n is True or False.
 func (m *Manager) IsTerminal(n Node) bool { return n <= True }

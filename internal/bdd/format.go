@@ -65,7 +65,7 @@ func (m *Manager) Dot(f Node, name func(v int) string) string {
 			return
 		}
 		seen[n] = true
-		fmt.Fprintf(&b, "  node%d [label=%q];\n", n, name(int(m.level2var[m.lvl[n]])))
+		fmt.Fprintf(&b, "  node%d [label=%q];\n", n, name(int(m.lvl[n])))
 		fmt.Fprintf(&b, "  node%d -> node%d [style=dashed];\n", n, m.lo[n])
 		fmt.Fprintf(&b, "  node%d -> node%d;\n", n, m.hi[n])
 		rec(Node(m.lo[n]))

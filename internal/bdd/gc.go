@@ -108,20 +108,9 @@ func (m *Manager) GC() int {
 // MaybeGC runs a collection if the allocated node count exceeds the given
 // threshold (or three quarters of the node limit if threshold is zero).
 // It returns the number of freed nodes, zero if no collection ran.
-//
-// When dynamic reordering is armed (Config.Reorder.Threshold > 0) and
-// the node count stands at or above the reorder trigger, MaybeGC
-// collects regardless of the GC threshold and follows with a sifting
-// pass if live nodes alone still cross the trigger — MaybeGC call sites
-// are exactly the safe points where reordering is legal.
 func (m *Manager) MaybeGC(threshold int) int {
 	if !m.autoGC {
 		return 0
-	}
-	if m.reorderAt > 0 && m.nodes >= m.reorderAt {
-		freed := m.GC()
-		m.maybeReorder()
-		return freed
 	}
 	if threshold == 0 {
 		threshold = m.limit / 4 * 3

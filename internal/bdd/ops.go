@@ -73,18 +73,6 @@ func (m *Manager) cacheSlot(op int32, f, g, h Node) uint32 {
 	return x & m.setMask
 }
 
-// clearCache invalidates both operation caches unconditionally: after a
-// reorder every cached handle may name a different function. GC uses
-// sweepCaches instead.
-func (m *Manager) clearCache() {
-	for i := range m.cache {
-		m.cache[i] = cacheEntry{}
-	}
-	for i := range m.axCache {
-		m.axCache[i] = axEntry{}
-	}
-}
-
 // sweepCaches drops exactly the cache entries whose operands or result
 // died in the collection that produced mark, keeping the rest warm.
 // Restrict entries pack a level (not a handle) into g, so only f and the
@@ -328,7 +316,7 @@ func (m *Manager) Restrict(f Node, v int, value bool) Node {
 	if value {
 		op = opRestrictT
 	}
-	return m.restrictRec(f, m.var2level[v], op)
+	return m.restrictRec(f, int32(v), op)
 }
 
 func (m *Manager) restrictRec(f Node, lvl int32, op int32) Node {
@@ -525,7 +513,7 @@ func (m *Manager) supportRec(n Node, out []int) []int {
 	}
 	m.i32memo.put(n, 0)
 	if m.varSeen.mark(m.lvl[n]) {
-		out = append(out, int(m.level2var[m.lvl[n]]))
+		out = append(out, int(m.lvl[n]))
 	}
 	out = m.supportRec(Node(m.lo[n]), out)
 	return m.supportRec(Node(m.hi[n]), out)
@@ -559,9 +547,9 @@ func (m *Manager) Cube(vars []int, values []bool) Node {
 		}
 		prev = v
 		if values[k] {
-			r = m.mk(m.var2level[v], False, r)
+			r = m.mk(int32(v), False, r)
 		} else {
-			r = m.mk(m.var2level[v], r, False)
+			r = m.mk(int32(v), r, False)
 		}
 	}
 	return r
@@ -579,25 +567,23 @@ func (m *Manager) CubeVars(vars []int) Node {
 			continue
 		}
 		prev = v
-		r = m.mk(m.var2level[v], False, r)
+		r = m.mk(int32(v), False, r)
 	}
 	return r
 }
 
-// sortedVarOrder returns the indices of vars sorted by ascending CURRENT
-// level (cube construction is bottom-up, so the build order must follow
-// the live variable order, not variable identity), leaving vars itself
+// sortedVarOrder returns the indices of vars sorted by ascending
+// variable (cube construction is bottom-up), leaving vars itself
 // untouched (callers pass shared slices). Ties break on the original
 // index so duplicate literals stay in declaration order for Cube's
-// adjacent-duplicate polarity check — duplicates share a level, so they
-// remain adjacent after the sort.
+// adjacent-duplicate polarity check.
 func (m *Manager) sortedVarOrder(vars []int) []int {
 	order := make([]int, len(vars))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(m.var2level[vars[a]], m.var2level[vars[b]]); c != 0 {
+		if c := cmp.Compare(vars[a], vars[b]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -13,38 +12,25 @@ import (
 // results (PFEC predicates, port predicates) across verifier runs on
 // unchanged configurations.
 //
-// Because managers reorder dynamically, records store the stable
-// VARIABLE tested by each node — not its level — and the header stamps
-// the writer's full var→level map, protected by a CRC so a torn or
-// permuted stamp fails closed instead of silently relabeling every node.
-// A reader whose current order matches the stamp rebuilds with straight
-// hash-consing; any other reader rebuilds each node as
-// Ite(Var(v), hi, lo), which is order-correct under every permutation.
+// The variable order is fixed (variable i sits at level i), so a record
+// stores the variable its node tests and a reader rebuilds each node by
+// hash-consing it at that level. Writer and reader must therefore lay
+// their variables out identically; callers that can vary the layout key
+// it beside the blob (analysis.CacheKey hashes the resolved link order).
 //
 // Format (little endian):
 //
-//	magic "BDD2" | uint32 varCount | uint32 orderCRC
-//	varCount × uint32                                — writer's var2level
-//	uint32 nodeCount | uint32 rootCount
+//	magic "BDD3" | uint32 varCount | uint32 nodeCount | uint32 rootCount
 //	nodeCount × (uint32 var, uint32 lo, uint32 hi)   — children first
 //	rootCount × uint32                               — root indices
 //
 // Node indices 0 and 1 are the False/True terminals; serialized nodes
-// start at index 2.
+// start at index 2. "BDD2" (the retired order-stamped format) and
+// anything else is refused by its magic.
 
-var magic = [4]byte{'B', 'D', 'D', '2'}
+var magic = [4]byte{'B', 'D', 'D', '3'}
 
-// orderCRC checksums a var→level stamp (little-endian word stream).
-func orderCRC(levels []uint32) uint32 {
-	buf := make([]byte, 4*len(levels))
-	for i, l := range levels {
-		binary.LittleEndian.PutUint32(buf[4*i:], l)
-	}
-	return crc32.ChecksumIEEE(buf)
-}
-
-// Write serializes the given roots (and their shared subgraphs) to w,
-// stamped with the manager's current variable order.
+// Write serializes the given roots (and their shared subgraphs) to w.
 func (m *Manager) Write(w io.Writer, roots ...Node) error {
 	bw := bufio.NewWriter(w)
 	// Collect reachable nodes in topological (children-first) order.
@@ -66,20 +52,14 @@ func (m *Manager) Write(w io.Writer, roots ...Node) error {
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
 	}
-	stamp := make([]uint32, m.vars)
-	for v, l := range m.var2level {
-		stamp[v] = uint32(l)
-	}
-	hdr := []uint32{uint32(m.vars), orderCRC(stamp)}
-	hdr = append(hdr, stamp...)
-	hdr = append(hdr, uint32(len(order)), uint32(len(roots)))
+	hdr := []uint32{uint32(m.vars), uint32(len(order)), uint32(len(roots))}
 	for _, v := range hdr {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
 	for _, n := range order {
-		rec := []uint32{uint32(m.level2var[m.lvl[n]]), index[Node(m.lo[n])], index[Node(m.hi[n])]}
+		rec := []uint32{uint32(m.lvl[n]), index[Node(m.lo[n])], index[Node(m.hi[n])]}
 		for _, v := range rec {
 			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 				return err
@@ -96,12 +76,10 @@ func (m *Manager) Write(w io.Writer, roots ...Node) error {
 
 // Read deserializes roots previously written with Write into this
 // manager (hash-consing against existing nodes). The manager must have
-// at least as many variables as the writer had; the writer's variable
-// order may differ from the reader's, in which case each node is
-// rebuilt by Ite at the cost of a possible blowup under the new order.
-// Every structural invariant — stamp bijection and checksum, child
-// back-references, child monotonicity in the writer's order — is
-// validated, so corrupt streams fail instead of decoding garbage.
+// at least as many variables as the writer had. Every structural
+// invariant — child back-references, variable range, reducedness, child
+// levels strictly below their parent — is validated, so corrupt streams
+// fail instead of decoding garbage.
 func (m *Manager) Read(r io.Reader) ([]Node, error) {
 	br := bufio.NewReader(r)
 	var got [4]byte
@@ -111,8 +89,8 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 	if got != magic {
 		return nil, fmt.Errorf("bdd: bad magic %q", got)
 	}
-	var varCount, wantCRC uint32
-	for _, p := range []*uint32{&varCount, &wantCRC} {
+	var varCount, nodeCount, rootCount uint32
+	for _, p := range []*uint32{&varCount, &nodeCount, &rootCount} {
 		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
 			return nil, err
 		}
@@ -120,45 +98,9 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 	if int(varCount) > m.vars {
 		return nil, fmt.Errorf("bdd: stream has %d variables, manager only %d", varCount, m.vars)
 	}
-	stamp := make([]uint32, varCount)
-	for i := range stamp {
-		if err := binary.Read(br, binary.LittleEndian, &stamp[i]); err != nil {
-			return nil, err
-		}
-	}
-	if crc := orderCRC(stamp); crc != wantCRC {
-		return nil, fmt.Errorf("bdd: level-map checksum mismatch (stamp %08x, header %08x)", crc, wantCRC)
-	}
-	// The stamp must be a bijection var→level; anything else scrambles
-	// the child-order validation below and the Ite rebuild.
-	seen := make([]bool, varCount)
-	for v, l := range stamp {
-		if l >= varCount || seen[l] {
-			return nil, fmt.Errorf("bdd: level map is not a permutation (var %d → level %d)", v, l)
-		}
-		seen[l] = true
-	}
-	// Fast path: the reader's current order matches the writer's stamp
-	// exactly, so each record hash-conses straight at its level.
-	sameOrder := int(varCount) == m.vars
-	if sameOrder {
-		for v, l := range stamp {
-			if m.var2level[v] != int32(l) {
-				sameOrder = false
-				break
-			}
-		}
-	}
-	var nodeCount, rootCount uint32
-	for _, p := range []*uint32{&nodeCount, &rootCount} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	nodes := make([]Node, nodeCount+2)
-	recLevel := make([]uint32, nodeCount+2) // writer level per record
-	nodes[0], nodes[1] = False, True
-	recLevel[0], recLevel[1] = uint32(terminalLevel), uint32(terminalLevel)
+	// The counts are untrusted: grow with the records actually read
+	// instead of allocating what the header claims.
+	nodes := append(make([]Node, 0, min(uint64(nodeCount)+2, 1<<16)), False, True)
 	for i := uint32(0); i < nodeCount; i++ {
 		var vr, lo, hi uint32
 		for _, p := range []*uint32{&vr, &lo, &hi} {
@@ -166,7 +108,7 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 				return nil, err
 			}
 		}
-		if lo >= i+2 || hi >= i+2 {
+		if int(lo) >= len(nodes) || int(hi) >= len(nodes) {
 			return nil, fmt.Errorf("bdd: node %d references forward child", i)
 		}
 		if vr >= varCount {
@@ -175,22 +117,15 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 		if lo == hi {
 			return nil, fmt.Errorf("bdd: node %d is unreduced (lo == hi)", i)
 		}
-		// Children sit at strictly greater levels in the WRITER's order
-		// (reduced ordered BDD); a permuted stamp that survives the CRC
-		// by construction cannot also satisfy this for every record.
-		wl := stamp[vr]
-		if recLevel[lo] <= wl || recLevel[hi] <= wl {
-			return nil, fmt.Errorf("bdd: node %d violates the stamped variable ordering", i)
+		// Children sit at strictly greater levels (reduced ordered BDD);
+		// terminals carry terminalLevel.
+		if m.lvl[nodes[lo]] <= int32(vr) || m.lvl[nodes[hi]] <= int32(vr) {
+			return nil, fmt.Errorf("bdd: node %d violates the variable ordering", i)
 		}
-		recLevel[i+2] = wl
-		if sameOrder {
-			nodes[i+2] = m.mk(m.var2level[vr], nodes[lo], nodes[hi])
-		} else {
-			nodes[i+2] = m.Ite(m.Var(int(vr)), nodes[hi], nodes[lo])
-		}
+		nodes = append(nodes, m.mk(int32(vr), nodes[lo], nodes[hi]))
 	}
-	roots := make([]Node, rootCount)
-	for i := range roots {
+	roots := make([]Node, 0, min(rootCount, 1<<16))
+	for i := uint32(0); i < rootCount; i++ {
 		var idx uint32
 		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
 			return nil, err
@@ -198,7 +133,7 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 		if int(idx) >= len(nodes) {
 			return nil, fmt.Errorf("bdd: root index %d out of range", idx)
 		}
-		roots[i] = nodes[idx]
+		roots = append(roots, nodes[idx])
 	}
 	return roots, nil
 }

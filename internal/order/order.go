@@ -14,14 +14,16 @@
 // the same layout from the same network — the permutation is part of
 // the meaning of every serialized BDD and every cache key.
 //
-// Both topology-aware orders share one primary key, the minimum degree
-// of a link's endpoints: peripheral links (edge racks, stub sites) sink
-// to the low levels in tight tiers while highly-shared core links float
-// to the top. Measured on FatTree(6) k=1 this tiering cuts peak BDD
-// nodes ~12% against declaration order; pure traversal orders (plain
-// BFS from any root, greedy min-degree elimination) were measured WORSE
-// than declaration there, because they interleave pods by core
-// adjacency and destroy the declaration order's pod blocking.
+// The one topology-aware order keys on the minimum degree of a link's
+// endpoints: peripheral links (edge racks, stub sites) sink to the low
+// levels in tight tiers while highly-shared core links float to the
+// top. Measured on FatTree(6) k=1 this tiering cuts peak BDD nodes ~12%
+// against declaration order; pure traversal orders (breadth-first from
+// any root, greedy min-degree elimination) were measured WORSE than
+// declaration there, because they interleave pods by core adjacency and
+// destroy the declaration order's pod blocking, and a degree-tiered
+// breadth-first order bought nothing on the WANs it was selected for —
+// see EXPERIMENTS.md.
 package order
 
 import (
@@ -35,20 +37,14 @@ import (
 type Method string
 
 const (
-	// Auto computes the candidate orders and keeps the one with the
-	// lowest locality cost (see SpanCost); resolution is deterministic
-	// per topology. This is the default.
+	// Auto picks MinDeg on banded hierarchies (see banded) and
+	// Declaration elsewhere; resolution is deterministic per topology.
+	// This is the default.
 	Auto Method = "auto"
 	// Declaration keeps the seed layout: link l at level HeaderBits+l,
 	// in raw declaration order. This is the kill switch and the
 	// baseline of `srebench -exp bddkernel`'s order sweep.
 	Declaration Method = "declaration"
-	// BFS tiers links by minimum endpoint degree and orders each tier
-	// by breadth-first discovery rank from a deterministic peripheral
-	// root, so links of nearby routers sit at nearby levels even when
-	// the declaration order is arbitrary (hand-written or synthetic
-	// WAN configs).
-	BFS Method = "bfs"
 	// MinDeg tiers links by minimum endpoint degree and keeps each
 	// tier in declaration order — the conservative refinement: it only
 	// moves links between tiers, preserving whatever locality the
@@ -62,10 +58,10 @@ func Normalize(s string) (Method, error) {
 	switch Method(s) {
 	case "", Auto:
 		return Auto, nil
-	case Declaration, BFS, MinDeg:
+	case Declaration, MinDeg:
 		return Method(s), nil
 	}
-	return "", fmt.Errorf("order: unknown variable order %q (want auto, declaration, bfs, or mindeg)", s)
+	return "", fmt.Errorf("order: unknown variable order %q (want auto, declaration, or mindeg)", s)
 }
 
 // Order is a computed variable order: the resolved method (never Auto)
@@ -90,40 +86,25 @@ func Compute(t *topology.Topology, m Method) Order {
 	switch m {
 	case Declaration:
 		return Order{Method: Declaration}
-	case BFS:
-		return Order{Method: BFS, Perm: tierPerm(t, bfsRanks(t))}
 	case MinDeg:
-		return Order{Method: MinDeg, Perm: tierPerm(t, nil)}
+		return Order{Method: MinDeg, Perm: tierPerm(t)}
 	case Auto, "":
-		// Two regimes, split by the topology's degree structure:
-		//
 		// Banded hierarchies (fat trees, leaf-spine: 2-3 degree tiers,
 		// each holding a large share of the links) take MinDeg — the
 		// regime where tiering was MEASURED to cut peak BDD nodes
 		// (~12% on FatTree(6) k=1) even though no static locality
-		// metric predicts it; SpanCost actively prefers the worse
-		// declaration order there, so Auto must not score its way out.
-		//
-		// Everything else (WANs, hand-written configs, near-uniform
-		// meshes) keeps the SpanCost winner between Declaration and
-		// BFS: tier bands carry no signal without a hierarchy, but
-		// breadth-first locality measurably tightens scattered
-		// declaration orders, and Declaration competing keeps Auto
-		// from ever losing locality to the seed layout.
+		// metric predicts it. Everything else (WANs, hand-written
+		// configs, near-uniform meshes) keeps the seed layout: tier
+		// bands carry no signal without a hierarchy.
 		if banded(t) {
-			return Order{Method: MinDeg, Perm: tierPerm(t, nil)}
+			return Order{Method: MinDeg, Perm: tierPerm(t)}
 		}
-		best := Order{Method: Declaration}
-		bestCost := SpanCost(t, nil)
-		if bfs := (Order{Method: BFS, Perm: tierPerm(t, bfsRanks(t))}); SpanCost(t, bfs.Perm) < bestCost {
-			best = bfs
-		}
-		return best
+		return Order{Method: Declaration}
 	}
 	panic(fmt.Sprintf("order: Compute called with invalid method %q", m))
 }
 
-// SpanCost is the locality metric Auto minimizes: the sum over routers
+// SpanCost is a locality metric of an order: the sum over routers
 // of the level span (max - min) of their incident links. A router whose
 // links sit at adjacent levels contributes its degree; one whose links
 // are scattered contributes the full scatter width. Lower is better —
@@ -185,12 +166,10 @@ func banded(t *topology.Topology) bool {
 	return true
 }
 
-// tierPerm builds the shared tiered order: links sort by ascending
-// minimum endpoint degree, ties broken by within (or by LinkID when
-// within is nil — declaration order inside each tier). The secondary
-// key fully determines the layout, so equal-tier links never depend on
-// sort internals.
-func tierPerm(t *topology.Topology, within []int) []int {
+// tierPerm builds the tiered order: links sort by ascending minimum
+// endpoint degree, ties broken by LinkID (declaration order inside each
+// tier), so equal-tier links never depend on sort internals.
+func tierPerm(t *topology.Topology) []int {
 	n := t.NumLinks()
 	idx := make([]int, n)
 	tier := make([]int, n)
@@ -203,77 +182,16 @@ func tierPerm(t *topology.Topology, within []int) []int {
 		}
 		tier[i] = d
 	}
-	key := func(i int) int {
-		if within == nil {
-			return i
-		}
-		return within[i]
-	}
 	sort.Slice(idx, func(a, b int) bool {
 		ia, ib := idx[a], idx[b]
 		if tier[ia] != tier[ib] {
 			return tier[ia] < tier[ib]
 		}
-		return key(ia) < key(ib)
+		return ia < ib
 	})
 	perm := make([]int, n)
 	for lvl, l := range idx {
 		perm[l] = lvl
 	}
 	return perm
-}
-
-// bfsRanks assigns every link its discovery rank in a breadth-first
-// traversal: routers are visited in BFS order from a deterministic root
-// (the lowest-ID router of minimum degree, so traversal starts at the
-// periphery and grows inward), and each dequeued router's unranked
-// incident links take the next ranks in LinkID order. Disconnected
-// components are re-seeded the same way until every link is ranked.
-func bfsRanks(t *topology.Topology) []int {
-	n := t.NumRouters()
-	rank := make([]int, t.NumLinks())
-	for i := range rank {
-		rank[i] = -1
-	}
-	next := 0
-	visited := make([]bool, n)
-	for next < len(rank) {
-		root := bfsRoot(t, visited)
-		queue := []topology.RouterID{root}
-		visited[root] = true
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
-			for _, l := range t.Router(r).Links {
-				if rank[l] == -1 {
-					rank[l] = next
-					next++
-				}
-				nb := t.Link(l).Other(r)
-				if !visited[nb] {
-					visited[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-		if n == 0 {
-			break // defensive: links without routers cannot exist
-		}
-	}
-	return rank
-}
-
-// bfsRoot picks the lowest-ID unvisited router of minimum degree.
-func bfsRoot(t *topology.Topology, visited []bool) topology.RouterID {
-	root, rootDeg := topology.RouterID(-1), -1
-	for r := 0; r < t.NumRouters(); r++ {
-		if visited[r] {
-			continue
-		}
-		d := len(t.Router(topology.RouterID(r)).Links)
-		if root == -1 || d < rootDeg {
-			root, rootDeg = topology.RouterID(r), d
-		}
-	}
-	return root
 }

@@ -32,19 +32,17 @@ func TestPermValidity(t *testing.T) {
 		"wan":      workload.SyntheticWAN("wan", 24, 40, workload.OSPF, 7).Topology,
 	}
 	for name, topo := range topos {
-		for _, m := range []Method{BFS, MinDeg} {
-			o := Compute(topo, m)
-			if o.Method != m {
-				t.Errorf("%s/%s: resolved method %q", name, m, o.Method)
-			}
-			validPerm(t, o.Perm, topo.NumLinks())
+		o := Compute(topo, MinDeg)
+		if o.Method != MinDeg {
+			t.Errorf("%s: resolved method %q", name, o.Method)
 		}
+		validPerm(t, o.Perm, topo.NumLinks())
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	topo := workload.FatTree(4, workload.OSPF).Topology
-	for _, m := range []Method{Auto, Declaration, BFS, MinDeg} {
+	for _, m := range []Method{Auto, Declaration, MinDeg} {
 		a, b := Compute(topo, m), Compute(topo, m)
 		if a.Method != b.Method || !reflect.DeepEqual(a.Perm, b.Perm) {
 			t.Errorf("%s: two computes differ", m)
@@ -54,23 +52,23 @@ func TestDeterminism(t *testing.T) {
 
 func TestNormalize(t *testing.T) {
 	for in, want := range map[string]Method{
-		"": Auto, "auto": Auto, "declaration": Declaration,
-		"bfs": BFS, "mindeg": MinDeg,
+		"": Auto, "auto": Auto, "declaration": Declaration, "mindeg": MinDeg,
 	} {
 		got, err := Normalize(in)
 		if err != nil || got != want {
 			t.Errorf("Normalize(%q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
-	if _, err := Normalize("sift"); err == nil {
-		t.Error("Normalize accepted unknown method")
+	for _, in := range []string{"sift", "bfs"} {
+		if _, err := Normalize(in); err == nil {
+			t.Errorf("Normalize accepted unknown method %q", in)
+		}
 	}
 }
 
 // TestAutoResolution pins Auto's two regimes: banded hierarchies (fat
-// trees) take the tiered mindeg order, everything else takes the
-// SpanCost winner between declaration and bfs — so on non-banded
-// topologies Auto never has worse locality than the seed layout.
+// trees) take the tiered mindeg order, everything else keeps the seed
+// layout.
 func TestAutoResolution(t *testing.T) {
 	for _, k := range []int{4, 6} {
 		topo := workload.FatTree(k, workload.OSPF).Topology
@@ -84,12 +82,8 @@ func TestAutoResolution(t *testing.T) {
 		"wan30": workload.SyntheticWAN("wan", 30, 55, workload.OSPF, 11).Topology,
 	}
 	for name, topo := range nonBanded {
-		auto := Compute(topo, Auto)
-		if auto.Method != Declaration && auto.Method != BFS {
-			t.Errorf("%s: auto resolved to %q, want declaration or bfs", name, auto.Method)
-		}
-		if got, base := SpanCost(topo, auto.Perm), SpanCost(topo, nil); got > base {
-			t.Errorf("%s: auto (%s) SpanCost %d > declaration %d", name, auto.Method, got, base)
+		if auto := Compute(topo, Auto); auto.Method != Declaration || auto.Perm != nil {
+			t.Errorf("%s: auto resolved to %q, want declaration", name, auto.Method)
 		}
 	}
 }
@@ -102,20 +96,17 @@ func TestTieredOrderStructure(t *testing.T) {
 	for _, k := range []int{4, 6} {
 		topo := workload.FatTree(k, workload.OSPF).Topology
 		n := topo.NumLinks()
-		for _, m := range []Method{MinDeg, BFS} {
-			perm := Compute(topo, m).Perm
-			for i := 0; i < n; i++ {
-				l := topo.Link(topology.LinkID(i))
-				da, db := len(topo.Router(l.A).Links), len(topo.Router(l.B).Links)
-				isFabric := da == k/2 || db == k/2 // one endpoint is an edge router
-				if isFabric != (perm[i] < n/2) {
-					t.Fatalf("fattree%d/%s: link %d (fabric=%v) at level %d of %d",
-						k, m, i, isFabric, perm[i], n)
-				}
+		perm := Compute(topo, MinDeg).Perm
+		for i := 0; i < n; i++ {
+			l := topo.Link(topology.LinkID(i))
+			da, db := len(topo.Router(l.A).Links), len(topo.Router(l.B).Links)
+			isFabric := da == k/2 || db == k/2 // one endpoint is an edge router
+			if isFabric != (perm[i] < n/2) {
+				t.Fatalf("fattree%d: link %d (fabric=%v) at level %d of %d",
+					k, i, isFabric, perm[i], n)
 			}
 		}
 		// Within a band, mindeg preserves declaration order.
-		perm := Compute(topo, MinDeg).Perm
 		prev := -1
 		for i := 0; i < n; i++ {
 			if perm[i] < n/2 { // fabric band, in LinkID order
@@ -124,21 +115,6 @@ func TestTieredOrderStructure(t *testing.T) {
 				}
 				prev = perm[i]
 			}
-		}
-	}
-}
-
-// TestWANBFSImprovesLocality asserts the non-banded regime's win: on
-// synthetic WANs (scattered declaration order) the bfs order tightens
-// SpanCost against declaration.
-func TestWANBFSImprovesLocality(t *testing.T) {
-	for seed := int64(7); seed < 10; seed++ {
-		topo := workload.SyntheticWAN("wan", 24, 40, workload.OSPF, seed).Topology
-		base := SpanCost(topo, nil)
-		bfs := SpanCost(topo, Compute(topo, BFS).Perm)
-		t.Logf("wan seed %d: declaration=%d bfs=%d", seed, base, bfs)
-		if bfs >= base {
-			t.Errorf("wan seed %d: bfs SpanCost %d did not improve on declaration %d", seed, bfs, base)
 		}
 	}
 }

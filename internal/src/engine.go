@@ -155,19 +155,8 @@ type advSet = route.Set[bdd.Node]
 
 // New creates an engine over net, allocating a fresh symbolic space.
 func New(net *config.Network, opts Options) *Engine {
-	sp := symbol.NewSpace(net.Topology.NumLinks(),
-		bdd.Config{Reorder: BDDReorder(opts)}, 0, LinkOrder(net, opts).Perm)
+	sp := symbol.NewSpace(net.Topology.NumLinks(), bdd.Config{}, 0, LinkOrder(net, opts).Perm)
 	return NewWithSpace(net, sp, opts)
-}
-
-// BDDReorder resolves the bdd.Config.Reorder field for spaces created
-// on the engine's behalf: the default sifting parameters when
-// opts.DynamicReorder is set, disabled otherwise.
-func BDDReorder(opts Options) bdd.ReorderConfig {
-	if !opts.DynamicReorder {
-		return bdd.ReorderConfig{}
-	}
-	return bdd.ReorderConfig{Threshold: bdd.DefaultReorderThreshold}
 }
 
 // LinkOrder resolves the link-variable order opts requests for net's

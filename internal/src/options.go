@@ -64,20 +64,10 @@ type Options struct {
 	// engine's behalf (analysis.Run and the miner; engines given an
 	// explicit space ignore it). Zero means the bdd package default.
 	BDDNodeLimit int `json:"bdd_node_limit"`
-	// DynamicReorder arms Rudell sifting in BDD spaces created on the
-	// engine's behalf (see bdd.Config.Reorder): when live nodes after a
-	// GC exceed bdd.DefaultReorderThreshold, the manager sifts variables
-	// to smaller levels within the header/link/extra bands. Results are
-	// identical — node handles survive sifting and serialized BDDs stamp
-	// the writer's level map — only diagram sizes and throughput differ,
-	// so analysis.CacheKey clears it before hashing: reordered and
-	// static runs share store entries, which decode under any order.
-	DynamicReorder bool `json:"dynamic_reorder"`
 	// VarOrder selects the link-variable order of spaces created on the
-	// engine's behalf: "auto" (default; the order package picks the
-	// lowest-cost candidate per topology), "declaration" (the seed
-	// layout, link l at level 32+l), "bfs", or "mindeg" (see
-	// internal/order). Results are identical under every order — BDDs
+	// engine's behalf: "auto" (default; mindeg on banded hierarchies,
+	// declaration elsewhere), "declaration" (the seed layout, link l at
+	// level 32+l), or "mindeg" (see internal/order). Results are identical under every order — BDDs
 	// are canonical per order, and all orders answer the same queries —
 	// only BDD sizes and throughput differ. The order is part of the
 	// meaning of serialized BDDs, so every process of a run must agree

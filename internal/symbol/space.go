@@ -67,11 +67,6 @@ func NewSpace(links int, cfg bdd.Config, extraVars int, perm []int) *Space {
 		Links:       links,
 		prefixCache: make(map[route.Prefix]bdd.Node),
 	}
-	// Dynamic reordering must never move a variable across the
-	// header/link or link/extra boundary: SplitAtLevel(f, HeaderBits) and
-	// the quantifier cubes depend on the band layout, and extra (node,
-	// risk-group) variables sit below the links by contract.
-	s.M.SetReorderBands([]int{HeaderBits, HeaderBits + links})
 	if perm != nil {
 		if len(perm) != links {
 			panic(fmt.Sprintf("symbol: order permutation covers %d links, topology has %d", len(perm), links))

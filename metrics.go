@@ -146,19 +146,6 @@ type BDDMetrics struct {
 	// run laid its spaces out with (never "auto": auto resolves to a
 	// concrete method per topology).
 	VarOrderMethod string `json:"var_order_method"`
-	// ReorderEnabled records whether dynamic reordering was armed
-	// (Options.DynamicReorder); Reorders counts the sifting passes that
-	// actually fired across all managers. SiftedVars and SiftSwaps count
-	// variables sifted and adjacent-level swaps; ReorderSeconds is the
-	// wall time spent sifting. LastReorderBefore/After are the live node
-	// counts around the most recent pass (summed over managers).
-	ReorderEnabled    bool    `json:"reorder_enabled,omitempty"`
-	Reorders          int     `json:"reorders,omitempty"`
-	SiftedVars        int     `json:"sifted_vars,omitempty"`
-	SiftSwaps         int     `json:"sift_swaps,omitempty"`
-	ReorderSeconds    float64 `json:"reorder_seconds,omitempty"`
-	LastReorderBefore int     `json:"last_reorder_before,omitempty"`
-	LastReorderAfter  int     `json:"last_reorder_after,omitempty"`
 }
 
 // Metrics returns the metrics of the verifier's symbolic execution. The
@@ -172,7 +159,6 @@ func (v *Verifier) Metrics() MetricsReport {
 		NumLinks:   v.net.Topology.NumLinks(),
 	}
 	r.BDD.VarOrderMethod = v.varOrder
-	r.BDD.ReorderEnabled = v.reorder
 	var hitsAtGC, missAtGC uint64
 	for _, pipe := range v.part.Groups {
 		bst := pipe.Sp.M.Statistics()
@@ -199,12 +185,6 @@ func (v *Verifier) Metrics() MetricsReport {
 		r.BDD.AxCacheMisses += bst.AxCacheMiss
 		r.BDD.CacheRetained += bst.CacheRetained
 		r.BDD.CacheInvalidated += bst.CacheInvalidated
-		r.BDD.Reorders += bst.Reorders
-		r.BDD.SiftedVars += bst.SiftedVars
-		r.BDD.SiftSwaps += bst.SiftSwaps
-		r.BDD.ReorderSeconds += float64(bst.ReorderNanos) / 1e9
-		r.BDD.LastReorderBefore += bst.LastReorderBefore
-		r.BDD.LastReorderAfter += bst.LastReorderAfter
 		hitsAtGC += bst.HitsAtLastGC
 		missAtGC += bst.MissAtLastGC
 	}

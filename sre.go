@@ -175,21 +175,13 @@ type Options struct {
 	Recorder *FlightRecorder
 	// VarOrder selects the BDD link-variable order: "auto" (the
 	// default — a topology-aware order is chosen per network),
-	// "declaration" (link l at level 32+l, the seed layout), "bfs"
-	// (breadth-first locality), or "mindeg" (minimum-degree
-	// elimination). Orders are observationally identical — every query
+	// "declaration" (link l at level 32+l, the seed layout), or
+	// "mindeg" (links tiered by minimum endpoint degree). Orders are
+	// observationally identical — every query
 	// returns the same answer under every order, pinned by golden
 	// tests — but topology-aware orders can collapse peak BDD sizes on
 	// structured networks.
 	VarOrder string
-	// DynamicReorder arms dynamic BDD variable reordering (Rudell
-	// sifting): when live nodes after a garbage collection stay above a
-	// threshold, the manager sifts variables toward levels that shrink
-	// the diagram, within the header/link band boundaries. Results are
-	// byte-identical with or without it — node handles survive sifting
-	// and serialized BDDs carry the writer's level map. Peak node counts
-	// and sifting activity are reported by Verifier.Metrics under BDD.
-	DynamicReorder bool
 	// Store, when non-nil, is a persistent result cache (see OpenStore):
 	// each prefix is looked up before it is computed and published after
 	// — across in-process, parallel, and multi-process runs, which share
@@ -237,10 +229,8 @@ type Verifier struct {
 	// (surfaced in Metrics).
 	store *Store
 	// varOrder is the RESOLVED static variable-order method (never
-	// "auto"); reorder records whether dynamic reordering was armed.
-	// Both surface in Metrics and the CLI summary.
+	// "auto"); it surfaces in Metrics and the CLI summary.
 	varOrder string
-	reorder  bool
 }
 
 // NewVerifier symbolically executes the network (symbolic route
@@ -252,7 +242,7 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 		return nil, err
 	}
 	v = &Verifier{net: net, tel: srcOpts.Telemetry, resilient: opts.Resilient, store: opts.Store,
-		varOrder: src.LinkOrder(net, srcOpts).ID(), reorder: opts.DynamicReorder}
+		varOrder: src.LinkOrder(net, srcOpts).ID()}
 	defer func() {
 		if err != nil {
 			v = nil
@@ -305,16 +295,15 @@ func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 		return src.Options{}, nil, fmt.Errorf("sre: %w", err)
 	}
 	srcOpts := src.Options{
-		PruneK:         opts.MaxFailures,
-		Abstract:       opts.Abstract,
-		NoECMP:         opts.NoECMP,
-		IBGPFullMesh:   opts.IBGPFullMesh,
-		Telemetry:      opts.telemetry(),
-		Interrupt:      checker.Fn(),
-		BDDNodeLimit:   opts.BDDNodeLimit,
-		Parallelism:    opts.Parallelism,
-		VarOrder:       string(varOrder),
-		DynamicReorder: opts.DynamicReorder,
+		PruneK:       opts.MaxFailures,
+		Abstract:     opts.Abstract,
+		NoECMP:       opts.NoECMP,
+		IBGPFullMesh: opts.IBGPFullMesh,
+		Telemetry:    opts.telemetry(),
+		Interrupt:    checker.Fn(),
+		BDDNodeLimit: opts.BDDNodeLimit,
+		Parallelism:  opts.Parallelism,
+		VarOrder:     string(varOrder),
 	}
 	var prefixes []route.Prefix
 	for _, p := range opts.Prefixes {

@@ -36,8 +36,8 @@ func fatTreeOrderRun(t *testing.T, order string, parallelism, workers int) ([]sr
 	return outs, numPFECs, sweep
 }
 
-// TestVarOrderParity pins the tentpole's public contract: declaration,
-// bfs, mindeg, and auto orders are observationally identical — same
+// TestVarOrderParity pins the public contract: declaration, mindeg,
+// and auto orders are observationally identical — same
 // outcomes, PFEC counts, and tolerance sweeps — at parallelism 1, 2,
 // and 8.
 func TestVarOrderParity(t *testing.T) {
@@ -45,7 +45,7 @@ func TestVarOrderParity(t *testing.T) {
 	if len(baseOuts) == 0 {
 		t.Fatal("baseline reported no outcomes")
 	}
-	for _, order := range []string{"declaration", "bfs", "mindeg", "auto"} {
+	for _, order := range []string{"declaration", "mindeg", "auto"} {
 		for _, par := range []int{1, 2, 8} {
 			if order == "declaration" && par == 1 {
 				continue // the baseline itself
@@ -71,17 +71,15 @@ func TestVarOrderParity(t *testing.T) {
 // pipe; a layout mismatch would corrupt every result).
 func TestVarOrderWorkersParity(t *testing.T) {
 	baseOuts, basePFECs, baseSweep := fatTreeOrderRun(t, "declaration", 1, 0)
-	for _, order := range []string{"bfs", "mindeg"} {
-		outs, pfecs, sweep := fatTreeOrderRun(t, order, 0, 2)
-		if !reflect.DeepEqual(outs, baseOuts) {
-			t.Errorf("workers=2 %s: outcomes diverge", order)
-		}
-		if pfecs != basePFECs {
-			t.Errorf("workers=2 %s: NumPFECs = %d, want %d", order, pfecs, basePFECs)
-		}
-		if !reflect.DeepEqual(sweep, baseSweep) {
-			t.Errorf("workers=2 %s: tolerance sweep diverges", order)
-		}
+	outs, pfecs, sweep := fatTreeOrderRun(t, "mindeg", 0, 2)
+	if !reflect.DeepEqual(outs, baseOuts) {
+		t.Error("workers=2 mindeg: outcomes diverge")
+	}
+	if pfecs != basePFECs {
+		t.Errorf("workers=2 mindeg: NumPFECs = %d, want %d", pfecs, basePFECs)
+	}
+	if !reflect.DeepEqual(sweep, baseSweep) {
+		t.Error("workers=2 mindeg: tolerance sweep diverges")
 	}
 }
 
@@ -99,7 +97,7 @@ func TestVarOrderUnknownRejected(t *testing.T) {
 }
 
 // TestVarOrderCacheMiss pins the cache contract: a store warmed under
-// declaration order is a clean, complete miss under bfs — zero hits,
+// declaration order is a clean, complete miss under mindeg — zero hits,
 // zero quarantines (order changes keys, it never corrupts records) —
 // and the recomputed results are identical.
 func TestVarOrderCacheMiss(t *testing.T) {
@@ -126,18 +124,18 @@ func TestVarOrderCacheMiss(t *testing.T) {
 	}
 
 	// Same store, different order: every key must change.
-	bfsOuts, bfsM := run("bfs")
-	if bfsM.Hits != 0 {
-		t.Errorf("order change replayed %d records written under another order", bfsM.Hits)
+	otherOuts, otherM := run("mindeg")
+	if otherM.Hits != 0 {
+		t.Errorf("order change replayed %d records written under another order", otherM.Hits)
 	}
-	if bfsM.Quarantined != 0 {
-		t.Errorf("order change quarantined %d records — keys must change, not decode", bfsM.Quarantined)
+	if otherM.Quarantined != 0 {
+		t.Errorf("order change quarantined %d records — keys must change, not decode", otherM.Quarantined)
 	}
-	if bfsM.Puts == 0 {
-		t.Errorf("bfs run published nothing: %+v", bfsM)
+	if otherM.Puts == 0 {
+		t.Errorf("mindeg run published nothing: %+v", otherM)
 	}
-	if !reflect.DeepEqual(bfsOuts, coldOuts) {
-		t.Error("bfs recompute diverges from declaration results")
+	if !reflect.DeepEqual(otherOuts, coldOuts) {
+		t.Error("mindeg recompute diverges from declaration results")
 	}
 
 	// Re-running under the original order still hits its own records.
