@@ -256,29 +256,32 @@ func TestCacheOptionsInvalidate(t *testing.T) {
 	}
 }
 
-// TestOldStoreMisses runs against a store written before key format v4:
-// testdata/store_v3 holds the two records `sre -cache-dir` published for
-// goldenNetwork at -k 2 one commit earlier (v3 keys, BDD2 blobs). The
-// keys changed with the format, so the old records are never opened:
-// every prefix misses, nothing is quarantined, and the mixed directory
-// passes fsck.
+// TestOldStoreMisses runs against a store written under older key
+// formats: testdata/store_v3 and testdata/store_v4 each hold the two
+// records `sre -cache-dir` published for goldenNetwork at -k 2 at the
+// last commit of that format (v3: BDD2 blobs; v4: records that could
+// carry two pipelines per prefix). The keys change with the format, so
+// the old records are never opened: every prefix misses, nothing is
+// quarantined, and the mixed directory passes fsck.
 func TestOldStoreMisses(t *testing.T) {
-	dir, fixture := t.TempDir(), filepath.Join("testdata", "store_v3")
-	old := storeRecords(t, fixture)
-	if len(old) != 2 {
-		t.Fatalf("fixture holds %d records, want 2", len(old))
-	}
-	for _, rec := range old {
-		data, err := os.ReadFile(rec)
-		if err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	for _, fixture := range []string{filepath.Join("testdata", "store_v3"), filepath.Join("testdata", "store_v4")} {
+		old := storeRecords(t, fixture)
+		if len(old) != 2 {
+			t.Fatalf("fixture %s holds %d records, want 2", fixture, len(old))
 		}
-		dst := filepath.Join(dir, strings.TrimPrefix(rec, fixture))
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dst, data, 0o644); err != nil {
-			t.Fatal(err)
+		for _, rec := range old {
+			data, err := os.ReadFile(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := filepath.Join(dir, strings.TrimPrefix(rec, fixture))
+			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dst, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	net, err := sre.ParseNetwork(goldenNetwork)
@@ -296,13 +299,13 @@ func TestOldStoreMisses(t *testing.T) {
 	}
 	v.Release()
 	if m := st.Metrics(); m.Hits != 0 || m.Misses != 2 || m.Puts != 2 || m.Quarantined != 0 {
-		t.Errorf("run over a v3 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
+		t.Errorf("run over a v3+v4 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
 	}
 	rep, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Checked != 4 || rep.OK != 4 || rep.Quarantined != 0 {
-		t.Errorf("fsck over the mixed store: %+v, want 4 records, all ok", rep)
+	if rep.Checked != 6 || rep.OK != 6 || rep.Quarantined != 0 {
+		t.Errorf("fsck over the mixed store: %+v, want 6 records, all ok", rep)
 	}
 }

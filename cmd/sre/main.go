@@ -19,8 +19,10 @@
 // Resilience flags: -timeout bounds the run's wall-clock time (exit 124
 // on expiry), Ctrl-C cancels cooperatively (exit 130), and -resilient
 // quarantines prefixes that overflow the BDD node table (capped by
-// -nodelimit) and retries them on a degradation ladder instead of
-// failing the whole run.
+// -nodelimit) and retries them on a degradation ladder (AS-path
+// abstraction, then a halved failure budget) instead of failing the
+// whole run; a prefix verified at a halved budget is reported on stderr
+// and its answers are lower bounds for the requested -k.
 // Observability flags: -metrics <file> writes a JSON metrics report,
 // -progress prints live progress lines to stderr (an in-place status
 // line on a terminal, plain lines when piped), -trace-out <file> writes
@@ -84,7 +86,7 @@ var (
 	progress    = flag.Bool("progress", false, "print live progress lines to stderr")
 	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	timeoutFlag = flag.Duration("timeout", 0, "wall-clock budget for the run (e.g. 30s; 0 = none)")
-	resilient   = flag.Bool("resilient", false, "degrade gracefully when the BDD node table overflows: quarantine the offending prefix, retry it on the escalation ladder, and complete the rest")
+	resilient   = flag.Bool("resilient", false, "degrade gracefully when the BDD node table overflows: quarantine the offending prefix, retry it with AS-path abstraction and then a halved failure budget (its answers are then lower bounds for -k), and complete the rest")
 	nodeLimit   = flag.Int("nodelimit", 0, "BDD node table cap (0 = package default); overflowing it fails the run, or degrades it under -resilient")
 	parallel    = flag.Int("parallel", 0, "worker count for per-prefix parallel verification (0 = one per CPU, 1 = one at a time)")
 	workers     = flag.Int("workers", 0, "verify across this many supervised worker subprocesses; crashed workers are retried and, past the attempt budget, their prefixes re-verified in-process (exit 3). 0 = in-process")

@@ -57,10 +57,9 @@ type Pipeline struct {
 
 	// Scope, when non-nil, restricts the pipeline to packets whose
 	// destination lies inside this prefix: symbolic forwarding injects
-	// only scope's headers and OwnedHeaders intersects with it. Scoped
-	// pipelines are produced by the degradation ladder's split-headers
-	// rung (RunScoped); property results are exact for the scoped
-	// header space and must be combined across the sibling scopes.
+	// only scope's headers and OwnedHeaders intersects with it. Every
+	// per-prefix task runs scoped to its own prefix (RunScoped), so a
+	// scoped pipeline answers for its prefix alone and has no siblings.
 	Scope *route.Prefix
 }
 
@@ -95,8 +94,8 @@ func RunWithSpace(net *config.Network, sp *symbol.Space, opts src.Options) (*Pip
 // RunScoped is Run restricted to packets destined inside scope: SRC
 // still computes routes for opts.Prefixes, but symbolic forwarding
 // injects only scope's header space, bounding the size of the PFEC
-// predicates. The degradation ladder uses it to push an overloaded
-// prefix through in halves.
+// predicates. Every per-prefix task is one such run, scoped to its
+// prefix.
 func RunScoped(net *config.Network, opts src.Options, scope route.Prefix) (*Pipeline, error) {
 	return runPipeline(net, newRunSpace(net, opts), opts, &scope)
 }

@@ -43,7 +43,9 @@ import (
 // v3: the options part of the preimage is src.Options.Encode.
 // v4: the options bytes lost a field and serialized BDDs are BDD3 (the
 // variable order is fixed, so blobs carry no order stamp).
-const cacheFormatVersion = 4
+// v5: a record holds exactly one pipeline (the ladder rung that made
+// two is gone; readers take the one without a fan-in).
+const cacheFormatVersion = 5
 
 // CacheKey derives the content address of one prefix task's result.
 // Two runs compute the same key exactly when the task is guaranteed to

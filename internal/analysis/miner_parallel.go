@@ -6,6 +6,7 @@ import (
 
 	"sre/internal/bdd"
 	"sre/internal/obs"
+	"sre/internal/resil"
 	"sre/internal/route"
 	"sre/internal/src"
 )
@@ -23,8 +24,8 @@ type pairEval struct {
 // mineStratumPerPrefix runs one mining stratum on a worker pool: each
 // prefix with undecided pairs becomes a task chain (scoped singleton
 // pipeline, plus ladder rungs when resilient), and the prefix's pairs
-// are evaluated in-task against its own pipelines — then the pipelines
-// are released immediately, so stratum peak memory is bounded by the
+// are evaluated in-task against its own pipeline — which is then
+// released immediately, so stratum peak memory is bounded by the
 // in-flight tasks instead of the whole domain. Decisions are committed
 // to the spec maps under one mutex; since every pair belongs to
 // exactly one prefix, results are independent of completion order.
@@ -64,12 +65,18 @@ func (mn *Miner) mineStratumPerPrefix(specs *Specs, undecided map[PairKey]bool,
 	return x.each(domain,
 		func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 			pairs := byPfx[pfx]
+			var decisions []pairDecision
+			if out.Err == nil {
+				// Evaluate off the lock: the prefix's one pipeline is task-local.
+				decisions, out.Err = mn.decidePairs(pipes[0], pairs, k)
+			}
+			mu.Lock()
+			defer mu.Unlock()
 			if out.Err != nil {
-				// The prefix exhausted the ladder at this stratum. Its
-				// pairs survived stratum k-1, so k-1 is a sound lower
-				// bound; record it and mark them degraded.
-				mu.Lock()
-				defer mu.Unlock()
+				// The prefix exhausted the ladder at this stratum (or its
+				// queries overflowed the verified pipeline). Its pairs
+				// survived stratum k-1, so k-1 is a sound lower bound;
+				// record it and mark them degraded.
 				for _, pe := range pairs {
 					specs.ReachTolerance[pe.key] = k - 1
 					specs.DegradedPairs[pe.key] = true
@@ -79,72 +86,7 @@ func (mn *Miner) mineStratumPerPrefix(specs *Specs, undecided map[PairKey]bool,
 					delete(undecided, pe.key)
 					telDecided.Inc()
 				}
-				mergeOutcome(specs, out)
-				pairDone += len(pairs)
-				emitProgress(pairDone)
-				return
 			}
-
-			// Evaluate off the lock: the pipelines are task-local.
-			type decision struct {
-				pe          pairEval
-				violated    bool
-				reachEmpty  bool
-				waypointTol int // k-1 when decided here, else sentinel
-				loadBalance int
-			}
-			const wpUndecided = InfiniteTolerance
-			budgets := make(map[*Pipeline]bdd.Node, len(pipes))
-			budgetOf := func(p *Pipeline) bdd.Node {
-				b, ok := budgets[p]
-				if !ok {
-					b = p.Sp.AtMostKLinkFailures(k)
-					budgets[p] = b
-				}
-				return b
-			}
-			decisions := make([]decision, 0, len(pairs))
-			for _, pe := range pairs {
-				d := decision{pe: pe, reachEmpty: true, waypointTol: wpUndecided}
-				wpDone := pe.waypointDone
-				for _, pipe := range pipes {
-					m := pipe.Sp.M
-					budget := budgetOf(pipe)
-					hdr := pipe.OwnedHeaders(pe.key.Prefix)
-					dst := pipe.OriginSet(pe.key.Prefix)
-					prop := pipe.ReachBDD(pe.key.Src, dst, hdr)
-					if prop != bdd.False {
-						d.reachEmpty = false
-					}
-					if m.Diff(m.And(hdr, budget), prop) != bdd.False {
-						d.violated = true
-					}
-					if mn.Waypoint != nil && !wpDone {
-						if w, ok := mn.Waypoint(pe.key.Src, pe.key.Prefix); ok {
-							wprop := pipe.WaypointBDD(pe.key.Src, dst, w, hdr)
-							if m.Diff(m.And(hdr, budget), wprop) != bdd.False {
-								d.waypointTol = k - 1
-								wpDone = true
-							}
-						}
-					}
-				}
-				if !d.violated && k == 0 {
-					for _, pipe := range pipes {
-						dst := pipe.OriginSet(pe.key.Prefix)
-						if n := pipe.LoadBalancePaths(pe.key.Src, dst, pipe.OwnedHeaders(pe.key.Prefix)); n > d.loadBalance {
-							d.loadBalance = n
-						}
-					}
-				}
-				decisions = append(decisions, d)
-			}
-			for _, p := range pipes {
-				p.Release()
-			}
-
-			mu.Lock()
-			defer mu.Unlock()
 			for _, d := range decisions {
 				if d.waypointTol != wpUndecided {
 					specs.WaypointTolerance[d.pe.key] = d.waypointTol
@@ -156,20 +98,62 @@ func (mn *Miner) mineStratumPerPrefix(specs *Specs, undecided map[PairKey]bool,
 					if d.reachEmpty {
 						*isolationCandidates = append(*isolationCandidates, d.pe.key)
 					}
-					continue
-				}
-				if k == 0 {
-					if d.loadBalance > specs.LoadBalance[d.pe.key] {
-						specs.LoadBalance[d.pe.key] = d.loadBalance
-					}
+				} else if k == 0 && d.loadBalance > specs.LoadBalance[d.pe.key] {
+					specs.LoadBalance[d.pe.key] = d.loadBalance
 				}
 			}
-			if out.Quarantined || out.Degraded {
+			if out.Quarantined || out.Degraded || out.Err != nil {
 				mergeOutcome(specs, out)
 			}
 			pairDone += len(pairs)
 			emitProgress(pairDone)
 		})
+}
+
+// pairDecision is what one stratum learned about one pair.
+type pairDecision struct {
+	pe          pairEval
+	violated    bool
+	reachEmpty  bool
+	waypointTol int // k-1 when decided here, else wpUndecided
+	loadBalance int
+}
+
+const wpUndecided = InfiniteTolerance
+
+// decidePairs evaluates a prefix's undecided pairs at stratum k on its
+// verified pipeline, then releases it. In a resilient mine, a node-table
+// overflow raised by the queries themselves is returned as the error
+// that fails the prefix at this stratum, like an exhausted ladder.
+func (mn *Miner) decidePairs(pipe *Pipeline, pairs []pairEval, k int) (_ []pairDecision, err error) {
+	defer pipe.Release()
+	if mn.Resilient {
+		defer guardOverflow(&err)
+	}
+	decisions := make([]pairDecision, 0, len(pairs))
+	m := pipe.Sp.M
+	budget := pipe.Sp.AtMostKLinkFailures(k)
+	for _, pe := range pairs {
+		d := pairDecision{pe: pe, waypointTol: wpUndecided}
+		hdr := pipe.OwnedHeaders(pe.key.Prefix)
+		dst := pipe.OriginSet(pe.key.Prefix)
+		prop := pipe.ReachBDD(pe.key.Src, dst, hdr)
+		d.reachEmpty = prop == bdd.False
+		d.violated = m.Diff(m.And(hdr, budget), prop) != bdd.False
+		if mn.Waypoint != nil && !pe.waypointDone {
+			if w, ok := mn.Waypoint(pe.key.Src, pe.key.Prefix); ok {
+				wprop := pipe.WaypointBDD(pe.key.Src, dst, w, hdr)
+				if m.Diff(m.And(hdr, budget), wprop) != bdd.False {
+					d.waypointTol = k - 1
+				}
+			}
+		}
+		if !d.violated && k == 0 {
+			d.loadBalance = pipe.LoadBalancePaths(pe.key.Src, dst, hdr)
+		}
+		decisions = append(decisions, d)
+	}
+	return decisions, nil
 }
 
 // confirmIsolationPerPrefix re-checks isolation candidates at the full
@@ -192,23 +176,8 @@ func (mn *Miner) confirmIsolationPerPrefix(specs *Specs, candidates []PairKey, w
 	err := x.each(domain,
 		func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 			var isolatedKeys []PairKey
-			for _, key := range byPfx[pfx] {
-				if len(pipes) == 0 {
-					continue // prefix failed: isolation cannot be confirmed
-				}
-				isolated := true
-				for _, pipe := range pipes {
-					if pipe.ReachBDD(key.Src, pipe.OriginSet(key.Prefix), pipe.OwnedHeaders(key.Prefix)) != bdd.False {
-						isolated = false
-						break
-					}
-				}
-				if isolated {
-					isolatedKeys = append(isolatedKeys, key)
-				}
-			}
-			for _, p := range pipes {
-				p.Release()
+			if out.Err == nil { // a failed prefix cannot confirm isolation
+				isolatedKeys, out.Err = mn.isolatedPairs(pipes[0], byPfx[pfx])
 			}
 			mu.Lock()
 			defer mu.Unlock()
@@ -221,6 +190,37 @@ func (mn *Miner) confirmIsolationPerPrefix(specs *Specs, candidates []PairKey, w
 		return fmt.Errorf("isolation confirmation: %w", err)
 	}
 	return nil
+}
+
+// isolatedPairs returns the candidates pipe confirms isolated, then
+// releases it; overflowing queries fail the prefix like decidePairs.
+func (mn *Miner) isolatedPairs(pipe *Pipeline, candidates []PairKey) (_ []PairKey, err error) {
+	defer pipe.Release()
+	if mn.Resilient {
+		defer guardOverflow(&err)
+	}
+	var isolated []PairKey
+	for _, key := range candidates {
+		if pipe.ReachBDD(key.Src, pipe.OriginSet(key.Prefix), pipe.OwnedHeaders(key.Prefix)) == bdd.False {
+			isolated = append(isolated, key)
+		}
+	}
+	return isolated, nil
+}
+
+// guardOverflow is deferred around queries on a verified pipeline: a
+// node-table overflow they raise becomes *errp; anything else (an
+// interruption, a defect) keeps unwinding to the caller's firewall.
+func guardOverflow(errp *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if e, ok := r.(error); ok && recoverable(e) {
+		*errp = resil.Stage("mine", e)
+		return
+	}
+	panic(r)
 }
 
 // executor is the miner's per-stratum Executor: the ladder on when

@@ -114,10 +114,11 @@ type Task struct {
 	Key    string // cache key; "" when the run carries no cache
 }
 
-// collectFn receives each finished prefix: its pipelines (nil when the
-// ladder was exhausted) and outcome. It is called from worker
+// collectFn receives each finished prefix: its pipeline (a one-element
+// slice, the shape records and worker frames carry; nil when the ladder
+// was exhausted) and outcome. It is called from worker
 // goroutines and must synchronize its own shared state; per-task work
-// (evaluating properties on the delivered pipelines) should happen
+// (evaluating properties on the delivered pipeline) should happen
 // inside it, off any global lock.
 type collectFn = func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome)
 
@@ -203,7 +204,16 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 		pt.byPrefix[pfx] = pipes
 	})
 	for _, pfx := range sortedPrefixList(domain) {
-		pt.Groups = append(pt.Groups, pt.byPrefix[pfx]...)
+		pipes := pt.byPrefix[pfx]
+		// Every producer — a task's last attempt, a cache record, a fleet
+		// worker — makes exactly one pipeline for a verified prefix and
+		// none for a failed one; queries take it without looking for
+		// siblings.
+		if verified := pt.outcomes[pfx].Err == nil; err == nil && verified != (len(pipes) == 1) {
+			err = fmt.Errorf("%w: prefix %s delivered %d pipelines (outcome error: %v)",
+				resil.ErrInternal, pfx, len(pipes), pt.outcomes[pfx].Err)
+		}
+		pt.Groups = append(pt.Groups, pipes...)
 	}
 	if err != nil {
 		pt.Release()
@@ -291,10 +301,8 @@ func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
 // ones — is fixed up front, so results cannot depend on scheduling
 // order.
 type rungAttempt struct {
-	name  string
-	opts  src.Options
-	kDone int  // EffectivePruneK recorded when this rung succeeds
-	split bool // split-headers: two scoped half pipelines
+	name string
+	opts src.Options // opts.PruneK is the EffectivePruneK of a success
 }
 
 // prefixJob carries one prefix through its attempt chain. Each step is
@@ -322,24 +330,21 @@ func newPrefixJob(x *Executor, t Task, collect collectFn) *prefixJob {
 	// abstraction merges parallel routes, often an order-of-magnitude
 	// node saving on fabrics (§7.3); halved budgets stick for later
 	// rungs (results are then sound only for the smaller budget, so the
-	// miner disables the rung); split-headers inherits both, and needs
-	// both halves of the prefix's header space to succeed.
+	// miner disables the rung). The ladder ends there: a task's header
+	// space is already one prefix, so there is nothing left to split.
 	o := x.Opts
 	if !o.Abstract {
 		o.Abstract = true
-		j.rungs = append(j.rungs, rungAttempt{name: RungAbstract, opts: o, kDone: o.PruneK})
+		j.rungs = append(j.rungs, rungAttempt{name: RungAbstract, opts: o})
 	}
 	if !x.Lad.DisableBudgetHalving {
 		for k := o.PruneK / 2; o.PruneK > 0; k /= 2 {
 			o.PruneK = k
-			j.rungs = append(j.rungs, rungAttempt{name: RungHalveBudget, opts: o, kDone: k})
+			j.rungs = append(j.rungs, rungAttempt{name: RungHalveBudget, opts: o})
 			if k == 0 {
 				break
 			}
 		}
-	}
-	if _, _, ok := t.Prefix.Halves(); ok {
-		j.rungs = append(j.rungs, rungAttempt{name: RungSplitHeaders, opts: o, kDone: o.PruneK, split: true})
 	}
 	return j
 }
@@ -352,74 +357,42 @@ func (j *prefixJob) step(w *sched.Worker) error {
 	if w.Tel.Recording() {
 		t0 = time.Now()
 	}
-	if j.idx == 0 {
-		o := j.x.Opts
-		o.Telemetry = w.Tel
-		o.Prefixes = j.domain
-		pipe, err := RunScoped(j.x.Net, o, j.Prefix)
-		if err == nil {
-			j.record(w, t0, "ok")
-			j.deliver(w, []*Pipeline{pipe})
-			return nil
+	// The first attempt runs the requested options; attempt i > 0 runs
+	// rungs[i-1] and, when it succeeds, marks the prefix degraded.
+	o, outcome := j.x.Opts, "ok"
+	var rung *rungAttempt
+	if j.idx > 0 {
+		rung = &j.rungs[j.idx-1]
+		o, outcome = rung.opts, rung.name
+		w.Tel.Counter("resilience.retries").Inc()
+		j.out.Rungs = append(j.out.Rungs, rung.name)
+		j.emit(w, fmt.Sprintf("prefix %s: retrying on rung %q", j.Prefix, rung.name))
+	}
+	o.Telemetry = w.Tel
+	o.Prefixes = j.domain
+	pipe, err := RunScoped(j.x.Net, o, j.Prefix)
+	if err == nil {
+		if rung != nil {
+			j.out.Degraded = true
+			j.out.EffectivePruneK = o.PruneK
+			w.Tel.Counter("resilience.degraded").Inc()
 		}
-		if !recoverable(err) || !j.x.Ladder {
-			return err
-		}
+		j.record(w, t0, outcome)
+		j.deliver(w, []*Pipeline{pipe})
+		return nil
+	}
+	if !recoverable(err) || !j.x.Ladder {
+		return err
+	}
+	if rung == nil {
 		j.out.Quarantined = true
 		w.Tel.Counter("resilience.quarantined").Inc()
 		j.record(w, t0, "quarantined")
-		j.lastErr = err
-		return j.next(w)
-	}
-
-	r := j.rungs[j.idx-1]
-	o := r.opts
-	o.Telemetry = w.Tel
-	o.Prefixes = j.domain
-	if !r.split {
-		w.Tel.Counter("resilience.retries").Inc()
-		j.out.Rungs = append(j.out.Rungs, r.name)
-		j.emit(w, fmt.Sprintf("prefix %s: retrying on rung %q", j.Prefix, r.name))
-		pipe, err := RunScoped(j.x.Net, o, j.Prefix)
-		if err == nil {
-			j.degrade(w, r.kDone)
-			j.record(w, t0, r.name)
-			j.deliver(w, []*Pipeline{pipe})
-			return nil
-		}
-		if !recoverable(err) {
-			return err
-		}
+	} else {
 		j.record(w, t0, "overflow")
-		j.lastErr = err
-		return j.next(w)
 	}
-
-	// Split-headers: both scoped halves must succeed.
-	lo, hi, _ := j.Prefix.Halves()
-	j.out.Rungs = append(j.out.Rungs, r.name)
-	var halves []*Pipeline
-	for _, half := range []route.Prefix{lo, hi} {
-		w.Tel.Counter("resilience.retries").Inc()
-		j.emit(w, fmt.Sprintf("prefix %s: retrying scoped to %s", j.Prefix, half))
-		pipe, err := RunScoped(j.x.Net, o, half)
-		if err != nil {
-			for _, p := range halves {
-				p.Release()
-			}
-			if !recoverable(err) {
-				return err
-			}
-			j.record(w, t0, "overflow")
-			j.lastErr = err
-			return j.next(w)
-		}
-		halves = append(halves, pipe)
-	}
-	j.degrade(w, r.kDone)
-	j.record(w, t0, r.name)
-	j.deliver(w, halves)
-	return nil
+	j.lastErr = err
+	return j.next(w)
 }
 
 // record captures one per-prefix flight-recorder event for the attempt
@@ -451,12 +424,6 @@ func (j *prefixJob) next(w *sched.Worker) error {
 	}
 	w.Submit(j.Cost, j.step)
 	return nil
-}
-
-func (j *prefixJob) degrade(w *sched.Worker, k int) {
-	j.out.Degraded = true
-	j.out.EffectivePruneK = k
-	w.Tel.Counter("resilience.degraded").Inc()
 }
 
 func (j *prefixJob) deliver(w *sched.Worker, pipes []*Pipeline) {

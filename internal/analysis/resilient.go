@@ -12,9 +12,8 @@ import (
 // Escalation-ladder rung names, recorded per prefix in
 // PrefixOutcome.Rungs in the order they were climbed.
 const (
-	RungAbstract     = "abstract"      // enable AS-path abstraction (§7.3)
-	RungHalveBudget  = "halve-budget"  // halve the failure budget (PruneK)
-	RungSplitHeaders = "split-headers" // split the prefix's header space
+	RungAbstract    = "abstract"     // enable AS-path abstraction (§7.3)
+	RungHalveBudget = "halve-budget" // halve the failure budget (PruneK)
 	// RungWorkerCrash marks a prefix whose worker subprocess crashed,
 	// stalled, or corrupted its result stream repeatedly in a
 	// multi-process run, forcing a quarantined in-process fallback (see
@@ -38,7 +37,8 @@ type PrefixOutcome struct {
 	Rungs    []string
 	// EffectivePruneK is the failure budget the prefix was actually
 	// verified with; it differs from the requested budget only after
-	// the halve-budget rung.
+	// the halve-budget rung. Answers are then sound lower bounds for the
+	// requested budget: scenarios with more failures were never explored.
 	EffectivePruneK int
 	// WorkerCrashes counts failed worker attempts (crash, stall,
 	// corrupt frame) this prefix survived in a multi-process run before
@@ -79,11 +79,10 @@ func (pt *Partitioned) Outcomes() []PrefixOutcome {
 	return out
 }
 
-// PipelinesFor returns the pipelines covering pfx: usually one, two
-// after the split-headers rung (each scoped to half the header space),
-// nil when the prefix failed or was not requested. Queries over pfx
-// must combine results across all returned pipelines (min for
-// tolerances, max for path counts).
+// PipelinesFor returns the pipeline covering pfx — exactly one (the
+// combined pipeline, the prefix's own scoped one, or its ladder retry)
+// — or nil when the prefix failed or was not requested. The slice is
+// the shape the cache record and the worker wire carry.
 func (pt *Partitioned) PipelinesFor(pfx route.Prefix) []*Pipeline {
 	return pt.byPrefix[pfx]
 }

@@ -123,19 +123,6 @@ func (p Prefix) Covers(q Prefix) bool {
 	return q.Len >= p.Len && q.Addr&MaskOf(p.Len) == p.Addr
 }
 
-// Halves splits p into its two (Len+1)-bit sub-prefixes, used by the
-// degradation ladder to shrink the header space of an overloaded
-// analysis. ok is false for host prefixes (Len == 32), which cannot be
-// split further.
-func (p Prefix) Halves() (lo, hi Prefix, ok bool) {
-	if p.Len >= 32 {
-		return p, p, false
-	}
-	lo = Prefix{Addr: p.Addr, Len: p.Len + 1}
-	hi = Prefix{Addr: p.Addr | 1<<(31-p.Len), Len: p.Len + 1}
-	return lo, hi, true
-}
-
 // Overlaps reports whether the two prefixes share any address.
 func (p Prefix) Overlaps(q Prefix) bool {
 	return p.Covers(q) || q.Covers(p)

@@ -251,13 +251,14 @@ func (e *Engine) Run() error {
 		runT0 = time.Now()
 		runSt0 = e.Sp.M.Statistics()
 	}
-	if e.Opts.PruneK >= 0 {
-		e.filter = m.Ref(e.Sp.AtMostKLinkFailures(e.Opts.PruneK))
-	} else {
-		e.filter = bdd.True
-	}
 	e.adv = make(map[advKey]*advSet)
 	err := e.protect(func() {
+		// Building the lf^k filter allocates nodes like everything below:
+		// under a small limit it is the first thing to overflow.
+		e.filter = bdd.True
+		if e.Opts.PruneK >= 0 {
+			e.filter = m.Ref(e.Sp.AtMostKLinkFailures(e.Opts.PruneK))
+		}
 		if e.Opts.IBGPFullMesh {
 			if serr := e.setupVirtualSessions(); serr != nil {
 				panic(bddPanicWrap{serr})

@@ -10,18 +10,29 @@ import (
 	"sre/internal/workload"
 )
 
-// The two verifications the determinism tests pin across execution
-// configurations: ft4Plain, where no prefix degrades, and ft4Limited,
-// where the node limit makes all 8 prefixes quarantine and verify on
-// the abstract rung — so the ladder is compared cell by cell too.
+// The three verifications the determinism tests pin across execution
+// configurations: ft4Plain, where no prefix degrades; ft4Limited, where
+// the node limit makes all 8 prefixes quarantine and verify on the
+// abstract rung; and ft4Halved, inside the window (2 558 … 4 509 nodes,
+// EXPERIMENTS.md) where abstraction is not enough and all 8 verify on
+// halve-budget at budget 1 of the 3 requested — so the ladder, the
+// effective budget included, is compared cell by cell too.
 var (
 	ft4Plain   = sre.Options{MaxFailures: 2, Resilient: true}
 	ft4Limited = sre.Options{MaxFailures: 3, BDDNodeLimit: 20000, Resilient: true}
+	ft4Halved  = sre.Options{MaxFailures: 3, BDDNodeLimit: 3500, Resilient: true}
 
 	ft4Variants = []struct {
 		name string
 		base sre.Options
-	}{{"plain", ft4Plain}, {"nodelimit20k", ft4Limited}}
+		// rungs and effectiveK are what every prefix's outcome must read.
+		rungs      []string
+		effectiveK int
+	}{
+		{"plain", ft4Plain, nil, 2},
+		{"nodelimit20k", ft4Limited, []string{sre.RungAbstract}, 3},
+		{"nodelimit3500", ft4Halved, []string{sre.RungAbstract, sre.RungHalveBudget}, 1},
+	}
 )
 
 // fatTreeRun is verifyRun over every prefix of a 4-ary fat tree at the
@@ -93,11 +104,11 @@ func TestParallelDeterminism(t *testing.T) {
 			if len(baseOuts) == 0 {
 				t.Fatal("resilient run reported no outcomes")
 			}
-			if v.base.BDDNodeLimit > 0 {
-				for _, o := range baseOuts {
-					if !o.Quarantined || !reflect.DeepEqual(o.Rungs, []string{sre.RungAbstract}) || o.EffectivePruneK != v.base.MaxFailures {
-						t.Fatalf("fixture drifted: %s should verify on the abstract rung, got %+v", o.Prefix, o)
-					}
+			for _, o := range baseOuts {
+				climbed := len(v.rungs) > 0
+				if o.Err != nil || o.Quarantined != climbed || o.Degraded != climbed ||
+					!reflect.DeepEqual(o.Rungs, v.rungs) || o.EffectivePruneK != v.effectiveK {
+					t.Fatalf("fixture drifted: %s should verify on rungs %v at budget %d, got %+v", o.Prefix, v.rungs, v.effectiveK, o)
 				}
 			}
 			for _, p := range []int{2, 8} {

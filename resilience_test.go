@@ -3,12 +3,15 @@ package sre_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sre"
+	"sre/internal/topology"
+	"sre/internal/workload"
 )
 
 // heavyLight is a 5-router BGP full mesh tuned so that one prefix is
@@ -283,6 +286,229 @@ func TestResilientMineSpecs(t *testing.T) {
 	for _, want := range []string{"20.0.0.0/8", "30.0.0.0/8"} {
 		if !light[want] {
 			t.Errorf("no sound mined verdict for light prefix %s", want)
+		}
+	}
+}
+
+// checkRungNames fails on any outcome listing a rung the ladder does not
+// have: it is abstract, then halve-budget, plus the fleet's worker-crash.
+func checkRungNames(t *testing.T, outs []sre.PrefixOutcome) {
+	t.Helper()
+	for _, o := range outs {
+		for _, r := range o.Rungs {
+			if r != sre.RungAbstract && r != sre.RungHalveBudget && r != sre.RungWorkerCrash {
+				t.Errorf("prefix %s lists unknown rung %q (rungs %v)", o.Prefix, r, o.Rungs)
+			}
+		}
+	}
+}
+
+// TestHalveBudgetAnswersAreLowerBounds verifies two networks under node
+// limits inside their measured halve-budget windows (EXPERIMENTS.md): a
+// BGP fat tree, where abstraction is tried first and is not enough, and
+// an OSPF WAN, where abstraction changes nothing and a smaller budget
+// is the only rescue. Every prefix must end on halve-budget with an
+// effective budget below the request, and no tolerance may exceed the
+// unlimited run's answer: scenarios past the effective budget were not
+// explored, so they count against the property. (Only a router asking
+// about its own prefix still reads InfiniteTolerance — exactly.)
+func TestHalveBudgetAnswersAreLowerBounds(t *testing.T) {
+	for _, in := range []struct {
+		name string
+		net  *sre.Network
+		opts sre.Options
+	}{
+		{"fattree4-bgp", workload.FatTree(4, workload.BGP), ft4Halved},
+		{"wan10-ospf", workload.SyntheticWAN("wan", 10, 15, workload.OSPF, 1),
+			sre.Options{MaxFailures: 2, BDDNodeLimit: 1200, Resilient: true}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			in.opts.Parallelism = 1
+			limited, err := sre.NewVerifier(in.net, in.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer limited.Release()
+			in.opts.BDDNodeLimit = 0
+			exact, err := sre.NewVerifier(in.net, in.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer exact.Release()
+			if exact.Degraded() {
+				t.Fatal("the unlimited run degraded")
+			}
+
+			outs := limited.Outcomes()
+			checkRungNames(t, outs)
+			lower := 0
+			for _, o := range outs {
+				if o.Err != nil || !o.Quarantined || !o.Degraded ||
+					!reflect.DeepEqual(o.Rungs, []string{sre.RungAbstract, sre.RungHalveBudget}) ||
+					o.EffectivePruneK != 1 || o.EffectivePruneK >= in.opts.MaxFailures {
+					t.Fatalf("fixture drifted: %s should verify on halve-budget at budget 1, got %+v", o.Prefix, o)
+				}
+				for r := 0; r < in.net.Topology.NumRouters(); r++ {
+					src := in.net.Topology.Name(topology.RouterID(r))
+					want, err := exact.FailureTolerance(src, o.Prefix.String())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := limited.FailureTolerance(src, o.Prefix.String())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got > want {
+						t.Errorf("%s -> %s: tolerance %d at budget %d exceeds the unlimited run's %d",
+							src, o.Prefix, got, o.EffectivePruneK, want)
+					}
+					if got < want {
+						lower++
+					}
+				}
+			}
+			if lower == 0 {
+				t.Error("no answer was lowered: the fixture does not exercise the smaller budget")
+			}
+			t.Logf("%d tolerances lowered by the halved budget", lower)
+		})
+	}
+}
+
+// isolationDiamond is S and D joined directly and through X and Y. D
+// drops everything arriving from S, so with all links up S is isolated
+// from D's prefix; one failure (S–D) deflects traffic through X and Y
+// (isolation tolerance 0) and a second (S–X) leaves only the path that
+// bypasses X (waypoint-only tolerance 1).
+const isolationDiamond = `
+topology
+  router S
+  router D
+  router X
+  router Y
+  link S D
+  link S X
+  link X D
+  link S Y
+  link Y D
+end
+router S
+  ospf
+end
+router X
+  ospf
+end
+router Y
+  ospf
+end
+router D
+  ospf
+    network 10.0.0.0/24
+  interface S
+    acl-in deny any
+end
+`
+
+// TestHalvedBudgetCapsIsolation: at 100 nodes the prefix verifies on
+// halve-budget at effective budget 0, where no explored scenario lets
+// traffic through. "No violation" then only covers 0 failures — the
+// queries must report that budget, not InfiniteTolerance, which callers
+// read as ">= the requested 2" when the true answers are 0 and 1.
+func TestHalvedBudgetCapsIsolation(t *testing.T) {
+	net, err := sre.ParseNetwork(isolationDiamond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ limit, isolation, waypointOnly int }{{0, 0, 1}, {100, 0, 0}} {
+		limit := c.limit
+		v, err := sre.NewVerifier(net, sre.Options{MaxFailures: 2, Resilient: true, BDDNodeLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Release()
+		outs := v.Outcomes()
+		checkRungNames(t, outs)
+		if limit > 0 {
+			want := []string{sre.RungAbstract, sre.RungHalveBudget, sre.RungHalveBudget}
+			if len(outs) != 1 || !reflect.DeepEqual(outs[0].Rungs, want) || outs[0].EffectivePruneK != 0 {
+				t.Fatalf("fixture drifted: want rungs %v at budget 0, got %+v", want, outs)
+			}
+		}
+		if k, err := v.IsolationTolerance("S", "10.0.0.0/24"); err != nil || k != c.isolation {
+			t.Errorf("limit %d: IsolationTolerance = %d, %v; want %d", limit, k, err, c.isolation)
+		}
+		if k, err := v.WaypointOnlyTolerance("S", "10.0.0.0/24", "X"); err != nil || k != c.waypointOnly {
+			t.Errorf("limit %d: WaypointOnlyTolerance = %d, %v; want %d", limit, k, err, c.waypointOnly)
+		}
+	}
+}
+
+// TestFilterOverflowIsTypedError: at 100 nodes FatTree(4) k=3 overflows
+// while SRC builds its at-most-k-failures filter, before the first
+// route. That is an overflow like any other: per-prefix outcomes under
+// Resilient, ErrBDDLimit without — not a panic caught by a firewall.
+func TestFilterOverflowIsTypedError(t *testing.T) {
+	net := workload.FatTree(4, workload.BGP)
+	v, err := sre.NewVerifier(net, sre.Options{MaxFailures: 3, BDDNodeLimit: 100, Resilient: true})
+	if err != nil {
+		t.Fatalf("resilient run: %v", err)
+	}
+	defer v.Release()
+	outs := v.Outcomes()
+	checkRungNames(t, outs)
+	if len(outs) != 8 {
+		t.Fatalf("got %d outcomes, want 8", len(outs))
+	}
+	for _, o := range outs {
+		if !errors.Is(o.Err, sre.ErrBDDLimit) || errors.Is(o.Err, sre.ErrInternal) {
+			t.Errorf("prefix %s: Err = %v, want ErrBDDLimit", o.Prefix, o.Err)
+		}
+	}
+	for _, par := range []int{1, 2} {
+		_, err := sre.NewVerifier(net, sre.Options{MaxFailures: 3, BDDNodeLimit: 100, Parallelism: par})
+		if !errors.Is(err, sre.ErrBDDLimit) || errors.Is(err, sre.ErrInternal) {
+			t.Errorf("non-resilient run at parallelism %d: err = %v, want ErrBDDLimit", par, err)
+		}
+	}
+}
+
+// TestResilientMineNeverHalves mines FatTree(4) under limits inside the
+// window where NewVerifier rescues every prefix by halving the budget.
+// The miner must not: a stratum-k verdict is only sound at budget k. A
+// prefix it cannot verify at a stratum is reported — DegradedPairs, with
+// the lower bound the previous stratum proved — and every other pair
+// reads exactly what an unlimited mine reads.
+func TestResilientMineNeverHalves(t *testing.T) {
+	net := workload.FatTree(4, workload.BGP)
+	exact, err := sre.MineSpecs(net, 3, sre.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{2600, 3500} {
+		specs, err := sre.MineSpecs(net, 3, sre.Options{Resilient: true, BDDNodeLimit: limit, Parallelism: 1})
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		if len(specs.DegradedPairs) == 0 {
+			t.Fatalf("limit %d: fixture drifted: no pair degraded", limit)
+		}
+		for pfx, o := range specs.Outcomes {
+			for _, r := range o.Rungs {
+				if r != sre.RungAbstract {
+					t.Errorf("limit %d: prefix %s climbed rung %q; the miner's ladder is [abstract]", limit, pfx, r)
+				}
+			}
+		}
+		for key, want := range exact.ReachTolerance {
+			got, ok := specs.ReachTolerance[key]
+			switch {
+			case !ok:
+				t.Errorf("limit %d: pair %v undecided", limit, key)
+			case specs.DegradedPairs[key] && got > want:
+				t.Errorf("limit %d: degraded pair %v reads %d, above the exact %d", limit, key, got, want)
+			case !specs.DegradedPairs[key] && got != want:
+				t.Errorf("limit %d: pair %v reads %d, exact %d, and is not marked degraded", limit, key, got, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sre
 
 import (
 	"fmt"
+	"slices"
 
 	"sre/internal/analysis"
 	"sre/internal/route"
@@ -14,9 +15,8 @@ type PrefixOutcome = analysis.PrefixOutcome
 
 // Degradation-ladder rung names recorded in PrefixOutcome.Rungs.
 const (
-	RungAbstract     = analysis.RungAbstract
-	RungHalveBudget  = analysis.RungHalveBudget
-	RungSplitHeaders = analysis.RungSplitHeaders
+	RungAbstract    = analysis.RungAbstract
+	RungHalveBudget = analysis.RungHalveBudget
 	// RungWorkerCrash marks a prefix of a multi-process run that
 	// exhausted its worker attempts and was re-verified in-process. It
 	// attributes the crashes; the fallback ran the originally requested
@@ -63,12 +63,11 @@ func (v *Verifier) CrashDegraded() bool {
 	return false
 }
 
-// pipesFor returns the pipelines covering pfx: one (the combined
-// pipeline, the prefix's own scoped one, or its ladder retry) or two
-// (after the split-headers rung); queries combine results across them.
+// pipeFor returns the pipeline that answers queries over pfx: the
+// combined pipeline, the prefix's own scoped one, or its ladder retry.
 // Prefixes that exhausted the degradation ladder, or were never part of
 // the run (outside Options.Prefixes), yield an error.
-func (v *Verifier) pipesFor(pfx route.Prefix) ([]*analysis.Pipeline, error) {
+func (v *Verifier) pipeFor(pfx route.Prefix) (*analysis.Pipeline, error) {
 	if o := v.part.Outcome(pfx); o != nil && o.Err != nil {
 		return nil, fmt.Errorf("sre: prefix %s could not be verified (degradation ladder exhausted): %w", pfx, o.Err)
 	}
@@ -76,7 +75,21 @@ func (v *Verifier) pipesFor(pfx route.Prefix) ([]*analysis.Pipeline, error) {
 	if len(pipes) == 0 {
 		return nil, fmt.Errorf("sre: prefix %s was not part of this run", pfx)
 	}
-	return pipes, nil
+	return pipes[0], nil
+}
+
+// exploredBound caps a "never happens" tolerance at what the run
+// explored. Isolation-style queries report InfiniteTolerance when no
+// explored scenario lets traffic through; after the halve-budget rung
+// the scenarios between the effective and the requested budget were
+// never explored, so the sound answer is the effective budget — a lower
+// bound. (Reach and waypoint tolerances need no such cap: unexplored
+// scenarios already count as violations there.)
+func (v *Verifier) exploredBound(pfx route.Prefix, k int) int {
+	if o := v.part.Outcome(pfx); k == InfiniteTolerance && o != nil && slices.Contains(o.Rungs, RungHalveBudget) {
+		return o.EffectivePruneK
+	}
+	return k
 }
 
 // PrefixResult is one prefix's entry in a per-prefix query sweep: the

@@ -145,10 +145,15 @@ type Options struct {
 	// every prefix is verified as its own scoped task (at any
 	// Parallelism), and instead of failing the whole run when a task
 	// overflows the BDD node table, that prefix is quarantined and
-	// retried through an escalation ladder (AS-path abstraction, halved
-	// failure budget, split header space) while the remaining prefixes
-	// complete normally. Per-prefix outcomes are reported by
-	// Verifier.Outcomes.
+	// retried through an escalation ladder (AS-path abstraction, then a
+	// halved failure budget) while the remaining prefixes complete
+	// normally. Per-prefix outcomes are reported by Verifier.Outcomes; a
+	// prefix verified on the halve-budget rung answers for its
+	// EffectivePruneK, so its tolerances are sound lower bounds: reach
+	// and waypoint tolerances count every unexplored scenario as a
+	// violation (they never exceed the unlimited answer), and an
+	// isolation or waypoint-only query that finds no violation reports
+	// the effective budget rather than InfiniteTolerance.
 	Resilient bool
 	// Telemetry, when non-nil, collects counters, gauges, histograms,
 	// and tracing spans across the run (see NewTelemetry and
@@ -374,19 +379,12 @@ func (v *Verifier) FailureTolerance(srcRouter, prefix string) (k int, err error)
 	if err != nil {
 		return 0, err
 	}
-	pipes, err := v.pipesFor(pfx)
+	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return 0, err
 	}
-	k = InfiniteTolerance
-	for _, pipe := range pipes {
-		hdr := pipe.OwnedHeaders(pfx)
-		prop := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
-		if t := pipe.MinTolerance(prop, hdr); t < k {
-			k = t
-		}
-	}
-	return k, nil
+	hdr := pipe.OwnedHeaders(pfx)
+	return pipe.MinTolerance(pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr), hdr), nil
 }
 
 // WaypointTolerance is FailureTolerance for the property "reaches the
@@ -401,19 +399,12 @@ func (v *Verifier) WaypointTolerance(srcRouter, prefix, waypoint string) (k int,
 	if !ok {
 		return 0, fmt.Errorf("sre: unknown waypoint %q", waypoint)
 	}
-	pipes, err := v.pipesFor(pfx)
+	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return 0, err
 	}
-	k = InfiniteTolerance
-	for _, pipe := range pipes {
-		hdr := pipe.OwnedHeaders(pfx)
-		prop := pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, hdr)
-		if t := pipe.MinTolerance(prop, hdr); t < k {
-			k = t
-		}
-	}
-	return k, nil
+	hdr := pipe.OwnedHeaders(pfx)
+	return pipe.MinTolerance(pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, hdr), hdr), nil
 }
 
 // WaypointOnlyTolerance returns the failure tolerance of the property
@@ -433,22 +424,16 @@ func (v *Verifier) WaypointOnlyTolerance(srcRouter, prefix, waypoint string) (k 
 	if !ok {
 		return 0, fmt.Errorf("sre: unknown waypoint %q", waypoint)
 	}
-	pipes, err := v.pipesFor(pfx)
+	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return 0, err
 	}
-	k = InfiniteTolerance
-	for _, pipe := range pipes {
-		hdr := pipe.OwnedHeaders(pfx)
-		reach := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
-		via := pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, hdr)
-		bypass := pipe.Sp.M.Diff(reach, via)
-		// Bypass must never become possible: same reduction as isolation.
-		if t := pipe.IsolationTolerance(bypass, hdr); t < k {
-			k = t
-		}
-	}
-	return k, nil
+	hdr := pipe.OwnedHeaders(pfx)
+	reach := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
+	via := pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, hdr)
+	bypass := pipe.Sp.M.Diff(reach, via)
+	// Bypass must never become possible: same reduction as isolation.
+	return v.exploredBound(pfx, pipe.IsolationTolerance(bypass, hdr)), nil
 }
 
 // IsolationTolerance returns the failure tolerance of the property
@@ -461,43 +446,29 @@ func (v *Verifier) IsolationTolerance(srcRouter, prefix string) (k int, err erro
 	if err != nil {
 		return 0, err
 	}
-	pipes, err := v.pipesFor(pfx)
+	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return 0, err
 	}
-	k = InfiniteTolerance
-	for _, pipe := range pipes {
-		hdr := pipe.OwnedHeaders(pfx)
-		prop := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
-		if t := pipe.IsolationTolerance(prop, hdr); t < k {
-			k = t
-		}
-	}
-	return k, nil
+	hdr := pipe.OwnedHeaders(pfx)
+	prop := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
+	return v.exploredBound(pfx, pipe.IsolationTolerance(prop, hdr)), nil
 }
 
 // LoadBalancedPaths returns the number of forwarding paths that carry
 // traffic from srcRouter to the prefix simultaneously when all links are
-// up (the paper's Loadbalance property holds for n ≤ this count). For a
-// prefix split across scoped pipelines by the degradation ladder, the
-// maximum over the halves is reported — a sound lower bound on the
-// union of paths.
+// up (the paper's Loadbalance property holds for n ≤ this count).
 func (v *Verifier) LoadBalancedPaths(srcRouter, prefix string) (n int, err error) {
 	defer guard("analysis", v.tel, &err)
 	s, pfx, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	pipes, err := v.pipesFor(pfx)
+	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return 0, err
 	}
-	for _, pipe := range pipes {
-		if c := pipe.LoadBalancePaths(s, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx)); c > n {
-			n = c
-		}
-	}
-	return n, nil
+	return pipe.LoadBalancePaths(s, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx)), nil
 }
 
 // FailureModel is a probabilistic failure model for Probability queries.
@@ -531,21 +502,11 @@ func (v *Verifier) Probability(srcRouter, prefix string, model FailureModel) (p 
 	if err != nil {
 		return 0, err
 	}
-	pipes, err := v.pipesFor(pfx)
+	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return 0, err
 	}
-	var results []analysis.ProbabilityResult
-	for _, pipe := range pipes {
-		hdr := pipe.OwnedHeaders(pfx)
-		prop := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
-		if model.nodes {
-			results = append(results, pipe.ProbabilityWithNodes(prop, prob.NodeModel{PLinkDown: model.linkDown, PNodeDown: model.nodeDown})...)
-		} else {
-			results = append(results, pipe.Probability(prop, prob.LinkModel{PDown: model.linkDown})...)
-		}
-	}
-	return minProb(results)
+	return model.minProb(pipe, pipe.ReachBDD(s, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx)))
 }
 
 // WaypointProbability is Probability for the waypoint property.
@@ -559,21 +520,11 @@ func (v *Verifier) WaypointProbability(srcRouter, prefix, waypoint string, model
 	if !ok {
 		return 0, fmt.Errorf("sre: unknown waypoint %q", waypoint)
 	}
-	pipes, err := v.pipesFor(pfx)
+	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return 0, err
 	}
-	var results []analysis.ProbabilityResult
-	for _, pipe := range pipes {
-		hdr := pipe.OwnedHeaders(pfx)
-		prop := pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, hdr)
-		if model.nodes {
-			results = append(results, pipe.ProbabilityWithNodes(prop, prob.NodeModel{PLinkDown: model.linkDown, PNodeDown: model.nodeDown})...)
-		} else {
-			results = append(results, pipe.Probability(prop, prob.LinkModel{PDown: model.linkDown})...)
-		}
-	}
-	return minProb(results)
+	return model.minProb(pipe, pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, pipe.OwnedHeaders(pfx)))
 }
 
 // ErrNoPFECs is returned by probability queries whose property BDD is
@@ -583,9 +534,16 @@ func (v *Verifier) WaypointProbability(srcRouter, prefix, waypoint string, model
 // sets have zero mass under the failure model.
 var ErrNoPFECs = fmt.Errorf("sre: property holds for no (packet, failure) tuple")
 
-// minProb returns the minimum probability across the extracted packet
-// sets, or ErrNoPFECs when the property produced none.
-func minProb(results []analysis.ProbabilityResult) (float64, error) {
+// minProb returns the minimum probability of prop under the model
+// across the extracted packet sets, or ErrNoPFECs when the property
+// produced none.
+func (model FailureModel) minProb(pipe *analysis.Pipeline, prop bdd.Node) (float64, error) {
+	var results []analysis.ProbabilityResult
+	if model.nodes {
+		results = pipe.ProbabilityWithNodes(prop, prob.NodeModel{PLinkDown: model.linkDown, PNodeDown: model.nodeDown})
+	} else {
+		results = pipe.Probability(prop, prob.LinkModel{PDown: model.linkDown})
+	}
 	if len(results) == 0 {
 		return 0, ErrNoPFECs
 	}
@@ -618,8 +576,8 @@ type PairKey = analysis.PairKey
 // maxFailures simultaneous failures with the paper's stratified
 // route/prefix pruning. Options.Context/Timeout bound the run;
 // Options.Resilient lets individual prefixes degrade (quarantine and
-// header-space splitting — never budget halving, which would corrupt
-// the stratification) instead of failing the whole mine, with per-prefix
+// AS-path abstraction — never budget halving, which would corrupt the
+// stratification) instead of failing the whole mine, with per-prefix
 // outcomes reported in Specs.Outcomes.
 func MineSpecs(net *Network, maxFailures int, opts Options) (specs *Specs, err error) {
 	srcOpts, _, err := buildOpts(opts)

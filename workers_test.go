@@ -46,8 +46,9 @@ func fatTreeWorkersRun(t *testing.T, base sre.Options, workers int, faultPlan st
 // TestWorkersDeterminism pins the fleet's public contract: a fault-free
 // multi-process run at 1, 2, and 4 workers is indistinguishable from
 // the one-worker in-process run — same outcomes, same PFEC count, same
-// tolerances — and so is one whose workers climb the ladder (the
-// node-limited variant, at 2 workers).
+// tolerances — and so is one whose workers climb the ladder (the two
+// node-limited variants, at 2 workers: the rungs and the effective
+// budget cross the wire).
 func TestWorkersDeterminism(t *testing.T) {
 	for _, v := range ft4Variants {
 		t.Run(v.name, func(t *testing.T) {
