@@ -40,7 +40,10 @@ var bddSweepWorkloads = []struct {
 //
 // With -order-baseline set, the sweep doubles as a regression gate: the
 // auto order must stay within 10% of the baseline file's auto peak node
-// count per dataset, and within 10% of this run's declaration order.
+// count per dataset. Peaks are not compared across orders within a run:
+// where automatic collections land shapes the peak as much as the order
+// does (the order claim itself is pinned on live nodes after a forced
+// collection, by TestMindegShrinksLiveDiagram).
 func bddOrderSweep() {
 	header("BDD variable order — peak/total nodes per order, parallelism 1")
 	orders := []string{"declaration", "mindeg", "auto"}
@@ -49,7 +52,7 @@ func bddOrderSweep() {
 	for _, w := range bddSweepWorkloads {
 		var declSig string
 		var declSec float64
-		var declPeak, autoPeak int
+		var autoPeak int
 		for _, ord := range orders {
 			var cell bddKernelResult
 			ct.run("order:"+ord, func() {
@@ -59,7 +62,7 @@ func bddOrderSweep() {
 			speedup := 0.0
 			switch {
 			case ord == "declaration":
-				declSig, declSec, declPeak = cell.sig, cell.seconds, cell.peakNodes
+				declSig, declSec = cell.sig, cell.seconds
 			case cell.err == nil && cell.seconds > 0:
 				speedup = declSec / cell.seconds
 			}
@@ -83,19 +86,14 @@ func bddOrderSweep() {
 			t.addf("%s|%s|%.2fs|%d|%d|%v", w.name, ord, cell.seconds,
 				cell.peakNodes, cell.liveNodes, identical)
 		}
-		gateOrderPeaks(w.name, declPeak, autoPeak)
+		gateOrderPeaks(w.name, autoPeak)
 	}
 	t.print()
 }
 
 // gateOrderPeaks enforces the -order-baseline regression gate for one
 // dataset's sweep.
-func gateOrderPeaks(dataset string, declPeak, autoPeak int) {
-	if autoPeak > declPeak+declPeak/10 {
-		fmt.Printf("  GATE: %s auto peak %d exceeds declaration %d by >10%%\n",
-			dataset, autoPeak, declPeak)
-		gateFailed = true
-	}
+func gateOrderPeaks(dataset string, autoPeak int) {
 	if *orderBaseline == "" {
 		return
 	}

@@ -49,7 +49,7 @@ var (
 
 	// Variable-order gate (bddkernel experiment): compare the auto
 	// order's peak node counts against a committed baseline file.
-	orderBaseline = flag.String("order-baseline", "", "path to a committed BENCH_bddkernel.json; the bddkernel experiment's order sweep then fails (exit 1) when the auto order's peak node count regresses more than 10% against the baseline's auto rows, or when auto regresses more than 10% against this run's declaration order")
+	orderBaseline = flag.String("order-baseline", "", "path to a committed BENCH_bddkernel.json; the bddkernel experiment's order sweep then fails (exit 1) when the auto order's peak node count regresses more than 10% against the baseline's auto rows")
 )
 
 // withResilience arms the -deadline budget on engine options. Each call

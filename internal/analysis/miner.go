@@ -81,7 +81,8 @@ type Specs struct {
 	Outcomes map[route.Prefix]PrefixOutcome
 	// DegradedPairs marks pairs whose ReachTolerance is a lower bound:
 	// their prefix exhausted the escalation ladder at the stratum that
-	// would have decided them, so only "tolerance ≥ value" is known.
+	// would have decided them, or that stratum decided them on a
+	// degraded rung's pipeline, so only "tolerance ≥ value" is known.
 	DegradedPairs map[PairKey]bool
 }
 

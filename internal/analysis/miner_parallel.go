@@ -88,6 +88,11 @@ func (mn *Miner) mineStratumPerPrefix(specs *Specs, undecided map[PairKey]bool,
 				}
 			}
 			for _, d := range decisions {
+				// A weaker rung may find violations the exact run does not:
+				// what it decides is only a lower bound.
+				if out.Degraded && (d.violated || d.waypointTol != wpUndecided) {
+					specs.DegradedPairs[d.pe.key] = true
+				}
 				if d.waypointTol != wpUndecided {
 					specs.WaypointTolerance[d.pe.key] = d.waypointTol
 				}

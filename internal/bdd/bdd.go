@@ -98,10 +98,10 @@ type Manager struct {
 	freeCnt  int     // number of free slots
 	nodes    int     // allocated slots (live + garbage, excluding free)
 
-	vars      int
-	limit     int
-	autoGC    bool
-	gcPending bool // set when allocation pressure suggests a GC
+	vars   int
+	limit  int
+	autoGC bool
+	gcAt   int // allocated node count at which MaybeGC next looks (see gc.go)
 
 	// Shared operation cache: 2-way set-associative, 2*(setMask+1)
 	// entries. Set s occupies entries 2s (MRU way) and 2s+1 (LRU way).
@@ -259,6 +259,7 @@ func New(cfg Config) *Manager {
 		vars:      cfg.Vars,
 		limit:     cfg.NodeLimit,
 		autoGC:    !cfg.DisableGC,
+		gcAt:      gcFloor,
 		cache:     make([]cacheEntry, 2*cs), // cs sets × 2 ways
 		axCache:   make([]axEntry, axs),
 		freeList:  -1,

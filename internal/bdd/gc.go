@@ -18,72 +18,62 @@ import (
 // to the mark phase. The engines therefore call MaybeGC between top-level
 // steps, with every persistent BDD (topology conditions, predicates,
 // PFECs) protected by Ref.
+//
+// Automatic collection looks only when there may be garbage worth
+// having: once the allocated nodes reach gcGrowth times the live count
+// of the last look (never below gcFloor), MaybeGC marks, and sweeps
+// only if at least 1/gcYield of the allocated nodes turned out dead —
+// every sweep invalidates the op-cache entries that name dead nodes, so
+// a sweep that frees little costs more recomputation than it saves.
+// At three quarters of the node limit the sweep is unconditional.
+const (
+	gcFloor  = 64 << 10 // never look below this many allocated nodes
+	gcGrowth = 2        // look again at gcGrowth × the live count of the last look
+	gcYield  = 4        // sweep when at least 1/gcYield of the allocated nodes is dead
+)
 
 // GC runs a mark-and-sweep collection and reports how many nodes were
 // freed. Operation-cache entries whose operands and result all survive
 // are retained (warm restarts after GC); entries referencing a dead node
 // are invalidated.
-func (m *Manager) GC() int {
+func (m *Manager) GC() int { return m.collect(false) }
+
+// MaybeGC collects at a safe point. With threshold zero it applies the
+// collection policy above; a positive threshold instead collects
+// unconditionally once the allocated node count reaches it. It returns
+// the number of freed nodes, zero if no sweep ran.
+func (m *Manager) MaybeGC(threshold int) int {
+	if !m.autoGC {
+		return 0
+	}
+	if threshold != 0 {
+		if m.nodes < threshold {
+			return 0
+		}
+		return m.GC()
+	}
+	pressure := m.limit / 4 * 3
+	if m.nodes < min(m.gcAt, pressure) {
+		return 0
+	}
+	return m.collect(m.nodes < pressure)
+}
+
+// collect marks the live nodes, moves the next look to gcGrowth times
+// their count and sweeps — unless onlyIfWorthIt is set and the mark
+// found less than 1/gcYield of the allocated nodes dead.
+func (m *Manager) collect(onlyIfWorthIt bool) int {
 	var gcT0 time.Time
 	recording := m.tel.Recording()
 	if recording {
 		gcT0 = time.Now()
 	}
-	mark := make([]bool, len(m.lvl))
-	mark[0], mark[1] = true, true
-	// Iterative DFS to avoid deep recursion on big diagrams.
-	stack := make([]int32, 0, 1024)
-	for i := int32(2); i < int32(len(m.lvl)); i++ {
-		if m.ref[i] > 0 {
-			stack = append(stack, i)
-		}
+	mark, live := m.mark()
+	m.gcAt = max(gcFloor, gcGrowth*live)
+	if onlyIfWorthIt && (m.nodes-live)*gcYield < m.nodes {
+		return 0
 	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if mark[n] {
-			continue
-		}
-		mark[n] = true
-		if lo := m.lo[n]; !mark[lo] {
-			stack = append(stack, lo)
-		}
-		if hi := m.hi[n]; !mark[hi] {
-			stack = append(stack, hi)
-		}
-	}
-	// Sweep: rebuild the unique table and the free list.
-	for i := range m.hash {
-		m.hash[i] = -1
-	}
-	m.freeList = -1
-	m.freeCnt = 0
-	freed := 0
-	for i := int32(len(m.lvl)) - 1; i >= 2; i-- {
-		if mark[i] {
-			if m.ref[i] < 0 {
-				m.ref[i] = 0 // resurrect bookkeeping consistency
-				m.nodes++    // the slot leaves the free list and counts as allocated again
-			}
-			b := m.hashNode(m.lvl[i], m.lo[i], m.hi[i])
-			m.next[i] = m.hash[b]
-			m.hash[b] = i
-			continue
-		}
-		if m.ref[i] < 0 {
-			// Already free.
-			m.next[i] = m.freeList
-			m.freeList = i
-			m.freeCnt++
-			continue
-		}
-		m.ref[i] = -1
-		m.next[i] = m.freeList
-		m.freeList = i
-		m.freeCnt++
-		m.nodes--
-		freed++
-	}
+	freed := m.sweep(mark)
 	m.sweepCaches(mark)
 	m.stats.HitsAtLastGC = m.stats.CacheHits
 	m.stats.MissAtLastGC = m.stats.CacheMiss
@@ -105,18 +95,65 @@ func (m *Manager) GC() int {
 	return freed
 }
 
-// MaybeGC runs a collection if the allocated node count exceeds the given
-// threshold (or three quarters of the node limit if threshold is zero).
-// It returns the number of freed nodes, zero if no collection ran.
-func (m *Manager) MaybeGC(threshold int) int {
-	if !m.autoGC {
-		return 0
+// mark flags every slot reachable from a referenced node (terminals
+// included) and returns the flags with their count.
+func (m *Manager) mark() ([]bool, int) {
+	mark := make([]bool, len(m.lvl))
+	mark[0], mark[1] = true, true
+	live := 2
+	// Iterative DFS to avoid deep recursion on big diagrams.
+	stack := make([]int32, 0, 1024)
+	for i := int32(2); i < int32(len(m.lvl)); i++ {
+		if m.ref[i] > 0 {
+			stack = append(stack, i)
+		}
 	}
-	if threshold == 0 {
-		threshold = m.limit / 4 * 3
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if mark[n] {
+			continue
+		}
+		mark[n] = true
+		live++
+		if lo := m.lo[n]; !mark[lo] {
+			stack = append(stack, lo)
+		}
+		if hi := m.hi[n]; !mark[hi] {
+			stack = append(stack, hi)
+		}
 	}
-	if m.nodes < threshold {
-		return 0
+	return mark, live
+}
+
+// sweep rebuilds the unique table and the free list from mark and
+// returns how many allocated slots it freed.
+func (m *Manager) sweep(mark []bool) int {
+	for i := range m.hash {
+		m.hash[i] = -1
 	}
-	return m.GC()
+	m.freeList = -1
+	m.freeCnt = 0
+	freed := 0
+	for i := int32(len(m.lvl)) - 1; i >= 2; i-- {
+		if mark[i] {
+			if m.ref[i] < 0 {
+				m.ref[i] = 0 // resurrect bookkeeping consistency
+				m.nodes++    // the slot leaves the free list and counts as allocated again
+			}
+			b := m.hashNode(m.lvl[i], m.lo[i], m.hi[i])
+			m.next[i] = m.hash[b]
+			m.hash[b] = i
+			continue
+		}
+		if m.ref[i] >= 0 {
+			m.ref[i] = -1
+			m.nodes--
+			freed++
+		}
+		m.next[i] = m.freeList
+		m.freeList = i
+		m.freeCnt++
+	}
+	return freed
 }

@@ -173,13 +173,19 @@ func reachable(m *Manager, f Node) int {
 // through the manager and through the truth-table oracle and compares
 // every result semantically. The second input forces a collection
 // between building the operands and using them, so results served from
-// the liveness-swept operation cache are compared to truth too.
+// the liveness-swept operation cache are compared to truth too. The
+// third calls MaybeGC there instead, with the next look moved to now:
+// the mark-only path, the sweep path and (every third iteration, under
+// a node limit the table has reached) the limit path all run, and each
+// is asserted to have run. The kernel's invariants are checked after
+// every collection.
 func TestKernelMatchesTruthTable(t *testing.T) {
-	t.Run("static", func(t *testing.T) { kernelVsTruthTable(t, false) })
-	t.Run("gc", func(t *testing.T) { kernelVsTruthTable(t, true) })
+	t.Run("static", func(t *testing.T) { kernelVsTruthTable(t, "static") })
+	t.Run("gc", func(t *testing.T) { kernelVsTruthTable(t, "gc") })
+	t.Run("maybegc", func(t *testing.T) { kernelVsTruthTable(t, "maybegc") })
 }
 
-func kernelVsTruthTable(t *testing.T, gc bool) {
+func kernelVsTruthTable(t *testing.T, mode string) {
 	const n = 12
 	m := New(Config{Vars: n})
 	r := rand.New(rand.NewSource(47))
@@ -196,6 +202,7 @@ func kernelVsTruthTable(t *testing.T, gc bool) {
 	}
 	var pool []fn
 	keep := func(f Node, ft tt) { pool = append(pool, fn{m.Ref(f), ft}) }
+	var markOnly, swept, limitSwept int
 	for i := 0; i < 120; i++ {
 		for ; len(pool) > 4; pool = pool[1:] {
 			m.Deref(pool[0].n)
@@ -211,8 +218,20 @@ func kernelVsTruthTable(t *testing.T, gc bool) {
 		keep(f, ft)
 		g := pool[r.Intn(len(pool))]
 		keep(m.And(f, g.n), ft.and(g.t))
-		if gc {
+		switch mode {
+		case "gc":
 			m.GC()
+		case "maybegc":
+			// Most iterations leave over a quarter of the table dead, so
+			// the first look sweeps; a second look right after it finds
+			// (almost) nothing dead — mark-only, unless under the limit.
+			maybeGC(t, m, false, &markOnly, &swept, &limitSwept)
+			if i%2 == 1 {
+				maybeGC(t, m, i%4 == 1, &markOnly, &swept, &limitSwept)
+			}
+		}
+		if err := m.checkInvariants(); err != nil {
+			t.Fatalf("iter %d: %v", i, err)
 		}
 		same("formula", f, ft)
 		same("And", m.And(f, g.n), ft.and(g.t))
@@ -284,8 +303,50 @@ func kernelVsTruthTable(t *testing.T, gc bool) {
 			}
 		}
 	}
-	if st := m.Statistics(); gc && st.CacheRetained == 0 {
-		t.Fatal("forced GC retained no cache entries")
+	if st := m.Statistics(); mode != "static" && st.CacheRetained == 0 {
+		t.Fatal("collections retained no cache entries")
+	}
+	if mode == "maybegc" && (markOnly == 0 || swept == 0 || limitSwept == 0) {
+		t.Fatalf("paths run: %d mark-only, %d swept, %d swept only for the limit; want each > 0",
+			markOnly, swept, limitSwept)
+	}
+}
+
+// maybeGC moves m's next look to now and calls MaybeGC(0) — with the
+// node limit lowered to the table size when underLimit — then checks
+// the path it took against the dead share a separate mark measured,
+// counts that path, and checks where the next look was moved to.
+func maybeGC(t *testing.T, m *Manager, underLimit bool, markOnly, swept, limitSwept *int) {
+	t.Helper()
+	_, live := m.mark()
+	nodes := m.nodes
+	worthIt := (nodes-live)*gcYield >= nodes
+	runs := m.stats.GCRuns
+	m.gcAt = 0
+	if underLimit {
+		limit := m.limit
+		m.limit = nodes // past ¾ of it: sweep whatever the yield
+		m.MaybeGC(0)
+		m.limit = limit
+	} else {
+		m.MaybeGC(0)
+	}
+	did := m.stats.GCRuns > runs
+	switch {
+	case underLimit && !did:
+		t.Fatal("MaybeGC at the node limit did not sweep")
+	case underLimit && !worthIt:
+		*limitSwept++
+	case underLimit:
+	case did != worthIt:
+		t.Fatalf("MaybeGC swept = %v with %d of %d nodes live", did, live, nodes)
+	case did:
+		*swept++
+	default:
+		*markOnly++
+	}
+	if want := max(gcFloor, gcGrowth*live); m.gcAt != want {
+		t.Fatalf("next look at %d nodes, want %d", m.gcAt, want)
 	}
 }
 

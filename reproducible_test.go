@@ -9,9 +9,9 @@ import (
 
 // TestVerificationReproducible verifies the same config text three
 // times in one process and requires the engine to have done exactly the
-// same work each time: peak BDD nodes, operation-cache lookups,
-// advertisements imported and router activations, read before any
-// query. Answers were always reproducible; the work was not while SRC
+// same work each time: peak BDD nodes, collections, operation-cache
+// lookups, advertisements imported and router activations, read before
+// any query. Answers were always reproducible; the work was not while SRC
 // ranged over Go maps as it built conditions and sent advertisements
 // (FatTree(4) k=2 read 153 795 / 153 771 / 153 577 peak nodes) — and a
 // benchmark row that moves by itself cannot show a small gain or loss.
@@ -40,8 +40,8 @@ func TestVerificationReproducible(t *testing.T) {
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			type work struct {
-				PeakNodes, Imported, Activations int
-				Lookups                          uint64
+				PeakNodes, GCRuns, Imported, Activations int
+				Lookups                                  uint64
 			}
 			var first, firstSwept work
 			for run := 0; run < 3; run++ {
@@ -54,7 +54,7 @@ func TestVerificationReproducible(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := v.Metrics()
-				got := work{m.BDD.PeakNodes, m.RoutesImported, m.Activations, m.BDD.CacheHits + m.BDD.CacheMisses}
+				got := work{m.BDD.PeakNodes, m.BDD.GCRuns, m.RoutesImported, m.Activations, m.BDD.CacheHits + m.BDD.CacheMisses}
 				swept := got
 				if in.sweep {
 					for _, src := range v.RouterNames() {
@@ -69,7 +69,7 @@ func TestVerificationReproducible(t *testing.T) {
 						}
 					}
 					m = v.Metrics()
-					swept.PeakNodes, swept.Lookups = m.BDD.PeakNodes, m.BDD.CacheHits+m.BDD.CacheMisses
+					swept.PeakNodes, swept.GCRuns, swept.Lookups = m.BDD.PeakNodes, m.BDD.GCRuns, m.BDD.CacheHits+m.BDD.CacheMisses
 					if swept.Lookups == got.Lookups {
 						t.Fatalf("run %d: the query sweep did no BDD work", run)
 					}
