@@ -5,10 +5,11 @@ package analysis
 // prefix task a pure function of (the config slice its task domain can
 // observe, the topology, the result-shaping options), so a result
 // computed once — in-process or by a worker subprocess — can be
-// replayed byte-identically by any later run with the same key. Records
-// are the coordinator wire forms (WireOutcome + WirePipeline) plus an
-// optional telemetry shard, wrapped in JSON; internal/store adds
-// framing, checksums, and crash-safe publication underneath.
+// replayed byte-identically by any later run with the same key. A
+// record (CacheRecord) is the wire forms (WireOutcome + WirePipeline)
+// plus an optional telemetry shard, wrapped in JSON; internal/store adds
+// framing, checksums, and crash-safe publication underneath, and a fleet
+// worker sends the same record back to its coordinator.
 //
 // Soundness rests entirely on the key: anything that can change the
 // outcome, the PFEC set, or a downstream property answer must be
@@ -188,34 +189,47 @@ func (c *ResultCache) Lookup(net *config.Network, opts src.Options, key string, 
 	return pipes, OutcomeFromWire(pfx, rec.Outcome), true, nil
 }
 
-// Publish stores a finished prefix task under key. Failed prefixes
-// (Err set), empty results, and worker-crash fallbacks are never
-// published: a cache must only replay results any fault-free run would
-// compute. Publication failures are deliberately silent — the store
-// counts them in its metrics, and a result that could not be persisted
-// is still a correct result.
-func (c *ResultCache) Publish(net *config.Network, key string, pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome, shard *obs.Wire) {
-	if c == nil || c.S == nil || key == "" {
-		return
-	}
-	if out.Err != nil || len(pipes) == 0 {
-		return
-	}
-	for _, r := range out.Rungs {
-		if r == RungWorkerCrash {
-			return
-		}
-	}
+// NewCacheRecord puts a finished prefix task in wire form: the one
+// encoding of a result, whether it goes into the store or back down a
+// fleet worker's pipe.
+func NewCacheRecord(net *config.Network, pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome, shard *obs.Wire) (CacheRecord, error) {
 	wps, err := EncodePipelines(pipes, net)
 	if err != nil {
-		return
+		return CacheRecord{}, err
 	}
-	rec := CacheRecord{
+	return CacheRecord{
 		Version:   cacheFormatVersion,
 		Prefix:    pfx.String(),
 		Outcome:   OutcomeToWire(out),
 		Pipes:     wps,
 		Telemetry: shard,
+	}, nil
+}
+
+// Publish stores a finished prefix task under key (see Put).
+func (c *ResultCache) Publish(net *config.Network, key string, pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome, shard *obs.Wire) {
+	if c == nil || c.S == nil || key == "" {
+		return // nothing to encode for
+	}
+	if rec, err := NewCacheRecord(net, pfx, pipes, out, shard); err == nil {
+		c.Put(key, rec)
+	}
+}
+
+// Put stores an encoded record under key. Failed prefixes (Err set),
+// empty results, and worker-crash fallbacks are never stored: a cache
+// must only replay results any fault-free run would compute.
+// Publication failures are deliberately silent — the store counts them
+// in its metrics, and a result that could not be persisted is still a
+// correct result.
+func (c *ResultCache) Put(key string, rec CacheRecord) {
+	if c == nil || c.S == nil || key == "" || rec.Outcome.Err != nil || len(rec.Pipes) == 0 {
+		return
+	}
+	for _, r := range rec.Outcome.Rungs {
+		if r == RungWorkerCrash {
+			return
+		}
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {

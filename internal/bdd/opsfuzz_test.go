@@ -1,0 +1,116 @@
+package bdd
+
+import "testing"
+
+// FuzzKernelOps decodes bytes into a sequence of kernel operations over
+// eight variables — And, Or, Xor, Not, Ite, Exists, AndExists,
+// Restrict, Ref and Deref — interleaved with forced MaybeGC(0) looks
+// and GC() collections. Every handle the sequence holds is Ref'd and
+// carries its truth table (tt, which shares nothing with the kernel).
+// Each result is compared to its table when it is made; after every
+// collection each held handle must still denote its table and
+// checkInvariants must pass, so a sweep that frees a live node, leaves
+// a cache entry naming a recycled slot, or breaks the unique table is
+// caught at the collection that did it.
+func FuzzKernelOps(f *testing.F) {
+	// Opcodes (the byte mod 12), each followed by its operand bytes:
+	// 0 And a b, 1 Or a b, 2 Xor a b, 3 Not a, 4 Ite a b c, 5 Exists a v,
+	// 6 AndExists a b v w, 7 Restrict a v val, 8 Ref a, 9 Deref a,
+	// 10 MaybeGC(0), 11 GC(). Handles 0–7 start as the variables.
+	f.Add([]byte{0, 0, 1, 9, 8, 11})                      // a conjunction dies and is swept
+	f.Add([]byte{0, 0, 1, 8, 8, 9, 8, 11, 0, 0, 1, 11})   // a second Ref keeps it alive
+	f.Add([]byte{4, 0, 1, 2, 6, 8, 3, 0, 1, 9, 9, 10})    // Ite, AndExists, then a look
+	f.Add([]byte{1, 2, 3, 5, 8, 4, 7, 8, 6, 1, 9, 8, 11}) // Or, Exists, Restrict
+	f.Add([]byte{2, 0, 1, 2, 8, 2, 2, 9, 9, 9, 8, 9, 8, 10, 2, 0, 1, 11, 3, 8, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n = 8
+		m := New(Config{Vars: n, InitialNodes: 64, CacheSize: 1 << 10})
+		type fn struct {
+			n Node
+			t tt
+		}
+		var held []fn
+		for v := 0; v < n; v++ {
+			held = append(held, fn{m.Ref(m.Var(v)), ttVar(n, v)})
+		}
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		pick := func() fn { return held[next()%len(held)] }
+		step := 0
+		push := func(r Node, want tt) {
+			t.Helper()
+			if !ttOf(m, r).equal(want) {
+				t.Fatalf("step %d: result differs from the truth table", step)
+			}
+			held = append(held, fn{m.Ref(r), want})
+			if len(held) > 64 {
+				m.Deref(held[0].n)
+				held = held[1:]
+			}
+		}
+		collected := func(what string) {
+			t.Helper()
+			if err := m.checkInvariants(); err != nil {
+				t.Fatalf("step %d, after %s: %v", step, what, err)
+			}
+			for i, h := range held {
+				if !ttOf(m, h.n).equal(h.t) {
+					t.Fatalf("step %d, after %s: handle %d no longer denotes its function", step, what, i)
+				}
+			}
+		}
+		for ; len(data) > 0; step++ {
+			switch next() % 12 {
+			case 0:
+				a, b := pick(), pick()
+				push(m.And(a.n, b.n), a.t.and(b.t))
+			case 1:
+				a, b := pick(), pick()
+				push(m.Or(a.n, b.n), a.t.or(b.t))
+			case 2:
+				a, b := pick(), pick()
+				push(m.Xor(a.n, b.n), a.t.xor(b.t))
+			case 3:
+				a := pick()
+				push(m.Not(a.n), a.t.not())
+			case 4:
+				a, b, c := pick(), pick(), pick()
+				push(m.Ite(a.n, b.n, c.n), a.t.ite(b.t, c.t))
+			case 5:
+				a, v := pick(), next()%n
+				push(m.Exists(a.n, v), a.t.exists([]int{v}))
+			case 6:
+				a, b := pick(), pick()
+				vars := []int{next() % n, next() % n}
+				push(m.AndExists(a.n, b.n, m.CubeVars(vars)), a.t.and(b.t).exists(vars))
+			case 7:
+				a, v, val := pick(), next()%n, next()%2 == 1
+				push(m.Restrict(a.n, v, val), a.t.restrict(v, val))
+			case 8:
+				// A second handle on the same node: dropping either one must
+				// leave the node alive for the other.
+				a := pick()
+				push(a.n, a.t)
+			case 9:
+				if i := next() % len(held); len(held) > 1 {
+					m.Deref(held[i].n)
+					held = append(held[:i], held[i+1:]...)
+				}
+			case 10:
+				m.gcAt = 0 // look now; the policy decides whether to sweep
+				m.MaybeGC(0)
+				collected("MaybeGC(0)")
+			case 11:
+				m.GC()
+				collected("GC()")
+			}
+		}
+		collected("the last step")
+	})
+}

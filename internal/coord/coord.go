@@ -19,12 +19,6 @@ import (
 type Options struct {
 	// Workers is the number of worker subprocesses. Values < 1 mean 1.
 	Workers int
-	// Exe is the worker binary; empty means the current executable
-	// (os.Executable), re-exec'ed with Args.
-	Exe string
-	// Args is the worker argv (after the binary); empty means
-	// ["worker"], the `sre worker` subcommand.
-	Args []string
 	// Verify carries the verification options. Workers get their
 	// canonical encoding (src.Options.Encode); the process-local fields
 	// stay coordinator-side: workers run fresh per-task telemetry
@@ -36,66 +30,26 @@ type Options struct {
 	// it, a prefix whose verification fails aborts the run — but worker
 	// crashes are still retried: crash tolerance is not degradation.
 	Resilient bool
-	// TaskTimeout bounds one task attempt's wall clock; on expiry the
-	// worker is killed and the attempt counts as a crash. Zero disables
-	// the per-task deadline (heartbeats still catch wedged workers).
-	TaskTimeout time.Duration
-	// HeartbeatInterval is how often workers prove liveness (default
-	// 250ms); HeartbeatGrace is how long the coordinator waits past the
-	// last sign of life before declaring a worker wedged (default 8×
-	// the interval).
-	HeartbeatInterval time.Duration
-	HeartbeatGrace    time.Duration
-	// MaxAttempts is how many worker attempts a prefix gets before it
-	// is quarantined to the in-process fallback (default 3).
-	MaxAttempts int
-	// RetryBackoff is the base delay before a failed task is
-	// redispatched, doubling per attempt (default 50ms).
-	RetryBackoff time.Duration
-	// MaxRespawns bounds how many replacement processes one worker slot
-	// gets (default MaxAttempts). When every slot is dead and
-	// unrespawnable, remaining prefixes quarantine.
-	MaxRespawns int
-	// FaultPlan injects deterministic worker faults for testing (see
-	// ParseFaultPlan); empty falls back to the SRE_FAULT environment
-	// variable. The plan is forwarded to workers via their environment.
-	FaultPlan string
-	// MaxFrameBytes bounds a frame's declared payload length on both
-	// sides of the pipe (0 = the 1 GiB default); an oversized declared
-	// length is a corrupt stream (FrameSizeError) and counts as a
-	// worker crash.
-	MaxFrameBytes int64
-	// Cache, when non-nil, is the persistent result cache: the
-	// coordinator consults it before dispatching a task (a hit skips
-	// the worker round-trip entirely) and CacheDir is shipped to
-	// workers so they consult and publish the shared store themselves.
-	Cache    *analysis.ResultCache
-	CacheDir string
+	// Cache, when non-nil, is the persistent result cache: the executor
+	// consults it before dispatching a task (a hit skips the worker
+	// round-trip entirely) and workers publish what they compute into
+	// its directory.
+	Cache *analysis.ResultCache
 }
 
-func (o *Options) defaults() {
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = defaultHeartbeat
-	}
-	if o.HeartbeatGrace <= 0 {
-		o.HeartbeatGrace = 8 * o.HeartbeatInterval
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.MaxRespawns <= 0 {
-		o.MaxRespawns = o.MaxAttempts
-	}
-	if len(o.Args) == 0 {
-		o.Args = []string{"worker"}
-	}
-}
+// Supervision constants. Workers heartbeat every heartbeatInterval, and
+// one silent for heartbeatGrace is wedged. A task gets maxAttempts worker
+// attempts before it is quarantined to the in-process fallback; a failed
+// attempt is redispatched after retryBackoff, doubling per attempt; one
+// worker slot gets maxRespawns replacement processes, and when every
+// slot is dead and unrespawnable the remaining prefixes quarantine.
+const (
+	heartbeatInterval = 250 * time.Millisecond
+	heartbeatGrace    = 8 * heartbeatInterval
+	maxAttempts       = 3
+	maxRespawns       = maxAttempts
+	retryBackoff      = 50 * time.Millisecond
+)
 
 // taskState tracks one of the executor's pending tasks through
 // dispatch, retries, and quarantine.
@@ -162,9 +116,11 @@ func (o Options) initMsg() (initMsg, error) {
 	if err != nil {
 		return initMsg{}, err
 	}
-	return initMsg{Opts: verify, Ladder: o.Resilient,
-		HeartbeatMS:   int(o.HeartbeatInterval.Milliseconds()),
-		MaxFrameBytes: o.MaxFrameBytes, CacheDir: o.CacheDir}, nil
+	im := initMsg{Opts: verify, Ladder: o.Resilient}
+	if o.Cache != nil && o.Cache.S != nil {
+		im.CacheDir = o.Cache.S.Dir()
+	}
+	return im, nil
 }
 
 // Fleet validates opts and returns the dispatcher that runs an
@@ -172,27 +128,21 @@ func (o Options) initMsg() (initMsg, error) {
 // execute the identical per-prefix task chains, and telemetry shards
 // merge exactly as Telemetry.Merge does in-process. Worker failures
 // (crash, stall, corrupt frames, nonzero exit) are retried with backoff
-// up to opts.MaxAttempts; prefixes that keep failing fall back to
+// up to maxAttempts; prefixes that keep failing fall back to
 // in-process execution, surfacing as quarantined outcomes carrying
 // analysis.RungWorkerCrash. Only a verification error — cancellation,
 // deadline, non-convergence, an exhausted non-resilient overflow —
-// aborts the run.
+// aborts the run. The workers are this executable re-exec'ed as
+// `<exe> worker`; they inherit the environment, so a fault plan in
+// SRE_FAULT (validated here) reaches them.
 func Fleet(net *config.Network, opts Options) (analysis.Dispatcher, error) {
-	opts.defaults()
-	planText := opts.FaultPlan
-	if planText == "" {
-		planText = os.Getenv(FaultEnv)
-	}
-	if _, err := ParseFaultPlan(planText); err != nil {
+	opts.Workers = max(opts.Workers, 1)
+	if _, err := ParseFaultPlan(os.Getenv(FaultEnv)); err != nil {
 		return nil, err
 	}
-	exe := opts.Exe
-	if exe == "" {
-		self, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("coord: resolving worker binary: %w", err)
-		}
-		exe = self
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("coord: resolving worker binary: %w", err)
 	}
 	init, err := opts.initMsg()
 	if err != nil {
@@ -202,16 +152,14 @@ func Fleet(net *config.Network, opts Options) (analysis.Dispatcher, error) {
 		im := init
 		im.Network = config.Format(net) // only now: a fully warm run never gets here
 		c := &coordinator{
-			net:      net,
-			opts:     opts,
-			exe:      exe,
-			plan:     planText,
-			tel:      opts.Verify.Telemetry,
-			deliver:  done,
-			events:   make(chan event, 16),
-			done:     make(chan struct{}),
-			respawns: make([]int, opts.Workers),
-			init:     &im,
+			net:     net,
+			opts:    opts,
+			exe:     exe,
+			tel:     opts.Verify.Telemetry,
+			deliver: done,
+			events:  make(chan event, 16),
+			done:    make(chan struct{}),
+			init:    &im,
 		}
 		defer c.teardown()
 		return c.run(tasks)
@@ -222,7 +170,6 @@ type coordinator struct {
 	net  *config.Network
 	opts Options
 	exe  string
-	plan string
 	init *initMsg // the same frame for every worker of the run
 	tel  *obs.Telemetry
 	// deliver hands a finished prefix to the executor, which owns its
@@ -256,24 +203,23 @@ func (c *coordinator) teardown() {
 // run supervises the fleet over the executor's pending tasks, which
 // arrive deduplicated, cache-filtered (a fully warm run never gets
 // here, so it forks nothing) and in dispatch order; each carries its
-// cache key so workers consult and publish the shared store themselves.
+// cache key so workers publish to the shared store themselves. No more
+// workers start than there are tasks.
 func (c *coordinator) run(tasks []analysis.Task) error {
 	for _, t := range tasks {
 		c.tasks = append(c.tasks, &taskState{Task: t})
 	}
 
-	c.workers = make([]*workerProc, c.opts.Workers)
-	for slot := 0; slot < c.opts.Workers; slot++ {
+	slots := min(c.opts.Workers, len(tasks))
+	c.workers = make([]*workerProc, slots)
+	c.respawns = make([]int, slots)
+	for slot := range slots {
 		c.spawn(slot, false)
 	}
 
 	// Supervision cadence: fast enough to catch heartbeat loss promptly,
 	// slow enough to stay invisible in profiles.
-	tickEvery := c.opts.HeartbeatInterval / 2
-	if tickEvery < 5*time.Millisecond {
-		tickEvery = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(tickEvery)
+	tick := time.NewTicker(heartbeatInterval / 2)
 	defer tick.Stop()
 
 	for !c.allDone() {
@@ -335,8 +281,8 @@ func (c *coordinator) run(tasks []analysis.Task) error {
 // against the slot's respawn budget; a slot that cannot start stays
 // dead and its work flows to the other slots or to quarantine.
 func (c *coordinator) spawn(slot int, respawn bool) {
-	cmd := exec.Command(c.exe, c.opts.Args...)
-	cmd.Env = append(os.Environ(), FaultEnv+"="+c.plan, "SRE_COORD_WORKER=1")
+	cmd := exec.Command(c.exe, "worker")
+	cmd.Env = append(os.Environ(), "SRE_COORD_WORKER=1")
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -366,7 +312,7 @@ func (c *coordinator) spawn(slot int, respawn bool) {
 	go func() {
 		defer c.wg.Done()
 		for {
-			f, rerr := readFrameLimit(stdout, c.opts.MaxFrameBytes)
+			f, rerr := readFrame(stdout)
 			ev := event{w: w, f: f, err: rerr}
 			select {
 			case c.events <- ev:
@@ -392,6 +338,10 @@ func (c *coordinator) handleFrame(w *workerProc, f *frame) error {
 		w.ready = true
 	case frameHeartbeat:
 	case frameError:
+		if f.Err == nil {
+			c.workerDied(w, "bad error frame")
+			return nil
+		}
 		return f.Err.ToError()
 	case frameResult:
 		if f.Result == nil {
@@ -431,7 +381,7 @@ func recoverableDecode(err error) bool {
 }
 
 // workerDied handles any worker loss — process exit, read error,
-// heartbeat loss, task deadline. The inflight task (if any) is retried
+// heartbeat loss, a malformed frame. The inflight task (if any) is retried
 // or quarantined, and the slot respawns within its budget.
 func (c *coordinator) workerDied(w *workerProc, reason string) {
 	if w.dead {
@@ -448,18 +398,18 @@ func (c *coordinator) workerDied(w *workerProc, reason string) {
 	if t := w.task; t != nil {
 		w.task = nil
 		t.attempt++
-		if t.attempt >= c.opts.MaxAttempts {
+		if t.attempt >= maxAttempts {
 			t.quarantined = true
 			c.record(time.Time{}, obs.TraceEvent{Stage: "coord.quarantine",
 				Prefix: t.Prefix.String(), Count: int64(t.attempt), Outcome: reason})
 		} else {
-			backoff := c.opts.RetryBackoff << uint(t.attempt-1)
+			backoff := retryBackoff << uint(t.attempt-1)
 			t.notBefore = time.Now().Add(backoff)
 			c.record(time.Time{}, obs.TraceEvent{Stage: "coord.retry",
 				Prefix: t.Prefix.String(), Count: int64(t.attempt), Outcome: reason})
 		}
 	}
-	if c.respawns[w.slot] < c.opts.MaxRespawns {
+	if c.respawns[w.slot] < maxRespawns {
 		c.respawns[w.slot]++
 		c.spawn(w.slot, true)
 	} else {
@@ -512,19 +462,14 @@ func (c *coordinator) inflight(t *taskState) bool {
 	return false
 }
 
-// supervise enforces heartbeat grace and per-task deadlines.
+// supervise enforces the heartbeat grace. A slow task is not a wedged
+// worker: heartbeats keep it alive, and the run's own deadline
+// (src.Options.Interrupt) bounds the whole.
 func (c *coordinator) supervise() {
 	now := time.Now()
 	for _, w := range c.workers {
-		if w == nil || w.dead {
-			continue
-		}
-		if now.Sub(w.lastSeen) > c.opts.HeartbeatGrace {
+		if w != nil && !w.dead && now.Sub(w.lastSeen) > heartbeatGrace {
 			c.workerDied(w, "heartbeat loss")
-			continue
-		}
-		if c.opts.TaskTimeout > 0 && w.task != nil && now.Sub(w.task.started) > c.opts.TaskTimeout {
-			c.workerDied(w, "task deadline")
 		}
 	}
 }

@@ -3,7 +3,8 @@ package coord
 // The coordinator tests re-exec the test binary as the worker: spawn
 // sets SRE_COORD_WORKER=1 in the child environment, and TestMain
 // diverts such processes straight into WorkerMain before the testing
-// framework parses anything. Fault plans then drive every supervision
+// framework parses anything. Fault plans, set in SRE_FAULT with
+// t.Setenv and inherited by the workers, then drive every supervision
 // path deterministically.
 
 import (
@@ -170,12 +171,8 @@ func TestCoordRetryConverges(t *testing.T) {
 	}
 	defer base.Release()
 
-	part := coordRun(t, net, prefixes, Options{
-		Workers:   2,
-		Verify:    testOpts(),
-		Resilient: true,
-		FaultPlan: "crash@0;corrupt@1;exit@2",
-	})
+	t.Setenv(FaultEnv, "crash@0;corrupt@1;exit@2")
+	part := coordRun(t, net, prefixes, Options{Workers: 2, Verify: testOpts(), Resilient: true})
 	defer part.Release()
 
 	if got, want := normalize(part.Outcomes()), normalize(base.Outcomes()); !reflect.DeepEqual(got, want) {
@@ -194,17 +191,12 @@ func TestCoordRetryConverges(t *testing.T) {
 }
 
 // TestCoordStallDetected wedges a worker (muted heartbeats, hung task):
-// the coordinator must notice via heartbeat grace, kill it, retry, and
-// converge.
+// the coordinator must notice via the heartbeat grace, kill it, retry,
+// and converge.
 func TestCoordStallDetected(t *testing.T) {
 	net, prefixes := testNet(t)
-	part := coordRun(t, net, prefixes, Options{
-		Workers:           2,
-		Verify:            testOpts(),
-		Resilient:         true,
-		HeartbeatInterval: 10 * time.Millisecond, // grace defaults to 8x = 80ms
-		FaultPlan:         "stall@0",
-	})
+	t.Setenv(FaultEnv, "stall@0")
+	part := coordRun(t, net, prefixes, Options{Workers: 2, Verify: testOpts(), Resilient: true})
 	defer part.Release()
 	stalled := 0
 	for _, o := range part.Outcomes() {
@@ -218,30 +210,8 @@ func TestCoordStallDetected(t *testing.T) {
 	}
 }
 
-// TestCoordTaskDeadline isolates the per-task deadline: the heartbeat
-// grace is parked far away, so only TaskTimeout can catch the hung
-// task.
-func TestCoordTaskDeadline(t *testing.T) {
-	net, prefixes := testNet(t)
-	part := coordRun(t, net, prefixes, Options{
-		Workers:           2,
-		Verify:            testOpts(),
-		Resilient:         true,
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatGrace:    10 * time.Minute,
-		TaskTimeout:       300 * time.Millisecond,
-		FaultPlan:         "stall@1",
-	})
-	defer part.Release()
-	for _, o := range part.Outcomes() {
-		if o.Err != nil {
-			t.Errorf("prefix %s failed: %v", o.Prefix, o.Err)
-		}
-	}
-}
-
 // TestCoordQuarantineFallback crashes one task on every allowed attempt:
-// after MaxAttempts the prefix must fall back to exact in-process
+// after maxAttempts the prefix must fall back to exact in-process
 // verification, marked with the worker-crash rung, while its query
 // results still match the baseline.
 func TestCoordQuarantineFallback(t *testing.T) {
@@ -252,13 +222,8 @@ func TestCoordQuarantineFallback(t *testing.T) {
 	}
 	defer base.Release()
 
-	part := coordRun(t, net, prefixes, Options{
-		Workers:     2,
-		Verify:      testOpts(),
-		Resilient:   true,
-		MaxAttempts: 3,
-		FaultPlan:   "crash@0;crash@0#1;crash@0#2",
-	})
+	t.Setenv(FaultEnv, "crash@0;crash@0#1;crash@0#2")
+	part := coordRun(t, net, prefixes, Options{Workers: 2, Verify: testOpts(), Resilient: true})
 	defer part.Release()
 
 	quarantined := 0
@@ -271,8 +236,8 @@ func TestCoordQuarantineFallback(t *testing.T) {
 			if !o.Quarantined || !o.Degraded {
 				t.Errorf("crash-quarantined prefix %s: Quarantined=%v Degraded=%v, want both true", o.Prefix, o.Quarantined, o.Degraded)
 			}
-			if o.WorkerCrashes != 3 {
-				t.Errorf("crash-quarantined prefix %s: WorkerCrashes=%d, want 3", o.Prefix, o.WorkerCrashes)
+			if o.WorkerCrashes != maxAttempts {
+				t.Errorf("crash-quarantined prefix %s: WorkerCrashes=%d, want %d", o.Prefix, o.WorkerCrashes, maxAttempts)
 			}
 		}
 	}
@@ -290,12 +255,8 @@ func TestCoordQuarantineFallback(t *testing.T) {
 // never fail a resilient run.
 func TestCoordKillNeverFailsResilient(t *testing.T) {
 	net, prefixes := testNet(t)
-	part := coordRun(t, net, prefixes, Options{
-		Workers:   2,
-		Verify:    testOpts(),
-		Resilient: true,
-		FaultPlan: "kill@0",
-	})
+	t.Setenv(FaultEnv, "kill@0")
+	part := coordRun(t, net, prefixes, Options{Workers: 2, Verify: testOpts(), Resilient: true})
 	defer part.Release()
 	outs := part.Outcomes()
 	if len(outs) != 4 {
@@ -309,19 +270,18 @@ func TestCoordKillNeverFailsResilient(t *testing.T) {
 }
 
 // TestCoordFleetLoss exhausts one slot's respawn budget on a
-// single-worker fleet: with no workers left, every unfinished prefix
-// must quarantine to the in-process fallback and the run still
-// completes.
+// single-worker fleet: each of the four tasks crashes its first attempt
+// only, so no task reaches maxAttempts, but the four crashes outrun the
+// slot's maxRespawns replacements. With no workers left, every
+// unfinished prefix must quarantine to the in-process fallback and the
+// run still completes.
 func TestCoordFleetLoss(t *testing.T) {
 	net, prefixes := testNet(t)
-	part := coordRun(t, net, prefixes, Options{
-		Workers:     1,
-		Verify:      testOpts(),
-		Resilient:   true,
-		MaxAttempts: 10, // never quarantine via attempts — only via fleet loss
-		MaxRespawns: 2,
-		FaultPlan:   "crash@0;crash@0#1;crash@0#2;crash@0#3",
-	})
+	if len(prefixes) != maxRespawns+1 {
+		t.Fatalf("%d prefixes, want one crash more than the %d respawns", len(prefixes), maxRespawns)
+	}
+	t.Setenv(FaultEnv, "crash@0;crash@1;crash@2;crash@3")
+	part := coordRun(t, net, prefixes, Options{Workers: 1, Verify: testOpts(), Resilient: true})
 	defer part.Release()
 	outs := part.Outcomes()
 	if len(outs) != 4 {
@@ -382,9 +342,6 @@ func TestParseFaultPlan(t *testing.T) {
 	}
 	if got := p.at(2, 0); got != "" {
 		t.Errorf("at(2,0) = %q, want none", got)
-	}
-	if p.String() != "crash@0;stall@2#1" {
-		t.Errorf("String() = %q", p.String())
 	}
 }
 
@@ -450,11 +407,9 @@ func TestCoordDiskFaultsSelfHeal(t *testing.T) {
 	// first record torn on disk, the second bit-flipped, the third's
 	// rename failed (orphan temp), the fourth clean.
 	s1 := cacheOn(t)
+	t.Setenv(FaultEnv, "torn@0;flip@1;rename@2")
 	part := coordRun(t, net, prefixes, Options{
-		Workers: 1, Verify: testOpts(), Resilient: true,
-		Cache: &analysis.ResultCache{S: s1}, CacheDir: dir,
-		FaultPlan: "torn@0;flip@1;rename@2",
-	})
+		Workers: 1, Verify: testOpts(), Resilient: true, Cache: &analysis.ResultCache{S: s1}})
 	if got := part.Outcomes(); !reflect.DeepEqual(got, baseOuts) {
 		t.Errorf("faulty-publish run diverges\n got %+v\nwant %+v", got, baseOuts)
 	}
@@ -467,10 +422,9 @@ func TestCoordDiskFaultsSelfHeal(t *testing.T) {
 	// lookups quarantine the torn and flipped records, the missing third
 	// misses, the clean fourth hits, and the recomputed results match.
 	s2 := cacheOn(t)
+	t.Setenv(FaultEnv, "")
 	part2 := coordRun(t, net, prefixes, Options{
-		Workers: 1, Verify: testOpts(), Resilient: true,
-		Cache: &analysis.ResultCache{S: s2}, CacheDir: dir,
-	})
+		Workers: 1, Verify: testOpts(), Resilient: true, Cache: &analysis.ResultCache{S: s2}})
 	defer part2.Release()
 	if got := part2.Outcomes(); !reflect.DeepEqual(got, baseOuts) {
 		t.Errorf("self-heal run diverges\n got %+v\nwant %+v", got, baseOuts)
@@ -508,11 +462,9 @@ func TestCoordCrashMidWrite(t *testing.T) {
 	// killwrite@3: the single worker publishes three records cleanly,
 	// then dies mid-publication of the fourth. The respawned worker's
 	// Put sequence restarts at 0, so the retry publishes unfaulted.
+	t.Setenv(FaultEnv, "killwrite@3")
 	part := coordRun(t, net, prefixes, Options{
-		Workers: 1, Verify: testOpts(), Resilient: true,
-		Cache: &analysis.ResultCache{S: s1}, CacheDir: dir,
-		FaultPlan: "killwrite@3",
-	})
+		Workers: 1, Verify: testOpts(), Resilient: true, Cache: &analysis.ResultCache{S: s1}})
 	if got, want := normalize(part.Outcomes()), normalize(base.Outcomes()); !reflect.DeepEqual(got, want) {
 		t.Errorf("crash-mid-write outcomes diverge\n got %+v\nwant %+v", got, want)
 	}
@@ -552,10 +504,9 @@ func TestCoordCrashMidWrite(t *testing.T) {
 
 	// Second run: fully warm — every task resolves from the store
 	// before any worker is spawned.
+	t.Setenv(FaultEnv, "")
 	part2 := coordRun(t, net, prefixes, Options{
-		Workers: 1, Verify: testOpts(), Resilient: true,
-		Cache: &analysis.ResultCache{S: s2}, CacheDir: dir,
-	})
+		Workers: 1, Verify: testOpts(), Resilient: true, Cache: &analysis.ResultCache{S: s2}})
 	defer part2.Release()
 	if got := part2.Outcomes(); !reflect.DeepEqual(got, base.Outcomes()) {
 		t.Errorf("warm run after crash diverges\n got %+v\nwant %+v", got, base.Outcomes())
@@ -589,8 +540,12 @@ func TestInitFrameCarriesEveryOption(t *testing.T) {
 			f.SetFloat(7)
 		}
 	}
-	im, err := Options{Verify: sent, Resilient: true, HeartbeatInterval: 40 * time.Millisecond,
-		MaxFrameBytes: 1 << 20, CacheDir: "/cache"}.initMsg()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := Options{Verify: sent, Resilient: true, Cache: &analysis.ResultCache{S: st}}.initMsg()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,8 +557,8 @@ func TestInitFrameCarriesEveryOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := *f.Init; !got.Ladder || got.HeartbeatMS != 40 || got.MaxFrameBytes != 1<<20 || got.CacheDir != "/cache" {
-		t.Errorf("transport settings did not survive the init frame: %+v", got)
+	if got := *f.Init; !got.Ladder || got.CacheDir != dir {
+		t.Errorf("run settings did not survive the init frame: %+v", got)
 	}
 	got, err := f.Init.options()
 	if err != nil {
@@ -615,5 +570,47 @@ func TestInitFrameCarriesEveryOption(t *testing.T) {
 	}
 	if got.Parallelism != 1 || got.Telemetry != nil || got.Interrupt != nil || got.Prefixes != nil {
 		t.Errorf("process-local fields crossed the init frame: %+v", got)
+	}
+}
+
+// TestErrorFrameWithoutPayload: an error frame carrying no error is a
+// malformed frame, not a clean report. The worker must be written off
+// and its task retried — carrying on would leave the task assigned to a
+// live, heartbeating worker forever.
+func TestErrorFrameWithoutPayload(t *testing.T) {
+	task := &taskState{Task: analysis.Task{Prefix: route.MustParsePrefix("10.0.0.0/8")}}
+	w := &workerProc{ready: true, task: task}
+	// The slot's respawn budget is spent, so the loss spawns nothing.
+	c := &coordinator{workers: []*workerProc{w}, respawns: []int{maxRespawns}}
+	if err := c.handleFrame(w, &frame{Type: frameError}); err != nil {
+		t.Fatalf("handleFrame = %v, want the worker written off, not a run error", err)
+	}
+	if !w.dead || w.task != nil {
+		t.Errorf("worker dead=%v task=%v, want dead with its task released", w.dead, w.task)
+	}
+	if task.attempt != 1 || task.done {
+		t.Errorf("task attempt=%d done=%v, want one failed attempt awaiting retry", task.attempt, task.done)
+	}
+}
+
+// TestSpawnCappedAtPendingTasks: a fleet never starts more workers than
+// the cache pass left tasks for.
+func TestSpawnCappedAtPendingTasks(t *testing.T) {
+	net, prefixes := testNet(t)
+	tel := obs.New()
+	rec := obs.NewRecorder(0)
+	tel.SetRecorder(rec)
+	opts := testOpts()
+	opts.Telemetry = tel
+	part := coordRun(t, net, prefixes[:1], Options{Workers: 4, Verify: opts, Resilient: true})
+	defer part.Release()
+	spawns := 0
+	for _, e := range rec.Events() {
+		if e.Stage == "coord.spawn" {
+			spawns++
+		}
+	}
+	if spawns != 1 {
+		t.Errorf("%d coord.spawn events for one pending prefix at 4 workers, want 1", spawns)
 	}
 }

@@ -35,8 +35,8 @@ package coord
 // carrying a cache directory and are matched by FaultPlan.DiskFault,
 // never by the per-task lookup.
 //
-// The plan travels coordinator → worker via the SRE_FAULT environment
-// variable; Options.FaultPlan takes precedence over an inherited one.
+// The plan is read from the SRE_FAULT environment variable — the only
+// fault input: the coordinator validates it, and workers inherit it.
 
 import (
 	"fmt"
@@ -67,7 +67,6 @@ type faultEntry struct {
 // injects nothing.
 type FaultPlan struct {
 	entries []faultEntry
-	text    string
 }
 
 // ParseFaultPlan parses the plan syntax above. An empty string is the
@@ -77,7 +76,7 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 	if s == "" {
 		return nil, nil
 	}
-	p := &FaultPlan{text: s}
+	p := &FaultPlan{}
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -112,14 +111,6 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 		return nil, nil
 	}
 	return p, nil
-}
-
-// String renders the plan back into its source syntax.
-func (p *FaultPlan) String() string {
-	if p == nil {
-		return ""
-	}
-	return p.text
 }
 
 // at returns the fault kind to inject for (task seq, attempt), or "".

@@ -9,10 +9,12 @@ package coord
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
 	"sre/internal/analysis"
+	"sre/internal/store"
 )
 
 // frameBytes encodes a frame into its wire form for seeding.
@@ -26,9 +28,16 @@ func frameBytes(t testFatalf, f *frame) []byte {
 
 type testFatalf interface{ Fatalf(string, ...any) }
 
-// FuzzDecodeFrame fuzzes readFrame with torn frames, oversized length
-// headers, and invalid JSON. The decoder must be total (error, never
-// panic), and any frame it does accept must re-encode.
+// resultFrame is a result frame for task 3 — the digit the checksum
+// test flips.
+func resultFrame() *frame {
+	return &frame{Type: frameResult, Result: &taskResult{Seq: 3,
+		CacheRecord: analysis.CacheRecord{Prefix: "10.0.0.0/8"}}}
+}
+
+// FuzzDecodeFrame fuzzes readFrame with torn records, oversized length
+// headers, and payloads that are not frames. The decoder must be total
+// (error, never panic), and any frame it does accept must re-encode.
 func FuzzDecodeFrame(f *testing.F) {
 	// Well-formed frames of every type.
 	f.Add(frameBytes(f, &frame{Type: frameHello, Hello: &helloMsg{PID: 42}}))
@@ -36,23 +45,26 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, &frame{Type: frameShutdown}))
 	f.Add(frameBytes(f, &frame{Type: frameTask, Task: &taskMsg{Seq: 1, Attempt: 2, Prefix: "10.0.0.0/8"}}))
 	f.Add(frameBytes(f, &frame{Type: frameError, Err: &analysis.WireError{Kind: analysis.ErrKindInternal, Stage: "spf", Msg: "boom"}}))
-	f.Add(frameBytes(f, &frame{Type: frameResult, Result: &taskResult{Seq: 3, Prefix: "10.0.0.0/8"}}))
+	f.Add(frameBytes(f, resultFrame()))
 	// Two frames back to back: stream decoding.
 	f.Add(append(frameBytes(f, &frame{Type: frameHeartbeat}), frameBytes(f, &frame{Type: frameShutdown})...))
-	// A torn frame: header promises more than the stream holds.
+	// A torn record: the stream ends inside the header.
 	f.Add(frameBytes(f, &frame{Type: frameHeartbeat})[:5])
-	// The corrupt fault's signature garbage.
-	f.Add([]byte{37, 0, 0, 0, '{', '"', 't', 'y', 'p', 'e', '"', ':', '}'})
-	// Oversized length header with no payload behind it.
-	huge := make([]byte, 4)
-	binary.LittleEndian.PutUint32(huge, 1<<30)
-	f.Add(huge)
-	// Length over the cap.
-	over := make([]byte, 4)
-	binary.LittleEndian.PutUint32(over, 1<<31)
-	f.Add(over)
-	// Zero length, empty input, bare junk.
-	f.Add([]byte{0, 0, 0, 0})
+	// The corrupt fault's bytes: a sound record around a non-frame.
+	f.Add(store.EncodeRecord(corruptPayload))
+	// Records declaring a payload at and over the cap, with nothing
+	// behind them.
+	for _, n := range []uint64{store.DefaultMaxRecordBytes, store.DefaultMaxRecordBytes + 1} {
+		hdr := frameBytes(f, &frame{Type: frameHeartbeat})[:16]
+		binary.LittleEndian.PutUint64(hdr[8:], n)
+		f.Add(hdr)
+	}
+	// A result frame with one payload bit flipped: the checksum rejects
+	// it whatever the flip did to the JSON.
+	flipped := frameBytes(f, resultFrame())
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(flipped)
+	// Empty input, bare junk.
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
 
@@ -81,26 +93,41 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// TestReadFrameTornStream pins the torn-frame error class: a frame cut
-// anywhere must yield io.ErrUnexpectedEOF (or io.EOF at a frame
-// boundary), so the coordinator attributes it as a crash, not a
-// protocol bug.
+// TestReadFrameTornStream pins the torn-frame error class: a stream
+// that ends at a frame boundary is io.EOF (a worker's clean exit), and
+// one cut anywhere inside a frame is a typed store error, so the
+// coordinator attributes it as a crash, not a protocol bug.
 func TestReadFrameTornStream(t *testing.T) {
 	whole := frameBytes(t, &frame{Type: frameTask, Task: &taskMsg{Seq: 7, Prefix: "10.0.0.0/8"}})
 	for cut := 0; cut < len(whole); cut++ {
 		_, err := readFrame(bytes.NewReader(whole[:cut]))
+		var corrupt *store.CorruptError
 		switch {
 		case cut == 0:
 			if err != io.EOF {
 				t.Fatalf("cut at 0: err = %v, want io.EOF", err)
 			}
-		default:
-			if err != io.ErrUnexpectedEOF {
-				t.Fatalf("cut at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
-			}
+		case !errors.As(err, &corrupt):
+			t.Fatalf("cut at %d: err = %v, want a *store.CorruptError", cut, err)
 		}
 	}
 	if f, err := readFrame(bytes.NewReader(whole)); err != nil || f.Task == nil || f.Task.Seq != 7 {
 		t.Fatalf("whole frame: f=%+v err=%v", f, err)
+	}
+}
+
+// TestFrameChecksumCatchesValidJSON flips one bit that turns a result
+// frame for task 3 into a perfectly valid one for task 7: only a
+// checksum over the frame can tell, and the frame must be rejected
+// rather than credited to the wrong task.
+func TestFrameChecksumCatchesValidJSON(t *testing.T) {
+	data := frameBytes(t, resultFrame())
+	at := bytes.Index(data, []byte(`"seq":3`))
+	if at < 0 {
+		t.Fatalf("no seq field in %q", data)
+	}
+	data[at+len(`"seq":`)] ^= 0x04 // '3' -> '7'
+	if f, err := readFrame(bytes.NewReader(data)); err == nil {
+		t.Fatalf("bit-flipped frame accepted as task %d", f.Result.Seq)
 	}
 }

@@ -1,10 +1,10 @@
 // Package coord implements fault-tolerant multi-process verification: a
 // coordinator that partitions the prefix space across N `sre worker`
-// subprocesses and supervises them — per-task deadlines, heartbeats,
-// crash detection (process exit, decode failure, heartbeat loss),
-// bounded retries with exponential backoff and worker respawn, and a
-// poisoned-prefix quarantine that falls back to in-process resilient
-// execution after repeated failures.
+// subprocesses and supervises them — heartbeats, crash detection
+// (process exit, decode failure, heartbeat loss), bounded retries with
+// exponential backoff and worker respawn, and a poisoned-prefix
+// quarantine that falls back to in-process resilient execution after
+// repeated failures.
 //
 // The process boundary is the robustness boundary: a worker can OOM,
 // panic past a firewall, wedge, or corrupt its output stream, and the
@@ -20,21 +20,20 @@
 package coord
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 
 	"sre/internal/analysis"
-	"sre/internal/obs"
+	"sre/internal/store"
 )
 
-// Wire protocol: length-prefixed NDJSON frames over the worker's
-// stdin/stdout pipes. Each frame is a 4-byte little-endian payload
-// length followed by one JSON object terminated by '\n' (the newline is
-// part of the payload, so a pipe captured raw is still line-readable).
+// Wire protocol: every frame on the worker's stdin/stdout pipes is one
+// store record (store.EncodeRecord: magic, version, length, payload,
+// crc64) whose payload is one JSON frame object — the framing the
+// result store keeps on disk, so a flipped byte fails the checksum on a
+// pipe exactly as it does in a file.
 //
 //	coordinator → worker: init, task, shutdown
 //	worker → coordinator: hello, heartbeat, result, error
@@ -42,25 +41,6 @@ import (
 // The decoder is total: any byte stream yields a frame or an error,
 // never a panic and never an allocation proportional to a declared
 // length that was not actually received (FuzzDecodeFrame pins this).
-
-// maxFramePayload bounds a frame's declared payload length when
-// Options.MaxFrameBytes is zero. Serialized BDDs for one prefix task
-// are megabytes at the extreme; a declared length beyond this is a
-// corrupt stream, not a big result.
-const maxFramePayload = 1 << 30
-
-// FrameSizeError reports a frame whose declared payload length exceeds
-// the configured maximum — a corrupt length prefix from the reader's
-// point of view, typed so callers tuning MaxFrameBytes can tell it from
-// other stream corruption.
-type FrameSizeError struct {
-	Declared int64
-	Max      int64
-}
-
-func (e *FrameSizeError) Error() string {
-	return fmt.Sprintf("coord: frame declares %d payload bytes, max %d", e.Declared, e.Max)
-}
 
 // Frame type discriminators.
 const (
@@ -86,9 +66,8 @@ type frame struct {
 
 // initMsg configures a worker for the run: the network (the textual
 // config format, a tested fixed point of Parse∘Format), the options
-// that shape results, the fleet's own transport settings, and — when the
-// run carries a persistent result cache — the store directory the worker
-// should consult and publish to.
+// that shape results, and — when the run carries a persistent result
+// cache — the store directory the worker publishes to.
 type initMsg struct {
 	Network string `json:"network"`
 	// Opts is src.Options.Encode() of the coordinator's options, byte
@@ -97,10 +76,8 @@ type initMsg struct {
 	Opts json.RawMessage `json:"opts"`
 	// Ladder tells the worker to escalate overflowing tasks
 	// (Options.Resilient).
-	Ladder        bool   `json:"ladder,omitempty"`
-	HeartbeatMS   int    `json:"heartbeat_ms,omitempty"`
-	MaxFrameBytes int64  `json:"max_frame_bytes,omitempty"`
-	CacheDir      string `json:"cache_dir,omitempty"`
+	Ladder   bool   `json:"ladder,omitempty"`
+	CacheDir string `json:"cache_dir,omitempty"`
 }
 
 // taskMsg assigns one prefix task. Seq is the task's index in the
@@ -112,8 +89,8 @@ type taskMsg struct {
 	Attempt int    `json:"attempt"`
 	Prefix  string `json:"prefix"`
 	// CacheKey is the prefix's persistent-store content address; the
-	// worker consults the shared store under it on a first attempt and
-	// publishes the computed result back. Empty disables caching.
+	// worker publishes the computed result under it. Empty disables
+	// publication.
 	CacheKey string `json:"cache_key,omitempty"`
 }
 
@@ -121,19 +98,13 @@ type helloMsg struct {
 	PID int `json:"pid"`
 }
 
-// taskResult carries one finished prefix back: the outcome, the
-// serialized pipelines, and the worker's per-task telemetry shard.
+// taskResult carries one finished prefix back: the record the worker
+// also publishes to the store (outcome, serialized pipelines, per-task
+// telemetry shard), tagged with the task it answers.
 type taskResult struct {
-	Seq       int                     `json:"seq"`
-	Prefix    string                  `json:"prefix"`
-	Outcome   analysis.WireOutcome    `json:"outcome"`
-	Pipes     []analysis.WirePipeline `json:"pipes,omitempty"`
-	Telemetry *obs.Wire               `json:"telemetry,omitempty"`
+	Seq int `json:"seq"`
+	analysis.CacheRecord
 }
-
-// The wire forms of outcomes, pipelines, and errors are defined in
-// internal/analysis (wire.go): the persistent result store shares them
-// as its record payload, so one codec serves both the pipe and the disk.
 
 // frameWriter serializes frames onto one pipe. The mutex lets the
 // worker's heartbeat goroutine interleave with result writes without
@@ -148,53 +119,28 @@ func (fw *frameWriter) write(f *frame) error {
 	if err != nil {
 		return err
 	}
-	payload = append(payload, '\n')
+	return fw.writeRecord(payload)
+}
+
+// writeRecord frames payload as one store record, in a single write.
+func (fw *frameWriter) writeRecord(payload []byte) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = fw.w.Write(payload)
+	_, err := fw.w.Write(store.EncodeRecord(payload))
 	return err
 }
 
-// readFrame decodes one frame from r under the default size cap.
+// readFrame decodes one frame from r. A stream that ends cleanly
+// between frames returns io.EOF; a torn, oversized or checksum-failing
+// record returns the store's typed error, and a record whose payload is
+// not a typed frame object a decode error.
 func readFrame(r io.Reader) (*frame, error) {
-	return readFrameLimit(r, 0)
-}
-
-// readFrameLimit decodes one frame from r, bounding the declared
-// payload length by max (0 = maxFramePayload). It is total over
-// arbitrary byte streams: torn length prefixes, truncated payloads,
-// oversized declared lengths, and invalid JSON all return errors. The
-// payload is read incrementally (never pre-allocated at the declared
-// length), so a hostile length field cannot balloon memory.
-func readFrameLimit(r io.Reader, max int64) (*frame, error) {
-	if max <= 0 {
-		max = maxFramePayload
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, fmt.Errorf("coord: frame length 0 out of range")
-	}
-	if int64(n) > max {
-		return nil, &FrameSizeError{Declared: int64(n), Max: max}
-	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := store.ReadRecord(r, 0)
+	if err != nil {
 		return nil, err
 	}
 	f := &frame{}
-	if err := json.Unmarshal(buf.Bytes(), f); err != nil {
+	if err := json.Unmarshal(payload, f); err != nil {
 		return nil, fmt.Errorf("coord: bad frame: %w", err)
 	}
 	if f.Type == "" {

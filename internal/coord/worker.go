@@ -8,7 +8,6 @@ package coord
 // coordinator can tell "slow" from "wedged".
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,10 +21,6 @@ import (
 	"sre/internal/src"
 	"sre/internal/store"
 )
-
-// defaultHeartbeat is the heartbeat interval when the coordinator does
-// not specify one.
-const defaultHeartbeat = 250 * time.Millisecond
 
 // WorkerMain runs the worker protocol over the given pipes and returns
 // the process exit status. `sre worker` (and the test harness's
@@ -68,15 +63,12 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 
 	// Open the shared result store when the coordinator ships one. The
 	// cache is an optimization: a store that cannot open (permissions, a
-	// dead disk) downgrades to cache-less operation, never a dead worker.
+	// dead disk) downgrades to unpublished results, never a dead worker.
 	var cache *analysis.ResultCache
 	if dir := im.CacheDir; dir != "" {
-		st, serr := store.Open(dir, store.Options{
-			MaxRecordBytes: im.MaxFrameBytes,
-			Fault:          plan.DiskFault,
-		})
+		st, serr := store.Open(dir, store.Options{Fault: plan.DiskFault})
 		if serr != nil {
-			fmt.Fprintf(stderr, "sre worker: opening result store: %v (continuing uncached)\n", serr)
+			fmt.Fprintf(stderr, "sre worker: opening result store: %v (continuing unpublished)\n", serr)
 		} else {
 			cache = &analysis.ResultCache{S: st}
 		}
@@ -90,15 +82,11 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 	// Heartbeats run for the whole worker life. The stall fault silences
 	// them without stopping the process — exactly the signature of a
 	// wedged worker the coordinator must detect.
-	interval := time.Duration(im.HeartbeatMS) * time.Millisecond
-	if interval <= 0 {
-		interval = defaultHeartbeat
-	}
 	var stalled atomic.Bool
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(heartbeatInterval)
 		defer tick.Stop()
 		for {
 			select {
@@ -116,9 +104,9 @@ func WorkerMain(stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
 	}()
 
 	for {
-		f, err := readFrameLimit(stdin, im.MaxFrameBytes)
+		f, err := readFrame(stdin)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
+			if err == io.EOF {
 				return 0 // coordinator closed our stdin: clean shutdown
 			}
 			return fail("reading frame: %v", err)
@@ -161,14 +149,10 @@ func (im *initMsg) options() (src.Options, error) {
 	return opts, err
 }
 
-// runTask executes one prefix task and serializes the result. On a
-// first attempt with a cache key, the shared store is consulted before
-// computing: a decodable record replays as the result (its telemetry
-// shard and a store.hits counter riding back to the coordinator), while
-// a corrupt one is quarantined by the lookup and recomputed here as if
-// it never existed. Retries always recompute — a cached record that
-// already failed to cross the pipe once is not worth a second attempt —
-// and every computed result is published back for the fleet.
+// runTask executes one prefix task and puts the result in wire form
+// once: the same record goes back down the pipe and, when the run has a
+// store, into it for later runs. Workers never look the store up — the
+// coordinator's executor did, right before dispatching the task.
 func runTask(net *config.Network, opts src.Options, ladder bool, task *taskMsg, cache *analysis.ResultCache) (*taskResult, error) {
 	pfx, err := route.ParsePrefix(task.Prefix)
 	if err != nil {
@@ -177,27 +161,6 @@ func runTask(net *config.Network, opts src.Options, ladder bool, task *taskMsg, 
 	tel := obs.New()
 	o := opts
 	o.Telemetry = tel
-	if cache != nil && task.CacheKey != "" && task.Attempt == 0 {
-		pipes, out, hit, lerr := cache.Lookup(net, o, task.CacheKey, pfx, tel)
-		if lerr == nil && hit {
-			defer func() {
-				for _, p := range pipes {
-					p.Release()
-				}
-			}()
-			wps, werr := analysis.EncodePipelines(pipes, net)
-			if werr == nil {
-				tel.Counter("store.hits").Inc()
-				return &taskResult{
-					Seq:       task.Seq,
-					Prefix:    task.Prefix,
-					Outcome:   analysis.OutcomeToWire(out),
-					Pipes:     wps,
-					Telemetry: tel.ExportWire(),
-				}, nil
-			}
-		}
-	}
 	pipes, out, err := analysis.RunPrefixTask(net, o, pfx, ladder, analysis.LadderOptions{})
 	if err != nil {
 		return nil, err
@@ -207,20 +170,18 @@ func runTask(net *config.Network, opts src.Options, ladder bool, task *taskMsg, 
 			p.Release()
 		}
 	}()
-	wps, err := analysis.EncodePipelines(pipes, net)
+	rec, err := analysis.NewCacheRecord(net, pfx, pipes, out, tel.ExportWire())
 	if err != nil {
 		return nil, err
 	}
-	res := &taskResult{
-		Seq:       task.Seq,
-		Prefix:    task.Prefix,
-		Outcome:   analysis.OutcomeToWire(out),
-		Pipes:     wps,
-		Telemetry: tel.ExportWire(),
-	}
-	cache.Publish(net, task.CacheKey, pfx, pipes, out, res.Telemetry)
-	return res, nil
+	cache.Put(task.CacheKey, rec)
+	return &taskResult{Seq: task.Seq, CacheRecord: rec}, nil
 }
+
+// corruptPayload is what the corrupt fault sends: a well-formed record
+// whose payload is not a frame, so the coordinator sees a decode
+// failure rather than a torn stream.
+var corruptPayload = []byte(`{"type":"result","result":}garbage`)
 
 // applyFault injects one planned fault. crash/kill/exit never return;
 // corrupt writes a well-framed garbage payload then exits; stall mutes
@@ -234,13 +195,7 @@ func applyFault(kind string, out *frameWriter, stalled *atomic.Bool) {
 	case faultExit:
 		os.Exit(3)
 	case faultCorrupt:
-		out.mu.Lock()
-		payload := []byte("{\"type\":\"result\",\"result\":}garbage\n")
-		var hdr [4]byte
-		hdr[0] = byte(len(payload))
-		_, _ = out.w.Write(hdr[:])
-		_, _ = out.w.Write(payload)
-		out.mu.Unlock()
+		_ = out.writeRecord(corruptPayload)
 		os.Exit(1)
 	case faultStall:
 		stalled.Store(true)

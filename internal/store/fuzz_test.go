@@ -3,13 +3,14 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
 // FuzzReadRecord pins the record decoder's robustness contract: total
-// over arbitrary byte streams (typed errors, never panics), bounded
-// allocation regardless of the declared length, and exact round-trip of
-// whatever it accepts.
+// over arbitrary byte streams (typed errors, io.EOF only for an empty
+// stream, never panics), bounded allocation regardless of the declared
+// length, and exact round-trip of whatever it accepts.
 func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeRecord(nil))
@@ -25,6 +26,12 @@ func FuzzReadRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := ReadRecord(bytes.NewReader(data), 1<<20)
+		if err == io.EOF {
+			if len(data) != 0 {
+				t.Fatalf("io.EOF after %d bytes: a torn record must be a CorruptError", len(data))
+			}
+			return
+		}
 		if err != nil {
 			var ce *CorruptError
 			var se *SizeError

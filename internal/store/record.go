@@ -1,6 +1,7 @@
 package store
 
-// Record framing: every object in the store is one self-verifying
+// Record framing: every object in the store — and every frame on a
+// fleet worker's pipes (internal/coord) — is one self-verifying
 // record —
 //
 //	magic "SRC1" (4) | version u16 LE (2) | flags u16 LE (2) |
@@ -80,13 +81,19 @@ func EncodeRecord(payload []byte) []byte {
 // ReadRecord decodes one record from r, enforcing max as the payload
 // length bound (0 means DefaultMaxRecordBytes). The payload is read
 // incrementally — never pre-allocated at the declared length — and the
-// whole frame, header included, must pass the checksum trailer.
+// whole frame, header included, must pass the checksum trailer. A
+// stream that ends before its first byte returns io.EOF: the clean end
+// of a stream of records (a worker's pipe), which a file-backed caller
+// treats as an empty, corrupt record.
 func ReadRecord(r io.Reader, max int64) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxRecordBytes
 	}
 	var hdr [recordHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
 		return nil, &CorruptError{Reason: "truncated header"}
 	}
 	if !bytes.Equal(hdr[:4], recordMagic[:]) {

@@ -1,8 +1,9 @@
 // Package store is a crash-safe, content-addressed on-disk cache of
 // per-prefix verification results. Keys are hex digests computed by the
-// caller (internal/analysis hashes the prefix's config slice, topology,
-// options, and kernel choice); payloads are opaque bytes (the caller
-// stores the coord wire forms). The robustness contract is the design
+// caller (internal/analysis hashes the prefix's config slice, topology
+// and options); payloads are opaque bytes (the caller stores
+// analysis.CacheRecord JSON, and internal/coord sends the same records
+// over its worker pipes). The robustness contract is the design
 // center:
 //
 //   - records are written to a temp file and atomically renamed, so a
@@ -23,7 +24,10 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -133,22 +137,19 @@ func (s *Store) objectPath(key string) string {
 }
 
 // Get returns the payload stored under key, or ok=false on a miss. A
-// record that fails verification (truncated, bit-flipped, version
-// skew, oversized) is quarantined and reported as a miss — the caller
-// recomputes and the cache heals itself.
+// record that fails verification (empty, truncated, bit-flipped,
+// version skew, oversized, trailing bytes) is quarantined and reported
+// as a miss — the caller recomputes and the cache heals itself.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
-	f, err := os.Open(s.objectPath(key))
+	payload, err := readFileRecord(s.objectPath(key), s.opts.MaxRecordBytes)
 	if err != nil {
-		s.count(func(m *Metrics) { m.Misses++ }, "store.misses")
-		return nil, false
-	}
-	payload, rerr := ReadRecord(f, s.opts.MaxRecordBytes)
-	f.Close()
-	if rerr != nil {
-		s.Quarantine(key, rerr.Error())
+		var unopened *fs.PathError
+		if !errors.As(err, &unopened) {
+			s.Quarantine(key, err.Error())
+		}
 		s.count(func(m *Metrics) { m.Misses++ }, "store.misses")
 		return nil, false
 	}
@@ -361,8 +362,9 @@ func (s *Store) lockStale(path string) bool {
 	return time.Since(fi.ModTime()) > s.opts.LockTTL
 }
 
-// ReadFileRecord reads and verifies the record in file at path,
-// returning its payload. Used by fsck and tests.
+// readFileRecord reads and verifies the record in the file at path,
+// returning its payload. Only a failed open is a *fs.PathError; every
+// other failure is the file's own (Get and fsck quarantine it).
 func readFileRecord(path string, max int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -370,6 +372,9 @@ func readFileRecord(path string, max int64) ([]byte, error) {
 	}
 	defer f.Close()
 	payload, err := ReadRecord(f, max)
+	if err == io.EOF {
+		return nil, &CorruptError{Reason: "empty file"}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -105,23 +105,11 @@ func TestCorruptRecordQuarantined(t *testing.T) {
 			}
 			path := s.objectPath(testKey)
 			corrupt(t, path)
-			if name == "trailing-garbage" {
-				// Streaming Get stops at the frame end; only the full-file
-				// fsck catches trailing bytes. Run it instead.
-				rep, err := s.Verify()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Quarantined != 1 {
-					t.Fatalf("fsck report = %+v, want 1 quarantined", rep)
-				}
-			} else if _, ok := s.Get(testKey); ok {
+			if _, ok := s.Get(testKey); ok {
 				t.Fatal("corrupt record served as a hit")
 			}
-			if name != "trailing-garbage" {
-				if m := s.Metrics(); m.Quarantined != 1 || m.Misses != 1 {
-					t.Fatalf("metrics = %+v, want 1 quarantined + 1 miss", m)
-				}
+			if m := s.Metrics(); m.Quarantined != 1 || m.Misses != 1 {
+				t.Fatalf("metrics = %+v, want 1 quarantined + 1 miss", m)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Fatal("corrupt record still in objects tree")
@@ -142,6 +130,10 @@ func TestCorruptRecordQuarantined(t *testing.T) {
 			for _, e := range events {
 				if e.Stage == "store.quarantine" {
 					found = true
+					// The reason is a typed store error, never a bare io.EOF.
+					if !strings.HasPrefix(e.Outcome, "store: ") {
+						t.Errorf("quarantine reason %q is not a store error", e.Outcome)
+					}
 				}
 			}
 			if !found {

@@ -129,18 +129,17 @@ type Options struct {
 	Parallelism int
 	// Workers, when > 0, verifies prefixes across that many worker
 	// subprocesses instead of in-process goroutines: the coordinator
-	// fork/execs `sre worker` children, supervises them with heartbeats
-	// and per-task deadlines, retries crashed tasks with backoff, and
-	// quarantines prefixes that keep crashing to an in-process fallback
-	// (surfaced via Verifier.CrashDegraded). Results are byte-identical
-	// to an in-process Parallelism run at any worker count. 0 (the
-	// default) keeps everything in-process.
+	// fork/execs `sre worker` children (never more than there are
+	// prefixes to compute), supervises them with heartbeats, retries
+	// crashed tasks with backoff, and quarantines prefixes that keep
+	// crashing to an in-process fallback (surfaced via
+	// Verifier.CrashDegraded). Results are byte-identical to an
+	// in-process Parallelism run at any worker count. 0 (the default)
+	// keeps everything in-process. Deterministic worker faults for
+	// testing come from the SRE_FAULT environment variable (see the
+	// coord package for the plan syntax, e.g. "crash@0;stall@2"), which
+	// workers inherit.
 	Workers int
-	// FaultPlan injects deterministic worker faults for multi-process
-	// runs — testing and CI only. See the coord package for the plan
-	// syntax (e.g. "crash@0;stall@2"). Empty inherits SRE_FAULT from
-	// the environment.
-	FaultPlan string
 	// Resilient enables graceful degradation for multi-prefix runs:
 	// every prefix is verified as its own scoped task (at any
 	// Parallelism), and instead of failing the whole run when a task
@@ -272,11 +271,7 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 			Workers:   opts.Workers,
 			Verify:    srcOpts,
 			Resilient: opts.Resilient,
-			FaultPlan: opts.FaultPlan,
 			Cache:     x.Cache,
-		}
-		if opts.Store != nil {
-			copts.CacheDir = opts.Store.Dir()
 		}
 		if x.Dispatch, err = coord.Fleet(net, copts); err != nil {
 			return nil, err

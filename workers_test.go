@@ -24,11 +24,13 @@ func TestMain(m *testing.M) {
 }
 
 // fatTreeWorkersRun is fatTreeRun with worker subprocesses instead of
-// in-process parallelism.
+// in-process parallelism, under faultPlan (the SRE_FAULT syntax, which
+// the workers inherit; "" injects nothing).
 func fatTreeWorkersRun(t *testing.T, base sre.Options, workers int, faultPlan string) ([]sre.PrefixOutcome, int, []sre.PrefixResult, bool) {
 	t.Helper()
 	net := workload.FatTree(4, workload.BGP)
-	base.Workers, base.FaultPlan = workers, faultPlan
+	t.Setenv(coord.FaultEnv, faultPlan)
+	base.Workers = workers
 	v, err := sre.NewVerifier(net, base)
 	if err != nil {
 		t.Fatal(err)
