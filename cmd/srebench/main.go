@@ -55,7 +55,7 @@ var (
 // withResilience arms the -deadline budget on engine options. Each call
 // creates a fresh checker, so the deadline applies per measured cell.
 func withResilience(o src.Options) src.Options {
-	o.Interrupt = resil.NewChecker(nil, *deadline, 0).Fn()
+	o.Interrupt = resil.NewSharedChecker(nil, *deadline).Fn()
 	return o
 }
 

@@ -363,28 +363,45 @@ func TestMinerFigure1(t *testing.T) {
 	}
 }
 
+// TestMinerOneShotAgreesWithStratified checks the stratified miner
+// against a one-shot reference: a single pipeline at the full budget,
+// where a pair's tolerance is the first budget k it does not survive,
+// minus 1.
 func TestMinerOneShotAgreesWithStratified(t *testing.T) {
-	net, err := config.ParseString(figure1)
+	net := mustNet(t, figure1)
+	const kMax = 2
+	specs, err := (&Miner{Net: net, KMax: kMax}).Mine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := (&Miner{Net: net, KMax: 2})
-	sA, err := a.Mine()
+	ref, err := Run(net, src.Options{PruneK: kMax})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := (&Miner{Net: net, KMax: 2, DisablePrefixPruning: true})
-	sB, err := b.Mine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sA.ReachTolerance) != len(sB.ReachTolerance) {
-		t.Fatalf("result sizes differ: %d vs %d", len(sA.ReachTolerance), len(sB.ReachTolerance))
-	}
-	for k, v := range sA.ReachTolerance {
-		if sB.ReachTolerance[k] != v {
-			t.Errorf("pair %v: stratified %d vs one-shot %d", k, v, sB.ReachTolerance[k])
+	defer ref.Release()
+	pairs := 0
+	for _, pfx := range net.AllPrefixes() {
+		for s := 0; s < net.Topology.NumRouters(); s++ {
+			srcID := topology.RouterID(s)
+			if containsRouter(net.OriginsOf(pfx), srcID) {
+				continue
+			}
+			pairs++
+			want := InfiniteTolerance
+			for k := 0; k <= kMax; k++ {
+				if !ref.PairReachable(srcID, pfx, k) {
+					want = k - 1
+					break
+				}
+			}
+			key := PairKey{Src: srcID, Prefix: pfx}
+			if got, ok := specs.ReachTolerance[key]; !ok || got != want {
+				t.Errorf("pair %v: stratified %d (decided %t), one-shot %d", key, got, ok, want)
+			}
 		}
+	}
+	if len(specs.ReachTolerance) != pairs {
+		t.Errorf("stratified miner decided %d pairs, the one-shot reference %d", len(specs.ReachTolerance), pairs)
 	}
 }
 

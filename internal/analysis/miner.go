@@ -3,11 +3,13 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"sre/internal/bdd"
 	"sre/internal/config"
 	"sre/internal/obs"
+	"sre/internal/resil"
 	"sre/internal/route"
 	"sre/internal/src"
 	"sre/internal/topology"
@@ -30,14 +32,12 @@ import (
 type Miner struct {
 	Net  *config.Network
 	KMax int
-	// DisablePrefixPruning turns the stratified prefix pruning off (the
-	// "one-shot" comparison point of §8.4).
-	DisablePrefixPruning bool
-	// SrcOpts tunes the per-stratum engine (Abstract, NoECMP, ...);
-	// PruneK and Prefixes are set by the miner.
+	// SrcOpts tunes the per-stratum engine (Abstract, NoECMP,
+	// Parallelism, ...); PruneK and Prefixes are set by the miner.
 	SrcOpts src.Options
 	// Waypoint, when non-nil, selects the waypoint router for waypoint
-	// mining of each (src, prefix) pair.
+	// mining of each (src, prefix) pair. With several workers it is
+	// called from worker goroutines and must be safe for concurrent use.
 	Waypoint func(s topology.RouterID, pfx route.Prefix) (topology.RouterID, bool)
 
 	// Resilient enables graceful degradation: a stratum whose BDD node
@@ -130,100 +130,35 @@ func (mn *Miner) Mine() (*Specs, error) {
 		}
 	}
 
+	workers := Workers(mn.SrcOpts)
 	var isolationCandidates []PairKey
 	for k := 0; k <= mn.KMax; k++ {
 		start := time.Now()
 		telStrata.Inc()
 		stratumSpan := mineSpan.Start(fmt.Sprintf("stratum-%d", k))
-		if !mn.DisablePrefixPruning {
-			for key := range undecided {
-				if minCut[key] <= k {
-					specs.ReachTolerance[key] = minCut[key] - 1
-					if _, done := specs.WaypointTolerance[key]; !done && mn.Waypoint != nil {
-						specs.WaypointTolerance[key] = minCut[key] - 1
-					}
-					delete(undecided, key)
-					telDecided.Inc()
+		for key := range undecided {
+			if minCut[key] <= k {
+				specs.ReachTolerance[key] = minCut[key] - 1
+				if _, done := specs.WaypointTolerance[key]; !done && mn.Waypoint != nil {
+					specs.WaypointTolerance[key] = minCut[key] - 1
 				}
+				delete(undecided, key)
+				telDecided.Inc()
 			}
 		}
-		prefixSet := make(map[route.Prefix]bool)
-		for key := range undecided {
-			prefixSet[key.Prefix] = true
-		}
-		if len(prefixSet) == 0 {
+		if len(undecided) == 0 {
 			mn.StrataTimes = append(mn.StrataTimes, time.Since(start))
 			stratumSpan.End()
 			break
 		}
 		stratumSpan.SetAttr("k", k)
 		stratumSpan.SetAttr("pairs", len(undecided))
-		stratumSpan.SetAttr("prefixes", len(prefixSet))
-		if workers := mn.stratumWorkers(); workers > 1 || mn.Resilient {
-			err := mn.mineStratumPerPrefix(specs, undecided, &isolationCandidates, k, workers)
-			stratumSpan.End()
-			if err != nil {
-				return nil, fmt.Errorf("stratum %d: %w", k, err)
-			}
-			mn.StrataTimes = append(mn.StrataTimes, time.Since(start))
-			continue
-		}
-		// One worker, no ladder: the stratum's whole domain in one
-		// combined pipeline.
-		opts := mn.SrcOpts
-		opts.PruneK = k
-		if !mn.DisablePrefixPruning {
-			opts.Prefixes = sortedPrefixes(mn.expandForAggregates(prefixSet))
-		}
-		pipe, err := Run(mn.Net, opts)
+		err := mn.mineStratum(specs, undecided, &isolationCandidates, k, workers, stratumSpan)
+		stratumSpan.End()
 		if err != nil {
-			stratumSpan.End()
 			return nil, fmt.Errorf("stratum %d: %w", k, err)
 		}
-		m := pipe.Sp.M
-		budget := pipe.Sp.AtMostKLinkFailures(k)
-		pairTotal := len(undecided)
-		pairDone := 0
-		for key := range undecided {
-			pairDone++
-			if tel.Active() {
-				tel.Emit(obs.Event{Stage: "mine",
-					Done: int64(pairDone), Total: int64(pairTotal), Unit: "pairs",
-					Detail: fmt.Sprintf("stratum %d", k), Final: pairDone == pairTotal})
-			}
-			hdr := pipe.OwnedHeaders(key.Prefix)
-			dst := pipe.OriginSet(key.Prefix)
-			prop := pipe.ReachBDD(key.Src, dst, hdr)
-			if mn.Waypoint != nil {
-				if _, done := specs.WaypointTolerance[key]; !done {
-					if w, ok := mn.Waypoint(key.Src, key.Prefix); ok {
-						wprop := pipe.WaypointBDD(key.Src, dst, w, hdr)
-						if m.DiffSat(m.And(hdr, budget), wprop) {
-							specs.WaypointTolerance[key] = k - 1
-						}
-					}
-				}
-			}
-			// Violated iff some (packet, scenario) within budget is not
-			// covered by the property.
-			if m.DiffSat(m.And(hdr, budget), prop) {
-				specs.ReachTolerance[key] = k - 1
-				delete(undecided, key)
-				telDecided.Inc()
-				if prop == bdd.False {
-					isolationCandidates = append(isolationCandidates, key)
-				}
-				continue
-			}
-			if k == 0 {
-				if n := pipe.LoadBalancePaths(key.Src, dst, hdr); n > 0 {
-					specs.LoadBalance[key] = n
-				}
-			}
-		}
-		pipe.Release()
 		mn.StrataTimes = append(mn.StrataTimes, time.Since(start))
-		stratumSpan.End()
 	}
 	// Pairs surviving every stratum tolerate at least KMax failures.
 	for key := range undecided {
@@ -235,8 +170,8 @@ func (mn *Miner) Mine() (*Specs, error) {
 			}
 		}
 	}
-	if err := mn.confirmIsolation(specs, isolationCandidates); err != nil {
-		return nil, err
+	if err := mn.confirmIsolation(specs, isolationCandidates, workers); err != nil {
+		return nil, fmt.Errorf("isolation confirmation: %w", err)
 	}
 	sort.Slice(specs.Isolated, func(i, j int) bool {
 		a, b := specs.Isolated[i], specs.Isolated[j]
@@ -248,36 +183,242 @@ func (mn *Miner) Mine() (*Specs, error) {
 	return specs, nil
 }
 
+// eachPipeline verifies domain at opts and hands every prefix, its
+// outcome and the pipeline verifying it (nil when the prefix exhausted
+// the ladder) to fn, then releases the pipeline. With one worker and no
+// ladder the whole domain — closed over its dependencies — runs as one
+// combined pipeline shared by every call; otherwise each prefix is its
+// own scoped task, fn runs on the task's worker, and stratum peak
+// memory is bounded by the tasks in flight instead of the whole domain.
+// Every prefix belongs to exactly one call, so whatever fn commits is
+// independent of completion order.
+func (mn *Miner) eachPipeline(opts src.Options, domain []route.Prefix, workers int, fn func(pfx route.Prefix, pipe *Pipeline, out PrefixOutcome)) error {
+	if workers <= 1 && !mn.Resilient {
+		opts.Prefixes = taskDomain(mn.Net, domain...)
+		pipe, err := Run(mn.Net, opts)
+		if err != nil {
+			return err
+		}
+		defer pipe.Release()
+		for _, pfx := range sortedPrefixList(domain) {
+			fn(pfx, pipe, PrefixOutcome{Prefix: pfx, EffectivePruneK: opts.PruneK})
+		}
+		return nil
+	}
+	// The ladder is on when resilient, never halving the budget: a
+	// stratum-k verdict is only sound at budget exactly k.
+	x := Executor{Net: mn.Net, Opts: opts, Workers: workers,
+		Ladder: mn.Resilient, Lad: LadderOptions{DisableBudgetHalving: true}}
+	return x.each(domain, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+		if len(pipes) == 0 {
+			fn(pfx, nil, out)
+			return
+		}
+		defer pipes[0].Release()
+		fn(pfx, pipes[0], out)
+	})
+}
+
+// pairEval is one undecided pair of a stratum with the per-key state
+// snapshotted before any pipeline runs, so worker-side evaluation never
+// reads the shared spec maps.
+type pairEval struct {
+	key PairKey
+	// waypointDone records whether the pair's waypoint tolerance was
+	// already decided in an earlier stratum.
+	waypointDone bool
+}
+
+// mineStratum decides the undecided pairs at budget k: each prefix's
+// pairs are evaluated against the pipeline verifying it, off any lock,
+// and the decisions committed to the spec maps under one mutex.
+func (mn *Miner) mineStratum(specs *Specs, undecided map[PairKey]bool,
+	isolationCandidates *[]PairKey, k, workers int, span *obs.Span) error {
+
+	tel := mn.SrcOpts.Telemetry
+	telDecided := tel.Counter("mine.pairs_decided")
+	byPfx := make(map[route.Prefix][]pairEval)
+	for key := range undecided {
+		_, wpDone := specs.WaypointTolerance[key]
+		byPfx[key.Prefix] = append(byPfx[key.Prefix], pairEval{key: key, waypointDone: wpDone})
+	}
+	domain := make([]route.Prefix, 0, len(byPfx))
+	for pfx := range byPfx {
+		domain = append(domain, pfx)
+	}
+	span.SetAttr("prefixes", len(domain))
+
+	opts := mn.SrcOpts
+	opts.PruneK = k
+
+	var mu sync.Mutex // guards specs, undecided, isolationCandidates, pairDone
+	pairTotal := len(undecided)
+	pairDone := 0
+	return mn.eachPipeline(opts, domain, workers, func(pfx route.Prefix, pipe *Pipeline, out PrefixOutcome) {
+		pairs := byPfx[pfx]
+		var decisions []pairDecision
+		if out.Err == nil {
+			decisions, out.Err = mn.decidePairs(pipe, pairs, k)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if out.Err != nil {
+			// The prefix exhausted the ladder at this stratum (or its
+			// queries overflowed the verified pipeline). Its pairs
+			// survived stratum k-1, so k-1 is a sound lower bound;
+			// record it and mark them degraded.
+			for _, pe := range pairs {
+				specs.ReachTolerance[pe.key] = k - 1
+				specs.DegradedPairs[pe.key] = true
+				if mn.Waypoint != nil && !pe.waypointDone {
+					specs.WaypointTolerance[pe.key] = k - 1
+				}
+				delete(undecided, pe.key)
+				telDecided.Inc()
+			}
+		}
+		for _, d := range decisions {
+			// A weaker rung may find violations the exact run does not:
+			// what it decides is only a lower bound.
+			if out.Degraded && (d.violated || d.waypointTol != wpUndecided) {
+				specs.DegradedPairs[d.pe.key] = true
+			}
+			if d.waypointTol != wpUndecided {
+				specs.WaypointTolerance[d.pe.key] = d.waypointTol
+			}
+			if d.violated {
+				specs.ReachTolerance[d.pe.key] = k - 1
+				delete(undecided, d.pe.key)
+				telDecided.Inc()
+				if d.reachEmpty {
+					*isolationCandidates = append(*isolationCandidates, d.pe.key)
+				}
+			} else if k == 0 && d.loadBalance > specs.LoadBalance[d.pe.key] {
+				specs.LoadBalance[d.pe.key] = d.loadBalance
+			}
+		}
+		if out.Quarantined || out.Degraded || out.Err != nil {
+			mergeOutcome(specs, out)
+		}
+		pairDone += len(pairs)
+		if tel.Active() {
+			tel.Emit(obs.Event{Stage: "mine",
+				Done: int64(pairDone), Total: int64(pairTotal), Unit: "pairs",
+				Detail: fmt.Sprintf("stratum %d", k), Final: pairDone == pairTotal})
+		}
+	})
+}
+
+// pairDecision is what one stratum learned about one pair.
+type pairDecision struct {
+	pe          pairEval
+	violated    bool
+	reachEmpty  bool
+	waypointTol int // k-1 when decided here, else wpUndecided
+	loadBalance int
+}
+
+const wpUndecided = InfiniteTolerance
+
+// decidePairs evaluates a prefix's undecided pairs at stratum k on its
+// verified pipeline: a property is violated iff some (packet, scenario)
+// within the budget is not covered by it. In a resilient mine, a
+// node-table overflow raised by the queries themselves is returned as
+// the error that fails the prefix at this stratum, like an exhausted
+// ladder.
+func (mn *Miner) decidePairs(pipe *Pipeline, pairs []pairEval, k int) (_ []pairDecision, err error) {
+	if mn.Resilient {
+		defer guardOverflow(&err)
+	}
+	decisions := make([]pairDecision, 0, len(pairs))
+	m := pipe.Sp.M
+	budget := pipe.Sp.AtMostKLinkFailures(k)
+	for _, pe := range pairs {
+		d := pairDecision{pe: pe, waypointTol: wpUndecided}
+		hdr := pipe.OwnedHeaders(pe.key.Prefix)
+		dst := pipe.OriginSet(pe.key.Prefix)
+		prop := pipe.ReachBDD(pe.key.Src, dst, hdr)
+		d.reachEmpty = prop == bdd.False
+		d.violated = m.DiffSat(m.And(hdr, budget), prop)
+		if mn.Waypoint != nil && !pe.waypointDone {
+			if w, ok := mn.Waypoint(pe.key.Src, pe.key.Prefix); ok {
+				wprop := pipe.WaypointBDD(pe.key.Src, dst, w, hdr)
+				if m.DiffSat(m.And(hdr, budget), wprop) {
+					d.waypointTol = k - 1
+				}
+			}
+		}
+		if !d.violated && k == 0 {
+			d.loadBalance = pipe.LoadBalancePaths(pe.key.Src, dst, hdr)
+		}
+		decisions = append(decisions, d)
+	}
+	return decisions, nil
+}
+
 // confirmIsolation re-checks candidates (pairs whose reach BDD was empty
 // at their deciding stratum) at the full failure budget: a pair is
 // isolated only if no combination of at most KMax failures deflects
-// traffic to the destination.
-func (mn *Miner) confirmIsolation(specs *Specs, candidates []PairKey) error {
+// traffic to the destination. The final Isolated order is fixed by
+// Mine's sort, not completion order.
+func (mn *Miner) confirmIsolation(specs *Specs, candidates []PairKey, workers int) error {
 	if len(candidates) == 0 {
 		return nil
 	}
-	if workers := mn.stratumWorkers(); workers > 1 || mn.Resilient {
-		return mn.confirmIsolationPerPrefix(specs, candidates, workers)
-	}
-	prefixSet := make(map[route.Prefix]bool)
+	byPfx := make(map[route.Prefix][]PairKey)
 	for _, key := range candidates {
-		prefixSet[key.Prefix] = true
+		byPfx[key.Prefix] = append(byPfx[key.Prefix], key)
+	}
+	domain := make([]route.Prefix, 0, len(byPfx))
+	for pfx := range byPfx {
+		domain = append(domain, pfx)
 	}
 	opts := mn.SrcOpts
 	opts.PruneK = mn.KMax
-	opts.Prefixes = sortedPrefixes(mn.expandForAggregates(prefixSet))
-	pipe, err := Run(mn.Net, opts)
-	if err != nil {
-		return fmt.Errorf("isolation confirmation: %w", err)
+
+	var mu sync.Mutex
+	return mn.eachPipeline(opts, domain, workers, func(pfx route.Prefix, pipe *Pipeline, out PrefixOutcome) {
+		var isolatedKeys []PairKey
+		if out.Err == nil { // a failed prefix cannot confirm isolation
+			isolatedKeys, out.Err = mn.isolatedPairs(pipe, byPfx[pfx])
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		specs.Isolated = append(specs.Isolated, isolatedKeys...)
+		if out.Quarantined || out.Degraded || out.Err != nil {
+			mergeOutcome(specs, out)
+		}
+	})
+}
+
+// isolatedPairs returns the candidates pipe confirms isolated;
+// overflowing queries fail the prefix like decidePairs.
+func (mn *Miner) isolatedPairs(pipe *Pipeline, candidates []PairKey) (_ []PairKey, err error) {
+	if mn.Resilient {
+		defer guardOverflow(&err)
 	}
-	defer pipe.Release()
+	var isolated []PairKey
 	for _, key := range candidates {
-		prop := pipe.ReachBDD(key.Src, pipe.OriginSet(key.Prefix), pipe.OwnedHeaders(key.Prefix))
-		if prop == bdd.False {
-			specs.Isolated = append(specs.Isolated, key)
+		if pipe.ReachBDD(key.Src, pipe.OriginSet(key.Prefix), pipe.OwnedHeaders(key.Prefix)) == bdd.False {
+			isolated = append(isolated, key)
 		}
 	}
-	return nil
+	return isolated, nil
+}
+
+// guardOverflow is deferred around queries on a verified pipeline: a
+// node-table overflow they raise becomes *errp; anything else (an
+// interruption, a defect) keeps unwinding to the caller's firewall.
+func guardOverflow(errp *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if e, ok := r.(error); ok && recoverable(e) {
+		*errp = resil.Stage("mine", e)
+		return
+	}
+	panic(r)
 }
 
 // mergeOutcome folds one prefix outcome into the spec summary.
@@ -297,33 +438,6 @@ func mergeOutcome(specs *Specs, o PrefixOutcome) {
 		prev.EffectivePruneK = o.EffectivePruneK
 	}
 	specs.Outcomes[o.Prefix] = prev
-}
-
-// expandForAggregates widens a prefix set with the originated
-// more-specific prefixes of any configured aggregate in the set, so that
-// restricted route computations still generate the aggregates.
-func (mn *Miner) expandForAggregates(set map[route.Prefix]bool) map[route.Prefix]bool {
-	out := make(map[route.Prefix]bool, len(set))
-	for p := range set {
-		out[p] = true
-	}
-	all := mn.Net.AllPrefixes()
-	for _, rc := range mn.Net.Routers {
-		if rc.BGP == nil {
-			continue
-		}
-		for _, agg := range rc.BGP.Aggregates {
-			if !set[agg] {
-				continue
-			}
-			for _, contrib := range all {
-				if agg.Covers(contrib) && contrib != agg {
-					out[contrib] = true
-				}
-			}
-		}
-	}
-	return out
 }
 
 // GroupSpec is a generalized reachability specification: every

@@ -40,24 +40,27 @@ func PrefixCost(net *config.Network, pfx route.Prefix) int64 {
 	return cost
 }
 
-// taskDomain is the prefix set one per-prefix task computes routes for:
-// the prefix itself, closed over two dependency relations so the scoped
-// pipeline forwards exactly like the combined one would inside the
-// task's scope:
+// taskDomain is the prefix set a run over prefixes computes routes for:
+// the prefixes themselves, closed over two dependency relations so a
+// restricted pipeline forwards exactly like an unrestricted one would
+// for them:
 //
 //   - overlapping originated prefixes: a covering prefix supplies the
-//     longest-prefix-match fallback route when the task prefix's own
-//     route is withdrawn under failures, and a covered prefix attracts
-//     the more-specific slice of the scope away from the task prefix's
-//     route;
+//     longest-prefix-match fallback route when a member's own route is
+//     withdrawn under failures, and a covered prefix attracts the
+//     more-specific slice of the member's headers away from its route;
 //   - configured BGP aggregation: the originated contributors of any
 //     aggregate in the set (so the aggregate can still be generated)
 //     and any configured aggregate covering a member.
 //
 // Networks with disjoint prefixes and no aggregates — the common case —
-// get the singleton {pfx}.
-func taskDomain(net *config.Network, pfx route.Prefix) []route.Prefix {
-	set := map[route.Prefix]bool{pfx: true}
+// get the prefixes back, sorted. A per-prefix task's domain is the
+// closure of its one prefix.
+func taskDomain(net *config.Network, prefixes ...route.Prefix) []route.Prefix {
+	set := make(map[route.Prefix]bool, len(prefixes))
+	for _, p := range prefixes {
+		set[p] = true
+	}
 	all := net.AllPrefixes()
 	for changed := true; changed; {
 		changed = false
@@ -131,8 +134,7 @@ type Dispatcher func(tasks []Task, done func(pfx route.Prefix, pipes []*Pipeline
 // Executor is the one way to run a set of prefixes: dedupe, look each
 // prefix up in the cache, estimate costs and order what is left largest
 // first, run each task — a scoped singleton pipeline, then (with Ladder)
-// the precomputed escalation rungs, each rung resubmitted as a fresh
-// pool task so a degraded prefix re-enters the queue behind the others —
+// the precomputed escalation rungs in turn, inside the same task —
 // publish, and assemble the results in prefix order. Everything that
 // distinguishes a sharded, resilient, cached or multi-process run is a
 // field.
@@ -143,17 +145,17 @@ type Executor struct {
 	// tunes the rungs.
 	Ladder bool
 	Lad    LadderOptions
-	// Workers sizes the in-process pool (values below 1 mean 1). With
-	// several workers Opts.Interrupt must be safe for concurrent use
+	// Workers sizes the in-process scheduler (values below 1 mean 1).
+	// With several workers Opts.Interrupt must be safe for concurrent use
 	// (resil.SharedChecker.Fn).
 	Workers int
 	// Cache, when non-nil, is consulted once per prefix before anything
-	// is scheduled (sequentially, so hits cost no pool slots and results
+	// is scheduled (sequentially, so hits cost no worker and results
 	// cannot depend on lookup interleaving) and published to on every
 	// clean completion.
 	Cache *ResultCache
 	// Dispatch, when non-nil, runs the pending tasks in place of the
-	// in-process pool.
+	// in-process scheduler.
 	Dispatch Dispatcher
 }
 
@@ -161,11 +163,12 @@ type Executor struct {
 // pipelines in prefix order whatever the completion order. When there
 // is nothing to decompose for — one worker (or one prefix), no ladder,
 // no cache, no fleet — the whole domain runs as a single unscoped task
-// in one space, Opts.Prefixes passed through unchanged, and the one
-// pipeline covers every prefix: sharing route computation across
-// prefixes beats serial scoped runs (BENCHMARK ft6_bgp_k1 vs
-// ft6_store_cold). Otherwise Opts.Prefixes is ignored and each prefix
-// runs scoped to its own task domain.
+// in one space and the one pipeline covers every prefix: sharing route
+// computation across prefixes beats serial scoped runs (BENCHMARK
+// ft6_bgp_k1 vs ft6_store_cold). A non-nil Opts.Prefixes is then closed
+// over its dependencies (taskDomain), so restricting a run never drops
+// the routes its answers depend on. Otherwise Opts.Prefixes is ignored
+// and each prefix runs scoped to its own task domain.
 //
 // The run completes with per-prefix outcomes unless it is canceled,
 // times out, or hits an error the ladder does not absorb; then every
@@ -183,7 +186,11 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 		pt.outcomes[pfx] = &PrefixOutcome{Prefix: pfx, EffectivePruneK: x.Opts.PruneK}
 	}
 	if x.Dispatch == nil && x.Cache == nil && !x.Ladder && (x.Workers <= 1 || len(pt.outcomes) <= 1) {
-		pipe, err := Run(x.Net, x.Opts)
+		opts := x.Opts
+		if opts.Prefixes != nil {
+			opts.Prefixes = taskDomain(x.Net, opts.Prefixes...)
+		}
+		pipe, err := Run(x.Net, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -222,10 +229,10 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 	return pt, nil
 }
 
-// RunTask executes one prefix's task chain in-process, on a one-worker
-// pool so the result is byte-identical to what any run produces for
-// that prefix, and returns its pipelines (nil when the ladder was
-// exhausted) and outcome; on an error nothing is left to release.
+// RunTask executes one prefix's task in-process, on one worker so the
+// result is byte-identical to what any run produces for that prefix,
+// and returns its pipelines (nil when the ladder was exhausted) and
+// outcome; on an error nothing is left to release.
 func (x *Executor) RunTask(pfx route.Prefix) (pipes []*Pipeline, out PrefixOutcome, err error) {
 	one := *x
 	one.Workers, one.Dispatch = 1, nil
@@ -242,9 +249,9 @@ func (x *Executor) RunTask(pfx route.Prefix) (pipes []*Pipeline, out PrefixOutco
 }
 
 // each runs every distinct prefix of domain and hands the results to
-// collect. The first error that is not absorbed by the ladder aborts:
-// queued prefixes are dropped and the error is returned; what collect
-// already received is the caller's to release.
+// collect. The first error that is not absorbed by the ladder stops the
+// run: unclaimed prefixes are dropped and the error is returned; what
+// collect already received is the caller's to release.
 func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
 	tasks := make([]Task, 0, len(domain))
 	seen := make(map[route.Prefix]bool, len(domain))
@@ -271,10 +278,10 @@ func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
 		tasks = append(tasks, t)
 	}
 	if len(tasks) == 0 {
-		return nil // fully warm: no pool, no fleet
+		return nil // fully warm: no scheduler, no fleet
 	}
-	// Largest first: round-robin seeding then puts the most expensive
-	// prefixes at the head of every worker queue (LPT scheduling).
+	// Largest first: workers claim in list order, so the most expensive
+	// prefixes start first (LPT scheduling).
 	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Cost > tasks[j].Cost })
 	for i := range tasks {
 		tasks[i].Seq = i
@@ -282,18 +289,22 @@ func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
 	if x.Dispatch != nil {
 		return x.Dispatch(tasks, collect)
 	}
-	pool := sched.New(sched.Config{
+	rungs := x.rungs()
+	work := make([]sched.Task, len(tasks))
+	for i, t := range tasks {
+		work[i] = sched.Task{Cost: t.Cost, Run: func(w *sched.Worker) error {
+			return x.runPrefix(w, t, rungs, collect)
+		}}
+	}
+	// Errors raised inside a task already carry the pipeline stage that
+	// was interrupted; Stage keeps those. Only the scheduler's own
+	// interrupt poll — between tasks — surfaces untagged, and gets
+	// "schedule".
+	return resil.Stage("schedule", sched.Run(sched.Config{
 		Workers:   x.Workers,
 		Interrupt: x.Opts.Interrupt,
 		Telemetry: x.Opts.Telemetry,
-	})
-	for _, t := range tasks {
-		pool.Go(t.Cost, newPrefixJob(x, t, collect).step)
-	}
-	// Errors raised inside a task already carry the pipeline stage that
-	// was interrupted; Stage keeps those. Only the pool's own interrupt
-	// poll — between tasks — surfaces untagged, and gets "schedule".
-	return resil.Stage("schedule", pool.Wait())
+	}, work))
 }
 
 // rungAttempt is one precomputed escalation attempt. The sequence —
@@ -305,100 +316,99 @@ type rungAttempt struct {
 	opts src.Options // opts.PruneK is the EffectivePruneK of a success
 }
 
-// prefixJob carries one prefix through its attempt chain. Each step is
-// one pool task; follow-up rungs are resubmitted via Worker.Submit.
-type prefixJob struct {
-	Task
-	x       *Executor
-	collect collectFn
-	domain  []route.Prefix
-	out     PrefixOutcome
-	rungs   []rungAttempt
-	idx     int // 0 = initial attempt, i>0 = rungs[i-1]
-	lastErr error
-}
-
-func newPrefixJob(x *Executor, t Task, collect collectFn) *prefixJob {
-	j := &prefixJob{Task: t, x: x, collect: collect,
-		domain: taskDomain(x.Net, t.Prefix),
-		out:    PrefixOutcome{Prefix: t.Prefix, EffectivePruneK: x.Opts.PruneK},
-	}
+// rungs is the run's escalation ladder: none without Ladder. Option
+// threading: Abstract sticks after rung 1 — AS-path abstraction merges
+// parallel routes, often an order-of-magnitude node saving on fabrics
+// (§7.3); halved budgets stick for later rungs (results are then sound
+// only for the smaller budget, so the miner disables the rung). The
+// ladder ends there: a task's header space is already one prefix, so
+// there is nothing left to split.
+func (x *Executor) rungs() []rungAttempt {
 	if !x.Ladder {
-		return j
+		return nil
 	}
-	// Option threading: Abstract sticks after rung 1 — AS-path
-	// abstraction merges parallel routes, often an order-of-magnitude
-	// node saving on fabrics (§7.3); halved budgets stick for later
-	// rungs (results are then sound only for the smaller budget, so the
-	// miner disables the rung). The ladder ends there: a task's header
-	// space is already one prefix, so there is nothing left to split.
+	var rungs []rungAttempt
 	o := x.Opts
 	if !o.Abstract {
 		o.Abstract = true
-		j.rungs = append(j.rungs, rungAttempt{name: RungAbstract, opts: o})
+		rungs = append(rungs, rungAttempt{name: RungAbstract, opts: o})
 	}
 	if !x.Lad.DisableBudgetHalving {
 		for k := o.PruneK / 2; o.PruneK > 0; k /= 2 {
 			o.PruneK = k
-			j.rungs = append(j.rungs, rungAttempt{name: RungHalveBudget, opts: o})
+			rungs = append(rungs, rungAttempt{name: RungHalveBudget, opts: o})
 			if k == 0 {
 				break
 			}
 		}
 	}
-	return j
+	return rungs
 }
 
-// step executes the job's next attempt. A nil return means the job
-// either finished (success or ladder exhausted) or resubmitted itself;
-// a non-nil return aborts the pool.
-func (j *prefixJob) step(w *sched.Worker) error {
-	var t0 time.Time
-	if w.Tel.Recording() {
-		t0 = time.Now()
-	}
-	// The first attempt runs the requested options; attempt i > 0 runs
-	// rungs[i-1] and, when it succeeds, marks the prefix degraded.
-	o, outcome := j.x.Opts, "ok"
-	var rung *rungAttempt
-	if j.idx > 0 {
-		rung = &j.rungs[j.idx-1]
-		o, outcome = rung.opts, rung.name
-		w.Tel.Counter("resilience.retries").Inc()
-		j.out.Rungs = append(j.out.Rungs, rung.name)
-		j.emit(w, fmt.Sprintf("prefix %s: retrying on rung %q", j.Prefix, rung.name))
-	}
-	o.Telemetry = w.Tel
-	o.Prefixes = j.domain
-	pipe, err := RunScoped(j.x.Net, o, j.Prefix)
-	if err == nil {
-		if rung != nil {
-			j.out.Degraded = true
-			j.out.EffectivePruneK = o.PruneK
-			w.Tel.Counter("resilience.degraded").Inc()
+// runPrefix carries one prefix through its attempts: the requested
+// options, then each rung in turn until one verifies. It delivers the
+// prefix — verified, or failed once the ladder is exhausted — and
+// returns only the errors the ladder does not absorb, which stop the
+// run.
+func (x *Executor) runPrefix(w *sched.Worker, t Task, rungs []rungAttempt, collect collectFn) error {
+	out := PrefixOutcome{Prefix: t.Prefix, EffectivePruneK: x.Opts.PruneK}
+	domain := taskDomain(x.Net, t.Prefix)
+	var pipes []*Pipeline
+	var err error
+	for i := 0; pipes == nil && i <= len(rungs); i++ {
+		var t0 time.Time
+		if w.Tel.Recording() {
+			t0 = time.Now()
 		}
-		j.record(w, t0, outcome)
-		j.deliver(w, []*Pipeline{pipe})
-		return nil
+		// The first attempt runs the requested options; attempt i > 0 runs
+		// rungs[i-1] and, when it succeeds, marks the prefix degraded.
+		o, outcome := x.Opts, "ok"
+		if i > 0 {
+			o, outcome = rungs[i-1].opts, rungs[i-1].name
+			w.Tel.Counter("resilience.retries").Inc()
+			out.Rungs = append(out.Rungs, outcome)
+			emitResilience(w, fmt.Sprintf("prefix %s: retrying on rung %q", t.Prefix, outcome))
+		}
+		o.Telemetry = w.Tel
+		o.Prefixes = domain
+		var pipe *Pipeline
+		pipe, err = RunScoped(x.Net, o, t.Prefix)
+		switch {
+		case err == nil:
+			if i > 0 {
+				out.Degraded = true
+				out.EffectivePruneK = o.PruneK
+				w.Tel.Counter("resilience.degraded").Inc()
+			}
+			recordPrefix(w, t0, &out, outcome)
+			pipes = []*Pipeline{pipe}
+		case !recoverable(err) || !x.Ladder:
+			return err
+		case i == 0:
+			out.Quarantined = true
+			w.Tel.Counter("resilience.quarantined").Inc()
+			recordPrefix(w, t0, &out, "quarantined")
+		default:
+			recordPrefix(w, t0, &out, "overflow")
+		}
 	}
-	if !recoverable(err) || !j.x.Ladder {
-		return err
+	if pipes == nil {
+		out.Err = err
+		w.Tel.Counter("resilience.failed").Inc()
+		recordPrefix(w, time.Time{}, &out, "failed")
+		emitResilience(w, fmt.Sprintf("prefix %s: failed after %d rungs: %v", t.Prefix, len(out.Rungs), err))
 	}
-	if rung == nil {
-		j.out.Quarantined = true
-		w.Tel.Counter("resilience.quarantined").Inc()
-		j.record(w, t0, "quarantined")
-	} else {
-		j.record(w, t0, "overflow")
-	}
-	j.lastErr = err
-	return j.next(w)
+	// In-process producers publish without a telemetry shard: their
+	// counters already live in the run's own registry.
+	x.Cache.Publish(x.Net, t.Key, t.Prefix, pipes, out, nil)
+	collect(t.Prefix, pipes, out)
+	return nil
 }
 
-// record captures one per-prefix flight-recorder event for the attempt
-// started at t0: outcome is "ok", "quarantined", "overflow", "failed",
-// or the degradation rung that succeeded.
-func (j *prefixJob) record(w *sched.Worker, t0 time.Time, outcome string) {
+// recordPrefix captures one per-prefix flight-recorder event for the
+// attempt started at t0: outcome is "ok", "quarantined", "overflow",
+// "failed", or the degradation rung that succeeded.
+func recordPrefix(w *sched.Worker, t0 time.Time, out *PrefixOutcome, outcome string) {
 	if !w.Tel.Recording() {
 		return
 	}
@@ -406,34 +416,11 @@ func (j *prefixJob) record(w *sched.Worker, t0 time.Time, outcome string) {
 	if !t0.IsZero() {
 		wall = time.Since(t0).Nanoseconds()
 	}
-	w.Tel.Record(t0, obs.TraceEvent{Stage: "prefix", Prefix: j.Prefix.String(),
-		Wall: wall, Count: int64(len(j.out.Rungs)), Outcome: outcome})
+	w.Tel.Record(t0, obs.TraceEvent{Stage: "prefix", Prefix: out.Prefix.String(),
+		Wall: wall, Count: int64(len(out.Rungs)), Outcome: outcome})
 }
 
-// next advances to the following rung, resubmitting the job, or fails
-// the prefix when the ladder is exhausted.
-func (j *prefixJob) next(w *sched.Worker) error {
-	j.idx++
-	if j.idx > len(j.rungs) {
-		j.out.Err = j.lastErr
-		w.Tel.Counter("resilience.failed").Inc()
-		j.record(w, time.Time{}, "failed")
-		j.emit(w, fmt.Sprintf("prefix %s: failed after %d rungs: %v", j.Prefix, len(j.out.Rungs), j.lastErr))
-		j.deliver(w, nil)
-		return nil
-	}
-	w.Submit(j.Cost, j.step)
-	return nil
-}
-
-func (j *prefixJob) deliver(w *sched.Worker, pipes []*Pipeline) {
-	// In-process producers publish without a telemetry shard: their
-	// counters already live in the run's own registry.
-	j.x.Cache.Publish(j.x.Net, j.Key, j.Prefix, pipes, j.out, nil)
-	j.collect(j.Prefix, pipes, j.out)
-}
-
-func (j *prefixJob) emit(w *sched.Worker, detail string) {
+func emitResilience(w *sched.Worker, detail string) {
 	if w.Tel.Active() {
 		w.Tel.Emit(obs.Event{Stage: "resilience", Detail: detail})
 	}

@@ -433,10 +433,10 @@ func (m *Manager) hashNode(lvl, lo, hi int32) int32 {
 }
 
 // interruptEvery is how many polled operations elapse between calls to
-// the Interrupt hook. The hook itself amortizes further (resil.Checker
-// touches the clock every DefaultPollInterval calls), so the common
-// path through pollInterrupt is one nil check, one increment, and one
-// compare — negligible against a unique-table probe.
+// the Interrupt hook. The hook (resil.SharedChecker.Fn) consults the
+// context and clock on every call, so this is where polling amortizes:
+// the common path through pollInterrupt is one nil check, one
+// increment, and one compare — negligible against a unique-table probe.
 const interruptEvery = 4096
 
 // pollInterrupt aborts the in-flight operation when the run has been

@@ -1,8 +1,8 @@
 // Package resil holds the resilience primitives shared across the
 // verification pipeline: typed interruption errors (cancellation,
 // deadline expiry, non-convergence, internal faults), stage-tagged
-// error wrapping, and an amortized context/deadline checker cheap
-// enough to poll from BDD apply loops and per-router iterations.
+// error wrapping, and a context/deadline checker cheap enough to poll
+// from BDD apply loops and per-router iterations on every worker.
 //
 // The package deliberately has no dependencies beyond the standard
 // library so every layer — BDD manager, control plane, data plane,
@@ -87,114 +87,17 @@ func Interruption(err error) bool {
 	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline)
 }
 
-// DefaultPollInterval is how many Poll calls elapse between real
-// context/clock checks. At ~10⁶–10⁷ polled operations per second this
-// bounds cancellation latency to well under a millisecond of polled
-// work while keeping the common path to one branch and one increment.
-const DefaultPollInterval = 64
-
-// Checker polls a context and a wall-clock deadline at amortized cost.
-// The zero-cost path is a nil *Checker: every method is a no-op, so
-// pipeline code can hold and poll a checker unconditionally.
+// SharedChecker is the run's interruption check: one context/deadline
+// poll shared by every worker of a run. It is sticky — once tripped,
+// every caller observes the same error, so late pollers see the
+// interruption even after the context is garbage — and trip detection
+// and the sticky slot use atomics, so Check may be called from any
+// number of goroutines. A nil *SharedChecker is the no-op checker.
 //
-// A Checker is sticky: once tripped it keeps returning the same error,
-// so late pollers observe the interruption even after the context is
-// garbage. It is not safe for concurrent use; the pipeline is
-// single-threaded by design.
-type Checker struct {
-	ctx      context.Context
-	deadline time.Time
-	timeout  time.Duration
-	every    uint32
-	n        uint32
-	err      error
-}
-
-// NewChecker builds a checker for the given context and timeout.
-// Either may be absent (nil context, zero timeout); when both are
-// absent NewChecker returns nil — the no-op checker. every is the poll
-// interval (0 = DefaultPollInterval).
-func NewChecker(ctx context.Context, timeout time.Duration, every uint32) *Checker {
-	if ctx == nil && timeout <= 0 {
-		return nil
-	}
-	if every == 0 {
-		every = DefaultPollInterval
-	}
-	c := &Checker{ctx: ctx, timeout: timeout, every: every}
-	if timeout > 0 {
-		c.deadline = time.Now().Add(timeout)
-	}
-	return c
-}
-
-// Poll is the amortized check: it consults the context and clock every
-// c.every calls and returns nil otherwise. Call it from per-iteration
-// loops (router activations, BDD operations).
-func (c *Checker) Poll() error {
-	if c == nil {
-		return nil
-	}
-	if c.err != nil {
-		return c.err
-	}
-	c.n++
-	if c.n < c.every {
-		return nil
-	}
-	c.n = 0
-	return c.Check()
-}
-
-// Check consults the context and clock immediately. Call it at stage
-// boundaries where latency matters more than per-call cost.
-func (c *Checker) Check() error {
-	if c == nil {
-		return nil
-	}
-	if c.err != nil {
-		return c.err
-	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				c.err = fmt.Errorf("%w (context deadline)", ErrDeadline)
-			} else {
-				c.err = fmt.Errorf("%w: %v", ErrCanceled, err)
-			}
-			return c.err
-		}
-	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		c.err = fmt.Errorf("%w (budget %s)", ErrDeadline, c.timeout)
-		return c.err
-	}
-	return nil
-}
-
-// Fn returns Check as a plain func for option structs that accept an
-// interrupt hook, or nil when the checker itself is nil so downstream
-// layers skip polling entirely. Check (not Poll) is the right hook:
-// the layers that call it — the BDD manager, the engine's activation
-// loop, the analysis stage boundaries — already amortize with their
-// own step counters, and stage boundaries need the immediate verdict.
-func (c *Checker) Fn() func() error {
-	if c == nil {
-		return nil
-	}
-	return c.Check
-}
-
-// SharedChecker is the concurrent counterpart of Checker: one
-// context/deadline poll shared by every worker of a parallel run. Like
-// Checker it is sticky — once tripped, all workers observe the same
-// error — but trip detection and the sticky slot use atomics, so Check
-// may be called from any number of goroutines. A nil *SharedChecker is
-// the no-op checker.
-//
-// There is no amortized Poll: the layers that poll the hook (BDD
+// There is no amortized poll: the layers that call the hook (BDD
 // manager, engine activation loop, stage boundaries) amortize with
-// their own step counters, exactly as with Checker.Fn.
+// their own step counters, and stage boundaries need the immediate
+// verdict.
 type SharedChecker struct {
 	ctx      context.Context
 	deadline time.Time

@@ -55,10 +55,10 @@ type Options struct {
 	// Interrupt, when non-nil, is polled once per router activation
 	// (and threaded into the BDD manager of spaces built on the
 	// engine's behalf); a non-nil return aborts the run with that
-	// error, tagged with the interrupted stage. Wire resil.Checker.Fn
-	// here for cancellation and deadlines. Process-local: a hook into
-	// this process; an interrupted run has no result to key, and
-	// workers are killed, not signaled.
+	// error, tagged with the interrupted stage. Wire
+	// resil.SharedChecker.Fn here for cancellation and deadlines.
+	// Process-local: a hook into this process; an interrupted run has
+	// no result to key, and workers are killed, not signaled.
 	Interrupt func() error `json:"-"`
 	// BDDNodeLimit caps the node table of BDD spaces created on the
 	// engine's behalf (analysis.Run and the miner; engines given an

@@ -99,6 +99,9 @@ type Options struct {
 	IBGPFullMesh bool
 	// Prefixes restricts analysis to these destination prefixes
 	// (prefix pruning, §7.2). Empty means all originated prefixes.
+	// Routes are still computed for the prefixes their answers depend
+	// on: overlapping originated prefixes (a covering prefix is the
+	// longest-prefix-match fallback) and aggregate contributors.
 	Prefixes []string
 	// BDDNodeLimit caps the BDD node table (0 = the package default).
 	// When exceeded, NewVerifier returns ErrBDDLimit — unless Resilient
@@ -117,13 +120,14 @@ type Options struct {
 	Timeout time.Duration
 	// Parallelism is the number of workers used to run multi-prefix
 	// verification and mining: prefixes are analyzed as independent
-	// prefix-scoped pipelines (§7.2 makes the decomposition sound) on
-	// a work-stealing pool, largest first, each worker with its own
-	// BDD manager. 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs
-	// the same tasks one at a time — except that a one-worker run with
-	// nothing to decompose for (not Resilient, no Store, no Workers)
-	// verifies the whole domain as a single task in one symbolic space,
-	// which shares route computation across prefixes. Results are
+	// prefix-scoped pipelines (§7.2 makes the decomposition sound), each
+	// idle worker claiming the largest prefix not yet started and
+	// building its own BDD manager. 0 (the default) uses
+	// runtime.GOMAXPROCS(0); 1 runs the same tasks one at a time —
+	// except that a one-worker run with nothing to decompose for (not
+	// Resilient, no Store, no Workers) verifies the whole domain as a
+	// single task in one symbolic space, which shares route computation
+	// across prefixes. Results are
 	// deterministic at any setting: outcomes, merged pipelines, and
 	// mined specs are ordered by prefix, never by completion order.
 	Parallelism int
@@ -254,8 +258,8 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 	}()
 	defer guard("verify", srcOpts.Telemetry, &err)
 	// Every run is one call of the per-prefix executor; the options only
-	// fill in its data. Prefixes reaches a combined run unchanged; the
-	// domain is what the verifier answers queries for.
+	// fill in its data. Prefixes reaches a combined run closed over its
+	// dependencies; the domain is what the verifier answers queries for.
 	srcOpts.Prefixes = prefixes
 	domain := prefixes
 	if len(domain) == 0 {
@@ -605,7 +609,7 @@ type Difference struct {
 // for the previous behaviour.
 func Diff(before, after *Network, maxFailures int, model FailureModel, opts Options) (out []Difference, err error) {
 	tel := opts.telemetry()
-	checker := resil.NewChecker(opts.Context, opts.Timeout, 0)
+	checker := resil.NewSharedChecker(opts.Context, opts.Timeout)
 	runOpts := src.Options{PruneK: maxFailures, Telemetry: tel,
 		Interrupt: checker.Fn(), BDDNodeLimit: opts.BDDNodeLimit}
 	defer guard("diff", tel, &err)
