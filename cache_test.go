@@ -257,15 +257,18 @@ func TestCacheOptionsInvalidate(t *testing.T) {
 }
 
 // TestOldStoreMisses runs against a store written under older key
-// formats: testdata/store_v3 and testdata/store_v4 each hold the two
+// formats: testdata/store_v3, store_v4 and store_v5 each hold the two
 // records `sre -cache-dir` published for goldenNetwork at -k 2 at the
 // last commit of that format (v3: BDD2 blobs; v4: records that could
-// carry two pipelines per prefix). The keys change with the format, so
-// the old records are never opened: every prefix misses, nothing is
-// quarantined, and the mixed directory passes fsck.
+// carry two pipelines per prefix; v5: options bytes that carried the
+// variable order, the hop bound and the activation cap). The keys
+// change with the format, so the old records are never opened: every
+// prefix misses, nothing is quarantined, and the mixed directory passes
+// fsck.
 func TestOldStoreMisses(t *testing.T) {
 	dir := t.TempDir()
-	for _, fixture := range []string{filepath.Join("testdata", "store_v3"), filepath.Join("testdata", "store_v4")} {
+	for _, fixture := range []string{"store_v3", "store_v4", "store_v5"} {
+		fixture = filepath.Join("testdata", fixture)
 		old := storeRecords(t, fixture)
 		if len(old) != 2 {
 			t.Fatalf("fixture %s holds %d records, want 2", fixture, len(old))
@@ -299,13 +302,13 @@ func TestOldStoreMisses(t *testing.T) {
 	}
 	v.Release()
 	if m := st.Metrics(); m.Hits != 0 || m.Misses != 2 || m.Puts != 2 || m.Quarantined != 0 {
-		t.Errorf("run over a v3+v4 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
+		t.Errorf("run over a v3+v4+v5 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
 	}
 	rep, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Checked != 6 || rep.OK != 6 || rep.Quarantined != 0 {
-		t.Errorf("fsck over the mixed store: %+v, want 6 records, all ok", rep)
+	if rep.Checked != 8 || rep.OK != 8 || rep.Quarantined != 0 {
+		t.Errorf("fsck over the mixed store: %+v, want 8 records, all ok", rep)
 	}
 }

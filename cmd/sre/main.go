@@ -96,7 +96,6 @@ var (
 	cacheDir    = flag.String("cache-dir", "", "persistent result cache directory: finished prefixes are published there and replayed by later runs; corrupt records are quarantined and recomputed. Shared safely across processes; also the target of the `cache` maintenance command")
 	gcMaxBytes  = flag.Int64("cache-max-bytes", 0, "cache gc: evict oldest records until the store fits this many bytes (0 = no size budget)")
 	gcMaxAge    = flag.Duration("cache-max-age", 0, "cache gc: evict records older than this (e.g. 720h; 0 = no age budget)")
-	varOrder    = flag.String("var-order", "", "BDD link-variable order: auto (default; topology-aware), declaration, or mindeg. Results are identical under every order; sizes and speed differ")
 )
 
 func usage() {
@@ -165,8 +164,7 @@ func main() {
 	tel := sre.NewTelemetry()
 	opts := sre.Options{MaxFailures: *kFlag, Abstract: *abstract, NoECMP: *noECMP,
 		Telemetry: tel, Context: ctx, Timeout: *timeoutFlag, Resilient: *resilient,
-		BDDNodeLimit: *nodeLimit, Parallelism: *parallel, Workers: *workers,
-		VarOrder: *varOrder}
+		BDDNodeLimit: *nodeLimit, Parallelism: *parallel, Workers: *workers}
 	if *progress && !*quiet {
 		opts.Progress = sre.StderrProgress()
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,17 +12,42 @@ import (
 	"sre/internal/workload"
 )
 
-// bddKernelExp measures the one lever on BDD size the kernel offers —
-// the static link-variable order — as a sweep that runs the same
-// verification and analysis at Parallelism 1 per order and cross-checks
-// an order-independent result signature: BDD canonicity guarantees the
-// signatures match, and the check enforces it.
+// bddKernelExp measures the kernel under the link-variable order the
+// topology computes (internal/order): the same verification and
+// analysis at Parallelism 1 per dataset, with peak and final live node
+// counts recorded as "order:auto" rows. That the order never moves an
+// answer is pinned by TestVarOrderParity.
+//
+// With -order-baseline set, the experiment doubles as a regression
+// gate: each dataset's peak must stay within 10% of the baseline file's
+// order:auto peak node count.
 func bddKernelExp(scale) {
-	bddOrderSweep()
+	header("BDD kernel — peak/total nodes under the computed order, parallelism 1")
+	t := newTable("dataset", "order", "time", "peak nodes", "total nodes")
+	ct := newCellTimer()
+	for _, w := range bddKernelWorkloads {
+		var cell bddKernelResult
+		ct.run("order:auto", func() {
+			cell = bddKernelCell(w.arity, w.k)
+		})
+		outcome := "ok"
+		if cell.err != nil {
+			outcome = "error"
+			fmt.Printf("  %s: %v\n", w.name, cell.err)
+		}
+		record(benchRow{Experiment: "bddkernel", Dataset: w.name,
+			System: "order:auto", K: w.k, Seconds: cell.seconds, Parallelism: 1,
+			PeakBDDNodes: cell.peakNodes, TotalBDDNodes: cell.liveNodes,
+			CacheHitRatio: cell.hitRatio, GCRuns: cell.gcRuns, Outcome: outcome})
+		t.addf("%s|%s|%.2fs|%d|%d", w.name, cell.order, cell.seconds,
+			cell.peakNodes, cell.liveNodes)
+		gateOrderPeaks(w.name, cell.peakNodes)
+	}
+	t.print()
 }
 
-// bddSweepWorkloads are the cells of the sweep.
-var bddSweepWorkloads = []struct {
+// bddKernelWorkloads are the cells of the experiment.
+var bddKernelWorkloads = []struct {
 	name  string
 	arity int
 	k     int
@@ -32,67 +56,8 @@ var bddSweepWorkloads = []struct {
 	{"FatTree(6) k=1 unconstrained", 6, 1},
 }
 
-// bddOrderSweep measures the static variable order: the same
-// verification and analysis sweep under every ordering method.
-// Result signatures are cross-checked against declaration order —
-// orders relocate variables, they must never move an answer — and peak
-// and final live node counts are recorded per order.
-//
-// With -order-baseline set, the sweep doubles as a regression gate: the
-// auto order must stay within 10% of the baseline file's auto peak node
-// count per dataset. Peaks are not compared across orders within a run:
-// where automatic collections land shapes the peak as much as the order
-// does (the order claim itself is pinned on live nodes after a forced
-// collection, by TestMindegShrinksLiveDiagram).
-func bddOrderSweep() {
-	header("BDD variable order — peak/total nodes per order, parallelism 1")
-	orders := []string{"declaration", "mindeg", "auto"}
-	t := newTable("dataset", "order", "time", "peak nodes", "total nodes", "identical")
-	ct := newCellTimer()
-	for _, w := range bddSweepWorkloads {
-		var declSig string
-		var declSec float64
-		var autoPeak int
-		for _, ord := range orders {
-			var cell bddKernelResult
-			ct.run("order:"+ord, func() {
-				cell = bddKernelCell(w.arity, w.k, ord)
-			})
-			identical := cell.err == nil && (ord == "declaration" || cell.sig == declSig)
-			speedup := 0.0
-			switch {
-			case ord == "declaration":
-				declSig, declSec = cell.sig, cell.seconds
-			case cell.err == nil && cell.seconds > 0:
-				speedup = declSec / cell.seconds
-			}
-			if ord == "auto" {
-				autoPeak = cell.peakNodes
-			}
-			outcome := "ok"
-			if cell.err != nil {
-				outcome = "error"
-				fmt.Printf("  %s %s: %v\n", w.name, ord, cell.err)
-			} else if !identical {
-				outcome = "mismatch"
-				gateFailed = true
-				fmt.Printf("  %s %s: RESULT SIGNATURE DIVERGES FROM DECLARATION ORDER\n", w.name, ord)
-			}
-			record(benchRow{Experiment: "bddkernel", Dataset: w.name,
-				System: "order:" + ord, K: w.k, Seconds: cell.seconds, Parallelism: 1,
-				PeakBDDNodes: cell.peakNodes, TotalBDDNodes: cell.liveNodes,
-				CacheHitRatio: cell.hitRatio, GCRuns: cell.gcRuns,
-				Speedup: speedup, ResultsIdentical: identical, Outcome: outcome})
-			t.addf("%s|%s|%.2fs|%d|%d|%v", w.name, ord, cell.seconds,
-				cell.peakNodes, cell.liveNodes, identical)
-		}
-		gateOrderPeaks(w.name, autoPeak)
-	}
-	t.print()
-}
-
 // gateOrderPeaks enforces the -order-baseline regression gate for one
-// dataset's sweep.
+// dataset.
 func gateOrderPeaks(dataset string, autoPeak int) {
 	if *orderBaseline == "" {
 		return
@@ -134,7 +99,7 @@ func loadBaselineRows(path string) ([]benchRow, error) {
 // bddKernelResult is one measured kernel cell.
 type bddKernelResult struct {
 	seconds   float64
-	sig       string
+	order     string
 	peakNodes int
 	liveNodes int
 	hitRatio  float64
@@ -146,61 +111,44 @@ type bddKernelResult struct {
 // leans on the kernel — forwarding classes for every source (SatCount
 // and shortest witness paths per PFEC), failure tolerances, and
 // property probabilities — unconstrained, so PeakNodes reflects the
-// diagrams rather than a node limit. Everything the signature hashes is
-// deterministic at parallelism 1.
-func bddKernelCell(arity, k int, varOrder string) bddKernelResult {
+// diagrams rather than a node limit.
+func bddKernelCell(arity, k int) bddKernelResult {
 	net := workload.FatTree(arity, workload.BGP)
-	opts := sre.Options{MaxFailures: k, Parallelism: 1, VarOrder: varOrder, Timeout: *deadline}
+	opts := sre.Options{MaxFailures: k, Parallelism: 1, Timeout: *deadline}
 	start := time.Now()
-	v, err := sre.NewVerifier(net, opts)
-	if err != nil {
+	fail := func(err error) bddKernelResult {
 		return bddKernelResult{seconds: time.Since(start).Seconds(), err: err}
 	}
+	v, err := sre.NewVerifier(net, opts)
+	if err != nil {
+		return fail(err)
+	}
 	defer v.Release()
-	var lines []string
 	for _, src := range v.RouterNames() {
-		classes, cerr := v.ForwardingClasses(src)
-		if cerr != nil {
-			return bddKernelResult{seconds: time.Since(start).Seconds(), err: cerr}
+		if _, err := v.ForwardingClasses(src); err != nil {
+			return fail(err)
 		}
-		var pkts, scens float64
-		minFail := 0
-		for _, c := range classes {
-			pkts += c.Packets
-			scens += c.Scenarios
-			minFail += c.MinFailures
-		}
-		lines = append(lines, fmt.Sprintf("classes:%s:%d pkts:%g scen:%g minfail:%d",
-			src, len(classes), pkts, scens, minFail))
 	}
 	for _, src := range v.RouterNames() {
 		if !strings.HasPrefix(src, "edge") {
 			continue
 		}
-		tols, terr := v.FailureTolerances(src)
-		if terr != nil {
-			return bddKernelResult{seconds: time.Since(start).Seconds(), err: terr}
+		tols, err := v.FailureTolerances(src)
+		if err != nil {
+			return fail(err)
 		}
 		for _, r := range tols {
-			if r.Err != nil {
-				lines = append(lines, "tol:"+src+":"+r.Prefix+"=err")
-				continue
+			if r.Err == nil {
+				// A failed probability is a per-prefix answer, not a
+				// failed cell, exactly as a failed tolerance is.
+				v.Probability(src, r.Prefix, sre.LinkFailures(0.001))
 			}
-			lines = append(lines, fmt.Sprintf("tol:%s:%s=%d", src, r.Prefix, r.Value))
-			p, perr := v.Probability(src, r.Prefix, sre.LinkFailures(0.001))
-			if perr != nil {
-				lines = append(lines, "prob:"+src+":"+r.Prefix+"=err")
-				continue
-			}
-			lines = append(lines, fmt.Sprintf("prob:%s:%s=%.12g", src, r.Prefix, p))
 		}
 	}
-	sec := time.Since(start).Seconds()
-	sort.Strings(lines)
 	met := v.Metrics()
 	res := bddKernelResult{
-		seconds:   sec,
-		sig:       strings.Join(lines, ";"),
+		seconds:   time.Since(start).Seconds(),
+		order:     met.BDD.VarOrderMethod,
 		peakNodes: met.BDD.PeakNodes,
 		liveNodes: met.BDD.LiveNodes,
 		hitRatio:  met.BDD.CacheHitRatio,

@@ -17,6 +17,7 @@ import (
 	"sre/internal/bdd"
 	"sre/internal/config"
 	"sre/internal/obs"
+	"sre/internal/order"
 	"sre/internal/prob"
 	"sre/internal/resil"
 	"sre/internal/route"
@@ -76,14 +77,14 @@ func Run(net *config.Network, opts src.Options) (*Pipeline, error) {
 }
 
 // newRunSpace allocates the symbolic space Run (and RunScoped) builds
-// pipelines over, honoring the node limit, interrupt hook, and link
-// variable order of opts.
+// pipelines over, honoring the node limit and interrupt hook of opts,
+// with the link variables in the order computed for net's topology.
 func newRunSpace(net *config.Network, opts src.Options) *symbol.Space {
 	return symbol.NewSpace(net.Topology.NumLinks(),
 		bdd.Config{NodeLimit: opts.BDDNodeLimit, Telemetry: opts.Telemetry,
 			Interrupt: opts.Interrupt},
 		net.Topology.NumRouters()+MaxRiskGroups,
-		src.LinkOrder(net, opts).Perm)
+		order.Compute(net.Topology).Perm)
 }
 
 // RunWithSpace is Run with a caller-provided symbolic space.

@@ -15,11 +15,12 @@ package analysis
 // outcome, the PFEC set, or a downstream property answer must be
 // hashed. CacheKey covers the result-shaping options (their one
 // canonical encoding, src.Options.Encode, so a new option is keyed by
-// being declared), the ladder switches, the decomposition inputs (prefix
-// + closed task domain) and the sliced configuration (config.Format of a
-// clone trimmed to what the scoped run can observe — which includes the
-// topology section), all under a format version that changes whenever
-// the record layout or the meaning of any hashed field does.
+// being declared), the computed link-variable order, the ladder
+// switches, the decomposition inputs (prefix + closed task domain) and
+// the sliced configuration (config.Format of a clone trimmed to what the
+// scoped run can observe — which includes the topology section), all
+// under a format version that changes whenever the record layout or the
+// meaning of any hashed field does.
 
 import (
 	"crypto/sha256"
@@ -32,6 +33,7 @@ import (
 	"sre/internal/bdd"
 	"sre/internal/config"
 	"sre/internal/obs"
+	"sre/internal/order"
 	"sre/internal/resil"
 	"sre/internal/route"
 	"sre/internal/src"
@@ -46,7 +48,9 @@ import (
 // variable order is fixed, so blobs carry no order stamp).
 // v5: a record holds exactly one pipeline (the ladder rung that made
 // two is gone; readers take the one without a fan-in).
-const cacheFormatVersion = 5
+// v6: the options bytes lost the variable order, the hop bound and the
+// activation cap; the computed link permutation is hashed instead.
+const cacheFormatVersion = 6
 
 // CacheKey derives the content address of one prefix task's result.
 // Two runs compute the same key exactly when the task is guaranteed to
@@ -54,12 +58,6 @@ const cacheFormatVersion = 5
 // networks, a router the domain cannot observe... ) leave keys of
 // untouched prefixes stable, so warm caches survive incremental edits.
 func CacheKey(net *config.Network, opts src.Options, pfx route.Prefix, ladder bool, lad LadderOptions) string {
-	// One normalisation before the options are encoded. VarOrder becomes
-	// the order it resolves to on this topology (never "auto"): the order
-	// shapes every serialized BDD, so a record produced under one must be
-	// a clean miss under another, while "auto" and the method it picks
-	// are the same run.
-	opts.VarOrder = src.LinkOrder(net, opts).ID()
 	enc, err := opts.Encode()
 	if err != nil {
 		panic(err) // an unencodable field type: a bug in src.Options, not an input
@@ -67,6 +65,10 @@ func CacheKey(net *config.Network, opts src.Options, pfx route.Prefix, ladder bo
 	domain := taskDomain(net, pfx)
 	h := sha256.New()
 	fmt.Fprintf(h, "sre-cache v%d\nopts=%s\n", cacheFormatVersion, enc)
+	// The link order shapes every serialized BDD: a change to how it is
+	// computed must be a clean miss, not a record decoded under the
+	// wrong layout.
+	fmt.Fprintf(h, "perm=%v\n", order.Compute(net.Topology).Perm)
 	fmt.Fprintf(h, "ladder=%t halving=%t\n", ladder, !lad.DisableBudgetHalving)
 	fmt.Fprintf(h, "prefix=%s\ndomain=", pfx)
 	for _, p := range domain {

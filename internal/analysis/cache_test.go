@@ -43,10 +43,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"ladder":    CacheKey(net, src.Options{PruneK: 2}, pfx, false, LadderOptions{}),
 		"halving":   CacheKey(net, src.Options{PruneK: 2}, pfx, true, LadderOptions{DisableBudgetHalving: true}),
 		"prefix":    CacheKey(net, src.Options{PruneK: 2}, route.MustParsePrefix("192.0.0.0/2"), true, LadderOptions{}),
-		// Keys embed the RESOLVED order ID — on this triangle the
-		// default "auto" resolves to declaration, so explicit mindeg
-		// must move the key.
-		"order_mindeg": CacheKey(net, src.Options{PruneK: 2, VarOrder: "mindeg"}, pfx, true, LadderOptions{}),
 	}
 	seen := map[string]string{base: "base"}
 	for name, k := range variants {
@@ -57,15 +53,9 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 
 	// What cannot change a result must not move the key: the worker
-	// count, and "auto" spelled as the order it resolves to on this
-	// topology.
-	for name, o := range map[string]src.Options{
-		"parallelism": {PruneK: 2, Parallelism: 8},
-		"auto":        {PruneK: 2, VarOrder: src.LinkOrder(net, src.Options{}).ID()},
-	} {
-		if k := CacheKey(net, o, pfx, true, LadderOptions{}); k != base {
-			t.Errorf("%s moved the key: %s vs %s", name, k, base)
-		}
+	// count.
+	if k := CacheKey(net, src.Options{PruneK: 2, Parallelism: 8}, pfx, true, LadderOptions{}); k != base {
+		t.Errorf("parallelism moved the key: %s vs %s", k, base)
 	}
 
 	// An in-domain config edit (figure1's route-maps and ACLs are hashed

@@ -10,8 +10,11 @@ package coord
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -441,6 +444,22 @@ func TestCoordDiskFaultsSelfHeal(t *testing.T) {
 	}
 }
 
+// ageTemps backdates every file under dir that is not a published
+// record (".rec") by age: the orphan temps of an interrupted Put.
+func ageTemps(t *testing.T, dir string, age time.Duration) {
+	t.Helper()
+	old := time.Now().Add(-age)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || strings.HasSuffix(path, ".rec") {
+			return err
+		}
+		return os.Chtimes(path, old, old)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCoordCrashMidWrite is the crash-mid-write scenario: a worker is
 // SIGKILLed between writing a record's temp file and renaming it into
 // place. The run must converge via retry, the orphan temp must never
@@ -477,9 +496,10 @@ func TestCoordCrashMidWrite(t *testing.T) {
 	}
 	part.Release()
 
-	// The interrupted publication left an orphan temp; a short-TTL
-	// Verify reaps it and finds every landed record intact.
-	s2, err := store.Open(dir, store.Options{LockTTL: time.Nanosecond})
+	// The interrupted publication left an orphan temp; once it is older
+	// than the lock TTL, Verify reaps it and finds every landed record
+	// intact.
+	s2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,6 +511,7 @@ func TestCoordCrashMidWrite(t *testing.T) {
 	if stats.TempFiles == 0 {
 		t.Error("crash-mid-write left no orphan temp file")
 	}
+	ageTemps(t, dir, store.DefaultLockTTL+time.Minute)
 	rep, err := s2.Verify()
 	if err != nil {
 		t.Fatal(err)

@@ -8,18 +8,21 @@
 // between.
 //
 // The package produces a permutation LinkID → level offset that
-// symbol.NewSpace installs under the header bits. Every order is a pure,
-// deterministic function of the topology, so two processes (a
-// coordinator and its workers, or a run and a warm result cache) derive
-// the same layout from the same network — the permutation is part of
-// the meaning of every serialized BDD and every cache key.
+// symbol.NewSpace installs under the header bits. The order is not an
+// option: Compute is a pure, deterministic function of the topology, so
+// two processes (a coordinator and its workers, or a run and a warm
+// result cache) derive the same layout from the same network — the
+// permutation is part of the meaning of every serialized BDD and every
+// cache key, and only this package knows how it is chosen.
 //
-// The one topology-aware order keys on the minimum degree of a link's
-// endpoints: peripheral links (edge racks, stub sites) sink to the low
-// levels in tight tiers while highly-shared core links float to the
-// top. Measured on FatTree(6) k=1 this tiering cuts peak BDD nodes ~12%
-// against declaration order; pure traversal orders (breadth-first from
-// any root, greedy min-degree elimination) were measured WORSE than
+// The one topology-aware order (mindeg) keys on the minimum degree of a
+// link's endpoints: peripheral links (edge racks, stub sites) sink to
+// the low levels in tight tiers while highly-shared core links float to
+// the top, and each tier keeps declaration order, so whatever locality
+// the declaration already has within a tier survives. Measured on
+// FatTree(6) k=1 this tiering cuts peak BDD nodes ~12% against
+// declaration order; pure traversal orders (breadth-first from any
+// root, greedy min-degree elimination) were measured WORSE than
 // declaration there, because they interleave pods by core adjacency and
 // destroy the declaration order's pod blocking, and a degree-tiered
 // breadth-first order bought nothing on the WANs it was selected for —
@@ -27,81 +30,36 @@
 package order
 
 import (
-	"fmt"
 	"sort"
 
 	"sre/internal/topology"
 )
 
-// Method names a variable-ordering strategy.
-type Method string
-
-const (
-	// Auto picks MinDeg on banded hierarchies (see banded) and
-	// Declaration elsewhere; resolution is deterministic per topology.
-	// This is the default.
-	Auto Method = "auto"
-	// Declaration keeps the seed layout: link l at level HeaderBits+l,
-	// in raw declaration order. This is the kill switch and the
-	// baseline of `srebench -exp bddkernel`'s order sweep.
-	Declaration Method = "declaration"
-	// MinDeg tiers links by minimum endpoint degree and keeps each
-	// tier in declaration order — the conservative refinement: it only
-	// moves links between tiers, preserving whatever locality the
-	// declaration order already has within one.
-	MinDeg Method = "mindeg"
-)
-
-// Normalize parses a user-facing method string. The empty string means
-// Auto. Unknown names return an error listing the valid set.
-func Normalize(s string) (Method, error) {
-	switch Method(s) {
-	case "", Auto:
-		return Auto, nil
-	case Declaration, MinDeg:
-		return Method(s), nil
-	}
-	return "", fmt.Errorf("order: unknown variable order %q (want auto, declaration, or mindeg)", s)
-}
-
-// Order is a computed variable order: the resolved method (never Auto)
-// and the permutation. A nil Perm is the identity (declaration order);
-// otherwise Perm[l] is the level offset of link l among the link
-// variables, a permutation of [0, NumLinks).
+// Order is a computed variable order: the name of the rule that chose
+// it ("mindeg" or "declaration") and the permutation. A nil Perm is the
+// identity (declaration order); otherwise Perm[l] is the level offset of
+// link l among the link variables, a permutation of [0, NumLinks).
 type Order struct {
-	Method Method
-	Perm   []int
+	Name string
+	Perm []int
 }
 
-// ID returns the resolved method name — the order identifier folded
-// into analysis cache keys and benchmark rows. Two runs with equal IDs
-// on equal topologies lay their BDD variables out identically.
-func (o Order) ID() string { return string(o.Method) }
-
-// Compute derives the link-variable order for t under method m,
-// resolving Auto to the concrete winner. The result is deterministic:
-// it depends only on the topology's router/link structure, never on map
-// iteration or timing.
-func Compute(t *topology.Topology, m Method) Order {
-	switch m {
-	case Declaration:
-		return Order{Method: Declaration}
-	case MinDeg:
-		return Order{Method: MinDeg, Perm: tierPerm(t)}
-	case Auto, "":
-		// Banded hierarchies (fat trees, leaf-spine: 2-3 degree tiers,
-		// each holding a large share of the links) take MinDeg — the
-		// regime where tiering was MEASURED to cut peak BDD nodes
-		// (~12% on FatTree(6) k=1) even though no static locality
-		// metric predicts it. Everything else (WANs, hand-written
-		// configs, near-uniform meshes) keeps the seed layout: tier
-		// bands carry no signal without a hierarchy.
-		if banded(t) {
-			return Order{Method: MinDeg, Perm: tierPerm(t)}
-		}
-		return Order{Method: Declaration}
+// Compute derives the link-variable order for t. The result is
+// deterministic: it depends only on the topology's router/link
+// structure, never on map iteration or timing.
+//
+// Banded hierarchies (fat trees, leaf-spine: 2-3 degree tiers, each
+// holding a large share of the links) take the tiered mindeg order —
+// the regime where tiering was MEASURED to cut peak BDD nodes (~12% on
+// FatTree(6) k=1) even though no static locality metric predicts it.
+// Everything else (WANs, hand-written configs, near-uniform meshes)
+// keeps the declaration layout, link l at level HeaderBits+l: tier
+// bands carry no signal without a hierarchy.
+func Compute(t *topology.Topology) Order {
+	if banded(t) {
+		return Order{Name: "mindeg", Perm: tierPerm(t)}
 	}
-	panic(fmt.Sprintf("order: Compute called with invalid method %q", m))
+	return Order{Name: "declaration"}
 }
 
 // SpanCost is a locality metric of an order: the sum over routers

@@ -31,50 +31,30 @@ func TestPermValidity(t *testing.T) {
 		"fattree6": workload.FatTree(6, workload.OSPF).Topology,
 		"wan":      workload.SyntheticWAN("wan", 24, 40, workload.OSPF, 7).Topology,
 	}
-	for name, topo := range topos {
-		o := Compute(topo, MinDeg)
-		if o.Method != MinDeg {
-			t.Errorf("%s: resolved method %q", name, o.Method)
-		}
-		validPerm(t, o.Perm, topo.NumLinks())
+	for _, topo := range topos {
+		validPerm(t, tierPerm(topo), topo.NumLinks())
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	topo := workload.FatTree(4, workload.OSPF).Topology
-	for _, m := range []Method{Auto, Declaration, MinDeg} {
-		a, b := Compute(topo, m), Compute(topo, m)
-		if a.Method != b.Method || !reflect.DeepEqual(a.Perm, b.Perm) {
-			t.Errorf("%s: two computes differ", m)
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	for in, want := range map[string]Method{
-		"": Auto, "auto": Auto, "declaration": Declaration, "mindeg": MinDeg,
+	for name, topo := range map[string]*topology.Topology{
+		"fattree4": workload.FatTree(4, workload.OSPF).Topology,
+		"wan":      workload.SyntheticWAN("wan", 24, 40, workload.OSPF, 7).Topology,
 	} {
-		got, err := Normalize(in)
-		if err != nil || got != want {
-			t.Errorf("Normalize(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"sift", "bfs"} {
-		if _, err := Normalize(in); err == nil {
-			t.Errorf("Normalize accepted unknown method %q", in)
+		if a, b := Compute(topo), Compute(topo); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two computes differ", name)
 		}
 	}
 }
 
-// TestAutoResolution pins Auto's two regimes: banded hierarchies (fat
-// trees) take the tiered mindeg order, everything else keeps the seed
-// layout.
+// TestAutoResolution pins Compute's two regimes: banded hierarchies
+// (fat trees) take the tiered mindeg order, everything else keeps the
+// declaration layout.
 func TestAutoResolution(t *testing.T) {
 	for _, k := range []int{4, 6} {
 		topo := workload.FatTree(k, workload.OSPF).Topology
-		auto := Compute(topo, Auto)
-		if auto.Method != MinDeg {
-			t.Errorf("fattree%d: auto resolved to %q, want mindeg (banded hierarchy)", k, auto.Method)
+		if o := Compute(topo); o.Name != "mindeg" || o.Perm == nil {
+			t.Errorf("fattree%d: computed %q, want mindeg (banded hierarchy)", k, o.Name)
 		}
 	}
 	nonBanded := map[string]*topology.Topology{
@@ -82,8 +62,8 @@ func TestAutoResolution(t *testing.T) {
 		"wan30": workload.SyntheticWAN("wan", 30, 55, workload.OSPF, 11).Topology,
 	}
 	for name, topo := range nonBanded {
-		if auto := Compute(topo, Auto); auto.Method != Declaration || auto.Perm != nil {
-			t.Errorf("%s: auto resolved to %q, want declaration", name, auto.Method)
+		if o := Compute(topo); o.Name != "declaration" || o.Perm != nil {
+			t.Errorf("%s: computed %q, want declaration", name, o.Name)
 		}
 	}
 }
@@ -96,7 +76,7 @@ func TestTieredOrderStructure(t *testing.T) {
 	for _, k := range []int{4, 6} {
 		topo := workload.FatTree(k, workload.OSPF).Topology
 		n := topo.NumLinks()
-		perm := Compute(topo, MinDeg).Perm
+		perm := Compute(topo).Perm
 		for i := 0; i < n; i++ {
 			l := topo.Link(topology.LinkID(i))
 			da, db := len(topo.Router(l.A).Links), len(topo.Router(l.B).Links)
@@ -116,15 +96,5 @@ func TestTieredOrderStructure(t *testing.T) {
 				prev = perm[i]
 			}
 		}
-	}
-}
-
-func TestIDResolved(t *testing.T) {
-	topo := workload.FatTree(4, workload.OSPF).Topology
-	if id := Compute(topo, Auto).ID(); id == "auto" || id == "" {
-		t.Errorf("Auto ID not resolved: %q", id)
-	}
-	if id := Compute(topo, Declaration).ID(); id != "declaration" {
-		t.Errorf("Declaration ID = %q", id)
 	}
 }

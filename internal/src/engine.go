@@ -108,6 +108,12 @@ type Engine struct {
 	Sp   *symbol.Space
 	Opts Options
 
+	// Bounds NewWithSpace derives from the topology: route propagation
+	// (no best route follows a non-simple path) and total router
+	// activations (the divergence guard).
+	maxHops        int
+	maxActivations int
+
 	ribs   []*RIB
 	inbox  [][]message
 	queued []bool
@@ -155,38 +161,31 @@ type advSet = route.Set[bdd.Node]
 
 // New creates an engine over net, allocating a fresh symbolic space.
 func New(net *config.Network, opts Options) *Engine {
-	sp := symbol.NewSpace(net.Topology.NumLinks(), bdd.Config{}, 0, LinkOrder(net, opts).Perm)
+	sp := symbol.NewSpace(net.Topology.NumLinks(), bdd.Config{}, 0, order.Compute(net.Topology).Perm)
 	return NewWithSpace(net, sp, opts)
 }
 
-// LinkOrder resolves the link-variable order opts requests for net's
-// topology (see Options.VarOrder). An unknown order name panics — the
-// facade validates user input before it gets here, so a bad name is a
-// caller bug the public entry points' panic firewall will surface.
+// LinkOrder returns the link-variable order of spaces created on the
+// engine's behalf: order.Compute over net's topology. The order is not
+// an option, so opts is ignored; the signature stays for bench/layers.go.
 func LinkOrder(net *config.Network, opts Options) order.Order {
-	m, err := order.Normalize(opts.VarOrder)
-	if err != nil {
-		panic(err)
-	}
-	return order.Compute(net.Topology, m)
+	return order.Compute(net.Topology)
 }
 
 // NewWithSpace creates an engine sharing an existing symbolic space
 // (analysis pipelines reuse one space across SRC, SPF, and analysis so
-// all BDDs are compatible).
+// all BDDs are compatible). Its bounds come from the topology: routes
+// travel at most one hop per router, and the run gives up as divergent
+// after 10000 × (routers+1) activations.
 func NewWithSpace(net *config.Network, sp *symbol.Space, opts Options) *Engine {
-	if opts.MaxHops == 0 {
-		opts.MaxHops = net.Topology.NumRouters()
-	}
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 10000 * (net.Topology.NumRouters() + 1)
-	}
-	e := &Engine{
-		Net:  net,
-		Sp:   sp,
-		Opts: opts,
-	}
 	n := net.Topology.NumRouters()
+	e := &Engine{
+		Net:            net,
+		Sp:             sp,
+		Opts:           opts,
+		maxHops:        n,
+		maxActivations: 10000 * (n + 1),
+	}
 	e.ribs = make([]*RIB, n)
 	for i := range e.ribs {
 		e.ribs[i] = &RIB{prefixes: make(map[route.Prefix][]*SymRoute)}
@@ -271,7 +270,7 @@ func (e *Engine) Run() error {
 			e.queued[r] = false
 			e.stats.Activations++
 			e.telActs.Inc()
-			if e.stats.Activations > e.Opts.MaxIterations {
+			if e.stats.Activations > e.maxActivations {
 				panic(convergencePanic{routers: e.oscillatingRouters(r)})
 			}
 			if e.Opts.Interrupt != nil {
@@ -373,7 +372,7 @@ func (e *Engine) protect(f func()) (err error) {
 		case nil:
 		case convergencePanic:
 			err = &resil.StageError{Stage: "src", Routers: r.routers,
-				Err: fmt.Errorf("%w after %d activations", resil.ErrNoConvergence, e.Opts.MaxIterations)}
+				Err: fmt.Errorf("%w after %d activations", resil.ErrNoConvergence, e.maxActivations)}
 		default:
 			if be, ok := bddErr(r); ok {
 				err = resil.Stage("src", be)
@@ -560,7 +559,7 @@ func (e *Engine) importTransform(r topology.RouterID, msg message) (*route.Route
 	rt.NextHop = int(msg.from)
 	rt.EgressLink = int(msg.link)
 	rt.Hops++
-	if rt.Hops > e.Opts.MaxHops {
+	if rt.Hops > e.maxHops {
 		return nil, bdd.False
 	}
 	fromName := e.Net.Topology.Name(msg.from)

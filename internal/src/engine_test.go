@@ -6,6 +6,7 @@ import (
 
 	"sre/internal/bdd"
 	"sre/internal/config"
+	"sre/internal/resil"
 	"sre/internal/route"
 	"sre/internal/symbol"
 	"sre/internal/topology"
@@ -579,12 +580,12 @@ func bestNextHopsAllUp(e *Engine, r topology.RouterID, p route.Prefix) map[int]b
 	return out
 }
 
+// TestConvergenceGuard: with concrete AS paths the bad gadget still
+// oscillates, and the activation cap turns that into ErrNoConvergence.
 func TestConvergenceGuard(t *testing.T) {
-	net := mustNet(t, figure1)
-	e := New(net, Options{PruneK: -1, MaxIterations: 1})
-	err := e.Run()
-	if err == nil {
-		t.Fatal("expected convergence error with 1 iteration")
+	e := New(mustNet(t, badGadget), Options{PruneK: -1})
+	if err := e.Run(); !errors.Is(err, resil.ErrNoConvergence) {
+		t.Fatalf("bad gadget: err = %v, want ErrNoConvergence", err)
 	}
 }
 

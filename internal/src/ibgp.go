@@ -94,9 +94,8 @@ func (e *Engine) setupVirtualSessions() error {
 		}
 	}
 	sub := NewWithSpace(underlay, e.Sp, Options{
-		PruneK:  e.Opts.PruneK,
-		NoECMP:  e.Opts.NoECMP,
-		MaxHops: e.Opts.MaxHops,
+		PruneK: e.Opts.PruneK,
+		NoECMP: e.Opts.NoECMP,
 	})
 	if err := sub.Run(); err != nil {
 		return err

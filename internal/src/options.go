@@ -16,6 +16,8 @@ import (
 // to worker subprocesses and analysis.CacheKey hashes — unless its tag
 // is `json:"-"`, which marks it process-local, with the reason in its
 // comment. A new field is therefore shipped and keyed by being declared.
+// What the topology decides is not an option: the link-variable order
+// (order.Compute), the hop bound and the activation cap (NewWithSpace).
 type Options struct {
 	// PruneK enables route pruning (§7.1) when ≥ 0: imported topology
 	// conditions are conjoined with the filtering BDD lf^PruneK and
@@ -35,12 +37,6 @@ type Options struct {
 	// it with its task domain, which the task frame's prefix determines
 	// and the cache key hashes in its own right.
 	Prefixes []route.Prefix `json:"-"`
-	// MaxHops bounds route propagation; zero means the number of
-	// routers (no best route follows a non-simple path).
-	MaxHops int `json:"max_hops"`
-	// MaxIterations bounds the total number of router activations as a
-	// divergence guard. Zero means 10000 × routers.
-	MaxIterations int `json:"max_iterations"`
 	// IBGPFullMesh enables iBGP full-mesh sessions among routers that
 	// share an AS and run OSPF: sessions become virtual links whose
 	// conditions are the OSPF reachability conditions between the
@@ -64,15 +60,6 @@ type Options struct {
 	// engine's behalf (analysis.Run and the miner; engines given an
 	// explicit space ignore it). Zero means the bdd package default.
 	BDDNodeLimit int `json:"bdd_node_limit"`
-	// VarOrder selects the link-variable order of spaces created on the
-	// engine's behalf: "auto" (default; mindeg on banded hierarchies,
-	// declaration elsewhere), "declaration" (the seed layout, link l at
-	// level 32+l), or "mindeg" (see internal/order). Results are identical under every order — BDDs
-	// are canonical per order, and all orders answer the same queries —
-	// only BDD sizes and throughput differ. The order is part of the
-	// meaning of serialized BDDs, so every process of a run must agree
-	// on it, and analysis.CacheKey hashes the order it resolves to.
-	VarOrder string `json:"var_order"`
 	// Parallelism is the worker count of the multi-prefix drivers built
 	// on top of the engine (analysis.Executor and the spec miner),
 	// which run per-prefix pipelines concurrently — each worker with

@@ -125,7 +125,7 @@ func (s *Store) Verify() (FsckReport, error) {
 	}
 	for _, e := range recs {
 		rep.Checked++
-		if _, rerr := readFileRecord(e.path, s.opts.MaxRecordBytes); rerr != nil {
+		if _, rerr := readFileRecord(e.path); rerr != nil {
 			key := strings.TrimSuffix(filepath.Base(e.path), recordExt)
 			s.Quarantine(key, rerr.Error())
 			rep.Quarantined++
@@ -136,7 +136,7 @@ func (s *Store) Verify() (FsckReport, error) {
 		rep.OK++
 	}
 	for _, e := range temps {
-		if time.Since(e.mod) > s.opts.LockTTL {
+		if time.Since(e.mod) > DefaultLockTTL {
 			if os.Remove(e.path) == nil {
 				rep.TempsReaped++
 			}
@@ -185,7 +185,7 @@ func (s *Store) GC(opts GCOptions) (GCReport, error) {
 			}
 		}
 		for _, e := range temps {
-			if time.Since(e.mod) > s.opts.LockTTL {
+			if time.Since(e.mod) > DefaultLockTTL {
 				if os.Remove(e.path) == nil {
 					rep.TempsReaped++
 				}

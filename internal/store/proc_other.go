@@ -11,7 +11,7 @@ import (
 var errNoSpace = errors.New("no space left on device")
 
 // pidAlive cannot probe liveness without unix signals; stale-lock
-// takeover falls back to the LockTTL age check.
+// takeover falls back to the DefaultLockTTL age check.
 func pidAlive(pid int) (alive, known bool) { return false, false }
 
 // killSelf approximates SIGKILL with an immediate exit.

@@ -35,8 +35,8 @@ const (
 	recordTrailerLen = 8
 )
 
-// DefaultMaxRecordBytes bounds a record's declared payload length when
-// Options.MaxRecordBytes is zero. Serialized pipelines for one prefix
+// DefaultMaxRecordBytes bounds a record's declared payload length in a
+// store and on a worker's pipe. Serialized pipelines for one prefix
 // are megabytes at the extreme; a declared length beyond this is a
 // corrupt record, not a big result.
 const DefaultMaxRecordBytes = 1 << 30
@@ -46,9 +46,9 @@ var recordMagic = [4]byte{'S', 'R', 'C', '1'}
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // SizeError reports a record whose declared payload length exceeds the
-// configured maximum. It is corruption from the store's point of view
-// (records it wrote always fit), but typed separately so callers tuning
-// MaxRecordBytes can tell the two apart.
+// reader's maximum. It is corruption from the store's point of view
+// (records it wrote always fit), but typed separately so callers can
+// tell the two apart.
 type SizeError struct {
 	Declared int64
 	Max      int64

@@ -45,19 +45,13 @@ const (
 	recordExt     = ".rec"
 )
 
-// DefaultLockTTL is how old an unexplained lock file must be before a
-// writer steals it when the owning PID cannot be probed.
+// DefaultLockTTL is the stale-lock takeover age: a lock file older than
+// this whose owner cannot be confirmed alive is broken and taken over,
+// and an orphan temp file older than this is reaped.
 const DefaultLockTTL = 5 * time.Minute
 
 // Options configures a Store.
 type Options struct {
-	// MaxRecordBytes bounds one record's payload (0 = DefaultMaxRecordBytes).
-	// Oversized declared lengths are corruption and quarantine the record.
-	MaxRecordBytes int64
-	// LockTTL is the stale-lock takeover age (0 = DefaultLockTTL): a
-	// lock file older than this whose owner cannot be confirmed alive
-	// is broken and taken over.
-	LockTTL time.Duration
 	// Telemetry receives store.* counters and the store.quarantine
 	// flight-recorder event; nil disables both at zero cost.
 	Telemetry *obs.Telemetry
@@ -91,9 +85,6 @@ type Store struct {
 
 // Open opens (creating if needed) the store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.LockTTL <= 0 {
-		opts.LockTTL = DefaultLockTTL
-	}
 	for _, sub := range []string{objectsDir, quarantineDir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
@@ -144,7 +135,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
-	payload, err := readFileRecord(s.objectPath(key), s.opts.MaxRecordBytes)
+	payload, err := readFileRecord(s.objectPath(key))
 	if err != nil {
 		var unopened *fs.PathError
 		if !errors.As(err, &unopened) {
@@ -169,9 +160,9 @@ func (s *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	if int64(len(payload)) > s.maxRecord() {
+	if int64(len(payload)) > DefaultMaxRecordBytes {
 		s.count(func(m *Metrics) { m.PutErrors++ }, "store.put_errors")
-		return &SizeError{Declared: int64(len(payload)), Max: s.maxRecord()}
+		return &SizeError{Declared: int64(len(payload)), Max: DefaultMaxRecordBytes}
 	}
 	s.mu.Lock()
 	fault := ""
@@ -273,13 +264,6 @@ func (s *Store) Quarantine(key, reason string) {
 	}
 }
 
-func (s *Store) maxRecord() int64 {
-	if s.opts.MaxRecordBytes > 0 {
-		return s.opts.MaxRecordBytes
-	}
-	return DefaultMaxRecordBytes
-}
-
 func (s *Store) count(f func(*Metrics), counter string) {
 	s.mu.Lock()
 	f(&s.metrics)
@@ -304,9 +288,9 @@ type lockInfo struct {
 
 // withLock runs f holding the store's owner lock. Acquisition retries
 // briefly, then attempts stale-lock takeover: a lock whose owner PID is
-// dead, or older than LockTTL, is broken. In-process contention is
-// serialized by a mutex first so the on-disk protocol only arbitrates
-// between processes.
+// dead, or older than DefaultLockTTL, is broken. In-process contention
+// is serialized by a mutex first so the on-disk protocol only
+// arbitrates between processes.
 func (s *Store) withLock(f func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,9 +321,9 @@ func (s *Store) withLock(f func() error) error {
 }
 
 // lockStale reports whether the lock file at path can be broken: its
-// recorded owner is provably dead, or it is older than LockTTL (crashed
-// owner on a platform where liveness cannot be probed, or an unreadable
-// lock body).
+// recorded owner is provably dead, or it is older than DefaultLockTTL
+// (crashed owner on a platform where liveness cannot be probed, or an
+// unreadable lock body).
 func (s *Store) lockStale(path string) bool {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -359,19 +343,19 @@ func (s *Store) lockStale(path string) bool {
 			}
 		}
 	}
-	return time.Since(fi.ModTime()) > s.opts.LockTTL
+	return time.Since(fi.ModTime()) > DefaultLockTTL
 }
 
 // readFileRecord reads and verifies the record in the file at path,
 // returning its payload. Only a failed open is a *fs.PathError; every
 // other failure is the file's own (Get and fsck quarantine it).
-func readFileRecord(path string, max int64) ([]byte, error) {
+func readFileRecord(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	payload, err := ReadRecord(f, max)
+	payload, err := ReadRecord(f, DefaultMaxRecordBytes)
 	if err == io.EOF {
 		return nil, &CorruptError{Reason: "empty file"}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -143,26 +144,34 @@ func TestCorruptRecordQuarantined(t *testing.T) {
 	}
 }
 
+// TestMaxRecordBytesTypedError: a record declaring more payload than
+// the reader's bound is a typed *SizeError, and a stored record past
+// DefaultMaxRecordBytes is quarantined, never allocated.
 func TestMaxRecordBytesTypedError(t *testing.T) {
-	s := openTest(t, Options{MaxRecordBytes: 64})
-	err := s.Put(testKey, bytes.Repeat([]byte("x"), 65))
+	rec := EncodeRecord(bytes.Repeat([]byte("x"), 65))
 	var se *SizeError
-	if !errors.As(err, &se) || se.Max != 64 {
-		t.Fatalf("Put oversized = %v, want *SizeError{Max:64}", err)
+	if _, err := ReadRecord(bytes.NewReader(rec), 64); !errors.As(err, &se) || se.Declared != 65 || se.Max != 64 {
+		t.Fatalf("ReadRecord past its bound = %v, want *SizeError{Declared:65, Max:64}", err)
 	}
-	if err := s.Put(testKey, bytes.Repeat([]byte("x"), 64)); err != nil {
+	if _, err := ReadRecord(bytes.NewReader(rec), 65); err != nil {
+		t.Fatalf("ReadRecord at its bound = %v", err)
+	}
+
+	s := openTest(t, Options{})
+	if err := s.Put(testKey, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// A stored record whose declared length exceeds the reader's cap is
-	// quarantined, not allocated.
-	s2, err := Open(s.dir, Options{MaxRecordBytes: 16})
-	if err != nil {
-		t.Fatal(err)
+	path := s.objectPath(testKey)
+	data := readAll(t, path)
+	binary.LittleEndian.PutUint64(data[8:16], DefaultMaxRecordBytes+1)
+	writeAll(t, path, data)
+	if _, err := readFileRecord(path); !errors.As(err, &se) || se.Max != DefaultMaxRecordBytes {
+		t.Fatalf("oversized stored record = %v, want *SizeError{Max:DefaultMaxRecordBytes}", err)
 	}
-	if _, ok := s2.Get(testKey); ok {
-		t.Fatal("oversized record served under a smaller cap")
+	if _, ok := s.Get(testKey); ok {
+		t.Fatal("oversized record served")
 	}
-	if m := s2.Metrics(); m.Quarantined != 1 {
+	if m := s.Metrics(); m.Quarantined != 1 {
 		t.Fatalf("metrics = %+v, want 1 quarantined", m)
 	}
 }
@@ -209,12 +218,17 @@ func TestDiskFaults(t *testing.T) {
 		}
 		// The failed rename left an fsynced orphan temp; fsck reaps it
 		// once it is older than the lock TTL.
-		st, err := s.Stats()
-		if err != nil || st.TempFiles != 1 {
-			t.Fatalf("stats = %+v (err %v), want 1 temp file", st, err)
+		_, temps, err := s.walkObjects()
+		if err != nil || len(temps) != 1 {
+			t.Fatalf("temps = %+v (err %v), want 1 temp file", temps, err)
 		}
-		s.opts.LockTTL = time.Nanosecond
-		time.Sleep(10 * time.Millisecond)
+		if rep, err := s.Verify(); err != nil || rep.TempsReaped != 0 {
+			t.Fatalf("fsck = %+v (err %v), reaped a fresh temp", rep, err)
+		}
+		old := time.Now().Add(-DefaultLockTTL - time.Minute)
+		if err := os.Chtimes(temps[0].path, old, old); err != nil {
+			t.Fatal(err)
+		}
 		rep, err := s.Verify()
 		if err != nil || rep.TempsReaped != 1 {
 			t.Fatalf("fsck = %+v (err %v), want 1 temp reaped", rep, err)
@@ -236,8 +250,7 @@ func TestStaleLockTakeover(t *testing.T) {
 	}
 
 	// A garbage lock file falls back to the age check: young blocks,
-	// old is taken over.
-	s.opts.LockTTL = time.Hour
+	// older than DefaultLockTTL is taken over.
 	if err := os.WriteFile(lock, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +260,7 @@ func TestStaleLockTakeover(t *testing.T) {
 	} else if time.Since(start) < time.Second {
 		t.Fatalf("lock timeout returned too fast: %v", time.Since(start))
 	}
-	s.opts.LockTTL = time.Nanosecond
-	old := time.Now().Add(-time.Minute)
+	old := time.Now().Add(-DefaultLockTTL - time.Minute)
 	if err := os.Chtimes(lock, old, old); err != nil {
 		t.Fatal(err)
 	}

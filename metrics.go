@@ -142,9 +142,9 @@ type BDDMetrics struct {
 	// figures mean cache warmth survives collections.
 	PreGCCacheHitRatio  float64 `json:"pre_gc_cache_hit_ratio"`
 	PostGCCacheHitRatio float64 `json:"post_gc_cache_hit_ratio"`
-	// VarOrderMethod is the resolved static variable-order method the
-	// run laid its spaces out with (never "auto": auto resolves to a
-	// concrete method per topology).
+	// VarOrderMethod names the link-variable order the run laid its
+	// spaces out with: "mindeg" on banded hierarchies, "declaration"
+	// elsewhere (see internal/order; the topology decides).
 	VarOrderMethod string `json:"var_order_method"`
 }
 

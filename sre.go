@@ -82,6 +82,8 @@ func FormatNetwork(n *Network) string { return config.Format(n) }
 // is the one place that says, field by field, what is encoded, shipped
 // to worker subprocesses and hashed into result-cache keys; the other
 // fields say how and where this process runs, never what a run answers.
+// The BDD variable order is not an option: it is computed from the
+// topology, and Metrics().BDD.VarOrderMethod names it.
 type Options struct {
 	// MaxFailures bounds the failure budget explored (route pruning,
 	// §7.1 of the paper). Negative explores the full failure space.
@@ -181,15 +183,6 @@ type Options struct {
 	// without a Telemetry creates one internally. Nil costs nothing on
 	// the hot path.
 	Recorder *FlightRecorder
-	// VarOrder selects the BDD link-variable order: "auto" (the
-	// default — a topology-aware order is chosen per network),
-	// "declaration" (link l at level 32+l, the seed layout), or
-	// "mindeg" (links tiered by minimum endpoint degree). Orders are
-	// observationally identical — every query
-	// returns the same answer under every order, pinned by golden
-	// tests — but topology-aware orders can collapse peak BDD sizes on
-	// structured networks.
-	VarOrder string
 	// Store, when non-nil, is a persistent result cache (see OpenStore):
 	// each prefix is looked up before it is computed and published after
 	// — across in-process, parallel, and multi-process runs, which share
@@ -236,8 +229,8 @@ type Verifier struct {
 	// store is the persistent result cache the run consulted, if any
 	// (surfaced in Metrics).
 	store *Store
-	// varOrder is the RESOLVED static variable-order method (never
-	// "auto"); it surfaces in Metrics and the CLI summary.
+	// varOrder names the link-variable order computed for the
+	// topology; it surfaces in Metrics and the CLI summary.
 	varOrder string
 }
 
@@ -250,7 +243,7 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 		return nil, err
 	}
 	v = &Verifier{net: net, tel: srcOpts.Telemetry, resilient: opts.Resilient, store: opts.Store,
-		varOrder: src.LinkOrder(net, srcOpts).ID()}
+		varOrder: order.Compute(net.Topology).Name}
 	defer func() {
 		if err != nil {
 			v = nil
@@ -294,10 +287,6 @@ func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 	// The shared checker is safe for the concurrent pipelines of a
 	// parallel run and costs the same at one worker.
 	checker := resil.NewSharedChecker(opts.Context, opts.Timeout)
-	varOrder, err := order.Normalize(opts.VarOrder)
-	if err != nil {
-		return src.Options{}, nil, fmt.Errorf("sre: %w", err)
-	}
 	srcOpts := src.Options{
 		PruneK:       opts.MaxFailures,
 		Abstract:     opts.Abstract,
@@ -307,7 +296,6 @@ func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 		Interrupt:    checker.Fn(),
 		BDDNodeLimit: opts.BDDNodeLimit,
 		Parallelism:  opts.Parallelism,
-		VarOrder:     string(varOrder),
 	}
 	var prefixes []route.Prefix
 	for _, p := range opts.Prefixes {

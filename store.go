@@ -1,8 +1,6 @@
 package sre
 
 import (
-	"time"
-
 	"sre/internal/analysis"
 	"sre/internal/store"
 )
@@ -27,16 +25,11 @@ type Store struct {
 	s *store.Store
 }
 
-// StoreOptions configures OpenStore.
+// StoreOptions configures OpenStore. A record's payload is bounded at
+// 1 GiB (a larger declared length is corruption and is rejected on
+// read), and a writer steals an owner lock older than 5 minutes (locks
+// of provably dead processes are taken over immediately).
 type StoreOptions struct {
-	// MaxRecordBytes bounds a record's declared payload length (0 = the
-	// 1 GiB default). Oversized records — stored by a roomier writer or
-	// declared by a corrupt length prefix — are rejected on read.
-	MaxRecordBytes int64
-	// LockTTL is how old a live-looking owner lock may grow before a
-	// writer steals it (0 = 5 minutes). Locks of provably dead processes
-	// are taken over immediately.
-	LockTTL time.Duration
 	// Telemetry, when non-nil, receives the store's counters
 	// (store.hits, store.misses, store.puts, store.put_errors,
 	// store.quarantined) and quarantine flight-recorder events.
@@ -50,11 +43,7 @@ type StoreMetrics = store.Metrics
 
 // OpenStore opens (creating if needed) a result store rooted at dir.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
-	s, err := store.Open(dir, store.Options{
-		MaxRecordBytes: opts.MaxRecordBytes,
-		LockTTL:        opts.LockTTL,
-		Telemetry:      opts.Telemetry,
-	})
+	s, err := store.Open(dir, store.Options{Telemetry: opts.Telemetry})
 	if err != nil {
 		return nil, err
 	}
