@@ -312,3 +312,57 @@ func TestOldStoreMisses(t *testing.T) {
 		t.Errorf("fsck over the mixed store: %+v, want 8 records, all ok", rep)
 	}
 }
+
+// copyStoreFixture copies the two records of testdata/<fixture> into
+// the store directory dir.
+func copyStoreFixture(t *testing.T, fixture, dir string) {
+	t.Helper()
+	fixture = filepath.Join("testdata", fixture)
+	recs := storeRecords(t, fixture)
+	if len(recs) != 2 {
+		t.Fatalf("fixture %s holds %d records, want 2", fixture, len(recs))
+	}
+	for _, rec := range recs {
+		data, err := os.ReadFile(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(rec, fixture))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestV6FleetRecordsStillHit replays testdata/store_v6_fleet: the two
+// records `sre -config golden.txt -k 2 -workers 2 -cache-dir ... pfecs`
+// published for goldenNetwork under format v6 before worker shards were
+// shipped as a telemetry snapshot. Each carries its worker's shard in
+// the older shape (counters, gauges and raw histogram buckets only).
+// Both must hit, nothing may be quarantined, the shards' counters must
+// merge into the run's registry, and the answers must equal a cold
+// run's.
+func TestV6FleetRecordsStillHit(t *testing.T) {
+	dir := t.TempDir()
+	copyStoreFixture(t, "store_v6_fleet", dir)
+	net, err := sre.ParseNetwork(goldenNetwork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldOuts, coldPFECs, coldSweep := verifyRun(t, net, "A", sre.Options{MaxFailures: 2})
+	tel := sre.NewTelemetry()
+	outs, pfecs, sweep, m := cacheRun(t, net, "A", sre.Options{MaxFailures: 2, Telemetry: tel}, dir, 1, 0)
+	if m.Hits != 2 || m.Misses != 0 || m.Quarantined != 0 {
+		t.Errorf("run over the v6 fleet store: %+v, want 2 hits, 0 misses, 0 quarantined", m)
+	}
+	if got := tel.Snapshot().Counters["src.activations"]; got <= 0 {
+		t.Errorf("merged src.activations = %d, want the worker shards' counts", got)
+	}
+	if !reflect.DeepEqual(outs, coldOuts) || pfecs != coldPFECs || !reflect.DeepEqual(sweep, coldSweep) {
+		t.Errorf("warm run diverges from a cold run:\n got %+v %d %+v\nwant %+v %d %+v",
+			outs, pfecs, sweep, coldOuts, coldPFECs, coldSweep)
+	}
+}

@@ -103,8 +103,6 @@ func RunScoped(net *config.Network, opts src.Options, scope route.Prefix) (*Pipe
 
 func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope *route.Prefix) (*Pipeline, error) {
 	p := &Pipeline{Net: net, Sp: sp, Tel: opts.Telemetry, Scope: scope, prefixes: net.AllPrefixes()}
-	root := p.Tel.Start("pipeline")
-	defer root.End()
 
 	// Flight recorder: one event per stage boundary, attributed to the
 	// pipeline's prefix scope, carrying BDD node/cache deltas. All
@@ -118,20 +116,12 @@ func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope 
 		st0 = sp.M.Statistics()
 	}
 
-	srcSpan := root.Start("src")
 	start := time.Now()
 	p.Eng = src.NewWithSpace(net, sp, opts)
 	if err := p.Eng.Run(); err != nil {
 		return nil, err
 	}
 	p.SRCTime = time.Since(start)
-	if est := p.Eng.Statistics(); p.Tel != nil {
-		srcSpan.SetAttr("activations", est.Activations)
-		srcSpan.SetAttr("routes_imported", est.RoutesImported)
-		srcSpan.SetAttr("routes_pruned", est.RoutesPruned)
-		srcSpan.SetAttr("rib_routes", est.RIBRoutes)
-	}
-	srcSpan.End()
 	if recording {
 		st1 := sp.M.Statistics()
 		p.Tel.Record(start, obs.TraceEvent{
@@ -152,7 +142,6 @@ func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope 
 		}
 	}
 
-	spfSpan := root.Start("spf")
 	start = time.Now()
 	fw, err := spf.NewForwarder(p.Eng)
 	if err != nil {
@@ -191,11 +180,8 @@ func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope 
 	}
 	p.SPFTime = time.Since(start)
 	if p.Tel != nil {
-		spfSpan.SetAttr("routers", n)
-		spfSpan.SetAttr("pfecs", total)
 		sp.M.SampleTelemetry()
 	}
-	spfSpan.End()
 	if recording {
 		st1 := sp.M.Statistics()
 		p.Tel.Record(start, obs.TraceEvent{
@@ -402,13 +388,12 @@ func (p *Pipeline) MinTolerance(property, universe bdd.Node) int {
 // d under any combination of at most k failures. The property BDD is
 // the reach BDD; isolation is violated by the first failure combination
 // that makes reachability true, so the tolerance is the shortest path to
-// the True terminal minus one.
-func (p *Pipeline) IsolationTolerance(reachProperty, universe bdd.Node) int {
+// the True terminal minus one. Packets never delivered are isolated
+// under every failure count and do not lower it.
+func (p *Pipeline) IsolationTolerance(reachProperty bdd.Node) int {
 	m := p.Sp.M
 	min := InfiniteTolerance
-	covered := bdd.False
 	for _, tup := range p.Extract(reachProperty) {
-		covered = m.Or(covered, tup.Pkt)
 		sp := m.ShortestPathToTrue(tup.Topo)
 		k := InfiniteTolerance
 		if sp != math.MaxInt32 {
@@ -418,8 +403,6 @@ func (p *Pipeline) IsolationTolerance(reachProperty, universe bdd.Node) int {
 			min = k
 		}
 	}
-	// Packets never delivered are isolated under every failure count.
-	_ = covered
 	return min
 }
 

@@ -190,7 +190,7 @@ end
 	if m.And(prop, pipe.Sp.AllLinksUp()) != bdd.False {
 		t.Fatal("direct path should be ACL-blocked")
 	}
-	if got := pipe.IsolationTolerance(prop, hdr); got != 0 {
+	if got := pipe.IsolationTolerance(prop); got != 0 {
 		t.Errorf("isolation tolerance = %d, want 0", got)
 	}
 }

@@ -132,15 +132,15 @@ func sliceNetwork(net *config.Network, domain []route.Prefix) *config.Network {
 }
 
 // CacheRecord is the JSON payload of one store record: a finished
-// prefix task in wire form. Telemetry carries the producing worker's
-// per-task shard (nil for in-process producers) so a warm coordinator
-// run can still merge plausible counters.
+// prefix task in wire form. Telemetry carries the snapshot of the
+// producing worker's per-task registry (nil for in-process producers)
+// so a warm coordinator run can still merge plausible counters.
 type CacheRecord struct {
 	Version   int            `json:"version"`
 	Prefix    string         `json:"prefix"`
 	Outcome   WireOutcome    `json:"outcome"`
 	Pipes     []WirePipeline `json:"pipes,omitempty"`
-	Telemetry *obs.Wire      `json:"telemetry,omitempty"`
+	Telemetry *obs.Report    `json:"telemetry,omitempty"`
 }
 
 // ResultCache binds the analysis layer to a persistent store. The zero
@@ -194,7 +194,7 @@ func (c *ResultCache) Lookup(net *config.Network, opts src.Options, key string, 
 // NewCacheRecord puts a finished prefix task in wire form: the one
 // encoding of a result, whether it goes into the store or back down a
 // fleet worker's pipe.
-func NewCacheRecord(net *config.Network, pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome, shard *obs.Wire) (CacheRecord, error) {
+func NewCacheRecord(net *config.Network, pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome, shard *obs.Report) (CacheRecord, error) {
 	wps, err := EncodePipelines(pipes, net)
 	if err != nil {
 		return CacheRecord{}, err
@@ -208,12 +208,13 @@ func NewCacheRecord(net *config.Network, pfx route.Prefix, pipes []*Pipeline, ou
 	}, nil
 }
 
-// Publish stores a finished prefix task under key (see Put).
-func (c *ResultCache) Publish(net *config.Network, key string, pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome, shard *obs.Wire) {
+// Publish stores a finished in-process prefix task under key (see
+// Put); the record carries no telemetry shard.
+func (c *ResultCache) Publish(net *config.Network, key string, pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 	if c == nil || c.S == nil || key == "" {
 		return // nothing to encode for
 	}
-	if rec, err := NewCacheRecord(net, pfx, pipes, out, shard); err == nil {
+	if rec, err := NewCacheRecord(net, pfx, pipes, out, nil); err == nil {
 		c.Put(key, rec)
 	}
 }

@@ -104,7 +104,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	for _, p := range pipes {
 		want += p.NumPFECs()
 	}
-	cache.Publish(net, key, pfx, pipes, out, nil)
+	cache.Publish(net, key, pfx, pipes, out)
 	for _, p := range pipes {
 		p.Release()
 	}
@@ -166,13 +166,13 @@ func TestResultCacheNeverPublishesFailures(t *testing.T) {
 
 	errOut := out
 	errOut.Err = errors.New("boom")
-	cache.Publish(net, "11"+strings.Repeat("00", 31), pfx, pipes, errOut, nil)
+	cache.Publish(net, "11"+strings.Repeat("00", 31), pfx, pipes, errOut)
 
 	crashed := out
 	crashed.Rungs = append([]string{RungWorkerCrash}, out.Rungs...)
-	cache.Publish(net, "22"+strings.Repeat("00", 31), pfx, pipes, crashed, nil)
+	cache.Publish(net, "22"+strings.Repeat("00", 31), pfx, pipes, crashed)
 
-	cache.Publish(net, "33"+strings.Repeat("00", 31), pfx, nil, out, nil)
+	cache.Publish(net, "33"+strings.Repeat("00", 31), pfx, nil, out)
 
 	if m := s.Metrics(); m.Puts != 0 {
 		t.Fatalf("failure outcomes were published: %+v", m)
@@ -180,7 +180,7 @@ func TestResultCacheNeverPublishesFailures(t *testing.T) {
 
 	// A nil cache ignores both directions.
 	var nilCache *ResultCache
-	nilCache.Publish(net, "44"+strings.Repeat("00", 31), pfx, pipes, out, nil)
+	nilCache.Publish(net, "44"+strings.Repeat("00", 31), pfx, pipes, out)
 	if _, _, hit, err := nilCache.Lookup(net, src.Options{}, "44"+strings.Repeat("00", 31), pfx, nil); hit || err != nil {
 		t.Fatalf("nil cache: hit=%v err=%v", hit, err)
 	}

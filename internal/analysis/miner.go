@@ -48,9 +48,6 @@ type Miner struct {
 	// reported in Specs.Outcomes with their surviving pairs marked in
 	// Specs.DegradedPairs; all other prefixes mine normally.
 	Resilient bool
-
-	// StrataTimes records the wall time of each stratum.
-	StrataTimes []time.Duration
 }
 
 // PairKey identifies a mined property instance.
@@ -91,8 +88,6 @@ func (mn *Miner) Mine() (*Specs, error) {
 	tel := mn.SrcOpts.Telemetry
 	telStrata := tel.Counter("mine.strata")
 	telDecided := tel.Counter("mine.pairs_decided")
-	mineSpan := tel.Start("mine")
-	defer mineSpan.End()
 	t := mn.Net.Topology
 	specs := &Specs{
 		ReachTolerance:    make(map[PairKey]int),
@@ -135,7 +130,6 @@ func (mn *Miner) Mine() (*Specs, error) {
 	for k := 0; k <= mn.KMax; k++ {
 		start := time.Now()
 		telStrata.Inc()
-		stratumSpan := mineSpan.Start(fmt.Sprintf("stratum-%d", k))
 		for key := range undecided {
 			if minCut[key] <= k {
 				specs.ReachTolerance[key] = minCut[key] - 1
@@ -147,18 +141,19 @@ func (mn *Miner) Mine() (*Specs, error) {
 			}
 		}
 		if len(undecided) == 0 {
-			mn.StrataTimes = append(mn.StrataTimes, time.Since(start))
-			stratumSpan.End()
 			break
 		}
-		stratumSpan.SetAttr("k", k)
-		stratumSpan.SetAttr("pairs", len(undecided))
-		err := mn.mineStratum(specs, undecided, &isolationCandidates, k, workers, stratumSpan)
-		stratumSpan.End()
+		pairs := len(undecided)
+		err := mn.mineStratum(specs, undecided, &isolationCandidates, k, workers)
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
+		}
+		tel.Record(start, obs.TraceEvent{Stage: "stratum", Wall: time.Since(start).Nanoseconds(),
+			Count: int64(pairs), Outcome: outcome})
 		if err != nil {
 			return nil, fmt.Errorf("stratum %d: %w", k, err)
 		}
-		mn.StrataTimes = append(mn.StrataTimes, time.Since(start))
 	}
 	// Pairs surviving every stratum tolerate at least KMax failures.
 	for key := range undecided {
@@ -233,7 +228,7 @@ type pairEval struct {
 // pairs are evaluated against the pipeline verifying it, off any lock,
 // and the decisions committed to the spec maps under one mutex.
 func (mn *Miner) mineStratum(specs *Specs, undecided map[PairKey]bool,
-	isolationCandidates *[]PairKey, k, workers int, span *obs.Span) error {
+	isolationCandidates *[]PairKey, k, workers int) error {
 
 	tel := mn.SrcOpts.Telemetry
 	telDecided := tel.Counter("mine.pairs_decided")
@@ -246,7 +241,6 @@ func (mn *Miner) mineStratum(specs *Specs, undecided map[PairKey]bool,
 	for pfx := range byPfx {
 		domain = append(domain, pfx)
 	}
-	span.SetAttr("prefixes", len(domain))
 
 	opts := mn.SrcOpts
 	opts.PruneK = k

@@ -400,7 +400,7 @@ func (x *Executor) runPrefix(w *sched.Worker, t Task, rungs []rungAttempt, colle
 	}
 	// In-process producers publish without a telemetry shard: their
 	// counters already live in the run's own registry.
-	x.Cache.Publish(x.Net, t.Key, t.Prefix, pipes, out, nil)
+	x.Cache.Publish(x.Net, t.Key, t.Prefix, pipes, out)
 	collect(t.Prefix, pipes, out)
 	return nil
 }

@@ -141,12 +141,7 @@ type Manager struct {
 	telAxMiss    *obs.Counter
 	telRetained  *obs.Counter
 	telInvalid   *obs.Counter
-	telLive      *obs.Gauge
 	telPeak      *obs.Gauge
-	telFree      *obs.Gauge
-	telHitPreGC  *obs.Gauge
-	telHitPostGC *obs.Gauge
-	telOccupancy *obs.Gauge
 	// Last sampled cumulative values, so counter deltas stay monotone.
 	sampledHits, sampledMiss     uint64
 	sampledAxHits, sampledAxMiss uint64
@@ -206,12 +201,6 @@ type Stats struct {
 // before any operation ran.
 func (s Stats) CacheHitRatio() float64 {
 	return ratio(s.CacheHits, s.CacheMiss)
-}
-
-// PreGCCacheHitRatio returns the operation-cache hit ratio accumulated
-// up to the most recent collection (0 before any GC ran).
-func (s Stats) PreGCCacheHitRatio() float64 {
-	return ratio(s.HitsAtLastGC, s.MissAtLastGC)
 }
 
 // PostGCCacheHitRatio returns the operation-cache hit ratio since the
@@ -278,12 +267,7 @@ func New(cfg Config) *Manager {
 		m.telAxMiss = m.tel.Counter("bdd.axcache_misses")
 		m.telRetained = m.tel.Counter("bdd.opcache_retained")
 		m.telInvalid = m.tel.Counter("bdd.opcache_invalidated")
-		m.telLive = m.tel.Gauge("bdd.live_nodes")
 		m.telPeak = m.tel.Gauge("bdd.peak_nodes")
-		m.telFree = m.tel.Gauge("bdd.free_nodes")
-		m.telHitPreGC = m.tel.Gauge("bdd.cache_hit_ratio_pre_gc")
-		m.telHitPostGC = m.tel.Gauge("bdd.cache_hit_ratio_post_gc")
-		m.telOccupancy = m.tel.Gauge("bdd.opcache_occupancy")
 	}
 	n := cfg.InitialNodes
 	m.lvl = make([]int32, 2, n)
@@ -341,12 +325,7 @@ func (m *Manager) SampleTelemetry() {
 	if m.tel == nil {
 		return
 	}
-	m.telLive.Set(float64(len(m.lvl) - m.freeCnt))
 	m.telPeak.Max(float64(m.stats.PeakNodes))
-	m.telFree.Set(float64(m.freeCnt))
-	m.telHitPreGC.Set(m.stats.PreGCCacheHitRatio())
-	m.telHitPostGC.Set(m.stats.PostGCCacheHitRatio())
-	m.telOccupancy.Set(m.cacheOccupancy())
 	// Counters must stay monotone across managers sharing the
 	// registry, so publish deltas since the last sample.
 	m.telCacheHit.Add(int64(m.stats.CacheHits - m.sampledHits))
@@ -358,18 +337,6 @@ func (m *Manager) SampleTelemetry() {
 	m.sampledHits, m.sampledMiss = m.stats.CacheHits, m.stats.CacheMiss
 	m.sampledAxHits, m.sampledAxMiss = m.stats.AxCacheHits, m.stats.AxCacheMiss
 	m.sampledRet, m.sampledInv = m.stats.CacheRetained, m.stats.CacheInvalidated
-}
-
-// cacheOccupancy returns the fraction of shared operation-cache entries
-// currently holding a result.
-func (m *Manager) cacheOccupancy() float64 {
-	used := 0
-	for i := range m.cache {
-		if m.cache[i].op != 0 {
-			used++
-		}
-	}
-	return float64(used) / float64(len(m.cache))
 }
 
 // Var returns the BDD for variable v (a single decision node testing v).

@@ -170,7 +170,8 @@ func runTask(net *config.Network, opts src.Options, ladder bool, task *taskMsg, 
 			p.Release()
 		}
 	}()
-	rec, err := analysis.NewCacheRecord(net, pfx, pipes, out, tel.ExportWire())
+	shard := tel.Snapshot()
+	rec, err := analysis.NewCacheRecord(net, pfx, pipes, out, &shard)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 // Package obs is the telemetry substrate of the SRE pipeline: counters,
-// gauges, and histograms with atomic updates and a JSON snapshot,
-// hierarchical tracing spans, and a pluggable progress sink.
+// gauges, and histograms with atomic updates and a JSON snapshot, a
+// bounded flight recorder of stage events, and a pluggable progress
+// sink.
 //
 // The package is stdlib-only and imports nothing from the rest of the
 // repository, so every layer (including internal/bdd at the bottom of
@@ -131,7 +132,9 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[idx].Add(1)
 }
 
-// HistogramSnapshot is the JSON form of a histogram.
+// HistogramSnapshot is the JSON form of a histogram: the quantile
+// summary for readers and the raw buckets, so that an imported snapshot
+// merges bucket for bucket like the original.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`
 	Sum   int64   `json:"sum"`
@@ -142,6 +145,10 @@ type HistogramSnapshot struct {
 	P50 int64 `json:"p50"`
 	P90 int64 `json:"p90"`
 	P99 int64 `json:"p99"`
+	// Buckets[i] counts observations of bit length i (values in
+	// [2^(i-1), 2^i); bucket 0 counts observations ≤ 0), matching the
+	// in-memory layout. Trailing zero buckets are trimmed.
+	Buckets []int64 `json:"buckets,omitempty"`
 }
 
 // snapshot captures the histogram. Concurrent Observe calls may tear
@@ -151,14 +158,24 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	if s.Count > 0 {
 		s.Mean = float64(s.Sum) / float64(s.Count)
 	}
+	var buckets [histBuckets]int64
+	last := -1
+	for i := range buckets {
+		if buckets[i] = h.buckets[i].Load(); buckets[i] != 0 {
+			last = i
+		}
+	}
+	if last >= 0 {
+		s.Buckets = append([]int64(nil), buckets[:last+1]...)
+	}
 	quantile := func(q float64) int64 {
 		target := int64(math.Ceil(q * float64(s.Count)))
 		if target <= 0 {
 			return 0
 		}
 		cum := int64(0)
-		for i := 0; i < histBuckets; i++ {
-			cum += h.buckets[i].Load()
+		for i, n := range s.Buckets {
+			cum += n
 			if cum >= target {
 				if i == 0 {
 					return 0
@@ -175,14 +192,14 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Telemetry is a registry of named instruments, tracing spans, and an
-// optional progress sink. A nil *Telemetry disables everything.
+// Telemetry is a registry of named instruments, with an optional
+// flight recorder and progress sink. A nil *Telemetry disables
+// everything.
 type Telemetry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	roots    []*Span
 
 	sink atomic.Pointer[sinkBox]
 	rec  atomic.Pointer[Recorder]
@@ -297,10 +314,10 @@ func (t *Telemetry) Shard() *Telemetry {
 }
 
 // Merge folds the instruments of a shard into t: counters add, gauges
-// merge by maximum (they track high-water marks across managers),
-// histograms merge bucket-wise, and root spans are appended. Call it
-// after the shard's worker has stopped updating; Merge itself is safe
-// to call concurrently with reads of t.
+// merge by maximum (they track high-water marks across managers), and
+// histograms merge bucket-wise. Call it after the shard's worker has
+// stopped updating; Merge itself is safe to call concurrently with
+// reads of t.
 func (t *Telemetry) Merge(s *Telemetry) {
 	if t == nil || s == nil {
 		return
@@ -318,7 +335,6 @@ func (t *Telemetry) Merge(s *Telemetry) {
 	for k, v := range s.hists {
 		hists[k] = v
 	}
-	roots := append([]*Span(nil), s.roots...)
 	s.mu.Unlock()
 
 	for k, c := range counters {
@@ -329,11 +345,6 @@ func (t *Telemetry) Merge(s *Telemetry) {
 	}
 	for k, h := range hists {
 		t.Histogram(k).merge(h)
-	}
-	if len(roots) > 0 {
-		t.mu.Lock()
-		t.roots = append(t.roots, roots...)
-		t.mu.Unlock()
 	}
 	// Shards created by Shard share the parent's recorder (absorb is a
 	// no-op then); a foreign shard's private recorder is drained in.
@@ -359,17 +370,18 @@ func (h *Histogram) merge(src *Histogram) {
 	}
 }
 
-// Report is the JSON snapshot of a telemetry registry.
+// Report is the JSON snapshot of a telemetry registry: what `-metrics`
+// writes, and the per-task shard a fleet worker ships back to the
+// coordinator, which rebuilds it with Import and folds it in with Merge.
 type Report struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []SpanSnapshot               `json:"spans,omitempty"`
 }
 
-// Snapshot captures every instrument and span. Spans still running are
-// reported with their duration so far. Safe to call concurrently with
-// updates; counters never decrease between snapshots.
+// Snapshot captures every instrument. Safe to call concurrently with
+// updates (fields of one histogram may tear between each other);
+// counters never decrease between snapshots.
 func (t *Telemetry) Snapshot() Report {
 	r := Report{
 		Counters: map[string]int64{},
@@ -391,7 +403,6 @@ func (t *Telemetry) Snapshot() Report {
 	for k, v := range t.hists {
 		hists[k] = v
 	}
-	roots := append([]*Span(nil), t.roots...)
 	t.mu.Unlock()
 
 	for k, c := range counters {
@@ -406,10 +417,35 @@ func (t *Telemetry) Snapshot() Report {
 			r.Histograms[k] = h.snapshot()
 		}
 	}
-	for _, s := range roots {
-		r.Spans = append(r.Spans, s.snapshot())
-	}
 	return r
+}
+
+// Import rebuilds a registry from its snapshot. Bucket indices beyond
+// the receiver's bucket count (a snapshot from a build with a different
+// histBuckets) fold into the last bucket, so Count always equals the
+// bucket total. Returns nil on a nil report — and Merge(nil) is a
+// no-op, so a lost shard degrades to "no telemetry", never a crash.
+func (r *Report) Import() *Telemetry {
+	if r == nil {
+		return nil
+	}
+	t := New()
+	for k, v := range r.Counters {
+		t.Counter(k).Add(v)
+	}
+	for k, v := range r.Gauges {
+		t.Gauge(k).Set(v)
+	}
+	for k, hs := range r.Histograms {
+		h := t.Histogram(k)
+		h.count.Store(hs.Count)
+		h.sum.Store(hs.Sum)
+		h.max.Store(hs.Max)
+		for i, n := range hs.Buckets {
+			h.buckets[min(i, histBuckets-1)].Add(n)
+		}
+	}
+	return t
 }
 
 // WriteJSON writes the snapshot as indented JSON.

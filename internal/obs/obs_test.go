@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -47,11 +49,6 @@ func TestSnapshotValidJSON(t *testing.T) {
 	tel.Counter("bdd.gc_runs").Add(3)
 	tel.Gauge("bdd.peak_nodes").Set(1234)
 	tel.Histogram("src.activation_ns").Observe(1500)
-	sp := tel.Start("pipeline")
-	child := sp.Start("src")
-	child.SetAttr("routers", 12)
-	child.End()
-	sp.End()
 
 	var buf bytes.Buffer
 	if err := tel.WriteJSON(&buf); err != nil {
@@ -69,12 +66,6 @@ func TestSnapshotValidJSON(t *testing.T) {
 	}
 	if back.Gauges["bdd.peak_nodes"] != 1234 {
 		t.Errorf("gauge lost in round trip: %+v", back.Gauges)
-	}
-	if len(back.Spans) != 1 || len(back.Spans[0].Children) != 1 {
-		t.Fatalf("span tree lost: %+v", back.Spans)
-	}
-	if back.Spans[0].Children[0].Attrs["routers"] != float64(12) {
-		t.Errorf("attr lost: %+v", back.Spans[0].Children[0].Attrs)
 	}
 	if back.Histograms["src.activation_ns"].Count != 1 {
 		t.Errorf("histogram lost: %+v", back.Histograms)
@@ -120,16 +111,12 @@ func TestNilTelemetryAllocs(t *testing.T) {
 	c := tel.Counter("x")
 	g := tel.Gauge("x")
 	h := tel.Histogram("x")
-	sp := tel.Start("x")
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(5)
 		g.Set(1)
 		g.Max(2)
 		h.Observe(3)
-		sp.SetAttr("k", 1)
-		sp.Start("child").End()
-		sp.End()
 		tel.Emit(Event{Stage: "x"})
 		if tel.Active() {
 			t.Fatal("nil telemetry must not be active")
@@ -138,7 +125,7 @@ func TestNilTelemetryAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("nil telemetry allocated %v times per op, want 0", allocs)
 	}
-	if snap := tel.Snapshot(); len(snap.Spans) != 0 || len(snap.Counters) != 0 {
+	if snap := tel.Snapshot(); len(snap.Counters) != 0 {
 		t.Error("nil telemetry snapshot must be empty")
 	}
 }
@@ -187,39 +174,10 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-// TestSpanDuration checks running vs ended spans and attribute
-// overwrites.
-func TestSpanDuration(t *testing.T) {
-	tel := New()
-	sp := tel.Start("s")
-	sp.SetAttr("k", 1)
-	sp.SetAttr("k", 2)
-	if d := sp.Duration(); d < 0 {
-		t.Error("running span duration negative")
-	}
-	snap := tel.Snapshot()
-	if !snap.Spans[0].Running {
-		t.Error("span should report running before End")
-	}
-	sp.End()
-	d1 := sp.Duration()
-	sp.End() // second End is a no-op
-	if sp.Duration() != d1 {
-		t.Error("second End changed the duration")
-	}
-	snap = tel.Snapshot()
-	if snap.Spans[0].Running {
-		t.Error("span should not report running after End")
-	}
-	if snap.Spans[0].Attrs["k"] != 2 {
-		t.Errorf("attr overwrite failed: %+v", snap.Spans[0].Attrs)
-	}
-}
-
 // TestShardMerge covers the worker-shard lifecycle used by the
 // scheduler: per-worker registries collect independently, then fold
 // into the parent — counters add, gauges keep the high-water mark,
-// histograms merge bucket-wise, and root spans are appended.
+// and histograms merge bucket-wise.
 func TestShardMerge(t *testing.T) {
 	parent := New()
 	parent.Counter("c").Add(1)
@@ -232,7 +190,6 @@ func TestShardMerge(t *testing.T) {
 		a.Histogram("h").Observe(8)
 		b.Histogram("h").Observe(64)
 	}
-	a.Start("pipeline").End()
 	parent.Merge(a)
 	parent.Merge(b)
 	snap := parent.Snapshot()
@@ -245,9 +202,6 @@ func TestShardMerge(t *testing.T) {
 	h := snap.Histograms["h"]
 	if h.Count != 10 || h.Sum != 5*8+5*64 || h.Max != 64 {
 		t.Errorf("merged histogram = %+v, want count 10 sum 360 max 64", h)
-	}
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "pipeline" {
-		t.Errorf("merged spans = %+v, want the shard's root span", snap.Spans)
 	}
 }
 
@@ -282,4 +236,97 @@ func TestNilShardMerge(t *testing.T) {
 	tel.Merge(nil) // must not panic
 	parent := New()
 	parent.Merge(nil) // must not panic
+}
+
+// TestWireRoundTrip pins the coordinator/worker telemetry contract:
+// snapshotting a registry, shipping the report as JSON, importing it,
+// and merging into a parent must be indistinguishable from merging the
+// original shard in-process (the Merge semantics of TestShardMerge).
+func TestWireRoundTrip(t *testing.T) {
+	shard := New()
+	shard.Counter("bdd.gc_runs").Add(3)
+	shard.Counter("src.activations").Add(41)
+	shard.Gauge("bdd.peak_nodes").Max(12345)
+	for i := 0; i < 7; i++ {
+		shard.Histogram("spf.router_ns").Observe(int64(1) << uint(i*3))
+	}
+	shard.Histogram("spf.router_ns").Observe(0) // bucket 0
+
+	raw, err := json.Marshal(shard.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+
+	direct, viaWire := New(), New()
+	direct.Counter("seed").Inc()
+	viaWire.Counter("seed").Inc()
+	direct.Merge(shard)
+	viaWire.Merge(back.Import())
+
+	if ds, ws := direct.Snapshot(), viaWire.Snapshot(); !reflect.DeepEqual(ds, ws) {
+		t.Errorf("merged snapshots diverge:\ndirect %+v\n  wire %+v", ds, ws)
+	}
+}
+
+// TestWireHistogramBucketAlignment verifies the snapshot preserves the
+// power-of-two bucket layout exactly: every observation lands in the
+// same bucket after a round trip, so quantile estimates (bucket upper
+// bounds) survive transport and a merged import never shifts mass
+// between buckets.
+func TestWireHistogramBucketAlignment(t *testing.T) {
+	shard := New()
+	h := shard.Histogram("h")
+	// One observation per bucket boundary: 0 → bucket 0, 2^i → bucket
+	// i+1 (bit length of 2^i is i+1).
+	h.Observe(0)
+	for i := 0; i < 62; i++ {
+		h.Observe(int64(1) << uint(i))
+	}
+	h.Observe(math.MaxInt64) // clamps into the last bucket
+
+	rep := shard.Snapshot()
+	imported := rep.Import()
+	orig := shard.hists["h"]
+	got := imported.hists["h"]
+	for i := 0; i < histBuckets; i++ {
+		if o, g := orig.buckets[i].Load(), got.buckets[i].Load(); o != g {
+			t.Errorf("bucket %d: original %d, imported %d", i, o, g)
+		}
+	}
+	// The summary fields and the quantiles, which derive only from the
+	// buckets, must match too.
+	if o, g := orig.snapshot(), got.snapshot(); !reflect.DeepEqual(o, g) {
+		t.Errorf("snapshot diverges: orig %+v got %+v", o, g)
+	}
+	// Buckets past the local layout fold into the last bucket rather
+	// than being dropped: Count stays equal to the bucket total.
+	over := &Report{Histograms: map[string]HistogramSnapshot{
+		"h": {Count: 2, Sum: 10, Max: 8, Buckets: make([]int64, histBuckets+3)},
+	}}
+	over.Histograms["h"].Buckets[histBuckets+1] = 2
+	folded := over.Import().hists["h"]
+	if folded.buckets[histBuckets-1].Load() != 2 {
+		t.Errorf("overflow buckets not folded: last bucket = %d, want 2", folded.buckets[histBuckets-1].Load())
+	}
+}
+
+// TestWireNil pins the degraded path: a lost shard imports to nil and
+// merges as a no-op.
+func TestWireNil(t *testing.T) {
+	var r *Report
+	if got := r.Import(); got != nil {
+		t.Fatal("nil report must import nil")
+	}
+	parent := New()
+	parent.Merge(r.Import()) // must not panic
+	// An empty registry snapshots to an empty report that imports
+	// cleanly.
+	empty := New().Snapshot()
+	if snap := empty.Import().Snapshot(); len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+		t.Errorf("empty report import not empty: %+v", snap)
+	}
 }

@@ -18,10 +18,13 @@ import (
 //	src        one SRC+setup phase of a pipeline (analysis layer)
 //	src.run    the activation loop inside src (engine layer)
 //	spf        one symbolic-forwarding phase of a pipeline
+//	stratum    one stratum of specification mining
 //	task       one scheduler task on a worker (sched layer)
 //	prefix     one per-prefix attempt/outcome (parallel resilient runs)
 //	bdd.gc     one garbage collection
 //	bdd.overflow  a node-table overflow (point event)
+//	coord.*    fleet coordinator: spawn, task, crash, retry, quarantine
+//	store.quarantine  a store record set aside as corrupt (point event)
 type TraceEvent struct {
 	// Stage names the emitting stage boundary (see the list above).
 	Stage string `json:"stage"`
@@ -46,7 +49,8 @@ type TraceEvent struct {
 	// Cache is the op-cache lookup delta (hits+misses) across the stage.
 	Cache int64 `json:"cache,omitempty"`
 	// Count is a stage-specific magnitude: activations for src, PFECs
-	// for spf, freed nodes for bdd.gc, cost estimate for task.
+	// for spf, undecided pairs entering the stratum for stratum, freed
+	// nodes for bdd.gc, cost estimate for task.
 	Count int64 `json:"count,omitempty"`
 	// Outcome classifies how the stage ended: "", "ok", "error",
 	// "overflow", "failed", or a degradation rung name.

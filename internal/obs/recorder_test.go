@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -145,7 +146,7 @@ func TestShardHistogramBucketAlignment(t *testing.T) {
 	}
 	got := parent.Snapshot().Histograms["h"]
 	ref := want.Snapshot().Histograms["h"]
-	if got != ref {
+	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("merged histogram %+v differs from single-registry reference %+v", got, ref)
 	}
 	if got.Count != 4 || got.Sum != 7100 || got.Max != 5000 {

@@ -9,8 +9,8 @@ import (
 	"sre/internal/prob"
 )
 
-// Telemetry collects counters, gauges, histograms, tracing spans, and
-// progress events across the verification pipeline. Create one with
+// Telemetry collects counters, gauges, histograms, and progress events
+// across the verification pipeline. Create one with
 // NewTelemetry, pass it via Options.Telemetry (it may be shared across
 // verifiers — counters accumulate), and read it back with
 // Verifier.Metrics or Telemetry.WriteJSON.
@@ -27,12 +27,8 @@ type ProgressSink = obs.Sink
 // ProgressFunc adapts a function to the ProgressSink interface.
 type ProgressFunc = obs.SinkFunc
 
-// TraceSpan is a snapshot of one tracing span (stage timings with
-// attributes, nested per pipeline structure).
-type TraceSpan = obs.SpanSnapshot
-
 // TelemetryReport is the JSON-marshalable snapshot of a Telemetry:
-// counters, gauges, histogram summaries, and span trees.
+// counters, gauges, and histograms (quantile summaries and buckets).
 type TelemetryReport = obs.Report
 
 // NewTelemetry creates an empty telemetry registry. It also installs
@@ -88,7 +84,7 @@ func ReadEventLog(r io.Reader) (EventLogHeader, []TraceEvent, error) {
 
 // MetricsReport is the typed metrics summary of one verification run.
 // All fields are available even when telemetry was disabled; Telemetry
-// carries the full counter/span snapshot when it was enabled.
+// carries the full registry snapshot when it was enabled.
 type MetricsReport struct {
 	// SRCSeconds/SPFSeconds are the stage wall times of Figure 13.
 	SRCSeconds float64 `json:"src_seconds"`
@@ -150,7 +146,7 @@ type BDDMetrics struct {
 
 // Metrics returns the metrics of the verifier's symbolic execution. The
 // report is complete without telemetry; with Options.Telemetry set it
-// additionally embeds the counter and span snapshot. For resilient runs
+// additionally embeds the registry snapshot. For resilient runs
 // the report aggregates over all prefix-group pipelines (each group has
 // its own engine and BDD manager), so node and work counters are sums.
 func (v *Verifier) Metrics() MetricsReport {
@@ -207,12 +203,10 @@ func (v *Verifier) Metrics() MetricsReport {
 		}
 		// Multi-pipeline runs sample each manager into its own (already
 		// merged) worker shard, where gauges combine by Max; the report
-		// sums. Publish the summed node figures on the verifier's own
-		// registry so the snapshot matches the stats regardless of how
-		// many managers contributed.
-		v.tel.Gauge("bdd.live_nodes").Set(float64(r.BDD.LiveNodes))
+		// sums. Publish the summed peak on the verifier's own registry
+		// so the snapshot matches the stats regardless of how many
+		// managers contributed.
 		v.tel.Gauge("bdd.peak_nodes").Set(float64(r.BDD.PeakNodes))
-		v.tel.Gauge("bdd.free_nodes").Set(float64(r.BDD.FreeNodes))
 		rep := v.tel.Snapshot()
 		r.Telemetry = &rep
 	}

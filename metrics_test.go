@@ -45,9 +45,6 @@ func TestMetricsReport(t *testing.T) {
 	if got := m.Telemetry.Gauges["bdd.peak_nodes"]; got != float64(m.BDD.PeakNodes) {
 		t.Errorf("bdd.peak_nodes gauge = %v, stats %d", got, m.BDD.PeakNodes)
 	}
-	if len(m.Telemetry.Spans) == 0 || m.Telemetry.Spans[0].Name != "pipeline" {
-		t.Errorf("expected a pipeline root span, got %+v", m.Telemetry.Spans)
-	}
 
 	var buf bytes.Buffer
 	if err := v.WriteMetrics(&buf); err != nil {
@@ -111,9 +108,6 @@ func TestMetricsMonotoneAcrossRuns(t *testing.T) {
 	if second.Gauges["bdd.peak_nodes"] < first.Gauges["bdd.peak_nodes"] {
 		t.Errorf("peak gauge decreased: %v -> %v",
 			first.Gauges["bdd.peak_nodes"], second.Gauges["bdd.peak_nodes"])
-	}
-	if len(second.Spans) <= len(first.Spans) {
-		t.Error("second run must append its own pipeline span")
 	}
 }
 

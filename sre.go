@@ -160,8 +160,8 @@ type Options struct {
 	// isolation or waypoint-only query that finds no violation reports
 	// the effective budget rather than InfiniteTolerance.
 	Resilient bool
-	// Telemetry, when non-nil, collects counters, gauges, histograms,
-	// and tracing spans across the run (see NewTelemetry and
+	// Telemetry, when non-nil, collects counters, gauges, and
+	// histograms across the run (see NewTelemetry and
 	// Verifier.Metrics). Nil disables collection at near-zero cost
 	// unless Progress or Trace request an internal instance.
 	Telemetry *Telemetry
@@ -170,9 +170,8 @@ type Options struct {
 	// default rate-limited stderr ticker. Setting Progress without a
 	// Telemetry creates one internally.
 	Progress ProgressSink
-	// Trace enables tracing spans without an explicit Telemetry: an
-	// internal instance is created and its span tree is reported by
-	// Verifier.Metrics.
+	// Trace collects into an internal registry when no Telemetry is
+	// given; Verifier.Metrics reports its snapshot.
 	Trace bool
 	// Recorder, when non-nil, is a flight recorder capturing structured
 	// events at every pipeline stage boundary (SRC/SPF stages, scheduler
@@ -339,20 +338,55 @@ func (v *Verifier) Stages() (srcTime, spfTime float64) {
 // MaxFailures".
 const InfiniteTolerance = analysis.InfiniteTolerance
 
-// resolve translates router name and prefix string.
-func (v *Verifier) resolve(srcRouter, prefix string) (topology.RouterID, route.Prefix, error) {
+// query is one pair query resolved against the verifier: the source
+// router, the waypoint (waypoint queries only), the prefix, the
+// pipeline verifying it and the header space the prefix owns there.
+type query struct {
+	src, via topology.RouterID
+	pfx      route.Prefix
+	pipe     *analysis.Pipeline
+	hdr      bdd.Node
+}
+
+// resolve translates the router, prefix and (for waypoint queries) the
+// one waypoint name of a pair query and finds the pipeline answering
+// it. The checks run in one order — source router, prefix syntax,
+// prefix origin, waypoint, pipeline — so a bad input reports the same
+// error from every query.
+func (v *Verifier) resolve(srcRouter, prefix string, via ...string) (query, error) {
 	s, ok := v.net.Topology.RouterByName(srcRouter)
 	if !ok {
-		return 0, route.Prefix{}, fmt.Errorf("sre: unknown router %q", srcRouter)
+		return query{}, fmt.Errorf("sre: unknown router %q", srcRouter)
 	}
 	pfx, err := route.ParsePrefix(prefix)
 	if err != nil {
-		return 0, route.Prefix{}, err
+		return query{}, err
 	}
 	if len(v.net.OriginsOf(pfx)) == 0 {
-		return 0, route.Prefix{}, fmt.Errorf("sre: prefix %s is not originated anywhere", pfx)
+		return query{}, fmt.Errorf("sre: prefix %s is not originated anywhere", pfx)
 	}
-	return s, pfx, nil
+	q := query{src: s, pfx: pfx}
+	for _, w := range via {
+		if q.via, ok = v.net.Topology.RouterByName(w); !ok {
+			return query{}, fmt.Errorf("sre: unknown waypoint %q", w)
+		}
+	}
+	if q.pipe, err = v.pipeFor(pfx); err != nil {
+		return query{}, err
+	}
+	q.hdr = q.pipe.OwnedHeaders(pfx)
+	return q, nil
+}
+
+// reach is the query's reachability property BDD.
+func (q query) reach() bdd.Node {
+	return q.pipe.ReachBDD(q.src, q.pipe.OriginSet(q.pfx), q.hdr)
+}
+
+// waypoint is the query's "reaches the prefix through the waypoint"
+// property BDD.
+func (q query) waypoint() bdd.Node {
+	return q.pipe.WaypointBDD(q.src, q.pipe.OriginSet(q.pfx), q.via, q.hdr)
 }
 
 // FailureTolerance returns the reachability failure tolerance from
@@ -362,36 +396,22 @@ func (v *Verifier) resolve(srcRouter, prefix string) (topology.RouterID, route.P
 // InfiniteTolerance means no explored combination breaks it.
 func (v *Verifier) FailureTolerance(srcRouter, prefix string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	s, pfx, err := v.resolve(srcRouter, prefix)
+	q, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	pipe, err := v.pipeFor(pfx)
-	if err != nil {
-		return 0, err
-	}
-	hdr := pipe.OwnedHeaders(pfx)
-	return pipe.MinTolerance(pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr), hdr), nil
+	return q.pipe.MinTolerance(q.reach(), q.hdr), nil
 }
 
 // WaypointTolerance is FailureTolerance for the property "reaches the
 // prefix AND traverses waypoint".
 func (v *Verifier) WaypointTolerance(srcRouter, prefix, waypoint string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	s, pfx, err := v.resolve(srcRouter, prefix)
+	q, err := v.resolve(srcRouter, prefix, waypoint)
 	if err != nil {
 		return 0, err
 	}
-	w, ok := v.net.Topology.RouterByName(waypoint)
-	if !ok {
-		return 0, fmt.Errorf("sre: unknown waypoint %q", waypoint)
-	}
-	pipe, err := v.pipeFor(pfx)
-	if err != nil {
-		return 0, err
-	}
-	hdr := pipe.OwnedHeaders(pfx)
-	return pipe.MinTolerance(pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, hdr), hdr), nil
+	return q.pipe.MinTolerance(q.waypoint(), q.hdr), nil
 }
 
 // WaypointOnlyTolerance returns the failure tolerance of the property
@@ -403,24 +423,13 @@ func (v *Verifier) WaypointTolerance(srcRouter, prefix, waypoint string) (k int,
 // drops the bypass tolerance from infinite to 0.
 func (v *Verifier) WaypointOnlyTolerance(srcRouter, prefix, waypoint string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	s, pfx, err := v.resolve(srcRouter, prefix)
+	q, err := v.resolve(srcRouter, prefix, waypoint)
 	if err != nil {
 		return 0, err
 	}
-	w, ok := v.net.Topology.RouterByName(waypoint)
-	if !ok {
-		return 0, fmt.Errorf("sre: unknown waypoint %q", waypoint)
-	}
-	pipe, err := v.pipeFor(pfx)
-	if err != nil {
-		return 0, err
-	}
-	hdr := pipe.OwnedHeaders(pfx)
-	reach := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
-	via := pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, hdr)
-	bypass := pipe.Sp.M.Diff(reach, via)
+	bypass := q.pipe.Sp.M.Diff(q.reach(), q.waypoint())
 	// Bypass must never become possible: same reduction as isolation.
-	return v.exploredBound(pfx, pipe.IsolationTolerance(bypass, hdr)), nil
+	return v.exploredBound(q.pfx, q.pipe.IsolationTolerance(bypass)), nil
 }
 
 // IsolationTolerance returns the failure tolerance of the property
@@ -429,17 +438,11 @@ func (v *Verifier) WaypointOnlyTolerance(srcRouter, prefix, waypoint string) (k 
 // traffic to the destination.
 func (v *Verifier) IsolationTolerance(srcRouter, prefix string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	s, pfx, err := v.resolve(srcRouter, prefix)
+	q, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	pipe, err := v.pipeFor(pfx)
-	if err != nil {
-		return 0, err
-	}
-	hdr := pipe.OwnedHeaders(pfx)
-	prop := pipe.ReachBDD(s, pipe.OriginSet(pfx), hdr)
-	return v.exploredBound(pfx, pipe.IsolationTolerance(prop, hdr)), nil
+	return v.exploredBound(q.pfx, q.pipe.IsolationTolerance(q.reach())), nil
 }
 
 // LoadBalancedPaths returns the number of forwarding paths that carry
@@ -447,15 +450,11 @@ func (v *Verifier) IsolationTolerance(srcRouter, prefix string) (k int, err erro
 // up (the paper's Loadbalance property holds for n ≤ this count).
 func (v *Verifier) LoadBalancedPaths(srcRouter, prefix string) (n int, err error) {
 	defer guard("analysis", v.tel, &err)
-	s, pfx, err := v.resolve(srcRouter, prefix)
+	q, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	pipe, err := v.pipeFor(pfx)
-	if err != nil {
-		return 0, err
-	}
-	return pipe.LoadBalancePaths(s, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx)), nil
+	return q.pipe.LoadBalancePaths(q.src, q.pipe.OriginSet(q.pfx), q.hdr), nil
 }
 
 // FailureModel is a probabilistic failure model for Probability queries.
@@ -485,33 +484,21 @@ func NodeAndLinkFailures(pLinkDown, pNodeDown float64) FailureModel {
 // MaxFailures failures) (§7.1).
 func (v *Verifier) Probability(srcRouter, prefix string, model FailureModel) (p float64, err error) {
 	defer guard("analysis", v.tel, &err)
-	s, pfx, err := v.resolve(srcRouter, prefix)
+	q, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	pipe, err := v.pipeFor(pfx)
-	if err != nil {
-		return 0, err
-	}
-	return model.minProb(pipe, pipe.ReachBDD(s, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx)))
+	return model.minProb(q.pipe, q.reach())
 }
 
 // WaypointProbability is Probability for the waypoint property.
 func (v *Verifier) WaypointProbability(srcRouter, prefix, waypoint string, model FailureModel) (p float64, err error) {
 	defer guard("analysis", v.tel, &err)
-	s, pfx, err := v.resolve(srcRouter, prefix)
+	q, err := v.resolve(srcRouter, prefix, waypoint)
 	if err != nil {
 		return 0, err
 	}
-	w, ok := v.net.Topology.RouterByName(waypoint)
-	if !ok {
-		return 0, fmt.Errorf("sre: unknown waypoint %q", waypoint)
-	}
-	pipe, err := v.pipeFor(pfx)
-	if err != nil {
-		return 0, err
-	}
-	return model.minProb(pipe, pipe.WaypointBDD(s, pipe.OriginSet(pfx), w, pipe.OwnedHeaders(pfx)))
+	return model.minProb(q.pipe, q.waypoint())
 }
 
 // ErrNoPFECs is returned by probability queries whose property BDD is

@@ -113,14 +113,42 @@ func TestPublicWaypoint(t *testing.T) {
 func TestPublicErrors(t *testing.T) {
 	v := verifier(t, sre.Options{MaxFailures: 1})
 	defer v.Release()
-	if _, err := v.FailureTolerance("Z", "128.0.0.0/1"); err == nil || !strings.Contains(err.Error(), "unknown router") {
-		t.Errorf("want unknown-router error, got %v", err)
+	model := sre.LinkFailures(0.01)
+	queries := []struct {
+		name     string
+		waypoint bool
+		ask      func(src, prefix, via string) error
+	}{
+		{"FailureTolerance", false, func(s, p, _ string) error { _, err := v.FailureTolerance(s, p); return err }},
+		{"WaypointTolerance", true, func(s, p, w string) error { _, err := v.WaypointTolerance(s, p, w); return err }},
+		{"WaypointOnlyTolerance", true, func(s, p, w string) error { _, err := v.WaypointOnlyTolerance(s, p, w); return err }},
+		{"IsolationTolerance", false, func(s, p, _ string) error { _, err := v.IsolationTolerance(s, p); return err }},
+		{"LoadBalancedPaths", false, func(s, p, _ string) error { _, err := v.LoadBalancedPaths(s, p); return err }},
+		{"Probability", false, func(s, p, _ string) error { _, err := v.Probability(s, p, model); return err }},
+		{"WaypointProbability", true, func(s, p, w string) error { _, err := v.WaypointProbability(s, p, w, model); return err }},
 	}
-	if _, err := v.FailureTolerance("A", "not-a-prefix"); err == nil {
-		t.Error("want parse error")
+	inputs := []struct {
+		name, src, prefix, via string
+		waypointOnly           bool
+		want                   string // substring of the error
+	}{
+		{"unknown router", "Z", "128.0.0.0/1", "B", false, "unknown router"},
+		{"malformed prefix", "A", "not-a-prefix", "B", false, "not-a-prefix"},
+		{"unoriginated prefix", "A", "9.9.9.0/24", "B", false, "not originated"},
+		{"unknown waypoint", "A", "128.0.0.0/1", "Z", true, "unknown waypoint"},
 	}
-	if _, err := v.FailureTolerance("A", "9.9.9.0/24"); err == nil || !strings.Contains(err.Error(), "not originated") {
-		t.Errorf("want not-originated error, got %v", err)
+	for _, q := range queries {
+		if err := q.ask("A", "128.0.0.0/1", "B"); err != nil {
+			t.Errorf("%s on a good input: %v", q.name, err)
+		}
+		for _, in := range inputs {
+			if in.waypointOnly && !q.waypoint {
+				continue
+			}
+			if err := q.ask(in.src, in.prefix, in.via); err == nil || !strings.Contains(err.Error(), in.want) {
+				t.Errorf("%s, %s: got %v, want an error containing %q", q.name, in.name, err, in.want)
+			}
+		}
 	}
 }
 

@@ -88,36 +88,53 @@ func TestTraceExportMatchesMetrics(t *testing.T) {
 // exercised.
 func TestEventLogExport(t *testing.T) {
 	net := workload.FatTree(4, workload.BGP)
-	rec := sre.NewFlightRecorder(0)
-	v, err := sre.NewVerifier(net, sre.Options{
-		MaxFailures: 1, Parallelism: 2, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-
-	var buf bytes.Buffer
-	env := sre.Environment()
-	if err := rec.WriteEventLog(&buf, env); err != nil {
-		t.Fatal(err)
-	}
-	hdr, events, err := sre.ReadEventLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Env != env {
-		t.Errorf("event log env = %+v, want %+v", hdr.Env, env)
-	}
-	if hdr.Events != len(events) || len(events) == 0 {
-		t.Fatalf("header says %d events, log holds %d", hdr.Events, len(events))
-	}
-	stages := map[string]bool{}
-	for _, e := range events {
-		stages[e.Stage] = true
-	}
-	for _, want := range []string{"src", "src.run", "spf", "task", "prefix"} {
-		if !stages[want] {
-			t.Errorf("event log is missing stage %q (got %v)", want, stages)
-		}
+	for _, c := range []struct {
+		name   string
+		run    func(rec *sre.FlightRecorder) error
+		stages []string
+	}{
+		{"verify", func(rec *sre.FlightRecorder) error {
+			v, err := sre.NewVerifier(net, sre.Options{
+				MaxFailures: 1, Parallelism: 2, Recorder: rec})
+			if err == nil {
+				v.Release()
+			}
+			return err
+		}, []string{"src", "src.run", "spf", "task", "prefix"}},
+		{"mine", func(rec *sre.FlightRecorder) error {
+			_, err := sre.MineSpecs(net, 2, sre.Options{Recorder: rec})
+			return err
+		}, []string{"stratum", "src", "spf"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := sre.NewFlightRecorder(0)
+			if err := c.run(rec); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			env := sre.Environment()
+			if err := rec.WriteEventLog(&buf, env); err != nil {
+				t.Fatal(err)
+			}
+			hdr, events, err := sre.ReadEventLog(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hdr.Env != env {
+				t.Errorf("event log env = %+v, want %+v", hdr.Env, env)
+			}
+			if hdr.Events != len(events) || len(events) == 0 {
+				t.Fatalf("header says %d events, log holds %d", hdr.Events, len(events))
+			}
+			stages := map[string]bool{}
+			for _, e := range events {
+				stages[e.Stage] = true
+			}
+			for _, want := range c.stages {
+				if !stages[want] {
+					t.Errorf("event log is missing stage %q (got %v)", want, stages)
+				}
+			}
+		})
 	}
 }
