@@ -1,7 +1,7 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
 // in the style of Bryant's classic algorithm, with a hash-consed unique
-// table, a direct-mapped operation cache, reference-counted garbage
-// collection, and the graph algorithms that Symbolic Router Execution
+// table, an operation cache sized to the node table, reference-counted
+// garbage collection, and the graph algorithms that Symbolic Router Execution
 // performs directly on BDDs: shortest dashed-edge paths (failure
 // tolerance), weighted path sums (failure probabilities), cardinality
 // constraints ("at most k links down"), and packet/topology decomposition.
@@ -50,8 +50,10 @@ type Config struct {
 	// NodeLimit caps the number of allocated nodes (live + garbage).
 	// Zero means DefaultNodeLimit.
 	NodeLimit int
-	// CacheSize is the number of entries of the operation cache
-	// (rounded up to a power of two). Zero means DefaultCacheSize.
+	// CacheSize is the number of sets (two entries each) the operation
+	// cache starts with, rounded up to a power of two. Zero means 2¹²
+	// sets. The cache grows with the node table at safe points, up to
+	// DefaultCacheSize sets (see growCaches).
 	CacheSize int
 	// InitialNodes sizes the initial node table. Zero means a small
 	// default; the table grows on demand up to NodeLimit.
@@ -77,7 +79,7 @@ type Config struct {
 // Default sizing constants.
 const (
 	DefaultNodeLimit = 64 << 20 // 64M nodes ≈ 1.3 GB of tables
-	DefaultCacheSize = 1 << 18
+	DefaultCacheSize = 1 << 18  // operation-cache sets a manager grows to at most
 	defaultInitial   = 1 << 12
 )
 
@@ -106,7 +108,8 @@ type Manager struct {
 	// Shared operation cache: 2-way set-associative, 2*(setMask+1)
 	// entries. Set s occupies entries 2s (MRU way) and 2s+1 (LRU way).
 	// Entries survive GC; the sweep invalidates only entries whose
-	// operands or result died (see sweepCaches).
+	// operands or result died (see sweepCaches). Both caches grow with
+	// the node table at safe points (see growCaches).
 	cache   []cacheEntry
 	setMask uint32
 	// Dedicated relational-product cache for AndExists (direct-mapped;
@@ -141,6 +144,7 @@ type Manager struct {
 	telAxMiss    *obs.Counter
 	telRetained  *obs.Counter
 	telInvalid   *obs.Counter
+	telGrows     *obs.Counter
 	telPeak      *obs.Gauge
 	// Last sampled cumulative values, so counter deltas stay monotone.
 	sampledHits, sampledMiss     uint64
@@ -192,6 +196,9 @@ type Stats struct {
 	// recent collection, so hit rates before and after GC are separable.
 	HitsAtLastGC uint64
 	MissAtLastGC uint64
+	// CacheGrows counts the ×4 growth steps of the operation caches
+	// (see Config.CacheSize).
+	CacheGrows int
 	// Reorders is always 0: the variable order is fixed. The field stays
 	// only because bench/layers.go:612 reads it.
 	Reorders int
@@ -226,7 +233,7 @@ func New(cfg Config) *Manager {
 		cfg.NodeLimit = DefaultNodeLimit
 	}
 	if cfg.CacheSize == 0 {
-		cfg.CacheSize = DefaultCacheSize
+		cfg.CacheSize = cacheStart
 	}
 	if cfg.InitialNodes == 0 {
 		cfg.InitialNodes = defaultInitial
@@ -238,24 +245,15 @@ func New(cfg Config) *Manager {
 	for cs < cfg.CacheSize {
 		cs <<= 1
 	}
-	// The AndExists cache is a quarter of the shared cache (min 1K
-	// sets): quantification call sites are fewer but each entry is hot.
-	axs := cs / 4
-	if axs < 1<<10 {
-		axs = 1 << 10
-	}
 	m := &Manager{
 		vars:      cfg.Vars,
 		limit:     cfg.NodeLimit,
 		autoGC:    !cfg.DisableGC,
 		gcAt:      gcFloor,
-		cache:     make([]cacheEntry, 2*cs), // cs sets × 2 ways
-		axCache:   make([]axEntry, axs),
 		freeList:  -1,
 		interrupt: cfg.Interrupt,
 	}
-	m.setMask = uint32(cs - 1)
-	m.axMask = uint32(axs - 1)
+	m.allocCaches(cs)
 	if cfg.Telemetry != nil {
 		m.tel = cfg.Telemetry
 		m.telGCRuns = m.tel.Counter("bdd.gc_runs")
@@ -267,6 +265,7 @@ func New(cfg Config) *Manager {
 		m.telAxMiss = m.tel.Counter("bdd.axcache_misses")
 		m.telRetained = m.tel.Counter("bdd.opcache_retained")
 		m.telInvalid = m.tel.Counter("bdd.opcache_invalidated")
+		m.telGrows = m.tel.Counter("bdd.opcache_grows")
 		m.telPeak = m.tel.Gauge("bdd.peak_nodes")
 	}
 	n := cfg.InitialNodes
@@ -286,7 +285,6 @@ func New(cfg Config) *Manager {
 		m.hash[i] = -1
 	}
 	m.next[0], m.next[1] = -1, -1
-	// Invalidate cache entries (op 0 is unused).
 	return m
 }
 

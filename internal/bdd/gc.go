@@ -41,8 +41,12 @@ func (m *Manager) GC() int { return m.collect(false) }
 // MaybeGC collects at a safe point. With threshold zero it applies the
 // collection policy above; a positive threshold instead collects
 // unconditionally once the allocated node count reaches it. It returns
-// the number of freed nodes, zero if no sweep ran.
+// the number of freed nodes, zero if no sweep ran. Afterwards — with or
+// without automatic collection, and after the sweep, so only surviving
+// entries are re-inserted — the operation caches grow to the node
+// table (see growCaches).
 func (m *Manager) MaybeGC(threshold int) int {
+	defer m.growCaches()
 	if !m.autoGC {
 		return 0
 	}

@@ -11,11 +11,18 @@ import "fmt"
 //     no other slot has ref == -1; nodes counts the rest;
 //   - every hash chain holds only allocated nodes of its own bucket, and
 //     every allocated node is on one;
-//   - no op-cache or AndExists-cache entry names a free slot.
+//   - no op-cache or AndExists-cache entry names a free slot;
+//   - both caches have a power-of-two size that setMask and axMask
+//     match, and every entry sits in the set (or slot) its key hashes
+//     to;
+//   - after a safe point (afterSafePoint), the table extent is within
+//     the growth rule or the cache has reached its cap.
 //
-// A sweep frees whatever it leaves unmarked, so the last point is what
-// keeps a cache hit from returning a recycled handle.
-func (m *Manager) checkInvariants() error {
+// A sweep frees whatever it leaves unmarked, so the fourth point is
+// what keeps a cache hit from returning a recycled handle; the fifth
+// is what makes a wrong re-insert on growth fail loudly instead of
+// silently losing hits.
+func (m *Manager) checkInvariants(afterSafePoint bool) error {
 	free := func(n Node) bool { return n > True && m.ref[n] < 0 }
 	type triple struct{ lvl, lo, hi int32 }
 	canon := make(map[triple]int32)
@@ -78,9 +85,23 @@ func (m *Manager) checkInvariants() error {
 		return fmt.Errorf("%d nodes chained, %d allocated", chained, len(canon))
 	}
 
+	sets := len(m.cache) / 2
+	switch {
+	case sets == 0 || sets&(sets-1) != 0 || len(m.cache) != 2*sets:
+		return fmt.Errorf("op cache has %d entries, not two ways of a power-of-two set count", len(m.cache))
+	case m.setMask != uint32(sets-1):
+		return fmt.Errorf("setMask %#x for %d sets", m.setMask, sets)
+	case len(m.axCache) != max(sets/4, 1) || m.axMask != uint32(len(m.axCache)-1):
+		return fmt.Errorf("AndExists cache has %d entries, axMask %#x, for %d sets", len(m.axCache), m.axMask, sets)
+	case afterSafePoint && sets < cacheCap && len(m.lvl) > sets*cacheNodesPerSet:
+		return fmt.Errorf("after a safe point: %d sets for a table extent of %d", sets, len(m.lvl))
+	}
 	for s, e := range m.cache {
 		if e.op == 0 {
 			continue
+		}
+		if got := m.cacheSlot(e.op, e.f, e.g, e.h); int(got) != s/2 {
+			return fmt.Errorf("op-cache entry %d (op %d) hashes to set %d, sits in set %d", s, e.op, got, s/2)
 		}
 		names := []Node{e.f, e.res, e.g, e.h}
 		if e.op == opRestrictF || e.op == opRestrictT {
@@ -95,6 +116,9 @@ func (m *Manager) checkInvariants() error {
 	for s, e := range m.axCache {
 		if e.f == False {
 			continue
+		}
+		if got := m.axSlot(e.f, e.g, e.cube); int(got) != s {
+			return fmt.Errorf("AndExists-cache entry %d hashes to slot %d", s, got)
 		}
 		for _, n := range []Node{e.f, e.g, e.cube, e.res} {
 			if free(n) {

@@ -178,7 +178,9 @@ func reachable(m *Manager, f Node) int {
 // the mark-only path, the sweep path and (every third iteration, under
 // a node limit the table has reached) the limit path all run, and each
 // is asserted to have run. The kernel's invariants are checked after
-// every collection.
+// every collection. The manager starts with a 4-set operation cache, so
+// the third input also crosses several ×4 growth steps between the
+// operations it checks.
 func TestKernelMatchesTruthTable(t *testing.T) {
 	t.Run("static", func(t *testing.T) { kernelVsTruthTable(t, "static") })
 	t.Run("gc", func(t *testing.T) { kernelVsTruthTable(t, "gc") })
@@ -187,7 +189,7 @@ func TestKernelMatchesTruthTable(t *testing.T) {
 
 func kernelVsTruthTable(t *testing.T, mode string) {
 	const n = 12
-	m := New(Config{Vars: n})
+	m := New(Config{Vars: n, CacheSize: 4})
 	r := rand.New(rand.NewSource(47))
 	pv := make([]float64, n)
 	for i := range pv {
@@ -230,7 +232,7 @@ func kernelVsTruthTable(t *testing.T, mode string) {
 				maybeGC(t, m, i%4 == 1, &markOnly, &swept, &limitSwept)
 			}
 		}
-		if err := m.checkInvariants(); err != nil {
+		if err := m.checkInvariants(mode == "maybegc"); err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
 		same("formula", f, ft)
@@ -309,6 +311,9 @@ func kernelVsTruthTable(t *testing.T, mode string) {
 	if mode == "maybegc" && (markOnly == 0 || swept == 0 || limitSwept == 0) {
 		t.Fatalf("paths run: %d mark-only, %d swept, %d swept only for the limit; want each > 0",
 			markOnly, swept, limitSwept)
+	}
+	if grows := m.Statistics().CacheGrows; mode == "maybegc" && grows < 2 {
+		t.Fatalf("the cache grew %d ×4 steps, want several", grows)
 	}
 }
 

@@ -114,6 +114,63 @@ func (m *Manager) sweepCaches(mark []bool) {
 	m.stats.CacheInvalidated += invalidated
 }
 
+// Operation-cache sizing. A manager starts with cacheStart sets (or
+// Config.CacheSize) and, at each safe point — MaybeGC and the end of
+// Read — grows both caches by cacheStep while the node table's extent
+// exceeds cacheNodesPerSet nodes per set, up to cacheCap sets. Growth
+// never happens inside an operation, so a manager decoded for queries
+// stops growing when Read returns. The steps are ×4, not ×2: every
+// smaller table is left behind as garbage, and a ×2 ramp allocates
+// about one extra final cache.
+const (
+	cacheStart       = 1 << 12          // sets a manager starts with
+	cacheNodesPerSet = 1                // grow while the extent exceeds this many nodes per set
+	cacheStep        = 4                // growth factor of one step
+	cacheCap         = DefaultCacheSize // sets a manager grows to at most
+)
+
+// allocCaches replaces both caches by empty ones of sets sets; the
+// AndExists cache gets a quarter as many entries (at least one):
+// quantification call sites are fewer but each entry is hot.
+func (m *Manager) allocCaches(sets int) {
+	axs := max(sets/4, 1)
+	m.cache = make([]cacheEntry, 2*sets) // sets × 2 ways
+	m.setMask = uint32(sets - 1)
+	m.axCache = make([]axEntry, axs)
+	m.axMask = uint32(axs - 1)
+}
+
+// growCaches applies the sizing rule above at a safe point. Entries are
+// re-inserted, not dropped: an entry's old set index is the low bits of
+// its new one, so entries of different old sets never collide, and each
+// set's LRU entry goes in before its MRU entry, which stays MRU.
+func (m *Manager) growCaches() {
+	sets, steps := len(m.cache)/2, 0
+	for sets < cacheCap && len(m.lvl) > sets*cacheNodesPerSet {
+		sets = min(sets*cacheStep, cacheCap)
+		steps++
+	}
+	if steps == 0 {
+		return
+	}
+	old, oldAx := m.cache, m.axCache
+	m.allocCaches(sets)
+	for s := 0; s < len(old); s += 2 {
+		for _, e := range [2]cacheEntry{old[s+1], old[s]} {
+			if e.op != 0 {
+				m.cacheStore(e.op, e.f, e.g, e.h, e.res)
+			}
+		}
+	}
+	for _, e := range oldAx {
+		if e.f != False {
+			m.axStore(e.f, e.g, e.cube, e.res)
+		}
+	}
+	m.stats.CacheGrows += steps
+	m.telGrows.Add(int64(steps))
+}
+
 // And returns f ∧ g.
 func (m *Manager) And(f, g Node) Node { return m.apply(opAnd, f, g) }
 

@@ -79,7 +79,8 @@ func (m *Manager) Write(w io.Writer, roots ...Node) error {
 // at least as many variables as the writer had. Every structural
 // invariant — child back-references, variable range, reducedness, child
 // levels strictly below their parent — is validated, so corrupt streams
-// fail instead of decoding garbage.
+// fail instead of decoding garbage. Read ends at a safe point: the
+// operation caches grow to the decoded table (see growCaches).
 func (m *Manager) Read(r io.Reader) ([]Node, error) {
 	br := bufio.NewReader(r)
 	var got [4]byte
@@ -135,5 +136,8 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 		}
 		roots = append(roots, nodes[idx])
 	}
+	// The end of a decode is a safe point: size the caches to the
+	// decoded table now, so queries on it never grow them.
+	m.growCaches()
 	return roots, nil
 }

@@ -133,6 +133,10 @@ type BDDMetrics struct {
 	// and dropped across GC sweeps.
 	CacheRetained    uint64 `json:"cache_retained"`
 	CacheInvalidated uint64 `json:"cache_invalidated"`
+	// CacheGrows counts the ×4 growth steps of the operation caches:
+	// each manager starts at 2¹² sets and grows with its node table at
+	// safe points, up to 2¹⁸.
+	CacheGrows int `json:"cache_grows"`
 	// PreGCCacheHitRatio is the hit ratio accumulated up to the most
 	// recent collection; PostGCCacheHitRatio the ratio since. Comparable
 	// figures mean cache warmth survives collections.
@@ -181,6 +185,7 @@ func (v *Verifier) Metrics() MetricsReport {
 		r.BDD.AxCacheMisses += bst.AxCacheMiss
 		r.BDD.CacheRetained += bst.CacheRetained
 		r.BDD.CacheInvalidated += bst.CacheInvalidated
+		r.BDD.CacheGrows += bst.CacheGrows
 		hitsAtGC += bst.HitsAtLastGC
 		missAtGC += bst.MissAtLastGC
 	}

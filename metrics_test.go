@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -220,4 +221,68 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		run(b, sre.Options{MaxFailures: 1, Telemetry: sre.NewTelemetry()})
 	})
+}
+
+// TestQueriesDoNotGrowCache pins where the BDD operation caches grow:
+// at the safe points of verification and at the end of a decode, never
+// inside a query. After NewVerifier on FatTree(4) k=2 — in one space,
+// per prefix, and decoded from a warm store — a full FailureTolerances
+// sweep must leave every manager's set count as it was; a manager's
+// set count only grows, so the summed growth steps stand for all of
+// them. The FatTree(4) k=2 sweeps stay inside their managers' sizes
+// whatever the rule; the k=3 per-prefix run and the FatTree(6) k=1 warm
+// store (the benchmark's ft6_store_warm) are the inputs whose queries
+// take tables past a growth step, so a cache grown inside an operation
+// fails there. It would put the reallocation, and the Go collection it
+// brings, in the query time.
+func TestQueriesDoNotGrowCache(t *testing.T) {
+	root := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		arity  int
+		opts   sre.Options
+		store  string // a store directory shared by the cases naming it
+		warmed bool   // an earlier case filled the store
+	}{
+		{"ft4-k2/combined", 4, sre.Options{MaxFailures: 2, Parallelism: 1}, "", false},
+		{"ft4-k2/per-prefix", 4, sre.Options{MaxFailures: 2, Parallelism: 2}, "", false},
+		{"ft4-k2/store-cold", 4, sre.Options{MaxFailures: 2, Parallelism: 2}, "ft4", false},
+		{"ft4-k2/store-warm", 4, sre.Options{MaxFailures: 2, Parallelism: 2}, "ft4", true},
+		{"ft4-k3/per-prefix", 4, sre.Options{MaxFailures: 3, Parallelism: 2}, "", false},
+		{"ft6-k1/store-cold", 6, sre.Options{MaxFailures: 1, Parallelism: 2}, "ft6", false},
+		{"ft6-k1/store-warm", 6, sre.Options{MaxFailures: 1, Parallelism: 2}, "ft6", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			var st *sre.Store
+			if tc.store != "" {
+				var err error
+				if st, err = sre.OpenStore(filepath.Join(root, tc.store), sre.StoreOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				opts.Store = st
+			}
+			v, err := sre.NewVerifier(workload.FatTree(tc.arity, workload.BGP), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Release()
+			if tc.warmed && (st.Metrics().Hits == 0 || st.Metrics().Misses != 0) {
+				t.Fatalf("the warm run did not decode every prefix from the store: %+v", st.Metrics())
+			}
+			before := v.Metrics().BDD.CacheGrows
+			if before == 0 {
+				t.Fatal("verification never grew an operation cache")
+			}
+			for _, src := range v.RouterNames() {
+				if _, err := v.FailureTolerances(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if after := v.Metrics().BDD.CacheGrows; after != before {
+				t.Errorf("the query sweep grew operation caches: %d growth steps before, %d after", before, after)
+			}
+		})
+	}
 }
