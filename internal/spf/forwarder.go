@@ -88,20 +88,17 @@ type Forwarder struct {
 	Sp  *symbol.Space
 
 	fibs []*FIB
-	// fwd[r][i] is the forwarding predicate of router r's i-th port
-	// (port i = i-th incident link), §5.3.
-	fwd [][]bdd.Node
+	// port[r][i] is the port predicate of router r's i-th port (port
+	// i = i-th incident link l), §5.3: the (packet, failure) tuples r
+	// forwards out of l that pass its outbound ACL, find l up and pass
+	// the peer's inbound ACL — forwarding ∧ aclOut ∧ x_l ∧ peer aclIn,
+	// built once so a hop costs one And.
+	port [][]bdd.Node
 	// local[r] is the local-delivery predicate of router r.
 	local []bdd.Node
-	// dropAgg[r] is the predicate of aggregate discard rules.
-	dropAgg []bdd.Node
 	// aclIn[r][i] / aclOut[r][i] are the ACL predicates of port i.
 	aclIn  [][]bdd.Node
 	aclOut [][]bdd.Node
-
-	// MaxPFECs bounds the number of PFECs produced per source as a
-	// safety valve (0 = unlimited).
-	MaxPFECs int
 
 	// Telemetry handles, inherited from the engine's options (nil-safe
 	// no-ops when telemetry is disabled).
@@ -153,9 +150,8 @@ func (f *Forwarder) build(eng *src.Engine) {
 	m := f.Sp.M
 	n := t.NumRouters()
 	f.fibs = make([]*FIB, n)
-	f.fwd = make([][]bdd.Node, n)
+	f.port = make([][]bdd.Node, n)
 	f.local = make([]bdd.Node, n)
-	f.dropAgg = make([]bdd.Node, n)
 	f.aclIn = make([][]bdd.Node, n)
 	f.aclOut = make([][]bdd.Node, n)
 
@@ -164,19 +160,15 @@ func (f *Forwarder) build(eng *src.Engine) {
 		fib := f.buildFIB(eng, id)
 		f.fibs[ri] = fib
 		links := t.Router(id).Links
-		f.fwd[ri] = make([]bdd.Node, len(links))
-		for i := range f.fwd[ri] {
-			f.fwd[ri][i] = bdd.False
-		}
-		f.local[ri] = bdd.False
-		f.dropAgg[ri] = bdd.False
+		f.port[ri] = make([]bdd.Node, len(links)) // all bdd.False, the zero Node
 
 		// Effective matches with longest-prefix-match masking: rules
 		// are grouped by prefix length (groups of equal length have
 		// disjoint header spaces, and rules of the same prefix are
 		// already condition-disjoint across priority tiers or
 		// intentionally overlapping for ECMP), so masking applies
-		// between length groups only.
+		// between length groups only. Discard rules (BGP aggregates)
+		// match no port, which is how they drop.
 		matched := bdd.False
 		i := 0
 		for i < len(fib.Rules) {
@@ -184,12 +176,11 @@ func (f *Forwarder) build(eng *src.Engine) {
 			for j < len(fib.Rules) && fib.Rules[j].Prefix.Len == fib.Rules[i].Prefix.Len {
 				j++
 			}
-			notMatched := m.Not(matched)
 			groupMatch := bdd.False
 			for k := i; k < j; k++ {
 				rule := fib.Rules[k]
 				match := m.And(f.Sp.Prefix(rule.Prefix), rule.TC)
-				eff := m.And(match, notMatched)
+				eff := m.Diff(match, matched)
 				groupMatch = m.Or(groupMatch, match)
 				if eff == bdd.False {
 					continue
@@ -198,19 +189,17 @@ func (f *Forwarder) build(eng *src.Engine) {
 				case Local:
 					f.local[ri] = m.Or(f.local[ri], eff)
 				case Discard:
-					f.dropAgg[ri] = m.Or(f.dropAgg[ri], eff)
 				default:
 					port := portIndex(t, id, rule.Egress)
-					f.fwd[ri][port] = m.Or(f.fwd[ri][port], eff)
+					f.port[ri][port] = m.Or(f.port[ri][port], eff)
 				}
 			}
 			matched = m.Or(matched, groupMatch)
 			i = j
 		}
 		m.Ref(f.local[ri])
-		m.Ref(f.dropAgg[ri])
-		for i := range f.fwd[ri] {
-			m.Ref(f.fwd[ri][i])
+		for i := range f.port[ri] {
+			m.Ref(f.port[ri][i])
 		}
 
 		// ACL predicates.
@@ -227,6 +216,20 @@ func (f *Forwarder) build(eng *src.Engine) {
 			f.aclOut[ri][i] = m.Ref(f.aclPredicate(out))
 		}
 		m.MaybeGC(0)
+	}
+
+	// Fold the ACLs and the link into each forwarding predicate.
+	for ri, ports := range f.port {
+		id := topology.RouterID(ri)
+		for i, lid := range t.Router(id).Links {
+			fwd := ports[i]
+			peer := t.Link(lid).Other(id)
+			p := m.And(fwd, f.aclOut[ri][i])
+			p = m.And(p, f.Sp.LinkVar(lid))
+			p = m.And(p, f.aclIn[peer][portIndex(t, peer, lid)])
+			ports[i] = m.Ref(p)
+			m.Deref(fwd)
+		}
 	}
 }
 
@@ -309,15 +312,6 @@ func (f *Forwarder) aclPredicate(acl *config.ACL) bdd.Node {
 // FIBOf returns the symbolic FIB of router r.
 func (f *Forwarder) FIBOf(r topology.RouterID) *FIB { return f.fibs[r] }
 
-// LocalPredicate returns the local-delivery predicate of router r.
-func (f *Forwarder) LocalPredicate(r topology.RouterID) bdd.Node { return f.local[r] }
-
-// ForwardPredicate returns the forwarding predicate of router r's port
-// towards link lid.
-func (f *Forwarder) ForwardPredicate(r topology.RouterID, lid topology.LinkID) bdd.Node {
-	return f.fwd[r][portIndex(f.Net.Topology, r, lid)]
-}
-
 // portIndex returns the index of link lid among r's incident links.
 func portIndex(t *topology.Topology, r topology.RouterID, lid topology.LinkID) int {
 	for i, l := range t.Router(r).Links {
@@ -368,9 +362,6 @@ func (f *Forwarder) forward(srcRouter topology.RouterID, initial bdd.Node) []*PF
 	var path []topology.RouterID
 
 	emit := func(pred bdd.Node, delivered, looped bool) {
-		if f.MaxPFECs > 0 && len(out) >= f.MaxPFECs {
-			return
-		}
 		cp := make([]topology.RouterID, len(path))
 		copy(cp, path)
 		out = append(out, &PFEC{Path: cp, Pred: m.Ref(pred), Delivered: delivered, Looped: looped})
@@ -396,22 +387,9 @@ func (f *Forwarder) forward(srcRouter topology.RouterID, initial bdd.Node) []*PF
 			emit(delivered, true, false)
 		}
 		for i, lid := range t.Router(r).Links {
-			outPkt := m.And(pkt, f.fwd[r][i])
-			if outPkt == bdd.False {
-				continue
+			if outPkt := m.And(pkt, f.port[r][i]); outPkt != bdd.False {
+				visit(t.Link(lid).Other(r), outPkt)
 			}
-			outPkt = m.And(outPkt, f.aclOut[r][i])
-			outPkt = m.And(outPkt, f.Sp.LinkVar(lid))
-			if outPkt == bdd.False {
-				continue
-			}
-			nbr := t.Link(lid).Other(r)
-			inPort := portIndex(t, nbr, lid)
-			outPkt = m.And(outPkt, f.aclIn[nbr][inPort])
-			if outPkt == bdd.False {
-				continue
-			}
-			visit(nbr, outPkt)
 		}
 	}
 	visit(srcRouter, initial)
@@ -446,13 +424,12 @@ func ReleasePFECs(sp *symbol.Space, pfecs []*PFEC) {
 // The forwarder must not be used afterwards.
 func (f *Forwarder) Release() {
 	m := f.Sp.M
-	for r := range f.fwd {
-		for i := range f.fwd[r] {
-			m.Deref(f.fwd[r][i])
+	for r := range f.port {
+		for i := range f.port[r] {
+			m.Deref(f.port[r][i])
 			m.Deref(f.aclIn[r][i])
 			m.Deref(f.aclOut[r][i])
 		}
 		m.Deref(f.local[r])
-		m.Deref(f.dropAgg[r])
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sre/internal/route"
 	"sre/internal/src"
 	"sre/internal/topology"
+	"sre/internal/workload"
 )
 
 const figure1 = `
@@ -315,4 +316,36 @@ end
 	if paths != 2 {
 		t.Errorf("want 2 ECMP paths under all-up, got %d", paths)
 	}
+}
+
+// BenchmarkForwarderFatTree6 is SPF alone on ROADMAP's standing
+// workload, FatTree(6) BGP k=1 in one space: NewForwarder and AllPFECs
+// over the RIBs of an SRC run made outside the timer, a fresh one per
+// iteration so every iteration starts from the same operation cache.
+func BenchmarkForwarderFatTree6(b *testing.B) {
+	net := workload.FatTree(6, workload.BGP)
+	b.ReportAllocs()
+	pfecs, lookups := 0, uint64(0)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := src.New(net, src.Options{PruneK: 1})
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+		before := eng.Sp.M.Statistics()
+		b.StartTimer()
+		fw, err := NewForwarder(eng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		all, err := fw.AllPFECs()
+		if err != nil {
+			b.Fatal(err)
+		}
+		after := eng.Sp.M.Statistics()
+		pfecs += len(all)
+		lookups += after.CacheHits + after.CacheMiss - before.CacheHits - before.CacheMiss
+	}
+	b.ReportMetric(float64(pfecs)/float64(b.N), "pfecs/op")
+	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
 }

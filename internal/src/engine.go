@@ -635,11 +635,10 @@ func (e *Engine) recomputeTcRib(r topology.RouterID, p route.Prefix) bool {
 				j++
 			}
 		}
-		notMatched := m.Not(matched)
 		tierIn := bdd.False
 		for k := i; k < j; k++ {
 			sr := list[k]
-			tcRib := m.And(sr.TcIn, notMatched)
+			tcRib := m.Diff(sr.TcIn, matched)
 			if tcRib != sr.TcRib {
 				m.Ref(tcRib)
 				if sr.TcRib != bdd.False {
