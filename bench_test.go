@@ -197,7 +197,9 @@ func BenchmarkSec83_Differential(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pb := runPipeline(b, base, src.Options{PruneK: 3})
 			pa := runPipeline(b, after, src.Options{PruneK: 3})
-			analysis.DiffReachability(pb, pa, &model)
+			if _, err := analysis.DiffReachability(pb, pa, &model); err != nil {
+				b.Fatal(err)
+			}
 			pb.Release()
 			pa.Release()
 		}

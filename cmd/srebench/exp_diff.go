@@ -41,7 +41,12 @@ func diffExp(sc scale) {
 			fmt.Printf("  %s: pipeline failed: %v\n", ch.Name, err)
 			continue
 		}
-		diffs := analysis.DiffReachability(before, afterPipe, &model)
+		diffs, err := analysis.DiffReachability(before, afterPipe, &model)
+		afterPipe.Release()
+		if err != nil {
+			fmt.Printf("  %s: diff failed: %v\n", ch.Name, err)
+			continue
+		}
 		anyHit := len(diffs) > 0
 		tolHit, probHit := false, false
 		for _, d := range diffs {
@@ -52,7 +57,6 @@ func diffExp(sc scale) {
 				probHit = true
 			}
 		}
-		afterPipe.Release()
 
 		mark := func(b bool) string {
 			if b {

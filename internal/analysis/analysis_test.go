@@ -284,7 +284,10 @@ func TestDiffReachabilityFindsFailureOnlyDifference(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := prob.LinkModel{PDown: 0.001}
-	diffs := DiffReachability(before, after, &model)
+	diffs, err := DiffReachability(before, after, &model)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var found *Difference
 	for i := range diffs {
 		d := &diffs[i]
@@ -324,7 +327,11 @@ func TestDiffReachabilityNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := DiffReachability(before, after, nil); len(diffs) != 0 {
+	diffs, err := DiffReachability(before, after, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diffs) != 0 {
 		t.Errorf("identical configs should have no differences, got %d", len(diffs))
 	}
 }

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
+
 	"sre/internal/bdd"
 	"sre/internal/prob"
 	"sre/internal/route"
@@ -48,12 +51,27 @@ func (d *Difference) ChangedUnderNoFailures(p *Pipeline) bool {
 // DiffReachability compares the reachability of every (source, prefix)
 // pair between two pipelines computed from the old and new
 // configurations. Both pipelines must share the same topology (the
-// change is configuration-only) but use separate symbolic spaces; the
-// comparison happens in the space of the "after" pipeline, where the
-// "before" property BDD is rebuilt from its PFECs.
+// change is configuration-only) and the same variable layout, but use
+// separate symbolic spaces; the comparison happens in the space of the
+// "after" pipeline, into which the "before" PFECs are moved through the
+// pipeline codec (EncodePipelines and the decoder behind
+// DecodePipelines). A layout mismatch, or a node-limit overflow or
+// interruption while moving, is an error.
 //
 // model may be nil to skip probability comparison.
-func DiffReachability(before, after *Pipeline, model *prob.LinkModel) []Difference {
+func DiffReachability(before, after *Pipeline, model *prob.LinkModel) ([]Difference, error) {
+	if err := sameLayout(before, after); err != nil {
+		return nil, err
+	}
+	wps, err := EncodePipelines([]*Pipeline{before}, before.Net)
+	if err != nil {
+		return nil, err
+	}
+	b, err := decodePipeline(before.Net, after.Sp, wps[0], after.Tel)
+	if err != nil {
+		return nil, err
+	}
+	defer b.Release()
 	m := after.Sp.M
 	var out []Difference
 	t := after.Net.Topology
@@ -63,7 +81,7 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) []Differen
 		for _, pfx := range prefixes {
 			hdrAfter := after.OwnedHeaders(pfx)
 			propAfter := after.ReachPrefixBDD(src, pfx)
-			propBefore := transplantReach(before, after, src, pfx)
+			propBefore := b.ReachPrefixBDD(src, pfx)
 			diff := m.Xor(propAfter, propBefore)
 			pathsChanged := false
 			var wpt topology.RouterID = -1
@@ -71,7 +89,7 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) []Differen
 			if diff == bdd.False {
 				// Reachability agrees everywhere; check waypoint
 				// properties for path-level changes.
-				wpt, wDiff = waypointDiff(before, after, src, pfx)
+				wpt, wDiff = waypointDiff(b, after, src, pfx)
 				pathsChanged = wDiff != bdd.False
 				if !pathsChanged {
 					continue
@@ -91,72 +109,57 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) []Differen
 						d.WitnessDownLinks = append(d.WitnessDownLinks, l)
 					}
 				}
+				slices.Sort(d.WitnessDownLinks)
 			}
-			hdrBefore := before.OwnedHeaders(pfx)
+			universe := b.OwnedHeaders(pfx)
 			if pathsChanged {
 				// Report the waypoint property's tolerance/probability:
-				// that is where the change shows.
-				wb := transplantWaypoint(before, after, src, pfx, wpt)
-				wa := after.WaypointBDD(src, after.OriginSet(pfx), wpt, hdrAfter)
-				d.ToleranceBefore = after.MinTolerance(wb, hdrAfter)
-				d.ToleranceAfter = after.MinTolerance(wa, hdrAfter)
-				if model != nil {
-					d.ProbBefore = after.MinProbability(wb, *model)
-					d.ProbAfter = after.MinProbability(wa, *model)
-				}
-			} else {
-				d.ToleranceBefore = before.MinTolerance(before.ReachPrefixBDD(src, pfx), hdrBefore)
-				d.ToleranceAfter = after.MinTolerance(propAfter, hdrAfter)
-				if model != nil {
-					d.ProbBefore = before.MinProbability(before.ReachPrefixBDD(src, pfx), *model)
-					d.ProbAfter = after.MinProbability(propAfter, *model)
-				}
+				// that is where the change shows. Both tolerances are
+				// taken over the after header universe.
+				propBefore = b.WaypointBDD(src, b.OriginSet(pfx), wpt, universe)
+				propAfter = after.WaypointBDD(src, after.OriginSet(pfx), wpt, hdrAfter)
+				universe = hdrAfter
+			}
+			d.ToleranceBefore = after.MinTolerance(propBefore, universe)
+			d.ToleranceAfter = after.MinTolerance(propAfter, hdrAfter)
+			if model != nil {
+				d.ProbBefore = after.MinProbability(propBefore, *model)
+				d.ProbAfter = after.MinProbability(propAfter, *model)
 			}
 			out = append(out, d)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// transplantReach rebuilds the "before" reach property BDD inside the
-// "after" pipeline's symbolic space. Both spaces cover the same
-// topology; copyBDD re-encodes each predicate, translating link
-// variables through the spaces' order permutations.
-func transplantReach(before, after *Pipeline, s topology.RouterID, pfx route.Prefix) bdd.Node {
-	// When the two pipelines share one space the before property can be
-	// used directly.
-	if before.Sp == after.Sp {
-		return before.ReachPrefixBDD(s, pfx)
+// sameLayout checks that BDDs of before's space mean the same in
+// after's: the same routers, variable count and link permutation.
+func sameLayout(before, after *Pipeline) error {
+	tb, ta := before.Net.Topology, after.Net.Topology
+	if tb.NumRouters() != ta.NumRouters() || before.Sp.M.NumVars() != after.Sp.M.NumVars() ||
+		before.Sp.Links != after.Sp.Links {
+		return fmt.Errorf("analysis: diff: spaces differ (%d/%d routers, %d/%d variables, %d/%d links)",
+			tb.NumRouters(), ta.NumRouters(), before.Sp.M.NumVars(), after.Sp.M.NumVars(),
+			before.Sp.Links, after.Sp.Links)
 	}
-	ma := after.Sp.M
-	dst := before.OriginSet(pfx)
-	reach := bdd.False
-	for _, pf := range before.PFECs(s) {
-		if !pf.Delivered || !dst[pf.Dst()] {
-			continue
-		}
-		reach = ma.Or(reach, copyBDD(before, after, pf.Pred))
-	}
-	// Header universe: the addresses owned by pfx in the BEFORE
-	// configuration, encoded in the after space.
-	hdr := after.Sp.Prefix(pfx)
-	for _, other := range before.Net.AllPrefixes() {
-		if other != pfx && pfx.Covers(other) {
-			hdr = ma.Diff(hdr, after.Sp.Prefix(other))
+	for l := 0; l < after.Sp.Links; l++ {
+		if before.Sp.LinkVarIndex(topology.LinkID(l)) != after.Sp.LinkVarIndex(topology.LinkID(l)) {
+			return fmt.Errorf("analysis: diff: link %d sits at different levels in the two spaces", l)
 		}
 	}
-	return ma.And(reach, hdr)
+	return nil
 }
 
 // waypointDiff looks for a path-level difference: an interior router of
 // some delivering path whose waypoint property BDD differs between the
-// two pipelines. It returns the first distinguishing waypoint and the
-// XOR of its property BDDs (False, -1 when none differs).
+// two pipelines, which must share one space. It returns the
+// distinguishing waypoint with the lowest router ID and the XOR of its
+// property BDDs (False, -1 when none differs).
 func waypointDiff(before, after *Pipeline, s topology.RouterID, pfx route.Prefix) (topology.RouterID, bdd.Node) {
-	ma := after.Sp.M
+	m := after.Sp.M
 	dstB := before.OriginSet(pfx)
 	dstA := after.OriginSet(pfx)
-	cands := make(map[topology.RouterID]bool)
+	cands := make([]bool, after.Net.Topology.NumRouters())
 	collect := func(p *Pipeline, dst map[topology.RouterID]bool) {
 		for _, pf := range p.PFECs(s) {
 			if !pf.Delivered || !dst[pf.Dst()] || len(pf.Path) < 3 {
@@ -169,67 +172,20 @@ func waypointDiff(before, after *Pipeline, s topology.RouterID, pfx route.Prefix
 	}
 	collect(before, dstB)
 	collect(after, dstA)
+	hdrBefore := before.OwnedHeaders(pfx)
 	hdrAfter := after.OwnedHeaders(pfx)
-	for w := range cands {
-		wb := transplantWaypoint(before, after, s, pfx, w)
+	for i, cand := range cands {
+		if !cand {
+			continue
+		}
+		w := topology.RouterID(i)
+		wb := before.WaypointBDD(s, dstB, w, hdrBefore)
 		wa := after.WaypointBDD(s, dstA, w, hdrAfter)
-		if d := ma.Xor(wb, wa); d != bdd.False {
+		if d := m.Xor(wb, wa); d != bdd.False {
 			return w, d
 		}
 	}
 	return -1, bdd.False
-}
-
-// transplantWaypoint rebuilds the before-pipeline's waypoint property
-// BDD in the after space (see transplantReach).
-func transplantWaypoint(before, after *Pipeline, s topology.RouterID, pfx route.Prefix, w topology.RouterID) bdd.Node {
-	ma := after.Sp.M
-	dst := before.OriginSet(pfx)
-	reach := bdd.False
-	for _, pf := range before.PFECs(s) {
-		if !pf.Delivered || !dst[pf.Dst()] || !pf.Traverses(w) {
-			continue
-		}
-		if before.Sp == after.Sp {
-			reach = ma.Or(reach, pf.Pred)
-			continue
-		}
-		reach = ma.Or(reach, copyBDD(before, after, pf.Pred))
-	}
-	hdr := after.Sp.Prefix(pfx)
-	for _, other := range before.Net.AllPrefixes() {
-		if other != pfx && pfx.Covers(other) {
-			hdr = ma.Diff(hdr, after.Sp.Prefix(other))
-		}
-	}
-	return ma.And(reach, hdr)
-}
-
-// copyBDD structurally copies a BDD from the before-space into the
-// after-space. Variable indices agree between the spaces because both
-// are laid out over the same topology.
-func copyBDD(before, after *Pipeline, n bdd.Node) bdd.Node {
-	mb, ma := before.Sp.M, after.Sp.M
-	memo := make(map[bdd.Node]bdd.Node)
-	var rec func(bdd.Node) bdd.Node
-	rec = func(x bdd.Node) bdd.Node {
-		if x == bdd.False || x == bdd.True {
-			return x
-		}
-		if r, ok := memo[x]; ok {
-			return r
-		}
-		v := mb.VarOf(x)
-		// Translate link variables through the two spaces' order
-		// permutations; header and node/risk variables share indices.
-		if l, isLink := before.Sp.LinkOfVar(v); isLink {
-			v = after.Sp.LinkVarIndex(l)
-		}
-		r := ma.Ite(ma.Var(v), rec(mb.High(x)), rec(mb.Low(x)))
-		memo[x] = r
-		return r
-	}
-	return rec(n)
 }
 
 func unionPrefixes(a, b *Pipeline) []route.Prefix {

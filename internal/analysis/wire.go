@@ -7,10 +7,12 @@ package analysis
 // PFEC path metadata plus one bdd.Write blob per pipeline with every
 // predicate as a root, in (source router, PFEC index) order — and the
 // consumer rebuilds them as query-only decoded pipelines in a fresh
-// symbolic space with the identical variable layout (NewRunSpace).
-// Decoded roots are Ref'd immediately: bdd.Manager.Read hash-conses
-// without referencing, and the references must survive later GC safe
-// points, mirroring how spf.Forward references every PFEC predicate.
+// symbolic space with the identical variable layout (NewRunSpace) —
+// or, for a differential analysis, in the other pipeline's space.
+// Decoded roots are Ref'd before the pipeline is handed out:
+// bdd.Manager.Read hash-conses without referencing, and the references
+// must survive later GC safe points, mirroring how spf.Forward
+// references every PFEC predicate.
 
 import (
 	"bytes"
@@ -25,6 +27,7 @@ import (
 	"sre/internal/route"
 	"sre/internal/spf"
 	"sre/internal/src"
+	"sre/internal/symbol"
 	"sre/internal/topology"
 )
 
@@ -110,65 +113,74 @@ func EncodePipelines(pipes []*Pipeline, net *config.Network) ([]WirePipeline, er
 // surfaces as an error, never a panic: a corrupt result is a retryable
 // worker failure (coord) or a quarantinable record (store).
 func DecodePipelines(net *config.Network, opts src.Options, wps []WirePipeline, tel *obs.Telemetry) (pipes []*Pipeline, err error) {
-	defer func() {
+	for _, wp := range wps {
+		p, err := decodePipeline(net, newRunSpace(net, opts), wp, tel)
 		if err != nil {
 			for _, p := range pipes {
 				p.Release()
 			}
-			pipes = nil
+			return nil, err
 		}
-	}()
-	defer guardDecode(&err)
-	n := net.Topology.NumRouters()
-	for _, wp := range wps {
-		var scope *route.Prefix
-		if wp.Scope != "" {
-			s, perr := route.ParsePrefix(wp.Scope)
-			if perr != nil {
-				return pipes, fmt.Errorf("analysis: decode pipeline scope: %w", perr)
-			}
-			scope = &s
-		}
-		if len(wp.Sources) != n {
-			return pipes, fmt.Errorf("analysis: decode pipeline: %d sources, network has %d routers", len(wp.Sources), n)
-		}
-		sp := newRunSpace(net, opts)
-		roots, rerr := sp.M.Read(bytes.NewReader(wp.BDD))
-		if rerr != nil {
-			return pipes, fmt.Errorf("analysis: decode pipeline BDDs: %w", rerr)
-		}
-		pfecs := make([][]*spf.PFEC, n)
-		next := 0
-		for r := 0; r < n; r++ {
-			list := make([]*spf.PFEC, 0, len(wp.Sources[r].PFECs))
-			for _, wpf := range wp.Sources[r].PFECs {
-				if next >= len(roots) {
-					return pipes, fmt.Errorf("analysis: decode pipeline: %d predicates for more PFECs", len(roots))
-				}
-				if len(wpf.Path) == 0 {
-					return pipes, fmt.Errorf("analysis: decode pipeline: empty PFEC path")
-				}
-				path := make([]topology.RouterID, len(wpf.Path))
-				for i, h := range wpf.Path {
-					if h < 0 || int(h) >= n {
-						return pipes, fmt.Errorf("analysis: decode pipeline: router %d out of range", h)
-					}
-					path[i] = topology.RouterID(h)
-				}
-				list = append(list, &spf.PFEC{
-					Path: path, Pred: sp.M.Ref(roots[next]),
-					Delivered: wpf.Delivered, Looped: wpf.Looped})
-				next++
-			}
-			pfecs[r] = list
-		}
-		if next != len(roots) {
-			return pipes, fmt.Errorf("analysis: decode pipeline: %d predicates for %d PFECs", len(roots), next)
-		}
-		pipes = append(pipes, NewDecodedPipeline(net, sp, scope, pfecs,
-			time.Duration(wp.SRCNanos), time.Duration(wp.SPFNanos), tel))
+		pipes = append(pipes, p)
 	}
 	return pipes, nil
+}
+
+// decodePipeline rebuilds one wire pipeline as a query-only pipeline
+// over net in sp, whose variable layout must be the producer's. The
+// decoded roots are Ref'd only once the whole record has checked out,
+// so a rejected record leaves sp's reference counts as they were.
+func decodePipeline(net *config.Network, sp *symbol.Space, wp WirePipeline, tel *obs.Telemetry) (p *Pipeline, err error) {
+	defer guardDecode(&err)
+	n := net.Topology.NumRouters()
+	var scope *route.Prefix
+	if wp.Scope != "" {
+		s, perr := route.ParsePrefix(wp.Scope)
+		if perr != nil {
+			return nil, fmt.Errorf("analysis: decode pipeline scope: %w", perr)
+		}
+		scope = &s
+	}
+	if len(wp.Sources) != n {
+		return nil, fmt.Errorf("analysis: decode pipeline: %d sources, network has %d routers", len(wp.Sources), n)
+	}
+	roots, rerr := sp.M.Read(bytes.NewReader(wp.BDD))
+	if rerr != nil {
+		return nil, fmt.Errorf("analysis: decode pipeline BDDs: %w", rerr)
+	}
+	pfecs := make([][]*spf.PFEC, n)
+	next := 0
+	for r := 0; r < n; r++ {
+		list := make([]*spf.PFEC, 0, len(wp.Sources[r].PFECs))
+		for _, wpf := range wp.Sources[r].PFECs {
+			if next >= len(roots) {
+				return nil, fmt.Errorf("analysis: decode pipeline: %d predicates for more PFECs", len(roots))
+			}
+			if len(wpf.Path) == 0 {
+				return nil, fmt.Errorf("analysis: decode pipeline: empty PFEC path")
+			}
+			path := make([]topology.RouterID, len(wpf.Path))
+			for i, h := range wpf.Path {
+				if h < 0 || int(h) >= n {
+					return nil, fmt.Errorf("analysis: decode pipeline: router %d out of range", h)
+				}
+				path[i] = topology.RouterID(h)
+			}
+			list = append(list, &spf.PFEC{
+				Path: path, Pred: roots[next],
+				Delivered: wpf.Delivered, Looped: wpf.Looped})
+			next++
+		}
+		pfecs[r] = list
+	}
+	if next != len(roots) {
+		return nil, fmt.Errorf("analysis: decode pipeline: %d predicates for %d PFECs", len(roots), next)
+	}
+	for _, root := range roots {
+		sp.M.Ref(root)
+	}
+	return NewDecodedPipeline(net, sp, scope, pfecs,
+		time.Duration(wp.SRCNanos), time.Duration(wp.SPFNanos), tel), nil
 }
 
 // guardDecode converts expected decode-time panics (BDD node-limit

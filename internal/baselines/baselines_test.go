@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"testing"
+	"time"
 
 	"sre/internal/analysis"
 	"sre/internal/config"
@@ -212,6 +213,19 @@ func TestHoyanExplosionGrowsWithK(t *testing.T) {
 	}
 	if prev == 0 {
 		t.Error("no TC length observed")
+	}
+}
+
+// TestHoyanHonoursTimeout: the deadline is polled inside the DNF
+// products, so a run whose conditions explode stops within its budget
+// instead of finishing the product it is in.
+func TestHoyanHonoursTimeout(t *testing.T) {
+	net := workload.SyntheticWAN("hoyan", 12, 18, workload.BGP, 3)
+	h := &Hoyan{Net: net, PruneK: 2, TermLimit: 500000, Timeout: 2 * time.Second}
+	start := time.Now()
+	res := h.ComputePrefix(workload.RouterPrefix(0))
+	if took := time.Since(start); !res.TimedOut || took > 3*time.Second {
+		t.Fatalf("2 s timeout: TimedOut=%t after %v, want true within 3 s", res.TimedOut, took)
 	}
 }
 

@@ -125,10 +125,14 @@ func (d dnf) dedupe() dnf {
 }
 
 // and computes the conjunction by cross product — the expensive
-// operation that drives the explosion.
-func (d dnf) and(e dnf, pruneK int, limit int) (dnf, error) {
+// operation that drives the explosion. One product can outlast the
+// whole budget, so the deadline is polled once per term of d.
+func (d dnf) and(e dnf, pruneK int, limit int, deadline time.Time) (dnf, error) {
 	var out dnf
 	for _, t1 := range d {
+		if time.Now().After(deadline) {
+			return nil, ErrTimeout
+		}
 		for _, t2 := range e {
 			nt := t1.clone()
 			ok := true
@@ -166,7 +170,7 @@ func (d dnf) and(e dnf, pruneK int, limit int) (dnf, error) {
 
 // not negates the DNF (De Morgan plus distribution), the other driver
 // of the explosion.
-func (d dnf) not(pruneK int, limit int) (dnf, error) {
+func (d dnf) not(pruneK int, limit int, deadline time.Time) (dnf, error) {
 	// ¬(t1 ∨ t2 ∨ …) = ¬t1 ∧ ¬t2 ∧ …, where ¬term is a small DNF of
 	// its negated literals.
 	result := dnf{term{}} // True
@@ -179,7 +183,7 @@ func (d dnf) not(pruneK int, limit int) (dnf, error) {
 			neg = append(neg, term{up: []topology.LinkID{l}})
 		}
 		var err error
-		result, err = result.and(neg, pruneK, limit)
+		result, err = result.and(neg, pruneK, limit, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -288,7 +292,7 @@ func (h *Hoyan) ComputePrefix(pfx route.Prefix) HoyanResult {
 		}
 		for _, rt := range rib {
 			var err error
-			tcRib, err := rt.tcIn.and(matchedNeg, h.PruneK, h.TermLimit)
+			tcRib, err := rt.tcIn.and(matchedNeg, h.PruneK, h.TermLimit, deadline)
 			if err != nil {
 				return fail()
 			}
@@ -297,11 +301,11 @@ func (h *Hoyan) ComputePrefix(pfx route.Prefix) HoyanResult {
 				rt.tcRib = tcRib
 				changed = true
 			}
-			neg, err := rt.tcIn.not(h.PruneK, h.TermLimit)
+			neg, err := rt.tcIn.not(h.PruneK, h.TermLimit, deadline)
 			if err != nil {
 				return fail()
 			}
-			matchedNeg, err = matchedNeg.and(neg, h.PruneK, h.TermLimit)
+			matchedNeg, err = matchedNeg.and(neg, h.PruneK, h.TermLimit, deadline)
 			if err != nil {
 				return fail()
 			}

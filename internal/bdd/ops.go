@@ -183,12 +183,6 @@ func (m *Manager) Xor(f, g Node) Node { return m.apply(opXor, f, g) }
 // Diff returns f ∧ ¬g.
 func (m *Manager) Diff(f, g Node) Node { return m.apply(opDiff, f, g) }
 
-// Imp returns f → g, i.e. ¬f ∨ g.
-func (m *Manager) Imp(f, g Node) Node { return m.Or(m.Not(f), g) }
-
-// Equiv returns f ↔ g.
-func (m *Manager) Equiv(f, g Node) Node { return m.Not(m.Xor(f, g)) }
-
 // AndN returns the conjunction of all operands (True for none). The
 // operands are folded as a balanced tree: a linear fold over k conjuncts
 // drags a lopsided intermediate through k-1 apply calls, while the

@@ -24,7 +24,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -453,19 +452,4 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t.Snapshot())
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (t *Telemetry) CounterNames() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.counters))
-	for k := range t.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -261,15 +261,14 @@ func (r *Route) BloomUnion(o *Route) {
 // preferred over b, positive if b is preferred, zero if they tie (an
 // ECMP group). The order follows standard router behaviour:
 //
-//  1. lower administrative distance (protocol preference);
-//  2. BGP: higher local-pref, shorter AS path, lower MED, eBGP over
-//     iBGP, then lower originator ID as the deterministic tiebreak;
-//  3. OSPF: lower cost, then lower originator ID;
-//  4. Static/connected: lower originator ID.
+//  1. lower administrative distance (protocol preference, which also
+//     puts eBGP over OSPF over iBGP);
+//  2. BGP: higher local-pref, shorter AS path, lower MED;
+//  3. OSPF: lower cost.
 //
-// The final originator tiebreak is skipped when ECMP considers routes of
-// equal cost equal — callers decide by using Compare (strict) or
-// SamePriority (ECMP grouping).
+// Compare never breaks a tie: routes it ranks equal form one ECMP tier,
+// kept in Tiebreak order inside it, and with ECMP off the first route
+// of a tier wins.
 func Compare(a, b *Route) int {
 	if d := a.Protocol.AdminDistance() - b.Protocol.AdminDistance(); d != 0 {
 		return d
@@ -302,10 +301,6 @@ func Tiebreak(a, b *Route) int {
 	}
 	return a.EgressLink - b.EgressLink
 }
-
-// SamePriority reports whether two routes tie under Compare (candidates
-// for an ECMP group).
-func SamePriority(a, b *Route) bool { return Compare(a, b) == 0 }
 
 // SameRoute reports whether two routes are the same logical route — the
 // test Algorithm 1 uses to detect a re-advertisement that only updates

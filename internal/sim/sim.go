@@ -46,9 +46,6 @@ func NewScenario(down ...topology.LinkID) Scenario {
 // Up reports whether link l is up.
 func (s Scenario) Up(l topology.LinkID) bool { return !s.down[l] }
 
-// NumDown returns the number of failed links.
-func (s Scenario) NumDown() int { return len(s.down) }
-
 // Result holds the converged state of one simulation.
 type Result struct {
 	Net *config.Network

@@ -195,28 +195,10 @@ func (s *Space) TopoOnly(f bdd.Node) bdd.Node {
 	return s.M.ExistsCube(f, s.HeaderCube())
 }
 
-// TopoOnlyAnd returns TopoOnly(f ∧ g) as one fused relational product,
-// never materializing the conjunction.
-func (s *Space) TopoOnlyAnd(f, g bdd.Node) bdd.Node {
-	return s.M.AndExists(f, g, s.HeaderCube())
-}
-
 // HeaderOnly existentially quantifies the link (and node) variables out
 // of f, leaving a packet-set BDD.
 func (s *Space) HeaderOnly(f bdd.Node) bdd.Node {
 	return s.M.ExistsCube(f, s.NonHeaderCube())
-}
-
-// HeaderOnlyAnd returns HeaderOnly(f ∧ g) as one fused relational
-// product.
-func (s *Space) HeaderOnlyAnd(f, g bdd.Node) bdd.Node {
-	return s.M.AndExists(f, g, s.NonHeaderCube())
-}
-
-// Intersects reports whether f ∧ g is satisfiable without building the
-// conjunction.
-func (s *Space) Intersects(f, g bdd.Node) bool {
-	return s.M.AndSat(f, g)
 }
 
 // LinkProbabilities returns a probability vector assigning each link
@@ -232,7 +214,3 @@ func (s *Space) LinkProbabilities(pDown float64) []float64 {
 	}
 	return p
 }
-
-// AddressInPrefix returns a concrete address inside p (the network
-// address).
-func AddressInPrefix(p route.Prefix) uint32 { return p.Addr }

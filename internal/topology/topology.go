@@ -78,11 +78,6 @@ func (t *Topology) AddLink(a, b RouterID) LinkID {
 	return id
 }
 
-// AddLinkByName connects two routers identified by name.
-func (t *Topology) AddLinkByName(a, b string) LinkID {
-	return t.AddLink(t.MustRouter(a), t.MustRouter(b))
-}
-
 // NumRouters returns the number of routers.
 func (t *Topology) NumRouters() int { return len(t.routers) }
 

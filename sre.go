@@ -578,16 +578,24 @@ type Difference struct {
 // Diff compares two configurations over the product space of packets
 // and failures (up to maxFailures), returning the (source, prefix)
 // reachability differences, each with a concrete failure-scenario
-// witness and before/after tolerance and probability. Of opts, only the
-// telemetry fields (both runs report into the same registry), the
-// Context/Timeout budget, and BDDNodeLimit are consulted; pass Options{}
-// for the previous behaviour.
+// witness and before/after tolerance and probability. opts translate as
+// for NewVerifier, with maxFailures in place of opts.MaxFailures, and
+// both runs report into the same telemetry. Diff ignores Prefixes,
+// Parallelism, Workers, Resilient and Store: each configuration runs
+// once, in-process, in one symbolic space. The two networks must declare
+// the same routers and links in the same order; otherwise Diff returns
+// an error.
 func Diff(before, after *Network, maxFailures int, model FailureModel, opts Options) (out []Difference, err error) {
-	tel := opts.telemetry()
-	checker := resil.NewSharedChecker(opts.Context, opts.Timeout)
-	runOpts := src.Options{PruneK: maxFailures, Telemetry: tel,
-		Interrupt: checker.Fn(), BDDNodeLimit: opts.BDDNodeLimit}
-	defer guard("diff", tel, &err)
+	if err := sameTopology(before.Topology, after.Topology); err != nil {
+		return nil, err
+	}
+	opts.Prefixes = nil // ignored, so a malformed one must not fail the diff
+	runOpts, _, err := buildOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	runOpts.PruneK = maxFailures
+	defer guard("diff", runOpts.Telemetry, &err)
 	pb, err := analysis.Run(before, runOpts)
 	if err != nil {
 		return nil, err
@@ -599,7 +607,10 @@ func Diff(before, after *Network, maxFailures int, model FailureModel, opts Opti
 	}
 	defer pa.Release()
 	lm := prob.LinkModel{PDown: model.linkDown}
-	raw := analysis.DiffReachability(pb, pa, &lm)
+	raw, err := analysis.DiffReachability(pb, pa, &lm)
+	if err != nil {
+		return nil, err
+	}
 	out = make([]Difference, 0, len(raw))
 	for _, d := range raw {
 		diff := Difference{
@@ -617,4 +628,25 @@ func Diff(before, after *Network, maxFailures int, model FailureModel, opts Opti
 		out = append(out, diff)
 	}
 	return out, nil
+}
+
+// sameTopology reports the first difference between the routers and
+// links two networks declare, in declaration order.
+func sameTopology(before, after *topology.Topology) error {
+	if before.NumRouters() != after.NumRouters() || before.NumLinks() != after.NumLinks() {
+		return fmt.Errorf("sre: diff: topologies differ (%d/%d routers, %d/%d links before/after)",
+			before.NumRouters(), after.NumRouters(), before.NumLinks(), after.NumLinks())
+	}
+	for r := range before.NumRouters() {
+		if b, a := before.Name(topology.RouterID(r)), after.Name(topology.RouterID(r)); b != a {
+			return fmt.Errorf("sre: diff: router %d is %s before, %s after", r, b, a)
+		}
+	}
+	for i, lb := range before.Links() {
+		if la := after.Link(topology.LinkID(i)); la.A != lb.A || la.B != lb.B {
+			return fmt.Errorf("sre: diff: link %d joins %s~%s before, %s~%s after", i,
+				before.Name(lb.A), before.Name(lb.B), after.Name(la.A), after.Name(la.B))
+		}
+	}
+	return nil
 }
