@@ -257,35 +257,19 @@ func TestCacheOptionsInvalidate(t *testing.T) {
 }
 
 // TestOldStoreMisses runs against a store written under older key
-// formats: testdata/store_v3, store_v4 and store_v5 each hold the two
-// records `sre -cache-dir` published for goldenNetwork at -k 2 at the
-// last commit of that format (v3: BDD2 blobs; v4: records that could
-// carry two pipelines per prefix; v5: options bytes that carried the
-// variable order, the hop bound and the activation cap). The keys
-// change with the format, so the old records are never opened: every
-// prefix misses, nothing is quarantined, and the mixed directory passes
-// fsck.
+// formats: testdata/store_v3, store_v4, store_v5 and store_v6_fleet
+// each hold the two records `sre -cache-dir` published for
+// goldenNetwork at -k 2 at the last commit of that format (v3: BDD2
+// blobs; v4: records that could carry two pipelines per prefix; v5:
+// options bytes that carried the variable order, the hop bound and the
+// activation cap; v6: fixed-width BDD3 blobs and PFECs as JSON
+// objects, written by two fleet workers). The keys change with the
+// format, so the old records are never opened: every prefix misses,
+// nothing is quarantined, and the mixed directory passes fsck.
 func TestOldStoreMisses(t *testing.T) {
 	dir := t.TempDir()
-	for _, fixture := range []string{"store_v3", "store_v4", "store_v5"} {
-		fixture = filepath.Join("testdata", fixture)
-		old := storeRecords(t, fixture)
-		if len(old) != 2 {
-			t.Fatalf("fixture %s holds %d records, want 2", fixture, len(old))
-		}
-		for _, rec := range old {
-			data, err := os.ReadFile(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := filepath.Join(dir, strings.TrimPrefix(rec, fixture))
-			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(dst, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+	for _, fixture := range []string{"store_v3", "store_v4", "store_v5", "store_v6_fleet"} {
+		copyStoreFixture(t, fixture, dir)
 	}
 	net, err := sre.ParseNetwork(goldenNetwork)
 	if err != nil {
@@ -302,14 +286,14 @@ func TestOldStoreMisses(t *testing.T) {
 	}
 	v.Release()
 	if m := st.Metrics(); m.Hits != 0 || m.Misses != 2 || m.Puts != 2 || m.Quarantined != 0 {
-		t.Errorf("run over a v3+v4+v5 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
+		t.Errorf("run over a v3+v4+v5+v6 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
 	}
 	rep, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Checked != 8 || rep.OK != 8 || rep.Quarantined != 0 {
-		t.Errorf("fsck over the mixed store: %+v, want 8 records, all ok", rep)
+	if rep.Checked != 10 || rep.OK != 10 || rep.Quarantined != 0 {
+		t.Errorf("fsck over the mixed store: %+v, want 10 records, all ok", rep)
 	}
 }
 
@@ -337,17 +321,15 @@ func copyStoreFixture(t *testing.T, fixture, dir string) {
 	}
 }
 
-// TestV6FleetRecordsStillHit replays testdata/store_v6_fleet: the two
+// TestV7FleetRecordsStillHit replays testdata/store_v7_fleet: the two
 // records `sre -config golden.txt -k 2 -workers 2 -cache-dir ... pfecs`
-// published for goldenNetwork under format v6 before worker shards were
-// shipped as a telemetry snapshot. Each carries its worker's shard in
-// the older shape (counters, gauges and raw histogram buckets only).
-// Both must hit, nothing may be quarantined, the shards' counters must
-// merge into the run's registry, and the answers must equal a cold
-// run's.
-func TestV6FleetRecordsStillHit(t *testing.T) {
+// published for goldenNetwork under format v7 (BDD4 blobs, packed PFEC
+// tables), each carrying its worker's telemetry shard. Both must hit,
+// nothing may be quarantined, the shards' counters must merge into the
+// run's registry, and the answers must equal a cold run's.
+func TestV7FleetRecordsStillHit(t *testing.T) {
 	dir := t.TempDir()
-	copyStoreFixture(t, "store_v6_fleet", dir)
+	copyStoreFixture(t, "store_v7_fleet", dir)
 	net, err := sre.ParseNetwork(goldenNetwork)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +338,7 @@ func TestV6FleetRecordsStillHit(t *testing.T) {
 	tel := sre.NewTelemetry()
 	outs, pfecs, sweep, m := cacheRun(t, net, "A", sre.Options{MaxFailures: 2, Telemetry: tel}, dir, 1, 0)
 	if m.Hits != 2 || m.Misses != 0 || m.Quarantined != 0 {
-		t.Errorf("run over the v6 fleet store: %+v, want 2 hits, 0 misses, 0 quarantined", m)
+		t.Errorf("run over the v7 fleet store: %+v, want 2 hits, 0 misses, 0 quarantined", m)
 	}
 	if got := tel.Snapshot().Counters["src.activations"]; got <= 0 {
 		t.Errorf("merged src.activations = %d, want the worker shards' counts", got)
@@ -364,5 +346,41 @@ func TestV6FleetRecordsStillHit(t *testing.T) {
 	if !reflect.DeepEqual(outs, coldOuts) || pfecs != coldPFECs || !reflect.DeepEqual(sweep, coldSweep) {
 		t.Errorf("warm run diverges from a cold run:\n got %+v %d %+v\nwant %+v %d %+v",
 			outs, pfecs, sweep, coldOuts, coldPFECs, coldSweep)
+	}
+}
+
+// TestWarmHitsRecordDecodeEvents: a warm run records one "decode"
+// flight-recorder event per store hit, attributed to the hit's prefix,
+// carrying the payload size and the BDD nodes the decode created; the
+// cold run before it records none.
+func TestWarmHitsRecordDecodeEvents(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (map[string]sre.TraceEvent, sre.StoreMetrics) {
+		base := ft4Plain
+		base.Recorder = sre.NewFlightRecorder(0)
+		_, _, _, m := fatTreeCacheRun(t, base, dir, 1, 0)
+		decodes := map[string]sre.TraceEvent{}
+		for _, e := range base.Recorder.Events() {
+			if e.Stage != "decode" {
+				continue
+			}
+			if _, dup := decodes[e.Prefix]; dup {
+				t.Errorf("two decode events for %s", e.Prefix)
+			}
+			decodes[e.Prefix] = e
+		}
+		return decodes, m
+	}
+	if cold, m := run(); len(cold) != 0 || m.Hits != 0 {
+		t.Fatalf("cold run: %d decode events, %d hits; want none", len(cold), m.Hits)
+	}
+	warm, m := run()
+	if m.Hits == 0 || int64(len(warm)) != m.Hits {
+		t.Fatalf("warm run: %d decode events for %d hits", len(warm), m.Hits)
+	}
+	for pfx, e := range warm {
+		if e.Wall <= 0 || e.Count <= 0 || e.Nodes <= 0 || e.Outcome != "ok" {
+			t.Errorf("decode event for %s: %+v, want wall, payload bytes and nodes", pfx, e)
+		}
 	}
 }

@@ -6,8 +6,9 @@ package analysis
 // observe, the topology, the result-shaping options), so a result
 // computed once — in-process or by a worker subprocess — can be
 // replayed byte-identically by any later run with the same key. A
-// record (CacheRecord) is the wire forms (WireOutcome + WirePipeline)
-// plus an optional telemetry shard, wrapped in JSON; internal/store adds
+// record (CacheRecord) is the wire forms (WireOutcome + WirePipeline,
+// whose PFEC table and BDD blob are compact varint byte strings) plus
+// an optional telemetry shard, wrapped in JSON; internal/store adds
 // framing, checksums, and crash-safe publication underneath, and a fleet
 // worker sends the same record back to its coordinator.
 //
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"sre/internal/bdd"
 	"sre/internal/config"
@@ -50,7 +52,9 @@ import (
 // two is gone; readers take the one without a fan-in).
 // v6: the options bytes lost the variable order, the hop bound and the
 // activation cap; the computed link permutation is hashed instead.
-const cacheFormatVersion = 6
+// v7: serialized BDDs are varint BDD4 and a pipeline's PFECs travel as
+// one packed varint table instead of JSON objects.
+const cacheFormatVersion = 7
 
 // CacheKey derives the content address of one prefix task's result.
 // Two runs compute the same key exactly when the task is guaranteed to
@@ -158,7 +162,10 @@ type ResultCache struct {
 // error is a cooperative interruption raised while re-consing BDDs,
 // which must abort the run like any other interruption. A node-limit
 // overflow during decode is a plain miss (this run's limit is smaller
-// than the producer's), leaving the record for roomier readers.
+// than the producer's), leaving the record for roomier readers. Each
+// hit records one "decode" flight-recorder event: its wall time covers
+// the JSON and pipeline decode, Count is the payload size in bytes and
+// Nodes the BDD nodes the decode created.
 func (c *ResultCache) Lookup(net *config.Network, opts src.Options, key string, pfx route.Prefix, tel *obs.Telemetry) ([]*Pipeline, PrefixOutcome, bool, error) {
 	if c == nil || c.S == nil || key == "" {
 		return nil, PrefixOutcome{}, false, nil
@@ -166,6 +173,11 @@ func (c *ResultCache) Lookup(net *config.Network, opts src.Options, key string, 
 	payload, ok := c.S.Get(key)
 	if !ok {
 		return nil, PrefixOutcome{}, false, nil
+	}
+	recording := tel.Recording()
+	var t0 time.Time
+	if recording {
+		t0 = time.Now()
 	}
 	var rec CacheRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -186,6 +198,17 @@ func (c *ResultCache) Lookup(net *config.Network, opts src.Options, key string, 
 		}
 		c.S.Quarantine(key, "undecodable pipelines")
 		return nil, PrefixOutcome{}, false, nil
+	}
+	if recording {
+		var nodes int64
+		for _, p := range pipes {
+			// Each pipeline decodes into a fresh manager, which starts
+			// with only the two terminals.
+			nodes += int64(p.Sp.M.Statistics().LiveNodes - 2)
+		}
+		tel.Record(t0, obs.TraceEvent{Stage: "decode", Prefix: rec.Prefix,
+			Wall: time.Since(t0).Nanoseconds(), Count: int64(len(payload)),
+			Nodes: nodes, Outcome: "ok"})
 	}
 	tel.Merge(rec.Telemetry.Import())
 	return pipes, OutcomeFromWire(pfx, rec.Outcome), true, nil

@@ -3,10 +3,11 @@ package analysis
 // Wire forms for pipelines, outcomes, and errors — shared by the
 // multi-process coordinator (internal/coord frames them onto worker
 // pipes) and the persistent result store (internal/analysis/cache.go
-// uses them as the record payload). A producer flattens its pipelines —
-// PFEC path metadata plus one bdd.Write blob per pipeline with every
-// predicate as a root, in (source router, PFEC index) order — and the
-// consumer rebuilds them as query-only decoded pipelines in a fresh
+// uses them as the record payload). A producer flattens each pipeline
+// into two byte strings — a packed varint table of PFEC paths and flags
+// (see WirePipeline) and one "BDD4" bdd.Write blob with every predicate
+// as a root, in (source router, PFEC index) order — and the consumer
+// rebuilds them as query-only decoded pipelines in a fresh
 // symbolic space with the identical variable layout (NewRunSpace) —
 // or, for a differential analysis, in the other pipeline's space.
 // Decoded roots are Ref'd before the pipeline is handed out:
@@ -16,6 +17,7 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -31,28 +33,20 @@ import (
 	"sre/internal/topology"
 )
 
-// WirePipeline is one serialized pipeline: per-source PFEC metadata
-// plus a single bdd.Write blob holding every predicate, roots in
-// (source router, PFEC index) order.
+// WirePipeline is one serialized pipeline: the packed PFEC table plus a
+// single bdd.Write blob holding every predicate, roots in (source
+// router, PFEC index) order.
+//
+// The PFEC table is a run of unsigned varints. For each source router
+// in ID order it holds the router's PFEC count; each PFEC is then
+// len(path)<<2 | looped<<1 | delivered, followed by its hops as router
+// IDs. The i-th PFEC of the table owns the blob's i-th root.
 type WirePipeline struct {
-	Scope    string       `json:"scope,omitempty"`
-	SRCNanos int64        `json:"src_ns"`
-	SPFNanos int64        `json:"spf_ns"`
-	Sources  []WireSource `json:"sources"`
-	BDD      []byte       `json:"bdd"`
-}
-
-// WireSource is the PFEC list of one source router.
-type WireSource struct {
-	PFECs []WirePFEC `json:"pfecs,omitempty"`
-}
-
-// WirePFEC is one PFEC's transportable metadata; its predicate travels
-// in the enclosing pipeline's BDD blob.
-type WirePFEC struct {
-	Path      []int32 `json:"path"`
-	Delivered bool    `json:"delivered,omitempty"`
-	Looped    bool    `json:"looped,omitempty"`
+	Scope    string `json:"scope,omitempty"`
+	SRCNanos int64  `json:"src_ns"`
+	SPFNanos int64  `json:"spf_ns"`
+	PFECs    []byte `json:"pfecs"`
+	BDD      []byte `json:"bdd"`
 }
 
 // WireOutcome is PrefixOutcome in transportable form. WorkerCrashes
@@ -74,26 +68,31 @@ func EncodePipelines(pipes []*Pipeline, net *config.Network) ([]WirePipeline, er
 		wp := WirePipeline{
 			SRCNanos: p.SRCTime.Nanoseconds(),
 			SPFNanos: p.SPFTime.Nanoseconds(),
-			Sources:  make([]WireSource, n),
 		}
 		if p.Scope != nil {
 			wp.Scope = p.Scope.String()
 		}
 		var roots []bdd.Node
+		var table []byte
 		for r := 0; r < n; r++ {
 			pfecs := p.PFECs(topology.RouterID(r))
-			ws := WireSource{PFECs: make([]WirePFEC, 0, len(pfecs))}
+			table = binary.AppendUvarint(table, uint64(len(pfecs)))
 			for _, pf := range pfecs {
-				path := make([]int32, len(pf.Path))
-				for i, h := range pf.Path {
-					path[i] = int32(h)
+				head := uint64(len(pf.Path)) << 2
+				if pf.Looped {
+					head |= 2
 				}
-				ws.PFECs = append(ws.PFECs, WirePFEC{
-					Path: path, Delivered: pf.Delivered, Looped: pf.Looped})
+				if pf.Delivered {
+					head |= 1
+				}
+				table = binary.AppendUvarint(table, head)
+				for _, h := range pf.Path {
+					table = binary.AppendUvarint(table, uint64(h))
+				}
 				roots = append(roots, pf.Pred)
 			}
-			wp.Sources[r] = ws
 		}
+		wp.PFECs = table
 		var buf bytes.Buffer
 		if err := p.Sp.M.Write(&buf, roots...); err != nil {
 			return nil, fmt.Errorf("analysis: encode pipeline: %w", err)
@@ -141,37 +140,59 @@ func decodePipeline(net *config.Network, sp *symbol.Space, wp WirePipeline, tel 
 		}
 		scope = &s
 	}
-	if len(wp.Sources) != n {
-		return nil, fmt.Errorf("analysis: decode pipeline: %d sources, network has %d routers", len(wp.Sources), n)
-	}
 	roots, rerr := sp.M.Read(bytes.NewReader(wp.BDD))
 	if rerr != nil {
 		return nil, fmt.Errorf("analysis: decode pipeline BDDs: %w", rerr)
 	}
+	// Every PFEC owns one root and every hop takes at least one byte,
+	// so both slabs are bounded by what actually arrived.
+	slab := make([]spf.PFEC, len(roots))
+	hops := make([]topology.RouterID, 0, len(wp.PFECs))
+	t := pfecTable{b: wp.PFECs}
 	pfecs := make([][]*spf.PFEC, n)
 	next := 0
 	for r := 0; r < n; r++ {
-		list := make([]*spf.PFEC, 0, len(wp.Sources[r].PFECs))
-		for _, wpf := range wp.Sources[r].PFECs {
-			if next >= len(roots) {
-				return nil, fmt.Errorf("analysis: decode pipeline: %d predicates for more PFECs", len(roots))
+		count := t.next()
+		if t.err != nil {
+			return nil, t.err
+		}
+		if count > uint64(len(roots)-next) {
+			return nil, fmt.Errorf("analysis: decode pipeline: router %d has %d PFECs, %d predicates left", r, count, len(roots)-next)
+		}
+		list := make([]*spf.PFEC, count)
+		for i := range list {
+			head := t.next()
+			if t.err != nil {
+				return nil, t.err
 			}
-			if len(wpf.Path) == 0 {
+			size := head >> 2
+			if size == 0 {
 				return nil, fmt.Errorf("analysis: decode pipeline: empty PFEC path")
 			}
-			path := make([]topology.RouterID, len(wpf.Path))
-			for i, h := range wpf.Path {
-				if h < 0 || int(h) >= n {
+			if size > uint64(len(t.b)) {
+				return nil, fmt.Errorf("analysis: decode pipeline: %d-hop path, %d bytes left", size, len(t.b))
+			}
+			start := len(hops)
+			for j := uint64(0); j < size; j++ {
+				h := t.next()
+				if t.err != nil {
+					return nil, t.err
+				}
+				if h >= uint64(n) {
 					return nil, fmt.Errorf("analysis: decode pipeline: router %d out of range", h)
 				}
-				path[i] = topology.RouterID(h)
+				hops = append(hops, topology.RouterID(h))
 			}
-			list = append(list, &spf.PFEC{
-				Path: path, Pred: roots[next],
-				Delivered: wpf.Delivered, Looped: wpf.Looped})
+			pf := &slab[next]
+			*pf = spf.PFEC{Path: hops[start:len(hops):len(hops)], Pred: roots[next],
+				Delivered: head&1 != 0, Looped: head&2 != 0}
+			list[i] = pf
 			next++
 		}
 		pfecs[r] = list
+	}
+	if len(t.b) != 0 {
+		return nil, fmt.Errorf("analysis: decode pipeline: %d trailing bytes after the PFEC table", len(t.b))
 	}
 	if next != len(roots) {
 		return nil, fmt.Errorf("analysis: decode pipeline: %d predicates for %d PFECs", len(roots), next)
@@ -181,6 +202,26 @@ func decodePipeline(net *config.Network, sp *symbol.Space, wp WirePipeline, tel 
 	}
 	return NewDecodedPipeline(net, sp, scope, pfecs,
 		time.Duration(wp.SRCNanos), time.Duration(wp.SPFNanos), tel), nil
+}
+
+// pfecTable walks a packed PFEC table. The first error sticks: later
+// reads return 0 and the caller checks err once per field it needs.
+type pfecTable struct {
+	b   []byte
+	err error
+}
+
+func (t *pfecTable) next() uint64 {
+	if t.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(t.b)
+	if k <= 0 {
+		t.err = errors.New("analysis: decode pipeline: torn or overlong varint in the PFEC table")
+		return 0
+	}
+	t.b = t.b[k:]
+	return v
 }
 
 // guardDecode converts expected decode-time panics (BDD node-limit

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // BDD serialization: save and reload function graphs independent of the
@@ -18,83 +19,132 @@ import (
 // their variables out identically; callers that can vary the layout key
 // it beside the blob (analysis.CacheKey hashes the resolved link order).
 //
-// Format (little endian):
+// Format (every number an unsigned LEB128 varint that fits in 32 bits):
 //
-//	magic "BDD3" | uint32 varCount | uint32 nodeCount | uint32 rootCount
-//	nodeCount × (uint32 var, uint32 lo, uint32 hi)   — children first
-//	rootCount × uint32                               — root indices
+//	magic "BDD4" | varCount | nodeCount | rootCount
+//	nodeCount × (var, lo ref, hi ref)   — children first
+//	rootCount × root index
 //
-// Node indices 0 and 1 are the False/True terminals; serialized nodes
-// start at index 2. "BDD2" (the retired order-stamped format) and
-// anything else is refused by its magic.
+// A child ref is 0 for False, 1 for True, and k ≥ 2 for the serialized
+// node k−1 places back, so most refs of a children-first walk fit in
+// one byte. A ref can only name a node already decoded: a forward or
+// self child cannot be written, and a ref that reaches before the first
+// node is refused. Root indices are absolute: 0 and 1 are the
+// terminals, serialized nodes start at 2. "BDD3" (fixed 32-bit words),
+// "BDD2" and anything else is refused by its magic.
 
-var magic = [4]byte{'B', 'D', 'D', '3'}
+var magic = [4]byte{'B', 'D', 'D', '4'}
 
-// Write serializes the given roots (and their shared subgraphs) to w.
+// Write serializes the given roots (and their shared subgraphs) to w in
+// one call.
 func (m *Manager) Write(w io.Writer, roots ...Node) error {
-	bw := bufio.NewWriter(w)
-	// Collect reachable nodes in topological (children-first) order.
-	index := map[Node]uint32{False: 0, True: 1}
+	// Collect reachable nodes in topological (children-first) order; the
+	// memo maps each to its position. Write creates no nodes, so the
+	// memo cannot be outgrown mid-walk.
+	m.i32memo.begin(len(m.lvl))
 	var order []Node
-	var visit func(Node)
-	visit = func(n Node) {
-		if _, ok := index[n]; ok {
-			return
+	for _, r := range roots {
+		order = m.writeOrder(r, order)
+	}
+	ref := func(c Node, i int) uint64 {
+		if c <= True {
+			return uint64(c)
 		}
-		visit(Node(m.lo[n]))
-		visit(Node(m.hi[n]))
-		index[n] = uint32(len(order) + 2)
-		order = append(order, n)
+		pos, _ := m.i32memo.get(c)
+		return uint64(i-int(pos)) + 1
+	}
+	buf := make([]byte, 0, len(magic)+3*binary.MaxVarintLen32+4*len(order)+2*len(roots))
+	buf = append(buf, magic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(m.vars))
+	buf = binary.AppendUvarint(buf, uint64(len(order)))
+	buf = binary.AppendUvarint(buf, uint64(len(roots)))
+	for i, n := range order {
+		buf = binary.AppendUvarint(buf, uint64(m.lvl[n]))
+		buf = binary.AppendUvarint(buf, ref(Node(m.lo[n]), i))
+		buf = binary.AppendUvarint(buf, ref(Node(m.hi[n]), i))
 	}
 	for _, r := range roots {
-		visit(r)
-	}
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	hdr := []uint32{uint32(m.vars), uint32(len(order)), uint32(len(roots))}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+		idx := uint64(r)
+		if r > True {
+			pos, _ := m.i32memo.get(r)
+			idx = uint64(pos) + 2
 		}
+		buf = binary.AppendUvarint(buf, idx)
 	}
-	for _, n := range order {
-		rec := []uint32{uint32(m.lvl[n]), index[Node(m.lo[n])], index[Node(m.hi[n])]}
-		for _, v := range rec {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
+	_, err := w.Write(buf)
+	return err
+}
+
+// writeOrder appends n's unvisited subgraph to order, children first,
+// recording each node's position in the current i32memo generation.
+func (m *Manager) writeOrder(n Node, order []Node) []Node {
+	if n <= True {
+		return order
 	}
-	for _, r := range roots {
-		if err := binary.Write(bw, binary.LittleEndian, index[r]); err != nil {
-			return err
-		}
+	if _, seen := m.i32memo.get(n); seen {
+		return order
 	}
-	return bw.Flush()
+	order = m.writeOrder(Node(m.lo[n]), order)
+	order = m.writeOrder(Node(m.hi[n]), order)
+	m.i32memo.put(n, int32(len(order)))
+	return append(order, n)
+}
+
+// streamReader decodes the varints of one stream. The first error
+// sticks: later reads return 0 and the caller checks err once per
+// record.
+type streamReader struct {
+	br  io.ByteReader
+	err error
+}
+
+// next reads one varint that must fit in 32 bits.
+func (s *streamReader) next() uint32 {
+	if s.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(s.br)
+	switch {
+	case err == io.EOF:
+		s.err = io.ErrUnexpectedEOF
+	case err != nil:
+		s.err = err
+	case v > math.MaxUint32:
+		s.err = fmt.Errorf("bdd: varint %d overflows 32 bits", v)
+	}
+	return uint32(v)
 }
 
 // Read deserializes roots previously written with Write into this
 // manager (hash-consing against existing nodes). The manager must have
 // at least as many variables as the writer had. Every structural
-// invariant — child back-references, variable range, reducedness, child
-// levels strictly below their parent — is validated, so corrupt streams
-// fail instead of decoding garbage. Read ends at a safe point: the
-// operation caches grow to the decoded table (see growCaches).
+// invariant — child refs landing on decoded nodes, variable range,
+// reducedness, child levels strictly below their parent, 32-bit varints
+// — is validated, so corrupt streams fail instead of decoding garbage.
+// Read consumes r byte by byte when it is an io.ByteReader (a
+// bytes.Reader or bytes.Buffer) and through a bufio.Reader otherwise.
+// It ends at a safe point: the operation caches grow to the decoded
+// table (see growCaches).
 func (m *Manager) Read(r io.Reader) ([]Node, error) {
-	br := bufio.NewReader(r)
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
 	var got [4]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, err
+	for i := range got {
+		b, err := br.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		got[i] = b
 	}
 	if got != magic {
 		return nil, fmt.Errorf("bdd: bad magic %q", got)
 	}
-	var varCount, nodeCount, rootCount uint32
-	for _, p := range []*uint32{&varCount, &nodeCount, &rootCount} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
+	s := streamReader{br: br}
+	varCount, nodeCount, rootCount := s.next(), s.next(), s.next()
+	if s.err != nil {
+		return nil, s.err
 	}
 	if int(varCount) > m.vars {
 		return nil, fmt.Errorf("bdd: stream has %d variables, manager only %d", varCount, m.vars)
@@ -102,15 +152,25 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 	// The counts are untrusted: grow with the records actually read
 	// instead of allocating what the header claims.
 	nodes := append(make([]Node, 0, min(uint64(nodeCount)+2, 1<<16)), False, True)
-	for i := uint32(0); i < nodeCount; i++ {
-		var vr, lo, hi uint32
-		for _, p := range []*uint32{&vr, &lo, &hi} {
-			if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-				return nil, err
-			}
+	// child resolves a ref of node i to its index in nodes (-1 when it
+	// reaches before the first serialized node).
+	child := func(ref, i uint32) int {
+		if ref <= 1 {
+			return int(ref)
 		}
-		if int(lo) >= len(nodes) || int(hi) >= len(nodes) {
-			return nil, fmt.Errorf("bdd: node %d references forward child", i)
+		if ref-1 > i {
+			return -1
+		}
+		return len(nodes) - int(ref-1)
+	}
+	for i := uint32(0); i < nodeCount; i++ {
+		vr, loRef, hiRef := s.next(), s.next(), s.next()
+		if s.err != nil {
+			return nil, s.err
+		}
+		lo, hi := child(loRef, i), child(hiRef, i)
+		if lo < 0 || hi < 0 {
+			return nil, fmt.Errorf("bdd: node %d has a child ref reaching before node 2", i)
 		}
 		if vr >= varCount {
 			return nil, fmt.Errorf("bdd: node %d has variable %d out of range", i, vr)
@@ -127,9 +187,9 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 	}
 	roots := make([]Node, 0, min(rootCount, 1<<16))
 	for i := uint32(0); i < rootCount; i++ {
-		var idx uint32
-		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
-			return nil, err
+		idx := s.next()
+		if s.err != nil {
+			return nil, s.err
 		}
 		if int(idx) >= len(nodes) {
 			return nil, fmt.Errorf("bdd: root index %d out of range", idx)

@@ -21,6 +21,7 @@ import (
 //	stratum    one stratum of specification mining
 //	task       one scheduler task on a worker (sched layer)
 //	prefix     one per-prefix attempt/outcome (parallel resilient runs)
+//	decode     one result-store hit rebuilt into pipelines (analysis layer)
 //	bdd.gc     one garbage collection
 //	bdd.overflow  a node-table overflow (point event)
 //	coord.*    fleet coordinator: spawn, task, crash, retry, quarantine
@@ -50,7 +51,8 @@ type TraceEvent struct {
 	Cache int64 `json:"cache,omitempty"`
 	// Count is a stage-specific magnitude: activations for src, PFECs
 	// for spf, undecided pairs entering the stratum for stratum, freed
-	// nodes for bdd.gc, cost estimate for task.
+	// nodes for bdd.gc, cost estimate for task, record payload bytes for
+	// decode.
 	Count int64 `json:"count,omitempty"`
 	// Outcome classifies how the stage ended: "", "ok", "error",
 	// "overflow", "failed", or a degradation rung name.
