@@ -88,7 +88,9 @@ func BenchmarkFig6_SinglePairReachability(b *testing.B) {
 	b.Run("SRE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pipe := runPipeline(b, net, src.Options{PruneK: k, Prefixes: []routePrefix{pfx}})
-			pipe.PairReachable(srcID, pfx, k)
+			budget := pipe.Sp.AtMostKLinkFailures(k)
+			q := pipe.Query(srcID, pfx)
+			q.Violated(q.Reach(), budget)
 			pipe.Release()
 		}
 	})
@@ -149,8 +151,8 @@ func BenchmarkFig8_Probability(b *testing.B) {
 	b.Run("SRE/single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pipe := runPipeline(b, net, src.Options{PruneK: budget, Prefixes: []routePrefix{pfx}})
-			prop := pipe.ReachBDD(srcID, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx))
-			pipe.MinProbability(prop, prob.LinkModel{PDown: pDown})
+			q := pipe.Query(srcID, pfx)
+			q.MinProbability(q.Reach(), pipe.LinkWeights(prob.LinkModel{PDown: pDown}))
 			pipe.Release()
 		}
 	})
@@ -163,14 +165,14 @@ func BenchmarkFig8_Probability(b *testing.B) {
 	b.Run("SRE/all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pipe := runPipeline(b, net, src.Options{PruneK: budget})
+			w := pipe.LinkWeights(prob.LinkModel{PDown: pDown})
 			for _, p := range net.AllPrefixes() {
-				og := pipe.OriginSet(p)
-				hdr := pipe.OwnedHeaders(p)
+				q := pipe.Query(0, p)
 				for s := 0; s < net.Topology.NumRouters(); s++ {
-					if og[topology.RouterID(s)] {
+					if q.Src = topology.RouterID(s); q.Dst[q.Src] {
 						continue
 					}
-					pipe.MinProbability(pipe.ReachBDD(topology.RouterID(s), og, hdr), prob.LinkModel{PDown: pDown})
+					q.MinProbability(q.Reach(), w)
 				}
 			}
 			pipe.Release()
@@ -225,8 +227,8 @@ func BenchmarkFig9_PruningWAN(b *testing.B) {
 		}
 		defer pipe.Release()
 		for pair := range pipe.AllPairsReachable(0) {
-			hdr := pipe.OwnedHeaders(pair.Prefix)
-			pipe.MinTolerance(pipe.ReachBDD(pair.Src, pipe.OriginSet(pair.Prefix), hdr), hdr)
+			q := pipe.Query(pair.Src, pair.Prefix)
+			q.Tolerance(q.Reach())
 		}
 	}
 	// The unpruned variant runs on a 12-router network: without route
@@ -372,8 +374,8 @@ func BenchmarkFig14_WaypointProbability(b *testing.B) {
 	b.Run("SRE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pipe := runPipeline(b, net, src.Options{PruneK: budget, Prefixes: []routePrefix{pfx}})
-			prop := pipe.WaypointBDD(srcID, pipe.OriginSet(pfx), wp, pipe.OwnedHeaders(pfx))
-			pipe.MinProbability(prop, prob.LinkModel{PDown: pDown})
+			q := pipe.Query(srcID, pfx)
+			q.MinProbability(q.Waypoint(wp), pipe.LinkWeights(prob.LinkModel{PDown: pDown}))
 			pipe.Release()
 		}
 	})

@@ -34,9 +34,8 @@ func fig13(sc scale) {
 		c2 := net.Topology.MustRouter("C2")
 		for _, pfx := range net.AllPrefixes() {
 			for _, core := range []topology.RouterID{c1, c2} {
-				hdr := pipe.OwnedHeaders(pfx)
-				prop := pipe.ReachBDD(core, pipe.OriginSet(pfx), hdr)
-				k := pipe.MinTolerance(prop, hdr)
+				q := pipe.Query(core, pfx)
+				k := q.Tolerance(q.Reach())
 				if k > 2 {
 					k = 2 // clamp at explored budget
 				}

@@ -133,8 +133,7 @@ func runOneShot(net *workloadNet, k int, prune bool) {
 	}
 	defer pipe.Release()
 	for pair := range pipe.AllPairsReachable(0) {
-		hdr := pipe.OwnedHeaders(pair.Prefix)
-		prop := pipe.ReachBDD(pair.Src, pipe.OriginSet(pair.Prefix), hdr)
-		pipe.MinTolerance(prop, hdr)
+		q := pipe.Query(pair.Src, pair.Prefix)
+		q.Tolerance(q.Reach())
 	}
 }

@@ -51,8 +51,8 @@ func fig8(sc scale) {
 				return
 			}
 			defer pipe.Release()
-			prop := pipe.ReachBDD(srcID, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx))
-			sreSingle = pipe.MinProbability(prop, prob.LinkModel{PDown: pLinkDown})
+			q := pipe.Query(srcID, pfx)
+			sreSingle, _ = q.MinProbability(q.Reach(), pipe.LinkWeights(prob.LinkModel{PDown: pLinkDown}))
 		})
 		ndSingleT := ct.run("nd1", func() {
 			nd := &baselines.NetDice{Net: net, PLinkDown: pLinkDown, Imprecision: imprecision}
@@ -66,14 +66,14 @@ func fig8(sc scale) {
 				return
 			}
 			defer pipe.Release()
+			w := pipe.LinkWeights(prob.LinkModel{PDown: pLinkDown})
 			for _, p := range prefixes {
-				og := pipe.OriginSet(p)
-				hdr := pipe.OwnedHeaders(p)
+				q := pipe.Query(0, p)
 				for s := 0; s < net.Topology.NumRouters(); s++ {
-					if og[topology.RouterID(s)] {
+					if q.Src = topology.RouterID(s); q.Dst[q.Src] {
 						continue
 					}
-					pipe.MinProbability(pipe.ReachBDD(topology.RouterID(s), og, hdr), prob.LinkModel{PDown: pLinkDown})
+					q.MinProbability(q.Reach(), w)
 				}
 			}
 		})
@@ -113,10 +113,8 @@ func nodeFailurePanel(net *workloadNet, ct *cellTimer) {
 			return
 		}
 		defer pipe.Release()
-		prop := pipe.ReachBDD(srcID, pipe.OriginSet(pfx), pipe.OwnedHeaders(pfx))
-		for _, r := range pipe.ProbabilityWithNodes(prop, prob.NodeModel{PLinkDown: pLinkDown, PNodeDown: pNodeDown}) {
-			sreP = r.P
-		}
+		q := pipe.Query(srcID, pfx)
+		sreP, _ = q.MinProbability(q.Reach(), pipe.NodeWeights(prob.NodeModel{PLinkDown: pLinkDown, PNodeDown: pNodeDown}))
 	})
 	ndT := ct.run("nd-node", func() {
 		nd := &baselines.NetDice{Net: net, PLinkDown: pLinkDown, Imprecision: imprecision}
@@ -159,11 +157,10 @@ func fig14(sc scale) {
 				return
 			}
 			defer pipe.Release()
-			prop := pipe.WaypointBDD(srcID, pipe.OriginSet(pfx), wp, pipe.OwnedHeaders(pfx))
-			sreP = pipe.MinProbability(prop, prob.LinkModel{PDown: pLinkDown})
-			for _, res := range pipe.ProbabilityWithNodes(prop, prob.NodeModel{PLinkDown: pLinkDown, PNodeDown: pNodeDown}) {
-				srePn = res.P
-			}
+			q := pipe.Query(srcID, pfx)
+			prop := q.Waypoint(wp)
+			sreP, _ = q.MinProbability(prop, pipe.LinkWeights(prob.LinkModel{PDown: pLinkDown}))
+			srePn, _ = q.MinProbability(prop, pipe.NodeWeights(prob.NodeModel{PLinkDown: pLinkDown, PNodeDown: pNodeDown}))
 		})
 		ndT := ct.run("netdice", func() {
 			nd := &baselines.NetDice{Net: net, PLinkDown: pLinkDown, Imprecision: imprecision}

@@ -113,7 +113,9 @@ func fig6(sc scale) {
 				pipe, err := analysis.Run(net, withResilience(src.Options{PruneK: k,
 					Prefixes: prefixes[len(prefixes)-1:]}))
 				if err == nil {
-					pipe.PairReachable(srcID, pfx, k)
+					budget := pipe.Sp.AtMostKLinkFailures(k)
+					q := pipe.Query(srcID, pfx)
+					q.Violated(q.Reach(), budget)
 					pipe.Release()
 				}
 			})

@@ -249,37 +249,23 @@ func (p *Pipeline) NumPFECs() int {
 // disjunction of all PFECs from s delivered at any router of dst,
 // conjoined with the header set hdr (Algorithm 2, GetPropertyBDDReach).
 func (p *Pipeline) ReachBDD(s topology.RouterID, dst map[topology.RouterID]bool, hdr bdd.Node) bdd.Node {
+	return p.delivered(s, dst, -1, hdr)
+}
+
+// delivered is ReachBDD kept to the PFECs whose path traverses via,
+// when via is a router (Waypoint(s, dst, via, hdr)); a negative via
+// keeps every delivered PFEC.
+func (p *Pipeline) delivered(s topology.RouterID, dst map[topology.RouterID]bool, via topology.RouterID, hdr bdd.Node) bdd.Node {
 	m := p.Sp.M
 	var preds []bdd.Node
 	for _, pf := range p.pfecs[s] {
-		if pf.Delivered && dst[pf.Dst()] {
+		if pf.Delivered && dst[pf.Dst()] && (via < 0 || pf.Traverses(via)) {
 			preds = append(preds, pf.Pred)
 		}
 	}
 	// Balanced disjunction keeps intermediate BDDs small compared to a
 	// left-to-right fold over hundreds of PFEC predicates.
 	return m.And(m.OrN(preds...), hdr)
-}
-
-// WaypointBDD returns the property BDD of Waypoint(s, dst, w, hdr):
-// packets that reach dst AND traverse w on the way.
-func (p *Pipeline) WaypointBDD(s topology.RouterID, dst map[topology.RouterID]bool, w topology.RouterID, hdr bdd.Node) bdd.Node {
-	m := p.Sp.M
-	var preds []bdd.Node
-	for _, pf := range p.pfecs[s] {
-		if pf.Delivered && dst[pf.Dst()] && pf.Traverses(w) {
-			preds = append(preds, pf.Pred)
-		}
-	}
-	return m.And(m.OrN(preds...), hdr)
-}
-
-// ReachPrefixBDD is ReachBDD for a destination prefix: the destinations
-// are the routers originating it, and the header set is the prefix
-// itself minus any more-specific prefix originated elsewhere (those
-// addresses forward along the longer prefix).
-func (p *Pipeline) ReachPrefixBDD(s topology.RouterID, pfx route.Prefix) bdd.Node {
-	return p.ReachBDD(s, p.OriginSet(pfx), p.OwnedHeaders(pfx))
 }
 
 // OriginSet returns the routers originating pfx as a set.
@@ -353,12 +339,7 @@ func (p *Pipeline) Tolerance(property, universe bdd.Node) []ToleranceResult {
 	m := p.Sp.M
 	var out []ToleranceResult
 	for _, tup := range p.Extract(property) {
-		sp := m.ShortestPathToFalse(tup.Topo)
-		k := InfiniteTolerance
-		if sp != math.MaxInt32 {
-			k = sp - 1
-		}
-		out = append(out, ToleranceResult{Pkt: tup.Pkt, K: k})
+		out = append(out, ToleranceResult{Pkt: tup.Pkt, K: pathTolerance(m.ShortestPathToFalse(tup.Topo))})
 	}
 	// The union of the extracted packet sets is exactly the header
 	// projection of the property (each tuple's topology BDD is
@@ -383,96 +364,52 @@ func (p *Pipeline) MinTolerance(property, universe bdd.Node) int {
 	return min
 }
 
-// IsolationTolerance computes the failure tolerance of
-// Isolation(s, d, hdr): the maximum k such that no packet of hdr reaches
-// d under any combination of at most k failures. The property BDD is
-// the reach BDD; isolation is violated by the first failure combination
-// that makes reachability true, so the tolerance is the shortest path to
-// the True terminal minus one. Packets never delivered are isolated
-// under every failure count and do not lower it.
-func (p *Pipeline) IsolationTolerance(reachProperty bdd.Node) int {
-	m := p.Sp.M
-	min := InfiniteTolerance
-	for _, tup := range p.Extract(reachProperty) {
-		sp := m.ShortestPathToTrue(tup.Topo)
-		k := InfiniteTolerance
-		if sp != math.MaxInt32 {
-			k = sp - 1
-		}
-		if k < min {
-			min = k
-		}
+// pathTolerance turns the length of a shortest path to a terminal,
+// counting dashed (link-down) edges, into a failure tolerance: one
+// failure fewer than the path needs, or InfiniteTolerance when no path
+// reaches the terminal.
+func pathTolerance(sp int) int {
+	if sp == math.MaxInt32 {
+		return InfiniteTolerance
 	}
-	return min
+	return sp - 1
 }
 
-// Probability computes the probability that the property holds for each
-// packet set under independent link failures (Theorem 2). When the
-// pipeline was run with route pruning at budget k, the result
-// under-estimates the true probability by at most the binomial tail
-// P(more than k failures).
-func (p *Pipeline) Probability(property bdd.Node, model prob.LinkModel) []ProbabilityResult {
-	m := p.Sp.M
-	pv := p.Sp.LinkProbabilities(model.PDown)
-	var out []ProbabilityResult
-	for _, tup := range p.Extract(property) {
-		out = append(out, ProbabilityResult{Pkt: tup.Pkt, P: m.Probability(tup.Topo, pv)})
-	}
-	return out
+// Weights is a failure model in the form Theorem 2 evaluates it: up[v]
+// is the probability that variable v is true (its link, node or risk
+// group is up). A model in which a link also goes down with something
+// else (§6.4: an endpoint node, a shared-risk group) first substitutes
+// the link's variable in each topology BDD.
+type Weights struct {
+	up []float64
+	// subst lists, per substituted link, the link's variable followed by
+	// the variables whose failure also takes the link down; the link's
+	// variable is replaced by their conjunction.
+	subst [][]int
 }
 
-// ProbabilityResult reports the probability that a property holds for a
-// packet set.
-type ProbabilityResult struct {
-	Pkt bdd.Node
-	P   float64
+// LinkWeights models independent link failures.
+func (p *Pipeline) LinkWeights(model prob.LinkModel) Weights {
+	return Weights{up: p.Sp.LinkProbabilities(model.PDown)}
 }
 
-// MinProbability returns the minimum property probability across packet
-// sets (1 if the property BDD is empty of packets — vacuous).
-func (p *Pipeline) MinProbability(property bdd.Node, model prob.LinkModel) float64 {
-	min := 1.0
-	for _, r := range p.Probability(property, model) {
-		if r.P < min {
-			min = r.P
-		}
-	}
-	return min
-}
-
-// ProbabilityWithNodes computes property probabilities under combined
-// node and link failures. Following §6.4, a node failure takes down all
-// incident links: each link variable l is substituted with
-// l ∧ nA ∧ nB, where nA/nB are the endpoint node variables (reserved in
-// the symbolic space); the resulting BDD is evaluated under the joint
-// independent distribution. This is exact for independent node failures
-// (the paper uses a Bayesian-network query for the same quantity).
-func (p *Pipeline) ProbabilityWithNodes(property bdd.Node, model prob.NodeModel) []ProbabilityResult {
-	m := p.Sp.M
+// NodeWeights layers independent node failures over link failures. A
+// node failure takes down all incident links, so each link variable l
+// is substituted with l ∧ nA ∧ nB, where nA/nB are the endpoint node
+// variables (reserved in the symbolic space). This is exact for
+// independent node failures (the paper uses a Bayesian-network query
+// for the same quantity).
+func (p *Pipeline) NodeWeights(model prob.NodeModel) Weights {
+	w := p.LinkWeights(prob.LinkModel{PDown: model.PLinkDown})
 	t := p.Net.Topology
-	pv := make([]float64, m.NumVars())
-	for i := range pv {
-		pv[i] = 1
-	}
-	for _, v := range p.Sp.LinkVars() {
-		pv[v] = 1 - model.PLinkDown
-	}
 	for r := 0; r < t.NumRouters(); r++ {
-		pv[p.Sp.NodeVarIndex(topology.RouterID(r))] = 1 - model.PNodeDown
+		w.up[p.Sp.NodeVarIndex(topology.RouterID(r))] = 1 - model.PNodeDown
 	}
-	var out []ProbabilityResult
-	for _, tup := range p.Extract(property) {
-		topo := tup.Topo
-		for _, l := range t.Links() {
-			v := p.Sp.LinkVarIndex(l.ID)
-			up := m.AndN(m.Var(v),
-				m.Var(p.Sp.NodeVarIndex(l.A)),
-				m.Var(p.Sp.NodeVarIndex(l.B)))
-			topo = m.Compose(topo, v, up)
-		}
-		out = append(out, ProbabilityResult{Pkt: tup.Pkt, P: m.Probability(topo, pv)})
+	for _, l := range t.Links() {
+		w.subst = append(w.subst, []int{p.Sp.LinkVarIndex(l.ID),
+			p.Sp.NodeVarIndex(l.A), p.Sp.NodeVarIndex(l.B)})
 	}
-	return out
+	return w
 }
 
 // RiskGroup is a set of links that fail together (a shared conduit,
@@ -483,67 +420,65 @@ type RiskGroup struct {
 	PDown float64
 }
 
-// ProbabilityWithRisks computes property probabilities under
-// independent link failures plus shared-risk groups: each link behaves
-// as down when it fails itself OR any group containing it fires. The
-// pipeline must have been created by Run (which reserves up to
-// MaxRiskGroups group variables).
-func (p *Pipeline) ProbabilityWithRisks(property bdd.Node, model prob.LinkModel, groups []RiskGroup) []ProbabilityResult {
+// RiskWeights layers shared-risk groups over independent link failures:
+// each link behaves as down when it fails itself OR any group
+// containing it fires. The pipeline must have been created by Run
+// (which reserves up to MaxRiskGroups group variables).
+func (p *Pipeline) RiskWeights(model prob.LinkModel, groups []RiskGroup) Weights {
 	if len(groups) > MaxRiskGroups {
 		panic(fmt.Sprintf("analysis: %d risk groups exceed the reserved %d", len(groups), MaxRiskGroups))
 	}
-	m := p.Sp.M
+	w := p.LinkWeights(model)
 	t := p.Net.Topology
-	riskVar := func(i int) int {
-		return symbol.HeaderBits + t.NumLinks() + t.NumRouters() + i
-	}
-	pv := make([]float64, m.NumVars())
-	for i := range pv {
-		pv[i] = 1
-	}
-	for _, v := range p.Sp.LinkVars() {
-		pv[v] = 1 - model.PDown
-	}
-	for i, g := range groups {
-		pv[riskVar(i)] = 1 - g.PDown
-	}
 	// groupsOf[l] lists the group variables covering link l.
-	groupsOf := make(map[topology.LinkID][]int)
+	groupsOf := make([][]int, t.NumLinks())
 	for i, g := range groups {
+		v := symbol.HeaderBits + t.NumLinks() + t.NumRouters() + i
+		w.up[v] = 1 - g.PDown
 		for _, l := range g.Links {
-			groupsOf[l] = append(groupsOf[l], riskVar(i))
+			groupsOf[l] = append(groupsOf[l], v)
 		}
 	}
+	for l, gvars := range groupsOf {
+		if len(gvars) > 0 {
+			w.subst = append(w.subst, append([]int{p.Sp.LinkVarIndex(topology.LinkID(l))}, gvars...))
+		}
+	}
+	return w
+}
+
+// ProbabilityResult reports the probability that a property holds for a
+// packet set.
+type ProbabilityResult struct {
+	Pkt bdd.Node
+	P   float64
+}
+
+// ProbabilityUnder computes the probability that the property holds for
+// each packet set under the failure model w (Theorem 2). When the
+// pipeline was run with route pruning at budget k, the result
+// under-estimates the true probability by at most the probability of
+// more than k failures.
+func (p *Pipeline) ProbabilityUnder(property bdd.Node, w Weights) []ProbabilityResult {
+	m := p.Sp.M
 	var out []ProbabilityResult
 	for _, tup := range p.Extract(property) {
 		topo := tup.Topo
-		for l, gvars := range groupsOf {
-			v := p.Sp.LinkVarIndex(l)
-			up := m.Var(v)
-			for _, gv := range gvars {
-				up = m.And(up, m.Var(gv))
+		for _, vars := range w.subst {
+			up := make([]bdd.Node, len(vars))
+			for i, v := range vars {
+				up[i] = m.Var(v)
 			}
-			topo = m.Compose(topo, v, up)
+			topo = m.Compose(topo, vars[0], m.AndN(up...))
 		}
-		out = append(out, ProbabilityResult{Pkt: tup.Pkt, P: m.Probability(topo, pv)})
+		out = append(out, ProbabilityResult{Pkt: tup.Pkt, P: m.Probability(topo, w.up)})
 	}
 	return out
 }
 
-// LoadBalancePaths counts the forwarding paths that simultaneously carry
-// packets of hdr from s to dst under the all-links-up scenario
-// (Loadbalance(s, d, p, n) holds when the count is at least n).
-func (p *Pipeline) LoadBalancePaths(s topology.RouterID, dst map[topology.RouterID]bool, hdr bdd.Node) int {
-	m := p.Sp.M
-	allUp := p.Sp.AllLinksUp()
-	cond := m.And(hdr, allUp)
-	n := 0
-	for _, pf := range p.pfecs[s] {
-		if pf.Delivered && dst[pf.Dst()] && m.AndSat(pf.Pred, cond) {
-			n++
-		}
-	}
-	return n
+// Probability is ProbabilityUnder independent link failures.
+func (p *Pipeline) Probability(property bdd.Node, model prob.LinkModel) []ProbabilityResult {
+	return p.ProbabilityUnder(property, p.LinkWeights(model))
 }
 
 // AllPairsReachable reports, for every (source, prefix) pair, whether
@@ -551,33 +486,18 @@ func (p *Pipeline) LoadBalancePaths(s topology.RouterID, dst map[topology.Router
 // k links — the all-pairs workload of Figure 5. The pipeline must have
 // been run with a route-pruning budget of at least k (or none).
 func (p *Pipeline) AllPairsReachable(k int) map[PairKey]bool {
-	m := p.Sp.M
 	budget := p.Sp.AtMostKLinkFailures(k)
 	out := make(map[PairKey]bool)
-	t := p.Net.Topology
 	for _, pfx := range p.Net.AllPrefixes() {
-		origins := p.OriginSet(pfx)
-		hdr := p.OwnedHeaders(pfx)
-		for s := 0; s < t.NumRouters(); s++ {
-			srcID := topology.RouterID(s)
-			if origins[srcID] {
+		q := p.Query(0, pfx)
+		for s := range p.Net.Topology.NumRouters() {
+			if q.Src = topology.RouterID(s); q.Dst[q.Src] {
 				continue
 			}
-			prop := p.ReachBDD(srcID, origins, hdr)
-			holds := !m.DiffSat(m.And(hdr, budget), prop)
-			out[PairKey{Src: srcID, Prefix: pfx}] = holds
+			out[PairKey{Src: q.Src, Prefix: pfx}] = !q.Violated(q.Reach(), budget)
 		}
 	}
 	return out
-}
-
-// PairReachable is the single-pair variant of AllPairsReachable.
-func (p *Pipeline) PairReachable(src topology.RouterID, pfx route.Prefix, k int) bool {
-	m := p.Sp.M
-	budget := p.Sp.AtMostKLinkFailures(k)
-	hdr := p.OwnedHeaders(pfx)
-	prop := p.ReachBDD(src, p.OriginSet(pfx), hdr)
-	return !m.DiffSat(m.And(hdr, budget), prop)
 }
 
 // Release frees the BDD references held by the pipeline's PFECs and

@@ -136,14 +136,15 @@ func TestProbabilityWithNodes(t *testing.T) {
 	// P = P(lAB)·P(lBC)·P(nA)·P(nB)·P(nC).
 	pl, pn := 0.1, 0.01
 	prop := pipe.ReachBDD(a, dst, p192)
-	got := pipe.ProbabilityWithNodes(prop, prob.NodeModel{PLinkDown: pl, PNodeDown: pn})
+	nodes := pipe.NodeWeights(prob.NodeModel{PLinkDown: pl, PNodeDown: pn})
+	got := pipe.ProbabilityUnder(prop, nodes)
 	want := math.Pow(1-pl, 2) * math.Pow(1-pn, 3)
 	if len(got) != 1 || math.Abs(got[0].P-want) > 1e-12 {
 		t.Errorf("node-failure probability = %v, want %v", got, want)
 	}
 	// 128/2 must be strictly more reachable than 192/2.
 	prop128 := pipe.ReachBDD(a, dst, p128only)
-	got128 := pipe.ProbabilityWithNodes(prop128, prob.NodeModel{PLinkDown: pl, PNodeDown: pn})
+	got128 := pipe.ProbabilityUnder(prop128, nodes)
 	if len(got128) != 1 || got128[0].P <= got[0].P {
 		t.Errorf("128/2 should be more reachable: %v vs %v", got128, got)
 	}
@@ -180,17 +181,15 @@ router D
 end
 `, src.Options{PruneK: -1})
 	m := pipe.Sp.M
-	s := pipe.Net.Topology.MustRouter("S")
-	d := pipe.Net.Topology.MustRouter("D")
-	hdr := pipe.Sp.Prefix(route.MustParsePrefix("10.0.0.0/24"))
-	prop := pipe.ReachBDD(s, map[topology.RouterID]bool{d: true}, hdr)
+	q := pipe.Query(pipe.Net.Topology.MustRouter("S"), route.MustParsePrefix("10.0.0.0/24"))
+	prop := q.Reach()
 	// Under all-up, S forwards directly to D where the ACL drops: not
 	// reachable. If link S-D fails, trafic deflects via X and reaches D:
 	// isolation is violated by one failure → tolerance 0.
 	if m.And(prop, pipe.Sp.AllLinksUp()) != bdd.False {
 		t.Fatal("direct path should be ACL-blocked")
 	}
-	if got := pipe.IsolationTolerance(prop); got != 0 {
+	if got := q.Isolation(prop); got != 0 {
 		t.Errorf("isolation tolerance = %d, want 0", got)
 	}
 }
@@ -225,10 +224,8 @@ router D
   exit
 end
 `, src.Options{PruneK: -1})
-	a := pipe.Net.Topology.MustRouter("A")
-	d := pipe.Net.Topology.MustRouter("D")
-	hdr := pipe.Sp.Prefix(route.MustParsePrefix("10.0.0.0/24"))
-	if got := pipe.LoadBalancePaths(a, map[topology.RouterID]bool{d: true}, hdr); got != 2 {
+	q := pipe.Query(pipe.Net.Topology.MustRouter("A"), route.MustParsePrefix("10.0.0.0/24"))
+	if got := q.LoadBalance(); got != 2 {
 		t.Errorf("load-balanced paths = %d, want 2", got)
 	}
 }
@@ -396,7 +393,7 @@ func TestMinerOneShotAgreesWithStratified(t *testing.T) {
 			pairs++
 			want := InfiniteTolerance
 			for k := 0; k <= kMax; k++ {
-				if !ref.PairReachable(srcID, pfx, k) {
+				if q := ref.Query(srcID, pfx); q.Violated(q.Reach(), ref.Sp.AtMostKLinkFailures(k)) {
 					want = k - 1
 					break
 				}

@@ -76,12 +76,15 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) ([]Differe
 	var out []Difference
 	t := after.Net.Topology
 	prefixes := unionPrefixes(before, after)
+	var w Weights
+	if model != nil {
+		w = after.LinkWeights(*model)
+	}
 	for s := 0; s < t.NumRouters(); s++ {
 		src := topology.RouterID(s)
 		for _, pfx := range prefixes {
-			hdrAfter := after.OwnedHeaders(pfx)
-			propAfter := after.ReachPrefixBDD(src, pfx)
-			propBefore := b.ReachPrefixBDD(src, pfx)
+			qb, qa := b.Query(src, pfx), after.Query(src, pfx)
+			propBefore, propAfter := qb.Reach(), qa.Reach()
 			diff := m.Xor(propAfter, propBefore)
 			pathsChanged := false
 			var wpt topology.RouterID = -1
@@ -89,7 +92,7 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) ([]Differe
 			if diff == bdd.False {
 				// Reachability agrees everywhere; check waypoint
 				// properties for path-level changes.
-				wpt, wDiff = waypointDiff(b, after, src, pfx)
+				wpt, wDiff = waypointDiff(qb, qa)
 				pathsChanged = wDiff != bdd.False
 				if !pathsChanged {
 					continue
@@ -111,20 +114,16 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) ([]Differe
 				}
 				slices.Sort(d.WitnessDownLinks)
 			}
-			universe := b.OwnedHeaders(pfx)
 			if pathsChanged {
 				// Report the waypoint property's tolerance/probability:
-				// that is where the change shows. Both tolerances are
-				// taken over the after header universe.
-				propBefore = b.WaypointBDD(src, b.OriginSet(pfx), wpt, universe)
-				propAfter = after.WaypointBDD(src, after.OriginSet(pfx), wpt, hdrAfter)
-				universe = hdrAfter
+				// that is where the change shows.
+				propBefore, propAfter = qb.Waypoint(wpt), qa.Waypoint(wpt)
 			}
-			d.ToleranceBefore = after.MinTolerance(propBefore, universe)
-			d.ToleranceAfter = after.MinTolerance(propAfter, hdrAfter)
+			d.ToleranceBefore = qb.Tolerance(propBefore)
+			d.ToleranceAfter = qa.Tolerance(propAfter)
 			if model != nil {
-				d.ProbBefore = after.MinProbability(propBefore, *model)
-				d.ProbAfter = after.MinProbability(propAfter, *model)
+				d.ProbBefore, _ = qb.MinProbability(propBefore, w)
+				d.ProbAfter, _ = qa.MinProbability(propAfter, w)
 			}
 			out = append(out, d)
 		}
@@ -150,19 +149,17 @@ func sameLayout(before, after *Pipeline) error {
 	return nil
 }
 
-// waypointDiff looks for a path-level difference: an interior router of
-// some delivering path whose waypoint property BDD differs between the
-// two pipelines, which must share one space. It returns the
-// distinguishing waypoint with the lowest router ID and the XOR of its
-// property BDDs (False, -1 when none differs).
-func waypointDiff(before, after *Pipeline, s topology.RouterID, pfx route.Prefix) (topology.RouterID, bdd.Node) {
-	m := after.Sp.M
-	dstB := before.OriginSet(pfx)
-	dstA := after.OriginSet(pfx)
-	cands := make([]bool, after.Net.Topology.NumRouters())
-	collect := func(p *Pipeline, dst map[topology.RouterID]bool) {
-		for _, pf := range p.PFECs(s) {
-			if !pf.Delivered || !dst[pf.Dst()] || len(pf.Path) < 3 {
+// waypointDiff looks for a path-level difference between two queries of
+// one pair, whose pipelines share one space: an interior router of some
+// delivering path whose waypoint property BDD differs between them. It
+// returns the distinguishing waypoint with the lowest router ID and the
+// XOR of its property BDDs (-1, False when none differs).
+func waypointDiff(before, after Query) (topology.RouterID, bdd.Node) {
+	m := after.Pipe.Sp.M
+	cands := make([]bool, after.Pipe.Net.Topology.NumRouters())
+	for _, q := range []Query{before, after} {
+		for _, pf := range q.Pipe.PFECs(q.Src) {
+			if !pf.Delivered || !q.Dst[pf.Dst()] || len(pf.Path) < 3 {
 				continue
 			}
 			for _, r := range pf.Path[1 : len(pf.Path)-1] {
@@ -170,18 +167,12 @@ func waypointDiff(before, after *Pipeline, s topology.RouterID, pfx route.Prefix
 			}
 		}
 	}
-	collect(before, dstB)
-	collect(after, dstA)
-	hdrBefore := before.OwnedHeaders(pfx)
-	hdrAfter := after.OwnedHeaders(pfx)
 	for i, cand := range cands {
 		if !cand {
 			continue
 		}
 		w := topology.RouterID(i)
-		wb := before.WaypointBDD(s, dstB, w, hdrBefore)
-		wa := after.WaypointBDD(s, dstA, w, hdrAfter)
-		if d := m.Xor(wb, wa); d != bdd.False {
+		if d := m.Xor(before.Waypoint(w), after.Waypoint(w)); d != bdd.False {
 			return w, d
 		}
 	}

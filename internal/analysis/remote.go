@@ -38,9 +38,9 @@ func NewRunSpace(net *config.Network, opts src.Options) *symbol.Space {
 // NewDecodedPipeline assembles a query-only Pipeline from parts decoded
 // off the wire: the PFEC predicates must already be referenced in sp's
 // manager (decoded roots are Ref'd by the codec). The pipeline has no
-// engine or forwarder — every property query (ReachBDD, Tolerance,
-// Probability, LoadBalancePaths, ...) needs only Net, Sp, the PFECs,
-// and Scope — and Release frees exactly the PFEC references.
+// engine or forwarder — every pair query (Query and its reductions)
+// needs only Net, Sp, the PFECs, and Scope — and Release frees exactly
+// the PFEC references.
 func NewDecodedPipeline(net *config.Network, sp *symbol.Space, scope *route.Prefix, pfecs [][]*spf.PFEC, srcTime, spfTime time.Duration, tel *obs.Telemetry) *Pipeline {
 	return &Pipeline{Net: net, Sp: sp, Tel: tel, Scope: scope, prefixes: net.AllPrefixes(),
 		pfecs: pfecs, SRCTime: srcTime, SPFTime: spfTime}

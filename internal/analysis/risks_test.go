@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sre/internal/bdd"
 	"sre/internal/prob"
 	"sre/internal/route"
 	"sre/internal/src"
@@ -48,12 +47,12 @@ func TestProbabilityWithRisks(t *testing.T) {
 	pipe := runPipe(t, riskNet, src.Options{PruneK: -1})
 	topo := pipe.Net.Topology
 	a := topo.MustRouter("A")
-	d := topo.MustRouter("D")
-	hdr := pipe.Sp.Prefix(route.MustParsePrefix("10.0.0.0/24"))
-	prop := pipe.ReachBDD(a, map[topology.RouterID]bool{d: true}, hdr)
+	q := pipe.Query(a, route.MustParsePrefix("10.0.0.0/24"))
+	prop := q.Reach()
 
 	const pl = 0.1
-	base := pipe.MinProbability(prop, prob.LinkModel{PDown: pl})
+	model := prob.LinkModel{PDown: pl}
+	base, _ := q.MinProbability(prop, pipe.LinkWeights(model))
 	// Independent: P = 1 - (1 - q²)² with q = 0.9 per link →
 	// P = 1 - (1-0.81)² = 0.9639.
 	if math.Abs(base-0.9639) > 1e-9 {
@@ -63,8 +62,8 @@ func TestProbabilityWithRisks(t *testing.T) {
 	// A risk group with zero probability changes nothing.
 	am1, _ := topo.LinkBetween(a, topo.MustRouter("M1"))
 	am2, _ := topo.LinkBetween(a, topo.MustRouter("M2"))
-	same := pipe.ProbabilityWithRisks(prop, prob.LinkModel{PDown: pl},
-		[]RiskGroup{{Links: []topology.LinkID{am1, am2}, PDown: 0}})
+	same := pipe.ProbabilityUnder(prop, pipe.RiskWeights(model,
+		[]RiskGroup{{Links: []topology.LinkID{am1, am2}, PDown: 0}}))
 	if len(same) != 1 || math.Abs(same[0].P-base) > 1e-9 {
 		t.Errorf("zero-probability group changed the result: %v", same)
 	}
@@ -72,8 +71,8 @@ func TestProbabilityWithRisks(t *testing.T) {
 	// A group that takes down one link of EACH path with probability g:
 	// reach requires the group NOT to fire, so P = (1-g)·P_independent.
 	const g = 0.05
-	got := pipe.ProbabilityWithRisks(prop, prob.LinkModel{PDown: pl},
-		[]RiskGroup{{Links: []topology.LinkID{am1, am2}, PDown: g}})
+	got := pipe.ProbabilityUnder(prop, pipe.RiskWeights(model,
+		[]RiskGroup{{Links: []topology.LinkID{am1, am2}, PDown: g}}))
 	want := (1 - g) * base
 	if len(got) != 1 || math.Abs(got[0].P-want) > 1e-9 {
 		t.Errorf("correlated probability = %v, want %v", got, want)
@@ -81,8 +80,8 @@ func TestProbabilityWithRisks(t *testing.T) {
 
 	// A group covering only one path's link hurts less than covering
 	// both paths.
-	oneSide := pipe.ProbabilityWithRisks(prop, prob.LinkModel{PDown: pl},
-		[]RiskGroup{{Links: []topology.LinkID{am1}, PDown: g}})
+	oneSide := pipe.ProbabilityUnder(prop, pipe.RiskWeights(model,
+		[]RiskGroup{{Links: []topology.LinkID{am1}, PDown: g}}))
 	if oneSide[0].P <= got[0].P {
 		t.Errorf("single-path risk (%v) should hurt less than both-path risk (%v)",
 			oneSide[0].P, got[0].P)
@@ -97,5 +96,5 @@ func TestProbabilityWithRisksLimit(t *testing.T) {
 		}
 	}()
 	groups := make([]RiskGroup, MaxRiskGroups+1)
-	pipe.ProbabilityWithRisks(bdd.False, prob.LinkModel{PDown: 0.1}, groups)
+	pipe.RiskWeights(prob.LinkModel{PDown: 0.1}, groups)
 }

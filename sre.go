@@ -338,55 +338,33 @@ func (v *Verifier) Stages() (srcTime, spfTime float64) {
 // MaxFailures".
 const InfiniteTolerance = analysis.InfiniteTolerance
 
-// query is one pair query resolved against the verifier: the source
-// router, the waypoint (waypoint queries only), the prefix, the
-// pipeline verifying it and the header space the prefix owns there.
-type query struct {
-	src, via topology.RouterID
-	pfx      route.Prefix
-	pipe     *analysis.Pipeline
-	hdr      bdd.Node
-}
-
 // resolve translates the router, prefix and (for waypoint queries) the
-// one waypoint name of a pair query and finds the pipeline answering
-// it. The checks run in one order — source router, prefix syntax,
-// prefix origin, waypoint, pipeline — so a bad input reports the same
-// error from every query.
-func (v *Verifier) resolve(srcRouter, prefix string, via ...string) (query, error) {
+// one waypoint name of a pair query and builds the query on the
+// pipeline answering it. The checks run in one order — source router,
+// prefix syntax, prefix origin, waypoint, pipeline — so a bad input
+// reports the same error from every query.
+func (v *Verifier) resolve(srcRouter, prefix string, via ...string) (q analysis.Query, w topology.RouterID, err error) {
 	s, ok := v.net.Topology.RouterByName(srcRouter)
 	if !ok {
-		return query{}, fmt.Errorf("sre: unknown router %q", srcRouter)
+		return q, w, fmt.Errorf("sre: unknown router %q", srcRouter)
 	}
 	pfx, err := route.ParsePrefix(prefix)
 	if err != nil {
-		return query{}, err
+		return q, w, err
 	}
 	if len(v.net.OriginsOf(pfx)) == 0 {
-		return query{}, fmt.Errorf("sre: prefix %s is not originated anywhere", pfx)
+		return q, w, fmt.Errorf("sre: prefix %s is not originated anywhere", pfx)
 	}
-	q := query{src: s, pfx: pfx}
-	for _, w := range via {
-		if q.via, ok = v.net.Topology.RouterByName(w); !ok {
-			return query{}, fmt.Errorf("sre: unknown waypoint %q", w)
+	for _, name := range via {
+		if w, ok = v.net.Topology.RouterByName(name); !ok {
+			return q, w, fmt.Errorf("sre: unknown waypoint %q", name)
 		}
 	}
-	if q.pipe, err = v.pipeFor(pfx); err != nil {
-		return query{}, err
+	pipe, err := v.pipeFor(pfx)
+	if err != nil {
+		return q, w, err
 	}
-	q.hdr = q.pipe.OwnedHeaders(pfx)
-	return q, nil
-}
-
-// reach is the query's reachability property BDD.
-func (q query) reach() bdd.Node {
-	return q.pipe.ReachBDD(q.src, q.pipe.OriginSet(q.pfx), q.hdr)
-}
-
-// waypoint is the query's "reaches the prefix through the waypoint"
-// property BDD.
-func (q query) waypoint() bdd.Node {
-	return q.pipe.WaypointBDD(q.src, q.pipe.OriginSet(q.pfx), q.via, q.hdr)
+	return pipe.Query(s, pfx), w, nil
 }
 
 // FailureTolerance returns the reachability failure tolerance from
@@ -396,22 +374,22 @@ func (q query) waypoint() bdd.Node {
 // InfiniteTolerance means no explored combination breaks it.
 func (v *Verifier) FailureTolerance(srcRouter, prefix string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, err := v.resolve(srcRouter, prefix)
+	q, _, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	return q.pipe.MinTolerance(q.reach(), q.hdr), nil
+	return q.Tolerance(q.Reach()), nil
 }
 
 // WaypointTolerance is FailureTolerance for the property "reaches the
 // prefix AND traverses waypoint".
 func (v *Verifier) WaypointTolerance(srcRouter, prefix, waypoint string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, err := v.resolve(srcRouter, prefix, waypoint)
+	q, w, err := v.resolve(srcRouter, prefix, waypoint)
 	if err != nil {
 		return 0, err
 	}
-	return q.pipe.MinTolerance(q.waypoint(), q.hdr), nil
+	return q.Tolerance(q.Waypoint(w)), nil
 }
 
 // WaypointOnlyTolerance returns the failure tolerance of the property
@@ -423,13 +401,13 @@ func (v *Verifier) WaypointTolerance(srcRouter, prefix, waypoint string) (k int,
 // drops the bypass tolerance from infinite to 0.
 func (v *Verifier) WaypointOnlyTolerance(srcRouter, prefix, waypoint string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, err := v.resolve(srcRouter, prefix, waypoint)
+	q, w, err := v.resolve(srcRouter, prefix, waypoint)
 	if err != nil {
 		return 0, err
 	}
-	bypass := q.pipe.Sp.M.Diff(q.reach(), q.waypoint())
+	bypass := q.Pipe.Sp.M.Diff(q.Reach(), q.Waypoint(w))
 	// Bypass must never become possible: same reduction as isolation.
-	return v.exploredBound(q.pfx, q.pipe.IsolationTolerance(bypass)), nil
+	return v.exploredBound(q.Prefix, q.Isolation(bypass)), nil
 }
 
 // IsolationTolerance returns the failure tolerance of the property
@@ -438,11 +416,11 @@ func (v *Verifier) WaypointOnlyTolerance(srcRouter, prefix, waypoint string) (k 
 // traffic to the destination.
 func (v *Verifier) IsolationTolerance(srcRouter, prefix string) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, err := v.resolve(srcRouter, prefix)
+	q, _, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	return v.exploredBound(q.pfx, q.pipe.IsolationTolerance(q.reach())), nil
+	return v.exploredBound(q.Prefix, q.Isolation(q.Reach())), nil
 }
 
 // LoadBalancedPaths returns the number of forwarding paths that carry
@@ -450,11 +428,11 @@ func (v *Verifier) IsolationTolerance(srcRouter, prefix string) (k int, err erro
 // up (the paper's Loadbalance property holds for n ≤ this count).
 func (v *Verifier) LoadBalancedPaths(srcRouter, prefix string) (n int, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, err := v.resolve(srcRouter, prefix)
+	q, _, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	return q.pipe.LoadBalancePaths(q.src, q.pipe.OriginSet(q.pfx), q.hdr), nil
+	return q.LoadBalance(), nil
 }
 
 // FailureModel is a probabilistic failure model for Probability queries.
@@ -477,6 +455,14 @@ func NodeAndLinkFailures(pLinkDown, pNodeDown float64) FailureModel {
 	return FailureModel{linkDown: pLinkDown, nodeDown: pNodeDown, nodes: true}
 }
 
+// weights is the model in the form the pipeline evaluates it.
+func (model FailureModel) weights(pipe *analysis.Pipeline) analysis.Weights {
+	if model.nodes {
+		return pipe.NodeWeights(prob.NodeModel{PLinkDown: model.linkDown, PNodeDown: model.nodeDown})
+	}
+	return pipe.LinkWeights(prob.LinkModel{PDown: model.linkDown})
+}
+
 // Probability returns the probability that packets for the prefix from
 // srcRouter reach its originators under the failure model. When the
 // verifier was built with a bounded MaxFailures budget, the result is a
@@ -484,21 +470,27 @@ func NodeAndLinkFailures(pLinkDown, pNodeDown float64) FailureModel {
 // MaxFailures failures) (§7.1).
 func (v *Verifier) Probability(srcRouter, prefix string, model FailureModel) (p float64, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, err := v.resolve(srcRouter, prefix)
+	q, _, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
 	}
-	return model.minProb(q.pipe, q.reach())
+	if p, ok := q.MinProbability(q.Reach(), model.weights(q.Pipe)); ok {
+		return p, nil
+	}
+	return 0, ErrNoPFECs
 }
 
 // WaypointProbability is Probability for the waypoint property.
 func (v *Verifier) WaypointProbability(srcRouter, prefix, waypoint string, model FailureModel) (p float64, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, err := v.resolve(srcRouter, prefix, waypoint)
+	q, w, err := v.resolve(srcRouter, prefix, waypoint)
 	if err != nil {
 		return 0, err
 	}
-	return model.minProb(q.pipe, q.waypoint())
+	if p, ok := q.MinProbability(q.Waypoint(w), model.weights(q.Pipe)); ok {
+		return p, nil
+	}
+	return 0, ErrNoPFECs
 }
 
 // ErrNoPFECs is returned by probability queries whose property BDD is
@@ -507,28 +499,6 @@ func (v *Verifier) WaypointProbability(srcRouter, prefix, waypoint string, model
 // probability of 0, which arises when tuples exist but their scenario
 // sets have zero mass under the failure model.
 var ErrNoPFECs = fmt.Errorf("sre: property holds for no (packet, failure) tuple")
-
-// minProb returns the minimum probability of prop under the model
-// across the extracted packet sets, or ErrNoPFECs when the property
-// produced none.
-func (model FailureModel) minProb(pipe *analysis.Pipeline, prop bdd.Node) (float64, error) {
-	var results []analysis.ProbabilityResult
-	if model.nodes {
-		results = pipe.ProbabilityWithNodes(prop, prob.NodeModel{PLinkDown: model.linkDown, PNodeDown: model.nodeDown})
-	} else {
-		results = pipe.Probability(prop, prob.LinkModel{PDown: model.linkDown})
-	}
-	if len(results) == 0 {
-		return 0, ErrNoPFECs
-	}
-	min := 1.0
-	for _, r := range results {
-		if r.P < min {
-			min = r.P
-		}
-	}
-	return min, nil
-}
 
 // RequiredBudget returns the minimum failure budget k such that ignoring
 // scenarios with more than k simultaneous link failures loses at most

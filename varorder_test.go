@@ -41,7 +41,8 @@ func orderSignature(t *testing.T, net *config.Network, k int, perm []int) map[st
 			sig[fmt.Sprintf("pfec %v delivered=%t looped=%t", pf.Path, pf.Delivered, pf.Looped)]++
 		}
 		for _, pfx := range net.AllPrefixes() {
-			sig[fmt.Sprintf("tolerance %s %s", topo.Name(s), pfx)] = p.MinTolerance(p.ReachPrefixBDD(s, pfx), p.OwnedHeaders(pfx))
+			q := p.Query(s, pfx)
+			sig[fmt.Sprintf("tolerance %s %s", topo.Name(s), pfx)] = q.Tolerance(q.Reach())
 		}
 	}
 	return sig
