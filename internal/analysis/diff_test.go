@@ -80,6 +80,65 @@ func TestDiffReachabilityGolden(t *testing.T) {
 	sameLines(t, got, string(want))
 }
 
+// TestDiffMirrorsAndSelfIsEmpty checks the differential analysis
+// against two metamorphic relations on Bics at k=1: a configuration
+// diffed against itself shows no difference, and for each of the ten
+// atomic changes diff(A, B) and diff(B, A) report the same (source,
+// prefix) rows with the same PathsChanged, their before and after
+// tolerances and probabilities swapped.
+func TestDiffMirrorsAndSelfIsEmpty(t *testing.T) {
+	base := workload.WAN(workload.Bics, workload.BGP)
+	opts := src.Options{PruneK: 1}
+	model := prob.LinkModel{PDown: 0.001}
+	a, err := Run(base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Release()
+	if self, err := DiffReachability(a, a, &model); err != nil || len(self) != 0 {
+		t.Fatalf("diff(A, A): %d rows, %v; want none", len(self), err)
+	}
+	for _, ch := range workload.AtomicChanges(base) {
+		net := base.Clone()
+		ch.Apply(net)
+		b, err := Run(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ab, err := DiffReachability(a, b, &model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ba, err := DiffReachability(b, a, &model)
+		b.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirrored := make(map[PairKey]Difference, len(ba))
+		for _, d := range ba {
+			mirrored[PairKey{Src: d.Src, Prefix: d.Prefix}] = d
+		}
+		if len(ab) != len(ba) {
+			t.Errorf("%s: diff(A, B) has %d rows, diff(B, A) %d", ch.Name, len(ab), len(ba))
+		}
+		for _, d := range ab {
+			m, ok := mirrored[PairKey{Src: d.Src, Prefix: d.Prefix}]
+			switch {
+			case !ok:
+				t.Errorf("%s: (%d, %s) differs A→B but not B→A", ch.Name, d.Src, d.Prefix)
+			case m.PathsChanged != d.PathsChanged ||
+				m.ToleranceBefore != d.ToleranceAfter || m.ToleranceAfter != d.ToleranceBefore ||
+				m.ProbBefore != d.ProbAfter || m.ProbAfter != d.ProbBefore:
+				t.Errorf("%s: (%d, %s) is not mirrored:\n A→B paths=%t tol=%d/%d prob=%v/%v\n B→A paths=%t tol=%d/%d prob=%v/%v",
+					ch.Name, d.Src, d.Prefix,
+					d.PathsChanged, d.ToleranceBefore, d.ToleranceAfter, d.ProbBefore, d.ProbAfter,
+					m.PathsChanged, m.ToleranceBefore, m.ToleranceAfter, m.ProbBefore, m.ProbAfter)
+			}
+		}
+		t.Logf("%s: %d rows", ch.Name, len(ab))
+	}
+}
+
 // sameLines fails at the first line where got and want differ.
 func sameLines(t *testing.T, got, want string) {
 	t.Helper()
