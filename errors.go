@@ -1,11 +1,9 @@
 package sre
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 
-	"sre/internal/bdd"
 	"sre/internal/obs"
 	"sre/internal/resil"
 )
@@ -50,7 +48,7 @@ func guard(stage string, tel *obs.Telemetry, errp *error) {
 	if r == nil {
 		return
 	}
-	if e, ok := r.(error); ok && (errors.Is(e, bdd.ErrNodeLimit) || resil.Interruption(e)) {
+	if e, ok := resil.Recovered(r); ok {
 		*errp = resil.Stage(stage, e)
 		return
 	}

@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"errors"
 	"sort"
 
-	"sre/internal/bdd"
 	"sre/internal/resil"
 	"sre/internal/route"
 )
@@ -118,5 +116,5 @@ type LadderOptions struct {
 // table overflow) as opposed to aborting the run (cancellation,
 // deadline, non-convergence, config errors).
 func recoverable(err error) bool {
-	return errors.Is(err, bdd.ErrNodeLimit) && !resil.Interruption(err)
+	return resil.Unwinds(err) && !resil.Interruption(err)
 }

@@ -130,7 +130,9 @@ func DecodePipelines(net *config.Network, opts src.Options, wps []WirePipeline, 
 // decoded roots are Ref'd only once the whole record has checked out,
 // so a rejected record leaves sp's reference counts as they were.
 func decodePipeline(net *config.Network, sp *symbol.Space, wp WirePipeline, tel *obs.Telemetry) (p *Pipeline, err error) {
-	defer guardDecode(&err)
+	// A node-table overflow while re-consing, or an interruption from
+	// the space's hook, returns as the error.
+	defer resil.Catch("decode", &err)
 	n := net.Topology.NumRouters()
 	var scope *route.Prefix
 	if wp.Scope != "" {
@@ -222,21 +224,6 @@ func (t *pfecTable) next() uint64 {
 	}
 	t.b = t.b[k:]
 	return v
-}
-
-// guardDecode converts expected decode-time panics (BDD node-limit
-// overflow while re-consing, cooperative interruption from the space's
-// interrupt hook) into errors; anything else is a defect and re-panics.
-func guardDecode(errp *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if e, ok := r.(error); ok && (errors.Is(e, bdd.ErrNodeLimit) || resil.Interruption(e)) {
-		*errp = resil.Stage("decode", e)
-		return
-	}
-	panic(r)
 }
 
 // OutcomeToWire / OutcomeFromWire translate PrefixOutcome.

@@ -1,10 +1,13 @@
 package bdd
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sre/internal/resil"
 )
 
 func newTest(vars int) *Manager {
@@ -568,7 +571,8 @@ func TestGCKeepsDescendants(t *testing.T) {
 
 func TestNodeLimit(t *testing.T) {
 	m := New(Config{Vars: 32, NodeLimit: 64, DisableGC: true})
-	err := m.protect(func() {
+	err := func() (err error) {
+		defer resil.Catch("bdd", &err)
 		f := True
 		for i := 0; i < 32; i++ {
 			f = m.Xor(f, m.Var(i))
@@ -579,8 +583,9 @@ func TestNodeLimit(t *testing.T) {
 			g = m.Or(g, m.And(m.Var(i), m.Var(i+1)))
 		}
 		_ = g
-	})
-	if err != ErrNodeLimit {
+		return nil
+	}()
+	if !errors.Is(err, ErrNodeLimit) {
 		t.Fatalf("expected ErrNodeLimit, got %v", err)
 	}
 }

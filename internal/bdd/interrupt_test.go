@@ -3,6 +3,8 @@ package bdd
 import (
 	"errors"
 	"testing"
+
+	"sre/internal/resil"
 )
 
 // TestInterruptAbortsApply installs an Interrupt hook that trips after a
@@ -19,7 +21,8 @@ func TestInterruptAbortsApply(t *testing.T) {
 		return nil
 	}})
 
-	err := m.protect(func() {
+	err := func() (err error) {
+		defer resil.Catch("bdd", &err)
 		// Enough structure to force many mk/apply steps: the parity
 		// function over 64 variables has an exponential-free but deep
 		// BDD, and repeated XOR keeps the loops busy.
@@ -30,7 +33,8 @@ func TestInterruptAbortsApply(t *testing.T) {
 			}
 		}
 		_ = f
-	})
+		return nil
+	}()
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want the interrupt sentinel", err)
 	}

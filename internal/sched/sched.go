@@ -125,10 +125,11 @@ func Run(cfg Config, tasks []Task) error {
 
 // runTask is the per-task panic firewall. Expected panics (BDD
 // node-table overflow, interruptions) are converted to typed errors by
-// the pipeline layers before they reach the scheduler, so anything
-// arriving here is a defect; it is converted to resil.ErrInternal
-// instead of killing the process from a worker goroutine (where no
-// caller-side recover could catch it).
+// the pipeline layers before they reach the scheduler; one that gets
+// here all the same returns as its own error (resil.Recovered). Anything
+// else is a defect: it is converted to resil.ErrInternal instead of
+// killing the process from a worker goroutine (where no caller-side
+// recover could catch it).
 func runTask(w *Worker, t Task) (err error) {
 	var t0 time.Time
 	var cpu0 int64
@@ -139,9 +140,12 @@ func runTask(w *Worker, t Task) (err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			w.Tel.Counter("resilience.panics").Inc()
-			err = fmt.Errorf("%w: panic in worker %d: %v\n%s",
-				resil.ErrInternal, w.ID, r, debug.Stack())
+			var ok bool
+			if err, ok = resil.Recovered(r); !ok {
+				w.Tel.Counter("resilience.panics").Inc()
+				err = fmt.Errorf("%w: panic in worker %d: %v\n%s",
+					resil.ErrInternal, w.ID, r, debug.Stack())
+			}
 		}
 		if recording {
 			cpu := obs.ThreadCPUNanos() - cpu0

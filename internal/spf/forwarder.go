@@ -8,7 +8,6 @@
 package spf
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -116,36 +115,16 @@ func NewForwarder(eng *src.Engine) (*Forwarder, error) {
 	f.telPFECs = f.tel.Counter("spf.pfecs")
 	f.telDelivered = f.tel.Counter("spf.pfecs_delivered")
 	f.telForward = f.tel.Histogram("spf.forward_ns")
-	err := protect(func() {
-		f.build(eng)
-	})
-	if err != nil {
+	if err := f.build(eng); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-func protect(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Only BDD resource errors and cooperative interruptions
-			// (cancellation, deadline — surfaced by the BDD manager's
-			// Interrupt hook) are recoverable; runtime panics indicate
-			// bugs and must crash loudly.
-			if e, ok := r.(error); ok &&
-				(errors.Is(e, bdd.ErrNodeLimit) || resil.Interruption(e)) {
-				err = resil.Stage("spf", e)
-				return
-			}
-			panic(r)
-		}
-	}()
-	fn()
-	return nil
-}
-
-// build generates FIBs and predicates (§5.2, §5.3).
-func (f *Forwarder) build(eng *src.Engine) {
+// build generates FIBs and predicates (§5.2, §5.3). A node-table
+// overflow or an interruption returns as the error.
+func (f *Forwarder) build(eng *src.Engine) (err error) {
+	defer resil.Catch("spf", &err)
 	t := f.Net.Topology
 	m := f.Sp.M
 	n := t.NumRouters()
@@ -231,6 +210,7 @@ func (f *Forwarder) build(eng *src.Engine) {
 			m.Deref(fwd)
 		}
 	}
+	return nil
 }
 
 // buildFIB converts router r's symbolic RIB into a symbolic FIB ordered
@@ -325,28 +305,16 @@ func portIndex(t *topology.Topology, r topology.RouterID, lid topology.LinkID) i
 // Forward injects a fully symbolic packet (all headers × all failure
 // scenarios) at src and returns the PFECs discovered (§5.4). Every
 // returned predicate is Ref'd; call ReleasePFECs when done.
-func (f *Forwarder) Forward(srcRouter topology.RouterID) ([]*PFEC, error) {
-	var out []*PFEC
-	err := protect(func() {
-		out = f.forward(srcRouter, bdd.True)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+func (f *Forwarder) Forward(srcRouter topology.RouterID) (out []*PFEC, err error) {
+	defer resil.Catch("spf", &err)
+	return f.forward(srcRouter, bdd.True), nil
 }
 
 // ForwardHeaders is Forward restricted to an initial packet set (a BDD
 // over header variables), used by single-prefix analyses.
-func (f *Forwarder) ForwardHeaders(srcRouter topology.RouterID, headers bdd.Node) ([]*PFEC, error) {
-	var out []*PFEC
-	err := protect(func() {
-		out = f.forward(srcRouter, headers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+func (f *Forwarder) ForwardHeaders(srcRouter topology.RouterID, headers bdd.Node) (out []*PFEC, err error) {
+	defer resil.Catch("spf", &err)
+	return f.forward(srcRouter, headers), nil
 }
 
 func (f *Forwarder) forward(srcRouter topology.RouterID, initial bdd.Node) []*PFEC {

@@ -20,7 +20,6 @@
 package src
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -242,7 +241,6 @@ func (e *Engine) wantPrefix(p route.Prefix) bool {
 // (the paper's "BDD limit" outcome) or an error if the computation does
 // not converge within the iteration bound.
 func (e *Engine) Run() error {
-	m := e.Sp.M
 	var runT0 time.Time
 	var runSt0 bdd.Stats
 	recording := e.tel.Recording()
@@ -251,47 +249,7 @@ func (e *Engine) Run() error {
 		runSt0 = e.Sp.M.Statistics()
 	}
 	e.adv = make(map[advKey]*advSet)
-	err := e.protect(func() {
-		// Building the lf^k filter allocates nodes like everything below:
-		// under a small limit it is the first thing to overflow.
-		e.filter = bdd.True
-		if e.Opts.PruneK >= 0 {
-			e.filter = m.Ref(e.Sp.AtMostKLinkFailures(e.Opts.PruneK))
-		}
-		if e.Opts.IBGPFullMesh {
-			if serr := e.setupVirtualSessions(); serr != nil {
-				panic(bddPanicWrap{serr})
-			}
-		}
-		e.originate()
-		for len(e.queue) > 0 {
-			r := e.queue[0]
-			e.queue = e.queue[1:]
-			e.queued[r] = false
-			e.stats.Activations++
-			e.telActs.Inc()
-			if e.stats.Activations > e.maxActivations {
-				panic(convergencePanic{routers: e.oscillatingRouters(r)})
-			}
-			if e.Opts.Interrupt != nil {
-				if ierr := e.Opts.Interrupt(); ierr != nil {
-					panic(bddPanicWrap{ierr})
-				}
-			}
-			var t0 time.Time
-			if e.tel != nil {
-				t0 = time.Now()
-			}
-			e.updateRIB(r)
-			if e.tel != nil {
-				e.telActivation.Observe(time.Since(t0).Nanoseconds())
-				if e.stats.Activations%128 == 0 && e.tel.Active() {
-					e.emitProgress(false)
-				}
-			}
-			m.MaybeGC(0)
-		}
-	})
+	err := e.fixpoint()
 	// Only the fixpoint loop reads the advertisement state (see
 	// Engine.adv), and with a cloned route per entry it is about a third
 	// of the engine's heap: let it go rather than have every later
@@ -334,10 +292,6 @@ func (e *Engine) emitProgress(final bool) {
 	})
 }
 
-// convergencePanic unwinds a run whose activation count exceeded the
-// iteration bound; routers names the oscillating routers for the error.
-type convergencePanic struct{ routers []string }
-
 // oscillatingRouters names the routers still being activated when the
 // iteration bound fired: the router just popped plus the queued ones,
 // capped to keep the error message readable.
@@ -354,52 +308,53 @@ func (e *Engine) oscillatingRouters(r topology.RouterID) []string {
 	return names
 }
 
-// bddPanicWrap carries a setup error across the protected region.
-type bddPanicWrap struct{ err error }
-
-// Error implements error.
-func (p bddPanicWrap) Error() string { return p.err.Error() }
-
-// Unwrap exposes the wrapped error for errors.Is.
-func (p bddPanicWrap) Unwrap() error { return p.err }
-
-// protect runs f, converting BDD node-limit panics and convergence
-// panics into errors.
-func (e *Engine) protect(f func()) (err error) {
-	defer func() {
-		r := recover()
-		switch r := r.(type) {
-		case nil:
-		case convergencePanic:
-			err = &resil.StageError{Stage: "src", Routers: r.routers,
-				Err: fmt.Errorf("%w after %d activations", resil.ErrNoConvergence, e.maxActivations)}
-		default:
-			if be, ok := bddErr(r); ok {
-				err = resil.Stage("src", be)
-				return
-			}
-			panic(r)
-		}
-	}()
-	f()
-	return nil
-}
-
-// bddErr extracts an engine-level error from a recovered panic value:
-// BDD node-limit overflows, cancellation/deadline interruptions, and
-// wrapped setup errors. Runtime panics are NOT converted — they
-// indicate bugs and must crash loudly (the public API's panic firewall
-// is the only layer that converts those).
-func bddErr(r interface{}) (error, bool) {
-	if e, ok := r.(error); ok {
-		if errors.Is(e, bdd.ErrNodeLimit) || resil.Interruption(e) {
-			return e, true
-		}
-		if w, ok := r.(bddPanicWrap); ok {
-			return w.err, true
+// fixpoint builds the failure filter and runs the activation queue to
+// its fixed point. A node-table overflow or an interruption raised
+// inside a BDD operation unwinds to here and returns as the error.
+func (e *Engine) fixpoint() (err error) {
+	defer resil.Catch("src", &err)
+	m := e.Sp.M
+	// Building the lf^k filter allocates nodes like everything below:
+	// under a small limit it is the first thing to overflow.
+	e.filter = bdd.True
+	if e.Opts.PruneK >= 0 {
+		e.filter = m.Ref(e.Sp.AtMostKLinkFailures(e.Opts.PruneK))
+	}
+	if e.Opts.IBGPFullMesh {
+		if serr := e.setupVirtualSessions(); serr != nil {
+			return resil.Stage("src", serr)
 		}
 	}
-	return nil, false
+	e.originate()
+	for len(e.queue) > 0 {
+		r := e.queue[0]
+		e.queue = e.queue[1:]
+		e.queued[r] = false
+		e.stats.Activations++
+		e.telActs.Inc()
+		if e.stats.Activations > e.maxActivations {
+			return &resil.StageError{Stage: "src", Routers: e.oscillatingRouters(r),
+				Err: fmt.Errorf("%w after %d activations", resil.ErrNoConvergence, e.maxActivations)}
+		}
+		if e.Opts.Interrupt != nil {
+			if ierr := e.Opts.Interrupt(); ierr != nil {
+				return resil.Stage("src", ierr)
+			}
+		}
+		var t0 time.Time
+		if e.tel != nil {
+			t0 = time.Now()
+		}
+		e.updateRIB(r)
+		if e.tel != nil {
+			e.telActivation.Observe(time.Since(t0).Nanoseconds())
+			if e.stats.Activations%128 == 0 && e.tel.Active() {
+				e.emitProgress(false)
+			}
+		}
+		m.MaybeGC(0)
+	}
+	return nil
 }
 
 // originate seeds the RIBs with locally declared routes (§4.2
