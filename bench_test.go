@@ -199,7 +199,8 @@ func BenchmarkSec83_Differential(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pb := runPipeline(b, base, src.Options{PruneK: 3})
 			pa := runPipeline(b, after, src.Options{PruneK: 3})
-			if _, err := analysis.DiffReachability(pb, pa, &model); err != nil {
+			w := pa.LinkWeights(model)
+			if _, err := analysis.DiffReachability(pb, pa, &w); err != nil {
 				b.Fatal(err)
 			}
 			pb.Release()

@@ -41,7 +41,8 @@ func diffExp(sc scale) {
 			fmt.Printf("  %s: pipeline failed: %v\n", ch.Name, err)
 			continue
 		}
-		diffs, err := analysis.DiffReachability(before, afterPipe, &model)
+		w := afterPipe.LinkWeights(model)
+		diffs, err := analysis.DiffReachability(before, afterPipe, &w)
 		afterPipe.Release()
 		if err != nil {
 			fmt.Printf("  %s: diff failed: %v\n", ch.Name, err)

@@ -1,6 +1,7 @@
 package sre_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -34,7 +35,8 @@ func TestDiffHonoursOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pa.Release()
-	raw, err := analysis.DiffReachability(pb, pa, &prob.LinkModel{PDown: 0.001})
+	w := pa.LinkWeights(prob.LinkModel{PDown: 0.001})
+	raw, err := analysis.DiffReachability(pb, pa, &w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,5 +73,51 @@ func TestDiffRejectsTopologyChange(t *testing.T) {
 	}
 	if _, err := sre.Diff(before, after, 1, sre.LinkFailures(0.001), sre.Options{}); err == nil {
 		t.Fatal("Diff over different topologies returned no error")
+	}
+}
+
+// TestDiffHonoursNodeFailures: Diff evaluates the failure model it is
+// given. Under NodeAndLinkFailures every row's probabilities are what
+// verifiers of the two configurations report for the pair under that
+// model, and some row reads otherwise under LinkFailures.
+func TestDiffHonoursNodeFailures(t *testing.T) {
+	const k = 2
+	before := workload.SyntheticWAN("diffnodes", 10, 15, workload.BGP, 5)
+	after := before.Clone()
+	workload.AtomicChanges(before)[2].Apply(after) // export-deny-prefix
+	nodes, links := sre.NodeAndLinkFailures(1e-3, 1e-3), sre.LinkFailures(1e-3)
+	got, err := sre.Diff(before, after, k, nodes, sre.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	linkOnly, err := sre.Diff(before, after, k, links, sre.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got) != len(linkOnly) {
+		t.Fatalf("%d rows under node and link failures, %d under link failures; want the same non-zero count", len(got), len(linkOnly))
+	}
+	var vs [2]*sre.Verifier
+	for i, net := range []*sre.Network{before, after} {
+		if vs[i], err = sre.NewVerifier(net, sre.Options{MaxFailures: k}); err != nil {
+			t.Fatal(err)
+		}
+		defer vs[i].Release()
+	}
+	differs := false
+	for i, d := range got {
+		for j, v := range vs {
+			want, err := v.Probability(d.Src, d.Prefix, nodes)
+			if err != nil && !errors.Is(err, sre.ErrNoPFECs) {
+				t.Fatal(err)
+			}
+			if d.ProbDelta[j] != want {
+				t.Errorf("%s %s: probability %d of the diff %g, verifier %g", d.Src, d.Prefix, j, d.ProbDelta[j], want)
+			}
+		}
+		differs = differs || d.ProbDelta != linkOnly[i].ProbDelta
+	}
+	if !differs {
+		t.Error("every row reads the same under node and link failures as under link failures alone")
 	}
 }

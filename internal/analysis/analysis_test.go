@@ -280,8 +280,8 @@ func TestDiffReachabilityFindsFailureOnlyDifference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := prob.LinkModel{PDown: 0.001}
-	diffs, err := DiffReachability(before, after, &model)
+	w := after.LinkWeights(prob.LinkModel{PDown: 0.001})
+	diffs, err := DiffReachability(before, after, &w)
 	if err != nil {
 		t.Fatal(err)
 	}

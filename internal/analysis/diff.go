@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"sre/internal/bdd"
-	"sre/internal/prob"
 	"sre/internal/route"
 	"sre/internal/topology"
 )
@@ -37,8 +36,8 @@ type Difference struct {
 	// ToleranceBefore/After compare failure tolerance.
 	ToleranceBefore, ToleranceAfter int
 	// ProbBefore/After compare reachability probabilities under the
-	// model passed to DiffReachability (zero model → zeros). When only
-	// paths changed, these carry the waypoint property's values.
+	// weights passed to DiffReachability (nil weights → zeros). When
+	// only paths changed, these carry the waypoint property's values.
 	ProbBefore, ProbAfter float64
 }
 
@@ -58,8 +57,10 @@ func (d *Difference) ChangedUnderNoFailures(p *Pipeline) bool {
 // DecodePipelines). A layout mismatch, or a node-limit overflow or
 // interruption while moving, is an error.
 //
-// model may be nil to skip probability comparison.
-func DiffReachability(before, after *Pipeline, model *prob.LinkModel) ([]Difference, error) {
+// w is the failure model evaluated in after's space (LinkWeights,
+// NodeWeights or RiskWeights of after), which also holds the moved
+// before PFECs; nil skips the probability comparison.
+func DiffReachability(before, after *Pipeline, w *Weights) ([]Difference, error) {
 	if err := sameLayout(before, after); err != nil {
 		return nil, err
 	}
@@ -76,10 +77,6 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) ([]Differe
 	var out []Difference
 	t := after.Net.Topology
 	prefixes := unionPrefixes(before, after)
-	var w Weights
-	if model != nil {
-		w = after.LinkWeights(*model)
-	}
 	for s := 0; s < t.NumRouters(); s++ {
 		src := topology.RouterID(s)
 		for _, pfx := range prefixes {
@@ -121,9 +118,9 @@ func DiffReachability(before, after *Pipeline, model *prob.LinkModel) ([]Differe
 			}
 			d.ToleranceBefore = qb.Tolerance(propBefore)
 			d.ToleranceAfter = qa.Tolerance(propAfter)
-			if model != nil {
-				d.ProbBefore, _ = qb.MinProbability(propBefore, w)
-				d.ProbAfter, _ = qa.MinProbability(propAfter, w)
+			if w != nil {
+				d.ProbBefore, _ = qb.MinProbability(propBefore, *w)
+				d.ProbAfter, _ = qa.MinProbability(propAfter, *w)
 			}
 			out = append(out, d)
 		}

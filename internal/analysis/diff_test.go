@@ -49,8 +49,9 @@ func bicsDiffs(t *testing.T, n, reps int) [][]string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w := after.LinkWeights(model)
 		for i := range out {
-			diffs, err := DiffReachability(before, after, &model)
+			diffs, err := DiffReachability(before, after, &w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +96,8 @@ func TestDiffMirrorsAndSelfIsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Release()
-	if self, err := DiffReachability(a, a, &model); err != nil || len(self) != 0 {
+	wa := a.LinkWeights(model)
+	if self, err := DiffReachability(a, a, &wa); err != nil || len(self) != 0 {
 		t.Fatalf("diff(A, A): %d rows, %v; want none", len(self), err)
 	}
 	for _, ch := range workload.AtomicChanges(base) {
@@ -105,11 +107,12 @@ func TestDiffMirrorsAndSelfIsEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, err := DiffReachability(a, b, &model)
+		wb := b.LinkWeights(model)
+		ab, err := DiffReachability(a, b, &wb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ba, err := DiffReachability(b, a, &model)
+		ba, err := DiffReachability(b, a, &wa)
 		b.Release()
 		if err != nil {
 			t.Fatal(err)

@@ -172,7 +172,7 @@ func TestNetDiceMatchesSREProbability(t *testing.T) {
 				w := pf.Path[1]
 				want, _ := q.MinProbability(q.Waypoint(w), weights)
 				got, leftover := nd.WaypointProbability(srcID, pfx, w)
-				if math.Abs(got-want) > 1e-4+leftover {
+				if math.Abs(got-want) > 1e-6+leftover {
 					t.Errorf("pair (%d,%s) via %d: netdice %v, sre %v (leftover %v)", srcID, pfx, w, got, want, leftover)
 				}
 				waypoints++

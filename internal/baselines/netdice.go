@@ -330,10 +330,11 @@ func (nd *NetDice) WaypointProbability(src topology.RouterID, pfx route.Prefix, 
 		if !delivered {
 			return
 		}
-		// Waypoint satisfied when every delivering branch passes w:
-		// conservative evaluation via the hot DAG — check that w is on
-		// the single delivering path (this baseline, like NetDice,
-		// evaluates path properties per scenario).
+		// The waypoint holds, as in SRE, when some delivering ECMP
+		// branch visits w: w is the source or an endpoint of a link of
+		// the hot DAG, which holds exactly the delivering branches'
+		// links (this baseline, like NetDice, evaluates path
+		// properties per scenario).
 		free := make([]topology.LinkID, 0, len(hot))
 		for l := range hot {
 			if !up[l] {
@@ -345,7 +346,7 @@ func (nd *NetDice) WaypointProbability(src topology.RouterID, pfx route.Prefix, 
 				free[j], free[j-1] = free[j-1], free[j]
 			}
 		}
-		if pathTraverses(res, src, addr, origins, w) {
+		if hotTraverses(nd.Net.Topology, hot, src, w) {
 			wAllUp := weight
 			for range free {
 				wAllUp *= 1 - p
@@ -371,16 +372,14 @@ func (nd *NetDice) WaypointProbability(src topology.RouterID, pfx route.Prefix, 
 	return total, leftover
 }
 
-// pathTraverses reports whether the delivering path visits w.
-func pathTraverses(res *sim.Result, src topology.RouterID, addr uint32, dst map[topology.RouterID]bool, w topology.RouterID) bool {
+// hotTraverses reports whether a delivering branch from src visits w,
+// given the links of every delivering branch (HotLinks).
+func hotTraverses(t *topology.Topology, hot map[topology.LinkID]bool, src, w topology.RouterID) bool {
 	if src == w {
 		return true
 	}
-	links := res.DeliveringPath(src, addr, dst)
-	t := res.Net.Topology
-	for _, lid := range links {
-		l := t.Link(lid)
-		if l.A == w || l.B == w {
+	for lid := range hot {
+		if l := t.Link(lid); l.A == w || l.B == w {
 			return true
 		}
 	}

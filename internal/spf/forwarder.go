@@ -8,6 +8,7 @@
 package spf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -91,7 +92,13 @@ type Forwarder struct {
 	// i = i-th incident link l), §5.3: the (packet, failure) tuples r
 	// forwards out of l that pass its outbound ACL, find l up and pass
 	// the peer's inbound ACL — forwarding ∧ aclOut ∧ x_l ∧ peer aclIn,
-	// built once so a hop costs one And.
+	// built once so a hop costs one And. Forwarding is matched per
+	// prefix class: within one prefix length, prefixes whose rules
+	// form the same sequence of (topology condition, egress) pairs are
+	// matched once, over the union of their prefixes, rule by rule. A
+	// prefix that shares its sequence with no other is matched rule by
+	// rule over its own prefix, the very operations of a per-rule
+	// loop, so per-prefix spaces see the same operation cache.
 	port [][]bdd.Node
 	// local[r] is the local-delivery predicate of router r.
 	local []bdd.Node
@@ -146,9 +153,12 @@ func (f *Forwarder) build(eng *src.Engine) (err error) {
 		// disjoint header spaces, and rules of the same prefix are
 		// already condition-disjoint across priority tiers or
 		// intentionally overlapping for ECMP), so masking applies
-		// between length groups only. Discard rules (BGP aggregates)
-		// match no port, which is how they drop.
+		// between length groups only. Within a group, the prefixes of
+		// one class (see prefixClasses) are matched once, over the
+		// union of their headers. Discard rules (BGP aggregates) match
+		// no port, which is how they drop.
 		matched := bdd.False
+		var cubes []bdd.Node
 		i := 0
 		for i < len(fib.Rules) {
 			j := i
@@ -156,21 +166,27 @@ func (f *Forwarder) build(eng *src.Engine) (err error) {
 				j++
 			}
 			groupMatch := bdd.False
-			for k := i; k < j; k++ {
-				rule := fib.Rules[k]
-				match := m.And(f.Sp.Prefix(rule.Prefix), rule.TC)
-				eff := m.Diff(match, matched)
-				groupMatch = m.Or(groupMatch, match)
-				if eff == bdd.False {
-					continue
+			for _, c := range prefixClasses(fib.Rules[i:j]) {
+				cubes = cubes[:0]
+				for _, p := range c.prefixes {
+					cubes = append(cubes, f.Sp.Prefix(p))
 				}
-				switch rule.Egress {
-				case Local:
-					f.local[ri] = m.Or(f.local[ri], eff)
-				case Discard:
-				default:
-					port := portIndex(t, id, rule.Egress)
-					f.port[ri][port] = m.Or(f.port[ri][port], eff)
+				headers := m.OrN(cubes...) // no operation for one prefix
+				for _, rule := range c.rules {
+					match := m.And(headers, rule.TC)
+					eff := m.Diff(match, matched)
+					groupMatch = m.Or(groupMatch, match)
+					if eff == bdd.False {
+						continue
+					}
+					switch rule.Egress {
+					case Local:
+						f.local[ri] = m.Or(f.local[ri], eff)
+					case Discard:
+					default:
+						port := portIndex(t, id, rule.Egress)
+						f.port[ri][port] = m.Or(f.port[ri][port], eff)
+					}
 				}
 			}
 			matched = m.Or(matched, groupMatch)
@@ -262,6 +278,48 @@ func (f *Forwarder) buildFIB(eng *src.Engine, r topology.RouterID) *FIB {
 		return false
 	})
 	return fib
+}
+
+// prefixClass is a set of equal-length prefixes whose FIB rules form
+// the same sequence of (topology condition, egress) pairs: rules are
+// that sequence (the rules of the first prefix), prefixes the members
+// in FIB order.
+type prefixClass struct {
+	rules    []FIBRule
+	prefixes []route.Prefix
+}
+
+// prefixClasses partitions the rules of one length group (sorted by
+// prefix, so each prefix's rules are contiguous) into prefix classes,
+// in order of first appearance. Topology conditions are canonical
+// handles, so equal sequences denote equal conditions. Masking treats
+// every member alike: their header spaces are disjoint and share the
+// group's matched set, so the class's matches are the union of the
+// members' matches.
+func prefixClasses(rules []FIBRule) []*prefixClass {
+	var classes []*prefixClass
+	index := make(map[string]*prefixClass)
+	var key []byte
+	for i := 0; i < len(rules); {
+		j := i
+		for j < len(rules) && rules[j].Prefix == rules[i].Prefix {
+			j++
+		}
+		key = key[:0]
+		for _, r := range rules[i:j] {
+			key = binary.LittleEndian.AppendUint32(key, uint32(r.TC))
+			key = binary.LittleEndian.AppendUint32(key, uint32(r.Egress))
+		}
+		c, ok := index[string(key)]
+		if !ok {
+			c = &prefixClass{rules: rules[i:j]}
+			index[string(key)] = c
+			classes = append(classes, c)
+		}
+		c.prefixes = append(c.prefixes, rules[i].Prefix)
+		i = j
+	}
+	return classes
 }
 
 // aclPredicate compiles an ACL into a BDD over header variables using

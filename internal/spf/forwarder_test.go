@@ -319,16 +319,28 @@ end
 }
 
 // BenchmarkForwarderFatTree6 is SPF alone on ROADMAP's standing
-// workload, FatTree(6) BGP k=1 in one space: NewForwarder and AllPFECs
-// over the RIBs of an SRC run made outside the timer, a fresh one per
-// iteration so every iteration starts from the same operation cache.
+// workload, FatTree(6) BGP k=1 in one space.
 func BenchmarkForwarderFatTree6(b *testing.B) {
-	net := workload.FatTree(6, workload.BGP)
+	benchForwarder(b, workload.FatTree(6, workload.BGP), src.Options{PruneK: 1})
+}
+
+// BenchmarkForwarderCampus200 is SPF alone on the campus of the
+// campus200_queries workload, Campus(200) k=2: 200 VLANs originated by
+// nine distribution pairs, so each length group of a FIB holds few
+// prefix classes.
+func BenchmarkForwarderCampus200(b *testing.B) {
+	benchForwarder(b, workload.Campus(workload.CampusOptions{VLANs: 200, Snapshot: 1}), src.Options{PruneK: 2})
+}
+
+// benchForwarder times NewForwarder and AllPFECs over the RIBs of an
+// SRC run made outside the timer, a fresh one per iteration so every
+// iteration starts from the same operation cache.
+func benchForwarder(b *testing.B, net *config.Network, opts src.Options) {
 	b.ReportAllocs()
 	pfecs, lookups := 0, uint64(0)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := src.New(net, src.Options{PruneK: 1})
+		eng := src.New(net, opts)
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}

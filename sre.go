@@ -450,7 +450,13 @@ func LinkFailures(pDown float64) FailureModel {
 
 // NodeAndLinkFailures models independent node failures layered over
 // link failures: a link is effectively down when it or either endpoint
-// node is down (§6.4).
+// node is down (§6.4). Probabilities under this model are lower bounds
+// whose error a MaxFailures budget does not bound: one node failure
+// takes all its links down at once, so the scenarios beyond the budget
+// weigh more than the binomial tail of link failures that
+// RequiredBudget sizes. srebench -exp fig8 shows it on its node panel:
+// SRE reads 0.997837 at the budget RequiredBudget picks for 1e-4, the
+// NetDice substitute 0.999791.
 func NodeAndLinkFailures(pLinkDown, pNodeDown float64) FailureModel {
 	return FailureModel{linkDown: pLinkDown, nodeDown: pNodeDown, nodes: true}
 }
@@ -467,7 +473,8 @@ func (model FailureModel) weights(pipe *analysis.Pipeline) analysis.Weights {
 // srcRouter reach its originators under the failure model. When the
 // verifier was built with a bounded MaxFailures budget, the result is a
 // lower bound whose error is below the binomial tail P(more than
-// MaxFailures failures) (§7.1).
+// MaxFailures failures) (§7.1) under LinkFailures; under
+// NodeAndLinkFailures it is a lower bound without that error bound.
 func (v *Verifier) Probability(srcRouter, prefix string, model FailureModel) (p float64, err error) {
 	defer guard("analysis", v.tel, &err)
 	q, _, err := v.resolve(srcRouter, prefix)
@@ -504,7 +511,9 @@ var ErrNoPFECs = fmt.Errorf("sre: property holds for no (packet, failure) tuple"
 // scenarios with more than k simultaneous link failures loses at most
 // imprecision of probability mass, for the network's link count and the
 // model's link failure probability (§7.1). Pass the result as
-// Options.MaxFailures for probabilistic analyses.
+// Options.MaxFailures for probabilistic analyses. The bound counts link
+// failures only: under NodeAndLinkFailures the error can exceed
+// imprecision (see NodeAndLinkFailures).
 func RequiredBudget(net *Network, model FailureModel, imprecision float64) int {
 	return prob.KForImprecision(net.Topology.NumLinks(), model.linkDown, imprecision)
 }
@@ -576,8 +585,8 @@ func Diff(before, after *Network, maxFailures int, model FailureModel, opts Opti
 		return nil, err
 	}
 	defer pa.Release()
-	lm := prob.LinkModel{PDown: model.linkDown}
-	raw, err := analysis.DiffReachability(pb, pa, &lm)
+	w := model.weights(pa) // the moved before PFECs live in pa's space too
+	raw, err := analysis.DiffReachability(pb, pa, &w)
 	if err != nil {
 		return nil, err
 	}
