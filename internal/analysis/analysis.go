@@ -207,11 +207,10 @@ func scopeLabel(opts src.Options, scope *route.Prefix) string {
 	return ""
 }
 
-// cacheLookupDelta is the op-cache lookup count (hits+misses, both
-// caches) accrued between two manager snapshots.
+// cacheLookupDelta is the op-cache lookup count (hits+misses) accrued
+// between two manager snapshots.
 func cacheLookupDelta(a, b bdd.Stats) int64 {
-	return int64((b.CacheHits + b.CacheMiss + b.AxCacheHits + b.AxCacheMiss) -
-		(a.CacheHits + a.CacheMiss + a.AxCacheHits + a.AxCacheMiss))
+	return int64((b.CacheHits + b.CacheMiss) - (a.CacheHits + a.CacheMiss))
 }
 
 // emitSPFProgress publishes one per-router SPF progress line, e.g.

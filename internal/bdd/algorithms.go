@@ -66,10 +66,11 @@ func (m *Manager) MinFalseWitness(f Node) ([]int, bool) {
 	m.minWitnessRec(f)
 	var downVars []int
 	for n := f; n > True; {
-		if m.witMemo.down[n] {
+		st, _ := m.witMemo.get(n)
+		if st.down {
 			downVars = append(downVars, int(m.lvl[n]))
 		}
-		n = Node(m.witMemo.via[n])
+		n = st.via
 	}
 	return downVars, true
 }
@@ -81,17 +82,17 @@ func (m *Manager) minWitnessRec(n Node) int32 {
 	case True:
 		return math.MaxInt32
 	}
-	if m.witMemo.has(n) {
-		return m.witMemo.dist[n]
+	if st, ok := m.witMemo.get(n); ok {
+		return st.dist
 	}
 	hiN, loN := Node(m.hi[n]), Node(m.lo[n])
 	dh, dl := m.minWitnessRec(hiN), m.minWitnessRec(loN)
-	dist, via, down := dh, hiN, false
+	st := witStep{dist: dh, via: hiN}
 	if dl != math.MaxInt32 && dl+1 < dh {
-		dist, via, down = dl+1, loN, true
+		st = witStep{dist: dl + 1, via: loN, down: true}
 	}
-	m.witMemo.put(n, dist, int32(via), down)
-	return dist
+	m.witMemo.put(n, st)
+	return st.dist
 }
 
 // Probability returns the probability that f evaluates to true when each
@@ -171,37 +172,6 @@ func (m *Manager) AnySat(f Node) (map[int]bool, bool) {
 	return out, true
 }
 
-// AllSat invokes visit for every path from f's root to the True terminal.
-// The assignment maps variables on the path to their values; variables
-// not present are unconstrained ("don't care"). Iteration stops early if
-// visit returns false.
-func (m *Manager) AllSat(f Node, visit func(assignment map[int]bool) bool) {
-	assign := make(map[int]bool)
-	var rec func(Node) bool
-	rec = func(n Node) bool {
-		switch n {
-		case False:
-			return true
-		case True:
-			return visit(assign)
-		}
-		v := int(m.lvl[n])
-		assign[v] = false
-		if !rec(Node(m.lo[n])) {
-			delete(assign, v)
-			return false
-		}
-		assign[v] = true
-		if !rec(Node(m.hi[n])) {
-			delete(assign, v)
-			return false
-		}
-		delete(assign, v)
-		return true
-	}
-	rec(f)
-}
-
 // Eval evaluates f under a complete assignment.
 func (m *Manager) Eval(f Node, assignment func(v int) bool) bool {
 	for f > True {
@@ -246,18 +216,6 @@ func (m *Manager) AtMostKFalse(vars []int, k int) Node {
 		rows = next
 	}
 	return rows[k]
-}
-
-// ExactlyKFalse returns the BDD that is true iff exactly k of the given
-// variables are false.
-func (m *Manager) ExactlyKFalse(vars []int, k int) Node {
-	if k < 0 || k > len(vars) {
-		return False
-	}
-	if k == 0 {
-		return m.AtMostKFalse(vars, 0)
-	}
-	return m.Diff(m.AtMostKFalse(vars, k), m.AtMostKFalse(vars, k-1))
 }
 
 // Decomposition is one (packet cube, topology sub-BDD) pair produced by

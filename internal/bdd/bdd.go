@@ -50,14 +50,6 @@ type Config struct {
 	// NodeLimit caps the number of allocated nodes (live + garbage).
 	// Zero means DefaultNodeLimit.
 	NodeLimit int
-	// CacheSize is the number of sets (two entries each) the operation
-	// cache starts with, rounded up to a power of two. Zero means 2¹²
-	// sets. The cache grows with the node table at safe points, up to
-	// DefaultCacheSize sets (see growCaches).
-	CacheSize int
-	// InitialNodes sizes the initial node table. Zero means a small
-	// default; the table grows on demand up to NodeLimit.
-	InitialNodes int
 	// DisableGC turns off automatic garbage collection. Explicit calls
 	// to GC still work.
 	DisableGC bool
@@ -76,12 +68,13 @@ type Config struct {
 	Interrupt func() error
 }
 
-// Default sizing constants.
-const (
-	DefaultNodeLimit = 64 << 20 // 64M nodes ≈ 1.3 GB of tables
-	DefaultCacheSize = 1 << 18  // operation-cache sets a manager grows to at most
-	defaultInitial   = 1 << 12
-)
+// DefaultNodeLimit is the node limit of a Config that sets none:
+// 64M nodes ≈ 1.3 GB of tables.
+const DefaultNodeLimit = 64 << 20
+
+// initialNodes is the node-table capacity a manager starts with; the
+// table grows on demand up to the node limit.
+const initialNodes = 1 << 12
 
 // Manager owns a collection of shared BDD nodes over a fixed set of
 // ordered boolean variables.
@@ -105,26 +98,22 @@ type Manager struct {
 	autoGC bool
 	gcAt   int // allocated node count at which MaybeGC next looks (see gc.go)
 
-	// Shared operation cache: 2-way set-associative, 2*(setMask+1)
-	// entries. Set s occupies entries 2s (MRU way) and 2s+1 (LRU way).
-	// Entries survive GC; the sweep invalidates only entries whose
-	// operands or result died (see sweepCaches). Both caches grow with
-	// the node table at safe points (see growCaches).
+	// Operation cache shared by every memoized operation: 2-way
+	// set-associative, 2*(setMask+1) entries. Set s occupies entries 2s
+	// (MRU way) and 2s+1 (LRU way). Entries survive GC; the sweep
+	// invalidates only entries whose operands or result died (see
+	// sweepCache). The cache grows with the node table at safe points
+	// (see growCache).
 	cache   []cacheEntry
 	setMask uint32
-	// Dedicated relational-product cache for AndExists (direct-mapped;
-	// the triple key would crowd the shared cache's hot binary entries).
-	axCache []axEntry
-	axMask  uint32
 	stats   Stats
 
 	// Generation-stamped scratch memo tables for the per-node analyses
-	// (allocation-free after warmup; see scratch.go).
-	f64memo memoF64
-	i32memo memoI32
-	witMemo memoWit
-	varSeen varMarks
-	probP   []float64 // Probability's per-call vector, borrowed during recursion
+	// and Write (allocation-free after warmup; see scratch.go).
+	f64memo memo[float64] // SatCount, Probability
+	i32memo memo[int32]   // shortest paths, NodeCount, Write's positions
+	witMemo memo[witStep] // MinFalseWitness
+	probP   []float64     // Probability's per-call vector, borrowed during recursion
 
 	// Cooperative interruption: interrupt is Config.Interrupt, intrN
 	// counts operations since the last poll (see pollInterrupt).
@@ -140,32 +129,19 @@ type Manager struct {
 	telLimitHits *obs.Counter
 	telCacheHit  *obs.Counter
 	telCacheMiss *obs.Counter
-	telAxHit     *obs.Counter
-	telAxMiss    *obs.Counter
 	telRetained  *obs.Counter
 	telInvalid   *obs.Counter
 	telGrows     *obs.Counter
 	telPeak      *obs.Gauge
 	// Last sampled cumulative values, so counter deltas stay monotone.
-	sampledHits, sampledMiss     uint64
-	sampledAxHits, sampledAxMiss uint64
-	sampledRet, sampledInv       uint64
+	sampledHits, sampledMiss uint64
+	sampledRet, sampledInv   uint64
 }
 
 type cacheEntry struct {
 	op      int32
 	f, g, h Node
 	res     Node
-}
-
-// axEntry is one AndExists cache entry: the canonical (f ≤ g) operand
-// pair, the quantified varset as a hash-consed cube node, and the
-// result. Stored operands are always decision nodes (terminal cases
-// never reach the cache), so the zero entry (f == False) matches no
-// lookup and needs no validity bit.
-type axEntry struct {
-	f, g, cube Node
-	res        Node
 }
 
 // Stats reports manager counters, used by the scalability experiments
@@ -183,8 +159,9 @@ type Stats struct {
 	CacheHits  uint64
 	CacheMiss  uint64
 	UniqueHits uint64
-	// AxCacheHits/AxCacheMiss count lookups of the dedicated AndExists
-	// relational-product cache.
+	// AxCacheHits and AxCacheMiss are always 0: the kernel has one
+	// operation cache. The fields stay only because bench/layers.go:615–616
+	// reads them.
 	AxCacheHits uint64
 	AxCacheMiss uint64
 	// CacheRetained/CacheInvalidated count operation-cache entries kept
@@ -196,8 +173,8 @@ type Stats struct {
 	// recent collection, so hit rates before and after GC are separable.
 	HitsAtLastGC uint64
 	MissAtLastGC uint64
-	// CacheGrows counts the ×4 growth steps of the operation caches
-	// (see Config.CacheSize).
+	// CacheGrows counts the ×4 growth steps of the operation cache
+	// (see growCache).
 	CacheGrows int
 	// Reorders is always 0: the variable order is fixed. The field stays
 	// only because bench/layers.go:612 reads it.
@@ -225,25 +202,17 @@ func ratio(hits, miss uint64) float64 {
 }
 
 // New creates a Manager with the given configuration.
-func New(cfg Config) *Manager {
+func New(cfg Config) *Manager { return newSized(cfg, cacheStart, initialNodes) }
+
+// newSized is New with the starting cache sets (a power of two) and
+// node-table capacity (at least 2, for the terminals) given; the
+// package's tests start small through it to cross growth steps early.
+func newSized(cfg Config, sets, nodes int) *Manager {
 	if cfg.Vars < 0 {
 		panic("bdd: negative variable count")
 	}
 	if cfg.NodeLimit == 0 {
 		cfg.NodeLimit = DefaultNodeLimit
-	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = cacheStart
-	}
-	if cfg.InitialNodes == 0 {
-		cfg.InitialNodes = defaultInitial
-	}
-	if cfg.InitialNodes < 2 {
-		cfg.InitialNodes = 2
-	}
-	cs := 1
-	for cs < cfg.CacheSize {
-		cs <<= 1
 	}
 	m := &Manager{
 		vars:      cfg.Vars,
@@ -253,7 +222,7 @@ func New(cfg Config) *Manager {
 		freeList:  -1,
 		interrupt: cfg.Interrupt,
 	}
-	m.allocCaches(cs)
+	m.allocCache(sets)
 	if cfg.Telemetry != nil {
 		m.tel = cfg.Telemetry
 		m.telGCRuns = m.tel.Counter("bdd.gc_runs")
@@ -261,26 +230,23 @@ func New(cfg Config) *Manager {
 		m.telLimitHits = m.tel.Counter("bdd.node_limit_hits")
 		m.telCacheHit = m.tel.Counter("bdd.cache_hits")
 		m.telCacheMiss = m.tel.Counter("bdd.cache_misses")
-		m.telAxHit = m.tel.Counter("bdd.axcache_hits")
-		m.telAxMiss = m.tel.Counter("bdd.axcache_misses")
 		m.telRetained = m.tel.Counter("bdd.opcache_retained")
 		m.telInvalid = m.tel.Counter("bdd.opcache_invalidated")
 		m.telGrows = m.tel.Counter("bdd.opcache_grows")
 		m.telPeak = m.tel.Gauge("bdd.peak_nodes")
 	}
-	n := cfg.InitialNodes
-	m.lvl = make([]int32, 2, n)
-	m.lo = make([]int32, 2, n)
-	m.hi = make([]int32, 2, n)
-	m.next = make([]int32, 2, n)
-	m.ref = make([]int32, 2, n)
+	m.lvl = make([]int32, 2, nodes)
+	m.lo = make([]int32, 2, nodes)
+	m.hi = make([]int32, 2, nodes)
+	m.next = make([]int32, 2, nodes)
+	m.ref = make([]int32, 2, nodes)
 	// Terminals occupy slots 0 and 1 and are permanently referenced.
 	m.lvl[0], m.lvl[1] = terminalLevel, terminalLevel
 	m.lo[0], m.lo[1] = 0, 1
 	m.hi[0], m.hi[1] = 0, 1
 	m.ref[0], m.ref[1] = 1, 1
 	m.nodes = 2
-	m.hash = make([]int32, hashSizeFor(n))
+	m.hash = make([]int32, hashSizeFor(nodes))
 	for i := range m.hash {
 		m.hash[i] = -1
 	}
@@ -328,12 +294,9 @@ func (m *Manager) SampleTelemetry() {
 	// registry, so publish deltas since the last sample.
 	m.telCacheHit.Add(int64(m.stats.CacheHits - m.sampledHits))
 	m.telCacheMiss.Add(int64(m.stats.CacheMiss - m.sampledMiss))
-	m.telAxHit.Add(int64(m.stats.AxCacheHits - m.sampledAxHits))
-	m.telAxMiss.Add(int64(m.stats.AxCacheMiss - m.sampledAxMiss))
 	m.telRetained.Add(int64(m.stats.CacheRetained - m.sampledRet))
 	m.telInvalid.Add(int64(m.stats.CacheInvalidated - m.sampledInv))
 	m.sampledHits, m.sampledMiss = m.stats.CacheHits, m.stats.CacheMiss
-	m.sampledAxHits, m.sampledAxMiss = m.stats.AxCacheHits, m.stats.AxCacheMiss
 	m.sampledRet, m.sampledInv = m.stats.CacheRetained, m.stats.CacheInvalidated
 }
 
@@ -352,24 +315,6 @@ func (m *Manager) NVar(v int) Node {
 	}
 	return m.mk(int32(v), True, False)
 }
-
-// VarOf returns the variable tested by decision node n — which is also
-// its level in the order — or -1 for the terminals.
-func (m *Manager) VarOf(n Node) int {
-	if n <= True {
-		return -1
-	}
-	return int(m.lvl[n])
-}
-
-// IsTerminal reports whether n is True or False.
-func (m *Manager) IsTerminal(n Node) bool { return n <= True }
-
-// Low returns the else-child (dashed edge) of decision node n.
-func (m *Manager) Low(n Node) Node { return Node(m.lo[n]) }
-
-// High returns the then-child (solid edge) of decision node n.
-func (m *Manager) High(n Node) Node { return Node(m.hi[n]) }
 
 // Ref increments the external reference count of n, protecting it (and
 // its descendants) from garbage collection. It returns n for chaining.

@@ -22,11 +22,11 @@ func TestTerminals(t *testing.T) {
 	if m.And(True, False) != False || m.Or(True, False) != True {
 		t.Fatal("and/or of terminals")
 	}
-	if !m.IsTerminal(True) || !m.IsTerminal(False) {
-		t.Fatal("IsTerminal")
+	if m.NodeCount(True) != 0 || m.NodeCount(False) != 0 {
+		t.Fatal("a terminal counts as a decision node")
 	}
-	if m.IsTerminal(m.Var(0)) {
-		t.Fatal("variable is not a terminal")
+	if m.Var(0) <= True {
+		t.Fatal("a variable is a terminal")
 	}
 }
 
@@ -163,30 +163,22 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestRestrictCube(t *testing.T) {
-	m := newTest(4)
-	a, b, c := m.Var(0), m.Var(1), m.Var(2)
-	f := m.And(m.Or(a, b), c)
-	cube := m.And(a, m.Not(b))
-	got := m.RestrictCube(f, cube)
-	if got != c {
-		t.Fatalf("RestrictCube: got %s", m.Format(got, nil))
-	}
-}
-
 func TestExists(t *testing.T) {
 	m := newTest(4)
 	a, b := m.Var(0), m.Var(1)
 	f := m.And(a, b)
-	if m.Exists(f, 0) != b {
+	if m.ExistsCube(f, m.CubeVars([]int{0})) != b {
 		t.Fatal("∃a.(a&b) = b")
 	}
-	if m.ExistsSet(f, []int{0, 1}) != True {
+	if m.ExistsCube(f, m.CubeVars([]int{1, 0})) != True {
 		t.Fatal("∃a,b.(a&b) = true")
 	}
 	g := m.Xor(a, b)
-	if m.Exists(g, 1) != True {
+	if m.ExistsCube(g, m.CubeVars([]int{1})) != True {
 		t.Fatal("∃b.(a^b) = true")
+	}
+	if m.ExistsCube(g, m.CubeVars([]int{2, 3})) != g {
+		t.Fatal("∃c,d.(a^b) = a^b")
 	}
 }
 
@@ -198,22 +190,7 @@ func TestCompose(t *testing.T) {
 	got := m.Compose(f, 0, m.And(a, b))
 	want := m.Or(m.And(a, b), c)
 	if got != want {
-		t.Fatalf("Compose: got %s want %s", m.Format(got, nil), m.Format(want, nil))
-	}
-}
-
-func TestSupport(t *testing.T) {
-	m := newTest(6)
-	f := m.And(m.Var(1), m.Or(m.Var(3), m.NVar(5)))
-	got := m.Support(f)
-	want := []int{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("support %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("support %v want %v", got, want)
-		}
+		t.Fatalf("Compose: got node %d want node %d", got, want)
 	}
 }
 
@@ -250,32 +227,6 @@ func TestAnySat(t *testing.T) {
 	}
 	if !m.Eval(f, full) {
 		t.Fatal("AnySat returned non-satisfying assignment")
-	}
-}
-
-func TestAllSatCoversFunction(t *testing.T) {
-	const vars = 5
-	m := newTest(vars)
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		f, _ := buildRandom(m, r, 3)
-		// Rebuild f from its AllSat cubes and compare.
-		rebuilt := False
-		m.AllSat(f, func(a map[int]bool) bool {
-			cube := True
-			for v, val := range a {
-				if val {
-					cube = m.And(cube, m.Var(v))
-				} else {
-					cube = m.And(cube, m.NVar(v))
-				}
-			}
-			rebuilt = m.Or(rebuilt, cube)
-			return true
-		})
-		if rebuilt != f {
-			t.Fatalf("AllSat cubes do not reconstruct f on trial %d", trial)
-		}
 	}
 }
 
@@ -433,8 +384,7 @@ func TestAtMostKFalseSubset(t *testing.T) {
 	subset := []int{1, 3, 5}
 	f := m.AtMostKFalse(subset, 1)
 	// Variables outside the subset must not appear.
-	sup := m.Support(f)
-	for _, v := range sup {
+	for _, v := range support(m, f) {
 		if v != 1 && v != 3 && v != 5 {
 			t.Fatalf("unexpected var %d in support", v)
 		}
@@ -443,29 +393,6 @@ func TestAtMostKFalseSubset(t *testing.T) {
 	if m.Eval(f, func(v int) bool { return v == 5 }) {
 		t.Fatal("two subset vars down should violate k=1")
 	}
-}
-
-func TestExactlyKFalse(t *testing.T) {
-	const vars = 4
-	m := newTest(vars)
-	all := []int{0, 1, 2, 3}
-	for k := 0; k <= vars; k++ {
-		f := m.ExactlyKFalse(all, k)
-		if got, want := m.SatCount(f, vars), float64(binomial(vars, k)); got != want {
-			t.Fatalf("k=%d: %v assignments, want %v", k, got, want)
-		}
-	}
-}
-
-func binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	r := 1
-	for i := 0; i < k; i++ {
-		r = r * (n - i) / (i + 1)
-	}
-	return r
 }
 
 func TestSplitAtLevel(t *testing.T) {
@@ -488,7 +415,7 @@ func TestSplitAtLevel(t *testing.T) {
 				cube = m.And(cube, m.NVar(v))
 			}
 		}
-		for _, v := range m.Support(d.Sub) {
+		for _, v := range support(m, d.Sub) {
 			if v < 2 {
 				t.Fatalf("sub-BDD contains header variable %d", v)
 			}
@@ -525,7 +452,7 @@ func TestSplitAtLevelRandom(t *testing.T) {
 }
 
 func TestGC(t *testing.T) {
-	m := New(Config{Vars: 16, InitialNodes: 64})
+	m := newSized(Config{Vars: 16}, cacheStart, 64)
 	kept := m.Ref(m.And(m.Var(0), m.Var(1)))
 	// Create garbage.
 	r := rand.New(rand.NewSource(5))
@@ -555,7 +482,7 @@ func TestGC(t *testing.T) {
 }
 
 func TestGCKeepsDescendants(t *testing.T) {
-	m := New(Config{Vars: 8, InitialNodes: 64})
+	m := newSized(Config{Vars: 8}, cacheStart, 64)
 	f := m.Ref(m.AndN(m.Var(0), m.Var(1), m.Var(2), m.Var(3)))
 	m.GC()
 	// Descendants of f were not externally referenced but must survive.
@@ -688,25 +615,6 @@ func TestQuickProbabilityComplement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFormatSmall(t *testing.T) {
-	m := newTest(3)
-	if m.Format(True, nil) != "true" || m.Format(False, nil) != "false" {
-		t.Fatal("terminal formatting")
-	}
-	got := m.Format(m.Var(1), nil)
-	if got != "x1" {
-		t.Fatalf("Format(x1) = %q", got)
-	}
-}
-
-func TestDot(t *testing.T) {
-	m := newTest(3)
-	s := m.Dot(m.Or(m.Var(0), m.Var(1)), nil)
-	if len(s) == 0 || s[:7] != "digraph" {
-		t.Fatalf("dot output malformed: %q", s)
 	}
 }
 

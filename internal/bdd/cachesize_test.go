@@ -7,26 +7,18 @@ import (
 	"testing"
 )
 
-// TestCacheGrowthKeepsEntries fills both caches of a 4-set manager,
-// grows them at a MaybeGC(0) safe point and repeats the operations
-// whose entries were resident: every one must hit (one more CacheHits
-// or AxCacheHits each) and return the node it returned before. The
-// op-cache fill is chosen so that both entries of every set land in
-// one set of the grown cache, where the MRU entry must still be MRU.
+// TestCacheGrowthKeepsEntries fills the operation cache of a 4-set
+// manager, grows it at a MaybeGC(0) safe point and repeats the
+// operations whose entries were resident: every one must hit (one more
+// CacheHits each) and return the node it returned before. The fill is
+// chosen so that both entries of every set land in one set of the
+// grown cache, where the MRU entry must still be MRU.
 func TestCacheGrowthKeepsEntries(t *testing.T) {
 	const n, sets = 16, 4
-	m := New(Config{Vars: n, CacheSize: sets})
+	m := newSized(Config{Vars: n}, sets, initialNodes)
 	x := make([]Node, n)
 	for v := range x {
 		x[v] = m.Var(v)
-	}
-	// AndExists(x_a, x_b ∨ x_c, {c}) makes one AndExists entry; the
-	// 4-set manager keeps one.
-	cube := m.CubeVars([]int{n - 1})
-	ax := func(a int) Node { return m.AndExists(x[a], m.Or(x[a+1], x[n-1]), cube) }
-	axRes := make([]Node, n-2)
-	for a := range axRes {
-		axRes[a] = ax(a)
 	}
 
 	// And(x_a, x_b) makes one op-cache entry and one node. Two per set
@@ -37,7 +29,7 @@ func TestCacheGrowthKeepsEntries(t *testing.T) {
 	for grown < cacheCap && extent > grown*cacheNodesPerSet {
 		grown *= cacheStep
 	}
-	probe := New(Config{Vars: n, CacheSize: grown})
+	probe := newSized(Config{Vars: n}, grown, initialNodes)
 	type pair struct{ a, b int }
 	var lru, mru [sets]pair
 	var found [sets]bool
@@ -97,16 +89,11 @@ func TestCacheGrowthKeepsEntries(t *testing.T) {
 			t.Errorf("And(x%d, x%d) after growth: %d (want %d), %d hits (want 1)", p.a, p.b, r, want, m.stats.CacheHits-h0)
 		}
 	}
-	last := len(axRes) - 1
-	h0 := m.stats.AxCacheHits
-	if r := ax(last); r != axRes[last] || m.stats.AxCacheHits != h0+1 {
-		t.Errorf("the last AndExists after growth: %d (want %d), %d hits (want 1)", r, axRes[last], m.stats.AxCacheHits-h0)
-	}
 }
 
 // TestNewManagerIsSmall pins the starting size: a manager that will
-// hold few nodes allocates a 2¹²-set cache, not the 2¹⁸-set cap
-// (≈ 11.5 MB with its AndExists cache).
+// hold few nodes allocates a 2¹²-set cache (≈ 160 KB), not the 2¹⁸-set
+// cap (≈ 10.5 MB).
 func TestNewManagerIsSmall(t *testing.T) {
 	const calls = 50
 	keep := make([]*Manager, calls)
@@ -129,7 +116,7 @@ func TestNewManagerIsSmall(t *testing.T) {
 // count, then grows by ×4 steps, as many at once as the table needs;
 // the end of Read is such a safe point.
 func TestGrowthFollowsTheTable(t *testing.T) {
-	m := New(Config{Vars: 20, CacheSize: 4})
+	m := newSized(Config{Vars: 20}, 4, initialNodes)
 	for i := 0; i < 3; i++ {
 		m.Var(i) // extent 5 > 4 sets
 	}
@@ -139,9 +126,6 @@ func TestGrowthFollowsTheTable(t *testing.T) {
 	m.MaybeGC(0)
 	if sets := len(m.cache) / 2; sets != 16 || m.Statistics().CacheGrows != 1 {
 		t.Fatalf("after one look: %d sets, %d grows; want 16 sets, 1 grow", sets, m.Statistics().CacheGrows)
-	}
-	if len(m.axCache) != 4 {
-		t.Fatalf("AndExists cache has %d entries at 16 sets, want 4", len(m.axCache))
 	}
 
 	src := New(Config{Vars: 20})
@@ -155,7 +139,7 @@ func TestGrowthFollowsTheTable(t *testing.T) {
 	if err := src.Write(&buf, roots...); err != nil {
 		t.Fatal(err)
 	}
-	dst := New(Config{Vars: 20, CacheSize: 4})
+	dst := newSized(Config{Vars: 20}, 4, initialNodes)
 	if _, err := dst.Read(&buf); err != nil {
 		t.Fatal(err)
 	}

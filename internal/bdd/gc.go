@@ -43,10 +43,10 @@ func (m *Manager) GC() int { return m.collect(false) }
 // unconditionally once the allocated node count reaches it. It returns
 // the number of freed nodes, zero if no sweep ran. Afterwards — with or
 // without automatic collection, and after the sweep, so only surviving
-// entries are re-inserted — the operation caches grow to the node
-// table (see growCaches).
+// entries are re-inserted — the operation cache grows to the node
+// table (see growCache).
 func (m *Manager) MaybeGC(threshold int) int {
-	defer m.growCaches()
+	defer m.growCache()
 	if !m.autoGC {
 		return 0
 	}
@@ -78,7 +78,7 @@ func (m *Manager) collect(onlyIfWorthIt bool) int {
 		return 0
 	}
 	freed := m.sweep(mark)
-	m.sweepCaches(mark)
+	m.sweepCache(mark)
 	m.stats.HitsAtLastGC = m.stats.CacheHits
 	m.stats.MissAtLastGC = m.stats.CacheMiss
 	m.stats.GCRuns++

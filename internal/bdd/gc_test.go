@@ -12,7 +12,7 @@ import (
 // computation produces.
 func TestGCStress(t *testing.T) {
 	const vars = 24
-	m := New(Config{Vars: vars, InitialNodes: 64})
+	m := newSized(Config{Vars: vars}, cacheStart, 64)
 	r := rand.New(rand.NewSource(99))
 
 	type protected struct {
@@ -75,7 +75,7 @@ func TestGCStress(t *testing.T) {
 // TestGCReusePreservesUniqueness forces collection and slot reuse, then
 // verifies the unique table still hash-conses equal structures.
 func TestGCReusePreservesUniqueness(t *testing.T) {
-	m := New(Config{Vars: 16, InitialNodes: 32})
+	m := newSized(Config{Vars: 16}, cacheStart, 32)
 	r := rand.New(rand.NewSource(5))
 	keep := m.Ref(m.AndN(m.Var(0), m.Var(1), m.Var(2)))
 	for i := 0; i < 2000; i++ {
@@ -95,7 +95,7 @@ func TestGCReusePreservesUniqueness(t *testing.T) {
 // LiveNodes (freed slots move to the free list) while PeakNodes — the
 // high-water mark Figure 11 reports — is unaffected.
 func TestGCStatisticsLiveNodes(t *testing.T) {
-	m := New(Config{Vars: 16, InitialNodes: 32})
+	m := newSized(Config{Vars: 16}, cacheStart, 32)
 	var roots []Node
 	for v := 0; v < 15; v++ {
 		roots = append(roots, m.Ref(m.And(m.Var(v), m.Var(v+1))))

@@ -11,10 +11,9 @@ import "fmt"
 //     no other slot has ref == -1; nodes counts the rest;
 //   - every hash chain holds only allocated nodes of its own bucket, and
 //     every allocated node is on one;
-//   - no op-cache or AndExists-cache entry names a free slot;
-//   - both caches have a power-of-two size that setMask and axMask
-//     match, and every entry sits in the set (or slot) its key hashes
-//     to;
+//   - no op-cache entry names a free slot;
+//   - the op cache has a power-of-two set count that setMask matches,
+//     and every entry sits in the set its key hashes to;
 //   - after a safe point (afterSafePoint), the table extent is within
 //     the growth rule or the cache has reached its cap.
 //
@@ -91,8 +90,6 @@ func (m *Manager) checkInvariants(afterSafePoint bool) error {
 		return fmt.Errorf("op cache has %d entries, not two ways of a power-of-two set count", len(m.cache))
 	case m.setMask != uint32(sets-1):
 		return fmt.Errorf("setMask %#x for %d sets", m.setMask, sets)
-	case len(m.axCache) != max(sets/4, 1) || m.axMask != uint32(len(m.axCache)-1):
-		return fmt.Errorf("AndExists cache has %d entries, axMask %#x, for %d sets", len(m.axCache), m.axMask, sets)
 	case afterSafePoint && sets < cacheCap && len(m.lvl) > sets*cacheNodesPerSet:
 		return fmt.Errorf("after a safe point: %d sets for a table extent of %d", sets, len(m.lvl))
 	}
@@ -110,19 +107,6 @@ func (m *Manager) checkInvariants(afterSafePoint bool) error {
 		for _, n := range names {
 			if free(n) {
 				return fmt.Errorf("op-cache entry %d (op %d) names free slot %d", s, e.op, n)
-			}
-		}
-	}
-	for s, e := range m.axCache {
-		if e.f == False {
-			continue
-		}
-		if got := m.axSlot(e.f, e.g, e.cube); int(got) != s {
-			return fmt.Errorf("AndExists-cache entry %d hashes to slot %d", s, got)
-		}
-		for _, n := range []Node{e.f, e.g, e.cube, e.res} {
-			if free(n) {
-				return fmt.Errorf("AndExists-cache entry %d names free slot %d", s, n)
 			}
 		}
 	}

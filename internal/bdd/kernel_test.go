@@ -58,33 +58,24 @@ func TestRestrictCacheKeyDisjoint(t *testing.T) {
 	}
 }
 
-func TestAndExistsMatchesComposed(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	m := newTest(12)
-	for i := 0; i < 200; i++ {
-		f, _ := buildRandom(m, r, 4)
-		g, _ := buildRandom(m, r, 4)
-		nv := 1 + r.Intn(5)
-		vars := r.Perm(12)[:nv]
-		want := m.ExistsSet(m.And(f, g), vars)
-		if got := m.AndExistsVars(f, g, vars); got != want {
-			t.Fatalf("AndExistsVars != ExistsSet∘And (iter %d)", i)
-		}
-		if got := m.AndExists(f, g, m.CubeVars(vars)); got != want {
-			t.Fatalf("AndExists != ExistsSet∘And (iter %d)", i)
-		}
-	}
-}
-
-func TestExistsCubeMatchesExistsSet(t *testing.T) {
+// TestExistsCubeMatchesTruthTable quantifies random functions over
+// random varsets of up to half the variables, and over one cube built
+// once and kept referenced, as symbol.Space keeps its header cube.
+func TestExistsCubeMatchesTruthTable(t *testing.T) {
+	const n = 12
 	r := rand.New(rand.NewSource(43))
-	m := newTest(12)
+	m := newTest(n)
+	kept := []int{0, 2, 4, 6}
+	keptCube := m.Ref(m.CubeVars(kept))
 	for i := 0; i < 200; i++ {
-		f, _ := buildRandom(m, r, 5)
-		nv := 1 + r.Intn(6)
-		vars := r.Perm(12)[:nv]
-		if m.ExistsCube(f, m.CubeVars(vars)) != m.ExistsSet(f, vars) {
-			t.Fatalf("ExistsCube != ExistsSet (iter %d)", i)
+		f, eval := buildRandom(m, r, 5)
+		ft := ttFrom(n, eval)
+		vars := r.Perm(n)[:1+r.Intn(6)]
+		if !ttOf(m, m.ExistsCube(f, m.CubeVars(vars))).equal(ft.exists(vars)) {
+			t.Fatalf("ExistsCube over %v differs from the truth table (iter %d)", vars, i)
+		}
+		if !ttOf(m, m.ExistsCube(f, keptCube)).equal(ft.exists(kept)) {
+			t.Fatalf("ExistsCube over the kept cube differs from the truth table (iter %d)", i)
 		}
 	}
 }
@@ -152,21 +143,34 @@ func TestShortestPathToTrueMatchesComplement(t *testing.T) {
 	}
 }
 
-// reachable counts the decision nodes under f with a map-based walk of
-// its own, independent of the manager's scratch memo tables.
-func reachable(m *Manager, f Node) int {
+// decisionNodes collects the decision nodes under f with a map-based
+// walk of its own, independent of the manager's scratch memo tables.
+func decisionNodes(m *Manager, f Node) map[Node]bool {
 	seen := make(map[Node]bool)
 	var walk func(Node)
 	walk = func(n Node) {
-		if m.IsTerminal(n) || seen[n] {
+		if n <= True || seen[n] {
 			return
 		}
 		seen[n] = true
-		walk(m.Low(n))
-		walk(m.High(n))
+		walk(Node(m.lo[n]))
+		walk(Node(m.hi[n]))
 	}
 	walk(f)
-	return len(seen)
+	return seen
+}
+
+// support lists, in ascending order, the variables f's diagram tests;
+// in a reduced diagram these are exactly the variables f depends on.
+func support(m *Manager, f Node) []int {
+	var vars []int
+	for n := range decisionNodes(m, f) {
+		if v := int(m.lvl[n]); !slices.Contains(vars, v) {
+			vars = append(vars, v)
+		}
+	}
+	slices.Sort(vars)
+	return vars
 }
 
 // TestKernelMatchesTruthTable drives one random operation stream
@@ -189,7 +193,7 @@ func TestKernelMatchesTruthTable(t *testing.T) {
 
 func kernelVsTruthTable(t *testing.T, mode string) {
 	const n = 12
-	m := New(Config{Vars: n, CacheSize: 4})
+	m := newSized(Config{Vars: n}, 4, initialNodes)
 	r := rand.New(rand.NewSource(47))
 	pv := make([]float64, n)
 	for i := range pv {
@@ -237,13 +241,11 @@ func kernelVsTruthTable(t *testing.T, mode string) {
 		}
 		same("formula", f, ft)
 		same("And", m.And(f, g.n), ft.and(g.t))
+		same("Diff", m.Diff(f, g.n), ft.diff(g.t))
 
 		vars := r.Perm(n)[:3]
 		cube := m.CubeVars(vars)
-		same("ExistsSet", m.ExistsSet(f, vars), ft.exists(vars))
 		same("ExistsCube", m.ExistsCube(f, cube), ft.exists(vars))
-		same("AndExists", m.AndExists(f, g.n, cube), ft.and(g.t).exists(vars))
-		same("AndExistsVars", m.AndExistsVars(f, g.n, vars), ft.and(g.t).exists(vars))
 		if got, want := m.AndSat(f, g.n), ft.and(g.t).count() != 0; got != want {
 			t.Fatalf("AndSat = %v, want %v (iter %d)", got, want, i)
 		}
@@ -283,11 +285,11 @@ func kernelVsTruthTable(t *testing.T, mode string) {
 		if got, want := m.ShortestPathToTrue(f), ft.minFalseVars(true); got != want {
 			t.Fatalf("ShortestPathToTrue = %d, want %d (iter %d)", got, want, i)
 		}
-		if got, want := m.NodeCount(f), reachable(m, f); got != want {
+		if got, want := m.NodeCount(f), len(decisionNodes(m, f)); got != want {
 			t.Fatalf("NodeCount = %d, want %d (iter %d)", got, want, i)
 		}
-		if got, want := m.Support(f), ft.support(); !slices.Equal(got, want) {
-			t.Fatalf("Support = %v, want %v (iter %d)", got, want, i)
+		if got, want := support(m, f), ft.support(); !slices.Equal(got, want) {
+			t.Fatalf("the diagram tests %v, f depends on %v (iter %d)", got, want, i)
 		}
 		// The witness must falsify f with as few false variables as any
 		// falsifying assignment has.
@@ -442,20 +444,11 @@ func BenchmarkApply(b *testing.B) {
 	}
 }
 
-func BenchmarkExistsSet(b *testing.B) {
+func BenchmarkExistsCube(b *testing.B) {
 	m, f := benchManager(b, 64)
-	vars := []int{0, 7, 14, 21, 28, 35, 42, 49}
-	for i := 0; i < b.N; i++ {
-		m.ExistsSet(f, vars)
-	}
-}
-
-func BenchmarkAndExists(b *testing.B) {
-	m, f := benchManager(b, 64)
-	g := m.Ref(m.Or(m.And(m.Var(5), m.Var(33)), m.Var(50)))
 	cube := m.Ref(m.CubeVars([]int{0, 7, 14, 21, 28, 35, 42, 49}))
 	for i := 0; i < b.N; i++ {
-		m.AndExists(f, g, cube)
+		m.ExistsCube(f, cube)
 	}
 }
 

@@ -5,15 +5,16 @@ import (
 	"slices"
 )
 
-// Operation codes for the shared operation cache. Every op packs its
-// key into the (f, g, h) fields with a packing of its own: ops whose
-// keys are pure node-handle triples (apply, Not, Ite, the quantification
-// and satisfiability ops) are distinguished by op code from ops that
-// pack scalars into a field — restrict stores a variable LEVEL in g,
-// which may numerically collide with a node handle of another op but
-// never shares an op code with one. The GC sweep relies on this
+// Operation codes for the operation cache, which every memoized
+// operation shares. Every op packs its key into the (f, g, h) fields
+// with a packing of its own: ops whose keys are pure node-handle
+// triples (apply, Not, Ite, ExistsCube and the satisfiability ops) are
+// distinguished by op code from ops that pack scalars into a field —
+// restrict stores a variable LEVEL in g, which may numerically collide
+// with a node handle of another op but never shares an op code with
+// one. The GC sweep relies on this
 // discipline to know which fields are node handles when deciding
-// whether an entry survives a collection (see sweepCaches).
+// whether an entry survives a collection (see sweepCache).
 const (
 	opAnd int32 = iota + 1
 	opOr
@@ -21,9 +22,9 @@ const (
 	opDiff // f ∧ ¬g
 	opNot
 	opIte
-	// opExists keys (f, cube, 0): cube is the hash-consed positive cube
-	// of the quantified varset, so equal varsets share entries across
-	// calls — no per-call map.
+	// opExists keys (f, cube, 0) for ExistsCube: cube is the hash-consed
+	// positive cube of the quantified varset, so equal varsets share
+	// entries across calls — no per-call map.
 	opExists
 	// opRestrictF/opRestrictT key (f, Node(level), 0). The level in g is
 	// NOT a node handle; the value bit lives in the op code itself so
@@ -73,11 +74,11 @@ func (m *Manager) cacheSlot(op int32, f, g, h Node) uint32 {
 	return x & m.setMask
 }
 
-// sweepCaches drops exactly the cache entries whose operands or result
+// sweepCache drops exactly the cache entries whose operands or result
 // died in the collection that produced mark, keeping the rest warm.
 // Restrict entries pack a level (not a handle) into g, so only f and the
 // result decide their fate — the level is skipped by construction.
-func (m *Manager) sweepCaches(mark []bool) {
+func (m *Manager) sweepCache(mark []bool) {
 	retained, invalidated := uint64(0), uint64(0)
 	for i := range m.cache {
 		e := &m.cache[i]
@@ -98,53 +99,35 @@ func (m *Manager) sweepCaches(mark []bool) {
 			*e = cacheEntry{}
 		}
 	}
-	for i := range m.axCache {
-		e := &m.axCache[i]
-		if e.f == False {
-			continue
-		}
-		if mark[e.f] && mark[e.g] && mark[e.cube] && mark[e.res] {
-			retained++
-		} else {
-			invalidated++
-			*e = axEntry{}
-		}
-	}
 	m.stats.CacheRetained += retained
 	m.stats.CacheInvalidated += invalidated
 }
 
-// Operation-cache sizing. A manager starts with cacheStart sets (or
-// Config.CacheSize) and, at each safe point — MaybeGC and the end of
-// Read — grows both caches by cacheStep while the node table's extent
-// exceeds cacheNodesPerSet nodes per set, up to cacheCap sets. Growth
-// never happens inside an operation, so a manager decoded for queries
-// stops growing when Read returns. The steps are ×4, not ×2: every
-// smaller table is left behind as garbage, and a ×2 ramp allocates
-// about one extra final cache.
+// Operation-cache sizing. A manager starts with cacheStart sets and, at
+// each safe point — MaybeGC and the end of Read — grows the cache by
+// cacheStep while the node table's extent exceeds cacheNodesPerSet
+// nodes per set, up to cacheCap sets. Growth never happens inside an
+// operation, so a manager decoded for queries stops growing when Read
+// returns. The steps are ×4, not ×2: every smaller table is left behind
+// as garbage, and a ×2 ramp allocates about one extra final cache.
 const (
-	cacheStart       = 1 << 12          // sets a manager starts with
-	cacheNodesPerSet = 1                // grow while the extent exceeds this many nodes per set
-	cacheStep        = 4                // growth factor of one step
-	cacheCap         = DefaultCacheSize // sets a manager grows to at most
+	cacheStart       = 1 << 12 // sets a manager starts with
+	cacheNodesPerSet = 1       // grow while the extent exceeds this many nodes per set
+	cacheStep        = 4       // growth factor of one step
+	cacheCap         = 1 << 18 // sets a manager grows to at most
 )
 
-// allocCaches replaces both caches by empty ones of sets sets; the
-// AndExists cache gets a quarter as many entries (at least one):
-// quantification call sites are fewer but each entry is hot.
-func (m *Manager) allocCaches(sets int) {
-	axs := max(sets/4, 1)
+// allocCache replaces the cache by an empty one of sets sets.
+func (m *Manager) allocCache(sets int) {
 	m.cache = make([]cacheEntry, 2*sets) // sets × 2 ways
 	m.setMask = uint32(sets - 1)
-	m.axCache = make([]axEntry, axs)
-	m.axMask = uint32(axs - 1)
 }
 
-// growCaches applies the sizing rule above at a safe point. Entries are
+// growCache applies the sizing rule above at a safe point. Entries are
 // re-inserted, not dropped: an entry's old set index is the low bits of
 // its new one, so entries of different old sets never collide, and each
 // set's LRU entry goes in before its MRU entry, which stays MRU.
-func (m *Manager) growCaches() {
+func (m *Manager) growCache() {
 	sets, steps := len(m.cache)/2, 0
 	for sets < cacheCap && len(m.lvl) > sets*cacheNodesPerSet {
 		sets = min(sets*cacheStep, cacheCap)
@@ -153,18 +136,13 @@ func (m *Manager) growCaches() {
 	if steps == 0 {
 		return
 	}
-	old, oldAx := m.cache, m.axCache
-	m.allocCaches(sets)
+	old := m.cache
+	m.allocCache(sets)
 	for s := 0; s < len(old); s += 2 {
 		for _, e := range [2]cacheEntry{old[s+1], old[s]} {
 			if e.op != 0 {
 				m.cacheStore(e.op, e.f, e.g, e.h, e.res)
 			}
-		}
-	}
-	for _, e := range oldAx {
-		if e.f != False {
-			m.axStore(e.f, e.g, e.cube, e.res)
 		}
 	}
 	m.stats.CacheGrows += steps
@@ -390,39 +368,6 @@ func (m *Manager) restrictRec(f Node, lvl int32, op int32) Node {
 	return r
 }
 
-// RestrictCube restricts f by every literal of the cube: cube must be a
-// conjunction of literals. Variables appearing positively are fixed to
-// true, negatively to false.
-func (m *Manager) RestrictCube(f, cube Node) Node {
-	for cube > True {
-		lvl := m.lvl[cube]
-		if Node(m.lo[cube]) == False {
-			f = m.restrictRec(f, lvl, opRestrictT)
-			cube = Node(m.hi[cube])
-		} else if Node(m.hi[cube]) == False {
-			f = m.restrictRec(f, lvl, opRestrictF)
-			cube = Node(m.lo[cube])
-		} else {
-			panic("bdd: RestrictCube argument is not a cube")
-		}
-	}
-	return f
-}
-
-// Exists existentially quantifies variable v out of f.
-func (m *Manager) Exists(f Node, v int) Node {
-	return m.Or(m.Restrict(f, v, false), m.Restrict(f, v, true))
-}
-
-// ExistsSet existentially quantifies every variable of vars out of f.
-// The varset is hash-consed into a positive cube so the shared operation
-// cache memoizes (f, varset) pairs across calls — repeated projections
-// over the same variables (TopoOnly/HeaderOnly in the pipeline) hit the
-// cache instead of rebuilding a per-call map.
-func (m *Manager) ExistsSet(f Node, vars []int) Node {
-	return m.existsRec(f, m.CubeVars(vars))
-}
-
 // ExistsCube existentially quantifies every variable of the positive
 // cube out of f. The cube is the canonical varset representation: build
 // it once with CubeVars, keep it referenced, and every projection over
@@ -545,35 +490,6 @@ func (m *Manager) diffSatRec(f, g Node) Node {
 	return r
 }
 
-// Support returns the sorted list of variables on which f depends.
-func (m *Manager) Support(f Node) []int {
-	m.i32memo.begin(len(m.lvl))
-	m.varSeen.begin(m.vars)
-	out := make([]int, 0, 16)
-	out = m.supportRec(f, out)
-	sortInts(out)
-	return out
-}
-
-func (m *Manager) supportRec(n Node, out []int) []int {
-	if n <= True {
-		return out
-	}
-	if _, seen := m.i32memo.get(n); seen {
-		return out
-	}
-	m.i32memo.put(n, 0)
-	if m.varSeen.mark(m.lvl[n]) {
-		out = append(out, int(m.lvl[n]))
-	}
-	out = m.supportRec(Node(m.lo[n]), out)
-	return m.supportRec(Node(m.hi[n]), out)
-}
-
-func sortInts(a []int) {
-	slices.Sort(a)
-}
-
 // Cube returns the conjunction of the given literals: vars[i] appears
 // positively if values[i] is true, negatively otherwise. The cube is
 // built bottom-up from the deepest level with mk — one canonical node
@@ -607,7 +523,7 @@ func (m *Manager) Cube(vars []int, values []bool) Node {
 }
 
 // CubeVars returns the positive cube over vars — the canonical varset
-// node used as ExistsCube/AndExists quantifier. Built bottom-up with mk.
+// node ExistsCube quantifies. Built bottom-up with mk.
 func (m *Manager) CubeVars(vars []int) Node {
 	order := m.sortedVarOrder(vars)
 	r := True

@@ -3,9 +3,11 @@ package bdd
 import "testing"
 
 // FuzzKernelOps decodes bytes into a sequence of kernel operations over
-// eight variables — And, Or, Xor, Not, Ite, Exists, AndExists,
-// Restrict, Ref and Deref — interleaved with forced MaybeGC(0) looks
-// and GC() collections. Every handle the sequence holds is Ref'd and
+// eight variables — the ones the engine runs: And, Or, Xor, Not, Ite,
+// ExistsCube, Diff, Restrict, Ref and Deref — interleaved with forced
+// MaybeGC(0) looks and GC() collections. ExistsCube quantifies over one
+// of two positive cubes built and Ref'd once, the way symbol.Space
+// keeps its header and non-header cubes. Every handle the sequence holds is Ref'd and
 // carries its truth table (tt, which shares nothing with the kernel).
 // Each result is compared to its table when it is made; after every
 // collection each held handle must still denote its table and
@@ -17,21 +19,25 @@ import "testing"
 // is caught there too.
 func FuzzKernelOps(f *testing.F) {
 	// Opcodes (the byte mod 12), each followed by its operand bytes:
-	// 0 And a b, 1 Or a b, 2 Xor a b, 3 Not a, 4 Ite a b c, 5 Exists a v,
-	// 6 AndExists a b v w, 7 Restrict a v val, 8 Ref a, 9 Deref a,
-	// 10 MaybeGC(0), 11 GC(). Handles 0–7 start as the variables.
+	// 0 And a b, 1 Or a b, 2 Xor a b, 3 Not a, 4 Ite a b c,
+	// 5 ExistsCube a c (c even: variables 0–3, odd: 4–7), 6 Diff a b,
+	// 7 Restrict a v val, 8 Ref a, 9 Deref a, 10 MaybeGC(0), 11 GC().
+	// Handles 0–7 start as the variables.
 	f.Add([]byte{0, 0, 1, 9, 8, 11})                      // a conjunction dies and is swept
 	f.Add([]byte{0, 0, 1, 8, 8, 9, 8, 11, 0, 0, 1, 11})   // a second Ref keeps it alive
-	f.Add([]byte{4, 0, 1, 2, 6, 8, 3, 0, 1, 9, 9, 10})    // Ite, AndExists, then a look
-	f.Add([]byte{1, 2, 3, 5, 8, 4, 7, 8, 6, 1, 9, 8, 11}) // Or, Exists, Restrict
+	f.Add([]byte{4, 0, 1, 2, 6, 8, 3, 9, 9, 10})          // Ite, Diff, then a look
+	f.Add([]byte{1, 2, 3, 5, 8, 4, 7, 8, 6, 1, 9, 8, 11}) // Or, ExistsCube, Restrict
 	f.Add([]byte{2, 0, 1, 2, 8, 2, 2, 9, 9, 9, 8, 9, 8, 10, 2, 0, 1, 11, 3, 8, 11})
+	f.Add([]byte{6, 0, 1, 5, 8, 1, 9, 8, 11, 6, 0, 1, 10}) // a Diff projected, dropped, swept and redone
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
-		m := New(Config{Vars: n, InitialNodes: 64, CacheSize: 4})
+		m := newSized(Config{Vars: n}, 4, 64)
 		type fn struct {
 			n Node
 			t tt
 		}
+		cubeVars := [2][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
+		cubes := [2]Node{m.Ref(m.CubeVars(cubeVars[0])), m.Ref(m.CubeVars(cubeVars[1]))}
 		var held []fn
 		for v := 0; v < n; v++ {
 			held = append(held, fn{m.Ref(m.Var(v)), ttVar(n, v)})
@@ -86,12 +92,11 @@ func FuzzKernelOps(f *testing.F) {
 				a, b, c := pick(), pick(), pick()
 				push(m.Ite(a.n, b.n, c.n), a.t.ite(b.t, c.t))
 			case 5:
-				a, v := pick(), next()%n
-				push(m.Exists(a.n, v), a.t.exists([]int{v}))
+				a, c := pick(), next()%2
+				push(m.ExistsCube(a.n, cubes[c]), a.t.exists(cubeVars[c]))
 			case 6:
 				a, b := pick(), pick()
-				vars := []int{next() % n, next() % n}
-				push(m.AndExists(a.n, b.n, m.CubeVars(vars)), a.t.and(b.t).exists(vars))
+				push(m.Diff(a.n, b.n), a.t.diff(b.t))
 			case 7:
 				a, v, val := pick(), next()%n, next()%2 == 1
 				push(m.Restrict(a.n, v, val), a.t.restrict(v, val))

@@ -3,146 +3,57 @@ package bdd
 // Manager-owned, generation-stamped scratch memo tables.
 //
 // The per-node analyses (SatCount, Probability, ShortestPathToFalse,
-// MinFalseWitness, NodeCount, Support) are pure traversals: they create
-// no nodes, so the node table cannot grow mid-call and a flat array
-// indexed by Node is a valid memo. Instead of clearing the array between
-// calls — O(nodes) per call — each slot carries the generation that
-// wrote it: begin() bumps the generation, invalidating every slot in
-// O(1). Slots are only zeroed on the (rare) 32-bit generation wrap.
+// ShortestPathToTrue, MinFalseWitness, NodeCount) and Write's
+// topological walk are pure traversals: they create no nodes, so the
+// node table cannot grow mid-call and a flat array indexed by Node is a
+// valid memo. Instead of clearing the array between calls — O(nodes)
+// per call — each slot carries the generation that wrote it: begin()
+// bumps the generation, invalidating every slot in O(1). Slots are only
+// zeroed on the (rare) 32-bit generation wrap.
 //
 // The tables belong to the Manager and grow monotonically with the node
 // table, so steady-state analysis calls allocate nothing. Managers are
 // single-goroutine (the parallel scheduler gives every task its own
 // manager), so no locking is needed.
 
-// memoF64 memoizes one float64 per node (SatCount, Probability).
-type memoF64 struct {
+// memo memoizes one value of type T per node.
+type memo[T any] struct {
 	stamp []uint32
-	val   []float64
+	val   []T
 	gen   uint32
 }
 
 // begin invalidates the table and ensures capacity for n nodes.
-func (t *memoF64) begin(n int) {
+func (t *memo[T]) begin(n int) {
 	if len(t.stamp) < n {
 		t.stamp = append(t.stamp, make([]uint32, n-len(t.stamp))...)
-		t.val = append(t.val, make([]float64, n-len(t.val))...)
+		t.val = append(t.val, make([]T, n-len(t.val))...)
 	}
 	t.gen++
 	if t.gen == 0 { // wrapped: stale stamps could alias; hard reset
-		for i := range t.stamp {
-			t.stamp[i] = 0
-		}
+		clear(t.stamp)
 		t.gen = 1
 	}
 }
 
-func (t *memoF64) get(n Node) (float64, bool) {
+func (t *memo[T]) get(n Node) (T, bool) {
 	if t.stamp[n] == t.gen {
 		return t.val[n], true
 	}
-	return 0, false
+	var zero T
+	return zero, false
 }
 
-func (t *memoF64) put(n Node, v float64) {
+func (t *memo[T]) put(n Node, v T) {
 	t.stamp[n] = t.gen
 	t.val[n] = v
 }
 
-// memoI32 memoizes one int32 per node (shortest-path distances,
-// visited marks).
-type memoI32 struct {
-	stamp []uint32
-	val   []int32
-	gen   uint32
-}
-
-func (t *memoI32) begin(n int) {
-	if len(t.stamp) < n {
-		t.stamp = append(t.stamp, make([]uint32, n-len(t.stamp))...)
-		t.val = append(t.val, make([]int32, n-len(t.val))...)
-	}
-	t.gen++
-	if t.gen == 0 {
-		for i := range t.stamp {
-			t.stamp[i] = 0
-		}
-		t.gen = 1
-	}
-}
-
-func (t *memoI32) get(n Node) (int32, bool) {
-	if t.stamp[n] == t.gen {
-		return t.val[n], true
-	}
-	return 0, false
-}
-
-func (t *memoI32) put(n Node, v int32) {
-	t.stamp[n] = t.gen
-	t.val[n] = v
-}
-
-// memoWit memoizes the MinFalseWitness entry per node: the shortest
-// dashed distance to False, the child on the optimal path, and whether
-// the optimal step takes the dashed edge.
-type memoWit struct {
-	stamp []uint32
-	dist  []int32
-	via   []int32
-	down  []bool
-	gen   uint32
-}
-
-func (t *memoWit) begin(n int) {
-	if len(t.stamp) < n {
-		grow := n - len(t.stamp)
-		t.stamp = append(t.stamp, make([]uint32, grow)...)
-		t.dist = append(t.dist, make([]int32, grow)...)
-		t.via = append(t.via, make([]int32, grow)...)
-		t.down = append(t.down, make([]bool, grow)...)
-	}
-	t.gen++
-	if t.gen == 0 {
-		for i := range t.stamp {
-			t.stamp[i] = 0
-		}
-		t.gen = 1
-	}
-}
-
-func (t *memoWit) has(n Node) bool { return t.stamp[n] == t.gen }
-
-func (t *memoWit) put(n Node, dist, via int32, down bool) {
-	t.stamp[n] = t.gen
-	t.dist[n] = dist
-	t.via[n] = via
-	t.down[n] = down
-}
-
-// varMarks is a generation-stamped per-variable mark set (Support).
-type varMarks struct {
-	stamp []uint32
-	gen   uint32
-}
-
-func (t *varMarks) begin(n int) {
-	if len(t.stamp) < n {
-		t.stamp = append(t.stamp, make([]uint32, n-len(t.stamp))...)
-	}
-	t.gen++
-	if t.gen == 0 {
-		for i := range t.stamp {
-			t.stamp[i] = 0
-		}
-		t.gen = 1
-	}
-}
-
-func (t *varMarks) mark(v int32) bool { // reports first sighting
-	if t.stamp[v] == t.gen {
-		return false
-	}
-	t.stamp[v] = t.gen
-	return true
+// witStep is MinFalseWitness's entry per node: the shortest dashed
+// distance to False, the child on the optimal path, and whether the
+// optimal step takes the dashed edge.
+type witStep struct {
+	dist int32
+	via  Node
+	down bool
 }

@@ -123,8 +123,8 @@ func (s *streamReader) next() uint32 {
 // — is validated, so corrupt streams fail instead of decoding garbage.
 // Read consumes r byte by byte when it is an io.ByteReader (a
 // bytes.Reader or bytes.Buffer) and through a bufio.Reader otherwise.
-// It ends at a safe point: the operation caches grow to the decoded
-// table (see growCaches).
+// It ends at a safe point: the operation cache grows to the decoded
+// table (see growCache).
 func (m *Manager) Read(r io.Reader) ([]Node, error) {
 	br, ok := r.(io.ByteReader)
 	if !ok {
@@ -196,8 +196,8 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 		}
 		roots = append(roots, nodes[idx])
 	}
-	// The end of a decode is a safe point: size the caches to the
-	// decoded table now, so queries on it never grow them.
-	m.growCaches()
+	// The end of a decode is a safe point: size the cache to the
+	// decoded table now, so queries on it never grow it.
+	m.growCache()
 	return roots, nil
 }

@@ -109,7 +109,7 @@ func TestIBGPMeshLine(t *testing.T) {
 	l3e, _ := topo.LinkBetween(r3, topo.MustRouter("E"))
 	want := m.AndN(e.Sp.LinkVar(l12), e.Sp.LinkVar(l23), e.Sp.LinkVar(l3e))
 	if sr.TcRib != want {
-		t.Errorf("tc = %s, want l12&l23&l3e", m.Format(sr.TcRib, nil))
+		t.Errorf("tc = node %d, want l12&l23&l3e", sr.TcRib)
 	}
 	// Local-pref is preserved over iBGP (default 100 here) and the AS
 	// path is NOT prepended with the local AS.

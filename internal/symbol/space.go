@@ -147,11 +147,6 @@ func (s *Space) Prefix(p route.Prefix) bdd.Node {
 	return n
 }
 
-// AddrCube returns the BDD matching exactly the destination address a.
-func (s *Space) AddrCube(a uint32) bdd.Node {
-	return s.Prefix(route.Prefix{Addr: a, Len: 32})
-}
-
 // AtMostKLinkFailures returns the paper's filtering BDD lf^k (§7.1): true
 // iff at most k link variables are false.
 func (s *Space) AtMostKLinkFailures(k int) bdd.Node {

@@ -49,15 +49,17 @@ func TestPrefixEncoding(t *testing.T) {
 	}
 }
 
-func TestAddrCube(t *testing.T) {
+// TestHostPrefixMatchesOneAddress checks that a /32 prefix cube
+// matches exactly its own destination address.
+func TestHostPrefixMatchesOneAddress(t *testing.T) {
 	s := NewSpace(1, bdd.Config{}, 0, nil)
 	const addr = 0xC0A80101 // 192.168.1.1
-	c := s.AddrCube(addr)
+	c := s.Prefix(route.Prefix{Addr: addr, Len: 32})
 	if !s.M.Eval(c, func(v int) bool { return addr&(1<<(31-v)) != 0 }) {
 		t.Fatal("cube does not match its own address")
 	}
 	if got := s.M.SatCount(c, HeaderBits); got != 1 {
-		t.Fatalf("address cube should have exactly 1 assignment, got %v", got)
+		t.Fatalf("host prefix cube should have exactly 1 assignment, got %v", got)
 	}
 }
 
@@ -92,10 +94,10 @@ func TestTopoAndHeaderProjection(t *testing.T) {
 	link := s.M.Var(s.LinkVarIndex(1))
 	f := s.M.And(hdr, link)
 	if got := s.TopoOnly(f); got != link {
-		t.Errorf("TopoOnly = %s", s.M.Format(got, nil))
+		t.Errorf("TopoOnly = node %d", got)
 	}
 	if got := s.HeaderOnly(f); got != hdr {
-		t.Errorf("HeaderOnly = %s", s.M.Format(got, nil))
+		t.Errorf("HeaderOnly = node %d", got)
 	}
 }
 

@@ -8,7 +8,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // RouterID identifies a router, dense from 0.
@@ -223,61 +222,6 @@ func (t *Topology) MinCut(s, d RouterID) int {
 		}
 		flow++
 	}
-}
-
-// EdgeConnectedComponents partitions the routers into (k+1)-edge-connected
-// components: two routers share a component iff they remain connected
-// under the removal of any k links (equivalently, their min-cut exceeds
-// k). The result maps each router to a component label. This drives the
-// paper's prefix pruning (§7.2).
-//
-// The implementation uses the min-cut characterization directly with a
-// union-find accelerated by transitivity: "min-cut > k" is an equivalence
-// relation for k-edge-connectivity classes.
-func (t *Topology) EdgeConnectedComponents(k int) []int {
-	n := len(t.routers)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	label := 0
-	for i := 0; i < n; i++ {
-		if comp[i] != -1 {
-			continue
-		}
-		comp[i] = label
-		for j := i + 1; j < n; j++ {
-			if comp[j] != -1 {
-				continue
-			}
-			if t.MinCut(RouterID(i), RouterID(j)) > k {
-				comp[j] = label
-			}
-		}
-		label++
-	}
-	return comp
-}
-
-// SingletonComponents returns the routers that sit alone in their
-// (k+1)-edge-connected component, sorted by ID. Prefixes originated by
-// these routers have failure tolerance exactly k-1 or lower with respect
-// to everyone outside the component, which is what lets prefix pruning
-// skip their symbolic route computation in higher strata.
-func (t *Topology) SingletonComponents(k int) []RouterID {
-	comp := t.EdgeConnectedComponents(k)
-	count := make(map[int]int)
-	for _, c := range comp {
-		count[c]++
-	}
-	var out []RouterID
-	for i, c := range comp {
-		if count[c] == 1 {
-			out = append(out, RouterID(i))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // String summarizes the topology.

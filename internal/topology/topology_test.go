@@ -184,61 +184,6 @@ func existsCut(t *Topology, s, d RouterID, k int) bool {
 	return rec(0, nil)
 }
 
-func TestEdgeConnectedComponents(t *testing.T) {
-	// Two triangles joined by a single bridge: each triangle is
-	// 2-edge-connected; the bridge splits them for k >= 1.
-	topo := NewTopology()
-	for i := 0; i < 6; i++ {
-		topo.AddRouter(string(rune('a' + i)))
-	}
-	topo.AddLink(0, 1)
-	topo.AddLink(1, 2)
-	topo.AddLink(2, 0)
-	topo.AddLink(3, 4)
-	topo.AddLink(4, 5)
-	topo.AddLink(5, 3)
-	topo.AddLink(2, 3) // bridge
-	comp0 := topo.EdgeConnectedComponents(0)
-	if !sameComponent(comp0, 0, 5) {
-		t.Error("k=0: connected graph should be one component")
-	}
-	comp1 := topo.EdgeConnectedComponents(1)
-	if !sameComponent(comp1, 0, 2) || !sameComponent(comp1, 3, 5) {
-		t.Error("k=1: triangles should stay together")
-	}
-	if sameComponent(comp1, 0, 3) {
-		t.Error("k=1: bridge should split the triangles")
-	}
-	comp2 := topo.EdgeConnectedComponents(2)
-	for i := 1; i < 6; i++ {
-		if sameComponent(comp2, 0, i) {
-			t.Errorf("k=2: everything should be singleton, got 0~%d", i)
-		}
-	}
-}
-
-func sameComponent(comp []int, a, b int) bool { return comp[a] == comp[b] }
-
-func TestSingletonComponents(t *testing.T) {
-	// A triangle with a pendant router: the pendant is a singleton for
-	// k >= 1.
-	topo := NewTopology()
-	for i := 0; i < 4; i++ {
-		topo.AddRouter(string(rune('a' + i)))
-	}
-	topo.AddLink(0, 1)
-	topo.AddLink(1, 2)
-	topo.AddLink(2, 0)
-	topo.AddLink(2, 3)
-	if got := topo.SingletonComponents(0); len(got) != 0 {
-		t.Errorf("k=0: no singletons expected, got %v", got)
-	}
-	got := topo.SingletonComponents(1)
-	if len(got) != 1 || got[0] != 3 {
-		t.Errorf("k=1: want [3], got %v", got)
-	}
-}
-
 func TestQuickMinCutSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -54,7 +54,7 @@ func TestVerificationLookupBudget(t *testing.T) {
 
 // TestQueryLookupBudget pins the BDD work of the pair queries on the
 // swept inputs of TestVerificationReproducible, counted in
-// operation-cache lookups (both caches) after verification. A sweep of
+// operation-cache lookups after verification. A sweep of
 // FailureTolerances, IsolationTolerance and LoadBalancedPaths over every
 // router and prefix must do exactly the measured work: 157 902 lookups
 // on wan20-ospf, 318 409 on campus40. The count depends on what
@@ -68,7 +68,7 @@ func TestVerificationLookupBudget(t *testing.T) {
 func TestQueryLookupBudget(t *testing.T) {
 	lookups := func(v *sre.Verifier) uint64 {
 		b := v.Metrics().BDD
-		return b.CacheHits + b.CacheMisses + b.AxCacheHits + b.AxCacheMisses
+		return b.CacheHits + b.CacheMisses
 	}
 	for _, c := range []struct {
 		name               string

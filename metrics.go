@@ -125,15 +125,11 @@ type BDDMetrics struct {
 	CacheHits     uint64  `json:"cache_hits"`
 	CacheMisses   uint64  `json:"cache_misses"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
-	// AxCacheHits/AxCacheMisses count the dedicated AndExists
-	// relational-product cache.
-	AxCacheHits   uint64 `json:"ax_cache_hits"`
-	AxCacheMisses uint64 `json:"ax_cache_misses"`
 	// CacheRetained/CacheInvalidated count operation-cache entries kept
 	// and dropped across GC sweeps.
 	CacheRetained    uint64 `json:"cache_retained"`
 	CacheInvalidated uint64 `json:"cache_invalidated"`
-	// CacheGrows counts the ×4 growth steps of the operation caches:
+	// CacheGrows counts the ×4 growth steps of the operation cache:
 	// each manager starts at 2¹² sets and grows with its node table at
 	// safe points, up to 2¹⁸.
 	CacheGrows int `json:"cache_grows"`
@@ -181,8 +177,6 @@ func (v *Verifier) Metrics() MetricsReport {
 		r.BDD.GCRuns += bst.GCRuns
 		r.BDD.CacheHits += bst.CacheHits
 		r.BDD.CacheMisses += bst.CacheMiss
-		r.BDD.AxCacheHits += bst.AxCacheHits
-		r.BDD.AxCacheMisses += bst.AxCacheMiss
 		r.BDD.CacheRetained += bst.CacheRetained
 		r.BDD.CacheInvalidated += bst.CacheInvalidated
 		r.BDD.CacheGrows += bst.CacheGrows
