@@ -509,7 +509,11 @@ func printSpecs(net *sre.Network, specs *sre.Specs, budget int) {
 		}
 		return rows[i].prefix < rows[j].prefix
 	})
-	fmt.Printf("# mined %d reachability specs (k explored up to %d)\n", len(rows), budget)
+	explored := "all"
+	if budget >= 0 {
+		explored = fmt.Sprint(budget)
+	}
+	fmt.Printf("# mined %d reachability specs (k explored up to %s)\n", len(rows), explored)
 	for _, r := range rows {
 		fmt.Printf("reach %-12s -> %-18s tolerance %s\n", r.src, r.prefix, formatTolerance(r.k, budget))
 	}

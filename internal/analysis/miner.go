@@ -18,8 +18,9 @@ import (
 // Miner mines network specifications from configurations, the task of
 // Figure 7 (Config2Spec comparison): for every (source router,
 // destination prefix) pair it determines the reachability failure
-// tolerance up to KMax, plus isolation pairs, waypoint tolerances, and
-// load-balancing degrees.
+// tolerance up to KMax (a negative KMax explores the full failure
+// space), plus isolation pairs, waypoint tolerances, and load-balancing
+// degrees.
 //
 // The miner implements the paper's stratified approach (§7.2): stratum k
 // verifies, with route pruning at budget k, the properties that survived
@@ -127,7 +128,9 @@ func (mn *Miner) Mine() (*Specs, error) {
 
 	workers := Workers(mn.SrcOpts)
 	var isolationCandidates []PairKey
-	for k := 0; k <= mn.KMax; k++ {
+	// With no budget the strata run until every pair is decided, which
+	// stratum max(min-cut) does at the latest.
+	for k := 0; mn.KMax < 0 || k <= mn.KMax; k++ {
 		start := time.Now()
 		telStrata.Inc()
 		for key := range undecided {

@@ -3,6 +3,7 @@ package src
 import (
 	"testing"
 
+	"sre/internal/config"
 	"sre/internal/workload"
 )
 
@@ -39,15 +40,32 @@ func TestImportAllocBudget(t *testing.T) {
 // BenchmarkEngineRunFatTree6 is SRC alone on ROADMAP's standing
 // workload: FatTree(6) BGP k=1 in one space.
 func BenchmarkEngineRunFatTree6(b *testing.B) {
-	net := workload.FatTree(6, workload.BGP)
+	benchEngineRun(b, workload.FatTree(6, workload.BGP), Options{PruneK: 1})
+}
+
+// BenchmarkEngineRunIBGPMesh is SRC alone on a 12-router iBGP mesh over
+// OSPF at k=2: the underlay run, the virtual sessions it conditions and
+// the exports over them, which no fat tree or OSPF WAN reaches.
+func BenchmarkEngineRunIBGPMesh(b *testing.B) {
+	benchEngineRun(b, workload.SyntheticWAN("m", 12, 18, workload.BGPOSPF, 2),
+		Options{PruneK: 2, IBGPFullMesh: true})
+}
+
+// benchEngineRun runs SRC over net in a fresh space per iteration and
+// reports advertisements imported and operation-cache lookups per run.
+func benchEngineRun(b *testing.B, net *config.Network, opts Options) {
 	b.ReportAllocs()
-	imports := 0
+	var imports int
+	var lookups uint64
 	for i := 0; i < b.N; i++ {
-		e := New(net, Options{PruneK: 1})
+		e := New(net, opts)
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
+		st := e.Sp.M.Statistics()
 		imports += e.Statistics().RoutesImported
+		lookups += st.CacheHits + st.CacheMiss
 	}
 	b.ReportMetric(float64(imports)/float64(b.N), "imports/op")
+	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
 }

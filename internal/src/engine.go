@@ -127,10 +127,11 @@ type Engine struct {
 	prefixSet map[route.Prefix]bool // nil when unrestricted
 	stats     Stats
 
-	// iBGP full-mesh state (see ibgp.go).
-	meshMembers  map[topology.RouterID]bool
+	// loopbackOSPF holds the loopbacks of the iBGP mesh (see ibgp.go).
 	loopbackOSPF map[topology.RouterID]route.Prefix
-	vsessions    map[topology.RouterID][]virtualSession
+	// sessions lists, per router, what it advertises over (see
+	// buildSessions); it holds for the whole run.
+	sessions [][]session
 
 	// Telemetry handles (nil-safe no-ops when Opts.Telemetry is nil).
 	tel           *obs.Telemetry
@@ -144,7 +145,18 @@ type message struct {
 	from topology.RouterID
 	link topology.LinkID
 	rt   *route.Route // as transformed by the sender's export processing
-	tc   bdd.Node     // already conjoined with the link variable
+	tc   bdd.Node     // already conjoined with the session condition
+}
+
+// session is one adjacency a router advertises over: a link, or a
+// virtual iBGP session (link −1) that is up under cond, the underlay's
+// reachability between the peers. bgp and ospf say which protocols run
+// on it.
+type session struct {
+	peer      topology.RouterID
+	link      topology.LinkID
+	cond      bdd.Node // virtual sessions only
+	bgp, ospf bool
 }
 
 type advKey struct {
@@ -320,11 +332,15 @@ func (e *Engine) fixpoint() (err error) {
 	if e.Opts.PruneK >= 0 {
 		e.filter = m.Ref(e.Sp.AtMostKLinkFailures(e.Opts.PruneK))
 	}
+	var mesh map[topology.RouterID]bool
+	var virtual map[topology.RouterID][]session
 	if e.Opts.IBGPFullMesh {
-		if serr := e.setupVirtualSessions(); serr != nil {
+		var serr error
+		if mesh, virtual, serr = e.setupVirtualSessions(); serr != nil {
 			return resil.Stage("src", serr)
 		}
 	}
+	e.sessions = e.buildSessions(mesh, virtual)
 	e.originate()
 	for len(e.queue) > 0 {
 		r := e.queue[0]
@@ -679,25 +695,42 @@ func insertSorted(list []*SymRoute, sr *SymRoute) []*SymRoute {
 	return list
 }
 
-// exportPrefix recomputes the advertisements of prefix p from router r
-// to every eligible neighbor and enqueues the differences (updates and
-// withdrawals) into the neighbors' inboxes.
-func (e *Engine) exportPrefix(r topology.RouterID, p route.Prefix) {
+// buildSessions lists each router's sessions: one per link that is
+// passive at neither end, in link order, then its virtual iBGP sessions.
+// A link runs BGP when both ends do, except between two same-AS members
+// of the mesh, whose BGP goes over their virtual session; it runs OSPF
+// when both ends do. A link that runs neither keeps its session: its
+// exports are empty, but building them creates the link's variable,
+// and the nodes made after it are numbered from there.
+func (e *Engine) buildSessions(mesh map[topology.RouterID]bool, virtual map[topology.RouterID][]session) [][]session {
 	t := e.Net.Topology
-	rc := e.Net.Router(r)
-	for _, lid := range t.Router(r).Links {
-		if itf, ok := rc.Interfaces[lid]; ok && itf.Passive {
-			continue
+	out := make([][]session, t.NumRouters())
+	for i := range out {
+		r := topology.RouterID(i)
+		rc := e.Net.Router(r)
+		for _, lid := range t.Router(r).Links {
+			nbr := t.Link(lid).Other(r)
+			nc := e.Net.Router(nbr)
+			if rc.InterfaceOf(lid).Passive || nc.InterfaceOf(lid).Passive {
+				continue
+			}
+			bgp := rc.BGP != nil && nc.BGP != nil &&
+				!(mesh[r] && mesh[nbr] && rc.BGP.ASN == nc.BGP.ASN)
+			out[i] = append(out[i], session{peer: nbr, link: lid, bgp: bgp,
+				ospf: rc.OSPF != nil && nc.OSPF != nil})
 		}
-		nbr := t.Link(lid).Other(r)
-		nc := e.Net.Router(nbr)
-		if itf, ok := nc.Interfaces[lid]; ok && itf.Passive {
-			continue
-		}
-		e.advertise(advKey{link: lid, from: r, to: nbr, prefix: p}, e.computeExports(r, nbr, lid, p))
+		out[i] = append(out[i], virtual[r]...)
 	}
-	if rc.BGP != nil && len(e.vsessions[r]) > 0 {
-		e.exportVirtual(r, p)
+	return out
+}
+
+// exportPrefix recomputes the advertisements of prefix p from router r
+// over each of its sessions and enqueues the differences (updates and
+// withdrawals) into the peers' inboxes.
+func (e *Engine) exportPrefix(r topology.RouterID, p route.Prefix) {
+	for i := range e.sessions[r] {
+		s := &e.sessions[r][i]
+		e.advertise(advKey{link: s.link, from: r, to: s.peer, prefix: p}, e.exports(r, s, p))
 	}
 }
 
@@ -748,44 +781,33 @@ func (e *Engine) addAdvertisement(out *advSet, rt *route.Route, tc bdd.Node) {
 	}
 }
 
-// computeExports builds the advertisement set for prefix p from r to
-// nbr: every installed route eligible for the session, transformed by
-// export processing, grouped by logical identity with conditions OR-ed,
-// and conjoined with the link variable.
-func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p route.Prefix) *advSet {
+// exports builds the advertisement set for prefix p from r over
+// session s: every installed route eligible for the session, transformed
+// by export processing, grouped by logical identity with conditions
+// OR-ed, and conjoined with the session's condition — the link variable,
+// or a virtual session's underlay reachability.
+func (e *Engine) exports(r topology.RouterID, s *session, p route.Prefix) *advSet {
 	m := e.Sp.M
-	rc, nc := e.Net.Router(r), e.Net.Router(nbr)
+	rc, nc := e.Net.Router(r), e.Net.Router(s.peer)
 	out := new(advSet)
-	linkUp := e.Sp.LinkVar(lid)
-
-	bgpSession := rc.BGP != nil && nc.BGP != nil
-	ospfSession := rc.OSPF != nil && nc.OSPF != nil
-	nbrName := e.Net.Topology.Name(nbr)
-
-	// BGP aggregates suppress their contributing more-specifics.
-	suppressed := false
-	if rc.BGP != nil {
-		for _, agg := range rc.BGP.Aggregates {
-			if agg.Covers(p) && agg != p {
-				suppressed = true
-				break
-			}
-		}
+	up := s.cond
+	if s.link >= 0 {
+		// Asked for here, not kept in the session: a variable's nodes
+		// are made on first use, and making them all up front would
+		// renumber every node after them.
+		up = e.Sp.LinkVar(s.link)
 	}
-
+	// BGP aggregates suppress their contributing more-specifics.
+	bgp := s.bgp && !slices.ContainsFunc(rc.BGP.Aggregates, func(agg route.Prefix) bool {
+		return agg.Covers(p) && agg != p
+	})
 	for _, sr := range e.ribs[r].prefixes[p] {
 		if sr.TcRib == bdd.False {
 			continue
 		}
 		rt := sr.Route
-		// BGP eligibility and transformation. With an iBGP full mesh,
-		// same-AS advertisement happens over virtual sessions only.
-		if bgpSession && e.meshMembers != nil && e.meshMembers[r] && e.meshMembers[nbr] &&
-			rc.BGP.ASN == nc.BGP.ASN {
-			bgpSession = false
-		}
-		if bgpSession && !suppressed {
-			eligible := false
+		if bgp {
+			var eligible bool
 			switch rt.Protocol {
 			case route.EBGP:
 				eligible = true
@@ -794,54 +816,29 @@ func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p
 				// re-advertised to iBGP peers (no route reflection).
 				eligible = nc.BGP.ASN != rc.BGP.ASN
 			case route.Connected:
-				for _, net := range bgpNetworks(rc) {
-					if net == p {
-						eligible = true
-						break
-					}
-				}
+				eligible = slices.Contains(rc.BGP.Networks, p)
 			}
-			if rt.Aggregate {
-				eligible = true
-			}
-			if eligible {
+			if eligible || rt.Aggregate {
 				adv := rt.Clone()
 				adv.Aggregate = false
-				adv.Hops = rt.Hops
-				if name, ok := rc.BGP.ExportPolicy[nbrName]; ok {
-					if transformed, permit := rc.RouteMaps[name].Apply(adv, rc.BGP.ASN); permit {
-						adv = transformed
-					} else {
-						adv = nil
-					}
+				if s.link < 0 {
+					// iBGP over a virtual session keeps local-pref,
+					// prepends nothing and applies no export map.
+					adv.Protocol = route.IBGP
+				} else {
+					adv = e.bgpOverLink(rc, nc, s.peer, adv)
 				}
 				if adv != nil {
-					if nc.BGP.ASN != rc.BGP.ASN {
-						adv.LocalPref = 100 // local-pref is not transitive over eBGP
-					}
-					adv.ASPath = append([]uint32{rc.BGP.ASN}, adv.ASPath...)
-					if adv.PathLen >= 0 {
-						adv.PathLen++
-						adv.ASPath = nil
-						adv.BloomAddAS(rc.BGP.ASN)
-					}
-					adv.Protocol = route.EBGP // classified precisely at import
 					adv.NextHop = int(r)
-					adv.EgressLink = int(lid)
-					e.addAdvertisement(out, adv, m.And(sr.TcRib, linkUp))
+					adv.EgressLink = int(s.link)
+					e.addAdvertisement(out, adv, m.And(sr.TcRib, up))
 				}
 			}
 		}
-		// OSPF eligibility and transformation.
-		if ospfSession {
+		if s.ospf {
 			eligible := rt.Protocol == route.OSPF
 			if rt.Protocol == route.Connected {
-				for _, net := range ospfNetworks(rc) {
-					if net == p {
-						eligible = true
-						break
-					}
-				}
+				eligible = slices.Contains(rc.OSPF.Networks, p)
 				if pfx, ok := e.loopbackOSPF[r]; ok && pfx == p {
 					eligible = true // loopbacks back the iBGP mesh
 				}
@@ -850,26 +847,37 @@ func (e *Engine) computeExports(r, nbr topology.RouterID, lid topology.LinkID, p
 				adv := rt.Clone()
 				adv.Protocol = route.OSPF
 				adv.NextHop = int(r)
-				adv.EgressLink = int(lid)
-				e.addAdvertisement(out, adv, m.And(sr.TcRib, linkUp))
+				adv.EgressLink = int(s.link)
+				e.addAdvertisement(out, adv, m.And(sr.TcRib, up))
 			}
 		}
 	}
 	return out
 }
 
-func bgpNetworks(rc *config.Router) []route.Prefix {
-	if rc.BGP == nil {
-		return nil
+// bgpOverLink applies to adv the export map of rc towards peer and the
+// rewrite of a BGP advertisement sent over a link: local-pref reset
+// across ASes and rc's AS prepended. It returns nil when the map denies
+// the route.
+func (e *Engine) bgpOverLink(rc, nc *config.Router, peer topology.RouterID, adv *route.Route) *route.Route {
+	if name, ok := rc.BGP.ExportPolicy[e.Net.Topology.Name(peer)]; ok {
+		transformed, permit := rc.RouteMaps[name].Apply(adv, rc.BGP.ASN)
+		if !permit {
+			return nil
+		}
+		adv = transformed
 	}
-	return rc.BGP.Networks
-}
-
-func ospfNetworks(rc *config.Router) []route.Prefix {
-	if rc.OSPF == nil {
-		return nil
+	if nc.BGP.ASN != rc.BGP.ASN {
+		adv.LocalPref = 100 // local-pref is not transitive over eBGP
 	}
-	return rc.OSPF.Networks
+	adv.ASPath = append([]uint32{rc.BGP.ASN}, adv.ASPath...)
+	if adv.PathLen >= 0 {
+		adv.PathLen++
+		adv.ASPath = nil
+		adv.BloomAddAS(rc.BGP.ASN)
+	}
+	adv.Protocol = route.EBGP // classified precisely at import
+	return adv
 }
 
 // send enqueues an advertisement into nbr's inbox.

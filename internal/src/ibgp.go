@@ -18,7 +18,11 @@ import (
 // underlay-only copy of the network (sharing the same BDD space), and
 // derives each session's condition as the disjunction of the installed
 // loopback routes' conditions; then the main computation runs with the
-// virtual sessions in place. Forwarding of iBGP-learned routes resolves
+// virtual sessions in each member's session table, after its links
+// (see buildSessions). One export builder serves both kinds: a virtual
+// session differs from a link only in its condition and in the BGP
+// rewrite, where it sends iBGP, applies no export map, prepends nothing
+// and keeps local-pref. Forwarding of iBGP-learned routes resolves
 // recursively through the loopback routes (see the spf package).
 
 // loopbackPrefix returns the /32 loopback assigned to router r
@@ -31,16 +35,10 @@ func loopbackPrefix(r topology.RouterID) route.Prefix {
 // package resolves iBGP next hops through these prefixes).
 func LoopbackPrefix(r topology.RouterID) route.Prefix { return loopbackPrefix(r) }
 
-// virtualSession is an iBGP session between non-adjacent (or adjacent)
-// same-AS routers, guarded by the underlay reachability condition.
-type virtualSession struct {
-	peer topology.RouterID
-	cond bdd.Node
-}
-
-// setupVirtualSessions computes the underlay conditions and registers
-// the iBGP full-mesh sessions. Must run before originate.
-func (e *Engine) setupVirtualSessions() error {
+// setupVirtualSessions computes the underlay conditions of the iBGP
+// full mesh. It returns the mesh members and, per router, its virtual
+// sessions, and must run before originate.
+func (e *Engine) setupVirtualSessions() (mesh map[topology.RouterID]bool, virtual map[topology.RouterID][]session, err error) {
 	t := e.Net.Topology
 	// Group BGP+OSPF routers by AS; asns keeps the ASes in router order,
 	// because the session conditions below are BDD work and must be
@@ -56,22 +54,21 @@ func (e *Engine) setupVirtualSessions() error {
 			byAS[rc.BGP.ASN] = append(byAS[rc.BGP.ASN], topology.RouterID(i))
 		}
 	}
-	meshed := make(map[topology.RouterID]bool)
+	mesh = make(map[topology.RouterID]bool)
 	for _, members := range byAS {
 		if len(members) > 1 {
 			for _, r := range members {
-				meshed[r] = true
+				mesh[r] = true
 			}
 		}
 	}
-	if len(meshed) == 0 {
-		return nil
+	if len(mesh) == 0 {
+		return nil, nil, nil
 	}
-	e.meshMembers = meshed
 	// Loopbacks originate into OSPF on the main engine too (needed for
 	// next-hop resolution in the data plane).
-	e.loopbackOSPF = make(map[topology.RouterID]route.Prefix, len(meshed))
-	for r := range meshed {
+	e.loopbackOSPF = make(map[topology.RouterID]route.Prefix, len(mesh))
+	for r := range mesh {
 		e.loopbackOSPF[r] = loopbackPrefix(r)
 	}
 	// Phase 1: underlay-only network (OSPF configs plus loopbacks).
@@ -98,13 +95,13 @@ func (e *Engine) setupVirtualSessions() error {
 		NoECMP: e.Opts.NoECMP,
 	})
 	if err := sub.Run(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	// Conditions: virt(R→N) = ∨ tcRib of R's routes for N's loopback.
 	// For a converged ACL-free OSPF underlay, having an installed route
 	// is equivalent to end-to-end delivery along it.
 	m := e.Sp.M
-	e.vsessions = make(map[topology.RouterID][]virtualSession)
+	virtual = make(map[topology.RouterID][]session)
 	for _, asn := range asns {
 		members := byAS[asn]
 		if len(members) < 2 {
@@ -122,67 +119,9 @@ func (e *Engine) setupVirtualSessions() error {
 				if cond == bdd.False {
 					continue
 				}
-				e.vsessions[r] = append(e.vsessions[r], virtualSession{peer: n, cond: m.Ref(cond)})
+				virtual[r] = append(virtual[r], session{peer: n, link: -1, cond: m.Ref(cond), bgp: true})
 			}
 		}
 	}
-	return nil
-}
-
-// exportVirtual diffs and sends prefix p's advertisement over every
-// virtual session of r.
-func (e *Engine) exportVirtual(r topology.RouterID, p route.Prefix) {
-	for _, vs := range e.vsessions[r] {
-		e.advertise(advKey{link: -1, from: r, to: vs.peer, prefix: p}, e.computeVirtualExports(r, vs, p))
-	}
-}
-
-// computeVirtualExports builds the iBGP advertisement set of prefix p
-// from r over a virtual session: eBGP-learned and locally originated
-// BGP routes only (iBGP routes are not reflected), conditions conjoined
-// with the session condition.
-func (e *Engine) computeVirtualExports(r topology.RouterID, vs virtualSession, p route.Prefix) *advSet {
-	m := e.Sp.M
-	rc := e.Net.Router(r)
-	out := new(advSet)
-	suppressed := false
-	for _, agg := range rc.BGP.Aggregates {
-		if agg.Covers(p) && agg != p {
-			suppressed = true
-		}
-	}
-	if suppressed {
-		return out
-	}
-	for _, sr := range e.ribs[r].prefixes[p] {
-		if sr.TcRib == bdd.False {
-			continue
-		}
-		rt := sr.Route
-		eligible := false
-		switch rt.Protocol {
-		case route.EBGP:
-			eligible = true
-		case route.Connected:
-			for _, net := range bgpNetworks(rc) {
-				if net == p {
-					eligible = true
-				}
-			}
-		}
-		if rt.Aggregate {
-			eligible = true
-		}
-		if !eligible {
-			continue
-		}
-		adv := rt.Clone()
-		adv.Aggregate = false
-		// iBGP preserves local-pref and does not prepend the AS.
-		adv.Protocol = route.IBGP
-		adv.NextHop = int(r)
-		adv.EgressLink = -1
-		e.addAdvertisement(out, adv, m.And(sr.TcRib, vs.cond))
-	}
-	return out
+	return mesh, virtual, nil
 }

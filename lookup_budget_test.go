@@ -8,6 +8,79 @@ import (
 	"sre/internal/workload"
 )
 
+// policiedMesh is an iBGP mesh A, B, C over OSPF with eBGP neighbours
+// D and E that run no OSPF. A aggregates D's prefixes, A and C prepend
+// and tag a community towards D and E, and B's interface to the
+// OSPF-only stub F is passive.
+const policiedMesh = `
+topology
+  router A
+  router B
+  router C
+  router D
+  router E
+  router F
+  link A B
+  link B C
+  link C A
+  link A D
+  link C E
+  link D E
+  link B F
+end
+router A
+  bgp 65000
+    aggregate 20.0.0.0/16
+    neighbor D export-map TAG
+  exit
+  ospf
+    network 10.0.1.0/24
+  exit
+  route-map TAG
+    10 permit any set prepend 2 set community 100
+  exit
+end
+router B
+  bgp 65000
+    network 10.0.2.0/24
+  exit
+  ospf
+    network 10.0.2.0/24
+  exit
+  interface F
+    passive
+  exit
+end
+router C
+  bgp 65000
+    network 10.0.3.0/24
+    neighbor E export-map TAG
+  exit
+  ospf
+    network 10.0.3.0/24
+  exit
+  route-map TAG
+    10 permit any set prepend 2 set community 100
+  exit
+end
+router D
+  bgp 65001
+    network 20.0.0.0/24
+    network 20.0.1.0/24
+  exit
+end
+router E
+  bgp 65002
+    network 30.0.0.0/24
+  exit
+end
+router F
+  ospf
+    network 40.0.0.0/24
+  exit
+end
+`
+
 // TestVerificationLookupBudget caps the BDD work of NewVerifier:
 // operation-cache lookups may exceed the measured count by at most 3 %,
 // while the routes imported and the PFECs found must not change. The
@@ -18,8 +91,16 @@ import (
 // per-hop conjunctions again reads ≈ 1 720 776 and ≈ 1 322 636 lookups.
 // On campus40, whose 40 VLANs share nine originator pairs, SPF matches
 // each prefix class once; matching every FIB rule over its own prefix
-// again reads 1 684 754.
+// again reads 1 684 754. wan12-ibgp-mesh and policied pin the iBGP
+// path: the OSPF underlay run, the virtual sessions it conditions, and
+// (policied) a passive interface, export maps that prepend and tag a
+// community, an aggregate and BGP-only routers outside the underlay.
 func TestVerificationLookupBudget(t *testing.T) {
+	policied, err := sre.ParseNetwork(policiedMesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := sre.Options{MaxFailures: 2, Parallelism: 1, IBGPFullMesh: true}
 	for _, c := range []struct {
 		name               string
 		net                *sre.Network
@@ -33,6 +114,9 @@ func TestVerificationLookupBudget(t *testing.T) {
 			sre.Options{MaxFailures: 2, Parallelism: 2}, 1063015, 6944, 2616},
 		{"campus40", workload.Campus(workload.CampusOptions{VLANs: 40, Snapshot: 1}),
 			sre.Options{MaxFailures: 2, Parallelism: 1}, 1441126, 17831, 2074},
+		{"wan12-ibgp-mesh", workload.SyntheticWAN("m", 12, 18, workload.BGPOSPF, 2),
+			mesh, 537957, 4284, 867},
+		{"policied", policied, mesh, 12124, 110, 46},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			v, err := sre.NewVerifier(c.net, c.opts)

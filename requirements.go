@@ -14,22 +14,23 @@ import (
 // product space of packets and failures:
 //
 //	# requirements for the production WAN
-//	reach       core1 10.0.0.0/24  tolerance>=1
-//	waypoint    edge3 10.0.0.0/24  via fw1  tolerance>=0
-//	isolation   guest 10.9.0.0/16  tolerance>=2
-//	probability core1 10.0.0.0/24  >=0.9999  plink=0.001
-//	loadbalance core1 10.0.0.0/24  paths>=2
+//	reach         core1 10.0.0.0/24  tolerance>=1
+//	waypoint      edge3 10.0.0.0/24  via fw1  tolerance>=0
+//	waypoint-only edge3 10.0.0.0/24  via fw1  tolerance>=2   # nothing bypasses fw1
+//	isolation     guest 10.9.0.0/16  tolerance>=2
+//	probability   core1 10.0.0.0/24  >=0.9999  plink=0.001
+//	loadbalance   core1 10.0.0.0/24  paths>=2
 //
 // '#' starts a comment. Tolerances compare against the verifier's
 // failure budget; `probability` takes an optional plink= / pnode=
-// failure model (defaults 0.001 / 0).
+// failure model (defaults 0.001 / 0), each a probability in [0, 1].
 
 // Requirement is one parsed requirement line.
 type Requirement struct {
-	Kind     string // reach, waypoint, isolation, probability, loadbalance
+	Kind     string // reach, waypoint, waypoint-only, isolation, probability, loadbalance
 	Src      string
 	Prefix   string
-	Via      string  // waypoint only
+	Via      string  // waypoint and waypoint-only
 	MinK     int     // tolerance>=K (reach, waypoint, isolation)
 	MinP     float64 // probability only
 	MinPaths int     // loadbalance only
@@ -124,14 +125,14 @@ func parseRequirement(fields []string, line int) (Requirement, error) {
 			switch {
 			case strings.HasPrefix(f, "plink="):
 				v, err := strconv.ParseFloat(f[6:], 64)
-				if err != nil {
-					return bad("bad plink %q", f)
+				if err != nil || !(v >= 0 && v <= 1) {
+					return bad("bad plink %q (want a probability in [0, 1])", f)
 				}
 				req.PLink = v
 			case strings.HasPrefix(f, "pnode="):
 				v, err := strconv.ParseFloat(f[6:], 64)
-				if err != nil {
-					return bad("bad pnode %q", f)
+				if err != nil || !(v >= 0 && v <= 1) {
+					return bad("bad pnode %q (want a probability in [0, 1])", f)
 				}
 				req.PNode = v
 			default:

@@ -44,6 +44,11 @@ func TestParseRequirementErrors(t *testing.T) {
 		"probability A 10.0.0.0/8 >=x",
 		"loadbalance A 10.0.0.0/8 paths>=x",
 		"reach A 10.0.0.0/8 bogus",
+		"probability A 10.0.0.0/8 >=0.5 plink=1.5",
+		"probability A 10.0.0.0/8 >=0.5 plink=NaN",
+		"probability A 10.0.0.0/8 >=0.5 plink=-0.1",
+		"probability A 10.0.0.0/8 >=0.5 pnode=2",
+		"probability A 10.0.0.0/8 >=0.5 pnode=NaN",
 	} {
 		if _, err := sre.ParseRequirementsString(bad); err == nil {
 			t.Errorf("%q should fail to parse", bad)

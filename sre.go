@@ -461,6 +461,17 @@ func NodeAndLinkFailures(pLinkDown, pNodeDown float64) FailureModel {
 	return FailureModel{linkDown: pLinkDown, nodeDown: pNodeDown, nodes: true}
 }
 
+// check rejects a model whose probabilities are not in [0, 1], NaN
+// included: weighted over them, a property's scenarios sum to a number
+// that is no probability.
+func (model FailureModel) check() error {
+	if !(model.linkDown >= 0 && model.linkDown <= 1) || !(model.nodeDown >= 0 && model.nodeDown <= 1) {
+		return fmt.Errorf("sre: failure probabilities %v (link), %v (node) are not in [0, 1]",
+			model.linkDown, model.nodeDown)
+	}
+	return nil
+}
+
 // weights is the model in the form the pipeline evaluates it.
 func (model FailureModel) weights(pipe *analysis.Pipeline) analysis.Weights {
 	if model.nodes {
@@ -477,6 +488,9 @@ func (model FailureModel) weights(pipe *analysis.Pipeline) analysis.Weights {
 // NodeAndLinkFailures it is a lower bound without that error bound.
 func (v *Verifier) Probability(srcRouter, prefix string, model FailureModel) (p float64, err error) {
 	defer guard("analysis", v.tel, &err)
+	if err := model.check(); err != nil {
+		return 0, err
+	}
 	q, _, err := v.resolve(srcRouter, prefix)
 	if err != nil {
 		return 0, err
@@ -490,6 +504,9 @@ func (v *Verifier) Probability(srcRouter, prefix string, model FailureModel) (p 
 // WaypointProbability is Probability for the waypoint property.
 func (v *Verifier) WaypointProbability(srcRouter, prefix, waypoint string, model FailureModel) (p float64, err error) {
 	defer guard("analysis", v.tel, &err)
+	if err := model.check(); err != nil {
+		return 0, err
+	}
 	q, w, err := v.resolve(srcRouter, prefix, waypoint)
 	if err != nil {
 		return 0, err
@@ -566,6 +583,9 @@ type Difference struct {
 // an error.
 func Diff(before, after *Network, maxFailures int, model FailureModel, opts Options) (out []Difference, err error) {
 	if err := sameTopology(before.Topology, after.Topology); err != nil {
+		return nil, err
+	}
+	if err := model.check(); err != nil {
 		return nil, err
 	}
 	opts.Prefixes = nil // ignored, so a malformed one must not fail the diff

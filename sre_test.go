@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sre"
+	"sre/internal/workload"
 )
 
 const figure1 = `
@@ -163,6 +164,111 @@ func TestPublicMineSpecs(t *testing.T) {
 	}
 	if len(specs.ReachTolerance) == 0 {
 		t.Fatal("no specs mined")
+	}
+}
+
+// TestFailureModelOutOfRange requires the probability queries to
+// reject a failure model whose probabilities are not in [0, 1]: here
+// LinkFailures(1.5) read 0.25, LinkFailures(NaN) read 1, and
+// NodeAndLinkFailures(0.1, 1.5) read −0.10125.
+func TestFailureModelOutOfRange(t *testing.T) {
+	v := verifier(t, sre.Options{MaxFailures: -1})
+	defer v.Release()
+	net, err := sre.ParseNetwork(figure1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []sre.FailureModel{
+		sre.LinkFailures(1.5), sre.LinkFailures(-0.1), sre.LinkFailures(math.NaN()),
+		sre.NodeAndLinkFailures(0.1, 1.5), sre.NodeAndLinkFailures(0.1, math.NaN()),
+	} {
+		if p, err := v.Probability("A", "192.0.0.0/2", m); err == nil {
+			t.Errorf("%+v: Probability read %v, want an error", m, p)
+		}
+		if p, err := v.WaypointProbability("A", "192.0.0.0/2", "B", m); err == nil {
+			t.Errorf("%+v: WaypointProbability read %v, want an error", m, p)
+		}
+		if _, err := sre.Diff(net, net.Clone(), 1, m, sre.Options{}); err == nil {
+			t.Errorf("%+v: Diff accepted the model", m)
+		}
+	}
+	for _, m := range []sre.FailureModel{sre.LinkFailures(0), sre.LinkFailures(1), sre.NodeAndLinkFailures(1, 1)} {
+		if _, err := v.Probability("A", "192.0.0.0/2", m); err != nil {
+			t.Errorf("%+v: %v", m, err)
+		}
+	}
+}
+
+// denyImports is the triangle of figure1 without its policy, except
+// that A accepts nothing from B or C: A never reaches 192.0.0.0/2.
+const denyImports = `
+topology
+  router A
+  router B
+  router C
+  link A B
+  link B C
+  link A C
+end
+router A
+  bgp 65001
+    neighbor B import-map NONE
+    neighbor C import-map NONE
+  route-map NONE
+    10 deny any
+end
+router B
+  bgp 65002
+end
+router C
+  bgp 65003
+    network 192.0.0.0/2
+end
+`
+
+// TestMineFullFailureSpace mines with no failure budget and requires
+// every pair to read what FailureTolerance reads over the full failure
+// space. A negative budget once ran no stratum at all and reported
+// every pair as tolerating any number of failures.
+func TestMineFullFailureSpace(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  func() (*sre.Network, error)
+	}{
+		{"deny-imports", func() (*sre.Network, error) { return sre.ParseNetwork(denyImports) }},
+		{"figure1", func() (*sre.Network, error) { return sre.ParseNetwork(figure1) }},
+		{"wan8-ospf", func() (*sre.Network, error) {
+			return workload.SyntheticWAN("w", 8, 12, workload.OSPF, 1), nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, err := c.net()
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs, err := sre.MineSpecs(net, -1, sre.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := sre.NewVerifier(net, sre.Options{MaxFailures: -1, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Release()
+			if len(specs.ReachTolerance) == 0 {
+				t.Fatal("no specs mined")
+			}
+			for key, got := range specs.ReachTolerance {
+				src := net.Topology.Name(key.Src)
+				want, err := v.FailureTolerance(src, key.Prefix.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s -> %s: mined tolerance %d, FailureTolerance %d", src, key.Prefix, got, want)
+				}
+			}
+		})
 	}
 }
 
