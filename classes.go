@@ -95,7 +95,7 @@ func minDownToSatisfy(m *bdd.Manager, topo bdd.Node) (int, bool) {
 	return sp, true
 }
 
-// routerNames returns all router names, sorted (a convenience for
+// RouterNames returns all router names, sorted (a convenience for
 // tooling that enumerates sources).
 func (v *Verifier) RouterNames() []string {
 	t := v.net.Topology

@@ -104,8 +104,9 @@ func loadMeasurements(path string) (*measureSet, error) {
 		for _, e := range events {
 			sec := float64(e.Wall) / 1e9
 			s.add("stage "+e.Stage, sec, e.Outcome)
-			// Prefix attribution over the top-level pipeline stages only
-			// ("src.run" nests inside "src" and would double-count).
+			// Prefix attribution over the pipeline stages only: the
+			// "prefix" and "coord.task" events enclose them and would
+			// double-count.
 			if e.Prefix != "" && (e.Stage == "src" || e.Stage == "spf") {
 				s.add("prefix "+e.Prefix, sec, e.Outcome)
 			}

@@ -30,7 +30,10 @@ func main() {
 		imprecision = 1e-4   // acceptable probability under-estimation
 		target      = 0.9999 // "four 9s" availability requirement
 	)
-	budget := sre.RequiredBudget(net, sre.LinkFailures(pLink), imprecision)
+	budget, err := sre.RequiredBudget(net, sre.LinkFailures(pLink), imprecision)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%d routers, %d links; failure budget for imprecision %g: %d\n\n",
 		net.Topology.NumRouters(), net.Topology.NumLinks(), imprecision, budget)
 

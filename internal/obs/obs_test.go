@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,7 +16,6 @@ func TestCountersConcurrent(t *testing.T) {
 	tel := New()
 	c := tel.Counter("x")
 	g := tel.Gauge("g")
-	h := tel.Histogram("h")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -26,7 +24,6 @@ func TestCountersConcurrent(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				g.Max(float64(i*1000 + j))
-				h.Observe(int64(j))
 			}
 		}(i)
 	}
@@ -37,18 +34,15 @@ func TestCountersConcurrent(t *testing.T) {
 	if g.Value() != 7999 {
 		t.Errorf("gauge max = %v, want 7999", g.Value())
 	}
-	if got := tel.Snapshot().Histograms["h"].Count; got != 8000 {
-		t.Errorf("histogram count = %d, want 8000", got)
-	}
 }
 
 // TestSnapshotValidJSON checks the metrics JSON schema: the snapshot
-// marshals to valid JSON that round-trips into a Report.
+// marshals to valid JSON holding only counters and gauges, which
+// round-trips into a Report.
 func TestSnapshotValidJSON(t *testing.T) {
 	tel := New()
 	tel.Counter("bdd.gc_runs").Add(3)
 	tel.Gauge("bdd.peak_nodes").Set(1234)
-	tel.Histogram("src.activation_ns").Observe(1500)
 
 	var buf bytes.Buffer
 	if err := tel.WriteJSON(&buf); err != nil {
@@ -56,6 +50,13 @@ func TestSnapshotValidJSON(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatalf("invalid JSON: %s", buf.String())
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 2 || keys["counters"] == nil || keys["gauges"] == nil {
+		t.Errorf("snapshot %s, want counters and gauges only", buf.String())
 	}
 	var back Report
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
@@ -66,9 +67,6 @@ func TestSnapshotValidJSON(t *testing.T) {
 	}
 	if back.Gauges["bdd.peak_nodes"] != 1234 {
 		t.Errorf("gauge lost in round trip: %+v", back.Gauges)
-	}
-	if back.Histograms["src.activation_ns"].Count != 1 {
-		t.Errorf("histogram lost: %+v", back.Histograms)
 	}
 }
 
@@ -110,13 +108,11 @@ func TestNilTelemetryAllocs(t *testing.T) {
 	var tel *Telemetry
 	c := tel.Counter("x")
 	g := tel.Gauge("x")
-	h := tel.Histogram("x")
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(5)
 		g.Set(1)
 		g.Max(2)
-		h.Observe(3)
 		tel.Emit(Event{Stage: "x"})
 		if tel.Active() {
 			t.Fatal("nil telemetry must not be active")
@@ -176,8 +172,7 @@ func TestEventString(t *testing.T) {
 
 // TestShardMerge covers the worker-shard lifecycle used by the
 // scheduler: per-worker registries collect independently, then fold
-// into the parent — counters add, gauges keep the high-water mark,
-// and histograms merge bucket-wise.
+// into the parent — counters add and gauges keep the high-water mark.
 func TestShardMerge(t *testing.T) {
 	parent := New()
 	parent.Counter("c").Add(1)
@@ -186,10 +181,6 @@ func TestShardMerge(t *testing.T) {
 	b.Counter("c").Add(4)
 	a.Gauge("g").Max(10)
 	b.Gauge("g").Max(7)
-	for i := 0; i < 5; i++ {
-		a.Histogram("h").Observe(8)
-		b.Histogram("h").Observe(64)
-	}
 	parent.Merge(a)
 	parent.Merge(b)
 	snap := parent.Snapshot()
@@ -199,17 +190,17 @@ func TestShardMerge(t *testing.T) {
 	if got := snap.Gauges["g"]; got != 10 {
 		t.Errorf("merged gauge = %v, want max 10", got)
 	}
-	h := snap.Histograms["h"]
-	if h.Count != 10 || h.Sum != 5*8+5*64 || h.Max != 64 {
-		t.Errorf("merged histogram = %+v, want count 10 sum 360 max 64", h)
-	}
 }
 
 // TestShardEmitForwards checks that events emitted on a shard reach the
 // parent's sink: live progress keeps flowing while workers run, before
-// any merge happens.
+// any merge happens. A shard of a registry without a sink is not
+// Active, so its producers build no progress events for no one.
 func TestShardEmitForwards(t *testing.T) {
 	parent := New()
+	if parent.Shard().Active() {
+		t.Error("a shard of a registry without a sink must not be Active")
+	}
 	var mu sync.Mutex
 	var got []Event
 	parent.SetSink(SinkFunc(func(e Event) {
@@ -247,10 +238,6 @@ func TestWireRoundTrip(t *testing.T) {
 	shard.Counter("bdd.gc_runs").Add(3)
 	shard.Counter("src.activations").Add(41)
 	shard.Gauge("bdd.peak_nodes").Max(12345)
-	for i := 0; i < 7; i++ {
-		shard.Histogram("spf.router_ns").Observe(int64(1) << uint(i*3))
-	}
-	shard.Histogram("spf.router_ns").Observe(0) // bucket 0
 
 	raw, err := json.Marshal(shard.Snapshot())
 	if err != nil {
@@ -272,48 +259,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireHistogramBucketAlignment verifies the snapshot preserves the
-// power-of-two bucket layout exactly: every observation lands in the
-// same bucket after a round trip, so quantile estimates (bucket upper
-// bounds) survive transport and a merged import never shifts mass
-// between buckets.
-func TestWireHistogramBucketAlignment(t *testing.T) {
-	shard := New()
-	h := shard.Histogram("h")
-	// One observation per bucket boundary: 0 → bucket 0, 2^i → bucket
-	// i+1 (bit length of 2^i is i+1).
-	h.Observe(0)
-	for i := 0; i < 62; i++ {
-		h.Observe(int64(1) << uint(i))
-	}
-	h.Observe(math.MaxInt64) // clamps into the last bucket
-
-	rep := shard.Snapshot()
-	imported := rep.Import()
-	orig := shard.hists["h"]
-	got := imported.hists["h"]
-	for i := 0; i < histBuckets; i++ {
-		if o, g := orig.buckets[i].Load(), got.buckets[i].Load(); o != g {
-			t.Errorf("bucket %d: original %d, imported %d", i, o, g)
-		}
-	}
-	// The summary fields and the quantiles, which derive only from the
-	// buckets, must match too.
-	if o, g := orig.snapshot(), got.snapshot(); !reflect.DeepEqual(o, g) {
-		t.Errorf("snapshot diverges: orig %+v got %+v", o, g)
-	}
-	// Buckets past the local layout fold into the last bucket rather
-	// than being dropped: Count stays equal to the bucket total.
-	over := &Report{Histograms: map[string]HistogramSnapshot{
-		"h": {Count: 2, Sum: 10, Max: 8, Buckets: make([]int64, histBuckets+3)},
-	}}
-	over.Histograms["h"].Buckets[histBuckets+1] = 2
-	folded := over.Import().hists["h"]
-	if folded.buckets[histBuckets-1].Load() != 2 {
-		t.Errorf("overflow buckets not folded: last bucket = %d, want 2", folded.buckets[histBuckets-1].Load())
-	}
-}
-
 // TestWireNil pins the degraded path: a lost shard imports to nil and
 // merges as a no-op.
 func TestWireNil(t *testing.T) {
@@ -326,7 +271,7 @@ func TestWireNil(t *testing.T) {
 	// An empty registry snapshots to an empty report that imports
 	// cleanly.
 	empty := New().Snapshot()
-	if snap := empty.Import().Snapshot(); len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+	if snap := empty.Import().Snapshot(); len(snap.Counters) != 0 || len(snap.Gauges) != 0 {
 		t.Errorf("empty report import not empty: %+v", snap)
 	}
 }

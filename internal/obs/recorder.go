@@ -16,7 +16,6 @@ import (
 // Stages currently emitted:
 //
 //	src        one SRC+setup phase of a pipeline (analysis layer)
-//	src.run    the activation loop inside src (engine layer)
 //	spf        one symbolic-forwarding phase of a pipeline
 //	stratum    one stratum of specification mining
 //	task       one scheduler task on a worker (sched layer)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -120,43 +119,6 @@ func TestRecorderEnabledNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("enabled recorder allocated %v times per event, want 0", allocs)
-	}
-}
-
-// TestShardHistogramBucketAlignment checks that histogram merging is
-// bucket-wise (quantiles over the union match quantiles over a single
-// registry observing everything) and that gauges merge by maximum.
-func TestShardHistogramBucketAlignment(t *testing.T) {
-	parent := New()
-	a, b := parent.Shard(), parent.Shard()
-	// Observations straddling three power-of-two buckets: 100 → bucket
-	// [64,128), 1000 → [512,1024), 5000 → [4096,8192).
-	a.Histogram("h").Observe(100)
-	a.Histogram("h").Observe(1000)
-	b.Histogram("h").Observe(1000)
-	b.Histogram("h").Observe(5000)
-	a.Gauge("g").Max(10)
-	b.Gauge("g").Max(4)
-	parent.Merge(a)
-	parent.Merge(b)
-
-	want := New()
-	for _, v := range []int64{100, 1000, 1000, 5000} {
-		want.Histogram("h").Observe(v)
-	}
-	got := parent.Snapshot().Histograms["h"]
-	ref := want.Snapshot().Histograms["h"]
-	if !reflect.DeepEqual(got, ref) {
-		t.Errorf("merged histogram %+v differs from single-registry reference %+v", got, ref)
-	}
-	if got.Count != 4 || got.Sum != 7100 || got.Max != 5000 {
-		t.Errorf("merged histogram = %+v, want count 4 sum 7100 max 5000", got)
-	}
-	if got.P50 != 1024 {
-		t.Errorf("merged P50 = %d, want 1024 (upper bound of [512,1024))", got.P50)
-	}
-	if g := parent.Snapshot().Gauges["g"]; g != 10 {
-		t.Errorf("merged gauge = %v, want max 10", g)
 	}
 }
 

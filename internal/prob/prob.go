@@ -5,22 +5,7 @@
 // requested imprecision.
 package prob
 
-import (
-	"math"
-	"sync/atomic"
-
-	"sre/internal/obs"
-)
-
-// tel holds the package-level telemetry hook; prob functions are free
-// functions, so the hook is installed globally (atomically, since
-// analyses may run concurrently with installation).
-var tel atomic.Pointer[obs.Telemetry]
-
-// SetTelemetry installs (or, with nil, removes) the telemetry sink for
-// the package's counters: prob.tail_evals counts BinomialTail
-// evaluations, prob.budget_scans counts KForImprecision searches.
-func SetTelemetry(t *obs.Telemetry) { tel.Store(t) }
+import "math"
 
 // LinkModel describes independent link failures.
 type LinkModel struct {
@@ -39,7 +24,6 @@ type NodeModel struct {
 
 // BinomialTail returns P(X > k) for X ~ Binomial(n, p).
 func BinomialTail(n, k int, p float64) float64 {
-	tel.Load().Counter("prob.tail_evals").Inc()
 	if k >= n {
 		return 0
 	}
@@ -71,7 +55,6 @@ func BinomialTail(n, k int, p float64) float64 {
 // that prune scenarios with more than k failures then under-estimate
 // probabilities by less than imprecision.
 func KForImprecision(n int, pDown, imprecision float64) int {
-	tel.Load().Counter("prob.budget_scans").Inc()
 	for k := 0; k < n; k++ {
 		if BinomialTail(n, k, pDown) < imprecision {
 			return k

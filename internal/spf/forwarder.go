@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"sre/internal/bdd"
 	"sre/internal/config"
@@ -108,20 +107,16 @@ type Forwarder struct {
 
 	// Telemetry handles, inherited from the engine's options (nil-safe
 	// no-ops when telemetry is disabled).
-	tel          *obs.Telemetry
 	telPFECs     *obs.Counter
 	telDelivered *obs.Counter
-	telForward   *obs.Histogram
 }
 
 // NewForwarder builds symbolic FIBs and port predicates from the
 // symbolic RIBs computed by eng. The engine must have Run successfully.
 func NewForwarder(eng *src.Engine) (*Forwarder, error) {
 	f := &Forwarder{Net: eng.Net, Sp: eng.Sp}
-	f.tel = eng.Opts.Telemetry
-	f.telPFECs = f.tel.Counter("spf.pfecs")
-	f.telDelivered = f.tel.Counter("spf.pfecs_delivered")
-	f.telForward = f.tel.Histogram("spf.forward_ns")
+	f.telPFECs = eng.Opts.Telemetry.Counter("spf.pfecs")
+	f.telDelivered = eng.Opts.Telemetry.Counter("spf.pfecs_delivered")
 	if err := f.build(eng); err != nil {
 		return nil, err
 	}
@@ -376,11 +371,6 @@ func (f *Forwarder) ForwardHeaders(srcRouter topology.RouterID, headers bdd.Node
 }
 
 func (f *Forwarder) forward(srcRouter topology.RouterID, initial bdd.Node) []*PFEC {
-	if f.tel != nil {
-		defer func(t0 time.Time) {
-			f.telForward.Observe(time.Since(t0).Nanoseconds())
-		}(time.Now())
-	}
 	t := f.Net.Topology
 	m := f.Sp.M
 	var out []*PFEC

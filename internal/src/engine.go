@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"sre/internal/bdd"
 	"sre/internal/config"
@@ -134,11 +133,10 @@ type Engine struct {
 	sessions [][]session
 
 	// Telemetry handles (nil-safe no-ops when Opts.Telemetry is nil).
-	tel           *obs.Telemetry
-	telActs       *obs.Counter
-	telImported   *obs.Counter
-	telPruned     *obs.Counter
-	telActivation *obs.Histogram
+	tel         *obs.Telemetry
+	telActs     *obs.Counter
+	telImported *obs.Counter
+	telPruned   *obs.Counter
 }
 
 type message struct {
@@ -213,7 +211,6 @@ func NewWithSpace(net *config.Network, sp *symbol.Space, opts Options) *Engine {
 	e.telActs = e.tel.Counter("src.activations")
 	e.telImported = e.tel.Counter("src.routes_imported")
 	e.telPruned = e.tel.Counter("src.routes_pruned")
-	e.telActivation = e.tel.Histogram("src.activation_ns")
 	return e
 }
 
@@ -253,13 +250,6 @@ func (e *Engine) wantPrefix(p route.Prefix) bool {
 // (the paper's "BDD limit" outcome) or an error if the computation does
 // not converge within the iteration bound.
 func (e *Engine) Run() error {
-	var runT0 time.Time
-	var runSt0 bdd.Stats
-	recording := e.tel.Recording()
-	if recording {
-		runT0 = time.Now()
-		runSt0 = e.Sp.M.Statistics()
-	}
 	e.adv = make(map[advKey]*advSet)
 	err := e.fixpoint()
 	// Only the fixpoint loop reads the advertisement state (see
@@ -270,19 +260,6 @@ func (e *Engine) Run() error {
 	e.adv = nil
 	if e.tel.Active() {
 		e.emitProgress(true)
-	}
-	if recording {
-		st1 := e.Sp.M.Statistics()
-		outcome := "ok"
-		if err != nil {
-			outcome = "error"
-		}
-		e.tel.Record(runT0, obs.TraceEvent{Stage: "src.run",
-			Wall:    time.Since(runT0).Nanoseconds(),
-			Count:   int64(e.stats.Activations),
-			Nodes:   int64(st1.LiveNodes) - int64(runSt0.LiveNodes),
-			Cache:   int64(st1.CacheHits+st1.CacheMiss) - int64(runSt0.CacheHits+runSt0.CacheMiss),
-			Outcome: outcome})
 	}
 	return err
 }
@@ -357,16 +334,9 @@ func (e *Engine) fixpoint() (err error) {
 				return resil.Stage("src", ierr)
 			}
 		}
-		var t0 time.Time
-		if e.tel != nil {
-			t0 = time.Now()
-		}
 		e.updateRIB(r)
-		if e.tel != nil {
-			e.telActivation.Observe(time.Since(t0).Nanoseconds())
-			if e.stats.Activations%128 == 0 && e.tel.Active() {
-				e.emitProgress(false)
-			}
+		if e.stats.Activations%128 == 0 && e.tel.Active() {
+			e.emitProgress(false)
 		}
 		m.MaybeGC(0)
 	}

@@ -42,11 +42,10 @@ type Options struct {
 	// conditions are the OSPF reachability conditions between the
 	// peers (§4, "Supporting multiple protocols").
 	IBGPFullMesh bool `json:"ibgp_full_mesh"`
-	// Telemetry, when non-nil, receives src.* counters, per-activation
-	// timing histograms, and progress events during Run. Nil disables
-	// all instrumentation at near-zero cost. Process-local: an observer
-	// of the run, not an input to it; workers run a fresh registry per
-	// task and ship its export back.
+	// Telemetry, when non-nil, receives src.* counters and progress
+	// events during Run. Nil disables all instrumentation at near-zero
+	// cost. Process-local: an observer of the run, not an input to it;
+	// workers run a fresh registry per task and ship its export back.
 	Telemetry *obs.Telemetry `json:"-"`
 	// Interrupt, when non-nil, is polled once per router activation
 	// (and threaded into the BDD manager of spaces built on the

@@ -6,11 +6,10 @@ import (
 	"os"
 
 	"sre/internal/obs"
-	"sre/internal/prob"
 )
 
-// Telemetry collects counters, gauges, histograms, and progress events
-// across the verification pipeline. Create one with
+// Telemetry collects counters, gauges, and progress events across the
+// verification pipeline. Create one with
 // NewTelemetry, pass it via Options.Telemetry (it may be shared across
 // verifiers — counters accumulate), and read it back with
 // Verifier.Metrics or Telemetry.WriteJSON.
@@ -27,19 +26,12 @@ type ProgressSink = obs.Sink
 // ProgressFunc adapts a function to the ProgressSink interface.
 type ProgressFunc = obs.SinkFunc
 
-// TelemetryReport is the JSON-marshalable snapshot of a Telemetry:
-// counters, gauges, and histograms (quantile summaries and buckets).
+// TelemetryReport is the JSON-marshalable snapshot of a Telemetry: its
+// counters and gauges.
 type TelemetryReport = obs.Report
 
-// NewTelemetry creates an empty telemetry registry. It also installs
-// itself as the sink of the prob package's counters (the package's
-// functions are free functions, so the hook is global; the last
-// installed telemetry wins).
-func NewTelemetry() *Telemetry {
-	t := obs.New()
-	prob.SetTelemetry(t)
-	return t
-}
+// NewTelemetry creates an empty telemetry registry.
+func NewTelemetry() *Telemetry { return obs.New() }
 
 // StderrProgress returns the default progress sink: when stderr is an
 // interactive terminal, a single in-place status line (ANSI redraw);

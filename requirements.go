@@ -22,8 +22,9 @@ import (
 //	loadbalance   core1 10.0.0.0/24  paths>=2
 //
 // '#' starts a comment. Tolerances compare against the verifier's
-// failure budget; `probability` takes an optional plink= / pnode=
-// failure model (defaults 0.001 / 0), each a probability in [0, 1].
+// failure budget; `probability` takes a threshold and an optional
+// plink= / pnode= failure model (defaults 0.001 / 0), each a
+// probability in [0, 1].
 
 // Requirement is one parsed requirement line.
 type Requirement struct {
@@ -116,25 +117,21 @@ func parseRequirement(fields []string, line int) (Requirement, error) {
 		if len(rest) < 1 || !strings.HasPrefix(rest[0], ">=") {
 			return bad("probability wants '>=<p>'")
 		}
-		p, err := strconv.ParseFloat(rest[0][2:], 64)
-		if err != nil {
-			return bad("bad probability %q", rest[0])
+		p, ok := parseProbability(rest[0][2:])
+		if !ok {
+			return bad("bad threshold %q (want a probability in [0, 1])", rest[0])
 		}
 		req.MinP = p
 		for _, f := range rest[1:] {
 			switch {
 			case strings.HasPrefix(f, "plink="):
-				v, err := strconv.ParseFloat(f[6:], 64)
-				if err != nil || !(v >= 0 && v <= 1) {
+				if req.PLink, ok = parseProbability(f[6:]); !ok {
 					return bad("bad plink %q (want a probability in [0, 1])", f)
 				}
-				req.PLink = v
 			case strings.HasPrefix(f, "pnode="):
-				v, err := strconv.ParseFloat(f[6:], 64)
-				if err != nil || !(v >= 0 && v <= 1) {
+				if req.PNode, ok = parseProbability(f[6:]); !ok {
 					return bad("bad pnode %q (want a probability in [0, 1])", f)
 				}
-				req.PNode = v
 			default:
 				return bad("unexpected %q", f)
 			}
@@ -152,6 +149,13 @@ func parseRequirement(fields []string, line int) (Requirement, error) {
 		return bad("unknown requirement kind %q", req.Kind)
 	}
 	return req, nil
+}
+
+// parseProbability parses s as a probability: a number in [0, 1],
+// which NaN and the infinities are not.
+func parseProbability(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && v >= 0 && v <= 1
 }
 
 func cutPrefixInt(s, prefix string) (int, bool) {

@@ -49,11 +49,47 @@ func TestParseRequirementErrors(t *testing.T) {
 		"probability A 10.0.0.0/8 >=0.5 plink=-0.1",
 		"probability A 10.0.0.0/8 >=0.5 pnode=2",
 		"probability A 10.0.0.0/8 >=0.5 pnode=NaN",
+		"probability A 10.0.0.0/24 >=NaN",
+		"probability A 10.0.0.0/24 >=Inf",
+		"probability A 10.0.0.0/24 >=1.5",
+		"probability A 10.0.0.0/24 >=-1",
 	} {
 		if _, err := sre.ParseRequirementsString(bad); err == nil {
 			t.Errorf("%q should fail to parse", bad)
 		}
 	}
+}
+
+// FuzzParseRequirements asserts the requirements parser is total: any
+// text either parses or returns an error, and every accepted
+// requirement has a known kind and a threshold and failure model that
+// are probabilities.
+func FuzzParseRequirements(f *testing.F) {
+	for _, seed := range []string{reqsText,
+		"probability A 10.0.0.0/24 >=0.9999 plink=0.001 pnode=0.0001",
+		"waypoint-only B 10.0.0.0/8 via C tolerance>=2",
+		"isolation A 10.9.0.0/16",
+		"probability A 10.0.0.0/24 >=NaN",
+	} {
+		f.Add(seed)
+	}
+	kinds := map[string]bool{"reach": true, "waypoint": true, "waypoint-only": true,
+		"isolation": true, "probability": true, "loadbalance": true}
+	inUnit := func(p float64) bool { return p >= 0 && p <= 1 }
+	f.Fuzz(func(t *testing.T, text string) {
+		reqs, err := sre.ParseRequirementsString(text)
+		if err != nil {
+			return
+		}
+		for _, r := range reqs {
+			if !kinds[r.Kind] {
+				t.Fatalf("accepted unknown kind %q from %q", r.Kind, text)
+			}
+			if !inUnit(r.MinP) || !inUnit(r.PLink) || !inUnit(r.PNode) {
+				t.Fatalf("accepted %+v from %q: MinP, PLink and PNode must be in [0, 1]", r, text)
+			}
+		}
+	})
 }
 
 func TestCheckRequirements(t *testing.T) {

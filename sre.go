@@ -160,9 +160,9 @@ type Options struct {
 	// isolation or waypoint-only query that finds no violation reports
 	// the effective budget rather than InfiniteTolerance.
 	Resilient bool
-	// Telemetry, when non-nil, collects counters, gauges, and
-	// histograms across the run (see NewTelemetry and
-	// Verifier.Metrics). Nil disables collection at near-zero cost
+	// Telemetry, when non-nil, collects counters and gauges across the
+	// run (see NewTelemetry and Verifier.Metrics); stage wall times are
+	// recorded by Recorder. Nil disables collection at near-zero cost
 	// unless Progress or Trace request an internal instance.
 	Telemetry *Telemetry
 	// Progress receives live progress events during symbolic execution
@@ -197,7 +197,7 @@ type Options struct {
 func (o Options) telemetry() *obs.Telemetry {
 	tel := o.Telemetry
 	if tel == nil && (o.Progress != nil || o.Trace || o.Recorder != nil) {
-		tel = NewTelemetry()
+		tel = obs.New()
 	}
 	if tel != nil && o.Progress != nil {
 		tel.SetSink(o.Progress)
@@ -530,9 +530,17 @@ var ErrNoPFECs = fmt.Errorf("sre: property holds for no (packet, failure) tuple"
 // model's link failure probability (§7.1). Pass the result as
 // Options.MaxFailures for probabilistic analyses. The bound counts link
 // failures only: under NodeAndLinkFailures the error can exceed
-// imprecision (see NodeAndLinkFailures).
-func RequiredBudget(net *Network, model FailureModel, imprecision float64) int {
-	return prob.KForImprecision(net.Topology.NumLinks(), model.linkDown, imprecision)
+// imprecision (see NodeAndLinkFailures). It returns an error for a model
+// whose probabilities are not in [0, 1] and for a NaN or negative
+// imprecision.
+func RequiredBudget(net *Network, model FailureModel, imprecision float64) (int, error) {
+	if err := model.check(); err != nil {
+		return 0, err
+	}
+	if !(imprecision >= 0) {
+		return 0, fmt.Errorf("sre: imprecision %v is not a non-negative number", imprecision)
+	}
+	return prob.KForImprecision(net.Topology.NumLinks(), model.linkDown, imprecision), nil
 }
 
 // Specs is the result of specification mining.

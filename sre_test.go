@@ -191,10 +191,16 @@ func TestFailureModelOutOfRange(t *testing.T) {
 		if _, err := sre.Diff(net, net.Clone(), 1, m, sre.Options{}); err == nil {
 			t.Errorf("%+v: Diff accepted the model", m)
 		}
+		if k, err := sre.RequiredBudget(net, m, 1e-4); err == nil {
+			t.Errorf("%+v: RequiredBudget read %d, want an error", m, k)
+		}
 	}
 	for _, m := range []sre.FailureModel{sre.LinkFailures(0), sre.LinkFailures(1), sre.NodeAndLinkFailures(1, 1)} {
 		if _, err := v.Probability("A", "192.0.0.0/2", m); err != nil {
 			t.Errorf("%+v: %v", m, err)
+		}
+		if _, err := sre.RequiredBudget(net, m, 1e-4); err != nil {
+			t.Errorf("%+v: RequiredBudget: %v", m, err)
 		}
 	}
 }
@@ -320,9 +326,15 @@ func TestRequiredBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := sre.RequiredBudget(net, sre.LinkFailures(0.001), 1e-4)
-	if k < 1 || k > 3 {
-		t.Errorf("budget %d out of expected range for 3 links @0.001", k)
+	k, err := sre.RequiredBudget(net, sre.LinkFailures(0.001), 1e-4)
+	if err != nil || k < 1 || k > 3 {
+		t.Errorf("budget %d (%v) out of expected range for 3 links @0.001", k, err)
+	}
+	// A NaN or negative imprecision is no probability mass to lose.
+	for _, imprecision := range []float64{math.NaN(), -1e-4} {
+		if k, err := sre.RequiredBudget(net, sre.LinkFailures(0.001), imprecision); err == nil {
+			t.Errorf("imprecision %v: RequiredBudget read %d, want an error", imprecision, k)
+		}
 	}
 	// Round trip of the network format.
 	text := sre.FormatNetwork(net)

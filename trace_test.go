@@ -100,7 +100,7 @@ func TestEventLogExport(t *testing.T) {
 				v.Release()
 			}
 			return err
-		}, []string{"src", "src.run", "spf", "task", "prefix"}},
+		}, []string{"src", "spf", "task", "prefix"}},
 		{"mine", func(rec *sre.FlightRecorder) error {
 			_, err := sre.MineSpecs(net, 2, sre.Options{Recorder: rec})
 			return err
