@@ -44,10 +44,12 @@ type Pipeline struct {
 	// PFECs, grouped by source router.
 	pfecs [][]*spf.PFEC
 
-	// prefixes is Net.AllPrefixes(), taken once at construction (the
-	// network is read-only to a run) so property queries do not re-walk
-	// every router.
+	// prefixes is Net.AllPrefixes() and origins the routers originating
+	// each of them, taken in one walk at construction (the network is
+	// read-only to a run) so property queries do not re-walk every
+	// router.
 	prefixes []route.Prefix
+	origins  map[route.Prefix]map[topology.RouterID]bool
 
 	SRCTime time.Duration
 	SPFTime time.Duration
@@ -102,7 +104,8 @@ func RunScoped(net *config.Network, opts src.Options, scope route.Prefix) (*Pipe
 }
 
 func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope *route.Prefix) (*Pipeline, error) {
-	p := &Pipeline{Net: net, Sp: sp, Tel: opts.Telemetry, Scope: scope, prefixes: net.AllPrefixes()}
+	p := &Pipeline{Net: net, Sp: sp, Tel: opts.Telemetry, Scope: scope}
+	p.prefixes, p.origins = net.PrefixOrigins()
 
 	// Flight recorder: one event per stage boundary, attributed to the
 	// pipeline's prefix scope, carrying BDD node/cache deltas. All
@@ -267,13 +270,11 @@ func (p *Pipeline) delivered(s topology.RouterID, dst map[topology.RouterID]bool
 	return m.And(m.OrN(preds...), hdr)
 }
 
-// OriginSet returns the routers originating pfx as a set.
+// OriginSet returns the routers originating pfx as a set. The set is
+// the pipeline's own index, shared by every query: callers must not
+// modify it.
 func (p *Pipeline) OriginSet(pfx route.Prefix) map[topology.RouterID]bool {
-	dst := make(map[topology.RouterID]bool)
-	for _, r := range p.Net.OriginsOf(pfx) {
-		dst[r] = true
-	}
-	return dst
+	return p.origins[pfx]
 }
 
 // OwnedHeaders returns the header BDD of the addresses for which pfx is
@@ -303,13 +304,13 @@ type Tuple struct {
 
 // Extract decouples a property BDD into tuples such that the disjunction
 // of Pkt∧Topo equals the property BDD (Algorithm 2's Extract). With the
-// header-above-links variable order this is a single traversal.
+// header-above-links variable order this is one split at the first link
+// level: one tuple per distinct topology BDD.
 func (p *Pipeline) Extract(property bdd.Node) []Tuple {
-	m := p.Sp.M
-	groups := m.GroupBySub(m.SplitAtLevel(property, symbol.HeaderBits))
-	out := make([]Tuple, 0, len(groups))
-	for topo, pkt := range groups {
-		out = append(out, Tuple{Pkt: pkt, Topo: topo})
+	splits := p.Sp.M.SplitBySub(property, symbol.HeaderBits)
+	out := make([]Tuple, len(splits))
+	for i, s := range splits {
+		out[i] = Tuple{Pkt: s.Upper, Topo: s.Sub}
 	}
 	// By topology handle, so the per-tuple BDD work of every query runs
 	// in the same order on every run.
@@ -487,7 +488,7 @@ func (p *Pipeline) Probability(property bdd.Node, model prob.LinkModel) []Probab
 func (p *Pipeline) AllPairsReachable(k int) map[PairKey]bool {
 	budget := p.Sp.AtMostKLinkFailures(k)
 	out := make(map[PairKey]bool)
-	for _, pfx := range p.Net.AllPrefixes() {
+	for _, pfx := range p.prefixes {
 		q := p.Query(0, pfx)
 		for s := range p.Net.Topology.NumRouters() {
 			if q.Src = topology.RouterID(s); q.Dst[q.Src] {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,7 +10,9 @@ import (
 	"sre/internal/prob"
 	"sre/internal/route"
 	"sre/internal/src"
+	"sre/internal/symbol"
 	"sre/internal/topology"
+	"sre/internal/workload"
 )
 
 const figure1 = `
@@ -258,6 +261,77 @@ func TestExtractReconstructs(t *testing.T) {
 	}
 }
 
+// extractReference is Extract by Shannon expansion over the header
+// variables: one packet cube per path above the first link level, OR-ed
+// per topology BDD reached.
+func extractReference(m *bdd.Manager, property bdd.Node) map[bdd.Node]bdd.Node {
+	groups := map[bdd.Node]bdd.Node{}
+	var rec func(f, cube bdd.Node, v int)
+	rec = func(f, cube bdd.Node, v int) {
+		if f == bdd.False {
+			return
+		}
+		for ; v < symbol.HeaderBits; v++ {
+			if f0, f1 := m.Restrict(f, v, false), m.Restrict(f, v, true); f0 != f1 {
+				rec(f0, m.And(cube, m.NVar(v)), v+1)
+				rec(f1, m.And(cube, m.Var(v)), v+1)
+				return
+			}
+		}
+		groups[f] = m.Or(groups[f], cube) // a missing entry reads bdd.False
+	}
+	rec(property, bdd.True, 0)
+	return groups
+}
+
+// TestExtractMatchesReference requires Extract to return the reference's
+// tuples node for node, in topology-handle order, on two verified
+// networks: for the reachability property of every (router, prefix)
+// pair, and for each router's disjunction of them over all prefixes
+// (one pair's property is a single tuple on both networks; the
+// disjunction has one per distinct topology BDD).
+func TestExtractMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *config.Network
+	}{
+		{"campus40", workload.Campus(workload.CampusOptions{VLANs: 40, Snapshot: 1})},
+		{"wan20-ospf", workload.SyntheticWAN("w", 20, 30, workload.OSPF, 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pipe, err := Run(c.net, src.Options{PruneK: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := pipe.Sp.M
+			same := func(what string, prop bdd.Node) {
+				t.Helper()
+				got, want := pipe.Extract(prop), extractReference(m, prop)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d tuples, reference has %d", what, len(got), len(want))
+				}
+				for i, tup := range got {
+					if i > 0 && got[i-1].Topo >= tup.Topo {
+						t.Fatalf("%s: tuples not in topology-handle order", what)
+					}
+					if want[tup.Topo] != tup.Pkt {
+						t.Fatalf("%s: packet BDD of topology %d differs from the reference", what, tup.Topo)
+					}
+				}
+			}
+			for s := range c.net.Topology.NumRouters() {
+				var props []bdd.Node
+				for _, pfx := range pipe.prefixes {
+					prop := pipe.Query(topology.RouterID(s), pfx).Reach()
+					same(fmt.Sprintf("%d → %s", s, pfx), prop)
+					props = append(props, prop)
+				}
+				same(fmt.Sprintf("%d → any prefix", s), m.OrN(props...))
+			}
+		})
+	}
+}
+
 func TestDiffReachabilityFindsFailureOnlyDifference(t *testing.T) {
 	// §6.5 scenario: deleting C's inbound ACL for 192/2 changes nothing
 	// under all-up (the route-map still diverts 192/2 through B), but
@@ -444,4 +518,36 @@ func TestPipelineTimings(t *testing.T) {
 	if pipe.NumPFECs() == 0 {
 		t.Error("pipeline should produce PFECs")
 	}
+}
+
+// BenchmarkQuerySweepCampus is the query side alone on the campus of
+// Campus(40) k=2: a failure-tolerance sweep over every (router, prefix)
+// pair on one verified pipeline — build the pair query, its
+// reachability property, Extract and the shortest paths. Each iteration
+// verifies a fresh pipeline outside the timer, so every sweep starts
+// from the same operation cache.
+func BenchmarkQuerySweepCampus(b *testing.B) {
+	net := workload.Campus(workload.CampusOptions{VLANs: 40, Snapshot: 1})
+	b.ReportAllocs()
+	lookups := uint64(0)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pipe, err := Run(net, src.Options{PruneK: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := pipe.Sp.M.Statistics()
+		b.StartTimer()
+		for s := range net.Topology.NumRouters() {
+			for _, pfx := range pipe.prefixes {
+				q := pipe.Query(topology.RouterID(s), pfx)
+				q.Tolerance(q.Reach())
+			}
+		}
+		b.StopTimer()
+		after := pipe.Sp.M.Statistics()
+		lookups += after.CacheHits + after.CacheMiss - before.CacheHits - before.CacheMiss
+		pipe.Release()
+	}
+	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
 }

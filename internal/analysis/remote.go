@@ -42,6 +42,7 @@ func NewRunSpace(net *config.Network, opts src.Options) *symbol.Space {
 // needs only Net, Sp, the PFECs, and Scope — and Release frees exactly
 // the PFEC references.
 func NewDecodedPipeline(net *config.Network, sp *symbol.Space, scope *route.Prefix, pfecs [][]*spf.PFEC, srcTime, spfTime time.Duration, tel *obs.Telemetry) *Pipeline {
-	return &Pipeline{Net: net, Sp: sp, Tel: tel, Scope: scope, prefixes: net.AllPrefixes(),
-		pfecs: pfecs, SRCTime: srcTime, SPFTime: spfTime}
+	p := &Pipeline{Net: net, Sp: sp, Tel: tel, Scope: scope, pfecs: pfecs, SRCTime: srcTime, SPFTime: spfTime}
+	p.prefixes, p.origins = net.PrefixOrigins()
+	return p
 }

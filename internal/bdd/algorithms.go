@@ -218,75 +218,69 @@ func (m *Manager) AtMostKFalse(vars []int, k int) Node {
 	return rows[k]
 }
 
-// Decomposition is one (packet cube, topology sub-BDD) pair produced by
-// SplitAtLevel: Assignment fixes the variables above the split level on
-// one root-to-subgraph path, and Sub is the BDD hanging below.
-type Decomposition struct {
-	// Assignment of the upper variables along this path (variables not
-	// present are unconstrained).
-	Assignment map[int]bool
-	// Sub is the sub-BDD over variables at or below the split level.
-	Sub Node
+// Split is one (upper, sub) pair of SplitBySub: Sub is a sub-BDD over
+// the variables at or below the split level, and Upper is the set of
+// assignments of the variables above it that lead to Sub.
+type Split struct {
+	Upper, Sub Node
 }
 
-// SplitAtLevel decomposes f into assignments of the variables with level
-// < split and the distinct sub-BDDs they lead to. It implements the
-// Extract function of Algorithm 2: with header variables ordered above
-// link variables, splitting a property BDD at the first link level yields
-// (packet, topology-BDD) pairs whose disjunction of (cube ∧ sub) equals f.
-// Paths reaching the False terminal above the split are omitted; a path
-// reaching True is reported with Sub == True.
+// SplitBySub decomposes f at level split. It implements the Extract
+// function of Algorithm 2: with header variables ordered above link
+// variables, splitting a property BDD at the first link level yields
+// (packet, topology-BDD) pairs. There is one pair per distinct sub-BDD
+// s that f reaches at or below split (True included, False never), and
+// its Upper is f with s replaced by True and every other sub by False.
+// The uppers are pairwise disjoint and the disjunction of Upper ∧ Sub
+// is f.
 //
-// Cubes leading to the same sub-BDD are merged by the caller if desired
-// (see GroupBySub).
-func (m *Manager) SplitAtLevel(f Node, split int) []Decomposition {
-	var out []Decomposition
-	assign := make(map[int]bool)
-	var rec func(Node)
-	rec = func(n Node) {
-		if n == False {
-			return
-		}
-		if n == True || int(m.lvl[n]) >= split {
-			cp := make(map[int]bool, len(assign))
-			for k, v := range assign {
-				cp[k] = v
-			}
-			out = append(out, Decomposition{Assignment: cp, Sub: n})
-			return
-		}
-		v := int(m.lvl[n])
-		assign[v] = false
-		rec(Node(m.lo[n]))
-		assign[v] = true
-		rec(Node(m.hi[n]))
-		delete(assign, v)
+// One marked walk finds the subs; each Upper is then built with mk over
+// the nodes above split, memoized per sub. Every node made belongs to a
+// returned Upper, and the operation cache is not touched.
+func (m *Manager) SplitBySub(f Node, split int) []Split {
+	var out []Split
+	m.i32memo.begin(len(m.lvl))
+	m.subsRec(f, int32(split), &out)
+	for i := range out {
+		// The memo is keyed by f's nodes only, which exist before the
+		// generation starts; the nodes mk makes are never looked up.
+		m.i32memo.begin(len(m.lvl))
+		out[i].Upper = m.upperRec(f, int32(split), out[i].Sub)
 	}
-	rec(f)
 	return out
 }
 
-// GroupBySub merges decompositions that share the same sub-BDD, OR-ing
-// their upper cubes into a single BDD per sub. The result maps each
-// distinct sub-BDD to the set of upper assignments (as a BDD) leading to
-// it. This turns SplitAtLevel output into the paper's (pkt_i, topo_i)
-// tuples where pkt_i is a full packet-set BDD.
-func (m *Manager) GroupBySub(decs []Decomposition) map[Node]Node {
-	groups := make(map[Node]Node)
-	var vars []int
-	var values []bool
-	for _, d := range decs {
-		vars, values = vars[:0], values[:0]
-		for v, val := range d.Assignment {
-			vars = append(vars, v)
-			values = append(values, val)
-		}
-		cube := m.Cube(vars, values)
-		if cur, ok := groups[d.Sub]; ok {
-			groups[d.Sub] = m.Or(cur, cube)
-		} else {
-			groups[d.Sub] = cube
-		}
+// subsRec appends to out every distinct sub-BDD reachable from n at or
+// below split; the caller owns the current i32memo generation.
+func (m *Manager) subsRec(n Node, split int32, out *[]Split) {
+	if n == False {
+		return
 	}
-	return groups
+	if _, seen := m.i32memo.get(n); seen {
+		return
+	}
+	m.i32memo.put(n, 0)
+	if m.lvl[n] >= split { // terminals sit below every level
+		*out = append(*out, Split{Sub: n})
+		return
+	}
+	m.subsRec(Node(m.lo[n]), split, out)
+	m.subsRec(Node(m.hi[n]), split, out)
+}
+
+// upperRec is n above split with sub replaced by True and every other
+// sub by False; the caller owns the current i32memo generation.
+func (m *Manager) upperRec(n Node, split int32, sub Node) Node {
+	if n == sub {
+		return True
+	}
+	if m.lvl[n] >= split {
+		return False
+	}
+	if r, ok := m.i32memo.get(n); ok {
+		return Node(r)
+	}
+	r := m.mk(m.lvl[n], m.upperRec(Node(m.lo[n]), split, sub), m.upperRec(Node(m.hi[n]), split, sub))
+	m.i32memo.put(n, int32(r))
+	return r
 }

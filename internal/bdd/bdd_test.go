@@ -395,58 +395,92 @@ func TestAtMostKFalseSubset(t *testing.T) {
 	}
 }
 
-func TestSplitAtLevel(t *testing.T) {
+func TestSplitBySub(t *testing.T) {
 	// Vars 0,1 are "header", vars 2,3 are "links".
 	m := newTest(4)
 	p1, p2 := m.Var(0), m.Var(1)
 	l1, l2 := m.Var(2), m.Var(3)
 	f := m.Or(m.And(p1, l1), m.And(m.And(m.Not(p1), p2), m.And(l1, l2)))
-	decs := m.SplitAtLevel(f, 2)
-	rebuilt := False
-	for _, d := range decs {
-		cube := True
-		for v, val := range d.Assignment {
-			if v >= 2 {
-				t.Fatalf("assignment leaked link variable %d", v)
-			}
-			if val {
-				cube = m.And(cube, m.Var(v))
-			} else {
-				cube = m.And(cube, m.NVar(v))
-			}
-		}
-		for _, v := range support(m, d.Sub) {
-			if v < 2 {
-				t.Fatalf("sub-BDD contains header variable %d", v)
-			}
-		}
-		rebuilt = m.Or(rebuilt, m.And(cube, d.Sub))
+	splits := m.SplitBySub(f, 2)
+	if len(splits) != 2 {
+		t.Fatalf("expected 2 distinct topology BDDs, got %d", len(splits))
 	}
-	if rebuilt != f {
-		t.Fatal("decomposition does not reconstruct f")
+	groups := map[Node]Node{}
+	for _, s := range splits {
+		groups[s.Sub] = s.Upper
 	}
-	groups := m.GroupBySub(decs)
-	if len(groups) != 2 {
-		t.Fatalf("expected 2 distinct topology BDDs, got %d", len(groups))
-	}
-	if pkts, ok := groups[l1]; !ok || pkts != p1 {
-		t.Fatalf("expected packet BDD p1 for topo l1")
+	if groups[l1] != p1 || groups[m.And(l1, l2)] != m.And(m.Not(p1), p2) {
+		t.Fatalf("split %v, want p1 for l1 and ¬p1∧p2 for l1∧l2", splits)
 	}
 }
 
-func TestSplitAtLevelRandom(t *testing.T) {
-	const vars = 6
-	m := newTest(vars)
-	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 50; trial++ {
-		f, _ := buildRandom(m, r, 4)
-		split := r.Intn(vars + 1)
-		rebuilt := False
-		for sub, upper := range m.GroupBySub(m.SplitAtLevel(f, split)) {
-			rebuilt = m.Or(rebuilt, m.And(upper, sub))
+// splitReference is the path-enumeration split SplitBySub replaced:
+// one cube per root-to-sub path, OR-ed per sub.
+func splitReference(m *Manager, f Node, split int) map[Node]Node {
+	groups := map[Node]Node{}
+	var rec func(n, cube Node)
+	rec = func(n, cube Node) {
+		if n == False {
+			return
 		}
-		if rebuilt != f {
-			t.Fatalf("trial %d split %d: reconstruction failed", trial, split)
+		if m.lvl[n] >= int32(split) {
+			if cur, ok := groups[n]; ok {
+				cube = m.Or(cur, cube)
+			}
+			groups[n] = cube
+			return
+		}
+		v := int(m.lvl[n])
+		rec(Node(m.lo[n]), m.And(cube, m.NVar(v)))
+		rec(Node(m.hi[n]), m.And(cube, m.Var(v)))
+	}
+	rec(f, True)
+	return groups
+}
+
+// TestSplitBySubMatchesReference splits random diagrams of the
+// truth-table harness at every level: the (sub, upper) pairs must be the
+// reference's, the uppers must be pairwise disjoint and test only
+// variables above the split, the subs only variables at or below it, and
+// OR(Upper ∧ Sub) must be f.
+func TestSplitBySubMatchesReference(t *testing.T) {
+	const n = 8
+	m := newTest(n)
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		f, eval := buildRandom(m, r, 5)
+		ft := ttFrom(n, eval)
+		for split := 0; split <= n; split++ {
+			splits := m.SplitBySub(f, split)
+			want := splitReference(m, f, split)
+			if len(splits) != len(want) {
+				t.Fatalf("trial %d split %d: %d subs, reference has %d", trial, split, len(splits), len(want))
+			}
+			rebuilt := False
+			for i, s := range splits {
+				if want[s.Sub] != s.Upper {
+					t.Fatalf("trial %d split %d: upper of sub %d differs from the reference", trial, split, s.Sub)
+				}
+				for _, v := range ttOf(m, s.Upper).support() {
+					if v >= split {
+						t.Fatalf("trial %d split %d: upper tests variable %d", trial, split, v)
+					}
+				}
+				for _, v := range ttOf(m, s.Sub).support() {
+					if v < split {
+						t.Fatalf("trial %d split %d: sub tests variable %d", trial, split, v)
+					}
+				}
+				for _, o := range splits[:i] {
+					if m.AndSat(o.Upper, s.Upper) {
+						t.Fatalf("trial %d split %d: uppers of subs %d and %d overlap", trial, split, o.Sub, s.Sub)
+					}
+				}
+				rebuilt = m.Or(rebuilt, m.And(s.Upper, s.Sub))
+			}
+			if !ttOf(m, rebuilt).equal(ft) {
+				t.Fatalf("trial %d split %d: OR(Upper ∧ Sub) differs from f", trial, split)
+			}
 		}
 	}
 }

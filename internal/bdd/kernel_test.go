@@ -95,37 +95,6 @@ func TestSatProbesMatchMaterialized(t *testing.T) {
 	}
 }
 
-func TestCubeMatchesLiteralConjunction(t *testing.T) {
-	r := rand.New(rand.NewSource(45))
-	m := newTest(16)
-	for i := 0; i < 200; i++ {
-		nv := 1 + r.Intn(6)
-		vars := make([]int, nv)
-		values := make([]bool, nv)
-		for j := range vars {
-			vars[j] = r.Intn(16) // duplicates allowed on purpose
-			values[j] = r.Intn(2) == 0
-		}
-		want := True
-		for j := range vars {
-			if values[j] {
-				want = m.And(want, m.Var(vars[j]))
-			} else {
-				want = m.And(want, m.NVar(vars[j]))
-			}
-		}
-		if got := m.Cube(vars, values); got != want {
-			t.Fatalf("Cube mismatch (iter %d, vars %v values %v)", i, vars, values)
-		}
-	}
-	if m.Cube([]int{3, 3}, []bool{true, false}) != False {
-		t.Fatal("conflicting duplicate literals must give False")
-	}
-	if m.Cube(nil, nil) != True {
-		t.Fatal("empty cube must be True")
-	}
-}
-
 func TestShortestPathToTrueMatchesComplement(t *testing.T) {
 	r := rand.New(rand.NewSource(46))
 	m := newTest(10)
@@ -256,16 +225,11 @@ func kernelVsTruthTable(t *testing.T, mode string) {
 		v, val := vars[0], r.Intn(2) == 0
 		same("Restrict", m.Restrict(f, v, val), ft.restrict(v, val))
 		same("Compose", m.Compose(f, v, g.n), g.t.ite(ft.restrict(v, true), ft.restrict(v, false)))
-		values := []bool{r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0}
-		lits := ttConst(n, true)
-		for j, cv := range vars {
-			if lit := ttVar(n, cv); values[j] {
-				lits = lits.and(lit)
-			} else {
-				lits = lits.diff(lit)
-			}
+		rebuilt := False
+		for _, s := range m.SplitBySub(f, vars[1]) {
+			rebuilt = m.Or(rebuilt, m.And(s.Upper, s.Sub))
 		}
-		same("Cube", m.Cube(vars, values), lits)
+		same("SplitBySub", rebuilt, ft)
 		nodes, all, any := make([]Node, len(pool)), ttConst(n, true), ttConst(n, false)
 		for j, p := range pool {
 			nodes[j], all, any = p.n, all.and(p.t), any.or(p.t)

@@ -1,9 +1,6 @@
 package bdd
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // Operation codes for the operation cache, which every memoized
 // operation shares. Every op packs its key into the (f, g, h) fields
@@ -490,72 +487,21 @@ func (m *Manager) diffSatRec(f, g Node) Node {
 	return r
 }
 
-// Cube returns the conjunction of the given literals: vars[i] appears
-// positively if values[i] is true, negatively otherwise. The cube is
-// built bottom-up from the deepest level with mk — one canonical node
-// per literal — instead of n And calls through the operation cache.
-func (m *Manager) Cube(vars []int, values []bool) Node {
-	if len(vars) != len(values) {
-		panic("bdd: Cube length mismatch")
-	}
-	order := m.sortedVarOrder(vars)
-	r := True
-	prev := -1
-	for i := len(order) - 1; i >= 0; i-- {
-		k := order[i]
-		v := vars[k]
-		if v == prev {
-			// Duplicate literal: identical polarity is redundant,
-			// conflicting polarity empties the cube.
-			if values[k] != values[order[i+1]] {
-				return False
-			}
-			continue
-		}
-		prev = v
-		if values[k] {
-			r = m.mk(int32(v), False, r)
-		} else {
-			r = m.mk(int32(v), r, False)
-		}
-	}
-	return r
-}
-
 // CubeVars returns the positive cube over vars — the canonical varset
-// node ExistsCube quantifies. Built bottom-up with mk.
+// node ExistsCube quantifies. Built bottom-up with mk, one node per
+// distinct variable; vars itself is left untouched (callers pass shared
+// slices).
 func (m *Manager) CubeVars(vars []int) Node {
-	order := m.sortedVarOrder(vars)
+	sorted := slices.Clone(vars)
+	slices.Sort(sorted)
 	r := True
-	prev := -1
-	for i := len(order) - 1; i >= 0; i-- {
-		v := vars[order[i]]
-		if v == prev {
+	for i := len(sorted) - 1; i >= 0; i-- {
+		if i+1 < len(sorted) && sorted[i] == sorted[i+1] {
 			continue
 		}
-		prev = v
-		r = m.mk(int32(v), False, r)
+		r = m.mk(int32(sorted[i]), False, r)
 	}
 	return r
-}
-
-// sortedVarOrder returns the indices of vars sorted by ascending
-// variable (cube construction is bottom-up), leaving vars itself
-// untouched (callers pass shared slices). Ties break on the original
-// index so duplicate literals stay in declaration order for Cube's
-// adjacent-duplicate polarity check.
-func (m *Manager) sortedVarOrder(vars []int) []int {
-	order := make([]int, len(vars))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(vars[a], vars[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return order
 }
 
 // NodeCount returns the number of distinct decision nodes reachable from

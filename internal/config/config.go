@@ -59,14 +59,25 @@ func (n *Network) Clone() *Network {
 // prefixes originated anywhere in the network — the verification
 // universe for all-pairs analyses.
 func (n *Network) AllPrefixes() []route.Prefix {
-	seen := make(map[route.Prefix]bool)
+	prefixes, _ := n.PrefixOrigins()
+	return prefixes
+}
+
+// PrefixOrigins returns AllPrefixes and, from the same walk over every
+// router's originated prefixes, the set of routers originating each
+// of them (OriginsOf as a set).
+func (n *Network) PrefixOrigins() ([]route.Prefix, map[route.Prefix]map[topology.RouterID]bool) {
+	origins := make(map[route.Prefix]map[topology.RouterID]bool)
 	var out []route.Prefix
-	for _, r := range n.Routers {
+	for i, r := range n.Routers {
 		for _, p := range r.Originated() {
-			if !seen[p] {
-				seen[p] = true
+			set := origins[p]
+			if set == nil {
+				set = make(map[topology.RouterID]bool)
+				origins[p] = set
 				out = append(out, p)
 			}
+			set[topology.RouterID(i)] = true
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -75,7 +86,7 @@ func (n *Network) AllPrefixes() []route.Prefix {
 		}
 		return out[i].Len < out[j].Len
 	})
-	return out
+	return out, origins
 }
 
 // OriginsOf returns the routers that originate prefix p.

@@ -79,29 +79,57 @@ func MustParsePrefix(s string) Prefix {
 	return p
 }
 
-// ParsePrefix parses "a.b.c.d/len".
+// ParsePrefix parses "a.b.c.d/len": exactly four decimal octets (each
+// at most 255), one '/', and a decimal length from 0 to 32, with nothing
+// before, between or after them. Host bits below the mask are cleared.
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
 		return Prefix{}, fmt.Errorf("route: prefix %q missing /len", s)
 	}
-	var a, b, c, d, l int
-	if _, err := fmt.Sscanf(s[:slash], "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return Prefix{}, fmt.Errorf("route: bad address in %q: %v", s, err)
-	}
-	if _, err := fmt.Sscanf(s[slash+1:], "%d", &l); err != nil {
-		return Prefix{}, fmt.Errorf("route: bad length in %q: %v", s, err)
-	}
-	for _, v := range []int{a, b, c, d} {
-		if v < 0 || v > 255 {
+	var addr uint32
+	rest := s[:slash]
+	for i := range 4 {
+		if i > 0 {
+			if rest == "" || rest[0] != '.' {
+				return Prefix{}, fmt.Errorf("route: bad address in %q", s)
+			}
+			rest = rest[1:]
+		}
+		v, n := decimal(rest, 255)
+		if n < 0 {
 			return Prefix{}, fmt.Errorf("route: octet out of range in %q", s)
 		}
+		if n == 0 {
+			return Prefix{}, fmt.Errorf("route: bad address in %q", s)
+		}
+		addr = addr<<8 | uint32(v)
+		rest = rest[n:]
 	}
-	if l < 0 || l > 32 {
+	if rest != "" {
+		return Prefix{}, fmt.Errorf("route: bad address in %q", s)
+	}
+	l, n := decimal(s[slash+1:], 32)
+	if n < 0 {
 		return Prefix{}, fmt.Errorf("route: length out of range in %q", s)
 	}
-	addr := uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d)
+	if n == 0 || n != len(s)-slash-1 {
+		return Prefix{}, fmt.Errorf("route: bad length in %q", s)
+	}
 	return Prefix{Addr: addr & MaskOf(l), Len: l}, nil
+}
+
+// decimal reads the leading decimal digits of s as a number at most
+// limit. It returns the number and how many digits it read: 0 when s
+// does not start with a digit, -1 when the number exceeds limit.
+func decimal(s string, limit int) (v, n int) {
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		if v = v*10 + int(s[n]-'0'); v > limit {
+			return 0, -1
+		}
+		n++
+	}
+	return v, n
 }
 
 // MaskOf returns the network mask with the top len bits set.

@@ -26,11 +26,33 @@ func TestParsePrefix(t *testing.T) {
 	if p.String() != "10.0.0.0/8" {
 		t.Fatalf("String: %s", p)
 	}
-	for _, bad := range []string{"10.0.0.0", "10.0.0/8", "256.0.0.0/8", "10.0.0.0/33", "10.0.0.0/-1", "x.0.0.0/8"} {
+	for _, bad := range []string{"10.0.0.0", "10.0.0/8", "256.0.0.0/8", "10.0.0.0/33", "10.0.0.0/-1", "x.0.0.0/8",
+		"10.0.0.0x/8", "10.0.0.0/8x", "+10.0.0.0/8", " 10.0.0.0/8"} {
 		if _, err := ParsePrefix(bad); err == nil {
 			t.Errorf("ParsePrefix(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParsePrefix checks that ParsePrefix never panics and that every
+// prefix it accepts prints back to text that parses to the same prefix.
+func FuzzParsePrefix(f *testing.F) {
+	for _, s := range []string{"10.1.2.3/8", "0.0.0.0/0", "255.255.255.255/32", "10.0.0.0/8x", "1.2.3/4", "/", "300.1.1.1/8"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePrefix(s)
+		if err != nil {
+			return
+		}
+		if p.Len < 0 || p.Len > 32 || p.Addr&^MaskOf(p.Len) != 0 {
+			t.Fatalf("ParsePrefix(%q) = %+v: length out of range or host bits set", s, p)
+		}
+		q, err := ParsePrefix(p.String())
+		if err != nil || q != p {
+			t.Fatalf("ParsePrefix(%q) = %v, which reparses as %v, %v", s, p, q, err)
+		}
+	})
 }
 
 func TestMustParsePrefixPanics(t *testing.T) {

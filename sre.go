@@ -231,6 +231,9 @@ type Verifier struct {
 	// varOrder names the link-variable order computed for the
 	// topology; it surfaces in Metrics and the CLI summary.
 	varOrder string
+	// originated holds every prefix some router originates, indexed
+	// once so a pair query need not walk the routers to check it.
+	originated map[route.Prefix]map[topology.RouterID]bool
 }
 
 // NewVerifier symbolically executes the network (symbolic route
@@ -253,9 +256,11 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 	// fill in its data. Prefixes reaches a combined run closed over its
 	// dependencies; the domain is what the verifier answers queries for.
 	srcOpts.Prefixes = prefixes
+	all, originated := net.PrefixOrigins()
+	v.originated = originated
 	domain := prefixes
 	if len(domain) == 0 {
-		domain = net.AllPrefixes()
+		domain = all
 	}
 	x := analysis.Executor{Net: net, Opts: srcOpts, Ladder: opts.Resilient,
 		Workers: analysis.Workers(srcOpts), Cache: opts.Store.cache()}
@@ -352,7 +357,7 @@ func (v *Verifier) resolve(srcRouter, prefix string, via ...string) (q analysis.
 	if err != nil {
 		return q, w, err
 	}
-	if len(v.net.OriginsOf(pfx)) == 0 {
+	if len(v.originated[pfx]) == 0 {
 		return q, w, fmt.Errorf("sre: prefix %s is not originated anywhere", pfx)
 	}
 	for _, name := range via {
