@@ -163,12 +163,20 @@ type Executor struct {
 // pipelines in prefix order whatever the completion order. When there
 // is nothing to decompose for — one worker (or one prefix), no ladder,
 // no cache, no fleet — the whole domain runs as a single unscoped task
-// in one space and the one pipeline covers every prefix: sharing route
-// computation across prefixes beats serial scoped runs (BENCHMARK
-// ft6_bgp_k1 vs ft6_store_cold). A non-nil Opts.Prefixes is then closed
-// over its dependencies (taskDomain), so restricting a run never drops
-// the routes its answers depend on. Otherwise Opts.Prefixes is ignored
-// and each prefix runs scoped to its own task domain.
+// in one space and the one pipeline covers every prefix. A non-nil
+// Opts.Prefixes is then closed over its dependencies (taskDomain), so
+// restricting a run never drops the routes its answers depend on.
+// Otherwise Opts.Prefixes is ignored and each prefix runs scoped to its
+// own task domain.
+//
+// The combined branch is not the faster one everywhere. At P=1, serial
+// scoped runs (NewVerifier with this branch bypassed) verify FatTree(6)
+// in 0.56–0.64 s against 0.64–0.77 s combined, and Bics in 0.78–0.94 s
+// against 1.32–1.37 s. It earns its place on Campus(200), where scoped
+// runs take 2.5–3.4 s against 0.40–0.48 s combined, and in memory:
+// Bics' scoped runs peak at 1.18 M nodes summed against 0.46 M. ROADMAP
+// item 5 would run every setting through the per-prefix path, once a
+// worker keeps one manager across its tasks.
 //
 // The run completes with per-prefix outcomes unless it is canceled,
 // times out, or hits an error the ladder does not absorb; then every

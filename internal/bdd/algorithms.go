@@ -20,7 +20,7 @@ import (
 // failure tolerance of a property with topology BDD f is this value
 // minus one.
 func (m *Manager) ShortestPathToFalse(f Node) int {
-	m.i32memo.begin(len(m.lvl))
+	m.i32memo.begin(m)
 	return int(m.shortestPathRec(f, False))
 }
 
@@ -30,7 +30,7 @@ func (m *Manager) ShortestPathToFalse(f Node) int {
 // complement BDD: with link variables meaning "link up", it is the
 // fewest failed links in any satisfying scenario of f.
 func (m *Manager) ShortestPathToTrue(f Node) int {
-	m.i32memo.begin(len(m.lvl))
+	m.i32memo.begin(m)
 	return int(m.shortestPathRec(f, True))
 }
 
@@ -62,7 +62,7 @@ func (m *Manager) MinFalseWitness(f Node) ([]int, bool) {
 	if f == True {
 		return nil, false
 	}
-	m.witMemo.begin(len(m.lvl))
+	m.witMemo.begin(m)
 	m.minWitnessRec(f)
 	var downVars []int
 	for n := f; n > True; {
@@ -104,7 +104,7 @@ func (m *Manager) Probability(f Node, pTrue []float64) float64 {
 	if len(pTrue) < m.vars {
 		panic("bdd: Probability needs a probability per variable")
 	}
-	m.f64memo.begin(len(m.lvl))
+	m.f64memo.begin(m)
 	m.probP = pTrue
 	w := m.probabilityRec(f)
 	m.probP = nil
@@ -130,7 +130,7 @@ func (m *Manager) probabilityRec(n Node) float64 {
 // SatCount returns the number of satisfying assignments of f over the
 // variables [0, nvars). It is exact up to float64 precision.
 func (m *Manager) SatCount(f Node, nvars int) float64 {
-	m.f64memo.begin(len(m.lvl))
+	m.f64memo.begin(m)
 	return m.satCountRec(f) * math.Pow(2, float64(nvars))
 }
 
@@ -239,12 +239,12 @@ type Split struct {
 // returned Upper, and the operation cache is not touched.
 func (m *Manager) SplitBySub(f Node, split int) []Split {
 	var out []Split
-	m.i32memo.begin(len(m.lvl))
+	m.i32memo.begin(m)
 	m.subsRec(f, int32(split), &out)
 	for i := range out {
 		// The memo is keyed by f's nodes only, which exist before the
 		// generation starts; the nodes mk makes are never looked up.
-		m.i32memo.begin(len(m.lvl))
+		m.i32memo.begin(m)
 		out[i].Upper = m.upperRec(f, int32(split), out[i].Sub)
 	}
 	return out

@@ -73,7 +73,7 @@ type Config struct {
 const DefaultNodeLimit = 64 << 20
 
 // initialNodes is the node-table capacity a manager starts with; the
-// table grows on demand up to the node limit.
+// table doubles on demand up to the node limit (see grow).
 const initialNodes = 1 << 12
 
 // Manager owns a collection of shared BDD nodes over a fixed set of
@@ -110,10 +110,16 @@ type Manager struct {
 
 	// Generation-stamped scratch memo tables for the per-node analyses
 	// and Write (allocation-free after warmup; see scratch.go).
+	stamps  stamps        // shared by the three memos below
 	f64memo memo[float64] // SatCount, Probability
 	i32memo memo[int32]   // shortest paths, NodeCount, Write's positions
 	witMemo memo[witStep] // MinFalseWitness
 	probP   []float64     // Probability's per-call vector, borrowed during recursion
+
+	// Garbage collection's mark bitmap and walk stack, kept between
+	// collections (see mark).
+	marks     bitset
+	markStack []int32
 
 	// Cooperative interruption: interrupt is Config.Interrupt, intrN
 	// counts operations since the last poll (see pollInterrupt).
@@ -407,6 +413,9 @@ func (m *Manager) mk(lvl int32, lo, hi Node) Node {
 			}
 			resil.Throw(ErrNodeLimit)
 		}
+		if len(m.lvl) == cap(m.lvl) {
+			m.grow()
+		}
 		id = int32(len(m.lvl))
 		m.lvl = append(m.lvl, lvl)
 		m.lo = append(m.lo, int32(lo))
@@ -424,6 +433,28 @@ func (m *Manager) mk(lvl int32, lo, hi Node) Node {
 		m.rehash() // re-links every live node, including id
 	}
 	return Node(id)
+}
+
+// grow doubles the capacity of the five node arrays, capped at the node
+// limit. append grows a large slice by about 1.25× a step, so each array
+// was allocated about five times its final size in all; doubling
+// allocates it about twice. The memo tables (scratch.go) and the mark
+// bitmap (gc.go) are sized to this capacity, so they too reallocate only
+// when it doubles.
+func (m *Manager) grow() {
+	c := min(2*cap(m.lvl), m.limit)
+	m.lvl = grownTo(m.lvl, c)
+	m.lo = grownTo(m.lo, c)
+	m.hi = grownTo(m.hi, c)
+	m.next = grownTo(m.next, c)
+	m.ref = grownTo(m.ref, c)
+}
+
+// grownTo returns a copy of s with capacity c.
+func grownTo(s []int32, c int) []int32 {
+	t := make([]int32, len(s), c)
+	copy(t, s)
+	return t
 }
 
 func (m *Manager) rehash() {

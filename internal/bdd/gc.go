@@ -99,14 +99,29 @@ func (m *Manager) collect(onlyIfWorthIt bool) int {
 	return freed
 }
 
+// bitset is a set of node slots, one bit per slot.
+type bitset []uint64
+
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) add(i int32)      { b[i>>6] |= 1 << (i & 63) }
+
 // mark flags every slot reachable from a referenced node (terminals
-// included) and returns the flags with their count.
-func (m *Manager) mark() ([]bool, int) {
-	mark := make([]bool, len(m.lvl))
-	mark[0], mark[1] = true, true
+// included) and returns the flags with their count. The flags and the
+// walk's stack are the manager's own, kept from one collection to the
+// next: the bitmap is sized to the node table's capacity, so it is
+// reallocated only when the table has doubled, and cleared otherwise.
+func (m *Manager) mark() (bitset, int) {
+	if words := (cap(m.lvl) + 63) / 64; len(m.marks) < words {
+		m.marks = make(bitset, words)
+	} else {
+		clear(m.marks)
+	}
+	mark := m.marks
+	mark.add(0)
+	mark.add(1)
 	live := 2
 	// Iterative DFS to avoid deep recursion on big diagrams.
-	stack := make([]int32, 0, 1024)
+	stack := m.markStack[:0]
 	for i := int32(2); i < int32(len(m.lvl)); i++ {
 		if m.ref[i] > 0 {
 			stack = append(stack, i)
@@ -115,24 +130,25 @@ func (m *Manager) mark() ([]bool, int) {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if mark[n] {
+		if mark.has(n) {
 			continue
 		}
-		mark[n] = true
+		mark.add(n)
 		live++
-		if lo := m.lo[n]; !mark[lo] {
+		if lo := m.lo[n]; !mark.has(lo) {
 			stack = append(stack, lo)
 		}
-		if hi := m.hi[n]; !mark[hi] {
+		if hi := m.hi[n]; !mark.has(hi) {
 			stack = append(stack, hi)
 		}
 	}
+	m.markStack = stack
 	return mark, live
 }
 
 // sweep rebuilds the unique table and the free list from mark and
 // returns how many allocated slots it freed.
-func (m *Manager) sweep(mark []bool) int {
+func (m *Manager) sweep(mark bitset) int {
 	for i := range m.hash {
 		m.hash[i] = -1
 	}
@@ -140,7 +156,7 @@ func (m *Manager) sweep(mark []bool) int {
 	m.freeCnt = 0
 	freed := 0
 	for i := int32(len(m.lvl)) - 1; i >= 2; i-- {
-		if mark[i] {
+		if mark.has(i) {
 			if m.ref[i] < 0 {
 				m.ref[i] = 0 // resurrect bookkeeping consistency
 				m.nodes++    // the slot leaves the free list and counts as allocated again

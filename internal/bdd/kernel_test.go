@@ -3,6 +3,7 @@ package bdd
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -432,5 +433,42 @@ func BenchmarkProbability(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Probability(f, pv)
+	}
+}
+
+// TestTableGrowthAllocs builds a table across several growth steps,
+// running a memoized analysis after each, and bounds the bytes that
+// allocated by the table's final size. Grown by doubling, the node
+// arrays are allocated about twice over in all, and the unique table
+// and the memo add less than one more (2.6× here); grown a quarter at a
+// time, as append grows large slices, the node arrays alone were
+// allocated about five times over (6.3× in all).
+func TestTableGrowthAllocs(t *testing.T) {
+	const vars, steps, perStep = 24, 8, 1 << 14
+	m := New(Config{Vars: vars, DisableGC: true})
+	rng := rand.New(rand.NewSource(1))
+	f := False
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for s := 0; s < steps; s++ {
+		for len(m.lvl) < (s+1)*perStep {
+			cube := True
+			for v := vars - 1; v >= 0; v-- {
+				if rng.Intn(2) == 0 {
+					cube = m.And(cube, m.Var(v))
+				} else {
+					cube = m.And(cube, m.NVar(v))
+				}
+			}
+			f = m.Or(f, cube)
+		}
+		m.NodeCount(f)
+	}
+	runtime.ReadMemStats(&after)
+	table := 5 * 4 * cap(m.lvl) // five int32 arrays
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3*uint64(table) {
+		t.Errorf("building %d nodes allocated %d bytes, %.1f× the final table's %d; want at most 3×",
+			len(m.lvl), got, float64(got)/float64(table), table)
 	}
 }

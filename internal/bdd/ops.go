@@ -75,19 +75,19 @@ func (m *Manager) cacheSlot(op int32, f, g, h Node) uint32 {
 // died in the collection that produced mark, keeping the rest warm.
 // Restrict entries pack a level (not a handle) into g, so only f and the
 // result decide their fate — the level is skipped by construction.
-func (m *Manager) sweepCache(mark []bool) {
+func (m *Manager) sweepCache(mark bitset) {
 	retained, invalidated := uint64(0), uint64(0)
 	for i := range m.cache {
 		e := &m.cache[i]
 		if e.op == 0 {
 			continue
 		}
-		live := mark[e.f] && mark[e.res]
+		live := mark.has(int32(e.f)) && mark.has(int32(e.res))
 		switch e.op {
 		case opRestrictF, opRestrictT:
 			// g is a level, h unused.
 		default:
-			live = live && mark[e.g] && mark[e.h]
+			live = live && mark.has(int32(e.g)) && mark.has(int32(e.h))
 		}
 		if live {
 			retained++
@@ -507,7 +507,7 @@ func (m *Manager) CubeVars(vars []int) Node {
 // NodeCount returns the number of distinct decision nodes reachable from
 // f (excluding terminals) — the "BDD size" reported in experiments.
 func (m *Manager) NodeCount(f Node) int {
-	m.i32memo.begin(len(m.lvl))
+	m.i32memo.begin(m)
 	return m.nodeCountRec(f)
 }
 

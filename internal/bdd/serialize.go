@@ -41,7 +41,7 @@ func (m *Manager) Write(w io.Writer, roots ...Node) error {
 	// Collect reachable nodes in topological (children-first) order; the
 	// memo maps each to its position. Write creates no nodes, so the
 	// memo cannot be outgrown mid-walk.
-	m.i32memo.begin(len(m.lvl))
+	m.i32memo.begin(m)
 	var order []Node
 	for _, r := range roots {
 		order = m.writeOrder(r, order)

@@ -163,7 +163,10 @@ func (p Prefix) String() string {
 }
 
 // Route is a concrete protocol route: the data carried by one RIB entry,
-// without its topology condition (which the src package attaches).
+// without its topology condition (which the src package attaches). Its
+// AS path and communities are never written in place: every change
+// (Clone, a route-map action, a prepend) makes new slices, so copies of
+// a route may share them.
 type Route struct {
 	Prefix   Prefix
 	Protocol Protocol
@@ -333,19 +336,23 @@ func Tiebreak(a, b *Route) int {
 // SameRoute reports whether two routes are the same logical route — the
 // test Algorithm 1 uses to detect a re-advertisement that only updates
 // the topology condition. Identity is prefix, protocol, next hop, egress
-// link, local-pref, MED, cost, originator and the aggregate flag, plus
-// the AS path: element-wise, unless abstract interpretation replaced it
-// with a path length (§7.3, PathLen >= 0), in which case the lengths
-// decide. Merging routes that differ only in their concrete path is
-// precisely that abstraction, so it must not happen otherwise (it would
-// break the AS-path loop check downstream). Communities, Hops and
-// PathBloom are deliberately not identity: a re-advertisement refreshes
-// them on the route already held.
+// link, local-pref, MED, cost, originator, the aggregate flag and the
+// communities (element-wise), plus the AS path: element-wise, unless
+// abstract interpretation replaced it with a path length (§7.3, PathLen
+// >= 0), in which case the lengths decide. Merging routes that differ
+// only in their concrete path is precisely that abstraction, so it must
+// not happen otherwise (it would break the AS-path loop check
+// downstream). Communities are identity because a route-map downstream
+// may match them: two routes that differ only there, merged into one
+// advertisement, would carry one route's communities under the other's
+// condition. Hops and PathBloom are deliberately not identity: a
+// re-advertisement refreshes them on the route already held.
 func SameRoute(a, b *Route) bool {
 	if a.Prefix != b.Prefix || a.Protocol != b.Protocol ||
 		a.NextHop != b.NextHop || a.EgressLink != b.EgressLink ||
 		a.LocalPref != b.LocalPref || a.MED != b.MED || a.Cost != b.Cost ||
-		a.OriginatorID != b.OriginatorID || a.Aggregate != b.Aggregate {
+		a.OriginatorID != b.OriginatorID || a.Aggregate != b.Aggregate ||
+		!slices.Equal(a.Communities, b.Communities) {
 		return false
 	}
 	if a.PathLen >= 0 || b.PathLen >= 0 {
@@ -369,6 +376,9 @@ func (r *Route) identityHash() uint64 {
 	h = mix(h, uint64(r.OriginatorID))
 	if r.Aggregate {
 		h = mix(h, 1)
+	}
+	for _, c := range r.Communities {
+		h = mix(h, c)
 	}
 	if r.PathLen >= 0 {
 		return mix(h, 1<<32|uint64(r.PathLen))

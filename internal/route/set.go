@@ -1,5 +1,7 @@
 package route
 
+import "slices"
+
 // Set is an insertion-ordered map from logical routes to values: two
 // routes are the same key exactly when SameRoute says so. Lookup scans
 // the entries comparing the stored 64-bit hash first and SameRoute on a
@@ -48,12 +50,35 @@ func (s *Set[V]) Add(rt *Route, v V) (*Entry[V], bool) {
 	return s.add(rt, rt.identityHash(), v)
 }
 
+// AddCopy is Add for a route the caller goes on using: only when rt's
+// identity is new does the set keep a route, and then it is a copy of
+// *rt. rt may therefore be a stack value rebuilt for the next candidate,
+// and a candidate that merges into an entry allocates nothing. The copy
+// shares rt's AS path and communities, which are never written in
+// place (see Route).
+func (s *Set[V]) AddCopy(rt *Route, v V) (*Entry[V], bool) {
+	h := rt.identityHash()
+	if e := s.find(rt, h); e != nil {
+		return e, false
+	}
+	cp := *rt
+	return s.push(&cp, h, v), true
+}
+
+// Grow makes room for n more entries, so that adding them allocates at
+// most once.
+func (s *Set[V]) Grow(n int) { s.entries = slices.Grow(s.entries, n) }
+
 func (s *Set[V]) add(rt *Route, h uint64, v V) (*Entry[V], bool) {
 	if e := s.find(rt, h); e != nil {
 		return e, false
 	}
+	return s.push(rt, h, v), true
+}
+
+func (s *Set[V]) push(rt *Route, h uint64, v V) *Entry[V] {
 	s.entries = append(s.entries, Entry[V]{Route: rt, Value: v, hash: h})
-	return &s.entries[len(s.entries)-1], true
+	return &s.entries[len(s.entries)-1]
 }
 
 func (s *Set[V]) find(rt *Route, h uint64) *Entry[V] {

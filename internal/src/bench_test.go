@@ -12,8 +12,11 @@ import (
 // runs once per advertisement against a RIB list of tens of routes, so
 // anything that allocates per comparison — route identity was once a
 // formatted string: 101 here — multiplies straight into run time. 9.6
-// when the budget was set.
-const importAllocBudget = 24
+// when the budget was first set at 24; 5.9 since a route is copied to
+// the heap only when an advertisement set or a RIB keeps a new identity,
+// each advertisement set is sized once, and a router keeps its inbox
+// between activations.
+const importAllocBudget = 6.5
 
 func TestImportAllocBudget(t *testing.T) {
 	net := workload.FatTree(4, workload.BGP)
@@ -32,7 +35,7 @@ func TestImportAllocBudget(t *testing.T) {
 		t.Fatal("no advertisement imported")
 	}
 	if per := allocs / float64(imports); per > importAllocBudget {
-		t.Errorf("%.1f allocations per imported advertisement (%d imports), budget %d",
+		t.Errorf("%.1f allocations per imported advertisement (%d imports), budget %.1f",
 			per, imports, importAllocBudget)
 	}
 }

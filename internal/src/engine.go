@@ -122,7 +122,7 @@ type Engine struct {
 	// which allocates it before the fixpoint loop and drops it after:
 	// advertise — the one function that touches it — must not be reached
 	// from outside Run.
-	adv       map[advKey]*advSet
+	adv       map[advKey]advSet
 	prefixSet map[route.Prefix]bool // nil when unrestricted
 	stats     Stats
 
@@ -250,10 +250,10 @@ func (e *Engine) wantPrefix(p route.Prefix) bool {
 // (the paper's "BDD limit" outcome) or an error if the computation does
 // not converge within the iteration bound.
 func (e *Engine) Run() error {
-	e.adv = make(map[advKey]*advSet)
+	e.adv = make(map[advKey]advSet)
 	err := e.fixpoint()
 	// Only the fixpoint loop reads the advertisement state (see
-	// Engine.adv), and with a cloned route per entry it is about a third
+	// Engine.adv), and with a copied route per entry it is about a third
 	// of the engine's heap: let it go rather than have every later
 	// collection mark it. (Its conditions stay referenced in the
 	// manager, as they always were.)
@@ -415,7 +415,6 @@ func (e *Engine) enqueue(r topology.RouterID) {
 // whose tcRib changed.
 func (e *Engine) updateRIB(r topology.RouterID) {
 	msgs := e.inbox[r]
-	e.inbox[r] = nil
 	if len(msgs) == 0 {
 		return
 	}
@@ -434,21 +433,23 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 	for _, msg := range msgs {
 		e.stats.RoutesImported++
 		e.telImported.Inc()
-		rt, tc := e.importTransform(r, msg)
-		if rt == nil {
+		rt, tc, ok := e.importTransform(r, msg)
+		if !ok {
 			m.Deref(msg.tc)
 			continue
 		}
 		list := rib.prefixes[rt.Prefix]
 		idx := -1
 		for i, sr := range list {
-			if route.SameRoute(sr.Route, rt) {
+			if route.SameRoute(sr.Route, &rt) {
 				idx = i
 				break
 			}
 		}
 		if idx >= 0 {
-			list[idx].Route = rt // refresh non-identity fields (path bloom)
+			// Refresh the non-identity fields (hops, path bloom) in
+			// place: only the RIB holds its routes while Run runs.
+			*list[idx].Route = rt
 			old := list[idx].TcIn
 			if old != tc {
 				list[idx].TcIn = m.Ref(tc)
@@ -456,7 +457,8 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 				touch(rt.Prefix)
 			}
 		} else if tc != bdd.False {
-			sr := &SymRoute{Route: rt, TcIn: m.Ref(tc), TcRib: bdd.False}
+			kept := rt // the one heap copy, for a new identity
+			sr := &SymRoute{Route: &kept, TcIn: m.Ref(tc), TcRib: bdd.False}
 			rib.set(rt.Prefix, insertSorted(list, sr))
 			touch(rt.Prefix)
 		}
@@ -488,26 +490,32 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 	for _, p := range ribChanged {
 		e.exportPrefix(r, p)
 	}
+	// No session has r as its peer, so nothing was sent to r while it
+	// ran: it keeps the inbox's backing array for its next activation,
+	// cleared so that it holds no route.
+	clear(msgs)
+	e.inbox[r] = msgs[:0]
 }
 
 // importTransform applies receiver-side processing to an advertisement:
 // protocol classification, loop checks, import policy, cost
-// accumulation, hop bounding, and route pruning. It returns nil when
-// the route is rejected.
-func (e *Engine) importTransform(r topology.RouterID, msg message) (*route.Route, bdd.Node) {
+// accumulation, hop bounding, and route pruning. ok is false when the
+// route is rejected. The route is a value: the caller copies it to the
+// heap only when the RIB has no route of its identity yet.
+func (e *Engine) importTransform(r topology.RouterID, msg message) (rt route.Route, tc bdd.Node, ok bool) {
 	rc := e.Net.Router(r)
-	rt := msg.rt.Clone()
+	rt = *msg.rt
 	rt.NextHop = int(msg.from)
 	rt.EgressLink = int(msg.link)
 	rt.Hops++
 	if rt.Hops > e.maxHops {
-		return nil, bdd.False
+		return rt, bdd.False, false
 	}
 	fromName := e.Net.Topology.Name(msg.from)
 	switch rt.Protocol {
 	case route.EBGP, route.IBGP:
 		if rc.BGP == nil {
-			return nil, bdd.False
+			return rt, bdd.False, false
 		}
 		peerASN := e.Net.Router(msg.from).BGP.ASN
 		if peerASN == rc.BGP.ASN {
@@ -515,14 +523,14 @@ func (e *Engine) importTransform(r topology.RouterID, msg message) (*route.Route
 		} else {
 			rt.Protocol = route.EBGP
 			if rt.ContainsAS(rc.BGP.ASN) {
-				return nil, bdd.False // AS-path loop
+				return rt, bdd.False, false // AS-path loop
 			}
 			if rt.BloomMayContainAS(rc.BGP.ASN) {
 				// Abstracted routes carry a bloom over the merged
 				// paths' ASes; rejecting on a (possible) hit keeps the
 				// loop check — and hence convergence — sound under
 				// abstraction.
-				return nil, bdd.False
+				return rt, bdd.False, false
 			}
 		}
 		if e.Opts.Abstract {
@@ -532,26 +540,26 @@ func (e *Engine) importTransform(r topology.RouterID, msg message) (*route.Route
 			rt.ASPath = nil
 		}
 		if name, ok := rc.BGP.ImportPolicy[fromName]; ok {
-			out, permit := rc.RouteMaps[name].Apply(rt, rc.BGP.ASN)
+			out, permit := rc.RouteMaps[name].Apply(&rt, rc.BGP.ASN)
 			if !permit {
-				return nil, bdd.False
+				return rt, bdd.False, false
 			}
-			rt = out
+			rt = *out
 		}
 	case route.OSPF:
 		if rc.OSPF == nil {
-			return nil, bdd.False
+			return rt, bdd.False, false
 		}
 		rt.Cost += rc.InterfaceOf(msg.link).OSPFCost
 	default:
-		return nil, bdd.False
+		return rt, bdd.False, false
 	}
-	tc := e.Sp.M.And(msg.tc, e.filter)
+	tc = e.Sp.M.And(msg.tc, e.filter)
 	if tc == bdd.False && msg.tc != bdd.False {
 		e.stats.RoutesPruned++
 		e.telPruned.Inc()
 	}
-	return rt, tc
+	return rt, tc, true
 }
 
 // recomputeTcRib re-derives the tcRib of every route of prefix p at
@@ -710,7 +718,7 @@ func (e *Engine) exportPrefix(r topology.RouterID, p route.Prefix) {
 // (RIB) order, then withdrawals — re-advertisements with condition
 // False — in the previous set's order. key.link is -1 on a virtual iBGP
 // session (the receiver resolves the next hop through the IGP).
-func (e *Engine) advertise(key advKey, fresh *advSet) {
+func (e *Engine) advertise(key advKey, fresh advSet) {
 	m := e.Sp.M
 	prev := e.adv[key]
 	changed := false
@@ -741,11 +749,13 @@ func (e *Engine) advertise(key advKey, fresh *advSet) {
 
 // addAdvertisement records that rt is advertised under tc: routes with
 // the same identity share one entry whose condition is the disjunction.
+// rt is the caller's candidate: out keeps a copy of it only when its
+// identity is new.
 func (e *Engine) addAdvertisement(out *advSet, rt *route.Route, tc bdd.Node) {
 	if tc == bdd.False {
 		return
 	}
-	if cur, added := out.Add(rt, tc); !added {
+	if cur, added := out.AddCopy(rt, tc); !added {
 		cur.Route.BloomUnion(rt) // merged abstracted routes union their path blooms
 		cur.Value = e.Sp.M.Or(cur.Value, tc)
 	}
@@ -756,10 +766,10 @@ func (e *Engine) addAdvertisement(out *advSet, rt *route.Route, tc bdd.Node) {
 // by export processing, grouped by logical identity with conditions
 // OR-ed, and conjoined with the session's condition — the link variable,
 // or a virtual session's underlay reachability.
-func (e *Engine) exports(r topology.RouterID, s *session, p route.Prefix) *advSet {
+func (e *Engine) exports(r topology.RouterID, s *session, p route.Prefix) advSet {
 	m := e.Sp.M
 	rc, nc := e.Net.Router(r), e.Net.Router(s.peer)
-	out := new(advSet)
+	var out advSet
 	up := s.cond
 	if s.link >= 0 {
 		// Asked for here, not kept in the session: a variable's nodes
@@ -771,7 +781,22 @@ func (e *Engine) exports(r topology.RouterID, s *session, p route.Prefix) *advSe
 	bgp := s.bgp && !slices.ContainsFunc(rc.BGP.Aggregates, func(agg route.Prefix) bool {
 		return agg.Covers(p) && agg != p
 	})
-	for _, sr := range e.ribs[r].prefixes[p] {
+	list := e.ribs[r].prefixes[p]
+	if bgp || s.ospf {
+		// Size the set once: an entry at most per installed route and
+		// protocol.
+		n := 0
+		for _, sr := range list {
+			if sr.TcRib != bdd.False {
+				n++
+			}
+		}
+		if bgp && s.ospf {
+			n *= 2
+		}
+		out.Grow(n)
+	}
+	for _, sr := range list {
 		if sr.TcRib == bdd.False {
 			continue
 		}
@@ -789,8 +814,9 @@ func (e *Engine) exports(r topology.RouterID, s *session, p route.Prefix) *advSe
 				eligible = slices.Contains(rc.BGP.Networks, p)
 			}
 			if eligible || rt.Aggregate {
-				adv := rt.Clone()
-				adv.Aggregate = false
+				cand := *rt
+				cand.Aggregate = false
+				adv := &cand
 				if s.link < 0 {
 					// iBGP over a virtual session keeps local-pref,
 					// prepends nothing and applies no export map.
@@ -801,7 +827,7 @@ func (e *Engine) exports(r topology.RouterID, s *session, p route.Prefix) *advSe
 				if adv != nil {
 					adv.NextHop = int(r)
 					adv.EgressLink = int(s.link)
-					e.addAdvertisement(out, adv, m.And(sr.TcRib, up))
+					e.addAdvertisement(&out, adv, m.And(sr.TcRib, up))
 				}
 			}
 		}
@@ -814,11 +840,11 @@ func (e *Engine) exports(r topology.RouterID, s *session, p route.Prefix) *advSe
 				}
 			}
 			if eligible {
-				adv := rt.Clone()
+				adv := *rt
 				adv.Protocol = route.OSPF
 				adv.NextHop = int(r)
 				adv.EgressLink = int(s.link)
-				e.addAdvertisement(out, adv, m.And(sr.TcRib, up))
+				e.addAdvertisement(&out, &adv, m.And(sr.TcRib, up))
 			}
 		}
 	}

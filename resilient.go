@@ -26,11 +26,12 @@ const (
 
 // Outcomes returns the per-prefix outcomes of a resilient run, sorted by
 // prefix. It returns nil for verifiers built without Options.Resilient.
+// The slice is the caller's own.
 func (v *Verifier) Outcomes() []PrefixOutcome {
 	if !v.resilient {
 		return nil
 	}
-	return v.part.Outcomes()
+	return slices.Clone(v.outcomes)
 }
 
 // Degraded reports whether any prefix of a resilient run was verified
@@ -38,7 +39,10 @@ func (v *Verifier) Outcomes() []PrefixOutcome {
 // need exact results under the original options should treat a degraded
 // run as partial.
 func (v *Verifier) Degraded() bool {
-	for _, o := range v.Outcomes() {
+	if !v.resilient {
+		return false
+	}
+	for _, o := range v.outcomes {
 		if o.Degraded || o.Err != nil {
 			return true
 		}
@@ -53,7 +57,7 @@ func (v *Verifier) Degraded() bool {
 // verified the prefix exactly. `sre` exits with status 3 when this is
 // the only blemish on an otherwise successful run.
 func (v *Verifier) CrashDegraded() bool {
-	for _, o := range v.part.Outcomes() {
+	for _, o := range v.outcomes {
 		for _, r := range o.Rungs {
 			if r == RungWorkerCrash {
 				return true
@@ -116,20 +120,15 @@ type PrefixResult struct {
 // PrefixResult with Err set instead of aborting the sweep, so partial
 // results survive resource exhaustion on individual prefixes.
 func (v *Verifier) FailureTolerances(srcRouter string) ([]PrefixResult, error) {
-	if _, ok := v.net.Topology.RouterByName(srcRouter); !ok {
+	s, ok := v.net.Topology.RouterByName(srcRouter)
+	if !ok {
 		return nil, fmt.Errorf("sre: unknown router %q", srcRouter)
 	}
-	outs := v.part.Outcomes()
-	out := make([]PrefixResult, 0, len(outs))
-	for _, o := range outs {
+	out := make([]PrefixResult, 0, len(v.outcomes))
+	for _, o := range v.outcomes {
 		pr := PrefixResult{Prefix: o.Prefix.String(),
 			Degraded: o.Degraded, Quarantined: o.Quarantined, Rungs: o.Rungs}
-		k, err := v.FailureTolerance(srcRouter, pr.Prefix)
-		if err != nil {
-			pr.Err = err
-		} else {
-			pr.Value = k
-		}
+		pr.Value, pr.Err = v.reachTolerance(s, o.Prefix)
 		out = append(out, pr)
 	}
 	return out, nil

@@ -234,6 +234,9 @@ type Verifier struct {
 	// originated holds every prefix some router originates, indexed
 	// once so a pair query need not walk the routers to check it.
 	originated map[route.Prefix]map[topology.RouterID]bool
+	// outcomes are the run's per-prefix outcomes, sorted by prefix. They
+	// do not change after NewVerifier, which takes them once.
+	outcomes []PrefixOutcome
 }
 
 // NewVerifier symbolically executes the network (symbolic route
@@ -281,6 +284,7 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 	if v.part, err = x.Run(domain); err != nil {
 		return nil, err
 	}
+	v.outcomes = v.part.Outcomes()
 	return v, nil
 }
 
@@ -349,18 +353,32 @@ const InfiniteTolerance = analysis.InfiniteTolerance
 // prefix syntax, prefix origin, waypoint, pipeline — so a bad input
 // reports the same error from every query.
 func (v *Verifier) resolve(srcRouter, prefix string, via ...string) (q analysis.Query, w topology.RouterID, err error) {
-	s, ok := v.net.Topology.RouterByName(srcRouter)
-	if !ok {
-		return q, w, fmt.Errorf("sre: unknown router %q", srcRouter)
-	}
-	pfx, err := route.ParsePrefix(prefix)
+	s, pfx, err := v.parsePair(srcRouter, prefix)
 	if err != nil {
 		return q, w, err
 	}
+	return v.resolvePrefix(s, pfx, via...)
+}
+
+// parsePair is resolve's first two checks: the source router, then the
+// prefix syntax.
+func (v *Verifier) parsePair(srcRouter, prefix string) (topology.RouterID, route.Prefix, error) {
+	s, ok := v.net.Topology.RouterByName(srcRouter)
+	if !ok {
+		return s, route.Prefix{}, fmt.Errorf("sre: unknown router %q", srcRouter)
+	}
+	pfx, err := route.ParsePrefix(prefix)
+	return s, pfx, err
+}
+
+// resolvePrefix is resolve once the source router and the prefix are
+// known: the checks from prefix origin on.
+func (v *Verifier) resolvePrefix(s topology.RouterID, pfx route.Prefix, via ...string) (q analysis.Query, w topology.RouterID, err error) {
 	if len(v.originated[pfx]) == 0 {
 		return q, w, fmt.Errorf("sre: prefix %s is not originated anywhere", pfx)
 	}
 	for _, name := range via {
+		var ok bool
 		if w, ok = v.net.Topology.RouterByName(name); !ok {
 			return q, w, fmt.Errorf("sre: unknown waypoint %q", name)
 		}
@@ -378,8 +396,18 @@ func (v *Verifier) resolve(srcRouter, prefix string, via ...string) (q analysis.
 // failures. -1 means unreachable even with all links up;
 // InfiniteTolerance means no explored combination breaks it.
 func (v *Verifier) FailureTolerance(srcRouter, prefix string) (k int, err error) {
+	s, pfx, err := v.parsePair(srcRouter, prefix)
+	if err != nil {
+		return 0, err
+	}
+	return v.reachTolerance(s, pfx)
+}
+
+// reachTolerance is FailureTolerance from s to pfx, both resolved;
+// FailureTolerances calls it once per prefix of the run.
+func (v *Verifier) reachTolerance(s topology.RouterID, pfx route.Prefix) (k int, err error) {
 	defer guard("analysis", v.tel, &err)
-	q, _, err := v.resolve(srcRouter, prefix)
+	q, _, err := v.resolvePrefix(s, pfx)
 	if err != nil {
 		return 0, err
 	}
