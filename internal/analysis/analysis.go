@@ -338,13 +338,21 @@ type ToleranceResult struct {
 func (p *Pipeline) Tolerance(property, universe bdd.Node) []ToleranceResult {
 	m := p.Sp.M
 	var out []ToleranceResult
-	for _, tup := range p.Extract(property) {
+	tuples := p.Extract(property)
+	for _, tup := range tuples {
 		out = append(out, ToleranceResult{Pkt: tup.Pkt, K: pathTolerance(m.ShortestPathToFalse(tup.Topo))})
 	}
 	// The union of the extracted packet sets is exactly the header
 	// projection of the property (each tuple's topology BDD is
-	// satisfiable), so one quantification replaces an Or per tuple.
-	covered := p.Sp.HeaderOnly(property)
+	// satisfiable), so one quantification replaces an Or per tuple, and
+	// none is needed for zero tuples or one.
+	covered := bdd.False
+	switch {
+	case len(tuples) == 1:
+		covered = tuples[0].Pkt
+	case len(tuples) > 1:
+		covered = p.Sp.HeaderOnly(property)
+	}
 	if missing := m.Diff(universe, covered); missing != bdd.False {
 		out = append(out, ToleranceResult{Pkt: missing, K: -1})
 	}

@@ -12,6 +12,7 @@ import (
 	"sre/internal/route"
 	"sre/internal/sched"
 	"sre/internal/src"
+	"sre/internal/symmetry"
 )
 
 // Workers resolves the effective worker count of opts.Parallelism:
@@ -157,6 +158,11 @@ type Executor struct {
 	// Dispatch, when non-nil, runs the pending tasks in place of the
 	// in-process scheduler.
 	Dispatch Dispatcher
+	// Orbits, when non-nil, are the prefix orbits of Net's symmetries
+	// (symmetry.Find). Where they apply (OrbitsApply) the run verifies
+	// one representative per orbit and answers the other members
+	// through it (Partitioned.Image).
+	Orbits *symmetry.Orbits
 }
 
 // Run executes domain and assembles a Partitioned: outcomes per prefix,
@@ -168,6 +174,15 @@ type Executor struct {
 // restricting a run never drops the routes its answers depend on.
 // Otherwise Opts.Prefixes is ignored and each prefix runs scoped to its
 // own task domain.
+//
+// With Orbits, only each orbit's representative — its smallest member
+// in domain — is verified: the combined branch runs over the
+// representatives' task domain, and the per-prefix branch looks up,
+// runs, publishes and dispatches representatives alone. Every other
+// member gets its representative's outcome and pipeline and an Image
+// that renames its queries onto them. Which branch runs is decided by
+// the whole domain, so a member is reported as the run without orbits
+// would report it.
 //
 // The combined branch is not the faster one everywhere. At P=1, serial
 // scoped runs (NewVerifier with this branch bypassed) verify FatTree(6)
@@ -193,10 +208,12 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 	for _, pfx := range domain {
 		pt.outcomes[pfx] = &PrefixOutcome{Prefix: pfx, EffectivePruneK: x.Opts.PruneK}
 	}
+	reps, images := x.representatives(domain)
+	pt.images = images
 	if x.Dispatch == nil && x.Cache == nil && !x.Ladder && (x.Workers <= 1 || len(pt.outcomes) <= 1) {
 		opts := x.Opts
-		if opts.Prefixes != nil {
-			opts.Prefixes = taskDomain(x.Net, opts.Prefixes...)
+		if opts.Prefixes != nil || images != nil {
+			opts.Prefixes = taskDomain(x.Net, reps...)
 		}
 		pipe, err := Run(x.Net, opts)
 		if err != nil {
@@ -212,13 +229,19 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 		return nil, fmt.Errorf("analysis: a per-prefix run needs at least one prefix")
 	}
 	var mu sync.Mutex
-	err := x.each(domain, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+	err := x.each(reps, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 		mu.Lock()
 		defer mu.Unlock()
 		*pt.outcomes[pfx] = out
 		pt.byPrefix[pfx] = pipes
 	})
-	for _, pfx := range sortedPrefixList(domain) {
+	for pfx, img := range images {
+		out := *pt.outcomes[img.Rep]
+		out.Prefix = pfx
+		*pt.outcomes[pfx] = out
+		pt.byPrefix[pfx] = pt.byPrefix[img.Rep]
+	}
+	for _, pfx := range sortedPrefixList(reps) {
 		pipes := pt.byPrefix[pfx]
 		// Every producer — a task's last attempt, a cache record, a fleet
 		// worker — makes exactly one pipeline for a verified prefix and

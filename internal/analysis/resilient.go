@@ -54,6 +54,20 @@ type Partitioned struct {
 	// outcomes and byPrefix are keyed by the requested prefixes.
 	outcomes map[route.Prefix]*PrefixOutcome
 	byPrefix map[route.Prefix][]*Pipeline
+	// images holds the prefixes answered through their orbit's
+	// representative (Executor.Orbits).
+	images map[route.Prefix]Image
+}
+
+// Imaged reports whether any prefix is answered through its orbit's
+// representative.
+func (pt *Partitioned) Imaged() bool { return len(pt.images) > 0 }
+
+// Image returns how pfx is answered when the run verified its orbit's
+// representative instead; ok is false for a prefix verified itself.
+func (pt *Partitioned) Image(pfx route.Prefix) (img Image, ok bool) {
+	img, ok = pt.images[pfx]
+	return img, ok
 }
 
 // Outcome returns the outcome of a requested prefix, or nil when the

@@ -147,12 +147,12 @@ func (v *Verifier) Metrics() MetricsReport {
 		NumLinks:   v.net.Topology.NumLinks(),
 	}
 	r.BDD.VarOrderMethod = v.varOrder
+	r.NumPFECs = v.NumPFECs()
 	var hitsAtGC, missAtGC uint64
 	for _, pipe := range v.part.Groups {
 		bst := pipe.Sp.M.Statistics()
 		r.SRCSeconds += pipe.SRCTime.Seconds()
 		r.SPFSeconds += pipe.SPFTime.Seconds()
-		r.NumPFECs += pipe.NumPFECs()
 		// Pipelines decoded from worker subprocesses have no engine: the
 		// route-computation counters stayed in the worker and reach this
 		// registry only through its merged telemetry shard.

@@ -46,6 +46,7 @@ import (
 	"sre/internal/resil"
 	"sre/internal/route"
 	"sre/internal/src"
+	"sre/internal/symmetry"
 	"sre/internal/topology"
 )
 
@@ -237,18 +238,27 @@ type Verifier struct {
 	// outcomes are the run's per-prefix outcomes, sorted by prefix. They
 	// do not change after NewVerifier, which takes them once.
 	outcomes []PrefixOutcome
+	// numPFECs caches NumPFECs (-1 until first asked): with orbits,
+	// counting the classes of a combined run takes BDD work.
+	numPFECs int
 }
 
 // NewVerifier symbolically executes the network (symbolic route
 // computation, then symbolic packet forwarding) and returns a verifier
 // over the discovered PFECs.
 func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
+	return newVerifier(net, opts, true)
+}
+
+// newVerifier is NewVerifier; without orbits it verifies every prefix
+// itself, which the tests compare the orbit-reduced run against.
+func newVerifier(net *Network, opts Options, orbits bool) (v *Verifier, err error) {
 	srcOpts, prefixes, err := buildOpts(opts)
 	if err != nil {
 		return nil, err
 	}
 	v = &Verifier{net: net, tel: srcOpts.Telemetry, resilient: opts.Resilient, store: opts.Store,
-		varOrder: order.Compute(net.Topology).Name}
+		varOrder: order.Compute(net.Topology).Name, numPFECs: -1}
 	defer func() {
 		if err != nil {
 			v = nil
@@ -267,6 +277,11 @@ func NewVerifier(net *Network, opts Options) (v *Verifier, err error) {
 	}
 	x := analysis.Executor{Net: net, Opts: srcOpts, Ladder: opts.Resilient,
 		Workers: analysis.Workers(srcOpts), Cache: opts.Store.cache()}
+	if orbits && x.OrbitsApply() {
+		// One prefix per symmetry orbit is verified; the rest are
+		// answered through it.
+		x.Orbits = symmetry.Find(net)
+	}
 	if opts.Workers > 0 {
 		// A fleet is only another place for the pending tasks to run.
 		// Worker crashes are retried there, so only verification errors
@@ -322,13 +337,13 @@ func (v *Verifier) Release() { v.part.Release() }
 
 // NumPFECs returns the number of packet failure equivalence classes
 // discovered across all sources (summed over prefix groups for a
-// resilient run).
+// resilient run). Prefixes answered through their symmetry orbit count
+// as the run verifying them would have counted them.
 func (v *Verifier) NumPFECs() int {
-	n := 0
-	for _, pipe := range v.part.Groups {
-		n += pipe.NumPFECs()
+	if v.numPFECs < 0 {
+		v.numPFECs = v.countPFECs()
 	}
-	return n
+	return v.numPFECs
 }
 
 // Stages returns the wall-clock durations of the two symbolic execution
@@ -386,6 +401,13 @@ func (v *Verifier) resolvePrefix(s topology.RouterID, pfx route.Prefix, via ...s
 	pipe, err := v.pipeFor(pfx)
 	if err != nil {
 		return q, w, err
+	}
+	if img, ok := v.part.Image(pfx); ok {
+		// (s, σ(p), via) is answered as (π⁻¹(s), p, π⁻¹(via)).
+		s, pfx = img.Inv[s], img.Rep
+		if len(via) > 0 {
+			w = img.Inv[w]
+		}
 	}
 	return pipe.Query(s, pfx), w, nil
 }

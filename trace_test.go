@@ -14,9 +14,11 @@ import (
 // flight recorder: a fat-tree run with a recorder produces a Chrome
 // trace whose per-worker "src"+"spf" span durations sum to the stage
 // wall time reported by Verifier.Metrics (within 5%), with one named
-// track per scheduler worker.
+// track per scheduler worker. The fat tree has its symmetry taken away
+// (fatTreeWithoutSymmetry), so all eight prefixes are tasks for the
+// workers, not one per orbit.
 func TestTraceExportMatchesMetrics(t *testing.T) {
-	net := workload.FatTree(4, workload.BGP)
+	net := fatTreeWithoutSymmetry(4)
 	rec := sre.NewFlightRecorder(0)
 	v, err := sre.NewVerifier(net, sre.Options{
 		MaxFailures: 2, Parallelism: 4, Recorder: rec})
