@@ -190,51 +190,14 @@ func (v *Verifier) forwardingClass(c classView) ForwardingClass {
 		if i == 0 || minFail < fc.MinFailures {
 			fc.MinFailures = minFail
 		}
-		if len(c.parts) > 1 {
-			topo = renameLinks(t, sp, topo, part.perm)
+		if len(c.parts) > 1 && part.perm != nil {
+			topo = sp.M.Permute([]bdd.Node{topo}, analysis.VarRenaming(sp, t, part.perm), nil)[0]
 		}
 		topos = append(topos, topo)
 	}
 	sp := c.parts[0].pipe.Sp
 	fc.Scenarios = sp.M.SatCount(sp.M.OrN(topos...), t.NumLinks())
 	return fc
-}
-
-// renameLinks returns f over link variables with each link l's variable
-// replaced by that of the link joining perm's images of l's endpoints,
-// all at once: each cycle of the link map goes through a spare variable
-// (the last shared-risk variable, which no PFEC mentions).
-func renameLinks(t *topology.Topology, sp *symbol.Space, f bdd.Node, perm symmetry.Perm) bdd.Node {
-	if perm == nil {
-		return f
-	}
-	m := sp.M
-	img := make([]topology.LinkID, t.NumLinks())
-	for _, l := range t.Links() {
-		img[l.ID], _ = t.LinkBetween(perm[l.A], perm[l.B])
-	}
-	spare := m.NumVars() - 1
-	done := make([]bool, len(img))
-	for l := range img {
-		if done[l] || img[l] == topology.LinkID(l) {
-			continue
-		}
-		cycle := []topology.LinkID{topology.LinkID(l)}
-		for j := img[l]; j != topology.LinkID(l); j = img[j] {
-			cycle = append(cycle, j)
-		}
-		for _, j := range cycle {
-			done[j] = true
-		}
-		// x_c[i] := x_c[i+1] around the cycle, last first.
-		last := sp.LinkVarIndex(cycle[len(cycle)-1])
-		f = m.Compose(f, last, m.Var(spare))
-		for i := len(cycle) - 2; i >= 0; i-- {
-			f = m.Compose(f, sp.LinkVarIndex(cycle[i]), m.Var(sp.LinkVarIndex(cycle[i+1])))
-		}
-		f = m.Compose(f, spare, m.Var(sp.LinkVarIndex(cycle[0])))
-	}
-	return f
 }
 
 // countPFECs is NumPFECs: the pipelines' own counts, unless prefixes

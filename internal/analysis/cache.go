@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"sre/internal/bdd"
@@ -249,17 +250,18 @@ func (c *ResultCache) Publish(net *config.Network, key string, pfx route.Prefix,
 // in its metrics, and a result that could not be persisted is still a
 // correct result.
 func (c *ResultCache) Put(key string, rec CacheRecord) {
-	if c == nil || c.S == nil || key == "" || rec.Outcome.Err != nil || len(rec.Pipes) == 0 {
+	if c == nil || c.S == nil || key == "" || len(rec.Pipes) == 0 || !storable(rec.Outcome.Err != nil, rec.Outcome.Rungs) {
 		return
-	}
-	for _, r := range rec.Outcome.Rungs {
-		if r == RungWorkerCrash {
-			return
-		}
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
 	_ = c.S.Put(key, payload)
+}
+
+// storable reports whether an outcome may be stored: it did not fail,
+// and it was not computed on a worker-crash fallback.
+func storable(failed bool, rungs []string) bool {
+	return !failed && !slices.Contains(rungs, RungWorkerCrash)
 }

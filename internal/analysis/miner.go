@@ -207,7 +207,7 @@ func (mn *Miner) eachPipeline(opts src.Options, domain []route.Prefix, workers i
 	// stratum-k verdict is only sound at budget exactly k.
 	x := Executor{Net: mn.Net, Opts: opts, Workers: workers,
 		Ladder: mn.Resilient, Lad: LadderOptions{DisableBudgetHalving: true}}
-	return x.each(domain, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+	return x.each(domain, nil, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 		if len(pipes) == 0 {
 			fn(pfx, nil, out)
 			return

@@ -161,7 +161,8 @@ type Executor struct {
 	// Orbits, when non-nil, are the prefix orbits of Net's symmetries
 	// (symmetry.Find). Where they apply (OrbitsApply) the run verifies
 	// one representative per orbit and answers the other members
-	// through it (Partitioned.Image).
+	// through it (Partitioned.Image); with a Cache it stores the
+	// members' records too.
 	Orbits *symmetry.Orbits
 }
 
@@ -182,7 +183,11 @@ type Executor struct {
 // member gets its representative's outcome and pipeline and an Image
 // that renames its queries onto them. Which branch runs is decided by
 // the whole domain, so a member is reported as the run without orbits
-// would report it.
+// would report it. With a cache, a representative computed in this run
+// (in-process, or decoded from a fleet worker) also publishes its
+// members' records, renamed from its pipeline (publishMembers); one
+// read from the cache published them when it was computed, so a warm
+// run reads one record per orbit.
 //
 // The combined branch is not the faster one everywhere. At P=1, serial
 // scoped runs (NewVerifier with this branch bypassed) verify FatTree(6)
@@ -229,7 +234,7 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 		return nil, fmt.Errorf("analysis: a per-prefix run needs at least one prefix")
 	}
 	var mu sync.Mutex
-	err := x.each(reps, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+	err := x.each(reps, images, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
 		mu.Lock()
 		defer mu.Unlock()
 		*pt.outcomes[pfx] = out
@@ -267,7 +272,7 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 func (x *Executor) RunTask(pfx route.Prefix) (pipes []*Pipeline, out PrefixOutcome, err error) {
 	one := *x
 	one.Workers, one.Dispatch = 1, nil
-	err = one.each([]route.Prefix{pfx}, func(_ route.Prefix, p []*Pipeline, o PrefixOutcome) {
+	err = one.each([]route.Prefix{pfx}, nil, func(_ route.Prefix, p []*Pipeline, o PrefixOutcome) {
 		pipes, out = p, o
 	})
 	if err != nil {
@@ -280,10 +285,13 @@ func (x *Executor) RunTask(pfx route.Prefix) (pipes []*Pipeline, out PrefixOutco
 }
 
 // each runs every distinct prefix of domain and hands the results to
-// collect. The first error that is not absorbed by the ladder stops the
-// run: unclaimed prefixes are dropped and the error is returned; what
-// collect already received is the caller's to release.
-func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
+// collect. With a cache, a prefix computed here (not read from the
+// store) also publishes the records of the members images answers
+// through it before collect sees it. The first error that is not
+// absorbed by the ladder stops the run: unclaimed prefixes are dropped
+// and the error is returned; what collect already received is the
+// caller's to release.
+func (x *Executor) each(domain []route.Prefix, images map[route.Prefix]Image, collect collectFn) error {
 	tasks := make([]Task, 0, len(domain))
 	seen := make(map[route.Prefix]bool, len(domain))
 	for _, pfx := range domain {
@@ -311,6 +319,13 @@ func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
 	if len(tasks) == 0 {
 		return nil // fully warm: no scheduler, no fleet
 	}
+	done := collect
+	if x.Cache != nil && len(images) > 0 {
+		done = func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
+			x.publishMembers(pfx, images, pipes, out)
+			collect(pfx, pipes, out)
+		}
+	}
 	// Largest first: workers claim in list order, so the most expensive
 	// prefixes start first (LPT scheduling).
 	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Cost > tasks[j].Cost })
@@ -318,13 +333,13 @@ func (x *Executor) each(domain []route.Prefix, collect collectFn) error {
 		tasks[i].Seq = i
 	}
 	if x.Dispatch != nil {
-		return x.Dispatch(tasks, collect)
+		return x.Dispatch(tasks, done)
 	}
 	rungs := x.rungs()
 	work := make([]sched.Task, len(tasks))
 	for i, t := range tasks {
 		work[i] = sched.Task{Cost: t.Cost, Run: func(w *sched.Worker) error {
-			return x.runPrefix(w, t, rungs, collect)
+			return x.runPrefix(w, t, rungs, done)
 		}}
 	}
 	// Errors raised inside a task already carry the pipeline stage that

@@ -112,7 +112,7 @@ type Manager struct {
 	// and Write (allocation-free after warmup; see scratch.go).
 	stamps  stamps        // shared by the three memos below
 	f64memo memo[float64] // SatCount, Probability
-	i32memo memo[int32]   // shortest paths, NodeCount, Write's positions
+	i32memo memo[int32]   // shortest paths, NodeCount, Write's positions, SplitBySub, Permute
 	witMemo memo[witStep] // MinFalseWitness
 	probP   []float64     // Probability's per-call vector, borrowed during recursion
 

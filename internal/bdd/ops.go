@@ -1,6 +1,9 @@
 package bdd
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Operation codes for the operation cache, which every memoized
 // operation shares. Every op packs its key into the (f, g, h) fields
@@ -415,6 +418,64 @@ func (m *Manager) Compose(f Node, v int, g Node) Node {
 	hi := m.Restrict(f, v, true)
 	lo := m.Restrict(f, v, false)
 	return m.Ite(g, hi, lo)
+}
+
+// Permute returns each root with every variable v replaced by variable
+// to[v], negated where neg[v] (neg may be nil): the simultaneous
+// substitution f[v := x_to[v] ⊕ neg[v]]. to has one entry per variable;
+// a permutation is the intended use, and identity entries leave their
+// variables alone.
+//
+// The roots share one memoized walk: each node is rebuilt once, keyed
+// by its handle in i32memo, after its children. Where the new variable
+// lies above both rebuilt children the node is made with mk directly;
+// elsewhere (the map broke the order there) it is Ite(x, hi, lo), which
+// sinks the variable to its level. The operation cache holds only those
+// Ite steps.
+func (m *Manager) Permute(roots []Node, to []int, neg []bool) []Node {
+	if len(to) != m.vars || neg != nil && len(neg) != m.vars {
+		panic(fmt.Sprintf("bdd: Permute needs a map of %d variables", m.vars))
+	}
+	for _, t := range to {
+		if t < 0 || t >= m.vars {
+			panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", t, m.vars))
+		}
+	}
+	out := make([]Node, len(roots))
+	// The memo is keyed by the roots' nodes only, which exist before the
+	// generation starts; the nodes made are never looked up.
+	m.i32memo.begin(m)
+	for i, f := range roots {
+		out[i] = m.permuteRec(f, to, neg)
+	}
+	return out
+}
+
+// permuteRec is n renamed through to and neg; the caller owns the
+// current i32memo generation.
+func (m *Manager) permuteRec(n Node, to []int, neg []bool) Node {
+	if n <= True {
+		return n
+	}
+	if r, ok := m.i32memo.get(n); ok {
+		return Node(r)
+	}
+	m.pollInterrupt()
+	v := m.lvl[n]
+	lo := m.permuteRec(Node(m.lo[n]), to, neg)
+	hi := m.permuteRec(Node(m.hi[n]), to, neg)
+	if neg != nil && neg[v] {
+		lo, hi = hi, lo
+	}
+	t := int32(to[v])
+	var r Node
+	if t < m.lvl[lo] && t < m.lvl[hi] {
+		r = m.mk(t, lo, hi)
+	} else {
+		r = m.Ite(m.mk(t, False, True), hi, lo)
+	}
+	m.i32memo.put(n, int32(r))
+	return r
 }
 
 // AndSat reports whether f ∧ g is satisfiable without materializing the

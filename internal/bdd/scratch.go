@@ -6,8 +6,9 @@ package bdd
 // ShortestPathToTrue, MinFalseWitness, NodeCount) and Write's
 // topological walk are pure traversals: they create no nodes, so the
 // node table cannot grow mid-call and a flat array indexed by Node is a
-// valid memo. SplitBySub is the one exception: it makes nodes, but keys
-// its memo only by nodes that existed when the generation began.
+// valid memo. SplitBySub and Permute are the exceptions: they make
+// nodes, but key their memos only by nodes that existed when the
+// generation began.
 // Instead of clearing the array between calls — O(nodes)
 // per call — each slot carries the generation that wrote it: begin()
 // bumps the generation, invalidating every slot in O(1). Slots are only

@@ -236,6 +236,12 @@ func (s *Store) putLocked(key string, payload []byte, tmpName, fault string) err
 	return nil
 }
 
+// CountPutError counts a record its producer could not build as a
+// failed Put: nothing was written, and nothing needs to be.
+func (s *Store) CountPutError() {
+	s.count(func(m *Metrics) { m.PutErrors++ }, "store.put_errors")
+}
+
 // Quarantine moves the record under key aside into the quarantine
 // directory (tagged with a nanosecond suffix so repeated offenders
 // never collide), counts it, and records a store.quarantine flight

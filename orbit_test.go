@@ -103,9 +103,9 @@ func twoPrefixFatTree(arity int) *Network {
 // verifies every prefix, at P=1 (one combined space) and P=2 (one
 // scoped space per prefix), with no store, a cold one and a warm one.
 // A run with a store is a per-prefix run at any P, so its reference is
-// the P=2 one; it verifies every prefix (see analysis.Executor.Orbits).
-// The runs without a store must have answered some prefix through its
-// orbit.
+// the P=2 one. Every run must have answered some prefix through its
+// orbit; the cold store must have been given a record for every
+// prefix, and the warm run must read one per orbit.
 func TestOrbitRunsMatchFullRuns(t *testing.T) {
 	type input struct {
 		name string
@@ -129,6 +129,11 @@ func TestOrbitRunsMatchFullRuns(t *testing.T) {
 	}
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
+			prefixes := len(in.net.AllPrefixes())
+			reps := prefixes
+			for _, o := range symmetry.Find(in.net).All() {
+				reps -= len(o) - 1
+			}
 			reference := map[int]answers{}
 			for _, par := range []int{1, 2} {
 				want, err := newVerifier(in.net, Options{MaxFailures: in.k, Parallelism: par}, false)
@@ -155,17 +160,126 @@ func TestOrbitRunsMatchFullRuns(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if imaged := got.part.Imaged(); imaged != (store == "none") {
-						t.Errorf("P=%d, %s store: answered through orbits %v", par, store, imaged)
+					if !got.part.Imaged() {
+						t.Errorf("P=%d, %s store: no prefix answered through its orbit", par, store)
 					}
 					t.Logf("P=%d, %s store", par, store)
 					sameAnswers(t, want, collect(t, got))
 					got.Release()
-					if opts.Store != nil {
-						opts.Store.Close()
+					if opts.Store == nil {
+						continue
 					}
+					m := opts.Store.Metrics()
+					if store == "cold" && (m.Puts != int64(prefixes) || m.PutErrors != 0) {
+						t.Errorf("P=%d, cold store: %+v, want %d puts", par, m, prefixes)
+					}
+					if store == "warm" && (m.Hits != int64(reps) || m.Misses != 0 || m.Puts != 0) {
+						t.Errorf("P=%d, warm store: %+v, want %d hits (one per orbit), no misses or puts", par, m, reps)
+					}
+					opts.Store.Close()
 				}
 			}
+		})
+	}
+}
+
+// TestOrbitFilledStoreServesFullRuns fills a cold store from an orbit
+// run — at P=1, at P=2 and on two worker subprocesses — and then reads
+// it with a run that uses no orbits, which looks up every prefix's own
+// record: the member records the orbit run made by renaming must all be
+// there (every prefix hits, none misses) and answer exactly as the run
+// without a store (its P=2 run: a store run is per prefix at any P).
+// Every record must pass Store.Verify. Then one edge router originates
+// one more /24, which breaks its orbit: every old prefix's key is
+// unchanged and still hits, and the answers are a cold full run's.
+func TestOrbitFilledStoreServesFullRuns(t *testing.T) {
+	type input struct {
+		name string
+		net  *Network
+		k    int
+	}
+	inputs := []input{
+		{"fattree4-k0", workload.FatTree(4, workload.BGP), 0},
+		{"fattree4-k1", workload.FatTree(4, workload.BGP), 1},
+		{"fattree4-k2", workload.FatTree(4, workload.BGP), 2},
+		{"fattree4-ospf-k1", workload.FatTree(4, workload.OSPF), 1},
+		{"fattree6-k1", workload.FatTree(6, workload.BGP), 1},
+	}
+	fills := []struct {
+		name string
+		opts Options
+	}{
+		{"P=1", Options{Parallelism: 1}},
+		{"P=2", Options{Parallelism: 2}},
+		{"workers=2", Options{Workers: 2}},
+	}
+	run := func(t *testing.T, net *Network, opts Options, orbits bool, dir string) (answers, StoreMetrics, bool) {
+		t.Helper()
+		var st *Store
+		if dir != "" {
+			var err error
+			if st, err = OpenStore(dir, StoreOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			opts.Store = st
+		}
+		v, err := newVerifier(net, opts, orbits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Release()
+		a := collect(t, v)
+		var m StoreMetrics
+		if st != nil {
+			m = st.Metrics()
+		}
+		return a, m, v.part.Imaged()
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			prefixes := int64(len(in.net.AllPrefixes()))
+			want, _, _ := run(t, in.net, Options{MaxFailures: in.k, Parallelism: 2}, false, "")
+			var filled string
+			for _, fill := range fills {
+				dir := t.TempDir()
+				opts := fill.opts
+				opts.MaxFailures = in.k
+				// A fleet's workers publish the representatives' records from
+				// their own store handles, so only Verify below counts them.
+				if _, m, imaged := run(t, in.net, opts, true, dir); !imaged || m.PutErrors != 0 {
+					t.Fatalf("%s fill: imaged %v, store %+v; want orbits and no put error", fill.name, imaged, m)
+				}
+				got, m, _ := run(t, in.net, Options{MaxFailures: in.k, Parallelism: 2}, false, dir)
+				if m.Hits != prefixes || m.Misses != 0 || m.Quarantined != 0 {
+					t.Errorf("%s fill, full run: store %+v, want %d hits and no miss", fill.name, m, prefixes)
+				}
+				sameAnswers(t, want, got)
+				st, err := OpenStore(dir, StoreOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep, err := st.Verify(); err != nil || rep.Checked != int(prefixes) || rep.OK != rep.Checked {
+					t.Errorf("%s fill: Store.Verify %+v, %v; want %d records, all ok", fill.name, rep, err, prefixes)
+				}
+				st.Close()
+				filled = dir
+			}
+
+			edited := in.net.Clone()
+			edge, _ := edited.Topology.RouterByName("edge0-0")
+			extra := route.MustParsePrefix("10.200.0.0/24")
+			if rc := edited.Routers[edge]; rc.BGP != nil {
+				rc.BGP.Networks = append(rc.BGP.Networks, extra)
+			} else {
+				rc.OSPF.Networks = append(rc.OSPF.Networks, extra)
+			}
+			want, _, _ = run(t, edited, Options{MaxFailures: in.k, Parallelism: 2}, false, "")
+			got, m, _ := run(t, edited, Options{MaxFailures: in.k, Parallelism: 2}, false, filled)
+			if m.Hits != prefixes || m.Misses != 1 {
+				t.Errorf("after the edit: store %+v, want %d hits and the new prefix's miss", m, prefixes)
+			}
+			sameAnswers(t, want, got)
 		})
 	}
 }

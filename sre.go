@@ -186,9 +186,12 @@ type Options struct {
 	// Store, when non-nil, is a persistent result cache (see OpenStore):
 	// each prefix is looked up before it is computed and published after
 	// — across in-process, parallel, and multi-process runs, which share
-	// one content-addressed key space. Results are identical with a
-	// cold, warm, or corrupted cache; Verifier.Metrics reports the
-	// traffic (including quarantined corrupt records) under Store.
+	// one content-addressed key space. A run that verifies one prefix per
+	// symmetry orbit looks up representatives only, and publishes each
+	// member's record renamed from its representative's. Results are
+	// identical with a cold, warm, or corrupted cache; Verifier.Metrics
+	// reports the traffic (including quarantined corrupt records) under
+	// Store.
 	Store *Store
 }
 
