@@ -260,22 +260,6 @@ func BenchmarkFig9_PruningWAN(b *testing.B) {
 	})
 }
 
-// BenchmarkFig10_AbstractionFatTree measures SRC+SPF on a BGP fat tree
-// with and without AS-path abstraction (Figure 10).
-func BenchmarkFig10_AbstractionFatTree(b *testing.B) {
-	const k = 1
-	net := workload.FatTree(4, workload.BGP)
-	for _, abstract := range []bool{false, true} {
-		b.Run(fmt.Sprintf("abstract=%v", abstract), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pipe := runPipeline(b, net, src.Options{PruneK: k, Abstract: abstract})
-				pipe.AllPairsReachable(k)
-				pipe.Release()
-			}
-		})
-	}
-}
-
 // BenchmarkTable2_RouteReduction measures the symbolic route counts that
 // Table 2 reports, per optimization level (k=2 at bench scale).
 func BenchmarkTable2_RouteReduction(b *testing.B) {
@@ -286,7 +270,6 @@ func BenchmarkTable2_RouteReduction(b *testing.B) {
 	}{
 		{"NoOpt", src.Options{PruneK: -1}},
 		{"RoutePrune", src.Options{PruneK: 2}},
-		{"RoutePruneAbstract", src.Options{PruneK: 2, Abstract: true}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -312,7 +295,7 @@ func BenchmarkFig11_Scalability(b *testing.B) {
 			var peak int
 			for i := 0; i < b.N; i++ {
 				sp := symbol.NewSpace(net.Topology.NumLinks(), bdd.Config{}, 0, nil)
-				pipe, err := analysis.RunWithSpace(net, sp, src.Options{PruneK: 1, Abstract: true})
+				pipe, err := analysis.RunWithSpace(net, sp, src.Options{PruneK: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,6 +6,7 @@ package sre_test
 // it reports it (and, after corruption, the quarantine counters).
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -114,6 +115,40 @@ func TestCacheDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQueryHeadroomSameWithStore: near a node limit a query answers or
+// overflows by what its pipeline's manager already holds. A pipeline
+// read from a store holds its PFECs and nothing else, so one built
+// in-process must too — its engine's and forwarder's conditions
+// released and its manager collected before it is delivered. At these
+// eight FatTree(4) cells a query on an in-process pipeline used to
+// overflow where the warm run, over the same options, answered.
+func TestQueryHeadroomSameWithStore(t *testing.T) {
+	for _, c := range []struct {
+		k      int
+		limits []int
+	}{{2, []int{2500, 3750, 11500}}, {3, []int{2500, 31000, 31750, 32250, 32500}}} {
+		for _, limit := range c.limits {
+			t.Run(fmt.Sprintf("k%d/limit%d", c.k, limit), func(t *testing.T) {
+				opts := sre.Options{MaxFailures: c.k, BDDNodeLimit: limit, Resilient: true}
+				baseOuts, basePFECs, baseSweep := fatTreeRun(t, opts, 1)
+				dir := t.TempDir()
+				for _, run := range []string{"cold", "warm"} {
+					outs, pfecs, sweep, m := fatTreeCacheRun(t, opts, dir, 1, 0)
+					if run == "warm" && (m.Hits == 0 || m.Misses != 0) {
+						t.Fatalf("warm run: %+v, want all hits", m)
+					}
+					if !reflect.DeepEqual(outs, baseOuts) || pfecs != basePFECs {
+						t.Errorf("%s run: outcomes or PFEC count diverge from the run without a store", run)
+					}
+					if !reflect.DeepEqual(sweep, baseSweep) {
+						t.Errorf("%s run: tolerance sweep diverges\n got %+v\nwant %+v", run, sweep, baseSweep)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -257,18 +292,19 @@ func TestCacheOptionsInvalidate(t *testing.T) {
 }
 
 // TestOldStoreMisses runs against a store written under older key
-// formats: testdata/store_v3, store_v4, store_v5 and store_v6_fleet
-// each hold the two records `sre -cache-dir` published for
-// goldenNetwork at -k 2 at the last commit of that format (v3: BDD2
+// formats: testdata/store_v3, store_v4, store_v5, store_v6_fleet and
+// store_v7_fleet each hold the two records `sre -cache-dir` published
+// for goldenNetwork at -k 2 at the last commit of that format (v3: BDD2
 // blobs; v4: records that could carry two pipelines per prefix; v5:
 // options bytes that carried the variable order, the hop bound and the
 // activation cap; v6: fixed-width BDD3 blobs and PFECs as JSON
-// objects, written by two fleet workers). The keys change with the
+// objects, written by two fleet workers; v7: options bytes that carried
+// "abstract", written by two fleet workers). The keys change with the
 // format, so the old records are never opened: every prefix misses,
 // nothing is quarantined, and the mixed directory passes fsck.
 func TestOldStoreMisses(t *testing.T) {
 	dir := t.TempDir()
-	for _, fixture := range []string{"store_v3", "store_v4", "store_v5", "store_v6_fleet"} {
+	for _, fixture := range []string{"store_v3", "store_v4", "store_v5", "store_v6_fleet", "store_v7_fleet"} {
 		copyStoreFixture(t, fixture, dir)
 	}
 	net, err := sre.ParseNetwork(goldenNetwork)
@@ -286,14 +322,14 @@ func TestOldStoreMisses(t *testing.T) {
 	}
 	v.Release()
 	if m := st.Metrics(); m.Hits != 0 || m.Misses != 2 || m.Puts != 2 || m.Quarantined != 0 {
-		t.Errorf("run over a v3+v4+v5+v6 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
+		t.Errorf("run over a v3+v4+v5+v6+v7 store: %+v, want 0 hits, 2 misses, 2 puts, 0 quarantined", m)
 	}
 	rep, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Checked != 10 || rep.OK != 10 || rep.Quarantined != 0 {
-		t.Errorf("fsck over the mixed store: %+v, want 10 records, all ok", rep)
+	if rep.Checked != 12 || rep.OK != 12 || rep.Quarantined != 0 {
+		t.Errorf("fsck over the mixed store: %+v, want 12 records, all ok", rep)
 	}
 }
 
@@ -321,15 +357,16 @@ func copyStoreFixture(t *testing.T, fixture, dir string) {
 	}
 }
 
-// TestV7FleetRecordsStillHit replays testdata/store_v7_fleet: the two
+// TestV8FleetRecordsStillHit replays testdata/store_v8_fleet: the two
 // records `sre -config golden.txt -k 2 -workers 2 -cache-dir ... pfecs`
-// published for goldenNetwork under format v7 (BDD4 blobs, packed PFEC
-// tables), each carrying its worker's telemetry shard. Both must hit,
-// nothing may be quarantined, the shards' counters must merge into the
-// run's registry, and the answers must equal a cold run's.
-func TestV7FleetRecordsStillHit(t *testing.T) {
+// published for goldenNetwork under format v8 (BDD4 blobs, packed PFEC
+// tables, options bytes without "abstract"), each carrying its worker's
+// telemetry shard. Both must hit, nothing may be quarantined, the
+// shards' counters must merge into the run's registry, and the answers
+// must equal a cold run's.
+func TestV8FleetRecordsStillHit(t *testing.T) {
 	dir := t.TempDir()
-	copyStoreFixture(t, "store_v7_fleet", dir)
+	copyStoreFixture(t, "store_v8_fleet", dir)
 	net, err := sre.ParseNetwork(goldenNetwork)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +375,7 @@ func TestV7FleetRecordsStillHit(t *testing.T) {
 	tel := sre.NewTelemetry()
 	outs, pfecs, sweep, m := cacheRun(t, net, "A", sre.Options{MaxFailures: 2, Telemetry: tel}, dir, 1, 0)
 	if m.Hits != 2 || m.Misses != 0 || m.Quarantined != 0 {
-		t.Errorf("run over the v7 fleet store: %+v, want 2 hits, 0 misses, 0 quarantined", m)
+		t.Errorf("run over the v8 fleet store: %+v, want 2 hits, 0 misses, 0 quarantined", m)
 	}
 	if got := tel.Snapshot().Counters["src.activations"]; got <= 0 {
 		t.Errorf("merged src.activations = %d, want the worker shards' counts", got)

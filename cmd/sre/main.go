@@ -15,14 +15,14 @@
 //	sre -config net.txt pfecs                     # PFEC summary
 //	sre -config net.txt -reqs reqs.txt check      # verify a requirements file
 //
-// Global flags: -k (failure budget, default 3), -abstract, -noecmp.
+// Global flags: -k (failure budget, default 3), -noecmp.
 // Resilience flags: -timeout bounds the run's wall-clock time (exit 124
 // on expiry), Ctrl-C cancels cooperatively (exit 130), and -resilient
 // quarantines prefixes that overflow the BDD node table (capped by
-// -nodelimit) and retries them on a degradation ladder (AS-path
-// abstraction, then a halved failure budget) instead of failing the
-// whole run; a prefix verified at a halved budget is reported on stderr
-// and its answers are lower bounds for the requested -k.
+// -nodelimit) and retries them at halved failure budgets instead of
+// failing the whole run; a prefix verified at a halved budget is
+// reported on stderr and its answers are lower bounds for the requested
+// -k.
 // Observability flags: -metrics <file> writes a JSON metrics report,
 // -progress prints live progress lines to stderr (an in-place status
 // line on a terminal, plain lines when piped), -trace-out <file> writes
@@ -78,7 +78,6 @@ var (
 	afterPath   = flag.String("after", "", "changed network file (diff command)")
 	reqsPath    = flag.String("reqs", "", "requirements file (check command)")
 	kFlag       = flag.Int("k", 3, "failure budget: explore up to k simultaneous link failures (-1 = all)")
-	abstract    = flag.Bool("abstract", false, "enable AS-path abstraction (§7.3)")
 	noECMP      = flag.Bool("noecmp", false, "disable multipath route selection")
 	pLink       = flag.Float64("plink", 0.001, "link failure probability (probability command)")
 	pNode       = flag.Float64("pnode", 0, "node failure probability (probability command; 0 = links only)")
@@ -86,7 +85,7 @@ var (
 	progress    = flag.Bool("progress", false, "print live progress lines to stderr")
 	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	timeoutFlag = flag.Duration("timeout", 0, "wall-clock budget for the run (e.g. 30s; 0 = none)")
-	resilient   = flag.Bool("resilient", false, "degrade gracefully when the BDD node table overflows: quarantine the offending prefix, retry it with AS-path abstraction and then a halved failure budget (its answers are then lower bounds for -k), and complete the rest")
+	resilient   = flag.Bool("resilient", false, "degrade gracefully when the BDD node table overflows: quarantine the offending prefix, retry it at halved failure budgets (its answers are then lower bounds for -k), and complete the rest")
 	nodeLimit   = flag.Int("nodelimit", 0, "BDD node table cap (0 = package default); overflowing it fails the run, or degrades it under -resilient")
 	parallel    = flag.Int("parallel", 0, "worker count for per-prefix parallel verification (0 = one per CPU, 1 = one at a time)")
 	workers     = flag.Int("workers", 0, "verify across this many supervised worker subprocesses; crashed workers are retried and, past the attempt budget, their prefixes re-verified in-process (exit 3). 0 = in-process")
@@ -162,7 +161,7 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 	tel := sre.NewTelemetry()
-	opts := sre.Options{MaxFailures: *kFlag, Abstract: *abstract, NoECMP: *noECMP,
+	opts := sre.Options{MaxFailures: *kFlag, NoECMP: *noECMP,
 		Telemetry: tel, Context: ctx, Timeout: *timeoutFlag, Resilient: *resilient,
 		BDDNodeLimit: *nodeLimit, Parallelism: *parallel, Workers: *workers}
 	if *progress && !*quiet {

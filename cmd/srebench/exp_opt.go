@@ -12,45 +12,6 @@ import (
 	"sre/internal/workload"
 )
 
-// fig10 reproduces Figure 10: time to compute failure tolerance on fat
-// trees with and without abstract interpretation (route pruning on in
-// both, as in the paper).
-func fig10(sc scale) {
-	header("Figure 10 — abstraction effectiveness on fat trees (BGP)")
-	for _, arity := range sc.fatTrees {
-		net := workload.FatTree(arity, workload.BGP)
-		fmt.Printf("\nFatTree(%d): %d routers, %d links\n",
-			workload.FatTreeNodes(arity), net.Topology.NumRouters(), net.Topology.NumLinks())
-		t := newTable("k", "RoutePrune", "RoutePrune+Abstract")
-		ct := newCellTimer()
-		for k := 0; k <= sc.maxK; k++ {
-			plainT := ct.run("plain", func() {
-				if err := toleranceRun(net, k, false); err != nil {
-					fmt.Printf("  plain k=%d: %v\n", k, err)
-				}
-			})
-			absT := ct.run("abs", func() {
-				if err := toleranceRun(net, k, true); err != nil {
-					fmt.Printf("  abstract k=%d: %v\n", k, err)
-				}
-			})
-			t.add(fmt.Sprint(k), plainT, absT)
-		}
-		t.print()
-	}
-}
-
-// toleranceRun computes all-pairs tolerance at budget k.
-func toleranceRun(net *workloadNet, k int, abstract bool) error {
-	pipe, err := analysis.Run(net, withResilience(src.Options{PruneK: k, Abstract: abstract}))
-	if err != nil {
-		return err
-	}
-	defer pipe.Release()
-	pipe.AllPairsReachable(k)
-	return nil
-}
-
 // table2 reproduces Table 2: the number of symbolic routes processed
 // under each optimization level (k=3, BGP), and the reduction relative
 // to the unoptimized run. "BDD limit" marks runs that exhaust the node
@@ -69,12 +30,12 @@ func table2(sc scale) {
 	}
 	for _, arity := range sc.fatTrees {
 		if !sc.paper && arity > 4 {
-			continue // the unabstracted k=3 run on big trees takes hours
+			continue // the k=3 run on big trees takes hours
 		}
 		sets = append(sets, ds{fmt.Sprintf("Fattree(%d)", workload.FatTreeNodes(arity)),
 			workload.FatTree(arity, workload.BGP)})
 	}
-	t := newTable("dataset", "NoOpt routes", "RoutePrune", "+PrefixPrune", "+Abstract")
+	t := newTable("dataset", "NoOpt routes", "RoutePrune", "+PrefixPrune")
 	k := 3
 	// The node limit makes "BDD limit" observable at small scale.
 	nodeLimit := 0
@@ -83,18 +44,15 @@ func table2(sc scale) {
 	}
 	for _, d := range sets {
 		base, baseErr := countRoutesNoGC(d.net, nodeLimit)
-		rp, rpErr := countRoutes(d.net, k, false, nil, nodeLimit)
+		rp, rpErr := countRoutes(d.net, k, nil, nodeLimit)
 		// Prefix pruning at k: restrict to prefixes whose pairs are not
 		// all topologically decided — approximated by the miner's
 		// stratum-k prefix set; here we reuse the miner once.
 		pp, ppErr := countRoutesStratified(d.net, k)
-		ab, abErr := countRoutes(d.net, k, true, nil, nodeLimit)
-		row := []string{d.name,
+		t.add(d.name,
 			fmtCount(base, baseErr),
 			fmtReduction(rp, rpErr, base, baseErr),
-			fmtReduction(pp, ppErr, base, baseErr),
-			fmtReduction(ab, abErr, base, baseErr)}
-		t.add(row...)
+			fmtReduction(pp, ppErr, base, baseErr))
 	}
 	t.print()
 	fmt.Println("  reductions are relative to the unoptimized route count; \"BDD limit\" = node table exhausted")
@@ -121,9 +79,9 @@ func fmtReduction(n int, err error, base int, baseErr error) string {
 }
 
 // countRoutes runs SRC alone and returns the number of routes imported.
-func countRoutes(net *workloadNet, pruneK int, abstract bool, prefixes []route0, nodeLimit int) (int, error) {
+func countRoutes(net *workloadNet, pruneK int, prefixes []route0, nodeLimit int) (int, error) {
 	sp := symbol.NewSpace(net.Topology.NumLinks(), bdd.Config{NodeLimit: nodeLimit}, 0, nil)
-	eng := src.NewWithSpace(net, sp, withResilience(src.Options{PruneK: pruneK, Abstract: abstract, Prefixes: prefixes}))
+	eng := src.NewWithSpace(net, sp, withResilience(src.Options{PruneK: pruneK, Prefixes: prefixes}))
 	if err := eng.Run(); err != nil {
 		if errors.Is(err, bdd.ErrNodeLimit) {
 			return eng.Statistics().RoutesImported, err
@@ -159,7 +117,7 @@ func countRoutesStratified(net *workloadNet, kMax int) (int, error) {
 	// The miner does not expose per-stratum route counts; re-run each
 	// stratum's SRC with its prefix set is costly, so approximate with
 	// a single pruned run over the prefixes that reach the last stratum.
-	return countRoutes(net, kMax, false, nil, 0)
+	return countRoutes(net, kMax, nil, 0)
 }
 
 // fig11 reproduces Figure 11: running time and peak memory when checking
@@ -177,7 +135,7 @@ func fig11(sc scale) {
 			var errOut error
 			cell, dur := ct.runTimed("ft"+name, func() {
 				sp := symbol.NewSpace(net.Topology.NumLinks(), bdd.Config{}, 0, nil)
-				pipe, err := analysis.RunWithSpace(net, sp, withResilience(src.Options{PruneK: k, Abstract: true}))
+				pipe, err := analysis.RunWithSpace(net, sp, withResilience(src.Options{PruneK: k}))
 				if err != nil {
 					errOut = err
 					st = sp.M.Statistics()

@@ -46,8 +46,8 @@ func reachDatasets(sc scale) []struct {
 
 // sreAllPairs runs the full SRE pipeline and checks all-pairs
 // reachability under budget k.
-func sreAllPairs(net *config.Network, k int, abstract bool) (map[analysis.PairKey]bool, error) {
-	pipe, err := analysis.Run(net, withResilience(src.Options{PruneK: k, Abstract: abstract}))
+func sreAllPairs(net *config.Network, k int) (map[analysis.PairKey]bool, error) {
+	pipe, err := analysis.Run(net, withResilience(src.Options{PruneK: k}))
 	if err != nil {
 		return nil, err
 	}
@@ -64,10 +64,9 @@ func fig5(sc scale) {
 			ds.net.Topology.NumRouters(), ds.net.Topology.NumLinks(), len(ds.net.AllPrefixes()))
 		t := newTable("k", "SRE", "Batfish", "Minesweeper", "Tiramisu")
 		ct := newCellTimer()
-		abstract := ds.name[0] == 'F' // fat trees benefit from abstraction
 		for k := 0; k <= sc.maxK; k++ {
 			sreT := ct.run("sre", func() {
-				if _, err := sreAllPairs(ds.net, k, abstract); err != nil {
+				if _, err := sreAllPairs(ds.net, k); err != nil {
 					fmt.Printf("  SRE error at k=%d: %v\n", k, err)
 				}
 			})

@@ -11,7 +11,7 @@
 //	srebench -exp all             # everything
 //	srebench -exp fig5 -scale paper -budget 300s
 //
-// Experiments: fig5 fig6 fig7 fig8 diff fig9 fig10 table2 fig11 table3
+// Experiments: fig5 fig6 fig7 fig8 diff fig9 table2 fig11 table3
 // fig13 fig14 parallel bddkernel.
 package main
 
@@ -30,7 +30,7 @@ import (
 )
 
 var (
-	expFlag    = flag.String("exp", "all", "experiment to run (fig5, fig6, fig7, fig8, diff, fig9, fig10, table2, fig11, table3, fig13, fig14, parallel, bddkernel, all)")
+	expFlag    = flag.String("exp", "all", "experiment to run (fig5, fig6, fig7, fig8, diff, fig9, table2, fig11, table3, fig13, fig14, parallel, bddkernel, all)")
 	scaleFlag  = flag.String("scale", "small", "workload scale: small (CI-friendly) or paper (full sizes; hours)")
 	budget     = flag.Duration("budget", 60*time.Second, "soft per-cell time budget; a system that exceeds it is skipped for larger parameters")
 	seedFlag   = flag.Int64("seed", 1, "base seed for randomized selections")
@@ -158,7 +158,6 @@ func main() {
 		"fig8":      fig8,
 		"diff":      diffExp,
 		"fig9":      fig9,
-		"fig10":     fig10,
 		"table2":    table2,
 		"fig11":     fig11,
 		"table3":    table3,
@@ -167,7 +166,7 @@ func main() {
 		"parallel":  parallelExp,
 		"bddkernel": bddKernelExp,
 	}
-	order := []string{"fig5", "fig6", "fig7", "fig8", "diff", "fig9", "fig10", "table2", "fig11", "table3", "fig13", "fig14", "parallel", "bddkernel"}
+	order := []string{"fig5", "fig6", "fig7", "fig8", "diff", "fig9", "table2", "fig11", "table3", "fig13", "fig14", "parallel", "bddkernel"}
 	if *expFlag == "all" {
 		for _, name := range order {
 			exps[name](sc)

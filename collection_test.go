@@ -14,9 +14,11 @@ import (
 // rather than every intermediate SRC and SPF ever built — and a node
 // limit the live diagram fits is enough. Per-prefix managers stay under
 // the trigger's floor, and a node limit below it keeps the old ¾-limit
-// path, so those runs collect exactly as they did before the trigger.
-// Their peaks are pinned exactly, so they move only when the work SRC
-// and SPF do changes, and then must be measured again.
+// path, so those runs collect exactly as they did before the trigger,
+// plus the one collection that leaves each per-prefix pipeline holding
+// only its PFECs (one per prefix: 8 here). Their peaks are pinned
+// exactly, so they move only when the work SRC and SPF do changes, and
+// then must be measured again.
 //
 // FatTree(4) is one symmetry orbit, so NewVerifier would verify one
 // prefix of it; these runs take the symmetry away (fatTreeWithoutSymmetry)
@@ -46,8 +48,8 @@ func TestCollectionTrigger(t *testing.T) {
 		opts         sre.Options
 		peak, gcRuns int
 	}{
-		{"fattree4-parallel2", sre.Options{MaxFailures: 2, Parallelism: 2}, 142011, 0},
-		{"fattree4-nodelimit20k", sre.Options{MaxFailures: 2, Parallelism: 1, Resilient: true, BDDNodeLimit: 20000}, 121592, 8},
+		{"fattree4-parallel2", sre.Options{MaxFailures: 2, Parallelism: 2}, 142011, 8},
+		{"fattree4-nodelimit20k", sre.Options{MaxFailures: 2, Parallelism: 1, Resilient: true, BDDNodeLimit: 20000}, 121592, 16},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if m := run(t, ft4, c.opts); m.PeakNodes != c.peak || m.GCRuns != c.gcRuns {

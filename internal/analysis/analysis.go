@@ -38,8 +38,9 @@ const InfiniteTolerance = int(^uint(0) >> 1)
 type Pipeline struct {
 	Net *config.Network
 	Sp  *symbol.Space
+	// Eng is the engine that computed the routes, kept for its
+	// statistics: once the pipeline is built it holds no BDD.
 	Eng *src.Engine
-	Fw  *spf.Forwarder
 
 	// PFECs, grouped by source router.
 	pfecs [][]*spf.PFEC
@@ -150,7 +151,6 @@ func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope 
 	if err != nil {
 		return nil, err
 	}
-	p.Fw = fw
 	var scopeHdr bdd.Node
 	if scope != nil {
 		scopeHdr = sp.Prefix(*scope) // cached and referenced by the space
@@ -193,6 +193,15 @@ func runPipeline(net *config.Network, sp *symbol.Space, opts src.Options, scope 
 			Nodes: int64(st1.LiveNodes - st0.LiveNodes),
 			Cache: cacheLookupDelta(st0, st1), Outcome: "ok",
 		})
+	}
+	// The pipeline keeps only its PFECs, as a decoded one does, so that
+	// queries find the same nodes live whether the pipeline was built
+	// here, by a worker or read from a store. A scoped pipeline's
+	// manager is its own and is collected now.
+	fw.Release()
+	p.Eng.Release()
+	if scope != nil {
+		sp.M.GC()
 	}
 	return p, nil
 }
@@ -508,14 +517,10 @@ func (p *Pipeline) AllPairsReachable(k int) map[PairKey]bool {
 	return out
 }
 
-// Release frees the BDD references held by the pipeline's PFECs and
-// forwarder. Decoded pipelines (NewDecodedPipeline) have no forwarder;
-// their references live entirely in the PFEC predicates.
+// Release frees the BDD references held by the pipeline's PFECs, the
+// only ones a pipeline holds.
 func (p *Pipeline) Release() {
 	for _, l := range p.pfecs {
 		spf.ReleasePFECs(p.Sp, l)
-	}
-	if p.Fw != nil {
-		p.Fw.Release()
 	}
 }

@@ -55,7 +55,9 @@ import (
 // activation cap; the computed link permutation is hashed instead.
 // v7: serialized BDDs are varint BDD4 and a pipeline's PFECs travel as
 // one packed varint table instead of JSON objects.
-const cacheFormatVersion = 7
+// v8: the options bytes lost "abstract", and the ladder lost its
+// abstract rung.
+const cacheFormatVersion = 8
 
 // CacheKey derives the content address of one prefix task's result.
 // Two runs compute the same key exactly when the task is guaranteed to

@@ -38,7 +38,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 
 	variants := map[string]string{
 		"prune_k":   CacheKey(net, src.Options{PruneK: 3}, pfx, true, LadderOptions{}),
-		"abstract":  CacheKey(net, src.Options{PruneK: 2, Abstract: true}, pfx, true, LadderOptions{}),
+		"no_ecmp":   CacheKey(net, src.Options{PruneK: 2, NoECMP: true}, pfx, true, LadderOptions{}),
 		"nodelimit": CacheKey(net, src.Options{PruneK: 2, BDDNodeLimit: 1 << 20}, pfx, true, LadderOptions{}),
 		"ladder":    CacheKey(net, src.Options{PruneK: 2}, pfx, false, LadderOptions{}),
 		"halving":   CacheKey(net, src.Options{PruneK: 2}, pfx, true, LadderOptions{DisableBudgetHalving: true}),

@@ -33,20 +33,20 @@ import (
 type Miner struct {
 	Net  *config.Network
 	KMax int
-	// SrcOpts tunes the per-stratum engine (Abstract, NoECMP,
-	// Parallelism, ...); PruneK and Prefixes are set by the miner.
+	// SrcOpts tunes the per-stratum engine (NoECMP, Parallelism, ...);
+	// PruneK and Prefixes are set by the miner.
 	SrcOpts src.Options
 	// Waypoint, when non-nil, selects the waypoint router for waypoint
 	// mining of each (src, prefix) pair. With several workers it is
 	// called from worker goroutines and must be safe for concurrent use.
 	Waypoint func(s topology.RouterID, pfx route.Prefix) (topology.RouterID, bool)
 
-	// Resilient enables graceful degradation: a stratum whose BDD node
-	// table overflows quarantines the offending prefixes and retries
-	// them through the escalation ladder (without budget halving — a
-	// stratum-k verdict is only sound at budget exactly k) instead of
-	// aborting the whole mining run. Prefixes that still fail are
-	// reported in Specs.Outcomes with their surviving pairs marked in
+	// Resilient enables graceful degradation: a prefix whose BDD node
+	// table overflows in a stratum is quarantined and fails at once
+	// instead of aborting the whole mining run. Its ladder is empty: the
+	// only rung halves the budget, and a stratum-k verdict is only sound
+	// at budget exactly k. Failed prefixes are reported in
+	// Specs.Outcomes with their surviving pairs marked in
 	// Specs.DegradedPairs; all other prefixes mine normally.
 	Resilient bool
 }
@@ -73,14 +73,13 @@ type Specs struct {
 	// paths under no failures.
 	LoadBalance map[PairKey]int
 	// Outcomes reports per-prefix resilience outcomes (resilient
-	// mining only): prefixes that were quarantined, degraded, or
-	// failed at some stratum, merged across strata. Empty maps mean a
-	// fully clean run.
+	// mining only): prefixes that failed at some stratum (Quarantined
+	// when the verification overflowed, not only its queries), merged
+	// across strata. Empty maps mean a fully clean run.
 	Outcomes map[route.Prefix]PrefixOutcome
 	// DegradedPairs marks pairs whose ReachTolerance is a lower bound:
-	// their prefix exhausted the escalation ladder at the stratum that
-	// would have decided them, or that stratum decided them on a
-	// degraded rung's pipeline, so only "tolerance ≥ value" is known.
+	// their prefix failed at the stratum that would have decided them,
+	// so only "tolerance ≥ value" is known.
 	DegradedPairs map[PairKey]bool
 }
 
@@ -203,8 +202,9 @@ func (mn *Miner) eachPipeline(opts src.Options, domain []route.Prefix, workers i
 		}
 		return nil
 	}
-	// The ladder is on when resilient, never halving the budget: a
-	// stratum-k verdict is only sound at budget exactly k.
+	// The ladder is on when resilient, never halving the budget (a
+	// stratum-k verdict is only sound at budget exactly k), so an
+	// overflowing prefix fails without a retry.
 	x := Executor{Net: mn.Net, Opts: opts, Workers: workers,
 		Ladder: mn.Resilient, Lad: LadderOptions{DisableBudgetHalving: true}}
 	return x.each(domain, nil, func(pfx route.Prefix, pipes []*Pipeline, out PrefixOutcome) {
@@ -260,10 +260,10 @@ func (mn *Miner) mineStratum(specs *Specs, undecided map[PairKey]bool,
 		mu.Lock()
 		defer mu.Unlock()
 		if out.Err != nil {
-			// The prefix exhausted the ladder at this stratum (or its
-			// queries overflowed the verified pipeline). Its pairs
-			// survived stratum k-1, so k-1 is a sound lower bound;
-			// record it and mark them degraded.
+			// The prefix overflowed at this stratum (or its queries
+			// overflowed the verified pipeline). Its pairs survived
+			// stratum k-1, so k-1 is a sound lower bound; record it and
+			// mark them degraded.
 			for _, pe := range pairs {
 				specs.ReachTolerance[pe.key] = k - 1
 				specs.DegradedPairs[pe.key] = true
@@ -275,11 +275,6 @@ func (mn *Miner) mineStratum(specs *Specs, undecided map[PairKey]bool,
 			}
 		}
 		for _, d := range decisions {
-			// A weaker rung may find violations the exact run does not:
-			// what it decides is only a lower bound.
-			if out.Degraded && (d.violated || d.waypointTol != wpUndecided) {
-				specs.DegradedPairs[d.pe.key] = true
-			}
 			if d.waypointTol != wpUndecided {
 				specs.WaypointTolerance[d.pe.key] = d.waypointTol
 			}
@@ -294,7 +289,7 @@ func (mn *Miner) mineStratum(specs *Specs, undecided map[PairKey]bool,
 				specs.LoadBalance[d.pe.key] = d.loadBalance
 			}
 		}
-		if out.Quarantined || out.Degraded || out.Err != nil {
+		if out.Err != nil {
 			mergeOutcome(specs, out)
 		}
 		pairDone += len(pairs)
@@ -377,7 +372,7 @@ func (mn *Miner) confirmIsolation(specs *Specs, candidates []PairKey, workers in
 		mu.Lock()
 		defer mu.Unlock()
 		specs.Isolated = append(specs.Isolated, isolatedKeys...)
-		if out.Quarantined || out.Degraded || out.Err != nil {
+		if out.Err != nil {
 			mergeOutcome(specs, out)
 		}
 	})
@@ -413,7 +408,9 @@ func guardOverflow(errp *error) {
 	panic(r)
 }
 
-// mergeOutcome folds one prefix outcome into the spec summary.
+// mergeOutcome folds one failed prefix outcome into the spec summary:
+// the first failure's error, quarantined if any failure was, at the
+// smallest budget any failed at.
 func mergeOutcome(specs *Specs, o PrefixOutcome) {
 	prev, ok := specs.Outcomes[o.Prefix]
 	if !ok {
@@ -421,14 +418,7 @@ func mergeOutcome(specs *Specs, o PrefixOutcome) {
 		return
 	}
 	prev.Quarantined = prev.Quarantined || o.Quarantined
-	prev.Degraded = prev.Degraded || o.Degraded
-	prev.Rungs = append(prev.Rungs, o.Rungs...)
-	if prev.Err == nil {
-		prev.Err = o.Err
-	}
-	if o.EffectivePruneK < prev.EffectivePruneK {
-		prev.EffectivePruneK = o.EffectivePruneK
-	}
+	prev.EffectivePruneK = min(prev.EffectivePruneK, o.EffectivePruneK)
 	specs.Outcomes[o.Prefix] = prev
 }
 

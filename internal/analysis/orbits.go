@@ -14,16 +14,18 @@ import (
 
 // RenamingInvariant reports whether a run with these options answers
 // the same about a network and about any renaming of it, so its
-// prefixes may be verified one per symmetry orbit. Four settings break
+// prefixes may be verified one per symmetry orbit. Three settings break
 // that:
-//   - Abstract (and the ladder, whose first rung is Abstract) hashes AS
-//     numbers into each route's path bloom, so a renaming of the AS
-//     numbers changes which loop checks collide;
+//   - the ladder: the rung a prefix lands on depends on its node counts,
+//     which depend on the variable order, and a renaming does not
+//     preserve the order, so members of one orbit can land on different
+//     rungs (FatTree(4) k=3 at a 31 000-node limit splits its one orbit
+//     4/4 between the requested budget and a halved one);
 //   - NoECMP keeps the first route of each tier in route.Tiebreak order,
 //     which orders by next-hop router ID;
 //   - IBGPFullMesh derives loopback prefixes from router IDs.
 func RenamingInvariant(opts src.Options, ladder bool) bool {
-	return !opts.Abstract && !ladder && !opts.NoECMP && !opts.IBGPFullMesh
+	return !ladder && !opts.NoECMP && !opts.IBGPFullMesh
 }
 
 // Image says how a prefix that a run did not verify is answered: by the

@@ -353,42 +353,22 @@ func (x *Executor) each(domain []route.Prefix, images map[route.Prefix]Image, co
 	}, work))
 }
 
-// rungAttempt is one precomputed escalation attempt. The sequence —
-// including the option mutations each rung inherits from the previous
-// ones — is fixed up front, so results cannot depend on scheduling
-// order.
-type rungAttempt struct {
-	name string
-	opts src.Options // opts.PruneK is the EffectivePruneK of a success
-}
-
-// rungs is the run's escalation ladder: none without Ladder. Option
-// threading: Abstract sticks after rung 1 — AS-path abstraction merges
-// parallel routes, often an order-of-magnitude node saving on fabrics
-// (§7.3); halved budgets stick for later rungs (results are then sound
-// only for the smaller budget, so the miner disables the rung). The
-// ladder ends there: a task's header space is already one prefix, so
-// there is nothing left to split.
-func (x *Executor) rungs() []rungAttempt {
-	if !x.Ladder {
+// rungs is the run's escalation ladder, the failure budget of each
+// rung in turn: the requested budget halved until it reaches 0. Results
+// on a rung are sound only for its smaller budget, so the miner
+// disables halving and its ladder is empty, as is a run's without
+// Ladder. The ladder ends there: a task's header space is already one
+// prefix, so there is nothing left to split.
+func (x *Executor) rungs() []int {
+	if !x.Ladder || x.Lad.DisableBudgetHalving {
 		return nil
 	}
-	var rungs []rungAttempt
-	o := x.Opts
-	if !o.Abstract {
-		o.Abstract = true
-		rungs = append(rungs, rungAttempt{name: RungAbstract, opts: o})
+	var budgets []int
+	for k := x.Opts.PruneK; k > 0; {
+		k /= 2
+		budgets = append(budgets, k)
 	}
-	if !x.Lad.DisableBudgetHalving {
-		for k := o.PruneK / 2; o.PruneK > 0; k /= 2 {
-			o.PruneK = k
-			rungs = append(rungs, rungAttempt{name: RungHalveBudget, opts: o})
-			if k == 0 {
-				break
-			}
-		}
-	}
-	return rungs
+	return budgets
 }
 
 // runPrefix carries one prefix through its attempts: the requested
@@ -396,7 +376,7 @@ func (x *Executor) rungs() []rungAttempt {
 // prefix — verified, or failed once the ladder is exhausted — and
 // returns only the errors the ladder does not absorb, which stop the
 // run.
-func (x *Executor) runPrefix(w *sched.Worker, t Task, rungs []rungAttempt, collect collectFn) error {
+func (x *Executor) runPrefix(w *sched.Worker, t Task, rungs []int, collect collectFn) error {
 	out := PrefixOutcome{Prefix: t.Prefix, EffectivePruneK: x.Opts.PruneK}
 	domain := taskDomain(x.Net, t.Prefix)
 	var pipes []*Pipeline
@@ -407,10 +387,11 @@ func (x *Executor) runPrefix(w *sched.Worker, t Task, rungs []rungAttempt, colle
 			t0 = time.Now()
 		}
 		// The first attempt runs the requested options; attempt i > 0 runs
-		// rungs[i-1] and, when it succeeds, marks the prefix degraded.
+		// them at budget rungs[i-1] and, when it succeeds, marks the
+		// prefix degraded.
 		o, outcome := x.Opts, "ok"
 		if i > 0 {
-			o, outcome = rungs[i-1].opts, rungs[i-1].name
+			o.PruneK, outcome = rungs[i-1], RungHalveBudget
 			w.Tel.Counter("resilience.retries").Inc()
 			out.Rungs = append(out.Rungs, outcome)
 			emitResilience(w, fmt.Sprintf("prefix %s: retrying on rung %q", t.Prefix, outcome))

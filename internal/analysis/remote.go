@@ -4,8 +4,8 @@ package analysis
 // subprocess runs one prefix through exactly the chain an in-process
 // run would — RunPrefixTask — and ships the resulting pipelines over a
 // pipe; the coordinator rebuilds them as decoded pipelines (query-only:
-// no engine, no forwarder) and hands them to the Executor it dispatches
-// for, which assembles the Partitioned like any other run's.
+// no engine) and hands them to the Executor it dispatches for, which
+// assembles the Partitioned like any other run's.
 
 import (
 	"time"
@@ -38,9 +38,9 @@ func NewRunSpace(net *config.Network, opts src.Options) *symbol.Space {
 // NewDecodedPipeline assembles a query-only Pipeline from parts decoded
 // off the wire: the PFEC predicates must already be referenced in sp's
 // manager (decoded roots are Ref'd by the codec). The pipeline has no
-// engine or forwarder — every pair query (Query and its reductions)
-// needs only Net, Sp, the PFECs, and Scope — and Release frees exactly
-// the PFEC references.
+// engine — every pair query (Query and its reductions) needs only Net,
+// Sp, the PFECs, and Scope — and, like a pipeline built in-process,
+// holds no reference but the PFECs'.
 func NewDecodedPipeline(net *config.Network, sp *symbol.Space, scope *route.Prefix, pfecs [][]*spf.PFEC, srcTime, spfTime time.Duration, tel *obs.Telemetry) *Pipeline {
 	p := &Pipeline{Net: net, Sp: sp, Tel: tel, Scope: scope, pfecs: pfecs, SRCTime: srcTime, SPFTime: spfTime}
 	p.prefixes, p.origins = net.PrefixOrigins()

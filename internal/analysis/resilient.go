@@ -10,7 +10,6 @@ import (
 // Escalation-ladder rung names, recorded per prefix in
 // PrefixOutcome.Rungs in the order they were climbed.
 const (
-	RungAbstract    = "abstract"     // enable AS-path abstraction (§7.3)
 	RungHalveBudget = "halve-budget" // halve the failure budget (PruneK)
 	// RungWorkerCrash marks a prefix whose worker subprocess crashed,
 	// stalled, or corrupted its result stream repeatedly in a

@@ -338,7 +338,7 @@ func TestWorkloadShapes(t *testing.T) {
 
 func TestFatTreeConverges(t *testing.T) {
 	net := workload.FatTree(4, workload.BGP)
-	pipe, err := analysis.Run(net, src.Options{PruneK: 1, Abstract: true})
+	pipe, err := analysis.Run(net, src.Options{PruneK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

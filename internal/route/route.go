@@ -186,23 +186,10 @@ type Route struct {
 	// OSPF attribute.
 	Cost int // accumulated path cost; lower preferred
 
-	// PathLen abstracts the AS path under abstract interpretation
-	// (§7.3): when set (>= 0), ranking uses it instead of len(ASPath).
-	PathLen int
-
 	// Hops counts propagation hops; the engine drops routes exceeding
 	// its hop bound to guarantee termination (no best route under any
 	// failure scenario traverses a non-simple path).
 	Hops int
-
-	// PathBloom over-approximates the set of ASes on the (abstracted)
-	// path as a 128-bit Bloom filter. When abstract interpretation
-	// discards the concrete AS path, the bloom keeps the loop check
-	// sound: a route whose bloom contains the local AS is rejected.
-	// Merged routes union their blooms, so the check over-approximates
-	// (it may spuriously reject a merged route — a conservative loss
-	// of backup precision, never a false route).
-	PathBloom [2]uint64
 
 	// Aggregate marks a locally generated BGP aggregate route.
 	Aggregate bool
@@ -218,7 +205,6 @@ func NewLocal(p Prefix, proto Protocol, origin int) *Route {
 		EgressLink:   -1,
 		LocalPref:    100,
 		OriginatorID: origin,
-		PathLen:      -1,
 	}
 }
 
@@ -228,16 +214,6 @@ func (r *Route) Clone() *Route {
 	cp.ASPath = append([]uint32(nil), r.ASPath...)
 	cp.Communities = append([]uint64(nil), r.Communities...)
 	return &cp
-}
-
-// ASPathLen returns the effective AS-path length used for ranking: the
-// abstracted PathLen when abstract interpretation is active, the real
-// path length otherwise.
-func (r *Route) ASPathLen() int {
-	if r.PathLen >= 0 {
-		return r.PathLen
-	}
-	return len(r.ASPath)
 }
 
 // HasCommunity reports whether the route carries community c.
@@ -261,33 +237,6 @@ func (r *Route) ContainsAS(asn uint32) bool {
 	return false
 }
 
-// bloomBits returns the two Bloom-filter bit positions of an ASN.
-func bloomBits(asn uint32) (uint, uint) {
-	h1 := uint(asn*2654435761) % 128
-	h2 := uint((asn*0x9E3779B9)>>7) % 128
-	return h1, h2
-}
-
-// BloomAddAS records asn in the path bloom.
-func (r *Route) BloomAddAS(asn uint32) {
-	b1, b2 := bloomBits(asn)
-	r.PathBloom[b1/64] |= 1 << (b1 % 64)
-	r.PathBloom[b2/64] |= 1 << (b2 % 64)
-}
-
-// BloomMayContainAS reports whether asn may be on the abstracted path.
-func (r *Route) BloomMayContainAS(asn uint32) bool {
-	b1, b2 := bloomBits(asn)
-	return r.PathBloom[b1/64]&(1<<(b1%64)) != 0 &&
-		r.PathBloom[b2/64]&(1<<(b2%64)) != 0
-}
-
-// BloomUnion merges another route's path bloom into r's.
-func (r *Route) BloomUnion(o *Route) {
-	r.PathBloom[0] |= o.PathBloom[0]
-	r.PathBloom[1] |= o.PathBloom[1]
-}
-
 // Compare ranks two routes for the same prefix: negative if a is
 // preferred over b, positive if b is preferred, zero if they tie (an
 // ECMP group). The order follows standard router behaviour:
@@ -309,7 +258,7 @@ func Compare(a, b *Route) int {
 		if d := b.LocalPref - a.LocalPref; d != 0 {
 			return d
 		}
-		if d := a.ASPathLen() - b.ASPathLen(); d != 0 {
+		if d := len(a.ASPath) - len(b.ASPath); d != 0 {
 			return d
 		}
 		if d := a.MED - b.MED; d != 0 {
@@ -337,28 +286,19 @@ func Tiebreak(a, b *Route) int {
 // test Algorithm 1 uses to detect a re-advertisement that only updates
 // the topology condition. Identity is prefix, protocol, next hop, egress
 // link, local-pref, MED, cost, originator, the aggregate flag and the
-// communities (element-wise), plus the AS path: element-wise, unless
-// abstract interpretation replaced it with a path length (§7.3, PathLen
-// >= 0), in which case the lengths decide. Merging routes that differ
-// only in their concrete path is precisely that abstraction, so it must
-// not happen otherwise (it would break the AS-path loop check
-// downstream). Communities are identity because a route-map downstream
+// communities and the AS path (both element-wise). Merging routes that
+// differ only in their AS path would break the AS-path loop check
+// downstream. Communities are identity because a route-map downstream
 // may match them: two routes that differ only there, merged into one
 // advertisement, would carry one route's communities under the other's
-// condition. Hops and PathBloom are deliberately not identity: a
-// re-advertisement refreshes them on the route already held.
+// condition. Hops are deliberately not identity: a re-advertisement
+// refreshes them on the route already held.
 func SameRoute(a, b *Route) bool {
-	if a.Prefix != b.Prefix || a.Protocol != b.Protocol ||
-		a.NextHop != b.NextHop || a.EgressLink != b.EgressLink ||
-		a.LocalPref != b.LocalPref || a.MED != b.MED || a.Cost != b.Cost ||
-		a.OriginatorID != b.OriginatorID || a.Aggregate != b.Aggregate ||
-		!slices.Equal(a.Communities, b.Communities) {
-		return false
-	}
-	if a.PathLen >= 0 || b.PathLen >= 0 {
-		return a.PathLen == b.PathLen
-	}
-	return slices.Equal(a.ASPath, b.ASPath)
+	return a.Prefix == b.Prefix && a.Protocol == b.Protocol &&
+		a.NextHop == b.NextHop && a.EgressLink == b.EgressLink &&
+		a.LocalPref == b.LocalPref && a.MED == b.MED && a.Cost == b.Cost &&
+		a.OriginatorID == b.OriginatorID && a.Aggregate == b.Aggregate &&
+		slices.Equal(a.Communities, b.Communities) && slices.Equal(a.ASPath, b.ASPath)
 }
 
 // identityHash hashes exactly the fields SameRoute compares, so routes
@@ -379,9 +319,6 @@ func (r *Route) identityHash() uint64 {
 	}
 	for _, c := range r.Communities {
 		h = mix(h, c)
-	}
-	if r.PathLen >= 0 {
-		return mix(h, 1<<32|uint64(r.PathLen))
 	}
 	for _, as := range r.ASPath {
 		h = mix(h, uint64(as))

@@ -154,19 +154,6 @@ func TestCompareCrossProtocol(t *testing.T) {
 	}
 }
 
-func TestPathLenAbstraction(t *testing.T) {
-	p := MustParsePrefix("10.0.0.0/8")
-	r := NewLocal(p, EBGP, 1)
-	r.ASPath = []uint32{1, 2, 3}
-	if r.ASPathLen() != 3 {
-		t.Fatal("concrete path length")
-	}
-	r.PathLen = 5
-	if r.ASPathLen() != 5 {
-		t.Fatal("abstracted path length should take precedence")
-	}
-}
-
 func TestSameRouteDistinguishesASPaths(t *testing.T) {
 	p := MustParsePrefix("10.0.0.0/8")
 	a := NewLocal(p, EBGP, 1)
@@ -177,13 +164,7 @@ func TestSameRouteDistinguishesASPaths(t *testing.T) {
 	}
 	b.ASPath = []uint32{1, 3}
 	if SameRoute(a, b) {
-		t.Fatal("different concrete AS paths are different routes (without abstraction)")
-	}
-	// Under abstraction, equal lengths merge.
-	a.PathLen, a.ASPath = 2, nil
-	b.PathLen, b.ASPath = 2, nil
-	if !SameRoute(a, b) {
-		t.Fatal("abstracted equal-length routes should merge")
+		t.Fatal("different AS paths are different routes")
 	}
 }
 
@@ -252,12 +233,8 @@ func oldKey(r *Route) string {
 	if r.Aggregate {
 		agg = 1
 	}
-	path := fmt.Sprint(r.ASPath)
-	if r.PathLen >= 0 {
-		path = fmt.Sprintf("len%d", r.PathLen)
-	}
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%s|%d|%d|%d|%d|%v", r.Prefix, r.Protocol, r.NextHop, r.EgressLink,
-		r.LocalPref, path, r.MED, r.Cost, r.OriginatorID, agg, r.Communities)
+	return fmt.Sprintf("%s|%s|%d|%d|%d|%v|%d|%d|%d|%d|%v", r.Prefix, r.Protocol, r.NextHop, r.EgressLink,
+		r.LocalPref, r.ASPath, r.MED, r.Cost, r.OriginatorID, agg, r.Communities)
 }
 
 // randomRoute draws every field from a small range, so that two
@@ -272,7 +249,6 @@ func randomRoute(rng *rand.Rand) *Route {
 		MED:          rng.Intn(2),
 		OriginatorID: rng.Intn(2),
 		Cost:         rng.Intn(2),
-		PathLen:      rng.Intn(4) - 2, // -2 and -1 both mean "concrete path"
 		Hops:         rng.Intn(3),
 		Aggregate:    rng.Intn(4) == 0,
 	}
@@ -288,7 +264,6 @@ func randomRoute(rng *rand.Rand) *Route {
 	if rng.Intn(2) == 0 {
 		r.Communities = []uint64{uint64(rng.Intn(3))}
 	}
-	r.PathBloom[rng.Intn(2)] = uint64(rng.Intn(3))
 	return r
 }
 
@@ -304,9 +279,8 @@ var mutations = []func(*Route){
 	func(r *Route) { r.Cost++ },
 	func(r *Route) { r.OriginatorID++ },
 	func(r *Route) { r.Aggregate = !r.Aggregate },
-	func(r *Route) { r.PathLen++ },                     // -1 → 0 abstracts; -2 → -1 changes nothing
-	func(r *Route) { r.ASPath = append(r.ASPath, 7) },  // ignored when abstracted
-	func(r *Route) { r.ASPath = []uint32{9, 9, 9, 9} }, // same
+	func(r *Route) { r.ASPath = append(r.ASPath, 7) },
+	func(r *Route) { r.ASPath = []uint32{9, 9, 9, 9} },
 	func(r *Route) { // nil ↔ empty is no change; dropping a real path is one
 		if r.ASPath == nil {
 			r.ASPath = []uint32{}
@@ -353,7 +327,7 @@ func TestSameRouteMatchesOldRendering(t *testing.T) {
 		check(a, b)
 		// A clone differing only in what is not identity.
 		c := a.Clone()
-		c.Hops, c.PathBloom = a.Hops+1, [2]uint64{1, 1}
+		c.Hops = a.Hops + 1
 		check(a, c)
 	}
 	if same < 1000 || differ < 1000 {
@@ -362,9 +336,9 @@ func TestSameRouteMatchesOldRendering(t *testing.T) {
 }
 
 // TestIdentityExcludesCarriedAttributes states today's semantics: the
-// hop count and the path bloom ride on a route without being part of
-// which route it is, so a re-advertisement that changes only them
-// refreshes the route already held. Communities are identity (see
+// hop count rides on a route without being part of which route it is,
+// so a re-advertisement that changes only it refreshes the route
+// already held. Communities are identity (see
 // SameRoute): TestSameRouteMatchesOldRendering mutates them.
 func TestIdentityExcludesCarriedAttributes(t *testing.T) {
 	base := NewLocal(MustParsePrefix("10.0.0.0/8"), EBGP, 1)
@@ -374,7 +348,6 @@ func TestIdentityExcludesCarriedAttributes(t *testing.T) {
 		change func(*Route)
 	}{
 		{"Hops", func(r *Route) { r.Hops = 9 }},
-		{"PathBloom", func(r *Route) { r.BloomAddAS(65000) }},
 	} {
 		b := base.Clone()
 		tc.change(b)

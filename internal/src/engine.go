@@ -11,12 +11,10 @@
 // only routes whose tcRib changed are re-advertised, avoiding the
 // withdraw/re-advertise cascades of Hoyan.
 //
-// The three optimizations of §7 are all implemented here: route pruning
-// (conjoining every imported condition with the filtering BDD lf^k),
+// Two optimizations of §7 are implemented here: route pruning
+// (conjoining every imported condition with the filtering BDD lf^k) and
 // prefix pruning (restricting the computation to a subset of prefixes,
-// driven by the stratified analysis in the analysis package), and
-// abstract interpretation (abstracting BGP AS paths to their length so
-// that parallel routes merge).
+// driven by the stratified analysis in the analysis package).
 package src
 
 import (
@@ -122,12 +120,17 @@ type Engine struct {
 	// which allocates it before the fixpoint loop and drops it after:
 	// advertise — the one function that touches it — must not be reached
 	// from outside Run.
-	adv       map[advKey]advSet
+	adv map[advKey]advSet
+	// advConds are the conditions of adv's entries when Run dropped it,
+	// still referenced until Release.
+	advConds  []bdd.Node
 	prefixSet map[route.Prefix]bool // nil when unrestricted
 	stats     Stats
 
-	// loopbackOSPF holds the loopbacks of the iBGP mesh (see ibgp.go).
+	// loopbackOSPF holds the loopbacks of the iBGP mesh and underlay the
+	// engine that computed the mesh's sessions (see ibgp.go).
 	loopbackOSPF map[topology.RouterID]route.Prefix
+	underlay     *Engine
 	// sessions lists, per router, what it advertises over (see
 	// buildSessions); it holds for the whole run.
 	sessions [][]session
@@ -255,13 +258,52 @@ func (e *Engine) Run() error {
 	// Only the fixpoint loop reads the advertisement state (see
 	// Engine.adv), and with a copied route per entry it is about a third
 	// of the engine's heap: let it go rather than have every later
-	// collection mark it. (Its conditions stay referenced in the
-	// manager, as they always were.)
+	// collection mark it. Its conditions stay referenced until Release,
+	// which comes after forwarding: dropping them here would change what
+	// forwarding's collections free, and so its work.
+	n := 0
+	for _, set := range e.adv {
+		n += len(set.Entries())
+	}
+	e.advConds = make([]bdd.Node, 0, n)
+	for _, set := range e.adv {
+		for _, ent := range set.Entries() {
+			e.advConds = append(e.advConds, ent.Value)
+		}
+	}
 	e.adv = nil
 	if e.tel.Active() {
 		e.emitProgress(true)
 	}
 	return err
+}
+
+// Release drops the BDD references the engine holds: the conditions of
+// its RIB entries, the pruning filter, the last advertisements' and the
+// virtual sessions' conditions, and the iBGP underlay's. Statistics
+// stays readable; the RIBs must not be read afterwards.
+func (e *Engine) Release() {
+	if e.underlay != nil {
+		e.underlay.Release()
+	}
+	m := e.Sp.M
+	for _, rib := range e.ribs {
+		for _, list := range rib.prefixes {
+			for _, sr := range list {
+				m.Deref(sr.TcIn)
+				m.Deref(sr.TcRib)
+			}
+		}
+	}
+	m.Deref(e.filter)
+	for _, c := range e.advConds {
+		m.Deref(c)
+	}
+	for _, ss := range e.sessions {
+		for _, s := range ss {
+			m.Deref(s.cond) // False, and no reference, on a link
+		}
+	}
 }
 
 // emitProgress publishes a src progress event. Callers guard with
@@ -447,8 +489,8 @@ func (e *Engine) updateRIB(r topology.RouterID) {
 			}
 		}
 		if idx >= 0 {
-			// Refresh the non-identity fields (hops, path bloom) in
-			// place: only the RIB holds its routes while Run runs.
+			// Refresh the non-identity field (hops) in place: only the
+			// RIB holds its routes while Run runs.
 			*list[idx].Route = rt
 			old := list[idx].TcIn
 			if old != tc {
@@ -525,19 +567,6 @@ func (e *Engine) importTransform(r topology.RouterID, msg message) (rt route.Rou
 			if rt.ContainsAS(rc.BGP.ASN) {
 				return rt, bdd.False, false // AS-path loop
 			}
-			if rt.BloomMayContainAS(rc.BGP.ASN) {
-				// Abstracted routes carry a bloom over the merged
-				// paths' ASes; rejecting on a (possible) hit keeps the
-				// loop check — and hence convergence — sound under
-				// abstraction.
-				return rt, bdd.False, false
-			}
-		}
-		if e.Opts.Abstract {
-			// Abstract interpretation: keep only the path length so
-			// routes differing in concrete AS path merge (§7.3).
-			rt.PathLen = rt.ASPathLen()
-			rt.ASPath = nil
 		}
 		if name, ok := rc.BGP.ImportPolicy[fromName]; ok {
 			out, permit := rc.RouteMaps[name].Apply(&rt, rc.BGP.ASN)
@@ -756,7 +785,6 @@ func (e *Engine) addAdvertisement(out *advSet, rt *route.Route, tc bdd.Node) {
 		return
 	}
 	if cur, added := out.AddCopy(rt, tc); !added {
-		cur.Route.BloomUnion(rt) // merged abstracted routes union their path blooms
 		cur.Value = e.Sp.M.Or(cur.Value, tc)
 	}
 }
@@ -867,11 +895,6 @@ func (e *Engine) bgpOverLink(rc, nc *config.Router, peer topology.RouterID, adv 
 		adv.LocalPref = 100 // local-pref is not transitive over eBGP
 	}
 	adv.ASPath = append([]uint32{rc.BGP.ASN}, adv.ASPath...)
-	if adv.PathLen >= 0 {
-		adv.PathLen++
-		adv.ASPath = nil
-		adv.BloomAddAS(rc.BGP.ASN)
-	}
 	adv.Protocol = route.EBGP // classified precisely at import
 	return adv
 }

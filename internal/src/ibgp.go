@@ -97,6 +97,7 @@ func (e *Engine) setupVirtualSessions() (mesh map[topology.RouterID]bool, virtua
 	if err := sub.Run(); err != nil {
 		return nil, nil, err
 	}
+	e.underlay = sub
 	// Conditions: virt(R→N) = ∨ tcRib of R's routes for N's loopback.
 	// For a converged ACL-free OSPF underlay, having an installed route
 	// is equivalent to end-to-end delivery along it.

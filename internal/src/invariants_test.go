@@ -1,14 +1,12 @@
 package src
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"sre/internal/bdd"
 	"sre/internal/config"
-	"sre/internal/resil"
 	"sre/internal/route"
 	"sre/internal/topology"
 )
@@ -120,7 +118,7 @@ func TestRIBInvariantsRandomBGP(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		net := randomInvariantNet(r, true)
-		for _, opts := range []Options{{PruneK: -1}, {PruneK: 2}, {PruneK: -1, NoECMP: true}, {PruneK: -1, Abstract: true}} {
+		for _, opts := range []Options{{PruneK: -1}, {PruneK: 2}, {PruneK: -1, NoECMP: true}} {
 			e := New(net, opts)
 			if err := e.Run(); err != nil {
 				t.Fatalf("seed %d opts %+v: %v", seed, opts, err)
@@ -183,17 +181,6 @@ router C
     10 permit any set local-pref 200
 end
 `
-
-// TestBadGadgetDiverges: the engine must detect the bad gadget's
-// oscillation under AS-path abstraction (§7.3) and return a convergence
-// error at the default activation cap instead of hanging.
-// TestConvergenceGuard checks the concrete variant.
-func TestBadGadgetDiverges(t *testing.T) {
-	e := New(mustNet(t, badGadget), Options{PruneK: -1, Abstract: true})
-	if err := e.Run(); !errors.Is(err, resil.ErrNoConvergence) {
-		t.Fatalf("bad gadget under abstraction: err = %v, want ErrNoConvergence", err)
-	}
-}
 
 // TestPruneSoundness: pruned computation must agree with the unpruned
 // one on every scenario within the budget: tcRib_pruned = tcRib_full ∧ lf^k

@@ -24,10 +24,6 @@ type Options struct {
 	// routes whose condition becomes False are dropped. Negative
 	// disables pruning (the full failure space is explored).
 	PruneK int `json:"prune_k"`
-	// Abstract enables abstract interpretation (§7.3): BGP AS paths are
-	// abstracted to their length, letting routes that differ only in
-	// their concrete path merge into one symbolic route.
-	Abstract bool `json:"abstract"`
 	// NoECMP disables multi-path route selection; by default routes of
 	// equal preference form one priority tier and are all installed.
 	NoECMP bool `json:"no_ecmp"`

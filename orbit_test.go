@@ -284,6 +284,48 @@ func TestOrbitFilledStoreServesFullRuns(t *testing.T) {
 	}
 }
 
+// TestLadderKeepsOrbitsOff: the rung a prefix lands on depends on its
+// node counts under the variable order, which a renaming does not
+// preserve, so a resilient run must verify every member of an orbit
+// itself (RenamingInvariant's ladder term). FatTree(4) k=3 is one orbit
+// of 8 prefixes; at a 31 000-node limit half of them verify at the
+// requested budget and half overflow it and verify at a halved one.
+// Answering the members through one representative would give them
+// all its rungs and tolerances.
+func TestLadderKeepsOrbitsOff(t *testing.T) {
+	net := workload.FatTree(4, workload.BGP)
+	opts := Options{MaxFailures: 3, BDDNodeLimit: 31000, Resilient: true, Parallelism: 1}
+	run := func(orbits bool) ([]PrefixOutcome, []PrefixResult) {
+		v, err := newVerifier(net, opts, orbits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Release()
+		sweep, err := v.FailureTolerances("edge0-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Outcomes(), sweep
+	}
+	wantOuts, wantSweep := run(false)
+	degraded := 0
+	for _, o := range wantOuts {
+		if o.Degraded {
+			degraded++
+		}
+	}
+	if len(wantOuts) != 8 || degraded != 4 {
+		t.Fatalf("fixture drifted: %d of %d prefixes degraded, want 4 of 8", degraded, len(wantOuts))
+	}
+	gotOuts, gotSweep := run(true)
+	if !reflect.DeepEqual(gotOuts, wantOuts) {
+		t.Errorf("outcomes diverge from the run without orbits\n got %+v\nwant %+v", gotOuts, wantOuts)
+	}
+	if !reflect.DeepEqual(gotSweep, wantSweep) {
+		t.Errorf("tolerance sweep diverges from the run without orbits\n got %+v\nwant %+v", gotSweep, wantSweep)
+	}
+}
+
 // TestOrbitsRespectWhatBreaksSymmetry perturbs FatTree(4) where a
 // renaming would have to notice: an extra link, an ACL naming
 // 10.0.0.0/23 on every core interface, a route map matching a community

@@ -11,12 +11,11 @@ import (
 )
 
 // The three verifications the determinism tests pin across execution
-// configurations: ft4Plain, where no prefix degrades; ft4Limited, where
-// the node limit makes all 8 prefixes quarantine and verify on the
-// abstract rung; and ft4Halved, inside the window (2 558 … 4 509 nodes,
-// EXPERIMENTS.md) where abstraction is not enough and all 8 verify on
-// halve-budget at budget 1 of the 3 requested — so the ladder, the
-// effective budget included, is compared cell by cell too.
+// configurations: ft4Plain, where no prefix degrades, and ft4Limited
+// and ft4Halved, where the node limit (20 000 and 3 500 nodes) makes
+// all 8 prefixes quarantine and verify on halve-budget at budget 1 of
+// the 3 requested — so the ladder, the effective budget included, is
+// compared cell by cell too.
 var (
 	ft4Plain   = sre.Options{MaxFailures: 2, Resilient: true}
 	ft4Limited = sre.Options{MaxFailures: 3, BDDNodeLimit: 20000, Resilient: true}
@@ -30,8 +29,8 @@ var (
 		effectiveK int
 	}{
 		{"plain", ft4Plain, nil, 2},
-		{"nodelimit20k", ft4Limited, []string{sre.RungAbstract}, 3},
-		{"nodelimit3500", ft4Halved, []string{sre.RungAbstract, sre.RungHalveBudget}, 1},
+		{"nodelimit20k", ft4Limited, []string{sre.RungHalveBudget}, 1},
+		{"nodelimit3500", ft4Halved, []string{sre.RungHalveBudget}, 1},
 	}
 )
 

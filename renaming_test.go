@@ -64,11 +64,11 @@ func renamed(t *testing.T, net *sre.Network, rng *rand.Rand) (*sre.Network, map[
 // options analysis.RenamingInvariant admits. The options it leaves out
 // fail here: with NoECMP, which keeps the first route of a tier by
 // router ID, tolerances and probabilities moved on FatTree(4) and on the
-// OSPF WAN; with Abstract, which hashes AS numbers into path blooms,
-// they moved on a 20-router BGP WAN. IBGPFullMesh stays out because it
-// derives loopback prefixes from router IDs; the policied mesh needs it
-// for its iBGP sessions and runs with it anyway, and its answers must
-// not move.
+// OSPF WAN. IBGPFullMesh stays out because it derives loopback prefixes
+// from router IDs; the policied mesh needs it for its iBGP sessions and
+// runs with it anyway, and its answers must not move. The ladder stays
+// out because the rung a prefix lands on depends on the variable order
+// (TestLadderKeepsOrbitsOff).
 func TestRenamingChangesNoAnswer(t *testing.T) {
 	policied, err := sre.ParseNetwork(policiedMesh)
 	if err != nil {

@@ -36,7 +36,6 @@ func TestVerificationReproducible(t *testing.T) {
 			sre.Options{MaxFailures: 2, Parallelism: 1, IBGPFullMesh: true}, false},
 		{"fattree4-parallel2", ft4, sre.Options{MaxFailures: 2, Parallelism: 2}, false},
 		{"fattree4-nodelimit20k", ft4, sre.Options{MaxFailures: 2, Parallelism: 1, Resilient: true, BDDNodeLimit: 20000}, false},
-		{"fattree4-abstract", ft4, sre.Options{MaxFailures: 2, Parallelism: 1, Abstract: true}, false},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			type work struct {

@@ -15,7 +15,6 @@ type PrefixOutcome = analysis.PrefixOutcome
 
 // Degradation-ladder rung names recorded in PrefixOutcome.Rungs.
 const (
-	RungAbstract    = analysis.RungAbstract
 	RungHalveBudget = analysis.RungHalveBudget
 	// RungWorkerCrash marks a prefix of a multi-process run that
 	// exhausted its worker attempts and was re-verified in-process. It

@@ -91,9 +91,6 @@ type Options struct {
 	// The default (0) explores only the no-failure scenario; most
 	// callers want 1-4.
 	MaxFailures int
-	// Abstract enables AS-path abstraction (§7.3), recommended for
-	// data-center fabrics with many equal-length paths.
-	Abstract bool
 	// NoECMP disables multipath route selection.
 	NoECMP bool
 	// IBGPFullMesh enables iBGP full-mesh sessions among same-AS
@@ -151,10 +148,10 @@ type Options struct {
 	// every prefix is verified as its own scoped task (at any
 	// Parallelism), and instead of failing the whole run when a task
 	// overflows the BDD node table, that prefix is quarantined and
-	// retried through an escalation ladder (AS-path abstraction, then a
-	// halved failure budget) while the remaining prefixes complete
-	// normally. Per-prefix outcomes are reported by Verifier.Outcomes; a
-	// prefix verified on the halve-budget rung answers for its
+	// retried at halved failure budgets (MaxFailures/2, /4, ... down to
+	// 0) while the remaining prefixes complete normally. Per-prefix
+	// outcomes are reported by Verifier.Outcomes; a prefix verified on
+	// the halve-budget rung answers for its
 	// EffectivePruneK, so its tolerances are sound lower bounds: reach
 	// and waypoint tolerances count every unexplored scenario as a
 	// violation (they never exceed the unlimited answer), and an
@@ -315,7 +312,6 @@ func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 	checker := resil.NewSharedChecker(opts.Context, opts.Timeout)
 	srcOpts := src.Options{
 		PruneK:       opts.MaxFailures,
-		Abstract:     opts.Abstract,
 		NoECMP:       opts.NoECMP,
 		IBGPFullMesh: opts.IBGPFullMesh,
 		Telemetry:    opts.telemetry(),
@@ -611,10 +607,11 @@ type PairKey = analysis.PairKey
 // load-balancing specs) for every (source, prefix) pair, exploring up to
 // maxFailures simultaneous failures with the paper's stratified
 // route/prefix pruning. Options.Context/Timeout bound the run;
-// Options.Resilient lets individual prefixes degrade (quarantine and
-// AS-path abstraction — never budget halving, which would corrupt the
-// stratification) instead of failing the whole mine, with per-prefix
-// outcomes reported in Specs.Outcomes.
+// Options.Resilient lets a prefix that overflows the node table fail
+// alone instead of failing the whole mine: it is quarantined with no
+// retry (halving the budget would corrupt the stratification), its
+// outcome is reported in Specs.Outcomes and its undecided pairs in
+// Specs.DegradedPairs.
 func MineSpecs(net *Network, maxFailures int, opts Options) (specs *Specs, err error) {
 	srcOpts, _, err := buildOpts(opts)
 	if err != nil {
