@@ -1,8 +1,10 @@
 package sre
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,20 +44,33 @@ func (c ForwardingClass) String() string {
 		strings.Join(c.Path, "→"), status, c.Packets, c.MinFailures)
 }
 
-// ForwardingClasses returns the PFECs discovered from the named source
-// router, most-covering first. This is the raw product-space view that
-// all analyses are derived from; use it to audit which paths exist and
-// under which failure regimes they activate. Prefixes answered through
-// their symmetry orbit contribute the classes the run verifying them
-// would have found, with paths renamed through the symmetry.
+// ForwardingClasses returns the forwarding classes from the named source
+// router, most-covering first: one per forwarding path, as Definition 1
+// defines a PFEC, with the same list at every Parallelism, with or
+// without a Store, Workers or Resilient. This is the raw product-space
+// view that all analyses are derived from; use it to audit which paths
+// exist and under which failure regimes they activate. Prefixes
+// answered through their symmetry orbit contribute the classes the run
+// verifying them would have found, with paths renamed through the
+// symmetry.
 func (v *Verifier) ForwardingClasses(srcRouter string) (out []ForwardingClass, err error) {
 	defer guard("analysis", v.tel, &err)
 	s, ok := v.net.Topology.RouterByName(srcRouter)
 	if !ok {
 		return nil, fmt.Errorf("sre: unknown router %q", srcRouter)
 	}
-	for _, c := range v.classesFrom(s, true) {
-		out = append(out, v.forwardingClass(c))
+	parts := v.classesFrom(s, nil)
+	for len(parts) > 0 {
+		n := 1
+		for n < len(parts) && compareClass(parts[0], parts[n]) == 0 {
+			n++
+		}
+		c, err := v.forwardingClass(parts[:n])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+		parts = parts[n:]
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -76,166 +91,145 @@ func (v *Verifier) ForwardingClasses(srcRouter string) (out []ForwardingClass, e
 	return out, nil
 }
 
-// classPart is one PFEC predicate on one pipeline, or the slice of one
-// that a symmetry carries to another prefix, whose scenarios are read
-// with every link renamed through perm (nil: as they are).
-type classPart struct {
-	pipe *analysis.Pipeline
-	pred bdd.Node
-	perm symmetry.Perm
-}
-
-// classView is one forwarding class as the run without orbits reports
-// it: a path and the parts whose union is its predicate. A combined run
-// merges the PFECs of every prefix that share a path into one class.
-type classView struct {
-	path      []topology.RouterID
-	delivered bool
-	parts     []classPart
-}
-
-// classesFrom lists the forwarding classes from source s. A scoped
-// pipeline (one per prefix) gives each prefix it answers — itself and
-// the members of its orbit imaged onto it — classes of their own. The
-// combined pipeline's PFECs are merged, path by path, with the slices
-// of its representatives' PFECs that each member's symmetry carries
-// over; without build, the parts' predicates are left unbuilt.
-func (v *Verifier) classesFrom(s topology.RouterID, build bool) []classView {
-	var out []classView
-	merged := map[*analysis.Pipeline]map[string]int{}
-	add := func(pipe *analysis.Pipeline, pf *spf.PFEC, perm symmetry.Perm, part classPart) {
-		path := pf.Path
-		if perm != nil {
-			path = make([]topology.RouterID, len(pf.Path))
-			for i, r := range pf.Path {
-				path[i] = perm[r]
-			}
-		}
-		if pipe.Scope != nil {
-			out = append(out, classView{path: path, delivered: pf.Delivered, parts: []classPart{part}})
-			return
-		}
-		key := fmt.Sprint(path, pf.Delivered, pf.Looped)
-		if i, ok := merged[pipe][key]; ok {
-			out[i].parts = append(out[i].parts, part)
-			return
-		}
-		merged[pipe][key] = len(out)
-		out = append(out, classView{path: path, delivered: pf.Delivered, parts: []classPart{part}})
-	}
-	for _, o := range v.outcomes {
-		pipes := v.part.PipelinesFor(o.Prefix)
-		if len(pipes) == 0 {
-			continue
-		}
-		pipe := pipes[0]
-		img, imaged := v.part.Image(o.Prefix)
-		switch {
-		case pipe.Scope != nil && !imaged:
-			for _, pf := range pipe.PFECs(s) {
-				add(pipe, pf, nil, classPart{pipe: pipe, pred: pf.Pred})
-			}
-		case pipe.Scope != nil:
-			for _, pf := range pipe.PFECs(img.Inv[s]) {
-				add(pipe, pf, img.Perm, classPart{pipe: pipe, pred: pf.Pred})
-			}
-		case merged[pipe] == nil:
-			merged[pipe] = map[string]int{}
-			for _, pf := range pipe.PFECs(s) {
-				add(pipe, pf, nil, classPart{pipe: pipe, pred: pf.Pred})
-			}
-		}
-		if !imaged || pipe.Scope != nil {
-			continue
-		}
-		m := pipe.Sp.M
-		hdr := pipe.Sp.Prefix(img.Rep)
-		for _, pf := range pipe.PFECs(img.Inv[s]) {
-			if !m.AndSat(pf.Pred, hdr) {
-				continue
-			}
-			part := classPart{pipe: pipe, perm: img.Perm}
-			if build {
-				part.pred = m.And(pf.Pred, hdr)
-			}
-			add(pipe, pf, img.Perm, part)
-		}
-	}
-	return out
-}
-
-// forwardingClass summarises one class. Its parts' packet sets are
-// disjoint, so their counts add; their scenario sets are united after
-// renaming their links.
-func (v *Verifier) forwardingClass(c classView) ForwardingClass {
-	t := v.net.Topology
-	names := make([]string, len(c.path))
-	for i, r := range c.path {
-		names[i] = t.Name(r)
-	}
-	fc := ForwardingClass{Path: names, Delivered: c.delivered}
-	var topos []bdd.Node
-	for i, part := range c.parts {
-		sp := part.pipe.Sp
-		fc.Packets += sp.M.SatCount(sp.HeaderOnly(part.pred), symbol.HeaderBits)
-		topo := sp.TopoOnly(part.pred)
-		// Min failures: fewest down-links in any satisfying scenario =
-		// shortest dashed path to True on the topology projection.
-		minFail := 0
-		if topo != bdd.True {
-			if down, ok := minDownToSatisfy(sp.M, topo); ok {
-				minFail = down
-			}
-		}
-		if i == 0 || minFail < fc.MinFailures {
-			fc.MinFailures = minFail
-		}
-		if len(c.parts) > 1 && part.perm != nil {
-			topo = sp.M.Permute([]bdd.Node{topo}, analysis.VarRenaming(sp, t, part.perm), nil)[0]
-		}
-		topos = append(topos, topo)
-	}
-	sp := c.parts[0].pipe.Sp
-	fc.Scenarios = sp.M.SatCount(sp.M.OrN(topos...), t.NumLinks())
-	return fc
-}
-
-// countPFECs is NumPFECs: the pipelines' own counts, unless prefixes
-// were answered through their orbits. Then a scoped pipeline counts once
-// for each prefix it answers, and a combined one counts its classes
-// merged with its members' as the combined run would have found them.
+// countPFECs is NumPFECs: the classes from every source. It reuses one
+// slice of parts for every source, so it allocates nothing per PFEC.
 func (v *Verifier) countPFECs() int {
+	var parts []classPart
 	n := 0
-	if !v.part.Imaged() {
-		for _, pipe := range v.part.Groups {
-			n += pipe.NumPFECs()
-		}
-		return n
-	}
-	for _, pipe := range v.part.Groups {
-		if pipe.Scope == nil {
-			for s := range v.net.Topology.NumRouters() {
-				n += len(v.classesFrom(topology.RouterID(s), false))
+	for s := range v.net.Topology.NumRouters() {
+		parts = v.classesFrom(topology.RouterID(s), parts[:0])
+		for i := range parts {
+			if i == 0 || compareClass(parts[i-1], parts[i]) != 0 {
+				n++
 			}
-			return n
-		}
-	}
-	for _, o := range v.outcomes {
-		if pipes := v.part.PipelinesFor(o.Prefix); len(pipes) > 0 {
-			n += pipes[0].NumPFECs()
 		}
 	}
 	return n
 }
 
-// minDownToSatisfy returns the minimum number of links assigned down on
-// any satisfying assignment of the topology BDD.
-func minDownToSatisfy(m *bdd.Manager, topo bdd.Node) (int, bool) {
-	sp := m.ShortestPathToTrue(topo)
-	if sp == math.MaxInt32 {
-		return 0, false
+// classPart is one PFEC as a part of a forwarding class: pf of pipe, its
+// path read through perm (nil: as it is) and its predicate cut to the
+// headers hdr (bdd.True: whole).
+type classPart struct {
+	pipe *analysis.Pipeline
+	pf   *spf.PFEC
+	perm symmetry.Perm
+	hdr  bdd.Node
+}
+
+// hop is the i-th router of the part's path.
+func (p classPart) hop(i int) topology.RouterID {
+	if p.perm == nil {
+		return p.pf.Path[i]
 	}
-	return sp, true
+	return p.perm[p.pf.Path[i]]
+}
+
+// compareClass orders parts by what makes them one class: the path as
+// read, then whether it ends in delivery and whether it loops.
+func compareClass(p, q classPart) int {
+	if c := cmp.Compare(len(p.pf.Path), len(q.pf.Path)); c != 0 {
+		return c
+	}
+	for i := range p.pf.Path {
+		if c := cmp.Compare(p.hop(i), q.hop(i)); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(btoi(p.pf.Delivered)+2*btoi(p.pf.Looped), btoi(q.pf.Delivered)+2*btoi(q.pf.Looped))
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// classesFrom appends the parts of the classes from source s to parts
+// and sorts them by class (compareClass), the parts of one class in the
+// order they were found: each PFEC of every pipeline the run kept — a
+// prefix's own scoped one, or the one combined pipeline — and, for each
+// prefix answered through its orbit, each PFEC of its representative's
+// pipeline from π⁻¹(s), read through π. A scope that covers another
+// originated prefix also forwards that prefix's headers, whose classes
+// its own pipeline reports: its pipeline contributes the PFECs that
+// meet its owned headers (Pipeline.OwnedHeaders), cut to them.
+func (v *Verifier) classesFrom(s topology.RouterID, parts []classPart) []classPart {
+	add := func(pipe *analysis.Pipeline, src topology.RouterID, perm symmetry.Perm) {
+		hdr := bdd.True
+		if pipe.Scope != nil {
+			if owned := pipe.OwnedHeaders(*pipe.Scope); owned != pipe.Sp.Prefix(*pipe.Scope) {
+				hdr = owned
+			}
+		}
+		for _, pf := range pipe.PFECs(src) {
+			if hdr == bdd.True || pipe.Sp.M.AndSat(pf.Pred, hdr) {
+				parts = append(parts, classPart{pipe: pipe, pf: pf, perm: perm, hdr: hdr})
+			}
+		}
+	}
+	for _, pipe := range v.part.Groups {
+		add(pipe, s, nil)
+	}
+	for _, o := range v.outcomes {
+		img, imaged := v.part.Image(o.Prefix)
+		if pipes := v.part.PipelinesFor(o.Prefix); imaged && len(pipes) == 1 {
+			add(pipes[0], img.Inv[s], img.Perm)
+		}
+	}
+	slices.SortStableFunc(parts, compareClass)
+	return parts
+}
+
+// forwardingClass summarises one class from its parts. Their packet
+// sets are disjoint, so their counts add. Their scenario sets are united
+// in the first part's manager, after renaming their links and carrying
+// the parts of other managers over through the BDD codec.
+func (v *Verifier) forwardingClass(parts []classPart) (ForwardingClass, error) {
+	t := v.net.Topology
+	head := parts[0]
+	names := make([]string, len(head.pf.Path))
+	for i := range names {
+		names[i] = t.Name(head.hop(i))
+	}
+	fc := ForwardingClass{Path: names, Delivered: head.pf.Delivered}
+	m := head.pipe.Sp.M
+	var topos []bdd.Node
+	var buf bytes.Buffer
+	for i, part := range parts {
+		sp := part.pipe.Sp
+		pred := part.pf.Pred
+		if part.hdr != bdd.True {
+			pred = sp.M.And(pred, part.hdr)
+		}
+		fc.Packets += sp.M.SatCount(sp.HeaderOnly(pred), symbol.HeaderBits)
+		topo := sp.TopoOnly(pred)
+		// Min failures: fewest down-links in any satisfying scenario =
+		// shortest dashed path to True on the topology projection (a
+		// part's predicate is never False).
+		minFail := sp.M.ShortestPathToTrue(topo)
+		if i == 0 || minFail < fc.MinFailures {
+			fc.MinFailures = minFail
+		}
+		if len(parts) > 1 && part.perm != nil {
+			topo = sp.M.Permute([]bdd.Node{topo}, analysis.VarRenaming(sp, t, part.perm), nil)[0]
+		}
+		if sp.M != m {
+			buf.Reset()
+			if err := sp.M.Write(&buf, topo); err != nil {
+				return fc, err
+			}
+			read, err := m.Read(&buf)
+			if err != nil {
+				return fc, err
+			}
+			topo = read[0]
+		}
+		topos = append(topos, topo)
+	}
+	fc.Scenarios = m.SatCount(m.OrN(topos...), t.NumLinks())
+	return fc, nil
 }
 
 // RouterNames returns all router names, sorted (a convenience for

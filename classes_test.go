@@ -1,10 +1,13 @@
 package sre_test
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"sre"
+	"sre/internal/workload"
 )
 
 func TestForwardingClasses(t *testing.T) {
@@ -57,5 +60,88 @@ func TestRouterNames(t *testing.T) {
 	names := v.RouterNames()
 	if len(names) != 3 || names[0] != "A" || names[2] != "C" {
 		t.Fatalf("RouterNames = %v", names)
+	}
+}
+
+// TestClassesSameAtEverySetting pins one definition of a forwarding
+// class (Definition 1: the tuples that traverse one path): NumPFECs and
+// every ForwardingClasses field from every router read the same at P=1,
+// P=2 and P=8, with a cold and a warm store, on two worker subprocesses
+// and resilient (no prefix overflows). The inputs have nested prefixes
+// (the quickstart network), prefixes that share paths (Campus(40), and
+// a fat tree whose edge routers originate two prefixes each, answered
+// through symmetry orbits) and OSPF (a WAN).
+func TestClassesSameAtEverySetting(t *testing.T) {
+	golden, err := sre.ParseNetwork(goldenNetwork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		net  *sre.Network
+	}{
+		{"quickstart", golden},
+		{"campus40", workload.Campus(workload.CampusOptions{VLANs: 40})},
+		{"fattree4-two-prefixes", sre.TwoPrefixFatTree(4)},
+		{"wan-ospf", workload.SyntheticWAN("classes", 16, 24, workload.OSPF, 23)},
+	}
+	classes := func(t *testing.T, net *sre.Network, opts sre.Options) (int, [][]sre.ForwardingClass) {
+		t.Helper()
+		opts.MaxFailures = 1
+		v, err := sre.NewVerifier(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Release()
+		var out [][]sre.ForwardingClass
+		for _, r := range v.RouterNames() {
+			c, err := v.ForwardingClasses(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, c)
+		}
+		return v.NumPFECs(), out
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			wantN, want := classes(t, in.net, sre.Options{Parallelism: 1})
+			dir := t.TempDir()
+			for _, setting := range []struct {
+				name string
+				opts sre.Options
+			}{
+				{"P=2", sre.Options{Parallelism: 2}},
+				{"P=8", sre.Options{Parallelism: 8}},
+				{"cold store", sre.Options{Parallelism: 1}},
+				{"warm store", sre.Options{Parallelism: 1}},
+				{"workers=2", sre.Options{Workers: 2}},
+				{"resilient", sre.Options{Parallelism: 1, Resilient: true}},
+			} {
+				var st *sre.Store
+				if setting.name == "cold store" || setting.name == "warm store" {
+					if st, err = sre.OpenStore(dir, sre.StoreOptions{}); err != nil {
+						t.Fatal(err)
+					}
+					setting.opts.Store = st
+				}
+				gotN, got := classes(t, in.net, setting.opts)
+				if st != nil {
+					if m := st.Metrics(); setting.name == "warm store" && (m.Hits == 0 || m.Misses != 0) {
+						t.Errorf("warm store: %+v, want hits and no miss", m)
+					}
+					st.Close()
+				}
+				if gotN != wantN {
+					t.Errorf("%s: NumPFECs %d, want %d (P=1)", setting.name, gotN, wantN)
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("%s, router %d: forwarding classes differ from P=1:\n got  %v\n want %v",
+							setting.name, i, fmt.Sprint(got[i]), fmt.Sprint(want[i]))
+					}
+				}
+			}
+		})
 	}
 }

@@ -52,9 +52,7 @@ func (x *Executor) OrbitsApply() bool {
 
 // representatives splits domain into the prefixes the run verifies and
 // the images of the others. Without orbits, or where they do not apply
-// (OrbitsApply), every prefix is its own representative. A member that
-// the representatives' task domain computes anyway (an overlapping or
-// aggregated prefix) is verified itself.
+// (OrbitsApply), every prefix is its own representative.
 func (x *Executor) representatives(domain []route.Prefix) ([]route.Prefix, map[route.Prefix]Image) {
 	if x.Orbits.Len() == 0 || !x.OrbitsApply() {
 		return domain, nil
@@ -82,25 +80,12 @@ func (x *Executor) representatives(domain []route.Prefix) ([]route.Prefix, map[r
 	if len(images) == 0 {
 		return domain, nil
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, p := range taskDomain(x.Net, reps...) {
-			if _, ok := images[p]; ok {
-				delete(images, p)
-				reps = append(reps, p)
-				changed = true
-			}
-		}
-	}
-	if len(images) == 0 {
-		return domain, nil
-	}
 	for p, img := range images {
 		img.Perm = x.Orbits.Carry(img.Rep, p)
 		img.Inv = img.Perm.Inverse()
 		images[p] = img
 	}
-	return sortedPrefixList(reps), images
+	return reps, images
 }
 
 // VarRenaming is the variable map (bdd.Manager.Permute) that carries a

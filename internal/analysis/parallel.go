@@ -169,34 +169,28 @@ type Executor struct {
 // Run executes domain and assembles a Partitioned: outcomes per prefix,
 // pipelines in prefix order whatever the completion order. When there
 // is nothing to decompose for — one worker (or one prefix), no ladder,
-// no cache, no fleet — the whole domain runs as a single unscoped task
-// in one space and the one pipeline covers every prefix. A non-nil
-// Opts.Prefixes is then closed over its dependencies (taskDomain), so
-// restricting a run never drops the routes its answers depend on.
-// Otherwise Opts.Prefixes is ignored and each prefix runs scoped to its
-// own task domain.
+// no cache, no fleet, no orbit — the whole domain runs as a single
+// unscoped task in one space and the one pipeline covers every prefix.
+// A non-nil Opts.Prefixes is then closed over its dependencies
+// (taskDomain), so restricting a run never drops the routes its
+// answers depend on. Otherwise Opts.Prefixes is ignored and each prefix
+// runs scoped to its own task domain.
 //
 // With Orbits, only each orbit's representative — its smallest member
-// in domain — is verified: the combined branch runs over the
-// representatives' task domain, and the per-prefix branch looks up,
-// runs, publishes and dispatches representatives alone. Every other
-// member gets its representative's outcome and pipeline and an Image
-// that renames its queries onto them. Which branch runs is decided by
-// the whole domain, so a member is reported as the run without orbits
-// would report it. With a cache, a representative computed in this run
+// in domain — is verified, as a scoped task at every setting: the
+// per-prefix branch looks up, runs, publishes and dispatches
+// representatives alone. Every other member gets its representative's
+// outcome and pipeline and an Image that renames its queries onto
+// them. With a cache, a representative computed in this run
 // (in-process, or decoded from a fleet worker) also publishes its
 // members' records, renamed from its pipeline (publishMembers); one
 // read from the cache published them when it was computed, so a warm
 // run reads one record per orbit.
 //
-// The combined branch is not the faster one everywhere. At P=1, serial
-// scoped runs (NewVerifier with this branch bypassed) verify FatTree(6)
-// in 0.56–0.64 s against 0.64–0.77 s combined, and Bics in 0.78–0.94 s
-// against 1.32–1.37 s. It earns its place on Campus(200), where scoped
-// runs take 2.5–3.4 s against 0.40–0.48 s combined, and in memory:
-// Bics' scoped runs peak at 1.18 M nodes summed against 0.46 M. ROADMAP
-// item 5 would run every setting through the per-prefix path, once a
-// worker keeps one manager across its tasks.
+// The combined branch is not the faster one everywhere: serial scoped
+// runs beat it on FatTree(6) and Bics, but it verifies Campus(200) in
+// 0.40–0.48 s against 2.5–3.4 s scoped, and Bics peaks at 0.46 M nodes
+// against 1.18 M summed over its scoped runs.
 //
 // The run completes with per-prefix outcomes unless it is canceled,
 // times out, or hits an error the ladder does not absorb; then every
@@ -215,10 +209,10 @@ func (x *Executor) Run(domain []route.Prefix) (*Partitioned, error) {
 	}
 	reps, images := x.representatives(domain)
 	pt.images = images
-	if x.Dispatch == nil && x.Cache == nil && !x.Ladder && (x.Workers <= 1 || len(pt.outcomes) <= 1) {
+	if x.Dispatch == nil && x.Cache == nil && !x.Ladder && images == nil && (x.Workers <= 1 || len(pt.outcomes) <= 1) {
 		opts := x.Opts
-		if opts.Prefixes != nil || images != nil {
-			opts.Prefixes = taskDomain(x.Net, reps...)
+		if opts.Prefixes != nil {
+			opts.Prefixes = taskDomain(x.Net, domain...)
 		}
 		pipe, err := Run(x.Net, opts)
 		if err != nil {

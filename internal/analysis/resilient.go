@@ -58,10 +58,6 @@ type Partitioned struct {
 	images map[route.Prefix]Image
 }
 
-// Imaged reports whether any prefix is answered through its orbit's
-// representative.
-func (pt *Partitioned) Imaged() bool { return len(pt.images) > 0 }
-
 // Image returns how pfx is answered when the run verified its orbit's
 // representative instead; ok is false for a prefix verified itself.
 func (pt *Partitioned) Image(pfx route.Prefix) (img Image, ok bool) {

@@ -32,11 +32,12 @@ const (
 	gcYield  = 4        // sweep when at least 1/gcYield of the allocated nodes is dead
 )
 
-// GC runs a mark-and-sweep collection and reports how many nodes were
-// freed. Operation-cache entries whose operands and result all survive
-// are retained (warm restarts after GC); entries referencing a dead node
-// are invalidated.
-func (m *Manager) GC() int { return m.collect(false) }
+// GC runs a mark-and-sweep collection, empties the operation cache and
+// reports how many nodes were freed. Callers collect explicitly where a
+// piece of work ends, so few entries would be asked again, and emptying
+// the cache costs a fraction of sweeping it; MaybeGC keeps the entries
+// whose operands and result all survive.
+func (m *Manager) GC() int { return m.collect(false, false) }
 
 // MaybeGC collects at a safe point. With threshold zero it applies the
 // collection policy above; a positive threshold instead collects
@@ -54,19 +55,20 @@ func (m *Manager) MaybeGC(threshold int) int {
 		if m.nodes < threshold {
 			return 0
 		}
-		return m.GC()
+		return m.collect(false, true)
 	}
 	pressure := m.limit / 4 * 3
 	if m.nodes < min(m.gcAt, pressure) {
 		return 0
 	}
-	return m.collect(m.nodes < pressure)
+	return m.collect(m.nodes < pressure, true)
 }
 
 // collect marks the live nodes, moves the next look to gcGrowth times
 // their count and sweeps — unless onlyIfWorthIt is set and the mark
-// found less than 1/gcYield of the allocated nodes dead.
-func (m *Manager) collect(onlyIfWorthIt bool) int {
+// found less than 1/gcYield of the allocated nodes dead. A sweep empties
+// the operation cache unless keepCache keeps the entries that survive.
+func (m *Manager) collect(onlyIfWorthIt, keepCache bool) int {
 	var gcT0 time.Time
 	recording := m.tel.Recording()
 	if recording {
@@ -78,7 +80,11 @@ func (m *Manager) collect(onlyIfWorthIt bool) int {
 		return 0
 	}
 	freed := m.sweep(mark)
-	m.sweepCache(mark)
+	if keepCache {
+		m.sweepCache(mark)
+	} else {
+		clear(m.cache)
+	}
 	m.stats.HitsAtLastGC = m.stats.CacheHits
 	m.stats.MissAtLastGC = m.stats.CacheMiss
 	m.stats.GCRuns++

@@ -146,8 +146,9 @@ func support(m *Manager, f Node) []int {
 // TestKernelMatchesTruthTable drives one random operation stream
 // through the manager and through the truth-table oracle and compares
 // every result semantically. The second input forces a collection
-// between building the operands and using them, so results served from
-// the liveness-swept operation cache are compared to truth too. The
+// (MaybeGC at a threshold of one node) between building the operands
+// and using them, so results served from the liveness-swept operation
+// cache are compared to truth too. The
 // third calls MaybeGC there instead, with the next look moved to now:
 // the mark-only path, the sweep path and (every third iteration, under
 // a node limit the table has reached) the limit path all run, and each
@@ -196,7 +197,7 @@ func kernelVsTruthTable(t *testing.T, mode string) {
 		keep(m.And(f, g.n), ft.and(g.t))
 		switch mode {
 		case "gc":
-			m.GC()
+			m.MaybeGC(1)
 		case "maybegc":
 			// Most iterations leave over a quarter of the table dead, so
 			// the first look sweeps; a second look right after it finds
@@ -322,6 +323,9 @@ func maybeGC(t *testing.T, m *Manager, underLimit bool, markOnly, swept, limitSw
 	}
 }
 
+// TestGCRetainsLiveCacheEntries: an automatic collection (MaybeGC, here
+// at a threshold the table has reached) sweeps the operation cache by
+// liveness, keeping the entries whose operands and result survive.
 func TestGCRetainsLiveCacheEntries(t *testing.T) {
 	m := New(Config{Vars: 16})
 	f := m.Ref(buildDense(m, 16))
@@ -333,7 +337,7 @@ func TestGCRetainsLiveCacheEntries(t *testing.T) {
 		m.Xor(m.And(m.Var(v), f), m.Or(m.Var(v+1), g))
 	}
 	statsBefore := m.Statistics()
-	m.GC()
+	m.MaybeGC(1)
 	st := m.Statistics()
 	if st.CacheRetained == 0 {
 		t.Fatal("sweep retained nothing despite live operands")
@@ -361,6 +365,35 @@ func TestGCRetainsLiveCacheEntries(t *testing.T) {
 	chk := New(Config{Vars: 16})
 	if chk.NodeCount(chk.AndN(chk.Var(0), chk.Var(7), chk.Var(13))) != m.NodeCount(res) {
 		t.Fatal("post-GC operations diverged")
+	}
+}
+
+// TestGCEmptiesCache: an explicit GC() leaves no operation-cache entry,
+// and operations recompute correct results afterwards.
+func TestGCEmptiesCache(t *testing.T) {
+	m := New(Config{Vars: 16})
+	f := m.Ref(buildDense(m, 16))
+	g := m.Ref(m.Or(m.Var(1), m.And(m.Var(3), m.NVar(5))))
+	h := m.Ref(m.And(f, g))
+	for v := 0; v < 14; v++ {
+		m.Xor(m.And(m.Var(v), f), m.Or(m.Var(v+1), g))
+	}
+	statsBefore := m.Statistics()
+	m.GC()
+	for i, e := range m.cache {
+		if e.op != 0 {
+			t.Fatalf("op-cache entry %d (op %d) survived GC()", i, e.op)
+		}
+	}
+	st := m.Statistics()
+	if st.HitsAtLastGC != statsBefore.CacheHits || st.MissAtLastGC != statsBefore.CacheMiss {
+		t.Fatal("GC hit/miss snapshot not taken")
+	}
+	if m.And(f, g) != h {
+		t.Fatal("And(f, g) changed after GC()")
+	}
+	if m.Statistics().CacheMiss == st.CacheMiss {
+		t.Fatal("And(f, g) hit an emptied cache")
 	}
 }
 

@@ -13,8 +13,9 @@ import "testing"
 // collection each held handle must still denote its table and
 // checkInvariants must pass, so a sweep that frees a live node, leaves
 // a cache entry naming a recycled slot, or breaks the unique table is
-// caught at the collection that did it. The manager starts with a
-// 4-set operation cache, so a run crosses several ×4 growth steps at
+// caught at the collection that did it; GC() must also leave the
+// operation cache empty. The manager starts with a 4-set operation
+// cache, so a run crosses several ×4 growth steps at
 // its MaybeGC(0) looks, and a growth that loses or misplaces an entry
 // is caught there too.
 func FuzzKernelOps(f *testing.F) {
@@ -116,6 +117,11 @@ func FuzzKernelOps(f *testing.F) {
 				collected("MaybeGC(0)", true)
 			case 11:
 				m.GC()
+				for _, e := range m.cache {
+					if e.op != 0 {
+						t.Fatalf("step %d: GC() left an op-cache entry (op %d)", step, e.op)
+					}
+				}
 				collected("GC()", false)
 			}
 		}

@@ -86,6 +86,14 @@ func EncodeRecord(payload []byte) []byte {
 // of a stream of records (a worker's pipe), which a file-backed caller
 // treats as an empty, corrupt record.
 func ReadRecord(r io.Reader, max int64) ([]byte, error) {
+	return readRecord(r, max, -1)
+}
+
+// readRecord is ReadRecord over a stream of known length size, or of
+// unknown length when size is negative. With a known length the frame
+// is read into one buffer sized for it, and a declared payload that
+// cannot fit in size bytes is corrupt.
+func readRecord(r io.Reader, max, size int64) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxRecordBytes
 	}
@@ -107,6 +115,13 @@ func ReadRecord(r io.Reader, max int64) ([]byte, error) {
 		return nil, &SizeError{Declared: int64(n), Max: max}
 	}
 	var buf bytes.Buffer
+	if size >= 0 {
+		if int64(n) > size-recordHeaderLen-recordTrailerLen {
+			return nil, &CorruptError{Reason: fmt.Sprintf("declares %d payload bytes in a %d-byte file", n, size)}
+		}
+		// ReadFrom asks for bytes.MinRead free bytes before every read.
+		buf.Grow(recordHeaderLen + int(n) + bytes.MinRead)
+	}
 	buf.Write(hdr[:])
 	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
 		return nil, &CorruptError{Reason: "truncated payload"}

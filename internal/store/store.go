@@ -353,15 +353,20 @@ func (s *Store) lockStale(path string) bool {
 }
 
 // readFileRecord reads and verifies the record in the file at path,
-// returning its payload. Only a failed open is a *fs.PathError; every
-// other failure is the file's own (Get and fsck quarantine it).
+// returning its payload in a buffer sized from the file's length. Only
+// a failed open or stat is a *fs.PathError; every other failure is the
+// file's own (Get and fsck quarantine it).
 func readFileRecord(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	payload, err := ReadRecord(f, DefaultMaxRecordBytes)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	payload, err := readRecord(f, DefaultMaxRecordBytes, info.Size())
 	if err == io.EOF {
 		return nil, &CorruptError{Reason: "empty file"}
 	}

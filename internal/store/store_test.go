@@ -176,6 +176,31 @@ func TestMaxRecordBytesTypedError(t *testing.T) {
 	}
 }
 
+// TestDeclaredLengthPastFileIsCorrupt: a stored record sizes its buffer
+// from the file, so a declared payload longer than the file holds —
+// though within DefaultMaxRecordBytes — is corrupt before anything is
+// allocated for it, and the record is quarantined.
+func TestDeclaredLengthPastFileIsCorrupt(t *testing.T) {
+	s := openTest(t, Options{})
+	if err := s.Put(testKey, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	path := s.objectPath(testKey)
+	data := readAll(t, path)
+	binary.LittleEndian.PutUint64(data[8:16], 8) // one byte more than the file holds
+	writeAll(t, path, data)
+	var ce *CorruptError
+	if _, err := readFileRecord(path); !errors.As(err, &ce) {
+		t.Fatalf("declared length past the file = %v, want *CorruptError", err)
+	}
+	if _, ok := s.Get(testKey); ok {
+		t.Fatal("record with a declared length past its file served")
+	}
+	if m := s.Metrics(); m.Quarantined != 1 {
+		t.Fatalf("metrics = %+v, want 1 quarantined", m)
+	}
+}
+
 func TestDiskFaults(t *testing.T) {
 	t.Run("torn-and-flip", func(t *testing.T) {
 		faults := map[int]string{0: FaultTorn, 1: FaultFlip}

@@ -59,6 +59,16 @@ func collect(t *testing.T, v *Verifier) answers {
 	return a
 }
 
+// imaged reports whether v answered some prefix through its orbit.
+func imaged(v *Verifier) bool {
+	for _, o := range v.outcomes {
+		if _, ok := v.part.Image(o.Prefix); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // sameAnswers reports every difference between want and got.
 func sameAnswers(t *testing.T, want, got answers) {
 	t.Helper()
@@ -86,7 +96,7 @@ func sameAnswers(t *testing.T, want, got answers) {
 
 // twoPrefixFatTree is FatTree(arity) with every edge router originating
 // a second /24 (10.1.i.0/24 next to 10.0.i.0/24): two orbits whose
-// members share routers, so a combined run merges their classes.
+// members share routers, and so share forwarding classes.
 func twoPrefixFatTree(arity int) *Network {
 	net := workload.FatTree(arity, workload.BGP)
 	for _, rc := range net.Routers {
@@ -98,14 +108,28 @@ func twoPrefixFatTree(arity int) *Network {
 	return net
 }
 
+// aggregatedFatTree is FatTree(arity) with every aggregation and core
+// router aggregating 10.0.0.0/16, which covers every edge prefix: each
+// representative's task domain holds the aggregate's other
+// contributors, the members of its own orbit.
+func aggregatedFatTree(arity int) *Network {
+	net := workload.FatTree(arity, workload.BGP)
+	for _, rc := range net.Routers {
+		if rc.BGP != nil && len(rc.BGP.Networks) == 0 {
+			rc.BGP.Aggregates = append(rc.BGP.Aggregates, route.MustParsePrefix("10.0.0.0/16"))
+		}
+	}
+	return net
+}
+
 // TestOrbitRunsMatchFullRuns verifies fat trees one prefix per orbit
 // through the facade and compares every answer with the run that
-// verifies every prefix, at P=1 (one combined space) and P=2 (one
-// scoped space per prefix), with no store, a cold one and a warm one.
-// A run with a store is a per-prefix run at any P, so its reference is
-// the P=2 one. Every run must have answered some prefix through its
-// orbit; the cold store must have been given a record for every
-// prefix, and the warm run must read one per orbit.
+// verifies every prefix at the same P, at P=1 (one combined space) and
+// P=2 (one scoped space per prefix), with no store, a cold one and a
+// warm one. Every run must have answered some prefix through its orbit,
+// each representative in a scoped space of its own; the cold store must
+// have been given a record for every prefix, and the warm run must read
+// one per orbit.
 func TestOrbitRunsMatchFullRuns(t *testing.T) {
 	type input struct {
 		name string
@@ -118,6 +142,7 @@ func TestOrbitRunsMatchFullRuns(t *testing.T) {
 		{"fattree4-k2", workload.FatTree(4, workload.BGP), 2},
 		{"fattree4-ospf-k1", workload.FatTree(4, workload.OSPF), 1},
 		{"fattree4-two-prefixes-k1", twoPrefixFatTree(4), 1},
+		{"fattree4-aggregate-k1", aggregatedFatTree(4), 1},
 		{"fattree6-k1", workload.FatTree(6, workload.BGP), 1},
 	}
 	// The two largest take half a minute, ten times that under the race
@@ -147,24 +172,27 @@ func TestOrbitRunsMatchFullRuns(t *testing.T) {
 				dir := t.TempDir()
 				for _, store := range []string{"none", "cold", "warm"} {
 					opts := Options{MaxFailures: in.k, Parallelism: par}
-					want := reference[par]
 					if store != "none" {
 						st, err := OpenStore(dir, StoreOptions{})
 						if err != nil {
 							t.Fatal(err)
 						}
 						opts.Store = st
-						want = reference[2]
 					}
 					got, err := NewVerifier(in.net, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !got.part.Imaged() {
+					if !imaged(got) {
 						t.Errorf("P=%d, %s store: no prefix answered through its orbit", par, store)
 					}
+					for _, pipe := range got.part.Groups {
+						if pipe.Scope == nil {
+							t.Errorf("P=%d, %s store: a representative verified in an unscoped space", par, store)
+						}
+					}
 					t.Logf("P=%d, %s store", par, store)
-					sameAnswers(t, want, collect(t, got))
+					sameAnswers(t, reference[par], collect(t, got))
 					got.Release()
 					if opts.Store == nil {
 						continue
@@ -188,10 +216,10 @@ func TestOrbitRunsMatchFullRuns(t *testing.T) {
 // it with a run that uses no orbits, which looks up every prefix's own
 // record: the member records the orbit run made by renaming must all be
 // there (every prefix hits, none misses) and answer exactly as the run
-// without a store (its P=2 run: a store run is per prefix at any P).
-// Every record must pass Store.Verify. Then one edge router originates
-// one more /24, which breaks its orbit: every old prefix's key is
-// unchanged and still hits, and the answers are a cold full run's.
+// without a store, verified in one combined space at P=1. Every record
+// must pass Store.Verify. Then one edge router originates one more /24,
+// which breaks its orbit: every old prefix's key is unchanged and still
+// hits, and the answers are a cold full run's.
 func TestOrbitFilledStoreServesFullRuns(t *testing.T) {
 	type input struct {
 		name string
@@ -234,12 +262,12 @@ func TestOrbitFilledStoreServesFullRuns(t *testing.T) {
 		if st != nil {
 			m = st.Metrics()
 		}
-		return a, m, v.part.Imaged()
+		return a, m, imaged(v)
 	}
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			prefixes := int64(len(in.net.AllPrefixes()))
-			want, _, _ := run(t, in.net, Options{MaxFailures: in.k, Parallelism: 2}, false, "")
+			want, _, _ := run(t, in.net, Options{MaxFailures: in.k, Parallelism: 1}, false, "")
 			var filled string
 			for _, fill := range fills {
 				dir := t.TempDir()
@@ -274,7 +302,7 @@ func TestOrbitFilledStoreServesFullRuns(t *testing.T) {
 			} else {
 				rc.OSPF.Networks = append(rc.OSPF.Networks, extra)
 			}
-			want, _, _ = run(t, edited, Options{MaxFailures: in.k, Parallelism: 2}, false, "")
+			want, _, _ = run(t, edited, Options{MaxFailures: in.k, Parallelism: 1}, false, "")
 			got, m, _ := run(t, edited, Options{MaxFailures: in.k, Parallelism: 2}, false, filled)
 			if m.Hits != prefixes || m.Misses != 1 {
 				t.Errorf("after the edit: store %+v, want %d hits and the new prefix's miss", m, prefixes)
@@ -561,7 +589,7 @@ func TestOrbitRunsMatchOnRandomPods(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.part.Imaged() {
+			if imaged(got) {
 				withOrbits++
 			}
 			sameAnswers(t, collect(t, want), collect(t, got))

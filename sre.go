@@ -125,11 +125,12 @@ type Options struct {
 	// building its own BDD manager. 0 (the default) uses
 	// runtime.GOMAXPROCS(0); 1 runs the same tasks one at a time —
 	// except that a one-worker run with nothing to decompose for (not
-	// Resilient, no Store, no Workers) verifies the whole domain as a
-	// single task in one symbolic space, which shares route computation
-	// across prefixes. Results are
-	// deterministic at any setting: outcomes, merged pipelines, and
-	// mined specs are ordered by prefix, never by completion order.
+	// Resilient, no Store, no Workers, no symmetry orbit) verifies the
+	// whole domain as a single task in one symbolic space, which shares
+	// route computation across prefixes. Results are the same at any
+	// setting: outcomes, answers, PFEC counts and forwarding classes do
+	// not depend on how the run was split up, and outcomes and mined
+	// specs are ordered by prefix, never by completion order.
 	Parallelism int
 	// Workers, when > 0, verifies prefixes across that many worker
 	// subprocesses instead of in-process goroutines: the coordinator
@@ -238,8 +239,8 @@ type Verifier struct {
 	// outcomes are the run's per-prefix outcomes, sorted by prefix. They
 	// do not change after NewVerifier, which takes them once.
 	outcomes []PrefixOutcome
-	// numPFECs caches NumPFECs (-1 until first asked): with orbits,
-	// counting the classes of a combined run takes BDD work.
+	// numPFECs caches NumPFECs (-1 until first asked): where a scoped
+	// prefix covers another, counting its classes takes BDD work.
 	numPFECs int
 }
 
@@ -335,9 +336,10 @@ func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
 func (v *Verifier) Release() { v.part.Release() }
 
 // NumPFECs returns the number of packet failure equivalence classes
-// discovered across all sources (summed over prefix groups for a
-// resilient run). Prefixes answered through their symmetry orbit count
-// as the run verifying them would have counted them.
+// discovered across all sources: the forwarding classes
+// (ForwardingClasses) of every source router, one per forwarding path,
+// whatever the run's shape. Prefixes answered through their symmetry
+// orbit count as the run verifying them would have counted them.
 func (v *Verifier) NumPFECs() int {
 	if v.numPFECs < 0 {
 		v.numPFECs = v.countPFECs()
