@@ -69,6 +69,7 @@ import (
 	"time"
 
 	"sre"
+	"sre/internal/bdd"
 	"sre/internal/coord"
 	"sre/internal/obs"
 )
@@ -86,7 +87,7 @@ var (
 	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	timeoutFlag = flag.Duration("timeout", 0, "wall-clock budget for the run (e.g. 30s; 0 = none)")
 	resilient   = flag.Bool("resilient", false, "degrade gracefully when the BDD node table overflows: quarantine the offending prefix, retry it at halved failure budgets (its answers are then lower bounds for -k), and complete the rest")
-	nodeLimit   = flag.Int("nodelimit", 0, "BDD node table cap (0 = package default); overflowing it fails the run, or degrades it under -resilient")
+	nodeLimit   = flag.Int("nodelimit", 0, "BDD node table cap, 0 (package default, 2^26) to 2^27 nodes; overflowing it fails the run, or degrades it under -resilient")
 	parallel    = flag.Int("parallel", 0, "worker count for per-prefix parallel verification (0 = one per CPU, 1 = one at a time)")
 	workers     = flag.Int("workers", 0, "verify across this many supervised worker subprocesses; crashed workers are retried and, past the attempt budget, their prefixes re-verified in-process (exit 3). 0 = in-process")
 	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON file of the run (view at ui.perfetto.dev)")
@@ -144,6 +145,10 @@ func main() {
 	}
 	if *configPath == "" {
 		usage()
+	}
+	if err := bdd.CheckNodeLimit(*nodeLimit); err != nil {
+		fmt.Fprintln(os.Stderr, "sre:", err)
+		os.Exit(2)
 	}
 	if *pprofAddr != "" {
 		go func() {

@@ -99,6 +99,8 @@ func TestExitCodeContract(t *testing.T) {
 		{name: "error", args: []string{"-config", netPath, "-quiet", "tolerance", "NOPE", "10.0.0.0/8"}, want: 1, stderr: "unknown router"},
 		{name: "usage-no-command", args: []string{"-config", netPath}, want: 2, stderr: "usage:"},
 		{name: "usage-bad-command", args: []string{"-config", netPath, "-quiet", "frobnicate"}, want: 2},
+		{name: "usage-negative-nodelimit", args: []string{"-config", netPath, "-quiet", "-nodelimit", "-1", "pfecs"}, want: 2, stderr: "out of range [0, 134217728]"},
+		{name: "usage-nodelimit-past-handles", args: []string{"-config", netPath, "-quiet", "-resilient", "pfecs", "-nodelimit", "134217729"}, want: 2, stderr: "out of range [0, 134217728]"},
 		{name: "deadline", args: []string{"-config", netPath, "-quiet", "-timeout", "1ns", "-k", "-1", "pfecs"}, want: 124, stderr: "timed out"},
 		{name: "crash-degraded", want: 3, stderr: "degraded by worker crashes",
 			args: []string{"-config", netPath, "-workers", "2", "tolerance", "A", "10.0.0.0/8"},

@@ -46,8 +46,8 @@ func (m *Manager) shortestPathRec(n, target Node) int32 {
 	if d, ok := m.i32memo.get(n); ok {
 		return d
 	}
-	d := m.shortestPathRec(Node(m.hi[n]), target) // solid edge: cost 0
-	if dl := m.shortestPathRec(Node(m.lo[n]), target); dl != math.MaxInt32 && dl+1 < d {
+	d := m.shortestPathRec(Node(m.tab[n].hi), target) // solid edge: cost 0
+	if dl := m.shortestPathRec(Node(m.tab[n].lo), target); dl != math.MaxInt32 && dl+1 < d {
 		d = dl + 1
 	}
 	m.i32memo.put(n, d)
@@ -68,7 +68,7 @@ func (m *Manager) MinFalseWitness(f Node) ([]int, bool) {
 	for n := f; n > True; {
 		st, _ := m.witMemo.get(n)
 		if st.down {
-			downVars = append(downVars, int(m.lvl[n]))
+			downVars = append(downVars, int(m.tab[n].lvl))
 		}
 		n = st.via
 	}
@@ -85,7 +85,7 @@ func (m *Manager) minWitnessRec(n Node) int32 {
 	if st, ok := m.witMemo.get(n); ok {
 		return st.dist
 	}
-	hiN, loN := Node(m.hi[n]), Node(m.lo[n])
+	hiN, loN := Node(m.tab[n].hi), Node(m.tab[n].lo)
 	dh, dl := m.minWitnessRec(hiN), m.minWitnessRec(loN)
 	st := witStep{dist: dh, via: hiN}
 	if dl != math.MaxInt32 && dl+1 < dh {
@@ -121,8 +121,8 @@ func (m *Manager) probabilityRec(n Node) float64 {
 	if w, ok := m.f64memo.get(n); ok {
 		return w
 	}
-	p := m.probP[m.lvl[n]]
-	w := p*m.probabilityRec(Node(m.hi[n])) + (1-p)*m.probabilityRec(Node(m.lo[n]))
+	p := m.probP[m.tab[n].lvl]
+	w := p*m.probabilityRec(Node(m.tab[n].hi)) + (1-p)*m.probabilityRec(Node(m.tab[n].lo))
 	m.f64memo.put(n, w)
 	return w
 }
@@ -146,7 +146,7 @@ func (m *Manager) satCountRec(n Node) float64 {
 	if w, ok := m.f64memo.get(n); ok {
 		return w
 	}
-	w := 0.5*m.satCountRec(Node(m.hi[n])) + 0.5*m.satCountRec(Node(m.lo[n]))
+	w := 0.5*m.satCountRec(Node(m.tab[n].hi)) + 0.5*m.satCountRec(Node(m.tab[n].lo))
 	m.f64memo.put(n, w)
 	return w
 }
@@ -160,13 +160,13 @@ func (m *Manager) AnySat(f Node) (map[int]bool, bool) {
 	}
 	out := make(map[int]bool)
 	for f > True {
-		v := int(m.lvl[f])
-		if Node(m.hi[f]) != False {
+		v := int(m.tab[f].lvl)
+		if Node(m.tab[f].hi) != False {
 			out[v] = true
-			f = Node(m.hi[f])
+			f = Node(m.tab[f].hi)
 		} else {
 			out[v] = false
-			f = Node(m.lo[f])
+			f = Node(m.tab[f].lo)
 		}
 	}
 	return out, true
@@ -175,10 +175,10 @@ func (m *Manager) AnySat(f Node) (map[int]bool, bool) {
 // Eval evaluates f under a complete assignment.
 func (m *Manager) Eval(f Node, assignment func(v int) bool) bool {
 	for f > True {
-		if assignment(int(m.lvl[f])) {
-			f = Node(m.hi[f])
+		if assignment(int(m.tab[f].lvl)) {
+			f = Node(m.tab[f].hi)
 		} else {
-			f = Node(m.lo[f])
+			f = Node(m.tab[f].lo)
 		}
 	}
 	return f == True
@@ -260,12 +260,12 @@ func (m *Manager) subsRec(n Node, split int32, out *[]Split) {
 		return
 	}
 	m.i32memo.put(n, 0)
-	if m.lvl[n] >= split { // terminals sit below every level
+	if m.tab[n].lvl >= split { // terminals sit below every level
 		*out = append(*out, Split{Sub: n})
 		return
 	}
-	m.subsRec(Node(m.lo[n]), split, out)
-	m.subsRec(Node(m.hi[n]), split, out)
+	m.subsRec(Node(m.tab[n].lo), split, out)
+	m.subsRec(Node(m.tab[n].hi), split, out)
 }
 
 // upperRec is n above split with sub replaced by True and every other
@@ -274,13 +274,13 @@ func (m *Manager) upperRec(n Node, split int32, sub Node) Node {
 	if n == sub {
 		return True
 	}
-	if m.lvl[n] >= split {
+	if m.tab[n].lvl >= split {
 		return False
 	}
 	if r, ok := m.i32memo.get(n); ok {
 		return Node(r)
 	}
-	r := m.mk(m.lvl[n], m.upperRec(Node(m.lo[n]), split, sub), m.upperRec(Node(m.hi[n]), split, sub))
+	r := m.mk(m.tab[n].lvl, m.upperRec(Node(m.tab[n].lo), split, sub), m.upperRec(Node(m.tab[n].hi), split, sub))
 	m.i32memo.put(n, int32(r))
 	return r
 }

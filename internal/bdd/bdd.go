@@ -47,8 +47,9 @@ type Config struct {
 	// Vars is the number of boolean variables. Variable i has level i:
 	// lower levels are nearer the root.
 	Vars int
-	// NodeLimit caps the number of allocated nodes (live + garbage).
-	// Zero means DefaultNodeLimit.
+	// NodeLimit caps the number of allocated nodes (live + garbage):
+	// zero means DefaultNodeLimit, and New panics on a negative limit
+	// or one above MaxNodeLimit (see CheckNodeLimit).
 	NodeLimit int
 	// DisableGC turns off automatic garbage collection. Explicit calls
 	// to GC still work.
@@ -72,6 +73,21 @@ type Config struct {
 // 64M nodes ≈ 1.3 GB of tables.
 const DefaultNodeLimit = 64 << 20
 
+// MaxNodeLimit is the largest node limit a Config may set: the
+// operation cache keeps an entry's op code in the top opBits bits of
+// its first operand's word (see cacheKey), so every node handle must
+// lie below them.
+const MaxNodeLimit = 1 << opShift
+
+// CheckNodeLimit reports an error naming the accepted range unless n is
+// a node limit New accepts: 0 (DefaultNodeLimit) through MaxNodeLimit.
+func CheckNodeLimit(n int) error {
+	if n < 0 || n > MaxNodeLimit {
+		return fmt.Errorf("bdd: node limit %d out of range [0, %d] (0 = default %d)", n, MaxNodeLimit, DefaultNodeLimit)
+	}
+	return nil
+}
+
 // initialNodes is the node-table capacity a manager starts with; the
 // table doubles on demand up to the node limit (see grow).
 const initialNodes = 1 << 12
@@ -79,14 +95,11 @@ const initialNodes = 1 << 12
 // Manager owns a collection of shared BDD nodes over a fixed set of
 // ordered boolean variables.
 type Manager struct {
-	// Node storage, indexed by Node. Entry i is a decision node with
-	// variable level lvl[i], else-child lo[i] ("dashed" edge, variable
-	// false) and then-child hi[i] ("solid" edge, variable true).
-	lvl  []int32
-	lo   []int32
-	hi   []int32
-	next []int32 // unique-table hash chain
-	ref  []int32 // external reference count; -1 marks a free slot
+	// Node storage, indexed by Node: tab[i] is node i's record. The
+	// reference counts live apart, because only Ref, Deref, allocation
+	// and the collector read them.
+	tab []node
+	ref []int32 // external reference count; -1 marks a free slot
 
 	hash     []int32 // unique-table bucket heads (power-of-two length)
 	freeList int32   // head of the free-slot chain, -1 if empty
@@ -100,8 +113,8 @@ type Manager struct {
 
 	// Operation cache shared by every memoized operation: 2-way
 	// set-associative, 2*(setMask+1) entries. Set s occupies entries 2s
-	// (MRU way) and 2s+1 (LRU way). Entries survive GC; the sweep
-	// invalidates only entries whose operands or result died (see
+	// (MRU way) and 2s+1 (LRU way), 32 bytes in all. GC empties it;
+	// MaybeGC keeps the entries whose operands and result survive (see
 	// sweepCache). The cache grows with the node table at safe points
 	// (see growCache).
 	cache   []cacheEntry
@@ -144,10 +157,22 @@ type Manager struct {
 	sampledRet, sampledInv   uint64
 }
 
+// node is one slot of the node table: a decision node testing the
+// variable at level lvl, with else-child lo ("dashed" edge, variable
+// false) and then-child hi ("solid" edge, variable true), and next, the
+// following slot of its unique-table chain (or of the free list). A
+// record is 16 bytes, four to a 64-byte cache line, so a chain step or
+// a cofactor reads one line.
+type node struct {
+	lvl, lo, hi, next int32
+}
+
+// cacheEntry is one way of an operation-cache set, 16 bytes: key packs
+// the op code and the first operand (see cacheKey), g and h are the
+// other operands and res the result. A zero key marks an empty entry.
 type cacheEntry struct {
-	op      int32
-	f, g, h Node
-	res     Node
+	key       uint32
+	g, h, res Node
 }
 
 // Stats reports manager counters, used by the scalability experiments
@@ -217,6 +242,9 @@ func newSized(cfg Config, sets, nodes int) *Manager {
 	if cfg.Vars < 0 {
 		panic("bdd: negative variable count")
 	}
+	if err := CheckNodeLimit(cfg.NodeLimit); err != nil {
+		panic(err.Error())
+	}
 	if cfg.NodeLimit == 0 {
 		cfg.NodeLimit = DefaultNodeLimit
 	}
@@ -241,22 +269,17 @@ func newSized(cfg Config, sets, nodes int) *Manager {
 		m.telGrows = m.tel.Counter("bdd.opcache_grows")
 		m.telPeak = m.tel.Gauge("bdd.peak_nodes")
 	}
-	m.lvl = make([]int32, 2, nodes)
-	m.lo = make([]int32, 2, nodes)
-	m.hi = make([]int32, 2, nodes)
-	m.next = make([]int32, 2, nodes)
-	m.ref = make([]int32, 2, nodes)
 	// Terminals occupy slots 0 and 1 and are permanently referenced.
-	m.lvl[0], m.lvl[1] = terminalLevel, terminalLevel
-	m.lo[0], m.lo[1] = 0, 1
-	m.hi[0], m.hi[1] = 0, 1
+	m.tab = make([]node, 2, nodes)
+	m.tab[0] = node{lvl: terminalLevel, lo: 0, hi: 0, next: -1}
+	m.tab[1] = node{lvl: terminalLevel, lo: 1, hi: 1, next: -1}
+	m.ref = make([]int32, 2, nodes)
 	m.ref[0], m.ref[1] = 1, 1
 	m.nodes = 2
 	m.hash = make([]int32, hashSizeFor(nodes))
 	for i := range m.hash {
 		m.hash[i] = -1
 	}
-	m.next[0], m.next[1] = -1, -1
 	return m
 }
 
@@ -282,7 +305,7 @@ func (m *Manager) Statistics() Stats {
 	// incremental bookkeeping can drift from the table (e.g. when GC
 	// resurrects a free-listed slot reachable from a re-referenced
 	// root).
-	s.LiveNodes = len(m.lvl) - m.freeCnt
+	s.LiveNodes = len(m.tab) - m.freeCnt
 	s.FreeNodes = m.freeCnt
 	return s
 }
@@ -381,11 +404,13 @@ func (m *Manager) mk(lvl int32, lo, hi Node) Node {
 	}
 	m.pollInterrupt()
 	b := m.hashNode(lvl, int32(lo), int32(hi))
-	for i := m.hash[b]; i >= 0; i = m.next[i] {
-		if m.lvl[i] == lvl && m.lo[i] == int32(lo) && m.hi[i] == int32(hi) {
+	for i := m.hash[b]; i >= 0; {
+		n := &m.tab[i]
+		if n.lvl == lvl && n.lo == int32(lo) && n.hi == int32(hi) {
 			m.stats.UniqueHits++
 			return Node(i)
 		}
+		i = n.next
 	}
 	// Allocate: reuse a freed slot if available, else extend the table.
 	// The new slot's index is the table extent — NOT m.nodes, which
@@ -393,12 +418,12 @@ func (m *Manager) mk(lvl int32, lo, hi Node) Node {
 	var id int32
 	if m.freeList >= 0 {
 		id = m.freeList
-		m.freeList = m.next[id]
+		m.freeList = m.tab[id].next
 		m.freeCnt--
-		m.lvl[id], m.lo[id], m.hi[id], m.ref[id] = lvl, int32(lo), int32(hi), 0
+		m.ref[id] = 0
 		m.nodes++
 	} else {
-		if len(m.lvl) >= m.limit {
+		if len(m.tab) >= m.limit {
 			// Garbage collection cannot run here: intermediate nodes of
 			// in-flight operations live only on the Go stack and would be
 			// swept. Clients collect at safe points via MaybeGC.
@@ -413,21 +438,18 @@ func (m *Manager) mk(lvl int32, lo, hi Node) Node {
 			}
 			resil.Throw(ErrNodeLimit)
 		}
-		if len(m.lvl) == cap(m.lvl) {
+		if len(m.tab) == cap(m.tab) {
 			m.grow()
 		}
-		id = int32(len(m.lvl))
-		m.lvl = append(m.lvl, lvl)
-		m.lo = append(m.lo, int32(lo))
-		m.hi = append(m.hi, int32(hi))
-		m.next = append(m.next, -1)
+		id = int32(len(m.tab))
+		m.tab = append(m.tab, node{})
 		m.ref = append(m.ref, 0)
 		m.nodes++
 	}
 	if m.nodes > m.stats.PeakNodes {
 		m.stats.PeakNodes = m.nodes
 	}
-	m.next[id] = m.hash[b]
+	m.tab[id] = node{lvl, int32(lo), int32(hi), m.hash[b]}
 	m.hash[b] = id
 	if m.nodes > len(m.hash)*2 {
 		m.rehash() // re-links every live node, including id
@@ -435,24 +457,21 @@ func (m *Manager) mk(lvl int32, lo, hi Node) Node {
 	return Node(id)
 }
 
-// grow doubles the capacity of the five node arrays, capped at the node
-// limit. append grows a large slice by about 1.25× a step, so each array
-// was allocated about five times its final size in all; doubling
-// allocates it about twice. The memo tables (scratch.go) and the mark
-// bitmap (gc.go) are sized to this capacity, so they too reallocate only
-// when it doubles.
+// grow doubles the capacity of the node table and the reference counts,
+// capped at the node limit. append grows a large slice by about 1.25× a
+// step, so each array was allocated about five times its final size in
+// all; doubling allocates it about twice. The memo tables (scratch.go)
+// and the mark bitmap (gc.go) are sized to this capacity, so they too
+// reallocate only when it doubles.
 func (m *Manager) grow() {
-	c := min(2*cap(m.lvl), m.limit)
-	m.lvl = grownTo(m.lvl, c)
-	m.lo = grownTo(m.lo, c)
-	m.hi = grownTo(m.hi, c)
-	m.next = grownTo(m.next, c)
+	c := min(2*cap(m.tab), m.limit)
+	m.tab = grownTo(m.tab, c)
 	m.ref = grownTo(m.ref, c)
 }
 
 // grownTo returns a copy of s with capacity c.
-func grownTo(s []int32, c int) []int32 {
-	t := make([]int32, len(s), c)
+func grownTo[T any](s []T, c int) []T {
+	t := make([]T, len(s), c)
 	copy(t, s)
 	return t
 }
@@ -462,20 +481,21 @@ func (m *Manager) rehash() {
 	for i := range m.hash {
 		m.hash[i] = -1
 	}
-	for i := int32(2); i < int32(len(m.lvl)); i++ {
+	for i := int32(2); i < int32(len(m.tab)); i++ {
 		if m.ref[i] < 0 { // free slot
 			continue
 		}
-		b := m.hashNode(m.lvl[i], m.lo[i], m.hi[i])
-		m.next[i] = m.hash[b]
+		n := &m.tab[i]
+		b := m.hashNode(n.lvl, n.lo, n.hi)
+		n.next = m.hash[b]
 		m.hash[b] = i
 	}
 	// Free slots lost their chain; rebuild it.
 	m.freeList = -1
 	m.freeCnt = 0
-	for i := int32(len(m.lvl)) - 1; i >= 2; i-- {
+	for i := int32(len(m.tab)) - 1; i >= 2; i-- {
 		if m.ref[i] < 0 {
-			m.next[i] = m.freeList
+			m.tab[i].next = m.freeList
 			m.freeList = i
 			m.freeCnt++
 		}

@@ -423,16 +423,16 @@ func splitReference(m *Manager, f Node, split int) map[Node]Node {
 		if n == False {
 			return
 		}
-		if m.lvl[n] >= int32(split) {
+		if m.tab[n].lvl >= int32(split) {
 			if cur, ok := groups[n]; ok {
 				cube = m.Or(cur, cube)
 			}
 			groups[n] = cube
 			return
 		}
-		v := int(m.lvl[n])
-		rec(Node(m.lo[n]), m.And(cube, m.NVar(v)))
-		rec(Node(m.hi[n]), m.And(cube, m.Var(v)))
+		v := int(m.tab[n].lvl)
+		rec(Node(m.tab[n].lo), m.And(cube, m.NVar(v)))
+		rec(Node(m.tab[n].hi), m.And(cube, m.Var(v)))
 	}
 	rec(f, True)
 	return groups

@@ -24,7 +24,7 @@ func TestCacheGrowthKeepsEntries(t *testing.T) {
 	// And(x_a, x_b) makes one op-cache entry and one node. Two per set
 	// fill the cache; pick, for every set, two that share a set of the
 	// cache the table will grow it to, and make them last.
-	extent := len(m.lvl) + 2*sets
+	extent := len(m.tab) + 2*sets
 	grown := sets
 	for grown < cacheCap && extent > grown*cacheNodesPerSet {
 		grown *= cacheStep
@@ -57,11 +57,11 @@ func TestCacheGrowthKeepsEntries(t *testing.T) {
 			andRes[p] = m.And(x[p.a], x[p.b])
 		}
 	}
-	if len(m.lvl) != extent {
-		t.Fatalf("table extent %d, want %d", len(m.lvl), extent)
+	if len(m.tab) != extent {
+		t.Fatalf("table extent %d, want %d", len(m.tab), extent)
 	}
 	for s, e := range m.cache {
-		if e.op != opAnd {
+		if e.op() != opAnd {
 			t.Fatalf("op-cache entry %d is not one of the Ands: %+v", s, e)
 		}
 	}
@@ -75,10 +75,10 @@ func TestCacheGrowthKeepsEntries(t *testing.T) {
 	}
 	for s := range mru {
 		ns := m.cacheSlot(opAnd, x[mru[s].a], x[mru[s].b], 0) << 1
-		if e := m.cache[ns]; e.f != x[mru[s].a] || e.g != x[mru[s].b] {
+		if e := m.cache[ns]; e.f() != x[mru[s].a] || e.g != x[mru[s].b] {
 			t.Errorf("set %d's MRU entry is not MRU in set %d after growth", s, ns/2)
 		}
-		if e := m.cache[ns|1]; e.f != x[lru[s].a] || e.g != x[lru[s].b] {
+		if e := m.cache[ns|1]; e.f() != x[lru[s].a] || e.g != x[lru[s].b] {
 			t.Errorf("set %d's LRU entry is not LRU in set %d after growth", s, ns/2)
 		}
 	}
@@ -92,8 +92,8 @@ func TestCacheGrowthKeepsEntries(t *testing.T) {
 }
 
 // TestNewManagerIsSmall pins the starting size: a manager that will
-// hold few nodes allocates a 2¹²-set cache (≈ 160 KB), not the 2¹⁸-set
-// cap (≈ 10.5 MB).
+// hold few nodes allocates a 2¹²-set cache (128 KB), not the 2¹⁸-set
+// cap (8 MB).
 func TestNewManagerIsSmall(t *testing.T) {
 	const calls = 50
 	keep := make([]*Manager, calls)
@@ -131,7 +131,7 @@ func TestGrowthFollowsTheTable(t *testing.T) {
 	src := New(Config{Vars: 20})
 	r := rand.New(rand.NewSource(5))
 	var roots []Node
-	for len(src.lvl) < 2000 {
+	for len(src.tab) < 2000 {
 		f, _ := buildRandom(src, r, 6)
 		roots = append(roots, f)
 	}
@@ -147,6 +147,6 @@ func TestGrowthFollowsTheTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := dst.Statistics().CacheGrows; got < 2 {
-		t.Fatalf("Read of %d nodes grew the cache %d steps, want several", len(dst.lvl), got)
+		t.Fatalf("Read of %d nodes grew the cache %d steps, want several", len(dst.tab), got)
 	}
 }

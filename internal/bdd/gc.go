@@ -117,7 +117,7 @@ func (b bitset) add(i int32)      { b[i>>6] |= 1 << (i & 63) }
 // next: the bitmap is sized to the node table's capacity, so it is
 // reallocated only when the table has doubled, and cleared otherwise.
 func (m *Manager) mark() (bitset, int) {
-	if words := (cap(m.lvl) + 63) / 64; len(m.marks) < words {
+	if words := (cap(m.tab) + 63) / 64; len(m.marks) < words {
 		m.marks = make(bitset, words)
 	} else {
 		clear(m.marks)
@@ -128,7 +128,7 @@ func (m *Manager) mark() (bitset, int) {
 	live := 2
 	// Iterative DFS to avoid deep recursion on big diagrams.
 	stack := m.markStack[:0]
-	for i := int32(2); i < int32(len(m.lvl)); i++ {
+	for i := int32(2); i < int32(len(m.tab)); i++ {
 		if m.ref[i] > 0 {
 			stack = append(stack, i)
 		}
@@ -141,11 +141,12 @@ func (m *Manager) mark() (bitset, int) {
 		}
 		mark.add(n)
 		live++
-		if lo := m.lo[n]; !mark.has(lo) {
-			stack = append(stack, lo)
+		r := &m.tab[n]
+		if !mark.has(r.lo) {
+			stack = append(stack, r.lo)
 		}
-		if hi := m.hi[n]; !mark.has(hi) {
-			stack = append(stack, hi)
+		if !mark.has(r.hi) {
+			stack = append(stack, r.hi)
 		}
 	}
 	m.markStack = stack
@@ -161,14 +162,15 @@ func (m *Manager) sweep(mark bitset) int {
 	m.freeList = -1
 	m.freeCnt = 0
 	freed := 0
-	for i := int32(len(m.lvl)) - 1; i >= 2; i-- {
+	for i := int32(len(m.tab)) - 1; i >= 2; i-- {
+		n := &m.tab[i]
 		if mark.has(i) {
 			if m.ref[i] < 0 {
 				m.ref[i] = 0 // resurrect bookkeeping consistency
 				m.nodes++    // the slot leaves the free list and counts as allocated again
 			}
-			b := m.hashNode(m.lvl[i], m.lo[i], m.hi[i])
-			m.next[i] = m.hash[b]
+			b := m.hashNode(n.lvl, n.lo, n.hi)
+			n.next = m.hash[b]
 			m.hash[b] = i
 			continue
 		}
@@ -177,7 +179,7 @@ func (m *Manager) sweep(mark bitset) int {
 			m.nodes--
 			freed++
 		}
-		m.next[i] = m.freeList
+		n.next = m.freeList
 		m.freeList = i
 		m.freeCnt++
 	}

@@ -137,9 +137,9 @@ func TestGCStatisticsLiveNodes(t *testing.T) {
 		buildRandom(m, r, 5)
 	}
 	s := m.Statistics()
-	if s.LiveNodes != m.Size() && s.LiveNodes != len(m.lvl)-m.freeCnt {
+	if s.LiveNodes != m.Size() && s.LiveNodes != len(m.tab)-m.freeCnt {
 		t.Errorf("LiveNodes %d inconsistent with table extent %d - free %d",
-			s.LiveNodes, len(m.lvl), m.freeCnt)
+			s.LiveNodes, len(m.tab), m.freeCnt)
 	}
 }
 

@@ -11,7 +11,10 @@ import "fmt"
 //     no other slot has ref == -1; nodes counts the rest;
 //   - every hash chain holds only allocated nodes of its own bucket, and
 //     every allocated node is on one;
-//   - no op-cache entry names a free slot;
+//   - every op-cache entry's key decodes to a known op code and a
+//     first operand inside the table (a handle that reached into the
+//     op bits would decode as another op or another slot), and no
+//     entry names a free slot;
 //   - the op cache has a power-of-two set count that setMask matches,
 //     and every entry sits in the set its key hashes to;
 //   - after a safe point (afterSafePoint), the table extent is within
@@ -26,7 +29,7 @@ func (m *Manager) checkInvariants(afterSafePoint bool) error {
 	type triple struct{ lvl, lo, hi int32 }
 	canon := make(map[triple]int32)
 	freeSlots := 0
-	for i := int32(2); i < int32(len(m.lvl)); i++ {
+	for i := int32(2); i < int32(len(m.tab)); i++ {
 		if m.ref[i] < 0 {
 			if m.ref[i] != -1 {
 				return fmt.Errorf("slot %d: ref %d", i, m.ref[i])
@@ -34,14 +37,15 @@ func (m *Manager) checkInvariants(afterSafePoint bool) error {
 			freeSlots++
 			continue
 		}
-		lvl, lo, hi := m.lvl[i], m.lo[i], m.hi[i]
+		n := m.tab[i]
+		lvl, lo, hi := n.lvl, n.lo, n.hi
 		switch {
 		case lo == hi:
 			return fmt.Errorf("node %d: lo == hi == %d", i, lo)
 		case free(Node(lo)) || free(Node(hi)):
 			return fmt.Errorf("node %d: child %d or %d is a free slot", i, lo, hi)
-		case m.lvl[lo] <= lvl || m.lvl[hi] <= lvl:
-			return fmt.Errorf("node %d at level %d: children at levels %d, %d", i, lvl, m.lvl[lo], m.lvl[hi])
+		case m.tab[lo].lvl <= lvl || m.tab[hi].lvl <= lvl:
+			return fmt.Errorf("node %d at level %d: children at levels %d, %d", i, lvl, m.tab[lo].lvl, m.tab[hi].lvl)
 		}
 		key := triple{lvl, lo, hi}
 		if j, dup := canon[key]; dup {
@@ -51,31 +55,32 @@ func (m *Manager) checkInvariants(afterSafePoint bool) error {
 	}
 
 	onList := 0
-	for i := m.freeList; i >= 0; i = m.next[i] {
+	for i := m.freeList; i >= 0; i = m.tab[i].next {
 		if m.ref[i] != -1 {
 			return fmt.Errorf("free list holds slot %d with ref %d", i, m.ref[i])
 		}
-		if onList++; onList > len(m.lvl) {
+		if onList++; onList > len(m.tab) {
 			return fmt.Errorf("free list cycles")
 		}
 	}
 	if onList != m.freeCnt || freeSlots != m.freeCnt {
 		return fmt.Errorf("free list length %d, free slots %d, freeCnt %d", onList, freeSlots, m.freeCnt)
 	}
-	if m.nodes != len(m.lvl)-m.freeCnt {
-		return fmt.Errorf("nodes %d, table %d - free %d", m.nodes, len(m.lvl), m.freeCnt)
+	if m.nodes != len(m.tab)-m.freeCnt {
+		return fmt.Errorf("nodes %d, table %d - free %d", m.nodes, len(m.tab), m.freeCnt)
 	}
 
 	chained := 0
 	for b, head := range m.hash {
-		for i := head; i >= 0; i = m.next[i] {
+		for i := head; i >= 0; i = m.tab[i].next {
 			if m.ref[i] < 0 {
 				return fmt.Errorf("bucket %d chains free slot %d", b, i)
 			}
-			if got := m.hashNode(m.lvl[i], m.lo[i], m.hi[i]); int(got) != b {
+			n := m.tab[i]
+			if got := m.hashNode(n.lvl, n.lo, n.hi); int(got) != b {
 				return fmt.Errorf("node %d hashes to bucket %d, chained in %d", i, got, b)
 			}
-			if chained++; chained > len(m.lvl) {
+			if chained++; chained > len(m.tab) {
 				return fmt.Errorf("hash chains cycle")
 			}
 		}
@@ -90,23 +95,30 @@ func (m *Manager) checkInvariants(afterSafePoint bool) error {
 		return fmt.Errorf("op cache has %d entries, not two ways of a power-of-two set count", len(m.cache))
 	case m.setMask != uint32(sets-1):
 		return fmt.Errorf("setMask %#x for %d sets", m.setMask, sets)
-	case afterSafePoint && sets < cacheCap && len(m.lvl) > sets*cacheNodesPerSet:
-		return fmt.Errorf("after a safe point: %d sets for a table extent of %d", sets, len(m.lvl))
+	case afterSafePoint && sets < cacheCap && len(m.tab) > sets*cacheNodesPerSet:
+		return fmt.Errorf("after a safe point: %d sets for a table extent of %d", sets, len(m.tab))
 	}
 	for s, e := range m.cache {
-		if e.op == 0 {
+		if e.key == 0 {
 			continue
 		}
-		if got := m.cacheSlot(e.op, e.f, e.g, e.h); int(got) != s/2 {
-			return fmt.Errorf("op-cache entry %d (op %d) hashes to set %d, sits in set %d", s, e.op, got, s/2)
+		op, f := e.op(), e.f()
+		switch {
+		case op < opAnd || op > opDiffSat:
+			return fmt.Errorf("op-cache entry %d: key %#x decodes to unknown op %d", s, e.key, op)
+		case int(f) >= len(m.tab):
+			return fmt.Errorf("op-cache entry %d (op %d): first operand %d past the table extent %d", s, op, f, len(m.tab))
 		}
-		names := []Node{e.f, e.res, e.g, e.h}
-		if e.op == opRestrictF || e.op == opRestrictT {
+		if got := m.cacheSlot(op, f, e.g, e.h); int(got) != s/2 {
+			return fmt.Errorf("op-cache entry %d (op %d) hashes to set %d, sits in set %d", s, op, got, s/2)
+		}
+		names := []Node{f, e.res, e.g, e.h}
+		if op == opRestrictF || op == opRestrictT {
 			names = names[:2] // g is a level, h unused
 		}
 		for _, n := range names {
 			if free(n) {
-				return fmt.Errorf("op-cache entry %d (op %d) names free slot %d", s, e.op, n)
+				return fmt.Errorf("op-cache entry %d (op %d) names free slot %d", s, op, n)
 			}
 		}
 	}

@@ -123,8 +123,8 @@ func decisionNodes(m *Manager, f Node) map[Node]bool {
 			return
 		}
 		seen[n] = true
-		walk(Node(m.lo[n]))
-		walk(Node(m.hi[n]))
+		walk(Node(m.tab[n].lo))
+		walk(Node(m.tab[n].hi))
 	}
 	walk(f)
 	return seen
@@ -135,7 +135,7 @@ func decisionNodes(m *Manager, f Node) map[Node]bool {
 func support(m *Manager, f Node) []int {
 	var vars []int
 	for n := range decisionNodes(m, f) {
-		if v := int(m.lvl[n]); !slices.Contains(vars, v) {
+		if v := int(m.tab[n].lvl); !slices.Contains(vars, v) {
 			vars = append(vars, v)
 		}
 	}
@@ -381,8 +381,8 @@ func TestGCEmptiesCache(t *testing.T) {
 	statsBefore := m.Statistics()
 	m.GC()
 	for i, e := range m.cache {
-		if e.op != 0 {
-			t.Fatalf("op-cache entry %d (op %d) survived GC()", i, e.op)
+		if e.key != 0 {
+			t.Fatalf("op-cache entry %d (op %d) survived GC()", i, e.op())
 		}
 	}
 	st := m.Statistics()
@@ -442,6 +442,43 @@ func BenchmarkApply(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildCold makes 786 429 nodes (3·2¹⁸ − 3) per iteration in
+// an emptied table with an emptied operation cache, so every
+// unique-table and operation-cache probe goes to memory as it does in a
+// verification; BenchmarkApply and BenchmarkAnd answer from the cache
+// after their first iteration and cannot see the kernel's memory
+// layout. The diagram is ∨ᵢ (xᵢ ∧ yᵢ) over 18 pairs with every x above
+// every y, which needs a node per subset of the x's, folded one pair at
+// a time. The first build grows the table and the cache; each iteration
+// then starts from a GC() that frees every node and empties the cache.
+func BenchmarkBuildCold(b *testing.B) {
+	const pairs = 18
+	m := New(Config{Vars: 2 * pairs})
+	build := func() {
+		f := False
+		for i := 0; i < pairs; i++ {
+			f = m.Or(f, m.And(m.Var(i), m.Var(pairs+i)))
+		}
+	}
+	build()
+	m.MaybeGC(0) // a safe point: the cache grows to the table
+	var nodes, lookups uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m.GC()
+		before := m.Statistics()
+		b.StartTimer()
+		build()
+		after := m.Statistics()
+		nodes += uint64(after.LiveNodes - before.LiveNodes)
+		lookups += after.CacheHits + after.CacheMiss - before.CacheHits - before.CacheMiss
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
+}
+
 func BenchmarkExistsCube(b *testing.B) {
 	m, f := benchManager(b, 64)
 	cube := m.Ref(m.CubeVars([]int{0, 7, 14, 21, 28, 35, 42, 49}))
@@ -485,7 +522,7 @@ func TestTableGrowthAllocs(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for s := 0; s < steps; s++ {
-		for len(m.lvl) < (s+1)*perStep {
+		for len(m.tab) < (s+1)*perStep {
 			cube := True
 			for v := vars - 1; v >= 0; v-- {
 				if rng.Intn(2) == 0 {
@@ -499,9 +536,9 @@ func TestTableGrowthAllocs(t *testing.T) {
 		m.NodeCount(f)
 	}
 	runtime.ReadMemStats(&after)
-	table := 5 * 4 * cap(m.lvl) // five int32 arrays
+	table := (16 + 4) * cap(m.tab) // 16-byte node records and int32 reference counts
 	if got := after.TotalAlloc - before.TotalAlloc; got > 3*uint64(table) {
 		t.Errorf("building %d nodes allocated %d bytes, %.1f× the final table's %d; want at most 3×",
-			len(m.lvl), got, float64(got)/float64(table), table)
+			len(m.tab), got, float64(got)/float64(table), table)
 	}
 }

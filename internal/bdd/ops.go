@@ -38,18 +38,35 @@ const (
 	opDiffSat
 )
 
+// An entry keys its op code and first operand in one word (cacheKey):
+// the op in the top opBits bits, f below them. Every op's f is a node
+// handle, and handles stay below the node limit, at most MaxNodeLimit =
+// 1<<opShift, so the two never overlap; op codes start at 1, so no key
+// is zero and a zero key marks an empty entry.
+const (
+	opBits  = 5
+	opShift = 32 - opBits
+)
+
+// cacheKey packs op and f into an entry's key word.
+func cacheKey(op int32, f Node) uint32 { return uint32(op)<<opShift | uint32(f) }
+
+// op and f unpack the entry's key word.
+func (e *cacheEntry) op() int32 { return int32(e.key >> opShift) }
+func (e *cacheEntry) f() Node   { return Node(e.key & (1<<opShift - 1)) }
+
 // cacheLookup probes the 2-way set for (op, f, g, h). A hit in the LRU
 // way is promoted to the MRU way, so the hotter of two colliding entries
 // stays resident.
 func (m *Manager) cacheLookup(op int32, f, g, h Node) (Node, bool) {
-	s := m.cacheSlot(op, f, g, h) << 1
+	s, k := m.cacheSlot(op, f, g, h)<<1, cacheKey(op, f)
 	e := &m.cache[s]
-	if e.op == op && e.f == f && e.g == g && e.h == h {
+	if e.key == k && e.g == g && e.h == h {
 		m.stats.CacheHits++
 		return e.res, true
 	}
 	e2 := &m.cache[s|1]
-	if e2.op == op && e2.f == f && e2.g == g && e2.h == h {
+	if e2.key == k && e2.g == g && e2.h == h {
 		m.cache[s], m.cache[s|1] = m.cache[s|1], m.cache[s]
 		m.stats.CacheHits++
 		return m.cache[s].res, true
@@ -63,8 +80,7 @@ func (m *Manager) cacheLookup(op int32, f, g, h Node) (Node, bool) {
 func (m *Manager) cacheStore(op int32, f, g, h, res Node) {
 	s := m.cacheSlot(op, f, g, h) << 1
 	m.cache[s|1] = m.cache[s]
-	e := &m.cache[s]
-	e.op, e.f, e.g, e.h, e.res = op, f, g, h, res
+	m.cache[s] = cacheEntry{cacheKey(op, f), g, h, res}
 }
 
 // cacheSlot maps a key to its set index.
@@ -82,11 +98,11 @@ func (m *Manager) sweepCache(mark bitset) {
 	retained, invalidated := uint64(0), uint64(0)
 	for i := range m.cache {
 		e := &m.cache[i]
-		if e.op == 0 {
+		if e.key == 0 {
 			continue
 		}
-		live := mark.has(int32(e.f)) && mark.has(int32(e.res))
-		switch e.op {
+		live := mark.has(int32(e.f())) && mark.has(int32(e.res))
+		switch e.op() {
 		case opRestrictF, opRestrictT:
 			// g is a level, h unused.
 		default:
@@ -129,7 +145,7 @@ func (m *Manager) allocCache(sets int) {
 // set's LRU entry goes in before its MRU entry, which stays MRU.
 func (m *Manager) growCache() {
 	sets, steps := len(m.cache)/2, 0
-	for sets < cacheCap && len(m.lvl) > sets*cacheNodesPerSet {
+	for sets < cacheCap && len(m.tab) > sets*cacheNodesPerSet {
 		sets = min(sets*cacheStep, cacheCap)
 		steps++
 	}
@@ -140,8 +156,8 @@ func (m *Manager) growCache() {
 	m.allocCache(sets)
 	for s := 0; s < len(old); s += 2 {
 		for _, e := range [2]cacheEntry{old[s+1], old[s]} {
-			if e.op != 0 {
-				m.cacheStore(e.op, e.f, e.g, e.h, e.res)
+			if e.key != 0 {
+				m.cacheStore(e.op(), e.f(), e.g, e.h, e.res)
 			}
 		}
 	}
@@ -257,22 +273,22 @@ func (m *Manager) apply(op int32, f, g Node) Node {
 	if r, ok := m.cacheLookup(op, f, g, 0); ok {
 		return r
 	}
-	lf, lg := m.lvl[f], m.lvl[g]
+	nf, ng := m.tab[f], m.tab[g]
 	var lvl int32
 	var f0, f1, g0, g1 Node
 	switch {
-	case lf == lg:
-		lvl = lf
-		f0, f1 = Node(m.lo[f]), Node(m.hi[f])
-		g0, g1 = Node(m.lo[g]), Node(m.hi[g])
-	case lf < lg:
-		lvl = lf
-		f0, f1 = Node(m.lo[f]), Node(m.hi[f])
+	case nf.lvl == ng.lvl:
+		lvl = nf.lvl
+		f0, f1 = Node(nf.lo), Node(nf.hi)
+		g0, g1 = Node(ng.lo), Node(ng.hi)
+	case nf.lvl < ng.lvl:
+		lvl = nf.lvl
+		f0, f1 = Node(nf.lo), Node(nf.hi)
 		g0, g1 = g, g
 	default:
-		lvl = lg
+		lvl = ng.lvl
 		f0, f1 = f, f
-		g0, g1 = Node(m.lo[g]), Node(m.hi[g])
+		g0, g1 = Node(ng.lo), Node(ng.hi)
 	}
 	lo := m.apply(op, f0, g0)
 	hi := m.apply(op, f1, g1)
@@ -292,7 +308,8 @@ func (m *Manager) Not(f Node) Node {
 	if r, ok := m.cacheLookup(opNot, f, 0, 0); ok {
 		return r
 	}
-	r := m.mk(m.lvl[f], m.Not(Node(m.lo[f])), m.Not(Node(m.hi[f])))
+	n := m.tab[f]
+	r := m.mk(n.lvl, m.Not(Node(n.lo)), m.Not(Node(n.hi)))
 	m.cacheStore(opNot, f, 0, 0, r)
 	return r
 }
@@ -314,12 +331,12 @@ func (m *Manager) Ite(f, g, h Node) Node {
 	if r, ok := m.cacheLookup(opIte, f, g, h); ok {
 		return r
 	}
-	lvl := m.lvl[f]
-	if m.lvl[g] < lvl {
-		lvl = m.lvl[g]
+	lvl := m.tab[f].lvl
+	if m.tab[g].lvl < lvl {
+		lvl = m.tab[g].lvl
 	}
-	if m.lvl[h] < lvl {
-		lvl = m.lvl[h]
+	if m.tab[h].lvl < lvl {
+		lvl = m.tab[h].lvl
 	}
 	f0, f1 := m.cofactor(f, lvl)
 	g0, g1 := m.cofactor(g, lvl)
@@ -333,8 +350,8 @@ func (m *Manager) Ite(f, g, h Node) Node {
 
 // cofactor returns the (lo, hi) cofactors of n with respect to level lvl.
 func (m *Manager) cofactor(n Node, lvl int32) (Node, Node) {
-	if m.lvl[n] == lvl {
-		return Node(m.lo[n]), Node(m.hi[n])
+	if r := &m.tab[n]; r.lvl == lvl {
+		return Node(r.lo), Node(r.hi)
 	}
 	return n, n
 }
@@ -349,21 +366,22 @@ func (m *Manager) Restrict(f Node, v int, value bool) Node {
 }
 
 func (m *Manager) restrictRec(f Node, lvl int32, op int32) Node {
-	if m.lvl[f] > lvl {
+	n := m.tab[f]
+	if n.lvl > lvl {
 		return f
 	}
-	if m.lvl[f] == lvl {
+	if n.lvl == lvl {
 		if op == opRestrictT {
-			return Node(m.hi[f])
+			return Node(n.hi)
 		}
-		return Node(m.lo[f])
+		return Node(n.lo)
 	}
 	if r, ok := m.cacheLookup(op, f, Node(lvl), 0); ok {
 		return r
 	}
-	lo := m.restrictRec(Node(m.lo[f]), lvl, op)
-	hi := m.restrictRec(Node(m.hi[f]), lvl, op)
-	r := m.mk(m.lvl[f], lo, hi)
+	lo := m.restrictRec(Node(n.lo), lvl, op)
+	hi := m.restrictRec(Node(n.hi), lvl, op)
+	r := m.mk(n.lvl, lo, hi)
 	m.cacheStore(op, f, Node(lvl), 0, r)
 	return r
 }
@@ -380,12 +398,13 @@ func (m *Manager) existsRec(f, cube Node) Node {
 	if f <= True {
 		return f
 	}
-	lf := m.lvl[f]
+	nf := m.tab[f]
+	lf := nf.lvl
 	// Quantified variables above f's root are not in f's support: drop
 	// them so calls with supersets of the relevant varset share cache
 	// entries.
-	for cube > True && m.lvl[cube] < lf {
-		cube = Node(m.hi[cube])
+	for cube > True && m.tab[cube].lvl < lf {
+		cube = Node(m.tab[cube].hi)
 	}
 	if cube == True {
 		return f
@@ -395,17 +414,17 @@ func (m *Manager) existsRec(f, cube Node) Node {
 	}
 	m.pollInterrupt()
 	var r Node
-	if m.lvl[cube] == lf {
-		rest := Node(m.hi[cube])
-		lo := m.existsRec(Node(m.lo[f]), rest)
+	if m.tab[cube].lvl == lf {
+		rest := Node(m.tab[cube].hi)
+		lo := m.existsRec(Node(nf.lo), rest)
 		if lo == True { // ∃-abstraction saturated; skip the hi branch
 			r = True
 		} else {
-			r = m.Or(lo, m.existsRec(Node(m.hi[f]), rest))
+			r = m.Or(lo, m.existsRec(Node(nf.hi), rest))
 		}
 	} else {
-		lo := m.existsRec(Node(m.lo[f]), cube)
-		hi := m.existsRec(Node(m.hi[f]), cube)
+		lo := m.existsRec(Node(nf.lo), cube)
+		hi := m.existsRec(Node(nf.hi), cube)
 		r = m.mk(lf, lo, hi)
 	}
 	m.cacheStore(opExists, f, cube, 0, r)
@@ -461,15 +480,16 @@ func (m *Manager) permuteRec(n Node, to []int, neg []bool) Node {
 		return Node(r)
 	}
 	m.pollInterrupt()
-	v := m.lvl[n]
-	lo := m.permuteRec(Node(m.lo[n]), to, neg)
-	hi := m.permuteRec(Node(m.hi[n]), to, neg)
+	rec := m.tab[n]
+	v := rec.lvl
+	lo := m.permuteRec(Node(rec.lo), to, neg)
+	hi := m.permuteRec(Node(rec.hi), to, neg)
 	if neg != nil && neg[v] {
 		lo, hi = hi, lo
 	}
 	t := int32(to[v])
 	var r Node
-	if t < m.lvl[lo] && t < m.lvl[hi] {
+	if t < m.tab[lo].lvl && t < m.tab[hi].lvl {
 		r = m.mk(t, lo, hi)
 	} else {
 		r = m.Ite(m.mk(t, False, True), hi, lo)
@@ -500,9 +520,9 @@ func (m *Manager) andSatRec(f, g Node) Node {
 		return r
 	}
 	m.pollInterrupt()
-	lvl := m.lvl[f]
-	if m.lvl[g] < lvl {
-		lvl = m.lvl[g]
+	lvl := m.tab[f].lvl
+	if m.tab[g].lvl < lvl {
+		lvl = m.tab[g].lvl
 	}
 	f0, f1 := m.cofactor(f, lvl)
 	g0, g1 := m.cofactor(g, lvl)
@@ -534,9 +554,9 @@ func (m *Manager) diffSatRec(f, g Node) Node {
 		return r
 	}
 	m.pollInterrupt()
-	lvl := m.lvl[f]
-	if m.lvl[g] < lvl {
-		lvl = m.lvl[g]
+	lvl := m.tab[f].lvl
+	if m.tab[g].lvl < lvl {
+		lvl = m.tab[g].lvl
 	}
 	f0, f1 := m.cofactor(f, lvl)
 	g0, g1 := m.cofactor(g, lvl)
@@ -580,5 +600,6 @@ func (m *Manager) nodeCountRec(n Node) int {
 		return 0
 	}
 	m.i32memo.put(n, 0)
-	return 1 + m.nodeCountRec(Node(m.lo[n])) + m.nodeCountRec(Node(m.hi[n]))
+	r := &m.tab[n]
+	return 1 + m.nodeCountRec(Node(r.lo)) + m.nodeCountRec(Node(r.hi))
 }

@@ -118,8 +118,8 @@ func FuzzKernelOps(f *testing.F) {
 			case 11:
 				m.GC()
 				for _, e := range m.cache {
-					if e.op != 0 {
-						t.Fatalf("step %d: GC() left an op-cache entry (op %d)", step, e.op)
+					if e.key != 0 {
+						t.Fatalf("step %d: GC() left an op-cache entry (op %d)", step, e.op())
 					}
 				}
 				collected("GC()", false)

@@ -121,7 +121,7 @@ func FuzzReadBDD(f *testing.F) {
 		}
 		// Whatever decoded must be structurally valid nodes.
 		for _, n := range roots {
-			if n < 0 || int(n) >= len(m.lvl) {
+			if n < 0 || int(n) >= len(m.tab) {
 				t.Fatalf("decoded root %d out of range", n)
 			}
 			m.NodeCount(n)

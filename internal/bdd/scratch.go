@@ -47,7 +47,7 @@ type memo[T any] struct {
 // replaced, not extended: begin invalidates every slot anyway, and a
 // zeroed stamp never matches a generation.
 func (t *memo[T]) begin(m *Manager) {
-	s, n := &m.stamps, cap(m.lvl)
+	s, n := &m.stamps, cap(m.tab)
 	if len(s.stamp) < n {
 		s.stamp = make([]uint32, n)
 	}

@@ -59,9 +59,10 @@ func (m *Manager) Write(w io.Writer, roots ...Node) error {
 	buf = binary.AppendUvarint(buf, uint64(len(order)))
 	buf = binary.AppendUvarint(buf, uint64(len(roots)))
 	for i, n := range order {
-		buf = binary.AppendUvarint(buf, uint64(m.lvl[n]))
-		buf = binary.AppendUvarint(buf, ref(Node(m.lo[n]), i))
-		buf = binary.AppendUvarint(buf, ref(Node(m.hi[n]), i))
+		r := &m.tab[n]
+		buf = binary.AppendUvarint(buf, uint64(r.lvl))
+		buf = binary.AppendUvarint(buf, ref(Node(r.lo), i))
+		buf = binary.AppendUvarint(buf, ref(Node(r.hi), i))
 	}
 	for _, r := range roots {
 		idx := uint64(r)
@@ -84,8 +85,8 @@ func (m *Manager) writeOrder(n Node, order []Node) []Node {
 	if _, seen := m.i32memo.get(n); seen {
 		return order
 	}
-	order = m.writeOrder(Node(m.lo[n]), order)
-	order = m.writeOrder(Node(m.hi[n]), order)
+	order = m.writeOrder(Node(m.tab[n].lo), order)
+	order = m.writeOrder(Node(m.tab[n].hi), order)
 	m.i32memo.put(n, int32(len(order)))
 	return append(order, n)
 }
@@ -180,7 +181,7 @@ func (m *Manager) Read(r io.Reader) ([]Node, error) {
 		}
 		// Children sit at strictly greater levels (reduced ordered BDD);
 		// terminals carry terminalLevel.
-		if m.lvl[nodes[lo]] <= int32(vr) || m.lvl[nodes[hi]] <= int32(vr) {
+		if m.tab[nodes[lo]].lvl <= int32(vr) || m.tab[nodes[hi]].lvl <= int32(vr) {
 			return nil, fmt.Errorf("bdd: node %d violates the variable ordering", i)
 		}
 		nodes = append(nodes, m.mk(int32(vr), nodes[lo], nodes[hi]))

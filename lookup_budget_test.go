@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sre"
+	"sre/internal/bdd"
 	"sre/internal/workload"
 )
 
@@ -135,6 +136,37 @@ func TestVerificationLookupBudget(t *testing.T) {
 			if m.RoutesImported != c.imported || m.NumPFECs != c.numPFECs {
 				t.Errorf("%d routes imported, %d PFECs; want %d, %d",
 					m.RoutesImported, m.NumPFECs, c.imported, c.numPFECs)
+			}
+		})
+	}
+}
+
+// TestKernelSameWork pins the work the BDD kernel does, exactly: how the
+// node table and the operation cache are laid out in memory may change
+// how fast a run goes, never which lookups hit, which nodes are found in
+// the unique table, how many nodes are allocated at most or when the
+// collector runs. FatTree(4) without symmetry verifies all eight
+// prefixes in one combined space and collects; the OSPF WAN is the
+// other protocol path.
+func TestKernelSameWork(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *sre.Network
+		want bdd.Stats
+	}{
+		{"fattree4-nosymmetry", fatTreeWithoutSymmetry(4),
+			bdd.Stats{CacheHits: 175892, CacheMiss: 585411, UniqueHits: 243582, PeakNodes: 84462, GCRuns: 3}},
+		{"wan20-ospf", workload.SyntheticWAN("w", 20, 30, workload.OSPF, 1),
+			bdd.Stats{CacheHits: 315840, CacheMiss: 1064417, UniqueHits: 467242, PeakNodes: 128873, GCRuns: 5}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v, err := sre.NewVerifier(c.net, sre.Options{MaxFailures: 2, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Release()
+			if got := sre.KernelWork(v); got != c.want {
+				t.Errorf("kernel work %+v\nwant          %+v", got, c.want)
 			}
 		})
 	}

@@ -103,8 +103,10 @@ type Options struct {
 	// on: overlapping originated prefixes (a covering prefix is the
 	// longest-prefix-match fallback) and aggregate contributors.
 	Prefixes []string
-	// BDDNodeLimit caps the BDD node table (0 = the package default).
-	// When exceeded, NewVerifier returns ErrBDDLimit — unless Resilient
+	// BDDNodeLimit caps the BDD node table: 0 (the package default,
+	// 2²⁶ nodes) through 2²⁷ nodes, the most a node handle can address
+	// in the operation cache's packed key; NewVerifier rejects any other
+	// value. When exceeded, NewVerifier returns ErrBDDLimit — unless Resilient
 	// is set, in which case overflowing prefixes are quarantined and
 	// retried through the degradation ladder instead.
 	BDDNodeLimit int
@@ -308,6 +310,9 @@ func newVerifier(net *Network, opts Options, orbits bool) (v *Verifier, err erro
 // the cancellation checker into the interrupt hook) and parses the
 // requested prefixes.
 func buildOpts(opts Options) (src.Options, []route.Prefix, error) {
+	if err := bdd.CheckNodeLimit(opts.BDDNodeLimit); err != nil {
+		return src.Options{}, nil, err
+	}
 	// The shared checker is safe for the concurrent pipelines of a
 	// parallel run and costs the same at one worker.
 	checker := resil.NewSharedChecker(opts.Context, opts.Timeout)

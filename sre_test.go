@@ -1,11 +1,13 @@
 package sre_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"sre"
+	"sre/internal/bdd"
 	"sre/internal/workload"
 )
 
@@ -352,6 +354,35 @@ func TestPublicNodeLimit(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected BDD limit error")
 	}
+}
+
+// TestNodeLimitOutOfRange: a node limit below 0 or above what a node
+// handle can address (bdd.MaxNodeLimit) is an input error, refused with
+// the accepted range before any BDD is built: never reported as an
+// overflow, and never sent down the resilient ladder.
+func TestNodeLimitOutOfRange(t *testing.T) {
+	net, err := sre.ParseNetwork(figure1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{-1, bdd.MaxNodeLimit + 1} {
+		for _, resilient := range []bool{false, true} {
+			opts := sre.Options{MaxFailures: 1, BDDNodeLimit: limit, Resilient: resilient}
+			_, verr := sre.NewVerifier(net, opts)
+			_, merr := sre.MineSpecs(net, 1, opts)
+			_, derr := sre.Diff(net, net, 1, sre.LinkFailures(0.001), opts)
+			for _, err := range []error{verr, merr, derr} {
+				if err == nil || errors.Is(err, sre.ErrBDDLimit) || !strings.Contains(err.Error(), "out of range [0, 134217728]") {
+					t.Errorf("node limit %d (resilient %v): %v, want an out-of-range error", limit, resilient, err)
+				}
+			}
+		}
+	}
+	v, err := sre.NewVerifier(net, sre.Options{MaxFailures: 1, BDDNodeLimit: bdd.MaxNodeLimit})
+	if err != nil {
+		t.Fatalf("node limit bdd.MaxNodeLimit: %v", err)
+	}
+	v.Release()
 }
 
 func TestPublicLoadBalance(t *testing.T) {
